@@ -112,9 +112,10 @@
 //! ring, so every shard rotates at the same point of its sub-stream
 //! without a stop-the-world barrier.
 //!
-//! This replaces the old `ShardedParallelTopK` special case (which
-//! parallelized over the `d` arrays of a single Parallel instance and
-//! worked for nothing else); that name survives as a type alias.
+//! Rotation, on-demand checkpoints and the checkpoint baseline share one
+//! private barrier: dispatch what is pending under the pending lock,
+//! then enqueue one op per shard, optionally waiting for the flush. The
+//! three window exports share one flushed per-shard visitor.
 
 use crate::config::HkConfig;
 use crate::fault::{FaultKind, FaultPlan, ShardFaults};
@@ -347,10 +348,6 @@ struct Shard<K, A> {
     /// Rebased to the checkpoint cut on respawn, so `routed - ckpt`
     /// is the dark window across repeated kills.
     packets_routed: AtomicU64,
-    /// Cumulative packets the worker has applied, in the same rebased
-    /// coordinates as `packets_routed` — the worker-side stream
-    /// position fault thresholds are measured against.
-    packets_done: Arc<AtomicU64>,
     /// Batches dispatched since the last scheduled checkpoint
     /// (producer side, under the pending lock).
     ckpt_batches: AtomicU64,
@@ -536,10 +533,10 @@ where
 
     /// Spawns a shard worker around `algo`, reusing the given checkpoint
     /// slot and fault schedule (fresh on first spawn, the dead shard's
-    /// on respawn) and starting both packet counters at `base_packets`
-    /// — the restoring checkpoint's cut, so dark-window accounting and
-    /// fault thresholds stay in cumulative sub-stream coordinates across
-    /// repeated kills.
+    /// on respawn) and starting the routed counter and the worker's
+    /// applied-packet position at `base_packets` — the restoring
+    /// checkpoint's cut, so dark-window accounting and fault thresholds
+    /// stay in cumulative sub-stream coordinates across repeated kills.
     fn spawn_shard_with(
         algo: A,
         handoff: bool,
@@ -549,7 +546,6 @@ where
     ) -> Shard<K, A> {
         let algo = Arc::new(Mutex::new(algo));
         let processed = Arc::new(AtomicU64::new(0));
-        let packets_done = Arc::new(AtomicU64::new(base_packets));
         let sleeping = Arc::new(AtomicBool::new(false));
         let work = Arc::new(SpscRing::new(WORK_RING_CAPACITY));
         let recycled = Arc::new(SpscRing::new(RECYCLE_RING_CAPACITY));
@@ -557,7 +553,6 @@ where
         let worker = {
             let algo = Arc::clone(&algo);
             let processed = Arc::clone(&processed);
-            let packets_done = Arc::clone(&packets_done);
             let sleeping = Arc::clone(&sleeping);
             let work = Arc::clone(&work);
             let recycled = Arc::clone(&recycled);
@@ -569,7 +564,7 @@ where
                     &work,
                     &recycled,
                     &processed,
-                    &packets_done,
+                    base_packets,
                     &sleeping,
                     &faults,
                     handoff,
@@ -588,7 +583,6 @@ where
             unparker,
             poisoned: AtomicBool::new(false),
             packets_routed: AtomicU64::new(base_packets),
-            packets_done,
             ckpt_batches: AtomicU64::new(0),
             checkpoint,
             faults,
@@ -607,19 +601,23 @@ where
         work: &SpscRing<ShardMsg<K, A>>,
         recycled: &SpscRing<SubBatch<K>>,
         processed: &AtomicU64,
-        packets_done: &AtomicU64,
+        base_packets: u64,
         sleeping: &AtomicBool,
         faults: &ShardFaults,
         handoff: bool,
         obs: &OnceLock<WorkerObs>,
     ) {
+        // Cumulative packets applied, in the same rebased coordinates as
+        // the shard's routed counter: the stream position fault
+        // thresholds are measured against.
+        let mut packets_done = base_packets;
         let mut spins = 0usize;
         loop {
             match work.try_pop() {
                 Some(ShardMsg::Batch(mut batch)) => {
                     spins = 0;
                     let units = batch.keys.len() as u64;
-                    let applied = packets_done.load(Ordering::Relaxed);
+                    let applied = packets_done;
                     if let Some((threshold, kind)) = faults.crossing(applied, units) {
                         match kind {
                             // Clean death at a batch boundary: nothing
@@ -687,11 +685,7 @@ where
                             o.latency_ns.record(u64::try_from(ns).unwrap_or(u64::MAX));
                         }
                     }
-                    // `packets_done` strictly before `processed`: a
-                    // flusher that observes `processed` caught up must
-                    // also observe the packet position (release/acquire
-                    // pairing on `processed`).
-                    packets_done.fetch_add(units, Ordering::Release);
+                    packets_done += units;
                     processed.fetch_add(units, Ordering::Release);
                     // Hand the drained buffer back for reuse; a full
                     // return ring just drops it (the dispatcher will
@@ -874,8 +868,10 @@ where
     /// created later (reshard growth, respawn) are wired automatically.
     ///
     /// With no hub attached (the default) the hot path pays one branch
-    /// per dispatched batch and one relaxed load per drained batch —
-    /// the `obs_overhead` bench pins this within noise.
+    /// per dispatched batch and one relaxed load per drained batch. The
+    /// `no-timing-in-hot-path` lint keeps clock reads off the per-packet
+    /// path; the attached-hub cost returns as a benchmark workload
+    /// (`ledger/`) in a later benchmark change.
     pub fn attach_obs(&mut self, hub: Arc<ObsHub>) {
         for (idx, shard) in self.shards.iter().enumerate() {
             let _ = shard.obs.set(hub.worker(idx));
@@ -1085,7 +1081,6 @@ where
                     .fetch_add(1, Ordering::Relaxed)
                     + 1;
                 if n >= every {
-                    self.shards[idx].ckpt_batches.store(0, Ordering::Relaxed);
                     self.enqueue_checkpoint(idx);
                 }
             }
@@ -1094,12 +1089,14 @@ where
     }
 
     /// Enqueues a checkpoint op on shard `idx`'s ring (caller holds the
-    /// pending lock — producer discipline). The op rides behind every
-    /// batch dispatched so far, so the state it encodes is exactly the
-    /// routed-counter cut captured here.
+    /// pending lock — producer discipline) and restarts the shard's
+    /// checkpoint cadence. The op rides behind every batch dispatched so
+    /// far, so the state it encodes is exactly the routed-counter cut
+    /// captured here. A no-op until checkpoints are enabled.
     fn enqueue_checkpoint(&self, idx: usize) {
         let Some(encode) = self.encode else { return };
         let shard = &self.shards[idx];
+        shard.ckpt_batches.store(0, Ordering::Relaxed);
         if shard.is_poisoned() {
             return;
         }
@@ -1148,11 +1145,44 @@ where
                 }
             }
         }
+        self.health()
+    }
+
+    /// `Err` naming the dead shards, if any.
+    fn health(&self) -> Result<(), ShardPoisoned> {
         let dead = self.poisoned_shards();
         if dead.is_empty() {
             Ok(())
         } else {
             Err(ShardPoisoned { shards: dead })
+        }
+    }
+
+    /// The one barrier behind [`ShardedEngine::rotate_all`],
+    /// [`ShardedEngine::checkpoint_now`] and
+    /// [`ShardedEngine::enable_checkpoints`]. Under the pending lock —
+    /// the producer side of every shard ring, so all pushes stay
+    /// serialized (SPSC) and no packet can slip between the dispatch
+    /// and the cut — it dispatches everything pending, then enqueues
+    /// `op` (if any) and, once checkpoints are enabled, a checkpoint
+    /// behind it on every shard. Every shard thus sees the same cut of
+    /// its sub-stream. With `wait` it then flushes, returning once every
+    /// live shard has applied the ops.
+    fn barrier(&self, op: Option<fn(&mut A)>, wait: bool) -> Result<(), ShardPoisoned> {
+        {
+            let mut pending = self.lock_pending();
+            self.dispatch_locked(&mut pending);
+            for idx in 0..self.shards.len() {
+                if let Some(op) = op {
+                    self.send_to_shard(idx, ShardMsg::Op(Box::new(op)), 1, 0);
+                }
+                self.enqueue_checkpoint(idx);
+            }
+        }
+        if wait {
+            self.dispatch_and_flush()
+        } else {
+            self.health()
         }
     }
 
@@ -1191,8 +1221,9 @@ where
     /// [`ShardCheckpoint`] encode/decode as engine state, schedules a
     /// checkpoint every `every_batches` dispatched batches per shard
     /// (plus one at every [`ShardedEngine::rotate_all`] barrier), and
-    /// takes an immediate baseline checkpoint of every live shard — so
-    /// any later death, however early, has something to restore from.
+    /// takes a baseline checkpoint of every live shard behind the
+    /// packets dispatched so far, waiting for it to land — so any later
+    /// death, however early, has something to restore from.
     ///
     /// The dark-window loss bound is the cadence knob: a shard respawn
     /// loses at most `every_batches` batches of that shard's sub-stream
@@ -1208,28 +1239,10 @@ where
     where
         A: ShardCheckpoint,
     {
-        let encode = A::encode_checkpoint as fn(&A) -> Vec<u8>;
-        self.encode = Some(encode);
-        self.restore = Some(A::restore_checkpoint as fn(&[u8]) -> Option<A>);
+        self.encode = Some(A::encode_checkpoint);
+        self.restore = Some(A::restore_checkpoint);
         self.checkpoint_every = Some(every_batches.max(1));
-        let res = self.dispatch_and_flush();
-        for shard in &self.shards {
-            if shard.is_poisoned() {
-                continue;
-            }
-            // Flushed + `&mut self`: the worker is idle and no ingest
-            // races, so encoding synchronously here is exact.
-            let Ok(guard) = shard.algo.lock() else {
-                continue;
-            };
-            let bytes = encode(&guard);
-            let packets = shard.packets_done.load(Ordering::Acquire);
-            *shard
-                .checkpoint
-                .lock()
-                .unwrap_or_else(PoisonError::into_inner) = Some(CheckpointSlot { bytes, packets });
-        }
-        res
+        self.barrier(None, true)
     }
 
     /// When on, the ingest entry points ([`TopKAlgorithm::insert`] /
@@ -1267,15 +1280,7 @@ where
     ///
     /// Returns [`ShardPoisoned`] when dead shards were skipped.
     pub fn checkpoint_now(&self) -> Result<(), ShardPoisoned> {
-        {
-            let mut pending = self.lock_pending();
-            self.dispatch_locked(&mut pending);
-            for idx in 0..self.shards.len() {
-                self.enqueue_checkpoint(idx);
-                self.shards[idx].ckpt_batches.store(0, Ordering::Relaxed);
-            }
-        }
-        self.dispatch_and_flush()
+        self.barrier(None, true)
     }
 
     /// The bytes of `shard`'s last taken checkpoint (in-flight
@@ -1802,38 +1807,14 @@ where
     /// Returns [`ShardPoisoned`] when dead shards were skipped (their
     /// windows no longer advance).
     pub fn rotate_all(&self) -> Result<(), ShardPoisoned> {
-        {
-            // The ops go out under the pending lock too: it is the
-            // producer side of every shard ring, so all pushes stay
-            // serialized (SPSC) and no packet can slip between the
-            // dispatch and the rotation cut.
-            let mut pending = self.lock_pending();
-            self.dispatch_locked(&mut pending);
-            for idx in 0..self.shards.len() {
-                self.send_to_shard(
-                    idx,
-                    ShardMsg::Op(Box::new(|a: &mut A| a.rotate_epoch())),
-                    1,
-                    0,
-                );
-                // A rotation is a natural checkpoint barrier: the
-                // encode rides right behind the rotate op, so a restart
-                // from it resumes at a clean epoch boundary.
-                if self.checkpoint_every.is_some() {
-                    self.enqueue_checkpoint(idx);
-                    self.shards[idx].ckpt_batches.store(0, Ordering::Relaxed);
-                }
-            }
-        }
+        // A rotation is a natural checkpoint barrier: the encode rides
+        // right behind the rotate op, so a restart from it resumes at a
+        // clean epoch boundary.
+        let res = self.barrier(Some(A::rotate_epoch), false);
         if let Some(hub) = &self.obs {
             hub.stages.rotations.incr();
         }
-        let dead = self.poisoned_shards();
-        if dead.is_empty() {
-            Ok(())
-        } else {
-            Err(ShardPoisoned { shards: dead })
-        }
+        res
     }
 }
 
@@ -1871,21 +1852,12 @@ impl<K: FlowKey + Send + 'static> ShardedEngine<K, crate::sliding::SlidingTopK<K
         switch_id_base: u64,
         epoch_packets: u32,
     ) -> Result<Vec<Vec<u8>>, ShardPoisoned> {
-        self.flush()?;
-        let frames: Vec<Vec<u8>> = self
-            .shards
-            .iter()
-            .enumerate()
-            .map(|(i, shard)| {
-                // The flush barrier already rejected dead workers;
-                // residual poison can only come from a reader's panic
-                // (shared access, state intact) — absorb it.
-                let guard = shard.algo.lock().unwrap_or_else(PoisonError::into_inner);
-                guard.export_frame(switch_id_base + i as u64, epoch_packets)
-            })
-            .collect();
-        self.obs_record_export(&frames);
-        Ok(frames)
+        // Every shard has a full frame, so the visitor always returns
+        // `Some`.
+        self.export_each(switch_id_base, |w, id| {
+            Some(w.export_frame(id, epoch_packets))
+        })
+        .map(Option::unwrap_or_default)
     }
 
     /// The delta sibling of [`ShardedEngine::export_frames`]: one
@@ -1900,17 +1872,7 @@ impl<K: FlowKey + Send + 'static> ShardedEngine<K, crate::sliding::SlidingTopK<K
         switch_id_base: u64,
         epoch_packets: u32,
     ) -> Result<Option<Vec<Vec<u8>>>, ShardPoisoned> {
-        self.flush()?;
-        let mut out = Vec::with_capacity(self.shards.len());
-        for (i, shard) in self.shards.iter().enumerate() {
-            let guard = shard.algo.lock().unwrap_or_else(PoisonError::into_inner);
-            match guard.export_delta(switch_id_base + i as u64, epoch_packets) {
-                Some(frame) => out.push(frame),
-                None => return Ok(None),
-            }
-        }
-        self.obs_record_export(&out);
-        Ok(Some(out))
+        self.export_each(switch_id_base, |w, id| w.export_delta(id, epoch_packets))
     }
 
     /// The dirty sibling of [`ShardedEngine::export_deltas`]: one
@@ -1931,33 +1893,43 @@ impl<K: FlowKey + Send + 'static> ShardedEngine<K, crate::sliding::SlidingTopK<K
         switch_id_base: u64,
         epoch_packets: u32,
     ) -> Result<Option<Vec<Vec<u8>>>, ShardPoisoned> {
-        self.flush()?;
-        let mut out = Vec::with_capacity(self.shards.len());
-        let mut complete = true;
-        for (i, shard) in self.shards.iter().enumerate() {
-            let mut guard = shard.algo.lock().unwrap_or_else(PoisonError::into_inner);
-            // Call every shard even once one came up empty: the call is
-            // what primes/advances each shard's shadow for next time.
-            match guard.export_dirty(switch_id_base + i as u64, epoch_packets) {
-                Some(frame) => out.push(frame),
-                None => complete = false,
-            }
-        }
-        if complete {
-            self.obs_record_export(&out);
-        }
-        Ok(complete.then_some(out))
+        self.export_each(switch_id_base, |w, id| w.export_dirty(id, epoch_packets))
     }
 
-    /// Counts one export op and records per-shard frame sizes into the
-    /// export-bytes histogram (no-op without a hub).
-    fn obs_record_export(&self, frames: &[Vec<u8>]) {
-        if let Some(hub) = &self.obs {
+    /// The flushed per-shard visitor behind the three exports: flushes,
+    /// so every frame is cut at the same point of the stream, then calls
+    /// `export(window, switch_id)` on every shard in index order (shard
+    /// `i` is switch `switch_id_base + i`). Returns the frames only if
+    /// every shard produced one, and then records them in the attached
+    /// hub.
+    fn export_each(
+        &self,
+        switch_id_base: u64,
+        mut export: impl FnMut(&mut crate::sliding::SlidingTopK<K>, u64) -> Option<Vec<u8>>,
+    ) -> Result<Option<Vec<Vec<u8>>>, ShardPoisoned> {
+        self.flush()?;
+        // Visit every shard even once one came up empty: a dirty export
+        // is what primes/advances each shard's shadow for next time.
+        let frames: Vec<Option<Vec<u8>>> = self
+            .shards
+            .iter()
+            .enumerate()
+            .map(|(i, shard)| {
+                // The flush barrier already rejected dead workers;
+                // residual poison can only come from a reader's panic
+                // (shared access, state intact) — absorb it.
+                let mut guard = shard.algo.lock().unwrap_or_else(PoisonError::into_inner);
+                export(&mut guard, switch_id_base + i as u64)
+            })
+            .collect();
+        let frames: Option<Vec<Vec<u8>>> = frames.into_iter().collect();
+        if let (Some(hub), Some(frames)) = (&self.obs, &frames) {
             hub.stages.exports.incr();
             for f in frames {
                 hub.export_bytes.record(f.len() as u64);
             }
         }
+        Ok(frames)
     }
 }
 
@@ -2065,11 +2037,6 @@ impl<K: FlowKey + Send + 'static> ShardedEngine<K, MinimumTopK<K>> {
         out.ok_or(MergeError::NoLiveShards)
     }
 }
-
-/// The old Parallel-only sharded type, now a thin alias of the generic
-/// engine (construct with [`ShardedEngine::parallel`] or
-/// [`ShardedEngine::from_shards`]).
-pub type ShardedParallelTopK<K> = ShardedEngine<K, ParallelTopK<K>>;
 
 #[cfg(test)]
 mod tests {
@@ -2186,12 +2153,6 @@ mod tests {
         let mut engine = ShardedEngine::<u64, _>::parallel(&cfg(16, 4), 2);
         engine.insert_batch(&[]);
         assert!(engine.top_k().is_empty());
-    }
-
-    #[test]
-    fn alias_still_names_the_parallel_engine() {
-        let engine: ShardedParallelTopK<u64> = ShardedEngine::parallel(&cfg(64, 4), 2);
-        assert_eq!(engine.shards(), 2);
     }
 
     #[test]

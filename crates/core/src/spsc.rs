@@ -9,16 +9,15 @@
 //! allocates nothing: the slot array is fixed at construction and the
 //! payloads it carries are recycled by the return ring.
 //!
-//! This is a sibling of `hk_ovs::ring::SharedRing`, which models the
-//! datapath↔user-space shared-memory region (drop statistics, spinning
-//! producers). This ring is the *in-process* transport: it adds a
-//! close flag for orderly worker shutdown and `Err`-returning pushes so
-//! the dispatcher can tell "full, worker alive → wait" from "closed →
-//! stop", and carries whole batch buffers rather than flow IDs. Like
-//! `SharedRing` it stays inside `forbid(unsafe_code)`: each slot is a
-//! tiny `Mutex<Option<T>>` that is uncontended under the SPSC
-//! discipline, with head/tail cursors advanced only by their owning
-//! side.
+//! It is the workspace's one SPSC ring: the same type also models the
+//! OVS datapath↔user-space shared-memory region in `hk-ovs`, where the
+//! datapath mirrors flow IDs into it and the consumer drains them in
+//! batches ([`SpscRing::pop_batch`]). It stays inside
+//! `forbid(unsafe_code)`: each slot is a tiny `Mutex<Option<T>>` that
+//! is uncontended under the SPSC discipline, with head/tail cursors
+//! advanced only by their owning side. A close flag gives orderly
+//! shutdown, and `Err`-returning pushes let a producer tell "full,
+//! consumer alive → wait (or drop)" from "closed → stop".
 //!
 //! **SPSC contract:** at any moment at most one thread pushes and at
 //! most one thread pops. The sides may be *handed over* (the engine
@@ -191,6 +190,23 @@ impl<T> SpscRing<T> {
     pub fn is_full(&self) -> bool {
         self.len() == self.capacity()
     }
+
+    /// Drains up to `max` items into `out`, returning how many were
+    /// taken. This is the consumer-side batch boundary: one call's
+    /// worth of items becomes one `insert_batch`.
+    pub fn pop_batch(&self, out: &mut Vec<T>, max: usize) -> usize {
+        let mut taken = 0;
+        while taken < max {
+            match self.try_pop() {
+                Some(item) => {
+                    out.push(item);
+                    taken += 1;
+                }
+                None => break,
+            }
+        }
+        taken
+    }
 }
 
 #[cfg(test)]
@@ -314,6 +330,47 @@ mod tests {
             full_hits > 0,
             "consumer was never slow enough to exercise backpressure"
         );
+    }
+
+    #[test]
+    fn pop_batch_respects_max_and_order() {
+        let ring: SpscRing<u32> = SpscRing::new(16);
+        for i in 0..10 {
+            ring.try_push(i).unwrap();
+        }
+        let mut out = Vec::new();
+        assert_eq!(ring.pop_batch(&mut out, 4), 4);
+        assert_eq!(out, vec![0, 1, 2, 3]);
+        assert_eq!(ring.pop_batch(&mut out, 100), 6);
+        assert_eq!(out.len(), 10);
+        assert_eq!(ring.pop_batch(&mut out, 8), 0, "empty ring drains nothing");
+    }
+
+    #[test]
+    fn cross_thread_batch_drain() {
+        let ring: Arc<SpscRing<u64>> = Arc::new(SpscRing::new(128));
+        let n = 50_000u64;
+        let producer = {
+            let ring = Arc::clone(&ring);
+            std::thread::spawn(move || {
+                for i in 0..n {
+                    let mut item = i;
+                    while let Err(PushError::Full(back)) = ring.try_push(item) {
+                        item = back;
+                        std::hint::spin_loop();
+                    }
+                }
+            })
+        };
+        let mut got = Vec::new();
+        while (got.len() as u64) < n {
+            if ring.pop_batch(&mut got, 256) == 0 {
+                std::hint::spin_loop();
+            }
+        }
+        producer.join().unwrap();
+        let expect: Vec<u64> = (0..n).collect();
+        assert_eq!(got, expect, "batch drain preserves SPSC order");
     }
 
     #[test]

@@ -255,6 +255,51 @@ fn wedged_worker_counts_as_death_and_recovers() {
     engine.flush().expect("healed");
 }
 
+#[test]
+fn death_before_the_first_scheduled_checkpoint_restores_the_enable_time_baseline() {
+    let k = 12;
+    let (victim, every) = (1usize, 8u64);
+    let stream = zipfish_stream(40_000, 10, 2000, 29);
+    let (before, after) = stream.split_at(20_000);
+    let mut engine: ShardedEngine<u64, ParallelTopK<u64>> =
+        ShardedEngine::from_fn(4, k, |_| ParallelTopK::new(cfg(512, k, 5)));
+    let routed_to_victim =
+        |part: &[u64]| part.iter().filter(|f| engine.shard_of(f) == victim).count() as u64;
+    let (at_enable, since_enable) = (routed_to_victim(before), routed_to_victim(after));
+    // The kill lands on the victim's first or second batch after the
+    // enable, long before `every` batches schedule its next checkpoint.
+    engine.set_fault_plan(&FaultPlan::new().kill(victim, at_enable + 100));
+
+    for chunk in before.chunks(512) {
+        engine.insert_batch(chunk);
+    }
+    let baseline = engine
+        .with_shard(victim, |a| a.encode_checkpoint())
+        .expect("victim is live at enable time");
+    engine.enable_checkpoints(every).expect("healthy at enable");
+    for chunk in after.chunks(512) {
+        engine.insert_batch(chunk);
+    }
+    assert!(engine.flush().is_err(), "kill fault must have fired");
+    assert_eq!(engine.poisoned_shards(), vec![victim]);
+
+    // The only checkpoint the victim ever took is the enable-time
+    // baseline: recovery restores exactly that state, and the dark
+    // window is every packet routed to the victim since.
+    let reports = engine.recover().expect("baseline is restorable");
+    assert_eq!(reports.len(), 1);
+    let r = &reports[0];
+    assert_eq!(r.shard, victim);
+    assert_eq!(r.checkpoint_packets, at_enable);
+    assert_eq!(r.routed_packets, at_enable + since_enable);
+    assert_eq!(r.dark_packets, since_enable);
+    let live = engine
+        .with_shard(victim, |a| a.encode_checkpoint())
+        .expect("victim is live again");
+    assert_eq!(live, baseline);
+    assert_eq!(engine.checkpoint_bytes(victim), Some(baseline));
+}
+
 /// Fraction of the oracle's top-k flows the faulty engine still
 /// reports.
 fn recall_of(faulty: &[(u64, u64)], oracle: &[(u64, u64)]) -> f64 {

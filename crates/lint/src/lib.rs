@@ -209,6 +209,7 @@ pub fn run_on(cfg: &LintConfig, files: &[SourceFile]) -> LintReport {
         rules::wire_determinism(cfg, f, &mut findings);
     }
     rules::wire_constant_consistency(cfg, files, &mut findings);
+    rules::stale_registry(cfg, files, &mut findings);
 
     // Meta findings: broken directives and allows naming unknown rules.
     for f in files {
@@ -238,11 +239,12 @@ pub fn run_on(cfg: &LintConfig, files: &[SourceFile]) -> LintReport {
     }
 
     // Apply suppressions: a reasoned allow covers its own line and the
-    // line below, for the rules it names. The meta rule is exempt —
-    // you cannot allow your way out of a broken allow.
+    // line below, for the rules it names. The meta rules are exempt —
+    // you cannot allow your way out of a broken allow or a stale
+    // registry.
     let mut suppressed = 0usize;
     findings.retain(|fi| {
-        if fi.rule == "suppression" {
+        if rules::META_RULES.contains(&fi.rule) {
             return true;
         }
         let covered = files

@@ -1,6 +1,7 @@
-//! The rule set: six invariant checks encoding this repository's real
-//! design contracts (see `crates/lint/RULES.md` for the catalogue with
-//! rationale and examples).
+//! The rule set: seven invariant checks encoding this repository's real
+//! design contracts, plus two meta checks on the lint itself (see
+//! `crates/lint/RULES.md` for the catalogue with rationale and
+//! examples).
 
 use crate::source::{Pat, SourceFile};
 use crate::Finding;
@@ -41,7 +42,15 @@ pub const RULES: &[(&str, &str)] = &[
         "suppression",
         "meta: malformed hk-lint directives, allows without a reason, allows naming unknown rules",
     ),
+    (
+        "stale-registry",
+        "meta: a hot/timing/worker registry entry that matches nothing in the scanned files (moved or deleted code silently drops coverage)",
+    ),
 ];
+
+/// Meta rules report on the lint's own inputs; their findings cannot be
+/// suppressed.
+pub(crate) const META_RULES: &[&str] = &["suppression", "stale-registry"];
 
 pub fn rule_names() -> impl Iterator<Item = &'static str> {
     RULES.iter().map(|(n, _)| *n)
@@ -125,17 +134,16 @@ impl LintConfig {
                 ("crates/core/src/sketch.rs", "walk_minimum"),
                 // Every prepared-batch ingest implementation (PR 4).
                 ("", "insert_prepared_batch"),
-                // The prepared-batch prolog feeding them.
+                // The prepared-batch prologs feeding them, and the
+                // slot-table fill they share.
+                ("crates/common/src/prepared.rs", "prepare"),
                 ("crates/common/src/prepared.rs", "prepare_from"),
-                ("crates/common/src/prepared.rs", "prepare_into"),
-                // SPSC transport (PR 4): work and return rings.
+                ("crates/common/src/prepared.rs", "fill_slots"),
+                // SPSC transport: the engine's work and return rings, and
+                // the OVS datapath ring's batch drain.
                 ("crates/core/src/spsc.rs", "try_push"),
                 ("crates/core/src/spsc.rs", "try_pop"),
-                // The OVS shared ring mirrors the same discipline.
-                ("crates/ovs/src/ring.rs", "push_raw"),
-                ("crates/ovs/src/ring.rs", "try_push"),
-                ("crates/ovs/src/ring.rs", "try_pop"),
-                ("crates/ovs/src/ring.rs", "pop_batch"),
+                ("crates/core/src/spsc.rs", "pop_batch"),
                 // The zero-alloc dispatch plane (PR 4).
                 ("crates/core/src/sharded.rs", "dispatch_locked"),
                 ("crates/core/src/sharded.rs", "route_into"),
@@ -153,14 +161,12 @@ impl LintConfig {
                 ("crates/core/src/sketch.rs", "walk_parallel"),
                 ("crates/core/src/sketch.rs", "walk_minimum"),
                 ("", "insert_prepared_batch"),
+                ("crates/common/src/prepared.rs", "prepare"),
                 ("crates/common/src/prepared.rs", "prepare_from"),
-                ("crates/common/src/prepared.rs", "prepare_into"),
+                ("crates/common/src/prepared.rs", "fill_slots"),
                 ("crates/core/src/spsc.rs", "try_push"),
                 ("crates/core/src/spsc.rs", "try_pop"),
-                ("crates/ovs/src/ring.rs", "push_raw"),
-                ("crates/ovs/src/ring.rs", "try_push"),
-                ("crates/ovs/src/ring.rs", "try_pop"),
-                ("crates/ovs/src/ring.rs", "pop_batch"),
+                ("crates/core/src/spsc.rs", "pop_batch"),
                 ("crates/core/src/sharded.rs", "route_into"),
                 ("crates/core/src/sharded.rs", "send_to_shard"),
                 ("crates/core/src/sharded.rs", "take_buffer"),
@@ -470,6 +476,49 @@ pub fn panic_free_worker_paths(cfg: &LintConfig, f: &SourceFile, findings: &mut 
                     ),
                 );
             }
+        }
+    }
+}
+
+// ---------------------------------------------------------------------------
+// Meta rule: stale-registry
+// ---------------------------------------------------------------------------
+
+/// Every registry entry that scopes a rule must match something in the
+/// scanned files. Rules match entries with `rel.contains(path)`, so a
+/// moved or deleted file (or a renamed function) would otherwise drop
+/// that rule's coverage without a word. Findings name the entry's path
+/// (`*` for any-file entries) at line 0: the registry, not that file,
+/// needs the fix.
+pub fn stale_registry(cfg: &LintConfig, files: &[SourceFile], findings: &mut Vec<Finding>) {
+    let mut stale = |set: &str, path: &str, what: String| {
+        findings.push(Finding {
+            rule: "stale-registry",
+            rel: if path.is_empty() { "*" } else { path }.to_string(),
+            line: 0,
+            message: format!(
+                "`{set}` entry {what} matches nothing in the scanned files — update LintConfig::for_workspace so the rule keeps its coverage"
+            ),
+        });
+    };
+    for (set, entries) in [
+        ("hot_functions", &cfg.hot_functions),
+        ("timing_hot_functions", &cfg.timing_hot_functions),
+        ("worker_functions", &cfg.worker_functions),
+    ] {
+        for (path, name) in entries {
+            let found = files.iter().any(|f| {
+                (path.is_empty() || f.rel.contains(path.as_str()))
+                    && f.fns.iter().any(|span| span.name == *name)
+            });
+            if !found {
+                stale(set, path, format!("(\"{path}\", \"{name}\")"));
+            }
+        }
+    }
+    for path in &cfg.worker_files {
+        if !files.iter().any(|f| f.rel.contains(path.as_str())) {
+            stale("worker_files", path, format!("\"{path}\""));
         }
     }
 }

@@ -121,6 +121,38 @@ fn suppression_fixture() {
 }
 
 #[test]
+fn stale_registry_entry_is_a_finding() {
+    // Each scope in turn gets one live entry and one entry naming code
+    // that no longer exists: only the missing one is reported, under
+    // the meta rule.
+    let (file, _) = load("timing.rs");
+    let live = || vec![(String::new(), "hot_insert".to_string())];
+    let gone = ("timing.rs".to_string(), "walk_removed".to_string());
+    for scope in 0..4 {
+        let mut cfg = LintConfig::bare(fixtures_root());
+        match scope {
+            0 => cfg.hot_functions = [live(), vec![gone.clone()]].concat(),
+            1 => cfg.timing_hot_functions = [live(), vec![gone.clone()]].concat(),
+            2 => cfg.worker_functions = [live(), vec![gone.clone()]].concat(),
+            _ => cfg.worker_files = vec!["timing.rs".into(), "moved_away.rs".into()],
+        }
+        let report = run_on(&cfg, std::slice::from_ref(&file));
+        let stale: Vec<_> = report
+            .findings
+            .iter()
+            .filter(|f| f.rule == "stale-registry")
+            .collect();
+        assert_eq!(stale.len(), 1, "scope {scope}:\n{}", report.render_text());
+        let missing = if scope == 3 {
+            "moved_away.rs"
+        } else {
+            "walk_removed"
+        };
+        assert!(stale[0].message.contains(missing), "{}", stale[0]);
+    }
+}
+
+#[test]
 fn forbid_unsafe_pinned_fixture() {
     let cfg = LintConfig::bare(fixtures_root());
     check("forbid_missing/src/lib.rs", &cfg);

@@ -12,16 +12,15 @@
 //!
 //! [`measure_mps`] keeps its pre-refactor signature and rides the
 //! batched path (one whole-trace batch). All modes are
-//! observation-equivalent; only the per-packet overhead differs, which
-//! is exactly what the `batched_vs_scalar` bench and the
-//! `BENCH_ingest.json` snapshot track.
+//! observation-equivalent; only the per-packet overhead differs. The
+//! workspace's benchmark harness (`ledger/`, run through
+//! `BENCHMARK.json`) times ingest layer by layer; this module serves
+//! the per-figure binaries.
 //!
 //! Windowed workloads — the sliding-window scenario, where a period
-//! clock rotates epochs during ingest — are measured by
-//! [`measure_windowed_mps_with`]: the same ingest modes, plus an
-//! [`EpochRotate::rotate_epoch`] call every `epoch_packets` packets.
-//! The `sliding_batch` bench and the `BENCH_window.json` snapshot
-//! compare its scalar and batched modes against steady-state ingest.
+//! clock rotates epochs during ingest — are fed by [`ingest_windowed`]:
+//! the same ingest modes, plus an [`EpochRotate::rotate_epoch`] call
+//! every `epoch_packets` packets.
 
 use hk_common::algorithm::{EpochRotate, TopKAlgorithm};
 use hk_common::key::FlowKey;
@@ -134,122 +133,6 @@ where
     }
 }
 
-/// One round of a paired A/B throughput comparison: both contenders
-/// measured back to back on the same trace.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct PairedRound {
-    /// Contender A's throughput this round, Mps.
-    pub a_mps: f64,
-    /// Contender B's throughput this round, Mps.
-    pub b_mps: f64,
-}
-
-/// The result of [`measure_paired_mps_with`].
-#[derive(Debug, Clone, PartialEq)]
-pub struct PairedReport {
-    /// Per-round (A, B) throughputs, in measurement order.
-    pub rounds: Vec<PairedRound>,
-    /// Mean Mps over rounds, contender A.
-    pub a_mean: f64,
-    /// Mean Mps over rounds, contender B.
-    pub b_mean: f64,
-    /// Mean of the per-round ratios `b/a` — the drift-resistant
-    /// speedup estimate (each ratio compares two adjacent-in-time
-    /// runs, so slow machine phases cancel instead of biasing one
-    /// side).
-    pub ratio_mean: f64,
-}
-
-/// Measures two algorithms in **interleaved paired rounds**
-/// (A, B, A, B, …): each round times a fresh instance of each over the
-/// whole trace under `mode`, back to back. On shared, drift-prone
-/// machines this is the honest comparison — a throttled phase degrades
-/// the round's *pair*, not whichever contender happened to run last —
-/// which is why the bench snapshots record per-round pairs rather than
-/// two independent best-ofs.
-///
-/// # Panics
-///
-/// Panics if `packets` is empty, `rounds == 0`, or a batched mode has
-/// batch size 0.
-pub fn measure_paired_mps_with<K, A, B, FA, FB>(
-    mut make_a: FA,
-    mut make_b: FB,
-    packets: &[K],
-    rounds: usize,
-    mode: IngestMode,
-) -> PairedReport
-where
-    K: FlowKey,
-    A: TopKAlgorithm<K>,
-    B: TopKAlgorithm<K>,
-    FA: FnMut() -> A,
-    FB: FnMut() -> B,
-{
-    assert!(!packets.is_empty(), "need packets to measure");
-    assert!(rounds > 0, "need at least one round");
-    if let IngestMode::Batched(b) = mode {
-        assert!(b > 0, "batch size must be positive");
-    }
-
-    fn timed<K: FlowKey, T: TopKAlgorithm<K>>(
-        algo: &mut T,
-        packets: &[K],
-        mode: IngestMode,
-    ) -> f64 {
-        let start = Instant::now();
-        match mode {
-            IngestMode::Scalar => {
-                for p in packets {
-                    algo.insert(p);
-                }
-            }
-            IngestMode::Batched(batch) => {
-                for chunk in packets.chunks(batch) {
-                    algo.insert_batch(chunk);
-                }
-            }
-        }
-        // The read is *inside* the clock: for pipelined engines (the
-        // sharded engine's rings) `top_k` forces the flush, so the
-        // measurement is end-to-end packets-applied — not the dispatch
-        // rate with a backlog draining off the clock. (This is also why
-        // paired numbers can sit below `measure_mps_with`'s, which
-        // stops its clock at the last enqueue.)
-        std::hint::black_box(algo.top_k().len());
-        let secs = start.elapsed().as_secs_f64();
-        packets.len() as f64 / secs / 1e6
-    }
-
-    // Warm-up both sides (allocator, page faults, caches) off the clock.
-    {
-        let head = &packets[..packets.len().min(100_000)];
-        let mut a = make_a();
-        let mut b = make_b();
-        timed(&mut a, head, mode);
-        timed(&mut b, head, mode);
-    }
-
-    let mut report = PairedReport {
-        rounds: Vec::with_capacity(rounds),
-        a_mean: 0.0,
-        b_mean: 0.0,
-        ratio_mean: 0.0,
-    };
-    for _ in 0..rounds {
-        let a_mps = timed(&mut make_a(), packets, mode);
-        let b_mps = timed(&mut make_b(), packets, mode);
-        report.rounds.push(PairedRound { a_mps, b_mps });
-        report.a_mean += a_mps;
-        report.b_mean += b_mps;
-        report.ratio_mean += b_mps / a_mps;
-    }
-    report.a_mean /= rounds as f64;
-    report.b_mean /= rounds as f64;
-    report.ratio_mean /= rounds as f64;
-    report
-}
-
 /// Feeds `packets` as `epoch_packets`-sized periods under `mode`,
 /// calling [`EpochRotate::rotate_epoch`] at every *interior* period
 /// boundary (no rotation after the final, possibly short, period).
@@ -290,65 +173,6 @@ where
     }
 }
 
-/// [`measure_mps_with`] for windowed (epoch-rotating) algorithms: the
-/// trace is cut into `epoch_packets`-sized periods and
-/// [`EpochRotate::rotate_epoch`] is called at every interior period
-/// boundary, inside the timed region — rotation cost (epoch recycling,
-/// cache invalidation) is part of windowed ingest, so it is measured.
-///
-/// Within each period the packets are fed under `mode` (scalar inserts
-/// or `insert_batch` chunks, chunk boundaries aligned to periods).
-///
-/// # Panics
-///
-/// Panics if `packets` is empty, `repeats == 0`, `epoch_packets == 0`,
-/// or a batched mode has batch size 0.
-pub fn measure_windowed_mps_with<K, A, F>(
-    mut make_algo: F,
-    packets: &[K],
-    repeats: usize,
-    mode: IngestMode,
-    epoch_packets: usize,
-) -> ThroughputReport
-where
-    K: FlowKey,
-    A: TopKAlgorithm<K> + EpochRotate,
-    F: FnMut() -> A,
-{
-    assert!(!packets.is_empty(), "need packets to measure");
-    assert!(repeats > 0, "need at least one repeat");
-    assert!(epoch_packets > 0, "epoch length must be positive");
-    if let IngestMode::Batched(b) = mode {
-        assert!(b > 0, "batch size must be positive");
-    }
-
-    let ingest = |algo: &mut A, packets: &[K]| ingest_windowed(algo, packets, mode, epoch_packets);
-
-    // Warm-up run: touches the allocator and fills caches.
-    {
-        let mut algo = make_algo();
-        ingest(&mut algo, &packets[..packets.len().min(100_000)]);
-    }
-
-    let mut best = 0.0f64;
-    let mut sum = 0.0f64;
-    for _ in 0..repeats {
-        let mut algo = make_algo();
-        let start = Instant::now();
-        ingest(&mut algo, packets);
-        let secs = start.elapsed().as_secs_f64();
-        let mps = packets.len() as f64 / secs / 1e6;
-        best = best.max(mps);
-        sum += mps;
-        std::hint::black_box(algo.top_k().len());
-    }
-    ThroughputReport {
-        mps_best: best,
-        mps_mean: sum / repeats as f64,
-        packets: packets.len(),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -382,59 +206,23 @@ mod tests {
     fn windowed_modes_run_and_rotate() {
         use heavykeeper::sliding::SlidingTopK;
         let packets: Vec<u64> = (0..30_000u64).map(|i| i % 64).collect();
-        let mk = || SlidingTopK::<u64>::new(HkConfig::builder().width(128).k(8).build(), 3);
         for mode in [IngestMode::Scalar, IngestMode::Batched(1024)] {
-            let r = measure_windowed_mps_with(mk, &packets, 1, mode, 10_000);
-            assert!(r.mps_best > 0.0, "{mode:?}");
+            let mut win = SlidingTopK::<u64>::new(HkConfig::builder().width(128).k(8).build(), 3);
+            ingest_windowed(&mut win, &packets, mode, 10_000);
+            // Rotation count is deterministic: interior boundaries only.
+            assert_eq!(win.rotations(), 2, "{mode:?}");
+            assert!(!win.top_k().is_empty(), "{mode:?}");
         }
-        // Rotation count is deterministic: interior boundaries only.
-        let mut win = mk();
-        let mut periods = packets.chunks(10_000).peekable();
-        while let Some(period) = periods.next() {
-            win.insert_batch(period);
-            if periods.peek().is_some() {
-                win.rotate();
-            }
-        }
-        assert_eq!(win.rotations(), 2);
-    }
-
-    #[test]
-    fn paired_rounds_record_both_sides() {
-        let packets: Vec<u64> = (0..30_000u64).map(|i| i % 64).collect();
-        let mk = || ParallelTopK::<u64>::new(HkConfig::builder().width(128).k(8).build());
-        let r = measure_paired_mps_with(mk, mk, &packets, 3, IngestMode::Batched(1024));
-        assert_eq!(r.rounds.len(), 3);
-        for round in &r.rounds {
-            assert!(round.a_mps > 0.0 && round.b_mps > 0.0);
-        }
-        assert!(r.a_mean > 0.0 && r.b_mean > 0.0 && r.ratio_mean > 0.0);
-    }
-
-    #[test]
-    #[should_panic(expected = "at least one round")]
-    fn zero_rounds_panics() {
-        let packets: Vec<u64> = vec![1];
-        let mk = || ParallelTopK::<u64>::new(HkConfig::builder().width(16).k(2).build());
-        measure_paired_mps_with(mk, mk, &packets, 0, IngestMode::Scalar);
     }
 
     #[test]
     #[should_panic(expected = "epoch length")]
     fn zero_epoch_panics() {
-        let packets: Vec<u64> = vec![1];
-        measure_windowed_mps_with(
-            || {
-                heavykeeper::sliding::SlidingTopK::<u64>::new(
-                    HkConfig::builder().width(16).k(2).build(),
-                    2,
-                )
-            },
-            &packets,
-            1,
-            IngestMode::Scalar,
-            0,
+        let mut win = heavykeeper::sliding::SlidingTopK::<u64>::new(
+            HkConfig::builder().width(16).k(2).build(),
+            2,
         );
+        ingest_windowed(&mut win, &[1u64], IngestMode::Scalar, 0);
     }
 
     #[test]

@@ -19,18 +19,17 @@
 //!   typed [`Event`]s (worker death, recovery, reshard phase
 //!   transitions, eviction/readmission, resync, shed) with monotonic
 //!   sequence numbers and drop accounting when the ring overwrites.
-//! * **Exposition** ([`MetricsRegistry`], [`Snapshot`]) — a coherent
-//!   point-in-time snapshot rendered as Prometheus-style text or the
-//!   repo's hand-rolled JSON. `hk run --stats-json PATH` and the
-//!   periodic `hk fleet` stat lines are thin wrappers over
-//!   [`ObsHub::snapshot`]; a future `hk serve` plane serves the same
-//!   API.
+//! * **Exposition** ([`Snapshot`]) — a coherent point-in-time snapshot
+//!   from [`ObsHub::snapshot`], rendered with
+//!   [`Snapshot::render_json`] (the repo's hand-rolled JSON) or
+//!   [`Snapshot::render_prometheus`]. `hk run --stats-json PATH` and
+//!   the periodic `hk fleet` stat lines are thin wrappers over it.
 //!
 //! Instrumentation is **attach-based and off by default**: the engine
 //! holds an `Option<Arc<ObsHub>>` that is `None` unless a caller
 //! attaches one, so the disabled hot path pays a single branch per
-//! batch. The paired `obs_overhead` bench (`BENCH_obs.json`) proves
-//! the disabled cost is within noise.
+//! batch. Measuring the attached-hub cost returns as a workload of the
+//! workspace benchmark (`ledger/`) in a later benchmark change.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -880,43 +879,6 @@ impl Snapshot {
     }
 }
 
-/// The exposition front-end: holds a hub and renders snapshots.
-///
-/// This is the API a resident `hk serve` plane will serve: construct
-/// one registry per engine/fleet, call [`MetricsRegistry::snapshot`]
-/// per scrape, render in whichever format the client asked for.
-#[derive(Debug, Clone)]
-pub struct MetricsRegistry {
-    hub: Arc<ObsHub>,
-}
-
-impl MetricsRegistry {
-    /// Wraps a hub for exposition.
-    pub fn new(hub: Arc<ObsHub>) -> Self {
-        Self { hub }
-    }
-
-    /// The underlying hub.
-    pub fn hub(&self) -> &Arc<ObsHub> {
-        &self.hub
-    }
-
-    /// A coherent point-in-time snapshot.
-    pub fn snapshot(&self) -> Snapshot {
-        self.hub.snapshot()
-    }
-
-    /// Snapshot rendered as hand-rolled JSON.
-    pub fn render_json(&self) -> String {
-        self.snapshot().render_json()
-    }
-
-    /// Snapshot rendered as Prometheus-style text.
-    pub fn render_prometheus(&self) -> String {
-        self.snapshot().render_prometheus()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1108,15 +1070,5 @@ mod tests {
         assert!(text.contains("hk_shard_ingest_packets{shard=\"1\"} 9"));
         assert!(text.contains("hk_export_bytes{quantile=\"0.99\"} 8191"));
         assert!(text.contains("hk_journal_events{kind=\"eviction\"} 2"));
-    }
-
-    #[test]
-    fn registry_wraps_hub() {
-        let hub = Arc::new(ObsHub::new());
-        hub.stages.exports.incr();
-        let reg = MetricsRegistry::new(Arc::clone(&hub));
-        assert_eq!(reg.snapshot().stages.exports, 1);
-        assert!(reg.render_json().contains("\"exports\": 1"));
-        assert!(reg.render_prometheus().contains("hk_exports 1"));
     }
 }

@@ -3,9 +3,12 @@
 //! Mirrors the paper's Section VII architecture: the datapath thread
 //! parses and forwards frames and writes flow IDs into the shared ring;
 //! the user-space thread drains the ring and feeds the measurement
-//! algorithm. End-to-end throughput — packets fully processed per second
-//! — is what Figure 34 compares across algorithms (plus a no-algorithm
-//! OVS baseline).
+//! algorithm. The ring is the workspace's one SPSC ring,
+//! [`heavykeeper::spsc::SpscRing`]; the datapath closes it after the
+//! last packet, and the consumer stops once it is closed and drained.
+//! End-to-end throughput — packets fully processed per second — is what
+//! Figure 34 compares across algorithms (plus a no-algorithm OVS
+//! baseline).
 //!
 //! The consumer is **batch-first**: it drains up to
 //! [`CONSUMER_BATCH`] flow IDs per ring visit and feeds them to the
@@ -16,12 +19,10 @@
 //! drains run full, on an idle ring they shrink to whatever arrived.
 
 use crate::datapath::{synthesize_frame, Datapath, FRAME_LEN};
-use crate::ring::SharedRing;
+use heavykeeper::spsc::{PushError, SpscRing};
 use heavykeeper::SlidingTopK;
 use hk_common::algorithm::TopKAlgorithm;
 use hk_traffic::flow::FiveTuple;
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
 use std::time::Instant;
 
 /// Most flow IDs the consumer drains into one `insert_batch` call.
@@ -72,77 +73,110 @@ pub fn run_deployment<A>(
 where
     A: TopKAlgorithm<FiveTuple> + Send,
 {
+    let report = run_pipeline(flows, ring_capacity, mode, |batch| {
+        if let Some(a) = algo.as_mut() {
+            a.insert_batch(batch);
+        }
+    });
+    (report, algo)
+}
+
+/// Pushes one item under `mode`: spins while the ring is full
+/// ([`RingMode::Backpressure`]) or refuses the item
+/// ([`RingMode::DropWhenFull`], and on a closed ring). Returns whether
+/// the item was enqueued.
+pub(crate) fn push_mirror<T>(ring: &SpscRing<T>, mut item: T, mode: RingMode) -> bool {
+    loop {
+        match ring.try_push(item) {
+            Ok(()) => return true,
+            Err(PushError::Full(back)) if mode == RingMode::Backpressure => {
+                item = back;
+                std::hint::spin_loop();
+            }
+            Err(_) => return false,
+        }
+    }
+}
+
+/// The user-space side of one ring: drains it in batches of at most
+/// [`CONSUMER_BATCH`] items, hands each batch to `consume`, and returns
+/// how many items it consumed once the producer has closed the ring
+/// and the backlog is drained.
+pub(crate) fn drain_until_closed<T>(ring: &SpscRing<T>, mut consume: impl FnMut(&[T])) -> u64 {
+    let mut batch: Vec<T> = Vec::with_capacity(CONSUMER_BATCH);
+    let mut consumed = 0u64;
+    loop {
+        batch.clear();
+        if ring.pop_batch(&mut batch, CONSUMER_BATCH) == 0 {
+            // Closed is checked before empty: every push precedes the
+            // close, so a closed ring that reads empty stays empty.
+            if ring.is_closed() && ring.is_empty() {
+                return consumed;
+            }
+            // Yield rather than spin: an idle consumer re-reading the
+            // ring's counters pulls their cache line away from the
+            // producer on every poll, slowing the datapath it waits on.
+            std::thread::yield_now();
+            continue;
+        }
+        consumed += batch.len() as u64;
+        consume(&batch);
+    }
+}
+
+/// The datapath thread: parses and forwards the frames a burst at a
+/// time, mirrors each burst's flow IDs into `ring` under `mode`, and
+/// closes the ring after the last one. Returns the packets forwarded
+/// and the mirrors refused by a full ring.
+fn run_datapath(
+    frames: &[[u8; FRAME_LEN]],
+    ring: &SpscRing<FiveTuple>,
+    mode: RingMode,
+) -> (u64, u64) {
+    let mut dp = Datapath::new();
+    let mut dropped = 0u64;
+    let mut mirror: Vec<FiveTuple> = Vec::with_capacity(CONSUMER_BATCH);
+    for burst in frames.chunks(CONSUMER_BATCH) {
+        mirror.clear();
+        dp.process_batch(burst.iter().map(|f| f.as_slice()), &mut mirror);
+        for &ft in &mirror {
+            if !push_mirror(ring, ft, mode) {
+                dropped += 1;
+            }
+        }
+    }
+    ring.close();
+    (dp.forwarded(), dropped)
+}
+
+/// The two-thread skeleton both deployments share: pre-synthesizes the
+/// frames (so frame construction is not measured), runs the datapath on
+/// a scoped thread, and drains the ring on the calling thread into
+/// `consume`.
+fn run_pipeline(
+    flows: &[FiveTuple],
+    ring_capacity: usize,
+    mode: RingMode,
+    consume: impl FnMut(&[FiveTuple]),
+) -> DeploymentReport {
     assert!(!flows.is_empty(), "need packets to run");
-
-    // Pre-synthesize frames so frame construction isn't measured.
     let frames: Vec<[u8; FRAME_LEN]> = flows.iter().map(synthesize_frame).collect();
-
-    let ring: Arc<SharedRing<FiveTuple>> = Arc::new(SharedRing::new(ring_capacity));
-    let done = Arc::new(AtomicBool::new(false));
+    let ring: SpscRing<FiveTuple> = SpscRing::new(ring_capacity);
 
     let start = Instant::now();
-    let mut forwarded = 0u64;
-    let mut consumed = 0u64;
-
-    std::thread::scope(|s| {
-        // Datapath producer.
-        let producer_ring = Arc::clone(&ring);
-        let producer_done = Arc::clone(&done);
-        let producer = s.spawn(move || {
-            let mut dp = Datapath::new();
-            // Parse and forward frames a burst at a time, then mirror
-            // the burst's flow IDs into the ring.
-            let mut mirror: Vec<FiveTuple> = Vec::with_capacity(CONSUMER_BATCH);
-            for burst in frames.chunks(CONSUMER_BATCH) {
-                mirror.clear();
-                dp.process_batch(burst.iter().map(|f| f.as_slice()), &mut mirror);
-                for &ft in &mirror {
-                    match mode {
-                        RingMode::Backpressure => producer_ring.push_blocking(ft),
-                        RingMode::DropWhenFull => {
-                            let _ = producer_ring.try_push(ft);
-                        }
-                    }
-                }
-            }
-            producer_done.store(true, Ordering::Release);
-            dp.forwarded()
-        });
-
-        // User-space consumer (runs on this thread): batch-drain the
-        // ring and feed the algorithm whole batches.
-        let mut local_consumed = 0u64;
-        let mut batch: Vec<FiveTuple> = Vec::with_capacity(CONSUMER_BATCH);
-        loop {
-            batch.clear();
-            let taken = ring.pop_batch(&mut batch, CONSUMER_BATCH);
-            if taken == 0 {
-                if done.load(Ordering::Acquire) && ring.is_empty() {
-                    break;
-                }
-                std::hint::spin_loop();
-                continue;
-            }
-            if let Some(a) = algo.as_mut() {
-                a.insert_batch(&batch);
-            }
-            local_consumed += taken as u64;
-        }
-        consumed = local_consumed;
-        forwarded = producer.join().expect("datapath thread");
+    let (consumed, (forwarded, dropped)) = std::thread::scope(|s| {
+        let producer = s.spawn(|| run_datapath(&frames, &ring, mode));
+        let consumed = drain_until_closed(&ring, consume);
+        (consumed, producer.join().expect("datapath thread"))
     });
-
     let seconds = start.elapsed().as_secs_f64();
-    (
-        DeploymentReport {
-            mps: consumed as f64 / seconds / 1e6,
-            forwarded,
-            dropped: ring.dropped(),
-            consumed,
-            seconds,
-        },
-        algo,
-    )
+    DeploymentReport {
+        mps: consumed as f64 / seconds / 1e6,
+        forwarded,
+        dropped,
+        consumed,
+        seconds,
+    }
 }
 
 /// Results of one windowed deployment run: the plain report plus the
@@ -183,66 +217,21 @@ pub fn run_windowed_deployment(
     ring_capacity: usize,
     mode: RingMode,
 ) -> (WindowedDeploymentReport, SlidingTopK<FiveTuple>) {
-    assert!(!flows.is_empty(), "need packets to run");
     assert!(epoch_packets > 0, "epoch length must be positive");
-
     let frames_budget = epoch_packets.min(u32::MAX as usize) as u32;
-    let frames: Vec<[u8; FRAME_LEN]> = flows.iter().map(synthesize_frame).collect();
-    let ring: Arc<SharedRing<FiveTuple>> = Arc::new(SharedRing::new(ring_capacity));
-    let done = Arc::new(AtomicBool::new(false));
-
-    let start = Instant::now();
-    let mut forwarded = 0u64;
-    let mut consumed = 0u64;
-    let mut exported: Vec<Vec<u8>> = Vec::new();
-
     // The delta stream starts from a full snapshot of the (empty) ring.
-    exported.push(window.export_frame(switch_id, frames_budget));
-
-    std::thread::scope(|s| {
-        let producer_ring = Arc::clone(&ring);
-        let producer_done = Arc::clone(&done);
-        let producer = s.spawn(move || {
-            let mut dp = Datapath::new();
-            let mut mirror: Vec<FiveTuple> = Vec::with_capacity(CONSUMER_BATCH);
-            for burst in frames.chunks(CONSUMER_BATCH) {
-                mirror.clear();
-                dp.process_batch(burst.iter().map(|f| f.as_slice()), &mut mirror);
-                for &ft in &mirror {
-                    match mode {
-                        RingMode::Backpressure => producer_ring.push_blocking(ft),
-                        RingMode::DropWhenFull => {
-                            let _ = producer_ring.try_push(ft);
-                        }
-                    }
-                }
-            }
-            producer_done.store(true, Ordering::Release);
-            dp.forwarded()
-        });
-
-        // Consumer: batch-drain, rotate at period boundaries, export.
-        let mut local_consumed = 0u64;
-        let mut until_rotation = epoch_packets;
-        let mut batch: Vec<FiveTuple> = Vec::with_capacity(CONSUMER_BATCH);
-        loop {
-            batch.clear();
-            // Never drain past a period boundary: a rotation must land
-            // between packet `epoch_packets` and packet
-            // `epoch_packets + 1` of the sub-stream, exactly like the
-            // trace-driven windowed ingest.
-            let quota = CONSUMER_BATCH.min(until_rotation);
-            let taken = ring.pop_batch(&mut batch, quota);
-            if taken == 0 {
-                if done.load(Ordering::Acquire) && ring.is_empty() {
-                    break;
-                }
-                std::hint::spin_loop();
-                continue;
-            }
-            window.insert_batch(&batch);
-            local_consumed += taken as u64;
-            until_rotation -= taken;
+    let mut exported: Vec<Vec<u8>> = vec![window.export_frame(switch_id, frames_budget)];
+    let mut until_rotation = epoch_packets;
+    let report = run_pipeline(flows, ring_capacity, mode, |mut batch| {
+        // Split drained batches at period boundaries: a rotation lands
+        // between packet `epoch_packets` and packet `epoch_packets + 1`
+        // of the sub-stream, exactly like the trace-driven windowed
+        // ingest.
+        while !batch.is_empty() {
+            let (now, rest) = batch.split_at(batch.len().min(until_rotation));
+            window.insert_batch(now);
+            batch = rest;
+            until_rotation -= now.len();
             if until_rotation == 0 {
                 window.rotate();
                 // A W = 1 ring has no closed epoch to delta (its only
@@ -256,21 +245,11 @@ pub fn run_windowed_deployment(
                 until_rotation = epoch_packets;
             }
         }
-        consumed = local_consumed;
-        forwarded = producer.join().expect("datapath thread");
     });
-
-    let seconds = start.elapsed().as_secs_f64();
     let rotations = window.rotations();
     (
         WindowedDeploymentReport {
-            report: DeploymentReport {
-                mps: consumed as f64 / seconds / 1e6,
-                forwarded,
-                dropped: ring.dropped(),
-                consumed,
-                seconds,
-            },
+            report,
             frames: exported,
             rotations,
         },

@@ -8,9 +8,11 @@
 //!
 //! We do not have OVS, DPDK, or a 40G testbed, so this crate builds the
 //! pipeline itself (see DESIGN.md §2): raw packet synthesis and header
-//! parsing ([`datapath`]), a bounded shared ring ([`ring`]), and a
-//! two-thread deployment that measures the same end-to-end throughput
-//! ([`deployment`]). The *relative* impact of each algorithm on pipeline
+//! parsing ([`datapath`]), and a two-thread deployment that measures
+//! the same end-to-end throughput ([`deployment`]) over the workspace's
+//! bounded SPSC ring ([`heavykeeper::spsc::SpscRing`]) standing in for
+//! the shared-memory region; [`rss`] scales it out to one ring per
+//! receive queue. The *relative* impact of each algorithm on pipeline
 //! throughput — the quantity Figure 34 compares — is preserved; absolute
 //! Mps obviously reflect this machine, as the paper's reflect theirs.
 
@@ -19,9 +21,7 @@
 
 pub mod datapath;
 pub mod deployment;
-pub mod ring;
 pub mod rss;
 
 pub use datapath::{parse_packet, synthesize_frame, Datapath};
 pub use deployment::{run_deployment, DeploymentReport, RingMode};
-pub use ring::SharedRing;

@@ -28,14 +28,13 @@
 //! bandwidth.
 
 use crate::datapath::{synthesize_frame, Datapath, FRAME_LEN};
-use crate::ring::SharedRing;
+use crate::deployment::{drain_until_closed, push_mirror, RingMode, CONSUMER_BATCH};
+use heavykeeper::spsc::SpscRing;
 use heavykeeper::{HkConfig, ParallelTopK};
 use hk_common::algorithm::PreparedInsert;
 use hk_common::key::FlowKey;
 use hk_common::prepared::{HashSpec, PreparedKey};
 use hk_traffic::flow::FiveTuple;
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
 use std::time::Instant;
 
 /// The spec the RSS plane prepares flows under for a given sketch
@@ -84,10 +83,8 @@ pub fn run_rss_deployment(
     assert!(queues > 0, "need at least one queue");
 
     let frames: Vec<[u8; FRAME_LEN]> = flows.iter().map(synthesize_frame).collect();
-    let rings: Vec<Arc<SharedRing<(FiveTuple, PreparedKey)>>> = (0..queues)
-        .map(|_| Arc::new(SharedRing::new(ring_capacity)))
-        .collect();
-    let done = Arc::new(AtomicBool::new(false));
+    let rings: Vec<SpscRing<(FiveTuple, PreparedKey)>> =
+        (0..queues).map(|_| SpscRing::new(ring_capacity)).collect();
     let spec = rss_spec(cfg);
 
     let start = Instant::now();
@@ -97,46 +94,31 @@ pub fn run_rss_deployment(
 
     std::thread::scope(|s| {
         // Per-queue consumers.
-        let mut handles = Vec::with_capacity(queues);
-        for ring in &rings {
-            let ring = Arc::clone(ring);
-            let done = Arc::clone(&done);
-            let cfg = cfg.clone();
-            handles.push(s.spawn(move || {
-                let mut hk = ParallelTopK::<FiveTuple>::new(cfg);
-                debug_assert_eq!(hk.hash_spec(), spec, "rss_spec must match the sketch");
-                let mut n = 0u64;
-                let mut batch: Vec<(FiveTuple, PreparedKey)> =
-                    Vec::with_capacity(crate::deployment::CONSUMER_BATCH);
-                // Structure-of-arrays views of the drained batch for the
-                // prepared handoff, reused across drains.
-                let mut keys: Vec<FiveTuple> =
-                    Vec::with_capacity(crate::deployment::CONSUMER_BATCH);
-                let mut prepared: Vec<PreparedKey> =
-                    Vec::with_capacity(crate::deployment::CONSUMER_BATCH);
-                loop {
-                    batch.clear();
-                    let taken = ring.pop_batch(&mut batch, crate::deployment::CONSUMER_BATCH);
-                    if taken == 0 {
-                        if done.load(Ordering::Acquire) && ring.is_empty() {
-                            break;
+        let handles: Vec<_> = rings
+            .iter()
+            .map(|ring| {
+                let cfg = cfg.clone();
+                s.spawn(move || {
+                    let mut hk = ParallelTopK::<FiveTuple>::new(cfg);
+                    debug_assert_eq!(hk.hash_spec(), spec, "rss_spec must match the sketch");
+                    // Structure-of-arrays views of each drained batch for
+                    // the prepared handoff, reused across drains.
+                    let mut keys: Vec<FiveTuple> = Vec::with_capacity(CONSUMER_BATCH);
+                    let mut prepared: Vec<PreparedKey> = Vec::with_capacity(CONSUMER_BATCH);
+                    let n = drain_until_closed(ring, |batch| {
+                        keys.clear();
+                        prepared.clear();
+                        for &(ft, p) in batch {
+                            keys.push(ft);
+                            prepared.push(p);
                         }
-                        std::hint::spin_loop();
-                        continue;
-                    }
-                    keys.clear();
-                    prepared.clear();
-                    for &(ft, p) in &batch {
-                        keys.push(ft);
-                        prepared.push(p);
-                    }
-                    // Hash-once: the datapath already prepared these.
-                    hk.insert_prepared_batch(&keys, &prepared);
-                    n += taken as u64;
-                }
-                (hk, n)
-            }));
-        }
+                        // Hash-once: the datapath already prepared these.
+                        hk.insert_prepared_batch(&keys, &prepared);
+                    });
+                    (hk, n)
+                })
+            })
+            .collect();
 
         // Datapath producer (this thread): parse, forward, prepare
         // once, steer by the prepared lane.
@@ -144,11 +126,17 @@ pub fn run_rss_deployment(
         for frame in &frames {
             if let Some(ft) = dp.process(frame) {
                 let p = spec.prepare(ft.key_bytes().as_slice());
-                rings[rss_queue(&p, queues)].push_blocking((ft, p));
+                push_mirror(
+                    &rings[rss_queue(&p, queues)],
+                    (ft, p),
+                    RingMode::Backpressure,
+                );
             }
         }
         forwarded = dp.forwarded();
-        done.store(true, Ordering::Release);
+        for ring in &rings {
+            ring.close();
+        }
 
         for (q, h) in handles.into_iter().enumerate() {
             let (hk, n) = h.join().expect("consumer thread");

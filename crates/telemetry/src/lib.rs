@@ -11,7 +11,7 @@
 //! switches over hash-partitioned traffic, ships their frames through a
 //! lossy, reordering channel, services the collector's resync requests,
 //! and accounts every byte — the harness behind `hk fleet` and the
-//! `fleet_export` bench.
+//! benchmark's `fleet-window` workload (`ledger/`).
 //!
 //! ## Export protocol
 //!
