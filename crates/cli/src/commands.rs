@@ -35,7 +35,7 @@ USAGE:
               [--k K] [--seed X] [--batch N]
   hk fleet    [--switches S] [--window W] [--epoch-packets N] [--periods P]
               [--flows M] [--skew Z] [--memory-kb KB] [--k K] [--seed X]
-              [--delta-mode full|delta|dirty] [--delta] [--loss p]
+              [--delta-mode full|dirty] [--delta] [--loss p]
               [--reorder q] [--lease N] [--outage S@A..B] [--min-recall R]
   hk lint     [--root DIR] [--json] [--deny]
   hk help
@@ -69,7 +69,7 @@ Observability:
   engine (any engine-path run: --shards > 1, --fault, --recover or
   --reshard) and writes stage counters, latency/batch histograms and
   the event journal as JSON after the stream. hk fleet prints a
-  per-period obs stat line plus the journal summary at the end.
+  per-period obs stat line.
 ";
 
 /// Builds an algorithm by CLI name. The box is `Send` so instances can
@@ -866,9 +866,9 @@ pub fn change(args: &Args) -> Result<(), CliError> {
 /// `hk fleet`: the windowed telemetry scenario — `--switches` sliding
 /// windows over hash-partitioned Zipf traffic, rotating every
 /// `--epoch-packets` packets for `--periods` periods, exporting wire
-/// frames per `--delta-mode full|delta|dirty` (full snapshots,
-/// single-epoch deltas, or changed-bucket dirty patches; `--delta` is
-/// shorthand for `--delta-mode delta`) through a channel that drops
+/// frames per `--delta-mode full|dirty` (full snapshots, or
+/// changed-bucket dirty patches; `--delta` is shorthand for
+/// `--delta-mode dirty`) through a channel that drops
 /// each frame with probability `--loss` and reorders adjacent frames
 /// with probability `--reorder`. The collector reassembles per-switch
 /// rings (resync requests are serviced in-band) and its network-wide
@@ -887,18 +887,17 @@ pub fn fleet(args: &Args) -> Result<(), CliError> {
     let k: usize = args.num_or("k", 20)?;
     let seed: u64 = args.num_or("seed", 1)?;
     let mode_default = if args.is_set("delta") {
-        "delta"
+        "dirty"
     } else {
         "full"
     };
     let mode_name = args.get_or("delta-mode", mode_default);
     let mode = match mode_name {
         "full" => ExportMode::Full,
-        "delta" => ExportMode::Delta,
         "dirty" => ExportMode::Dirty,
         other => {
             return Err(CliError::Usage(format!(
-                "--delta-mode must be full, delta or dirty, got {other:?}"
+                "--delta-mode must be full or dirty, got {other:?}"
             )))
         }
     };
@@ -945,8 +944,7 @@ pub fn fleet(args: &Args) -> Result<(), CliError> {
         reorder,
         lease,
     });
-    // The obs plane rides every fleet run: per-period stat lines below,
-    // journal summary (evictions/readmissions/resyncs) after the run.
+    // The obs plane rides every fleet run: per-period stat lines below.
     let obs = std::sync::Arc::new(hk_obs::ObsHub::new());
     fleet.attach_obs(obs.clone());
     let start = Instant::now();
@@ -987,14 +985,13 @@ pub fn fleet(args: &Args) -> Result<(), CliError> {
     );
     println!(
         "rotations {} | frames {} sent / {} delivered / {} lost / {} reordered | \
-         {} full, {} delta, {} dirty, {} resync, {} duplicate",
+         {} full, {} dirty, {} resync, {} duplicate",
         s.rotations,
         s.frames_sent,
         s.frames_delivered,
         s.frames_lost,
         s.frames_reordered,
         s.full_frames,
-        s.delta_frames,
         s.dirty_frames,
         s.resyncs,
         s.duplicates,
@@ -1003,16 +1000,6 @@ pub fn fleet(args: &Args) -> Result<(), CliError> {
         println!(
             "lease {lease}: {} eviction(s), {} re-admission(s)",
             s.evictions, s.readmissions,
-        );
-    }
-    let obs_snap = obs.snapshot();
-    if obs_snap.journal.recorded > 0 {
-        println!(
-            "obs journal: {} eviction(s), {} readmission(s), {} resync(s) | {} dropped",
-            obs_snap.journal.count_of("eviction"),
-            obs_snap.journal.count_of("readmission"),
-            obs_snap.journal.count_of("resync"),
-            obs_snap.journal.dropped,
         );
     }
     println!(
@@ -1594,7 +1581,7 @@ mod tests {
         .unwrap();
         fleet(&f).unwrap();
 
-        // Delta mode with loss + reorder still clears a sane bound
+        // Full mode with loss + reorder still clears a sane bound
         // (resyncs pull the collector back).
         let f = Args::parse(&sv(&[
             "fleet",
@@ -1612,7 +1599,8 @@ mod tests {
             "32",
             "--k",
             "10",
-            "--delta",
+            "--delta-mode",
+            "full",
             "--loss",
             "0.05",
             "--reorder",
@@ -1681,6 +1669,9 @@ mod tests {
         let bad = Args::parse(&sv(&["fleet", "--loss", "1.5"])).unwrap();
         assert!(fleet(&bad).is_err());
         let bad = Args::parse(&sv(&["fleet", "--delta-mode", "sparse"])).unwrap();
+        assert!(matches!(fleet(&bad).unwrap_err(), CliError::Usage(_)));
+        // The retired v2 delta mode is no mode at all.
+        let bad = Args::parse(&sv(&["fleet", "--delta-mode", "delta"])).unwrap();
         assert!(matches!(fleet(&bad).unwrap_err(), CliError::Usage(_)));
     }
 

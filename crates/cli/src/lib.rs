@@ -18,7 +18,7 @@
 //! * `hk change` — split a trace into epochs and report heavy changes
 //!   (eruptions/disappearances) at every epoch boundary.
 //! * `hk fleet` — the windowed telemetry scenario: S sliding-window
-//!   switches exporting wire-v2 frames (full or delta) over a lossy
+//!   switches exporting window frames (full or dirty) over a lossy
 //!   channel to a collector answering the network-wide windowed top-k.
 //! * `hk lint` — the workspace invariant lint (`crates/lint`): checks
 //!   hot-path allocation, lock-poison discipline, worker-path panics,

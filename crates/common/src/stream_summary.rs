@@ -21,6 +21,12 @@ use std::hash::Hash;
 /// the intrusive links (kept private).
 const NIL: usize = usize::MAX;
 
+/// Most entries a bounded top-k structure reserves up front; a larger
+/// capacity grows on demand. A capacity can come off the wire (a
+/// decoded sketch's `k`), and reserving it whole would let a few bytes
+/// claiming `k = 2^32` allocate gigabytes.
+pub(crate) const PREALLOC_LIMIT: usize = 1 << 16;
+
 #[derive(Debug, Clone)]
 struct ItemNode<K> {
     key: K,
@@ -74,14 +80,15 @@ impl<K: Eq + Hash + Clone> StreamSummary<K> {
     /// Panics if `capacity == 0`.
     pub fn new(capacity: usize) -> Self {
         assert!(capacity > 0, "capacity must be positive");
+        let reserve = capacity.min(PREALLOC_LIMIT);
         Self {
-            items: Vec::with_capacity(capacity),
+            items: Vec::with_capacity(reserve),
             free_items: Vec::new(),
             buckets: Vec::with_capacity(capacity.min(1024)),
             free_buckets: Vec::new(),
             min_bucket: NIL,
             max_bucket: NIL,
-            index: FastHashMap::with_capacity_and_hasher(capacity, Default::default()),
+            index: FastHashMap::with_capacity_and_hasher(reserve, Default::default()),
             capacity,
         }
     }

@@ -43,9 +43,10 @@ impl<K: Eq + Hash + Clone> MinHeapTopK<K> {
     /// Panics if `k == 0`.
     pub fn new(k: usize) -> Self {
         assert!(k > 0, "k must be positive");
+        let reserve = k.min(crate::stream_summary::PREALLOC_LIMIT);
         Self {
-            heap: Vec::with_capacity(k),
-            pos: FastHashMap::with_capacity_and_hasher(k, Default::default()),
+            heap: Vec::with_capacity(reserve),
+            pos: FastHashMap::with_capacity_and_hasher(reserve, Default::default()),
             capacity: k,
         }
     }

@@ -1,6 +1,6 @@
 //! LEB128 varints and run-length-encoded bitmaps for the wire plane.
 //!
-//! The dirty-delta frame (wire v3) encodes "which buckets changed" as a
+//! The dirty window frame (wire v4) encodes "which buckets changed" as a
 //! per-row bitmap and "how they changed" as `old XOR new` packed words.
 //! Both halves live or die on cheap small-integer coding:
 //!
@@ -91,23 +91,27 @@ pub fn write_bitmap_rle(out: &mut Vec<u8>, words: &[u64]) {
 }
 
 /// Reads a [`write_bitmap_rle`] bitmap of exactly `words` `u64`s from
-/// `data` starting at `*pos`, clearing and filling `out`. `None` on
-/// truncation, runs overshooting `words`, a zero word inside a literal
-/// run, or a `(0, 0)` group (no progress — the encoder never emits one).
+/// `data` starting at `*pos`, clearing `out` and filling it with the
+/// bitmap's nonzero words as `(word index, word)`, ascending. Zero runs
+/// are skipped, never materialized, so `out` grows with the encoded
+/// bytes rather than with the declared length. `None` on truncation,
+/// runs overshooting `words`, a zero word inside a literal run, or a
+/// `(0, 0)` group (no progress — the encoder never emits one).
 pub fn read_bitmap_rle(
     data: &[u8],
     pos: &mut usize,
     words: usize,
-    out: &mut Vec<u64>,
+    out: &mut Vec<(usize, u64)>,
 ) -> Option<()> {
     out.clear();
-    while out.len() < words {
-        let left = (words - out.len()) as u64;
+    let mut covered = 0usize;
+    while covered < words {
+        let left = (words - covered) as u64;
         let zeros = read_u64(data, pos)?;
         if zeros > left {
             return None;
         }
-        out.resize(out.len() + zeros as usize, 0);
+        covered += zeros as usize;
         let lits = read_u64(data, pos)?;
         if lits > left - zeros {
             return None;
@@ -122,7 +126,8 @@ pub fn read_bitmap_rle(
             if w == 0 {
                 return None;
             }
-            out.push(w);
+            out.push((covered, w));
+            covered += 1;
             *pos = end;
         }
     }
@@ -180,11 +185,15 @@ mod tests {
         let mut buf = Vec::new();
         write_bitmap_rle(&mut buf, words);
         let mut pos = 0;
-        let mut back = Vec::new();
+        let mut set = Vec::new();
         assert_eq!(
-            read_bitmap_rle(&buf, &mut pos, words.len(), &mut back),
+            read_bitmap_rle(&buf, &mut pos, words.len(), &mut set),
             Some(())
         );
+        let mut back = vec![0u64; words.len()];
+        for (i, w) in set {
+            back[i] = w;
+        }
         assert_eq!(back, words);
         assert_eq!(pos, buf.len(), "decode must consume exactly the encoding");
     }

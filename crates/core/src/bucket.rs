@@ -331,7 +331,7 @@ impl BucketMatrix {
     /// differ — and returning the changed-bucket count. `bitmap` is
     /// resized to `width.div_ceil(64)` words; trailing bits past
     /// `width` stay zero. Plain u64 compares over the packed row view:
-    /// this is the dirty-delta exporter's whole read path, and it never
+    /// this is the dirty exporter's whole read path, and it never
     /// touches ingest.
     pub fn diff_row_bitmap(&self, j: usize, base: Option<&[u64]>, bitmap: &mut Vec<u64>) -> usize {
         if let Some(base) = base {

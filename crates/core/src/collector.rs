@@ -82,16 +82,16 @@ impl std::error::Error for SubmitError {}
 pub enum WindowSubmit {
     /// A full snapshot (re)installed the switch's ring replica.
     Snapshot,
-    /// A delta advanced the replica in sequence (possibly draining
-    /// buffered out-of-order deltas behind it).
+    /// A dirty frame advanced the replica in sequence (possibly
+    /// draining buffered out-of-order patches behind it).
     Applied,
     /// The frame's rotation was at or below the replica's — already
     /// incorporated; dropped idempotently.
     Duplicate,
-    /// The delta is ahead of the replica (a rotation-id gap): it was
-    /// buffered, and the switch is flagged in
+    /// The dirty frame is ahead of the replica (a rotation-id gap): it
+    /// was buffered, and the switch is flagged in
     /// [`Collector::resync_needed`] until a full snapshot arrives or
-    /// the missing deltas fill the gap.
+    /// the missing patches fill the gap.
     ResyncRequested,
 }
 
@@ -106,8 +106,8 @@ pub enum WindowSubmitError {
         /// The submitting switch.
         switch: u64,
     },
-    /// A delta arrived for a switch that never sent a full snapshot;
-    /// the switch is flagged for resync.
+    /// A dirty frame arrived for a switch that never sent a full
+    /// snapshot; the switch is flagged for resync.
     NoSnapshot {
         /// The submitting switch.
         switch: u64,
@@ -122,7 +122,7 @@ impl std::fmt::Display for WindowSubmitError {
                 write!(f, "switch {switch}: frame conflicts with established ring")
             }
             Self::NoSnapshot { switch } => {
-                write!(f, "switch {switch}: delta before any full snapshot")
+                write!(f, "switch {switch}: dirty frame before any full snapshot")
             }
         }
     }
@@ -130,34 +130,22 @@ impl std::fmt::Display for WindowSubmitError {
 
 impl std::error::Error for WindowSubmitError {}
 
-/// An out-of-order advance buffered until the gap before it fills:
-/// either a plain delta's whole epoch, or a dirty patch that must wait
-/// for its baseline (the epoch closed by `rotation - 1`) to become the
-/// replica's newest closed epoch before it can be reconstructed.
-#[derive(Debug, Clone)]
-enum PendingDelta<K: FlowKey> {
-    /// A [`FrameKind::Delta`] record: the closed epoch itself.
-    Epoch(Box<ParallelTopK<K>>),
-    /// A [`FrameKind::Dirty`] record: changed buckets only, applied
-    /// against the then-current baseline at drain time.
-    Patch(DirtyPatch<K>),
-}
-
 /// One switch's reassembled sliding window at the collector.
 #[derive(Debug, Clone)]
 struct SwitchWindow<K: FlowKey> {
     /// The reassembled ring: bit-identical to the switch's own
     /// [`SlidingTopK`] as of the last in-sequence frame.
     replica: SlidingTopK<K>,
-    /// Out-of-order deltas buffered by rotation id, waiting for the
+    /// Out-of-order patches buffered by rotation id, waiting for the
     /// gap before them to fill (bounded by the window size — anything
-    /// older is covered by the resync snapshot anyway).
-    pending: BTreeMap<u64, PendingDelta<K>>,
+    /// older is covered by the resync snapshot anyway). Each is applied
+    /// against the then-newest closed epoch at drain time.
+    pending: BTreeMap<u64, DirtyPatch<K>>,
     /// Highest rotation id this switch was ever *observed* at (from any
-    /// frame, including buffered-then-dropped deltas). The replica is
+    /// frame, including buffered-then-dropped patches). The replica is
     /// known-stale — and the switch resync-flagged — exactly while
     /// `replica.rotations() < max_seen`; deriving the flag from this
-    /// (rather than from the pending buffer emptying) means a gap delta
+    /// (rather than from the pending buffer emptying) means a gap patch
     /// discarded by the bounded buffer can never silently clear it.
     max_seen: u64,
     /// Collector-clock tick of the last frame received from this switch
@@ -194,10 +182,10 @@ pub enum AggregationRule {
 /// an accumulated network-wide sketch.
 ///
 /// For *windowed* deployments the collector additionally reassembles
-/// each switch's sliding-window epoch ring from wire-v2 frames
+/// each switch's sliding-window epoch ring from window frames
 /// ([`Collector::submit_window_frame`]): full snapshots install a
-/// per-switch [`SlidingTopK`] replica, steady-state deltas advance it
-/// one closed epoch per rotation, and [`Collector::window_top_k`]
+/// per-switch [`SlidingTopK`] replica, dirty frames advance it one
+/// closed epoch per rotation, and [`Collector::window_top_k`]
 /// answers the network-wide windowed top-k by merging live epochs
 /// across switches through the [`crate::merge`] machinery. The windowed
 /// plane is independent of the tumbling report/sketch path (and of
@@ -227,11 +215,8 @@ pub struct Collector<K: FlowKey> {
     /// `Mutex` — not `RefCell` — so the collector stays `Sync`;
     /// uncontended on the single-owner path.
     scratch: Mutex<QueryScratch<K>>,
-    /// Window frames that participated in the protocol (snapshot,
-    /// delta, dirty, duplicate or buffered alike) — observability.
-    window_frames_accepted: u64,
     /// Window frames the protocol refused (wire errors, ring
-    /// mismatches, deltas before any snapshot).
+    /// mismatches, dirty frames before any snapshot).
     window_frames_rejected: u64,
 }
 
@@ -264,7 +249,6 @@ impl<K: FlowKey> Clone for Collector<K> {
             clock: self.clock,
             // Scratch is cheap to refill; a clone starts cold.
             scratch: Mutex::new(QueryScratch::default()),
-            window_frames_accepted: self.window_frames_accepted,
             window_frames_rejected: self.window_frames_rejected,
         }
     }
@@ -288,7 +272,6 @@ impl<K: FlowKey> Collector<K> {
             resync_no_snapshot: HashSet::new(),
             clock: 0,
             scratch: Mutex::new(QueryScratch::default()),
-            window_frames_accepted: 0,
             window_frames_rejected: 0,
         }
     }
@@ -298,14 +281,8 @@ impl<K: FlowKey> Collector<K> {
         self.reports
     }
 
-    /// Lifetime window frames that participated in the reassembly
-    /// protocol (duplicates and gap-buffered deltas included).
-    pub fn window_frames_accepted(&self) -> u64 {
-        self.window_frames_accepted
-    }
-
     /// Lifetime window frames refused outright — undecodable bytes,
-    /// ring mismatches, or deltas arriving before any snapshot.
+    /// ring mismatches, or dirty frames arriving before any snapshot.
     pub fn window_frames_rejected(&self) -> u64 {
         self.window_frames_rejected
     }
@@ -395,31 +372,33 @@ impl<K: FlowKey> Collector<K> {
         out
     }
 
-    // -- The windowed (wire v2) plane -----------------------------------
+    // -- The windowed plane ---------------------------------------------
 
     /// Submits one windowed telemetry frame
-    /// ([`SlidingTopK::export_frame`] / [`SlidingTopK::export_delta`]
-    /// bytes) and reassembles the submitting switch's epoch ring.
+    /// ([`SlidingTopK::export_frame`], [`SlidingTopK::export_dirty`] or
+    /// [`SlidingTopK::export_delta`] bytes) and reassembles the
+    /// submitting switch's epoch ring.
     ///
     /// * A **full** frame installs (or re-anchors) the switch's
     ///   [`SlidingTopK`] replica at the frame's rotation and clears any
     ///   resync flag; a stale full frame (rotation behind the replica)
     ///   is dropped idempotently.
-    /// * A **delta** frame carrying rotation `R` applies when the
-    ///   replica stands at `R - 1` ([`SlidingTopK::commit_epoch`]).
-    ///   `R` at or below the replica's rotation is a duplicate
-    ///   (idempotent drop). `R` further ahead is a **gap**: the delta is
-    ///   buffered (so a reordered neighbor can still slot in once the
-    ///   gap fills) and the switch is flagged in
+    /// * A **dirty** frame carrying rotation `R` applies when the
+    ///   replica stands at `R - 1`: its patch is reconstructed against
+    ///   the replica's newest closed epoch, or against nothing when its
+    ///   baseline is empty ([`DirtyPatch::apply`]), and committed
+    ///   ([`SlidingTopK::commit_epoch`]). A patch whose baseline row
+    ///   count disagrees with that epoch is refused and leaves the
+    ///   switch flagged for resync. `R` at or below the replica's
+    ///   rotation is a duplicate (idempotent drop). `R` further ahead is
+    ///   a **gap**: the patch is buffered (so a reordered neighbor can
+    ///   still slot in once the gap fills) and the switch is flagged in
     ///   [`Collector::resync_needed`] until a full snapshot arrives.
-    /// * A **dirty** frame ([`SlidingTopK::export_dirty`]) follows the
-    ///   exact same rotation protocol; its record is a changed-buckets
-    ///   patch reconstructed against the replica's newest closed epoch
-    ///   ([`DirtyPatch::apply`]) instead of a whole shipped epoch.
     ///
     /// Returns what the frame did; errors are reserved for frames that
     /// cannot participate in the protocol at all (undecodable bytes,
-    /// ring mismatches, deltas before any snapshot).
+    /// ring mismatches, patches that do not apply, dirty frames before
+    /// any snapshot).
     pub fn submit_window_frame(
         &mut self,
         payload: &[u8],
@@ -440,9 +419,8 @@ impl<K: FlowKey> Collector<K> {
         frame: WindowFrame<K>,
     ) -> Result<WindowSubmit, WindowSubmitError> {
         let out = self.submit_window_inner(frame);
-        match &out {
-            Ok(_) => self.window_frames_accepted += 1,
-            Err(_) => self.window_frames_rejected += 1,
+        if out.is_err() {
+            self.window_frames_rejected += 1;
         }
         out
     }
@@ -494,54 +472,10 @@ impl<K: FlowKey> Collector<K> {
                 }
                 Ok(WindowSubmit::Snapshot)
             }
-            FrameKind::Delta => {
-                let Some(entry) = self.windows.get_mut(&switch) else {
-                    // No ring to apply the delta to; ask for a snapshot.
-                    self.resync_no_snapshot.insert(switch);
-                    return Err(WindowSubmitError::NoSnapshot { switch });
-                };
-                entry.last_progress = now;
-                if frame.window != entry.replica.window()
-                    || frame.epochs.first().is_some_and(|e| {
-                        !crate::wire::same_ring_config(e.config(), entry.replica.config())
-                    })
-                {
-                    return Err(WindowSubmitError::Mismatch { switch });
-                }
-                let rotation = frame.rotation;
-                let epoch = frame
-                    .epochs
-                    .into_iter()
-                    .next()
-                    .expect("decode guarantees one epoch per delta");
-                let current = entry.replica.rotations();
-                if rotation <= current {
-                    return Ok(WindowSubmit::Duplicate);
-                }
-                // Every delta ahead of the replica marks the switch
-                // observed at that rotation — even one the bounded
-                // buffer below ends up discarding — so the resync flag
-                // cannot be cleared until the replica truly catches up.
-                entry.max_seen = entry.max_seen.max(rotation);
-                if rotation == current + 1 {
-                    entry.replica.commit_epoch(epoch);
-                    Self::drain_pending(entry);
-                    return Ok(WindowSubmit::Applied);
-                }
-                // Gap: buffer the early delta (bounded by the window —
-                // anything a snapshot would supersede may be dropped)
-                // and request a resync.
-                if entry.pending.len() < entry.replica.window() {
-                    entry
-                        .pending
-                        .insert(rotation, PendingDelta::Epoch(Box::new(epoch)));
-                }
-                Ok(WindowSubmit::ResyncRequested)
-            }
             FrameKind::Dirty => {
                 let Some(entry) = self.windows.get_mut(&switch) else {
-                    // No ring — and no baseline — to patch; ask for a
-                    // snapshot, exactly like a delta before a snapshot.
+                    // No ring to commit the epoch into; ask for a
+                    // snapshot.
                     self.resync_no_snapshot.insert(switch);
                     return Err(WindowSubmitError::NoSnapshot { switch });
                 };
@@ -562,42 +496,41 @@ impl<K: FlowKey> Collector<K> {
                 if rotation <= current {
                     return Ok(WindowSubmit::Duplicate);
                 }
-                // Same observed-rotation bookkeeping as plain deltas:
-                // even a patch the bounded buffer drops keeps the
-                // resync flag honest.
+                // Every patch ahead of the replica marks the switch
+                // observed at that rotation — even one the bounded
+                // buffer below ends up discarding — so the resync flag
+                // cannot be cleared until the replica truly catches up.
                 entry.max_seen = entry.max_seen.max(rotation);
                 if rotation == current + 1 {
-                    let applied = Self::apply_patch(entry, &patch);
-                    match applied {
-                        Ok(epoch) => {
-                            entry.replica.commit_epoch(epoch);
-                            Self::drain_pending(entry);
-                            return Ok(WindowSubmit::Applied);
-                        }
-                        Err(e) => return Err(WindowSubmitError::Wire(e)),
-                    }
+                    let epoch =
+                        Self::apply_patch(entry, &patch).map_err(WindowSubmitError::Wire)?;
+                    entry.replica.commit_epoch(epoch);
+                    Self::drain_pending(entry);
+                    return Ok(WindowSubmit::Applied);
                 }
+                // Gap: buffer the early patch (bounded by the window —
+                // anything a snapshot would supersede may be dropped)
+                // and request a resync.
                 if entry.pending.len() < entry.replica.window() {
-                    entry.pending.insert(rotation, PendingDelta::Patch(patch));
+                    entry.pending.insert(rotation, patch);
                 }
                 Ok(WindowSubmit::ResyncRequested)
             }
         }
     }
 
-    /// Reconstructs the epoch a dirty patch describes against the
-    /// replica's newest closed epoch — the epoch closed by
-    /// `rotation - 1`, bit-exact by the protocol invariant, which is
-    /// exactly the shadow snapshot the exporter diffed against.
+    /// Reconstructs the epoch a dirty patch describes. Its baseline, if
+    /// it names one, is the replica's newest closed epoch — the epoch
+    /// closed by `rotation - 1`, bit-exact by the protocol invariant,
+    /// which is exactly the shadow snapshot the exporter diffed against.
     fn apply_patch(
         entry: &SwitchWindow<K>,
         patch: &DirtyPatch<K>,
     ) -> Result<ParallelTopK<K>, WireError> {
-        let base = entry.replica.epoch_iter().rev().nth(1);
-        patch.apply(base, entry.replica.config())
+        patch.apply(entry.replica.newest_closed(), entry.replica.config())
     }
 
-    /// Applies buffered out-of-order deltas that have become
+    /// Applies buffered out-of-order patches that have become
     /// in-sequence. The resync flag clears by itself once the replica's
     /// rotation reaches the highest one ever observed
     /// ([`SwitchWindow::needs_resync`]) — never merely because the
@@ -613,29 +546,23 @@ impl<K: FlowKey> Collector<K> {
                     break;
                 }
             }
-            match entry.pending.remove(&(current + 1)) {
-                Some(PendingDelta::Epoch(epoch)) => entry.replica.commit_epoch(*epoch),
-                Some(PendingDelta::Patch(patch)) => {
-                    // The patch's baseline is the epoch closed by
-                    // `current` — the replica's newest closed epoch at
-                    // this point, however the gap was healed.
-                    let applied = Self::apply_patch(entry, &patch);
-                    match applied {
-                        Ok(epoch) => entry.replica.commit_epoch(epoch),
-                        // A buffered patch that fails against the
-                        // healed baseline is dropped: `max_seen` keeps
-                        // the switch resync-flagged, so a snapshot
-                        // supersedes it.
-                        Err(_) => break,
-                    }
-                }
-                None => break,
+            let Some(patch) = entry.pending.remove(&(current + 1)) else {
+                break;
+            };
+            // The patch's baseline is the epoch closed by `current` —
+            // the replica's newest closed epoch at this point, however
+            // the gap was healed. One that fails against it is dropped:
+            // `max_seen` keeps the switch resync-flagged, so a snapshot
+            // supersedes it.
+            match Self::apply_patch(entry, &patch) {
+                Ok(epoch) => entry.replica.commit_epoch(epoch),
+                Err(_) => break,
             }
         }
     }
 
     /// Switch ids whose windows need a full snapshot (a rotation was
-    /// observed that the replica has not incorporated, or a delta
+    /// observed that the replica has not incorporated, or a dirty frame
     /// arrived before any snapshot), ascending. The deployment answers
     /// by shipping [`SlidingTopK::export_frame`] for each.
     pub fn resync_needed(&self) -> Vec<u64> {
@@ -671,7 +598,7 @@ impl<K: FlowKey> Collector<K> {
     }
 
     /// Drops one switch from the windowed plane entirely: its replica,
-    /// buffered deltas, and resync flags. Its flows vanish from
+    /// buffered patches, and resync flags. Its flows vanish from
     /// [`Collector::window_top_k`] at the next query — the windowed
     /// analogue of the sharded engine dropping a dead shard's state.
     /// Returns `true` when the switch was known. (The tumbling
@@ -1223,9 +1150,9 @@ mod tests {
         ));
     }
 
-    /// Like [`run_delta_stream`] but dirty-first: the priming rotation
-    /// falls back to a plain delta, every later one ships a patch —
-    /// the fallback chain the telemetry exporter runs.
+    /// Like [`run_delta_stream`] but through the dirty exporter: the
+    /// first rotation ships an empty-baseline frame, every later one a
+    /// patch against the previous export.
     fn run_dirty_stream(coll: &mut Collector<u64>, switch: u64, periods: u64) -> SlidingTopK<u64> {
         let mut win = SlidingTopK::<u64>::new(window_cfg(3), 3);
         coll.submit_window_frame(&win.export_frame(switch, 1000))
@@ -1236,9 +1163,7 @@ mod tests {
                 .collect();
             win.insert_batch(&batch);
             win.rotate();
-            let bytes = win
-                .export_dirty(switch, 1000)
-                .unwrap_or_else(|| win.export_delta(switch, 1000).expect("closed epoch"));
+            let bytes = win.export_dirty(switch, 1000).expect("closed epoch");
             coll.submit_window_frame(&bytes).unwrap();
         }
         win

@@ -1860,34 +1860,16 @@ impl<K: FlowKey + Send + 'static> ShardedEngine<K, crate::sliding::SlidingTopK<K
         .map(Option::unwrap_or_default)
     }
 
-    /// The delta sibling of [`ShardedEngine::export_frames`]: one
-    /// **delta** frame per shard behind the same flush barrier, each
-    /// carrying the shard window's newest closed epoch. Returns `None`
-    /// before the first rotation (no epoch has closed anywhere — the
-    /// shards rotate in lockstep through
-    /// [`ShardedEngine::rotate_all`], so either all have a closed
-    /// epoch or none do).
-    pub fn export_deltas(
-        &self,
-        switch_id_base: u64,
-        epoch_packets: u32,
-    ) -> Result<Option<Vec<Vec<u8>>>, ShardPoisoned> {
-        self.export_each(switch_id_base, |w, id| w.export_delta(id, epoch_packets))
-    }
-
-    /// The dirty sibling of [`ShardedEngine::export_deltas`]: one
-    /// **dirty** wire-v3 frame per shard behind the same flush barrier
-    /// ([`SlidingTopK::export_dirty`](crate::sliding::SlidingTopK::export_dirty)).
-    /// Returns `None` unless *every* shard produced a dirty frame —
-    /// the shards rotate in lockstep through
-    /// [`ShardedEngine::rotate_all`] and this method primes or advances
-    /// every shard's shadow on every call, so after the first
-    /// (`None`-returning, shadow-priming) call per rotation stream the
-    /// shards stay dirty-eligible together. On `None` the caller ships
-    /// [`ShardedEngine::export_deltas`] or
-    /// [`ShardedEngine::export_frames`] instead; either fallback
-    /// carries the same closed epochs the refreshed shadows snapshot,
-    /// so the next rotation can go dirty.
+    /// The dirty sibling of [`ShardedEngine::export_frames`]: one
+    /// **dirty** frame per shard behind the same flush barrier, each
+    /// carrying the shard window's newest closed epoch
+    /// ([`SlidingTopK::export_dirty`](crate::sliding::SlidingTopK::export_dirty):
+    /// a patch against the previous export, or against the empty
+    /// baseline on the first call or after a skipped rotation). Returns
+    /// `None` before the first rotation — the shards rotate in lockstep
+    /// through [`ShardedEngine::rotate_all`], so either all have a
+    /// closed epoch or none do — and the caller ships
+    /// [`ShardedEngine::export_frames`] instead.
     pub fn export_dirties(
         &self,
         switch_id_base: u64,
@@ -1896,7 +1878,7 @@ impl<K: FlowKey + Send + 'static> ShardedEngine<K, crate::sliding::SlidingTopK<K
         self.export_each(switch_id_base, |w, id| w.export_dirty(id, epoch_packets))
     }
 
-    /// The flushed per-shard visitor behind the three exports: flushes,
+    /// The flushed per-shard visitor behind the two exports: flushes,
     /// so every frame is cut at the same point of the stream, then calls
     /// `export(window, switch_id)` on every shard in index order (shard
     /// `i` is switch `switch_id_base + i`). Returns the frames only if
@@ -1909,7 +1891,7 @@ impl<K: FlowKey + Send + 'static> ShardedEngine<K, crate::sliding::SlidingTopK<K
     ) -> Result<Option<Vec<Vec<u8>>>, ShardPoisoned> {
         self.flush()?;
         // Visit every shard even once one came up empty: a dirty export
-        // is what primes/advances each shard's shadow for next time.
+        // is what moves each shard's shadow for next time.
         let frames: Vec<Option<Vec<u8>>> = self
             .shards
             .iter()
@@ -2393,9 +2375,9 @@ mod tests {
         let mut engine = ShardedEngine::<u64, _>::sliding(&cfg(1024, 8), 3, 2);
         assert!(engine.prepared_handoff());
 
-        // No rotation yet: no closed epoch anywhere, so no deltas.
+        // No rotation yet: no closed epoch anywhere, so no dirty frames.
         engine.insert_batch(&(0..3000u64).map(|i| i % 6).collect::<Vec<_>>());
-        assert!(engine.export_deltas(0, 500).unwrap().is_none());
+        assert!(engine.export_dirties(0, 500).unwrap().is_none());
 
         engine.rotate_all().unwrap();
         engine.insert_batch(&(0..3000u64).map(|i| 100 + i % 6).collect::<Vec<_>>());
@@ -2413,12 +2395,12 @@ mod tests {
             assert_eq!(f.epoch_packets, 500);
         }
 
-        // Deltas exist now and carry the closed epoch of rotation 1.
-        let deltas = engine.export_deltas(10, 500).unwrap().unwrap();
-        assert_eq!(deltas.len(), 3);
-        for bytes in &deltas {
+        // Dirty frames exist now and carry the closed epoch of rotation 1.
+        let dirties = engine.export_dirties(10, 500).unwrap().unwrap();
+        assert_eq!(dirties.len(), 3);
+        for bytes in &dirties {
             let f = WindowFrame::<u64>::decode(bytes).unwrap();
-            assert_eq!(f.kind, FrameKind::Delta);
+            assert_eq!(f.kind, FrameKind::Dirty);
             assert_eq!(f.rotation, 1);
         }
 
@@ -2451,17 +2433,24 @@ mod tests {
         engine.insert_batch(&(0..3000u64).map(|i| i % 6).collect::<Vec<_>>());
         assert!(engine.export_dirties(10, 500).unwrap().is_none());
 
-        // One closed epoch: every shard primes its shadow, and the
-        // batch declines as a unit (all-or-nothing lockstep).
+        // One closed epoch: every shard ships it against the empty
+        // baseline and keeps it as its shadow.
         engine.rotate_all().unwrap();
-        assert!(engine.export_dirties(10, 500).unwrap().is_none());
+        let first = engine
+            .export_dirties(10, 500)
+            .unwrap()
+            .expect("every shard has a closed epoch");
+        for bytes in &first {
+            let patch = WindowFrame::<u64>::decode(bytes).unwrap().patch.unwrap();
+            assert_eq!(patch.base_rows(), 0, "nothing exported before");
+        }
 
         engine.insert_batch(&(0..3000u64).map(|i| 100 + i % 6).collect::<Vec<_>>());
         engine.rotate_all().unwrap();
         let frames = engine
             .export_dirties(10, 500)
             .unwrap()
-            .expect("every shard shadow is fresh");
+            .expect("every shard has a closed epoch");
         assert_eq!(frames.len(), 3);
         for (i, bytes) in frames.iter().enumerate() {
             let f = WindowFrame::<u64>::decode(bytes).unwrap();
@@ -2469,7 +2458,7 @@ mod tests {
             assert_eq!(f.switch_id, 10 + i as u64);
             assert_eq!(f.rotation, 2, "phase-aligned rotation count");
             assert_eq!(f.window, 2);
-            assert!(f.patch.is_some());
+            assert!(f.patch.unwrap().base_rows() > 0, "patched in lockstep");
         }
     }
 

@@ -388,20 +388,12 @@ impl HkSketch {
         &self.matrix
     }
 
-    /// Mutable access to the packed matrix — the dirty-delta apply path
+    /// Mutable access to the packed matrix — the dirty-patch apply path
     /// seeds a reconstructed epoch from its baseline's words wholesale
     /// instead of round-tripping every bucket through unpack/pack.
     #[inline]
     pub(crate) fn matrix_mut(&mut self) -> &mut BucketMatrix {
         &mut self.matrix
-    }
-
-    /// A flat copy of the packed words (all rows contiguous) — the
-    /// shadow snapshot the dirty-delta exporter diffs the next closed
-    /// epoch against.
-    #[inline]
-    pub(crate) fn snapshot_words(&self) -> Vec<u64> {
-        self.matrix.data().to_vec()
     }
 
     /// Matrix geometry diagnostics (the CLI's `--layout-report`).

@@ -42,7 +42,6 @@
 //! Memory is `W`× one sketch, the usual price of sliding windows.
 
 use std::collections::{HashMap, HashSet, VecDeque};
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Mutex, PoisonError};
 
 use crate::config::HkConfig;
@@ -91,24 +90,19 @@ pub struct SlidingTopK<K: FlowKey> {
     /// every few batches, and `W·k` candidates per poll add up). Same
     /// `Mutex`-for-`Sync` reasoning as the closed cache.
     topk_scratch: Mutex<TopKScratch<K>>,
-    /// The dirty-delta exporter's retained snapshot of the last exported
+    /// The dirty exporter's retained snapshot of the last exported
     /// closed epoch ([`SlidingTopK::export_dirty`]): the packed words the
     /// *next* closed epoch is scan-and-compared against. `None` until the
-    /// first dirty export primes it. One extra matrix of memory — the
+    /// first dirty export fills it. One extra matrix of memory — the
     /// price of O(changed buckets) steady-state export — deliberately
     /// outside [`SlidingTopK::memory_bytes`], which accounts the
     /// measurement structure, not the telemetry plane.
     pub(crate) export_shadow: Option<ExportShadow>,
-    /// Lifetime export operations served (frames + deltas + dirty
-    /// patches), atomic because the frame/delta exporters take `&self`.
-    pub(crate) export_ops: AtomicU64,
-    /// Total wire bytes across those exports.
-    pub(crate) export_bytes: AtomicU64,
 }
 
-/// The packed words of the last closed epoch a dirty delta shipped,
-/// tagged with the rotation that closed it (staleness check: a dirty
-/// delta at rotation `R` is only valid against the shadow of `R - 1`).
+/// The packed words of the last closed epoch a dirty frame shipped,
+/// tagged with the rotation that closed it (staleness check: a patch at
+/// rotation `R` may only use the shadow of `R - 1` as its baseline).
 #[derive(Debug, Clone)]
 pub(crate) struct ExportShadow {
     /// Rotation counter at snapshot time; the snapshotted epoch is the
@@ -151,8 +145,6 @@ impl<K: FlowKey> Clone for SlidingTopK<K> {
             // Scratch is cheap to refill; a clone starts cold.
             topk_scratch: Mutex::new(TopKScratch::default()),
             export_shadow: self.export_shadow.clone(),
-            export_ops: AtomicU64::new(self.export_ops()),
-            export_bytes: AtomicU64::new(self.exported_bytes()),
         }
     }
 }
@@ -180,8 +172,6 @@ impl<K: FlowKey> SlidingTopK<K> {
             closed_cache: Mutex::new(HashMap::new()),
             topk_scratch: Mutex::new(TopKScratch::default()),
             export_shadow: None,
-            export_ops: AtomicU64::new(0),
-            export_bytes: AtomicU64::new(0),
         }
     }
 
@@ -219,24 +209,6 @@ impl<K: FlowKey> SlidingTopK<K> {
     /// Total period boundaries crossed so far.
     pub fn rotations(&self) -> u64 {
         self.rotations
-    }
-
-    /// Lifetime export operations served by this window — full frames,
-    /// deltas and dirty patches alike (observability; see `hk-obs`).
-    pub fn export_ops(&self) -> u64 {
-        self.export_ops.load(Ordering::Relaxed)
-    }
-
-    /// Total wire bytes across every export served.
-    pub fn exported_bytes(&self) -> u64 {
-        self.export_bytes.load(Ordering::Relaxed)
-    }
-
-    /// Accounts one served export of `bytes` wire bytes (called by the
-    /// wire-format exporters; atomics so `&self` exporters can bump).
-    pub(crate) fn note_export(&self, bytes: usize) {
-        self.export_ops.fetch_add(1, Ordering::Relaxed);
-        self.export_bytes.fetch_add(bytes as u64, Ordering::Relaxed);
     }
 
     /// The configuration each epoch is built from.
@@ -394,11 +366,18 @@ impl<K: FlowKey> SlidingTopK<K> {
         self.epochs.iter()
     }
 
+    /// The newest *closed* epoch — the one the latest rotation closed,
+    /// just behind the accumulating newest. `None` before the first
+    /// rotation and always for a `W = 1` window.
+    pub(crate) fn newest_closed(&self) -> Option<&ParallelTopK<K>> {
+        self.epochs.iter().rev().nth(1)
+    }
+
     /// Rebuilds a window from externally supplied epochs (oldest first)
     /// — the collector-side constructor: a decoded
     /// [`WindowFrame`](crate::wire::WindowFrame) becomes a queryable
     /// replica of the switch's ring. `rotations` restores the rotation
-    /// counter so delta reassembly can continue from here.
+    /// counter so dirty-frame reassembly can continue from here.
     ///
     /// # Panics
     ///
@@ -423,8 +402,6 @@ impl<K: FlowKey> SlidingTopK<K> {
             closed_cache: Mutex::new(HashMap::new()),
             topk_scratch: Mutex::new(TopKScratch::default()),
             export_shadow: None,
-            export_ops: AtomicU64::new(0),
-            export_bytes: AtomicU64::new(0),
         }
     }
 
@@ -435,10 +412,11 @@ impl<K: FlowKey> SlidingTopK<K> {
     /// full, fresh empty newest, rotation counter bumped, caches
     /// invalidated).
     ///
-    /// This is the collector's delta-reassembly step: a switch that
-    /// ships only its just-closed epoch per rotation keeps the replica
-    /// ring bit-identical to its own — the fresh epoch both sides open
-    /// is empty, and every closed epoch is the shipped final state.
+    /// This is the collector's reassembly step for dirty frames: a
+    /// switch that ships only its just-closed epoch per rotation keeps
+    /// the replica ring bit-identical to its own — the fresh epoch both
+    /// sides open is empty, and every closed epoch is the shipped final
+    /// state.
     pub fn commit_epoch(&mut self, final_epoch: ParallelTopK<K>) {
         *self.newest_mut() = final_epoch;
         self.rotate();

@@ -48,8 +48,8 @@ pub enum WireError {
     /// The payload's key width does not match the requested key type,
     /// or the key type does not implement `from_key_bytes`.
     KeyMismatch,
-    /// An epoch payload's CRC-32 does not match its bytes (wire v2
-    /// window frames checksum every epoch record).
+    /// An epoch payload's CRC-32 does not match its bytes (window
+    /// frames checksum every epoch record).
     BadCrc {
         /// Index of the failing epoch record within the frame.
         epoch: usize,
@@ -251,6 +251,18 @@ impl<K: FlowKey> ParallelTopK<K> {
             // instead of letting the config constructor panic.
             return Err(WireError::Corrupt("field widths"));
         }
+        // The matrix is allocated before it is read, so the payload must
+        // be able to hold it first: 12 bytes per bucket plus the store
+        // count. A short header cannot make the decoder build a sketch
+        // of the size it merely claims.
+        let needed = arrays
+            .checked_mul(width)
+            .and_then(|n| n.checked_mul(12))
+            .and_then(|n| n.checked_add(4))
+            .ok_or(WireError::Truncated)?;
+        if data.len() - r.pos < needed {
+            return Err(WireError::Truncated);
+        }
 
         let mut builder = HkConfig::builder()
             .arrays(arrays)
@@ -322,66 +334,81 @@ impl<K: FlowKey> ParallelTopK<K> {
 }
 
 // ---------------------------------------------------------------------
-// Wire v2/v3: the windowed telemetry frame (epoch-ring framing).
+// The windowed telemetry frame (epoch-ring framing).
 //
 // A sliding-window deployment cannot ship its state as one v1 sketch:
 // the measurement unit is a ring of W epoch sketches plus a rotation
 // counter, and steady-state export should not pay O(W · sketch) per
-// period when only one epoch changed. The frame carries three shapes
+// period when only one epoch changed. The frame carries two shapes
 // under one header:
 //
 // ```text
-// magic "HKWF" | version u8 (2 full/delta, 3 dirty) |
-// kind u8 (0 full / 1 delta / 2 dirty) | key_len u8 |
-// switch_id u64 | rotation u64 | window u16 | live u16 | epoch_packets u32
+// magic "HKWF" | version u8 (2 full, 4 dirty) | kind u8 (0 full / 2 dirty) |
+// key_len u8 | switch_id u64 | rotation u64 | window u16 | live u16 |
+// epoch_packets u32
 // then `live` records, oldest -> newest:
 //   payload_len u32 | payload | crc32 u32
 // ```
 //
 // * **Full** frames (v2) carry every live epoch (the accumulating
-//   newest included) as v1 "HKSK" payloads — the initial snapshot and
-//   the resync path.
-// * **Delta** frames (v2) carry exactly one v1 record: the epoch that
-//   was *closed* by rotation number `rotation` — O(one sketch) per
-//   period regardless of W.
-// * **Dirty** frames (v3) carry exactly one "HKDP" record: the closed
-//   epoch expressed as a *patch* against the previous export — a
-//   per-row changed-bucket bitmap (RLE over all-zero bitmap words) plus
-//   varint-coded `old XOR new` packed words, and the whole top-k store.
-//   Steady-state cost is O(changed buckets), which HeavyKeeper's own
-//   thesis makes O(elephants): almost all buckets hold mice or nothing
-//   and are untouched between rotations.
+//   newest included) as v1 "HKSK" payloads — the initial snapshot, the
+//   resync path and the sliding-window checkpoint.
+// * **Dirty** frames (v4) carry exactly one "HKDP" record: the epoch
+//   *closed* by rotation number `rotation`, expressed as a patch
+//   against an explicit baseline:
 //
-// Every record is CRC-32-checksummed independently, so corruption is
-// detected before any expensive decode. `rotation` orders frames
-// identically for deltas and dirty patches: the collector applies
-// rotation R only on top of state at rotation R-1, treats R ≤ current
-// as a duplicate (idempotent drop) and R > current+1 as a gap that
-// flags the switch for resync.
+//   ```text
+//   magic "HKDP" | base_rows varint | rows varint | width varint |
+//   rows × (changed-bucket bitmap, RLE | changed words: old XOR new, varint) |
+//   store: n varint, then n × (key bytes | count varint)
+//   ```
+//
+//   `base_rows = 0` names the empty baseline: the record carries the
+//   whole closed epoch and needs no earlier export (the first export,
+//   the one after a skipped rotation, `export_delta`). `base_rows > 0`
+//   names the epoch closed by `rotation - 1`, which had that many rows.
+//   Against it the steady-state cost is O(changed buckets), which
+//   HeavyKeeper's own thesis makes O(elephants): almost all buckets
+//   hold mice or nothing and are untouched between rotations.
+//
+// Kind 1 (the retired v2 delta, which re-shipped the closed epoch as a
+// whole v1 sketch) and v3 dirty records (no baseline field) no longer
+// decode. Every record is CRC-32-checksummed independently, so
+// corruption is detected before any expensive decode. The collector
+// applies a dirty frame of rotation R only on top of state at rotation
+// R-1, treats R ≤ current as a duplicate (idempotent drop) and
+// R > current+1 as a gap that flags the switch for resync.
 // ---------------------------------------------------------------------
 
 /// Magic prefix of a windowed telemetry frame.
 const FRAME_MAGIC: &[u8; 4] = b"HKWF";
-/// Wire version of full/delta window frames.
+/// Wire version of full window frames.
 const FRAME_VERSION: u8 = 2;
 /// Wire version of dirty-patch window frames ([`FrameKind::Dirty`]).
-const DIRTY_FRAME_VERSION: u8 = 3;
-/// Magic prefix of a dirty-patch record payload (where full/delta
-/// records carry a v1 "HKSK" sketch).
+const DIRTY_FRAME_VERSION: u8 = 4;
+/// Magic prefix of a dirty-patch record payload (where full records
+/// carry v1 "HKSK" sketches).
 const DIRTY_MAGIC: &[u8; 4] = b"HKDP";
 
-/// Whether a window frame is a full snapshot, a single-epoch delta, or
-/// a dirty-bucket patch.
+/// Whether a window frame is a full snapshot or a dirty-bucket patch.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FrameKind {
-    /// Every live epoch of the ring (snapshot / resync).
+    /// Every live epoch of the ring (snapshot / resync / checkpoint).
     Full,
-    /// Only the epoch closed by `rotation` (steady-state export).
-    Delta,
     /// The epoch closed by `rotation` as a changed-buckets patch
-    /// against the epoch closed by `rotation - 1` (wire v3; the
-    /// O(elephants) steady-state export).
+    /// against an explicit baseline: the epoch closed by
+    /// `rotation - 1`, or nothing ([`DirtyPatch::base_rows`]).
     Dirty,
+}
+
+impl FrameKind {
+    /// The `(version, kind)` header bytes of this kind.
+    fn header_bytes(self) -> (u8, u8) {
+        match self {
+            Self::Full => (FRAME_VERSION, 0),
+            Self::Dirty => (DIRTY_FRAME_VERSION, 2),
+        }
+    }
 }
 
 /// A decoded windowed telemetry frame: one switch's epoch-ring state
@@ -391,19 +418,19 @@ pub enum FrameKind {
 pub struct WindowFrame<K: FlowKey> {
     /// Which switch exported the frame (assigned by the deployment).
     pub switch_id: u64,
-    /// The switch's rotation counter at export time. For a delta this
-    /// is the rotation that closed the carried epoch.
+    /// The switch's rotation counter at export time. For a dirty frame
+    /// this is the rotation that closed the carried epoch.
     pub rotation: u64,
     /// The ring size `W` the switch runs.
     pub window: usize,
     /// The switch's per-epoch packet budget (periods are cut every this
     /// many packets); carried so artifacts are self-describing.
     pub epoch_packets: u32,
-    /// Snapshot, delta, or dirty patch.
+    /// Snapshot or dirty patch.
     pub kind: FrameKind,
-    /// The carried epochs, oldest first. `len == 1` for a delta; for a
-    /// full frame the last entry is the accumulating newest epoch;
-    /// empty for a dirty frame (its record is [`WindowFrame::patch`]).
+    /// The carried epochs of a full frame, oldest first (the last is
+    /// the accumulating newest epoch); empty for a dirty frame (its
+    /// record is [`WindowFrame::patch`]).
     pub epochs: Vec<ParallelTopK<K>>,
     /// The dirty-bucket patch — `Some` iff `kind` is
     /// [`FrameKind::Dirty`]. Applied to a replica's newest closed epoch
@@ -414,8 +441,7 @@ pub struct WindowFrame<K: FlowKey> {
 /// True when two configurations describe the *same ring* — equal in
 /// every field except `arrays`, which Section III-F expansion grows
 /// per-epoch at runtime (one window's epochs can legitimately hold
-/// different array counts, and so can a replica and the delta that
-/// advances it).
+/// different array counts).
 pub(crate) fn same_ring_config(a: &HkConfig, b: &HkConfig) -> bool {
     let mut a = a.clone();
     let mut b = b.clone();
@@ -446,15 +472,9 @@ fn encode_frame_header(
         "window frame fields exceed the wire format's u16 range ({window} epochs)"
     );
     out.extend_from_slice(FRAME_MAGIC);
-    out.push(match kind {
-        FrameKind::Full | FrameKind::Delta => FRAME_VERSION,
-        FrameKind::Dirty => DIRTY_FRAME_VERSION,
-    });
-    out.push(match kind {
-        FrameKind::Full => 0,
-        FrameKind::Delta => 1,
-        FrameKind::Dirty => 2,
-    });
+    let (version, kind) = kind.header_bytes();
+    out.push(version);
+    out.push(kind);
     out.push(key_len as u8);
     out.extend_from_slice(&switch_id.to_le_bytes());
     out.extend_from_slice(&rotation.to_le_bytes());
@@ -463,26 +483,53 @@ fn encode_frame_header(
     out.extend_from_slice(&epoch_packets.to_le_bytes());
 }
 
-/// Appends one epoch record: length-prefixed v1 payload plus its CRC.
-/// The payload is streamed straight into `out` (the epoch's packed row
-/// views feed [`ParallelTopK::wire_into`]); the length is back-patched
+/// Appends one record: the payload `write` streams straight into `out`
+/// (a v1 sketch through [`ParallelTopK::wire_into`], or a dirty patch),
+/// length-prefixed and followed by its CRC. The length is back-patched
 /// and the CRC computed over the written range — no intermediate copy.
-fn encode_epoch_record<K: FlowKey>(out: &mut Vec<u8>, epoch: &ParallelTopK<K>) {
+fn encode_record(out: &mut Vec<u8>, write: impl FnOnce(&mut Vec<u8>)) {
     let len_at = out.len();
     out.extend_from_slice(&0u32.to_le_bytes()); // placeholder
     let payload_at = out.len();
-    epoch.wire_into(out);
+    write(out);
     let payload_len = out.len() - payload_at;
     out[len_at..len_at + 4].copy_from_slice(&(payload_len as u32).to_le_bytes());
     let crc = hk_common::crc::crc32(&out[payload_at..]);
     out.extend_from_slice(&crc.to_le_bytes());
 }
 
+/// A dirty frame carrying `closed`, the epoch closed by `rotation`,
+/// diffed against `base` — the shadow of the epoch closed by
+/// `rotation - 1` — or against the empty baseline when `base` is
+/// `None`.
+fn dirty_frame<K: FlowKey>(
+    closed: &ParallelTopK<K>,
+    base: Option<&crate::sliding::ExportShadow>,
+    switch_id: u64,
+    rotation: u64,
+    window: usize,
+    epoch_packets: u32,
+) -> Vec<u8> {
+    let mut out = Vec::with_capacity(HEADER_LEN + 256);
+    encode_frame_header(
+        &mut out,
+        FrameKind::Dirty,
+        K::ENCODED_LEN,
+        switch_id,
+        rotation,
+        window,
+        1,
+        epoch_packets,
+    );
+    encode_record(&mut out, |out| encode_dirty_payload(out, closed, base));
+    out
+}
+
 impl<K: FlowKey> crate::sliding::SlidingTopK<K> {
     /// Exports the whole ring as a [`FrameKind::Full`] window frame:
     /// every live epoch (the accumulating newest included), the
     /// rotation counter, and the per-epoch packet budget. This is the
-    /// initial snapshot a delta stream starts from, and the resync
+    /// initial snapshot a dirty stream starts from, and the resync
     /// payload after loss.
     pub fn export_frame(&self, switch_id: u64, epoch_packets: u32) -> Vec<u8> {
         let mut out: Vec<u8> = Vec::with_capacity(64 + self.live_epochs() * 1024);
@@ -497,50 +544,33 @@ impl<K: FlowKey> crate::sliding::SlidingTopK<K> {
             epoch_packets,
         );
         for epoch in self.epoch_iter() {
-            encode_epoch_record(&mut out, epoch);
+            encode_record(&mut out, |out| epoch.wire_into(out));
         }
-        self.note_export(out.len());
         out
     }
 
-    /// Exports the newest *closed* epoch as a [`FrameKind::Delta`]
-    /// frame — the steady-state export, O(one sketch) per rotation
-    /// instead of the full frame's O(W · sketch).
+    /// Exports the newest *closed* epoch as a [`FrameKind::Dirty`]
+    /// frame against the empty baseline: a self-contained record that
+    /// needs no earlier export. It is [`export_dirty`]'s encoder with
+    /// the shadow left out, and neither reads nor moves the shadow.
     ///
-    /// The carried epoch is the one closed by the latest
-    /// [`rotate`](crate::sliding::SlidingTopK::rotate) (closed epochs
-    /// are immutable, so the delta is valid any time before the next
-    /// rotation). Returns `None` when no closed epoch is live — before
-    /// the first rotation, and *always* for a `W = 1` window (its only
-    /// slot is the accumulating epoch; rotation evicts the closed one
-    /// immediately) — ship [`export_frame`] instead.
+    /// Returns `None` when no closed epoch is live — before the first
+    /// rotation, and *always* for a `W = 1` window (its only slot is the
+    /// accumulating epoch; rotation evicts the closed one immediately) —
+    /// ship [`export_frame`] instead.
     ///
-    /// This `Option`-with-fallback contract is the precedent the dirty
-    /// exporter extends: [`export_dirty`] likewise returns `None`
-    /// whenever its preconditions (a closed epoch *and* a fresh shadow
-    /// snapshot) do not hold, and the caller downgrades to this method
-    /// or to [`export_frame`]. Pinned by the
-    /// `export_delta_option_contract_pins_fallback_precedent` test.
-    ///
-    /// [`export_frame`]: crate::sliding::SlidingTopK::export_frame
     /// [`export_dirty`]: crate::sliding::SlidingTopK::export_dirty
+    /// [`export_frame`]: crate::sliding::SlidingTopK::export_frame
     pub fn export_delta(&self, switch_id: u64, epoch_packets: u32) -> Option<Vec<u8>> {
-        // The newest closed epoch sits just behind the accumulating one.
-        let closed = self.epoch_iter().rev().nth(1)?;
-        let mut out = Vec::with_capacity(64 + 1024);
-        encode_frame_header(
-            &mut out,
-            FrameKind::Delta,
-            K::ENCODED_LEN,
+        let closed = self.newest_closed()?;
+        Some(dirty_frame(
+            closed,
+            None,
             switch_id,
             self.rotations(),
             self.window(),
-            1,
             epoch_packets,
-        );
-        encode_epoch_record(&mut out, closed);
-        self.note_export(out.len());
-        Some(out)
+        ))
     }
 
     /// Exports the newest closed epoch as a [`FrameKind::Dirty`] frame:
@@ -548,124 +578,85 @@ impl<K: FlowKey> crate::sliding::SlidingTopK<K> {
     /// the previous export, scan-and-compared against a retained shadow
     /// snapshot — plain u64 compares at export time, no per-write dirty
     /// tracking, the ingest hot path untouched. Steady-state cost is
-    /// O(changed buckets) ≈ O(elephants) instead of the plain delta's
-    /// O(sketch).
+    /// O(changed buckets) ≈ O(elephants) instead of O(sketch).
     ///
-    /// Returns `Some(frame)` only when the shadow snapshots exactly the
-    /// epoch closed by `rotation - 1` (and the geometry still matches);
-    /// the shadow is then advanced to the epoch just closed. In every
-    /// other case — before the first rotation, for `W = 1` windows
-    /// (same rule as [`export_delta`], whose `Option` contract is the
-    /// tested precedent), on the first call after construction, or
-    /// after a skipped rotation — it *re-primes* the shadow from the
-    /// current closed epoch and returns `None`: the caller must ship
-    /// [`export_delta`] or [`export_frame`] for this rotation instead.
-    /// Both fallbacks carry the same closed epoch the refreshed shadow
-    /// now snapshots, so exporter shadow and collector baseline stay in
-    /// lockstep and the *next* rotation can go dirty.
+    /// The patch's baseline is the shadow when it snapshots exactly the
+    /// epoch closed by `rotation - 1` at the same width. Otherwise — on
+    /// the first call, after a skipped rotation, or after a merge — the
+    /// frame is encoded against the empty baseline and carries the
+    /// whole closed epoch, so every rotation ships dirty. Either way the
+    /// shadow then moves to the epoch just closed. Returns `None` only
+    /// when no closed epoch is live (before the first rotation, or a
+    /// `W = 1` window); the caller ships [`export_frame`] instead.
     ///
     /// The shadow costs one extra matrix per window and is accounted to
     /// the telemetry plane, not [`memory_bytes`].
     ///
-    /// [`export_delta`]: crate::sliding::SlidingTopK::export_delta
     /// [`export_frame`]: crate::sliding::SlidingTopK::export_frame
     /// [`memory_bytes`]: crate::sliding::SlidingTopK::memory_bytes
     pub fn export_dirty(&mut self, switch_id: u64, epoch_packets: u32) -> Option<Vec<u8>> {
-        use crate::sliding::ExportShadow;
-
         let rotation = self.rotations();
-        let window = self.window();
-        if self.live_epochs() < 2 {
-            // No closed epoch to snapshot or ship (pre-first-rotation,
-            // or W = 1): drop any stale shadow.
-            self.export_shadow = None;
-            return None;
-        }
-        // Borrow phase: diff-and-encode (or just snapshot) against the
-        // closed epoch, producing the frame bytes and the new shadow.
-        let (bytes, next_shadow) = {
-            let closed = self
-                .epoch_iter()
-                .rev()
-                .nth(1)
-                .expect("two or more live epochs");
-            let sketch = closed.sketch();
-            let rows = sketch.arrays();
-            let width = sketch.width();
-            let fresh = self
-                .export_shadow
-                .as_ref()
-                .is_some_and(|s| s.rotation + 1 == rotation && s.width == width);
-            let bytes = if fresh {
-                let shadow = self.export_shadow.as_ref().expect("checked fresh");
-                let mut out = Vec::with_capacity(HEADER_LEN + 256);
-                encode_frame_header(
-                    &mut out,
-                    FrameKind::Dirty,
-                    K::ENCODED_LEN,
-                    switch_id,
-                    rotation,
-                    window,
-                    1,
-                    epoch_packets,
-                );
-                let len_at = out.len();
-                out.extend_from_slice(&0u32.to_le_bytes()); // placeholder
-                let payload_at = out.len();
-                encode_dirty_payload(&mut out, closed, shadow);
-                let payload_len = out.len() - payload_at;
-                out[len_at..len_at + 4].copy_from_slice(&(payload_len as u32).to_le_bytes());
-                let crc = hk_common::crc::crc32(&out[payload_at..]);
-                out.extend_from_slice(&crc.to_le_bytes());
-                Some(out)
-            } else {
-                None
-            };
-            let next_shadow = ExportShadow {
-                rotation,
-                rows,
-                width,
-                words: sketch.snapshot_words(),
-            };
-            (bytes, next_shadow)
+        // Taken first: with no closed epoch the stale shadow is dropped.
+        let shadow = self.export_shadow.take();
+        let closed = self.newest_closed()?;
+        let sketch = closed.sketch();
+        let width = sketch.width();
+        let base = shadow
+            .as_ref()
+            .filter(|s| s.rotation + 1 == rotation && s.width == width);
+        let bytes = dirty_frame(
+            closed,
+            base,
+            switch_id,
+            rotation,
+            self.window(),
+            epoch_packets,
+        );
+        // The next shadow reuses the old one's buffer.
+        let mut words = shadow.map(|s| s.words).unwrap_or_default();
+        words.clear();
+        words.extend_from_slice(sketch.matrix().data());
+        let next = crate::sliding::ExportShadow {
+            rotation,
+            rows: sketch.arrays(),
+            width,
+            words,
         };
-        self.export_shadow = Some(next_shadow);
-        if let Some(b) = &bytes {
-            self.note_export(b.len());
-        }
-        bytes
+        self.export_shadow = Some(next);
+        Some(bytes)
     }
 }
 
-/// Length of the fixed frame header (shared by full, delta and dirty).
+/// Length of the fixed frame header (shared by full and dirty frames).
 const HEADER_LEN: usize = 31;
 
 /// Appends the dirty-patch record payload: the closed epoch diffed
-/// against the shadow, rows beyond the shadow (Section III-F expansion
-/// since the last export) diffed against an all-empty baseline, then
-/// the whole top-k store (small — `k` entries — and not worth diffing).
+/// against `base` (rows beyond it — Section III-F expansion since the
+/// last export — and every row when `base` is `None` against all-empty
+/// words), then the whole top-k store (small — `k` entries — and not
+/// worth diffing).
 fn encode_dirty_payload<K: FlowKey>(
     out: &mut Vec<u8>,
     closed: &ParallelTopK<K>,
-    shadow: &crate::sliding::ExportShadow,
+    base: Option<&crate::sliding::ExportShadow>,
 ) {
     use hk_common::varint;
 
     let sketch = closed.sketch();
     let matrix = sketch.matrix();
     let (rows, width) = (matrix.rows(), matrix.width());
-    debug_assert_eq!(shadow.width, width, "caller checked geometry");
+    let (base_rows, base_words) = base.map_or((0, &[][..]), |s| {
+        debug_assert_eq!(s.width, width, "caller checked geometry");
+        (s.rows, &s.words[..])
+    });
 
     out.extend_from_slice(DIRTY_MAGIC);
+    varint::write_u64(out, base_rows as u64);
     varint::write_u64(out, rows as u64);
     varint::write_u64(out, width as u64);
     let mut bitmap: Vec<u64> = Vec::new();
     for j in 0..rows {
-        let base = if j < shadow.rows {
-            Some(&shadow.words[j * width..(j + 1) * width])
-        } else {
-            None
-        };
+        let base = (j < base_rows).then(|| &base_words[j * width..(j + 1) * width]);
         matrix.diff_row_bitmap(j, base, &mut bitmap);
         varint::write_bitmap_rle(out, &bitmap);
         let row = matrix.row(j);
@@ -685,20 +676,29 @@ fn encode_dirty_payload<K: FlowKey>(
 }
 
 /// A decoded [`FrameKind::Dirty`] record: which buckets of the closed
-/// epoch changed since the previous export, and how — `old XOR new`
-/// packed words, stored densely (zero = unchanged) so
-/// [`DirtyPatch::apply`] is one XOR walk — plus the epoch's whole
-/// top-k store.
+/// epoch differ from its baseline, and how — `old XOR new` packed
+/// words, stored sparsely so decoding allocates in proportion to the
+/// payload rather than to the geometry it claims — plus the epoch's
+/// whole top-k store.
 #[derive(Debug, Clone)]
 pub struct DirtyPatch<K: FlowKey> {
+    base_rows: usize,
     rows: usize,
     width: usize,
-    /// `rows × width` XOR diffs, row-major; zero means unchanged.
-    words: Vec<u64>,
+    /// The changed words as `(row-major index, old XOR new)`, ascending;
+    /// every diff is nonzero.
+    diffs: Vec<(usize, u64)>,
     store: Vec<(K, u64)>,
 }
 
 impl<K: FlowKey> DirtyPatch<K> {
+    /// Matrix rows of the baseline the patch was diffed against: the
+    /// epoch closed one rotation earlier, or `0` for the empty baseline
+    /// (the patch then carries the whole epoch on its own).
+    pub fn base_rows(&self) -> usize {
+        self.base_rows
+    }
+
     /// Matrix rows of the patched epoch (the new epoch's array count —
     /// Section III-F expansion can make it differ from the baseline's).
     pub fn rows(&self) -> usize {
@@ -712,8 +712,8 @@ impl<K: FlowKey> DirtyPatch<K> {
 
     /// Decodes one "HKDP" record payload (CRC already verified by the
     /// frame decoder). Structural validation only — semantic limits
-    /// (counter/fingerprint ranges, store size) need the ring config
-    /// and are enforced by [`DirtyPatch::apply`].
+    /// (counter/fingerprint ranges, store size, the baseline) need the
+    /// ring and are enforced by [`DirtyPatch::apply`].
     fn decode(data: &[u8]) -> Result<Self, WireError> {
         use hk_common::varint;
 
@@ -721,8 +721,12 @@ impl<K: FlowKey> DirtyPatch<K> {
             return Err(WireError::Corrupt("dirty patch magic"));
         }
         let mut pos = 4usize;
-        let rows = varint::read_u64(data, &mut pos).ok_or(WireError::Corrupt("patch varint"))?;
-        let width = varint::read_u64(data, &mut pos).ok_or(WireError::Corrupt("patch varint"))?;
+        let mut field =
+            || varint::read_u64(data, &mut pos).ok_or(WireError::Corrupt("patch varint"));
+        let (base_rows, rows, width) = (field()?, field()?, field()?);
+        if base_rows > crate::sketch::MAX_ARRAYS as u64 {
+            return Err(WireError::Corrupt("baseline rows"));
+        }
         if rows == 0 || rows > crate::sketch::MAX_ARRAYS as u64 {
             return Err(WireError::Corrupt("array count"));
         }
@@ -731,17 +735,16 @@ impl<K: FlowKey> DirtyPatch<K> {
         }
         let (rows, width) = (rows as usize, width as usize);
         let bitmap_words = width.div_ceil(64);
-        let mut words = vec![0u64; rows * width];
-        let mut bitmap: Vec<u64> = Vec::with_capacity(bitmap_words);
+        let mut diffs: Vec<(usize, u64)> = Vec::new();
+        let mut set_words: Vec<(usize, u64)> = Vec::new();
         for j in 0..rows {
-            varint::read_bitmap_rle(data, &mut pos, bitmap_words, &mut bitmap)
+            varint::read_bitmap_rle(data, &mut pos, bitmap_words, &mut set_words)
                 .ok_or(WireError::Corrupt("dirty bitmap"))?;
-            // Bits past `width` in the last bitmap word name no bucket.
-            if width % 64 != 0 && bitmap[bitmap_words - 1] >> (width % 64) != 0 {
-                return Err(WireError::Corrupt("dirty bitmap tail"));
-            }
-            let row = &mut words[j * width..(j + 1) * width];
-            for (w, &bits) in bitmap.iter().enumerate() {
+            for &(w, bits) in &set_words {
+                // Bits past `width` in the last bitmap word name no bucket.
+                if w + 1 == bitmap_words && width % 64 != 0 && bits >> (width % 64) != 0 {
+                    return Err(WireError::Corrupt("dirty bitmap tail"));
+                }
                 let mut bits = bits;
                 while bits != 0 {
                     let i = w * 64 + bits.trailing_zeros() as usize;
@@ -753,14 +756,14 @@ impl<K: FlowKey> DirtyPatch<K> {
                         // its bitmap bit must not have been set.
                         return Err(WireError::Corrupt("zero dirty diff"));
                     }
-                    row[i] = diff;
+                    diffs.push((j * width + i, diff));
                 }
             }
         }
         let n = varint::read_u64(data, &mut pos).ok_or(WireError::Corrupt("patch varint"))?;
-        if n > data.len() as u64 {
-            // Cheap sanity bound before allocating: every entry costs
-            // at least one byte on the wire.
+        if n > ((data.len() - pos) / (K::ENCODED_LEN + 1)) as u64 {
+            // Bound before allocating: every entry costs its key bytes
+            // and at least one count byte on the wire.
             return Err(WireError::Corrupt("store size"));
         }
         let mut store = Vec::with_capacity(n as usize);
@@ -782,20 +785,23 @@ impl<K: FlowKey> DirtyPatch<K> {
             return Err(WireError::Corrupt("trailing bytes"));
         }
         Ok(Self {
+            base_rows: base_rows as usize,
             rows,
             width,
-            words,
+            diffs,
             store,
         })
     }
 
     /// Reconstructs the closed epoch this patch describes:
-    /// `base XOR diff` over the packed words, where `base` is the
-    /// collector replica's newest closed epoch (the epoch closed by
-    /// `rotation - 1`, bit-exact by the delta-protocol invariant) and
-    /// rows beyond it patch an all-empty baseline. `ring_cfg` is the
-    /// replica's configuration; the reconstructed epoch opens from it
-    /// with this patch's array count.
+    /// `base XOR diff` over the packed words. `base` is the collector
+    /// replica's newest closed epoch (the epoch closed by
+    /// `rotation - 1`, bit-exact by the rotation protocol); it is only
+    /// read when [`base_rows`](DirtyPatch::base_rows) is nonzero, and
+    /// must then be present with exactly that many rows. Rows beyond
+    /// the baseline, and every row of an empty-baseline patch, patch
+    /// all-empty words. `ring_cfg` is the replica's configuration; the
+    /// reconstructed epoch opens from it with this patch's array count.
     ///
     /// Every *changed* word is validated like
     /// [`ParallelTopK::from_wire`] validates buckets (counter and
@@ -811,6 +817,13 @@ impl<K: FlowKey> DirtyPatch<K> {
         if self.width != ring_cfg.width {
             return Err(WireError::Corrupt("patch width"));
         }
+        let base = match (self.base_rows, base) {
+            (0, _) => None,
+            (rows, Some(b)) if b.sketch().arrays() == rows && b.sketch().width() == self.width => {
+                Some(b)
+            }
+            _ => return Err(WireError::Corrupt("patch baseline")),
+        };
         let mut cfg = ring_cfg.clone();
         cfg.arrays = self.rows;
         let mut hk = ParallelTopK::<K>::new(cfg);
@@ -823,22 +836,18 @@ impl<K: FlowKey> DirtyPatch<K> {
             (1u32 << fp_bits) - 1
         };
 
-        // Seed from the baseline (missing/shorter baselines leave the
-        // fresh all-empty rows), then XOR the diffs in.
+        // Seed from the baseline (an empty or shorter baseline leaves
+        // the fresh all-empty rows), then XOR the diffs in.
         if let Some(base) = base {
             let src = base.sketch().matrix();
-            if src.width() != self.width {
-                return Err(WireError::Corrupt("patch width"));
-            }
             let shared = self.rows.min(src.rows()) * self.width;
             hk.sketch_mut().matrix_mut().data_mut()[..shared]
                 .copy_from_slice(&src.data()[..shared]);
         }
         let dst = hk.sketch_mut().matrix_mut().data_mut();
-        for (slot, &diff) in dst.iter_mut().zip(&self.words) {
-            if diff == 0 {
-                continue;
-            }
+        for &(at, diff) in &self.diffs {
+            // `at < rows × width`: decode bounds every bitmap bit.
+            let slot = &mut dst[at];
             let word = *slot ^ diff;
             let b = layout.unpack(word);
             if b.fp > fp_max {
@@ -867,15 +876,16 @@ impl<K: FlowKey> DirtyPatch<K> {
 
 impl<K: FlowKey> WindowFrame<K> {
     /// Decodes a window frame produced by
-    /// [`SlidingTopK::export_frame`](crate::sliding::SlidingTopK::export_frame)
+    /// [`SlidingTopK::export_frame`](crate::sliding::SlidingTopK::export_frame),
+    /// [`SlidingTopK::export_dirty`](crate::sliding::SlidingTopK::export_dirty)
     /// or
     /// [`SlidingTopK::export_delta`](crate::sliding::SlidingTopK::export_delta).
     ///
     /// Every header field is validated and every epoch record must pass
     /// its CRC before its payload is decoded; any truncation, corruption
-    /// or inconsistency (a delta with ≠ 1 record, more live epochs than
-    /// the window holds or than the rotation count allows, epochs that
-    /// are not merge-compatible with each other) is rejected.
+    /// or inconsistency (a dirty frame with ≠ 1 record, more live epochs
+    /// than the window holds or than the rotation count allows, epochs
+    /// that are not merge-compatible with each other) is rejected.
     pub fn decode(data: &[u8]) -> Result<Self, WireError> {
         let mut r = Reader { data, pos: 0 };
         if r.take(4)? != FRAME_MAGIC {
@@ -885,19 +895,14 @@ impl<K: FlowKey> WindowFrame<K> {
         if version != FRAME_VERSION && version != DIRTY_FRAME_VERSION {
             return Err(WireError::BadVersion(version));
         }
+        // Kind 1, the retired v2 delta, is unknown here.
         let kind = match r.u8()? {
             0 => FrameKind::Full,
-            1 => FrameKind::Delta,
             2 => FrameKind::Dirty,
             _ => return Err(WireError::Corrupt("frame kind")),
         };
-        // Full/delta are v2; dirty is v3. A mismatched pairing never
-        // came from an exporter here.
-        let expected = match kind {
-            FrameKind::Full | FrameKind::Delta => FRAME_VERSION,
-            FrameKind::Dirty => DIRTY_FRAME_VERSION,
-        };
-        if version != expected {
+        // A mismatched pairing never came from an exporter here.
+        if version != kind.header_bytes().0 {
             return Err(WireError::Corrupt("frame version/kind pairing"));
         }
         if r.u8()? as usize != K::ENCODED_LEN {
@@ -915,26 +920,15 @@ impl<K: FlowKey> WindowFrame<K> {
             return Err(WireError::Corrupt("live epoch count"));
         }
         match kind {
-            FrameKind::Delta => {
-                if live != 1 {
-                    return Err(WireError::Corrupt("delta epoch count"));
-                }
-                // A delta carries a *closed* epoch, which takes at least
-                // one rotation to exist.
-                if rotation == 0 {
-                    return Err(WireError::Corrupt("delta before first rotation"));
-                }
-            }
             FrameKind::Dirty => {
                 if live != 1 {
                     return Err(WireError::Corrupt("dirty epoch count"));
                 }
-                // A dirty patch needs a *previously exported* closed
-                // epoch as its baseline: the epoch closed by rotation
-                // R - 1 must have existed, so R ≥ 2. And a W = 1 ring
-                // never retains a closed epoch to diff or to apply to.
-                if rotation < 2 {
-                    return Err(WireError::Corrupt("dirty before second rotation"));
+                // A dirty frame carries a *closed* epoch, which takes at
+                // least one rotation to exist — and a W = 1 ring never
+                // retains a closed epoch to ship or to apply to.
+                if rotation == 0 {
+                    return Err(WireError::Corrupt("dirty before first rotation"));
                 }
                 if window < 2 {
                     return Err(WireError::Corrupt("dirty window size"));
@@ -947,6 +941,11 @@ impl<K: FlowKey> WindowFrame<K> {
                     return Err(WireError::Corrupt("more epochs than rotations"));
                 }
             }
+        }
+        // Every record costs at least its length and CRC fields: refuse
+        // a count the input cannot hold before reserving for it.
+        if live > (data.len() - r.pos) / 8 {
+            return Err(WireError::Truncated);
         }
 
         let mut epochs = Vec::with_capacity(if kind == FrameKind::Dirty { 0 } else { live });
@@ -988,8 +987,8 @@ impl<K: FlowKey> WindowFrame<K> {
     }
 
     /// Converts a [`FrameKind::Full`] frame into a queryable window
-    /// replica ([`SlidingTopK::from_epochs`]); `None` for deltas and
-    /// dirty patches, which only make sense applied to an existing
+    /// replica ([`SlidingTopK::from_epochs`]); `None` for dirty
+    /// patches, which only make sense committed to an existing
     /// replica ([`SlidingTopK::commit_epoch`], [`DirtyPatch::apply`]).
     ///
     /// [`SlidingTopK::from_epochs`]: crate::sliding::SlidingTopK::from_epochs
@@ -1328,21 +1327,20 @@ mod tests {
             .export_delta(3, 4000)
             .expect("rotated window has a closed epoch");
         let frame = WindowFrame::<u64>::decode(&bytes).unwrap();
-        assert_eq!(frame.kind, FrameKind::Delta);
+        assert_eq!(frame.kind, FrameKind::Dirty);
         assert_eq!(frame.rotation, 4);
-        assert_eq!(frame.epochs.len(), 1);
-        // The carried epoch is the one just behind the accumulating
-        // newest.
+        let patch = frame.patch.as_ref().unwrap();
+        assert_eq!(patch.base_rows(), 0, "the empty baseline");
+        // The patch alone rebuilds the epoch just behind the
+        // accumulating newest.
         let closed = win.epoch_iter().rev().nth(1).unwrap();
+        let rebuilt = patch.apply(None, win.config()).unwrap();
         for j in 0..closed.sketch().arrays() {
             for i in 0..closed.sketch().width() {
-                assert_eq!(
-                    frame.epochs[0].sketch().bucket(j, i),
-                    closed.sketch().bucket(j, i)
-                );
+                assert_eq!(rebuilt.sketch().bucket(j, i), closed.sketch().bucket(j, i));
             }
         }
-        // Deltas do not convert to standalone windows.
+        // Patches do not convert to standalone windows.
         assert!(frame.into_window().is_none());
         // Cost check: a delta is roughly one epoch, not W of them.
         let full = win.export_frame(3, 4000);
@@ -1357,12 +1355,22 @@ mod tests {
     #[test]
     fn unrotated_window_has_no_delta() {
         let cfg = HkConfig::builder().width(32).k(4).seed(1).build();
-        let win = crate::SlidingTopK::<u64>::new(cfg, 3);
+        let mut win = crate::SlidingTopK::<u64>::new(cfg.clone(), 3);
+        win.insert_batch(&[7u64; 100]);
         assert!(win.export_delta(0, 10).is_none());
+        assert!(win.export_dirty(0, 10).is_none(), "same rule for dirty");
         // But a full frame works from the very start.
         let frame = WindowFrame::<u64>::decode(&win.export_frame(0, 10)).unwrap();
         assert_eq!(frame.epochs.len(), 1);
         assert_eq!(frame.rotation, 0);
+        // A W = 1 window never retains a closed epoch: full frames only.
+        let mut one = crate::SlidingTopK::<u64>::new(cfg, 1);
+        for _ in 0..4 {
+            one.insert_batch(&[7u64; 50]);
+            one.rotate();
+            assert!(one.export_delta(0, 10).is_none());
+            assert!(one.export_dirty(0, 10).is_none());
+        }
     }
 
     #[test]
@@ -1414,8 +1422,8 @@ mod tests {
         // switch's own recycled epochs.
         assert_eq!(replica.config().arrays, 2);
 
-        // The collector path: snapshot, then a delta carrying an
-        // expanded closed epoch, no Mismatch anywhere.
+        // The collector path: snapshot, then an empty-baseline frame
+        // carrying an expanded closed epoch, no Mismatch anywhere.
         use crate::collector::{AggregationRule, Collector};
         let mut coll = Collector::<u64>::new(4, AggregationRule::Sum);
         coll.submit_window_frame(&win.export_frame(3, 4000))
@@ -1427,32 +1435,6 @@ mod tests {
         assert_eq!(replica.rotations(), win.rotations());
         for f in 0..10u64 {
             assert_eq!(replica.query(&f), win.query(&f), "flow {f}");
-        }
-    }
-
-    #[test]
-    fn export_delta_option_contract_pins_fallback_precedent() {
-        // The documented precedent the dirty exporter builds on: the
-        // delta exporter signals "no closed epoch" through its Option,
-        // and the caller downgrades to a full frame. Pinned so a future
-        // change to eager/panicking behavior fails loudly — export_dirty
-        // inherits exactly this contract.
-        let cfg = HkConfig::builder().width(32).k(4).seed(1).build();
-        // Before the first rotation: no closed epoch.
-        let mut win = crate::SlidingTopK::<u64>::new(cfg.clone(), 3);
-        win.insert_batch(&[7u64; 100]);
-        assert!(win.export_delta(0, 10).is_none());
-        assert!(win.export_dirty(0, 10).is_none(), "same rule for dirty");
-        // After one rotation: a closed epoch exists, the delta ships.
-        win.rotate();
-        assert!(win.export_delta(0, 10).is_some());
-        // A W = 1 window never retains a closed epoch: None forever.
-        let mut one = crate::SlidingTopK::<u64>::new(cfg, 1);
-        for _ in 0..4 {
-            one.insert_batch(&[7u64; 50]);
-            one.rotate();
-            assert!(one.export_delta(0, 10).is_none());
-            assert!(one.export_dirty(0, 10).is_none(), "same rule for dirty");
         }
     }
 
@@ -1478,50 +1460,78 @@ mod tests {
         win.rotate();
     }
 
+    /// The baseline row count of a dirty frame's patch.
+    fn base_rows(bytes: &[u8]) -> usize {
+        let frame = WindowFrame::<u64>::decode(bytes).unwrap();
+        frame.patch.expect("a dirty frame").base_rows()
+    }
+
     #[test]
     fn export_dirty_primes_then_ships_patches() {
         let cfg = HkConfig::builder().arrays(2).width(64).k(8).seed(5).build();
         let mut win = crate::SlidingTopK::<u64>::new(cfg, 3);
         feed_and_rotate(&mut win, 5, 0);
         // First call after the first rotation: a closed epoch exists
-        // but no shadow does — primes and declines.
-        assert!(win.export_dirty(9, 3000).is_none());
+        // but no shadow does — it ships against the empty baseline and
+        // primes the shadow.
+        let first = win.export_dirty(9, 3000).expect("a closed epoch");
+        assert_eq!(base_rows(&first), 0);
         feed_and_rotate(&mut win, 6, 1);
-        let bytes = win.export_dirty(9, 3000).expect("shadow is fresh");
+        let bytes = win.export_dirty(9, 3000).expect("a closed epoch");
         let frame = WindowFrame::<u64>::decode(&bytes).unwrap();
         assert_eq!(frame.kind, FrameKind::Dirty);
         assert_eq!(frame.switch_id, 9);
         assert_eq!(frame.rotation, 2);
         assert!(frame.epochs.is_empty());
-        assert!(frame.patch.is_some());
+        assert_eq!(frame.patch.as_ref().unwrap().base_rows(), 2);
         assert!(frame.into_window().is_none(), "patches need a replica");
     }
 
     #[test]
-    fn export_dirty_declines_after_skipped_rotation() {
+    fn export_dirty_after_skipped_rotation_ships_self_contained_frame() {
+        use crate::collector::{AggregationRule, Collector, WindowSubmit};
         let cfg = HkConfig::builder().width(64).k(4).seed(3).build();
         let mut win = crate::SlidingTopK::<u64>::new(cfg, 3);
+        let mut coll = Collector::<u64>::new(8, AggregationRule::Sum);
+        coll.submit_window_frame(&win.export_frame(0, 3000))
+            .unwrap();
         feed_and_rotate(&mut win, 3, 0);
-        assert!(win.export_dirty(0, 3000).is_none()); // primes
+        coll.submit_window_frame(&win.export_dirty(0, 3000).unwrap())
+            .unwrap();
+        // Rotation 2 goes out as a full snapshot: the dirty exporter
+        // never sees it, so its shadow still holds rotation 1's epoch.
         feed_and_rotate(&mut win, 4, 1);
-        feed_and_rotate(&mut win, 5, 2); // rotation 2 never exported
-                                         // The shadow snapshots rotation 1's closed epoch, but the
-                                         // rotation counter is 3: a patch against it would skip an
-                                         // epoch. Decline and re-prime instead.
-        assert!(win.export_dirty(0, 3000).is_none());
+        coll.submit_window_frame(&win.export_frame(0, 3000))
+            .unwrap();
+        // A patch against that shadow would skip an epoch; the frame
+        // ships against the empty baseline instead and still applies.
+        feed_and_rotate(&mut win, 5, 2);
+        let bytes = win.export_dirty(0, 3000).expect("a closed epoch");
+        assert_eq!(base_rows(&bytes), 0, "a stale shadow is no baseline");
+        assert_eq!(
+            coll.submit_window_frame(&bytes).unwrap(),
+            WindowSubmit::Applied
+        );
+        assert_windows_bit_equal(&win, coll.switch_window(0).unwrap());
+        // The shadow moved along: the next rotation patches again.
         feed_and_rotate(&mut win, 6, 3);
-        assert!(win.export_dirty(0, 3000).is_some(), "re-primed shadow");
+        let next = win.export_dirty(0, 3000).expect("a closed epoch");
+        assert!(base_rows(&next) > 0);
+        assert_eq!(
+            coll.submit_window_frame(&next).unwrap(),
+            WindowSubmit::Applied
+        );
+        assert_windows_bit_equal(&win, coll.switch_window(0).unwrap());
     }
 
     /// Drives one switch and a collector through `periods` of dirty
-    /// export with delta/full fallback, asserting bit-exactness after
-    /// every applied frame. Returns (win, dirty_frames_shipped).
+    /// export, asserting bit-exactness after every applied frame.
     fn run_dirty_stream(
         coll: &mut crate::collector::Collector<u64>,
         switch: u64,
         window: usize,
         periods: u64,
-    ) -> (crate::SlidingTopK<u64>, usize) {
+    ) -> crate::SlidingTopK<u64> {
         let cfg = HkConfig::builder()
             .arrays(2)
             .width(64)
@@ -1531,40 +1541,30 @@ mod tests {
         let mut win = crate::SlidingTopK::<u64>::new(cfg, window);
         coll.submit_window_frame(&win.export_frame(switch, 3000))
             .unwrap();
-        let mut dirty = 0usize;
         for r in 0..periods {
             feed_and_rotate(&mut win, switch * 100 + r, r);
-            let bytes = match win.export_dirty(switch, 3000) {
-                Some(b) => {
-                    dirty += 1;
-                    b
-                }
-                None => win
-                    .export_delta(switch, 3000)
-                    .unwrap_or_else(|| win.export_frame(switch, 3000)),
-            };
+            let bytes = win.export_dirty(switch, 3000).expect("a closed epoch");
             coll.submit_window_frame(&bytes).unwrap();
             assert_windows_bit_equal(&win, coll.switch_window(switch).unwrap());
         }
-        (win, dirty)
+        win
     }
 
     #[test]
     fn dirty_stream_reassembles_bit_exact() {
         use crate::collector::{AggregationRule, Collector};
         let mut coll = Collector::<u64>::new(8, AggregationRule::Sum);
-        let (_, dirty) = run_dirty_stream(&mut coll, 2, 3, 8);
+        // Every rotation ships dirty, the first against the empty
+        // baseline; the helper checks each one bit-exact.
+        run_dirty_stream(&mut coll, 2, 3, 8);
         assert!(coll.resync_needed().is_empty());
-        // Rotation 1 falls back to a delta (shadow just primed); every
-        // later rotation must ship dirty.
-        assert_eq!(dirty, 7);
     }
 
     #[test]
     fn duplicate_dirty_frames_are_idempotent() {
         use crate::collector::{AggregationRule, Collector, WindowSubmit};
         let mut coll = Collector::<u64>::new(8, AggregationRule::Sum);
-        let (mut win, _) = run_dirty_stream(&mut coll, 1, 3, 3);
+        let mut win = run_dirty_stream(&mut coll, 1, 3, 3);
         feed_and_rotate(&mut win, 900, 3);
         let bytes = win.export_dirty(1, 3000).expect("steady state is dirty");
         assert_eq!(
@@ -1584,7 +1584,7 @@ mod tests {
     fn reordered_dirty_patches_heal_through_pending_buffer() {
         use crate::collector::{AggregationRule, Collector, WindowSubmit};
         let mut coll = Collector::<u64>::new(8, AggregationRule::Sum);
-        let (mut win, _) = run_dirty_stream(&mut coll, 4, 3, 3);
+        let mut win = run_dirty_stream(&mut coll, 4, 3, 3);
         // Export two consecutive dirty frames without submitting…
         feed_and_rotate(&mut win, 41, 3);
         let first = win.export_dirty(4, 3000).unwrap();
@@ -1610,7 +1610,7 @@ mod tests {
     fn dirty_gap_heals_with_snapshot() {
         use crate::collector::{AggregationRule, Collector, WindowSubmit};
         let mut coll = Collector::<u64>::new(8, AggregationRule::Sum);
-        let (mut win, _) = run_dirty_stream(&mut coll, 6, 3, 3);
+        let mut win = run_dirty_stream(&mut coll, 6, 3, 3);
         // Lose one dirty frame entirely, ship the next: gap.
         feed_and_rotate(&mut win, 61, 3);
         let _lost = win.export_dirty(6, 3000).unwrap();
@@ -1646,8 +1646,7 @@ mod tests {
         let cfg = HkConfig::builder().width(64).k(4).seed(2).build();
         let mut win = crate::SlidingTopK::<u64>::new(cfg, 3);
         feed_and_rotate(&mut win, 1, 0);
-        assert!(win.export_dirty(5, 3000).is_none());
-        feed_and_rotate(&mut win, 2, 1);
+        // Even a self-contained frame needs the ring it commits into.
         let bytes = win.export_dirty(5, 3000).unwrap();
         assert_eq!(
             coll.submit_window_frame(&bytes).unwrap_err(),
@@ -1659,7 +1658,8 @@ mod tests {
     #[test]
     fn dirty_frame_is_smaller_than_delta_on_stable_traffic() {
         // The point of the format: when few buckets change between
-        // rotations, the patch collapses while the delta stays O(sketch).
+        // rotations, the patch collapses while the empty-baseline frame
+        // still carries every occupied bucket.
         let cfg = HkConfig::builder()
             .arrays(2)
             .width(4096)
@@ -1670,13 +1670,10 @@ mod tests {
         // Few distinct flows against a wide sketch: most buckets stay
         // empty, so successive closed epochs differ in few words.
         let mut dirty = Vec::new();
-        for r in 0..3u64 {
+        for _ in 0..3 {
             win.insert_batch(&(0..2000u64).map(|i| i % 40).collect::<Vec<_>>());
             win.rotate();
-            match win.export_dirty(0, 2000) {
-                Some(b) => dirty = b,
-                None => assert_eq!(r, 0, "only the priming call declines"),
-            }
+            dirty = win.export_dirty(0, 2000).expect("a closed epoch");
         }
         let delta = win.export_delta(0, 2000).unwrap();
         assert!(
@@ -1692,30 +1689,42 @@ mod tests {
         let cfg = HkConfig::builder().width(64).k(4).seed(8).build();
         let mut win = crate::SlidingTopK::<u64>::new(cfg, 3);
         feed_and_rotate(&mut win, 1, 0);
-        assert!(win.export_dirty(0, 3000).is_none());
+        win.export_dirty(0, 3000).unwrap();
         feed_and_rotate(&mut win, 2, 1);
         let bytes = win.export_dirty(0, 3000).unwrap();
         assert!(WindowFrame::<u64>::decode(&bytes).is_ok());
-        // Version byte: a dirty kind under v2 is a pairing violation.
+        // Version byte: a dirty kind under v2 is a pairing violation,
+        // and v3 (dirty records without a baseline field) is retired.
         let mut v = bytes.clone();
         v[4] = 2;
         assert_eq!(
             WindowFrame::<u64>::decode(&v).unwrap_err(),
             WireError::Corrupt("frame version/kind pairing")
         );
-        // Kind byte: a delta kind under v3 likewise.
+        v[4] = 3;
+        assert_eq!(
+            WindowFrame::<u64>::decode(&v).unwrap_err(),
+            WireError::BadVersion(3)
+        );
+        // Kind byte: a full kind under v4 is a pairing violation, and
+        // kind 1 (the retired v2 delta) is unknown.
         let mut k = bytes.clone();
-        k[5] = 1;
+        k[5] = 0;
         assert_eq!(
             WindowFrame::<u64>::decode(&k).unwrap_err(),
             WireError::Corrupt("frame version/kind pairing")
         );
-        // Rotation counter forced below 2: dirty needs a baseline.
+        k[5] = 1;
+        assert_eq!(
+            WindowFrame::<u64>::decode(&k).unwrap_err(),
+            WireError::Corrupt("frame kind")
+        );
+        // Rotation counter forced to 0: no epoch has closed yet.
         let mut r = bytes.clone();
-        r[15..23].copy_from_slice(&1u64.to_le_bytes());
+        r[15..23].copy_from_slice(&0u64.to_le_bytes());
         assert_eq!(
             WindowFrame::<u64>::decode(&r).unwrap_err(),
-            WireError::Corrupt("dirty before second rotation")
+            WireError::Corrupt("dirty before first rotation")
         );
         // Every truncation rejected.
         for cut in 0..bytes.len() {
@@ -1742,12 +1751,12 @@ mod tests {
         // is internally consistent on its own — only apply-time
         // validation against the actual baseline can catch this.
         let cfg = HkConfig::builder().width(64).k(4).seed(1).build();
-        let mut words = vec![0u64; 64];
-        words[3] = 1u64 << 32; // fp = 1, count = 0 against a zero base
         let patch = DirtyPatch::<u64> {
+            base_rows: 0,
             rows: 1,
             width: 64,
-            words,
+            // fp = 1, count = 0 against a zero base
+            diffs: vec![(3, 1u64 << 32)],
             store: Vec::new(),
         };
         assert_eq!(
@@ -1765,7 +1774,7 @@ mod tests {
         let mut coll = Collector::<u64>::new(4, AggregationRule::Sum);
         coll.submit_window_frame(&win.export_frame(2, 3000))
             .unwrap();
-        // Craft a well-formed v3 frame for rotation 2 whose single diff
+        // Craft well-formed frames for rotation 2 with one diff that
         // reconstructs an empty bucket carrying a fingerprint when
         // XOR-ed onto the replica's true baseline.
         let baseline = win.epoch_iter().rev().nth(1).unwrap().sketch();
@@ -1773,23 +1782,30 @@ mod tests {
         let base_word = (u64::from(b.fp) << 32) | b.count;
         let evil_diff = base_word ^ (1u64 << 32);
         assert_ne!(evil_diff, 0, "diff must survive the zero-diff check");
-        let mut out = Vec::new();
-        encode_frame_header(&mut out, FrameKind::Dirty, 8, 2, 2, 3, 1, 3000);
-        let len_at = out.len();
-        out.extend_from_slice(&[0u8; 4]);
-        let payload_at = out.len();
-        out.extend_from_slice(DIRTY_MAGIC);
-        hk_common::varint::write_u64(&mut out, 1); // rows
-        hk_common::varint::write_u64(&mut out, 64); // width
-        hk_common::varint::write_bitmap_rle(&mut out, &[1u64]); // bucket 0
-        hk_common::varint::write_u64(&mut out, evil_diff);
-        hk_common::varint::write_u64(&mut out, 0); // empty store
-        let payload_len = out.len() - payload_at;
-        out[len_at..len_at + 4].copy_from_slice(&(payload_len as u32).to_le_bytes());
-        let crc = hk_common::crc::crc32(&out[payload_at..]);
-        out.extend_from_slice(&crc.to_le_bytes());
+        let craft = |base_rows: usize| {
+            let mut out = Vec::new();
+            encode_frame_header(&mut out, FrameKind::Dirty, 8, 2, 2, 3, 1, 3000);
+            encode_record(&mut out, |out| {
+                out.extend_from_slice(DIRTY_MAGIC);
+                hk_common::varint::write_u64(out, base_rows as u64);
+                hk_common::varint::write_u64(out, 1); // rows
+                hk_common::varint::write_u64(out, 64); // width
+                hk_common::varint::write_bitmap_rle(out, &[1u64]); // bucket 0
+                hk_common::varint::write_u64(out, evil_diff);
+                hk_common::varint::write_u64(out, 0); // empty store
+            });
+            out
+        };
+        // A baseline the replica's newest closed epoch is not: refused
+        // before any bucket math.
         assert_eq!(
-            coll.submit_window_frame(&out).unwrap_err(),
+            coll.submit_window_frame(&craft(baseline.arrays() + 1))
+                .unwrap_err(),
+            WindowSubmitError::Wire(WireError::Corrupt("patch baseline"))
+        );
+        assert_eq!(
+            coll.submit_window_frame(&craft(baseline.arrays()))
+                .unwrap_err(),
             WindowSubmitError::Wire(WireError::Corrupt("empty bucket with fingerprint"))
         );
         // The replica kept its pre-frame state and the switch is
@@ -1823,12 +1839,17 @@ mod tests {
         use crate::collector::{AggregationRule, Collector, WindowSubmit};
         let mut coll = Collector::<u64>::new(4, AggregationRule::Sum);
         let mut win = crate::SlidingTopK::<u64>::new(cfg, 3);
-        // Quiet first period; snapshot + prime.
+        // Quiet first period; snapshot, then a dirty export the
+        // snapshot already covers (it only primes the shadow).
         win.insert_batch(&(0..200u64).map(|i| 10_000 + i).collect::<Vec<_>>());
         win.rotate();
         coll.submit_window_frame(&win.export_frame(3, 2000))
             .unwrap();
-        assert!(win.export_dirty(3, 2000).is_none());
+        assert_eq!(
+            coll.submit_window_frame(&win.export_dirty(3, 2000).unwrap())
+                .unwrap(),
+            WindowSubmit::Duplicate
+        );
         // Second period: force expansion, then close it.
         let mut giants: Vec<u64> = Vec::new();
         for f in 0..4u64 {
@@ -1839,9 +1860,11 @@ mod tests {
         win.rotate();
         let arrays: Vec<usize> = win.epoch_iter().map(|e| e.sketch().arrays()).collect();
         assert!(arrays.iter().any(|&a| a > 2), "expansion precondition");
-        let bytes = win.export_dirty(3, 2000).expect("fresh shadow");
+        let bytes = win.export_dirty(3, 2000).expect("a closed epoch");
         let frame = WindowFrame::<u64>::decode(&bytes).unwrap();
-        assert!(frame.patch.as_ref().unwrap().rows() > 2);
+        let patch = frame.patch.as_ref().unwrap();
+        assert_eq!(patch.base_rows(), 2, "patched against the shadow");
+        assert!(patch.rows() > 2);
         assert_eq!(
             coll.submit_window_frame(&bytes).unwrap(),
             WindowSubmit::Applied

@@ -1,7 +1,9 @@
-//! Wire-v2/v3 robustness: the window-frame decoder against malformed
-//! bytes, and the collector's delta and dirty-patch protocols against
-//! loss, duplication and reordering — mirroring the v1 `wire.rs`
-//! rejection suite at the frame level.
+//! Window-frame robustness: the decoder against malformed bytes, and
+//! the collector's dirty-frame protocol against loss, duplication and
+//! reordering — mirroring the v1 `wire.rs` rejection suite at the frame
+//! level. Dirty frames come in two shapes, and every sweep runs both:
+//! against the empty baseline (the first export, `export_delta`) and
+//! against the previous export.
 //!
 //! Decoder properties:
 //!
@@ -11,11 +13,12 @@
 //!   rejected as [`WireError::BadCrc`] before the payload is decoded;
 //! * bad magic / version / kind / key width / impossible header fields
 //!   are rejected with their specific errors;
-//! * trailing bytes are rejected.
+//! * trailing bytes are rejected;
+//! * length fields cannot make a decoder allocate beyond its input.
 //!
 //! Protocol properties (randomized over seeds, deterministic replay):
 //!
-//! * whatever subset of deltas is delivered in whatever adjacent-swap
+//! * whatever subset of frames is delivered in whatever adjacent-swap
 //!   order, the replica's rotation counter never exceeds the switch's
 //!   and every applied state is a true prefix of the switch's history;
 //! * duplicates never change the replica (digest-checked);
@@ -25,8 +28,9 @@
 use heavykeeper::collector::{AggregationRule, Collector, WindowSubmit};
 use heavykeeper::sliding::SlidingTopK;
 use heavykeeper::wire::WindowFrame;
-use heavykeeper::{HkConfig, WireError};
+use heavykeeper::{HkConfig, ParallelTopK, WireError};
 use hk_common::prng::XorShift64;
+use hk_common::varint;
 
 fn cfg(seed: u64) -> HkConfig {
     HkConfig::builder()
@@ -60,14 +64,12 @@ fn populated(seed: u64, window: usize, rotations: usize) -> SlidingTopK<u64> {
     win
 }
 
-/// A window primed so it exports dirty patches; returns the window
-/// (three rotations deep) and one valid dirty frame for rotation 3.
-fn populated_with_dirty(seed: u64, window: usize) -> (SlidingTopK<u64>, Vec<u8>) {
+/// A window three rotations deep and both shapes of dirty frame it
+/// exported: rotation 2 against the empty baseline (its first export),
+/// then rotation 3 as a patch against rotation 2.
+fn populated_with_dirty(seed: u64, window: usize) -> (SlidingTopK<u64>, [Vec<u8>; 2]) {
     let mut win = populated(seed, window, 2);
-    assert!(
-        win.export_dirty(1, 2000).is_none(),
-        "first call only primes"
-    );
+    let empty_baseline = win.export_dirty(1, 2000).expect("a closed epoch");
     let mut state = seed.wrapping_mul(31) | 1;
     for _ in 0..2000 {
         state ^= state << 13;
@@ -76,8 +78,8 @@ fn populated_with_dirty(seed: u64, window: usize) -> (SlidingTopK<u64>, Vec<u8>)
         win.insert(&(1000 + state % 800));
     }
     win.rotate();
-    let bytes = win.export_dirty(1, 2000).expect("shadow is fresh");
-    (win, bytes)
+    let patch = win.export_dirty(1, 2000).expect("a closed epoch");
+    (win, [empty_baseline, patch])
 }
 
 /// Header byte offsets (see the wire.rs frame diagram).
@@ -91,12 +93,8 @@ const HEADER_LEN: usize = 31;
 #[test]
 fn truncation_rejected_at_every_byte() {
     let win = populated(3, 3, 4);
-    let (_, dirty) = populated_with_dirty(3, 3);
-    for frame in [
-        win.export_frame(1, 2000),
-        win.export_delta(1, 2000).unwrap(),
-        dirty,
-    ] {
+    let (_, [empty_baseline, patch]) = populated_with_dirty(3, 3);
+    for frame in [win.export_frame(1, 2000), empty_baseline, patch] {
         for cut in 0..frame.len() {
             assert!(
                 WindowFrame::<u64>::decode(&frame[..cut]).is_err(),
@@ -135,29 +133,32 @@ fn every_payload_byte_is_crc_protected() {
 
 #[test]
 fn every_dirty_payload_byte_is_crc_protected() {
-    // Same sweep over a v3 frame: its single record is the HKDP patch.
-    let (_, frame) = populated_with_dirty(5, 3);
-    let mut crc_hits = 0;
-    for i in HEADER_LEN..frame.len() {
-        let mut bad = frame.clone();
-        bad[i] ^= 0x20;
-        let err = WindowFrame::<u64>::decode(&bad);
-        assert!(err.is_err(), "flip at byte {i} accepted");
-        if matches!(err, Err(WireError::BadCrc { .. })) {
-            crc_hits += 1;
+    // Same sweep over both dirty shapes: the single record is the HKDP
+    // patch.
+    let (_, frames) = populated_with_dirty(5, 3);
+    for frame in frames {
+        let mut crc_hits = 0;
+        for i in HEADER_LEN..frame.len() {
+            let mut bad = frame.clone();
+            bad[i] ^= 0x20;
+            let err = WindowFrame::<u64>::decode(&bad);
+            assert!(err.is_err(), "flip at byte {i} accepted");
+            if matches!(err, Err(WireError::BadCrc { .. })) {
+                crc_hits += 1;
+            }
         }
+        assert!(
+            crc_hits > (frame.len() - HEADER_LEN) / 2,
+            "CRC must catch most patch corruption, caught {crc_hits}"
+        );
     }
-    assert!(
-        crc_hits > (frame.len() - HEADER_LEN) / 2,
-        "CRC must catch most patch corruption, caught {crc_hits}"
-    );
 }
 
 #[test]
 fn crc_field_corruption_rejected() {
     let win = populated(5, 2, 2);
     let mut frame = win.export_delta(0, 100).unwrap();
-    // The CRC is the last 4 bytes of a delta frame.
+    // The CRC is the last 4 bytes of a one-record frame.
     let n = frame.len();
     frame[n - 1] ^= 0xFF;
     assert!(matches!(
@@ -216,15 +217,6 @@ fn header_corruption_rejected_specifically() {
         WireError::Corrupt("live epoch count")
     );
 
-    // A delta claiming more than one epoch is impossible.
-    let delta = win.export_delta(0, 100).unwrap();
-    let mut bad = delta.clone();
-    bad[OFF_LIVE] = 2;
-    assert_eq!(
-        WindowFrame::<u64>::decode(&bad).unwrap_err(),
-        WireError::Corrupt("delta epoch count")
-    );
-
     // A full frame cannot carry more epochs than rotations + 1 allow:
     // zero the rotation counter of a 3-rotation frame.
     let mut bad = good.clone();
@@ -239,70 +231,154 @@ fn header_corruption_rejected_specifically() {
 
 #[test]
 fn dirty_header_corruption_rejected_specifically() {
-    let (win, good) = populated_with_dirty(7, 3);
+    let (win, frames) = populated_with_dirty(7, 3);
 
-    // Kind and version must agree: a dirty kind under v2…
-    let mut bad = good.clone();
-    bad[OFF_VERSION] = 2;
-    assert_eq!(
-        WindowFrame::<u64>::decode(&bad).unwrap_err(),
-        WireError::Corrupt("frame version/kind pairing")
-    );
-    // …and a delta kind under v3 are both impossible.
-    let mut bad = good.clone();
-    bad[OFF_KIND] = 1;
-    assert_eq!(
-        WindowFrame::<u64>::decode(&bad).unwrap_err(),
-        WireError::Corrupt("frame version/kind pairing")
-    );
-    // So is stamping v3+dirty onto a full frame's byte layout.
-    let full = win.export_frame(1, 2000);
-    let mut bad = full.clone();
-    bad[OFF_VERSION] = 3;
+    // Stamping the dirty version and kind onto a full frame's byte
+    // layout cannot decode.
+    let mut bad = win.export_frame(1, 2000);
+    bad[OFF_VERSION] = 4;
     bad[OFF_KIND] = 2;
     assert!(WindowFrame::<u64>::decode(&bad).is_err());
 
-    // A patch needs a baseline: rotation < 2 is impossible.
-    let mut bad = good.clone();
-    bad[15..23].copy_from_slice(&1u64.to_le_bytes());
-    assert_eq!(
-        WindowFrame::<u64>::decode(&bad).unwrap_err(),
-        WireError::Corrupt("dirty before second rotation")
-    );
+    for good in frames {
+        // Kind and version must agree: a dirty kind under v2…
+        let mut bad = good.clone();
+        bad[OFF_VERSION] = 2;
+        assert_eq!(
+            WindowFrame::<u64>::decode(&bad).unwrap_err(),
+            WireError::Corrupt("frame version/kind pairing")
+        );
+        // …and a full kind under v4 are both impossible; kind 1 (the
+        // retired v2 delta) is unknown.
+        let mut bad = good.clone();
+        bad[OFF_KIND] = 0;
+        assert_eq!(
+            WindowFrame::<u64>::decode(&bad).unwrap_err(),
+            WireError::Corrupt("frame version/kind pairing")
+        );
+        bad[OFF_KIND] = 1;
+        assert_eq!(
+            WindowFrame::<u64>::decode(&bad).unwrap_err(),
+            WireError::Corrupt("frame kind")
+        );
 
-    // A W = 1 ring never exports patches.
-    let mut bad = good.clone();
-    bad[OFF_WINDOW] = 1;
-    bad[OFF_WINDOW + 1] = 0;
-    assert_eq!(
-        WindowFrame::<u64>::decode(&bad).unwrap_err(),
-        WireError::Corrupt("dirty window size")
-    );
+        // A closed epoch needs a rotation: rotation 0 is impossible.
+        let mut bad = good.clone();
+        bad[15..23].copy_from_slice(&0u64.to_le_bytes());
+        assert_eq!(
+            WindowFrame::<u64>::decode(&bad).unwrap_err(),
+            WireError::Corrupt("dirty before first rotation")
+        );
 
-    // Exactly one record, always.
-    let mut bad = good.clone();
-    bad[OFF_LIVE] = 2;
-    assert_eq!(
-        WindowFrame::<u64>::decode(&bad).unwrap_err(),
-        WireError::Corrupt("dirty epoch count")
-    );
+        // A W = 1 ring never exports dirty frames.
+        let mut bad = good.clone();
+        bad[OFF_WINDOW] = 1;
+        bad[OFF_WINDOW + 1] = 0;
+        assert_eq!(
+            WindowFrame::<u64>::decode(&bad).unwrap_err(),
+            WireError::Corrupt("dirty window size")
+        );
+
+        // Exactly one record, always.
+        let mut bad = good.clone();
+        bad[OFF_LIVE] = 2;
+        assert_eq!(
+            WindowFrame::<u64>::decode(&bad).unwrap_err(),
+            WireError::Corrupt("dirty epoch count")
+        );
+    }
 }
 
 #[test]
 fn trailing_garbage_rejected() {
     let win = populated(7, 2, 2);
-    let mut frame = win.export_frame(0, 100);
-    frame.push(0);
+    let (_, dirty) = populated_with_dirty(7, 3);
+    for mut frame in std::iter::once(win.export_frame(0, 100)).chain(dirty) {
+        frame.push(0);
+        assert_eq!(
+            WindowFrame::<u64>::decode(&frame).unwrap_err(),
+            WireError::Corrupt("trailing bytes")
+        );
+    }
+}
+
+/// Peak resident memory of this process in bytes, where the platform
+/// reports it (`VmHWM` in `/proc/self/status`).
+fn peak_rss() -> Option<u64> {
+    let status = std::fs::read_to_string("/proc/self/status").ok()?;
+    let line = status.lines().find_map(|l| l.strip_prefix("VmHWM:"))?;
+    let kb: u64 = line.trim().strip_suffix("kB")?.trim().parse().ok()?;
+    Some(kb * 1024)
+}
+
+/// A CRC-valid dirty frame (switch 0, rotation 2, W = 3) around one
+/// hand-built HKDP payload.
+fn dirty_frame_around(payload: &[u8]) -> Vec<u8> {
+    let mut out = b"HKWF".to_vec();
+    out.extend_from_slice(&[4, 2, 8]); // version, kind, key width
+    out.extend_from_slice(&0u64.to_le_bytes());
+    out.extend_from_slice(&2u64.to_le_bytes());
+    out.extend_from_slice(&3u16.to_le_bytes());
+    out.extend_from_slice(&1u16.to_le_bytes());
+    out.extend_from_slice(&100u32.to_le_bytes());
+    out.extend_from_slice(&(payload.len() as u32).to_le_bytes());
+    out.extend_from_slice(payload);
+    out.extend_from_slice(&hk_common::crc::crc32(payload).to_le_bytes());
+    out
+}
+
+#[test]
+fn length_fields_cannot_amplify_allocation() {
+    let before = peak_rss();
+
+    // A 50-byte frame claiming 16 rows × u32::MAX buckets, and no
+    // bitmap: refused without reserving a word per claimed bucket.
+    let mut payload = b"HKDP".to_vec();
+    for field in [0, 16, u64::from(u32::MAX)] {
+        varint::write_u64(&mut payload, field); // base_rows, rows, width
+    }
+    let frame = dirty_frame_around(&payload);
+    assert_eq!(frame.len(), 50);
     assert_eq!(
         WindowFrame::<u64>::decode(&frame).unwrap_err(),
-        WireError::Corrupt("trailing bytes")
+        WireError::Corrupt("dirty bitmap")
     );
-    let (_, mut dirty) = populated_with_dirty(7, 3);
-    dirty.push(0);
+    // The same claim with every row's bitmap one zero run is a valid,
+    // empty patch; it decodes in memory proportional to its bytes.
+    for _ in 0..16 {
+        varint::write_u64(&mut payload, u64::from(u32::MAX).div_ceil(64));
+        varint::write_u64(&mut payload, 0);
+    }
+    varint::write_u64(&mut payload, 0); // empty store
+    let patch = WindowFrame::<u64>::decode(&dirty_frame_around(&payload))
+        .unwrap()
+        .patch
+        .unwrap();
+    assert_eq!((patch.rows(), patch.width()), (16, u32::MAX as usize));
+
+    // A 37-byte v1 header claiming 50M buckets: refused before the
+    // sketch it describes is built.
+    let mut v1 = ParallelTopK::<u64>::new(cfg(1)).to_wire();
+    v1.truncate(37);
+    v1[8..12].copy_from_slice(&25_000_000u32.to_le_bytes()); // width × 2 rows
     assert_eq!(
-        WindowFrame::<u64>::decode(&dirty).unwrap_err(),
-        WireError::Corrupt("trailing bytes")
+        ParallelTopK::<u64>::from_wire(&v1).unwrap_err(),
+        WireError::Truncated
     );
+    // And a valid payload whose `k` claims 2^32 - 1 store slots decodes
+    // without reserving them.
+    let mut wide_k = ParallelTopK::<u64>::new(cfg(1)).to_wire();
+    wide_k[12..16].copy_from_slice(&u32::MAX.to_le_bytes());
+    let back = ParallelTopK::<u64>::from_wire(&wide_k).unwrap();
+    assert_eq!(back.config().k, u32::MAX as usize);
+
+    if let (Some(before), Some(after)) = (before, peak_rss()) {
+        let grown = after.saturating_sub(before);
+        assert!(
+            grown < 64 << 20,
+            "decoding raised peak RSS by {grown} bytes"
+        );
+    }
 }
 
 #[test]
@@ -354,9 +430,10 @@ fn digest(win: &SlidingTopK<u64>) -> Vec<u8> {
 
 #[test]
 fn protocol_survives_random_loss_dup_reorder() {
-    // Property sweep: a switch runs 8 rotations; its deltas are
-    // delivered through every kind of channel abuse (drop, duplicate,
-    // adjacent swap) chosen by a seeded RNG. Invariants, per seed:
+    // Property sweep: a switch runs 8 rotations, each exported against
+    // the empty baseline (`export_delta`); the frames are delivered
+    // through every kind of channel abuse (drop, duplicate, adjacent
+    // swap) chosen by a seeded RNG. Invariants, per seed:
     // the replica never runs ahead of the switch, duplicates are
     // no-ops, and a final full snapshot always restores bit-exactness.
     for channel_seed in 0..20u64 {
@@ -424,13 +501,12 @@ fn protocol_survives_random_loss_dup_reorder() {
 
 #[test]
 fn dirty_protocol_survives_random_loss_dup_reorder() {
-    // The delta sweep, re-run over the dirty-patch stream: the switch
-    // exports with the telemetry fallback chain (dirty once the shadow
-    // is primed, delta before), and the collector faces drops,
-    // duplicates and adjacent swaps. A lost patch poisons every later
-    // patch for that switch until re-anchored — exactly what the
-    // rotation-id gating must absorb without ever applying one against
-    // the wrong baseline.
+    // The same sweep over the patch stream `export_dirty` produces (its
+    // first frame against the empty baseline, every later one against
+    // the previous export), facing drops, duplicates and adjacent
+    // swaps. A lost patch poisons every later patch for that switch
+    // until re-anchored — exactly what the rotation-id gating must
+    // absorb without ever applying one against the wrong baseline.
     for channel_seed in 0..20u64 {
         let mut rng = XorShift64::new(channel_seed * 113 + 5);
         let mut win = SlidingTopK::<u64>::new(cfg(4), 3);
@@ -440,7 +516,6 @@ fn dirty_protocol_survives_random_loss_dup_reorder() {
 
         let mut state = 9u64;
         let mut frames: Vec<Vec<u8>> = Vec::new();
-        let mut dirty_count = 0;
         for _ in 0..8 {
             for _ in 0..1000 {
                 state ^= state << 13;
@@ -449,15 +524,8 @@ fn dirty_protocol_survives_random_loss_dup_reorder() {
                 win.insert(&(state % 50));
             }
             win.rotate();
-            frames.push(match win.export_dirty(0, 1000) {
-                Some(b) => {
-                    dirty_count += 1;
-                    b
-                }
-                None => win.export_delta(0, 1000).unwrap(),
-            });
+            frames.push(win.export_dirty(0, 1000).expect("a closed epoch"));
         }
-        assert_eq!(dirty_count, 7, "every post-priming rotation is dirty");
 
         let mut i = 0;
         while i < frames.len() {

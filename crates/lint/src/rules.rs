@@ -202,16 +202,16 @@ impl LintConfig {
             ],
             magics: vec![
                 b"HKSK".to_vec(),       // v1 sketch payload
-                b"HKWF".to_vec(),       // window frame header (v2 full/delta, v3 dirty)
-                b"HKDP".to_vec(),       // dirty-patch record inside a v3 frame
+                b"HKWF".to_vec(),       // window frame header (v2 full, v4 dirty)
+                b"HKDP".to_vec(),       // dirty-patch record inside a v4 frame
                 b"HKTR".to_vec(),       // trace file container
                 b"HKCKPT\0\0".to_vec(), // reserved checkpoint switch id
             ],
             numeric_magics: vec![0xA1B2_C3D4, 0xA1B2_3C4D], // pcap usec/nsec
             versions: vec![
                 ("VERSION".into(), 1),             // HKSK sketch payload / HKTR trace
-                ("FRAME_VERSION".into(), 2),       // HKWF full + delta
-                ("DIRTY_FRAME_VERSION".into(), 3), // HKWF dirty (kind 2 only)
+                ("FRAME_VERSION".into(), 2),       // HKWF full (kind 0 only)
+                ("DIRTY_FRAME_VERSION".into(), 4), // HKWF dirty (kind 2 only)
             ],
         }
     }

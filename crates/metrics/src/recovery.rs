@@ -12,7 +12,6 @@
 //! migrations in a [`reshard_log`](heavykeeper::ShardedEngine::reshard_log).
 
 use heavykeeper::{RecoveryReport, ReshardReport};
-use hk_obs::{Event, EventKind, ReshardStage};
 
 /// Aggregated view of every recovery an engine performed during a run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -43,34 +42,6 @@ impl RecoveryAccounting {
             max_dark_packets: reports.iter().map(|r| r.dark_packets).max().unwrap_or(0),
             shards_hit: shards.len(),
         }
-    }
-
-    /// Rebuilds the accounting from an obs journal instead of the
-    /// engine's recovery log — every field of a
-    /// [`EventKind::Recovery`] event is exactly what
-    /// [`from_reports`](Self::from_reports) folds, so a `--stats-json`
-    /// snapshot is enough to reconstruct the table after the engine is
-    /// gone. Best-effort when the bounded journal dropped events: only
-    /// the retained history is folded.
-    pub fn from_journal(events: &[Event]) -> Self {
-        let mut acc = Self::default();
-        let mut shards: Vec<u64> = Vec::new();
-        for e in events {
-            if let EventKind::Recovery {
-                shard,
-                dark_packets,
-            } = e.kind
-            {
-                acc.recoveries += 1;
-                acc.dark_packets += dark_packets;
-                acc.max_dark_packets = acc.max_dark_packets.max(dark_packets);
-                shards.push(shard);
-            }
-        }
-        shards.sort_unstable();
-        shards.dedup();
-        acc.shards_hit = shards.len();
-        acc
     }
 
     /// The dark total as a fraction of `stream_packets` — an upper
@@ -127,42 +98,6 @@ impl ReshardAccounting {
             forced_recoveries: reports.iter().map(|r| r.recoveries.len()).sum(),
             dark_packets: reports.iter().map(|r| r.dark_packets).sum(),
         }
-    }
-
-    /// Rebuilds the accounting from an obs journal. Migrations are
-    /// closed by their `commit`/`rollback` phase events; forced
-    /// recoveries are the [`EventKind::Recovery`] events that land
-    /// between a migration's `drain` and its closing phase — the
-    /// engine journals mid-phase respawns through the same `recover()`
-    /// path, so journal order is attribution. Best-effort when the
-    /// bounded journal dropped events.
-    pub fn from_journal(events: &[Event]) -> Self {
-        let mut acc = Self::default();
-        let mut in_flight = false;
-        for e in events {
-            match e.kind {
-                EventKind::ReshardPhase { stage, .. } => match stage {
-                    ReshardStage::Drain => in_flight = true,
-                    ReshardStage::Commit => {
-                        acc.migrations += 1;
-                        acc.committed += 1;
-                        in_flight = false;
-                    }
-                    ReshardStage::Rollback => {
-                        acc.migrations += 1;
-                        acc.rollbacks += 1;
-                        in_flight = false;
-                    }
-                    ReshardStage::Rebuild | ReshardStage::Swap => {}
-                },
-                EventKind::Recovery { dark_packets, .. } if in_flight => {
-                    acc.forced_recoveries += 1;
-                    acc.dark_packets += dark_packets;
-                }
-                _ => {}
-            }
-        }
-        acc
     }
 
     /// Mid-migration dark packets as a fraction of `stream_packets` —
@@ -274,84 +209,6 @@ mod tests {
             ReshardAccounting::from_reports(&[]),
             ReshardAccounting::default()
         );
-    }
-
-    fn event(seq: u64, kind: EventKind) -> Event {
-        Event { seq, kind }
-    }
-
-    #[test]
-    fn journal_rebuild_matches_report_fold() {
-        // The same history expressed both ways: three recoveries on two
-        // shards as engine reports, and as the journal events the
-        // engine emits alongside them.
-        let from_reports = RecoveryAccounting::from_reports(&[
-            report(2, 50_000, 53_000),
-            report(0, 10_000, 10_500),
-            report(2, 80_000, 81_000),
-        ]);
-        let from_journal = RecoveryAccounting::from_journal(&[
-            event(
-                0,
-                EventKind::Recovery {
-                    shard: 2,
-                    dark_packets: 3_000,
-                },
-            ),
-            event(
-                1,
-                EventKind::Recovery {
-                    shard: 0,
-                    dark_packets: 500,
-                },
-            ),
-            event(
-                2,
-                EventKind::Recovery {
-                    shard: 2,
-                    dark_packets: 1_000,
-                },
-            ),
-        ]);
-        assert_eq!(from_reports, from_journal);
-        assert_eq!(RecoveryAccounting::from_journal(&[]), Default::default());
-    }
-
-    #[test]
-    fn journal_rebuild_attributes_forced_recoveries_by_phase_window() {
-        let phase = |stage| EventKind::ReshardPhase {
-            from_shards: 2,
-            to_shards: 4,
-            stage,
-        };
-        let recovery = |shard, dark_packets| EventKind::Recovery {
-            shard,
-            dark_packets,
-        };
-        // One standalone recovery (not forced), then a rolled-back
-        // migration with a mid-drain recovery, then a clean commit.
-        let events: Vec<Event> = [
-            recovery(1, 40),
-            phase(ReshardStage::Drain),
-            recovery(0, 300),
-            phase(ReshardStage::Rollback),
-            phase(ReshardStage::Drain),
-            phase(ReshardStage::Rebuild),
-            phase(ReshardStage::Swap),
-            phase(ReshardStage::Commit),
-        ]
-        .into_iter()
-        .enumerate()
-        .map(|(i, kind)| event(i as u64, kind))
-        .collect();
-        let acc = ReshardAccounting::from_journal(&events);
-        assert_eq!(acc.migrations, 2);
-        assert_eq!(acc.committed, 1);
-        assert_eq!(acc.rollbacks, 1);
-        assert_eq!(acc.forced_recoveries, 1);
-        assert_eq!(acc.dark_packets, 300, "standalone recovery not counted");
-        // The standalone recovery still shows up in the recovery view.
-        assert_eq!(RecoveryAccounting::from_journal(&events).recoveries, 2);
     }
 
     #[test]

@@ -101,7 +101,8 @@ pub struct StageCounters {
     pub checkpoints: Counter,
     /// Window rotations driven through the engine.
     pub rotations: Counter,
-    /// Export operations (frames/deltas/dirty patches) served.
+    /// Window-frame exports served, full or dirty: one per engine-wide
+    /// export barrier, one per frame a fleet ships.
     pub exports: Counter,
     /// Completed recovery passes (respawned shards).
     pub recoveries: Counter,

@@ -185,11 +185,11 @@ fn run_pipeline(
 pub struct WindowedDeploymentReport {
     /// The end-to-end pipeline report.
     pub report: DeploymentReport,
-    /// The exported wire-v2 frames, in export order: one initial full
-    /// snapshot, then one delta per rotation — exactly the stream a
-    /// collector's `submit_window_frame` reassembles.
+    /// The exported window frames, in export order: one initial full
+    /// snapshot, then one closed epoch per rotation — exactly the
+    /// stream a collector's `submit_window_frame` reassembles.
     pub frames: Vec<Vec<u8>>,
-    /// Period boundaries crossed (equals the delta count).
+    /// Period boundaries crossed (equals the per-rotation frame count).
     pub rotations: u64,
 }
 
@@ -198,8 +198,9 @@ pub struct WindowedDeploymentReport {
 /// batches into `window`, rotates it every `epoch_packets` consumed
 /// packets, and exports a frame at every boundary — an initial
 /// [`SlidingTopK::export_frame`] snapshot before the stream, then one
-/// [`SlidingTopK::export_delta`] per rotation (the steady-state
-/// O(sketch) export). The returned frames are ready for a collector.
+/// [`SlidingTopK::export_delta`] per rotation (the closed epoch as a
+/// dirty frame against the empty baseline, O(occupied buckets)). The
+/// returned frames are ready for a collector.
 ///
 /// Export happens on the consumer thread between ring drains, exactly
 /// where a deployed switch would serialize: the cost shows up in `mps`
@@ -219,7 +220,7 @@ pub fn run_windowed_deployment(
 ) -> (WindowedDeploymentReport, SlidingTopK<FiveTuple>) {
     assert!(epoch_packets > 0, "epoch length must be positive");
     let frames_budget = epoch_packets.min(u32::MAX as usize) as u32;
-    // The delta stream starts from a full snapshot of the (empty) ring.
+    // The frame stream starts from a full snapshot of the (empty) ring.
     let mut exported: Vec<Vec<u8>> = vec![window.export_frame(switch_id, frames_budget)];
     let mut until_rotation = epoch_packets;
     let report = run_pipeline(flows, ring_capacity, mode, |mut batch| {
@@ -234,7 +235,7 @@ pub fn run_windowed_deployment(
             until_rotation -= now.len();
             if until_rotation == 0 {
                 window.rotate();
-                // A W = 1 ring has no closed epoch to delta (its only
+                // A W = 1 ring has no closed epoch to ship (its only
                 // slot is the accumulating one); fall back to a full
                 // frame so every rotation still exports.
                 exported.push(
@@ -319,7 +320,7 @@ mod tests {
             run_windowed_deployment(&pkts, win, 42, 10_000, 1024, RingMode::Backpressure);
         assert_eq!(out.report.consumed, 60_000);
         assert_eq!(out.rotations, 6, "60k packets / 10k per epoch");
-        // One initial snapshot + one delta per rotation.
+        // One initial snapshot + one closed epoch per rotation.
         assert_eq!(out.frames.len(), 1 + out.rotations as usize);
 
         // The frame stream reassembles loss-free at a collector.

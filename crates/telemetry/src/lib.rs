@@ -3,15 +3,15 @@
 //! HeavyKeeper's deployment model (paper footnote 2) is a *fleet*: one
 //! sketch per measurement point, a central collector reassembling the
 //! network-wide view. The core crate provides each hop of the windowed
-//! version of that story — [`SlidingTopK`] per switch, wire-v2 epoch
-//! frames ([`SlidingTopK::export_frame`] / [`SlidingTopK::export_delta`]),
-//! and collector-side ring reassembly
-//! ([`Collector::submit_window_frame`]). This crate is the *plane* that
-//! connects them: a deterministic fleet scenario driver that runs `S`
-//! switches over hash-partitioned traffic, ships their frames through a
-//! lossy, reordering channel, services the collector's resync requests,
-//! and accounts every byte — the harness behind `hk fleet` and the
-//! benchmark's `fleet-window` workload (`ledger/`).
+//! version of that story — [`SlidingTopK`] per switch, window frames
+//! ([`SlidingTopK::export_frame`] / [`SlidingTopK::export_dirty`]), and
+//! collector-side ring reassembly ([`Collector::submit_window_frame`]).
+//! This crate is the *plane* that connects them: a deterministic fleet
+//! scenario driver that runs `S` switches over hash-partitioned
+//! traffic, ships their frames through a lossy, reordering channel,
+//! services the collector's resync requests, and accounts every byte —
+//! the harness behind `hk fleet` and the benchmark's `fleet-window`
+//! workload (`ledger/`).
 //!
 //! ## Export protocol
 //!
@@ -20,11 +20,11 @@
 //!  ────────                    ───────────────────────────        ─────────
 //!  t=0   export_frame ───────────────────────────────────────▶ snapshot (rotation 0)
 //!  rotate┐
-//!        ├ export_delta(R=1) ──────────────────────────────── ▶ commit epoch 1
+//!        ├ export_dirty(R=1, empty baseline) ──────────────── ▶ commit epoch 1
 //!  rotate┤
-//!        ├ export_delta(R=2) ───────── ✖ lost
+//!        ├ export_dirty(R=2, patch vs R=1) ── ✖ lost
 //!  rotate┤
-//!        ├ export_delta(R=3) ──────────────────────────────── ▶ gap! buffer + flag resync
+//!        ├ export_dirty(R=3, patch vs R=2) ───────────────── ▶ gap! buffer + flag resync
 //!        │                 ◀─────────── resync_needed() ─────── ┘
 //!        └ export_frame ───────────────────────────────────────▶ snapshot (rotation 3): bit-exact again
 //! ```
@@ -32,18 +32,17 @@
 //! * **Full frames** carry every live epoch — O(W · sketch) bytes; used
 //!   for the initial snapshot, for resync, and as the only frame kind
 //!   under [`ExportMode::Full`].
-//! * **Delta frames** carry one closed epoch — O(sketch) bytes per
-//!   rotation, the steady-state export cost, independent of `W`.
 //! * **Dirty frames** ([`ExportMode::Dirty`]) carry the closed epoch as
-//!   a changed-bucket patch against the previous export — O(changed
-//!   buckets) bytes per rotation. When the exporter's shadow isn't
-//!   fresh (first rotation, or a rotation whose export was skipped),
-//!   the switch degrades one step to a delta, then to a full frame;
-//!   the per-frame kind labels in [`FleetStats`] account for the mix.
+//!   a changed-bucket patch against an explicit baseline — the previous
+//!   export, O(changed buckets) bytes per rotation; or, on the first
+//!   rotation and after a skipped one, the empty baseline, O(occupied
+//!   buckets). Only a `W = 1` ring, which never retains a closed epoch,
+//!   falls back to full frames; the per-frame kind labels in
+//!   [`FleetStats`] account for the mix.
 //! * **Loss** shows up as a rotation-id gap at the collector, which
-//!   buffers the early delta, flags the switch in
+//!   buffers the early patch, flags the switch in
 //!   [`Collector::resync_needed`], and is healed by the next full
-//!   snapshot (or by the missing delta itself when the cause was mere
+//!   snapshot (or by the missing patch itself when the cause was mere
 //!   reordering). Duplicates are dropped idempotently.
 //!
 //! Switches observe *disjoint* sub-streams (flows are hash-partitioned
@@ -73,27 +72,23 @@ use std::sync::Arc;
 const PARTITION_SALT: u64 = 0xF1EE_7000_5A17_0000;
 
 /// Steady-state export policy of a fleet's switches: what each switch
-/// ships at a period boundary, in decreasing bytes-per-rotation order.
-/// Each mode degrades one step when its preconditions fail (no closed
-/// epoch, no fresh shadow) rather than skipping the rotation.
+/// ships at a period boundary.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub enum ExportMode {
     /// A full snapshot every rotation — O(W · sketch) bytes.
     Full,
-    /// One closed epoch per rotation — O(sketch) bytes.
-    #[default]
-    Delta,
     /// Changed buckets of the closed epoch per rotation — O(changed)
-    /// bytes, at the cost of one shadow matrix per switch.
+    /// bytes, at the cost of one shadow matrix per switch. A `W = 1`
+    /// ring has no closed epoch and ships full frames instead.
+    #[default]
     Dirty,
 }
 
-/// What a shipped frame actually was — under [`ExportMode::Dirty`] the
-/// fallback chain mixes kinds, so the label rides with each frame.
+/// What a shipped frame actually was — under [`ExportMode::Dirty`] a
+/// `W = 1` ring ships full frames, so the label rides with each frame.
 #[derive(Debug, Clone, Copy)]
 enum ExportKind {
     Full,
-    Delta,
     Dirty,
 }
 
@@ -124,7 +119,7 @@ pub struct FleetConfig {
     /// Lease length in rotations; `0` disables leasing. With a lease,
     /// a switch the collector has not heard from for more than `lease`
     /// rotations' worth of fleet traffic is **evicted** (replica,
-    /// buffered deltas and flags dropped —
+    /// buffered patches and flags dropped —
     /// [`Collector::evict_switch`]); a returning switch re-admits
     /// itself through the ordinary full-snapshot resync path.
     pub lease: u64,
@@ -139,7 +134,7 @@ impl Default for FleetConfig {
             k: 50,
             memory_bytes: 64 * 1024,
             seed: 1,
-            mode: ExportMode::Delta,
+            mode: ExportMode::Dirty,
             loss: 0.0,
             reorder: 0.0,
             lease: 0,
@@ -162,13 +157,11 @@ pub struct FleetStats {
     pub frames_reordered: u64,
     /// Full frames sent (snapshots + full-mode exports + resyncs).
     pub full_frames: u64,
-    /// Delta frames sent.
-    pub delta_frames: u64,
     /// Dirty (changed-bucket patch) frames sent.
     pub dirty_frames: u64,
     /// Full snapshots sent *in answer to a resync request*.
     pub resyncs: u64,
-    /// Deltas the collector dropped as duplicates.
+    /// Frames the collector dropped as duplicates.
     pub duplicates: u64,
     /// Switches evicted for overrunning their lease
     /// ([`FleetConfig::lease`]).
@@ -239,7 +232,7 @@ impl<K: FlowKey> Fleet<K> {
     /// Builds the fleet and ships every switch's initial full snapshot
     /// (rotation 0) through the channel — under loss, a switch may
     /// start dark and be healed by the resync path once its first
-    /// delta arrives.
+    /// dirty frame arrives.
     ///
     /// # Panics
     ///
@@ -271,7 +264,7 @@ impl<K: FlowKey> Fleet<K> {
             obs: None,
             cfg,
         };
-        // Initial snapshots anchor every delta stream.
+        // Initial snapshots anchor every dirty stream.
         let snapshots: Vec<(Vec<u8>, ExportKind)> = fleet
             .switches
             .iter()
@@ -347,25 +340,16 @@ impl<K: FlowKey> Fleet<K> {
             .enumerate()
             .filter(|(i, _)| !muted.contains(i))
             .map(|(i, sw)| {
-                // Each mode degrades one step instead of skipping the
-                // rotation: a W = 1 ring never has a closed epoch to
-                // delta (its only slot is the accumulating one), and a
-                // dirty export additionally needs a shadow of the
-                // previous rotation's export (absent on the first
-                // rotation; stale after resolution changes).
-                match mode {
-                    ExportMode::Full => (sw.export_frame(i as u64, budget), ExportKind::Full),
-                    ExportMode::Delta => match sw.export_delta(i as u64, budget) {
-                        Some(b) => (b, ExportKind::Delta),
-                        None => (sw.export_frame(i as u64, budget), ExportKind::Full),
-                    },
-                    ExportMode::Dirty => match sw.export_dirty(i as u64, budget) {
-                        Some(b) => (b, ExportKind::Dirty),
-                        None => match sw.export_delta(i as u64, budget) {
-                            Some(b) => (b, ExportKind::Delta),
-                            None => (sw.export_frame(i as u64, budget), ExportKind::Full),
-                        },
-                    },
+                // A W = 1 ring never has a closed epoch to ship dirty
+                // (its only slot is the accumulating one): it ships a
+                // full frame instead of skipping the rotation.
+                let dirty = match mode {
+                    ExportMode::Full => None,
+                    ExportMode::Dirty => sw.export_dirty(i as u64, budget),
+                };
+                match dirty {
+                    Some(b) => (b, ExportKind::Dirty),
+                    None => (sw.export_frame(i as u64, budget), ExportKind::Full),
                 }
             })
             .collect();
@@ -475,7 +459,7 @@ impl<K: FlowKey> Fleet<K> {
     /// survivors to the collector. Loss drops a frame outright; reorder
     /// holds it back one shipment, so it arrives *after* its switch's
     /// own next frame — a genuine same-stream inversion that exercises
-    /// the collector's out-of-order delta buffering (an in-batch swap
+    /// the collector's out-of-order patch buffering (an in-batch swap
     /// would only exchange frames of different switches, which are
     /// independent streams and no reordering at all). The per-frame
     /// [`ExportKind`] only labels the accounting.
@@ -487,7 +471,6 @@ impl<K: FlowKey> Fleet<K> {
             self.stats.frames_sent += 1;
             match kind {
                 ExportKind::Full => self.stats.full_frames += 1,
-                ExportKind::Delta => self.stats.delta_frames += 1,
                 ExportKind::Dirty => self.stats.dirty_frames += 1,
             }
             self.stats.bytes_sent += bytes.len() as u64;
@@ -516,15 +499,15 @@ impl<K: FlowKey> Fleet<K> {
         match self.collector.submit_window_frame(bytes) {
             Ok(WindowSubmit::Duplicate) => self.stats.duplicates += 1,
             Ok(_) => {}
-            // Protocol-level refusals (a delta racing ahead of its
-            // snapshot) resolve through the resync path.
+            // Protocol-level refusals (a dirty frame racing ahead of
+            // its snapshot) resolve through the resync path.
             Err(WindowSubmitError::NoSnapshot { .. }) => {}
             Err(e) => unreachable!("fleet frames are always well-formed: {e}"),
         }
     }
 
     /// End-of-stream reconciliation: ships a **reliable** full snapshot
-    /// for every switch whose replica lags its local window (a delta
+    /// for every switch whose replica lags its local window (a frame
     /// lost on the *final* rotation leaves no later gap to betray it,
     /// so gap detection alone cannot catch it) or is flagged for
     /// resync. After this, every replica is bit-identical to its
@@ -707,23 +690,6 @@ mod tests {
     }
 
     #[test]
-    fn lossless_delta_mode_replicas_are_bit_exact() {
-        let mut fleet = Fleet::<u64>::new(FleetConfig {
-            switches: 3,
-            window: 4,
-            epoch_packets: 5_000,
-            mode: ExportMode::Delta,
-            ..FleetConfig::default()
-        });
-        fleet.run_trace(&zipfish(40_000, 9));
-        assert!(fleet.stats().delta_frames >= 3 * 8);
-        for (i, sw) in fleet.switches().iter().enumerate() {
-            let replica = fleet.collector().switch_window(i as u64).unwrap();
-            assert_eq!(window_digest(replica), window_digest(sw), "switch {i}");
-        }
-    }
-
-    #[test]
     fn partition_is_disjoint_and_total() {
         let fleet = Fleet::<u64>::new(FleetConfig {
             switches: 4,
@@ -758,27 +724,6 @@ mod tests {
     }
 
     #[test]
-    fn single_epoch_window_delta_mode_degrades_to_full() {
-        // W = 1 has no closed epoch to delta — delta mode must fall
-        // back to full frames instead of failing, and the replicas
-        // still track bit-exactly.
-        let mut fleet = Fleet::<u64>::new(FleetConfig {
-            switches: 2,
-            window: 1,
-            epoch_packets: 1_000,
-            mode: ExportMode::Delta,
-            ..FleetConfig::default()
-        });
-        fleet.run_trace(&zipfish(5_000, 3));
-        assert_eq!(fleet.stats().rotations, 5);
-        assert_eq!(fleet.stats().delta_frames, 0, "W=1 ships full frames");
-        for (i, sw) in fleet.switches().iter().enumerate() {
-            let replica = fleet.collector().switch_window(i as u64).unwrap();
-            assert_eq!(window_digest(replica), window_digest(sw), "switch {i}");
-        }
-    }
-
-    #[test]
     fn lease_evicts_silent_switch_and_readmits_on_reconnect() {
         // Silence -> evict -> reconnect -> converge: switch 1's uplink
         // goes down mid-run; after the lease runs out the collector
@@ -789,7 +734,7 @@ mod tests {
             switches: 3,
             window: 3,
             epoch_packets: 2_000,
-            mode: ExportMode::Delta,
+            mode: ExportMode::Dirty,
             lease: 2,
             ..FleetConfig::default()
         });
@@ -817,7 +762,7 @@ mod tests {
             "evicted replica is gone from the windowed plane"
         );
 
-        // Reconnect: the next delta hits the no-snapshot arm, the
+        // Reconnect: the next dirty frame hits the no-snapshot arm, the
         // resync ships a full snapshot, and the replica is re-admitted.
         fleet.set_muted(1, false);
         for p in &periods[14..18] {
@@ -854,15 +799,15 @@ mod tests {
 
     #[test]
     fn reorder_knob_inverts_same_switch_streams() {
-        // With reorder on and loss off, delayed deltas arrive behind
+        // With reorder on and loss off, delayed patches arrive behind
         // their switch's own next frame: the collector must observe
-        // genuine out-of-order deltas (gaps that heal by buffering,
+        // genuine out-of-order patches (gaps that heal by buffering,
         // or resyncs) and still converge.
         let mut fleet = Fleet::<u64>::new(FleetConfig {
             switches: 2,
             window: 3,
             epoch_packets: 1_000,
-            mode: ExportMode::Delta,
+            mode: ExportMode::Dirty,
             reorder: 0.4,
             seed: 6,
             ..FleetConfig::default()
@@ -878,22 +823,35 @@ mod tests {
         }
     }
 
+    /// A 2-switch, W = 4 fleet after 12 periods (the ring has cycled).
+    fn steady_fleet(mode: ExportMode) -> Fleet<u64> {
+        let mut fleet = Fleet::<u64>::new(FleetConfig {
+            switches: 2,
+            window: 4,
+            epoch_packets: 4_000,
+            mode,
+            ..FleetConfig::default()
+        });
+        fleet.run_trace(&zipfish(48_000, 5));
+        fleet
+    }
+
+    /// Bytes of every switch's empty-baseline frame of its newest
+    /// closed epoch ([`SlidingTopK::export_delta`]).
+    fn delta_bytes(fleet: &Fleet<u64>) -> u64 {
+        let frames = fleet.switches().iter().enumerate();
+        frames
+            .map(|(i, sw)| sw.export_delta(i as u64, 4_000).unwrap().len() as u64)
+            .sum()
+    }
+
     #[test]
     fn delta_frames_are_fraction_of_full() {
-        // Steady state: a delta rotation ships ~1/W of a full rotation.
-        let mk = |mode| {
-            let mut fleet = Fleet::<u64>::new(FleetConfig {
-                switches: 2,
-                window: 4,
-                epoch_packets: 4_000,
-                mode,
-                ..FleetConfig::default()
-            });
-            fleet.run_trace(&zipfish(48_000, 5)); // 12 periods: ring cycles
-            fleet.stats().bytes_last_rotation
-        };
-        let (delta_bytes, full_bytes) = (mk(ExportMode::Delta), mk(ExportMode::Full));
-        let ratio = delta_bytes as f64 / full_bytes as f64;
+        // Steady state: one closed epoch against the empty baseline
+        // ships ~1/W of a full rotation.
+        let fleet = steady_fleet(ExportMode::Full);
+        let full_bytes = fleet.stats().bytes_last_rotation;
+        let ratio = delta_bytes(&fleet) as f64 / full_bytes as f64;
         let bound = 1.0 / 4.0 + 0.1;
         assert!(
             ratio <= bound,
@@ -913,10 +871,10 @@ mod tests {
         fleet.run_trace(&zipfish(40_000, 9));
         let s = *fleet.stats();
         assert_eq!(s.rotations, 8);
-        // Rotation 1 primes every shadow (delta fallback); rotations
-        // 2..=8 all ship dirty — the fallback chain is exact, not lossy.
-        assert_eq!(s.delta_frames, 3, "one priming delta per switch");
-        assert_eq!(s.dirty_frames, 3 * 7);
+        // Every rotation ships dirty — the first against the empty
+        // baseline — and only the initial snapshots are full.
+        assert_eq!(s.dirty_frames, 3 * 8);
+        assert_eq!(s.full_frames, 3);
         assert!(fleet.collector().resync_needed().is_empty());
         for (i, sw) in fleet.switches().iter().enumerate() {
             let replica = fleet.collector().switch_window(i as u64).unwrap();
@@ -926,8 +884,8 @@ mod tests {
 
     #[test]
     fn single_epoch_window_dirty_mode_degrades_to_full() {
-        // W = 1 satisfies neither the dirty nor the delta precondition:
-        // the chain bottoms out at full frames every rotation.
+        // W = 1 never retains a closed epoch to ship dirty: full frames
+        // every rotation.
         let mut fleet = Fleet::<u64>::new(FleetConfig {
             switches: 2,
             window: 1,
@@ -938,7 +896,6 @@ mod tests {
         fleet.run_trace(&zipfish(5_000, 3));
         assert_eq!(fleet.stats().rotations, 5);
         assert_eq!(fleet.stats().dirty_frames, 0, "W=1 ships full frames");
-        assert_eq!(fleet.stats().delta_frames, 0, "W=1 ships full frames");
         for (i, sw) in fleet.switches().iter().enumerate() {
             let replica = fleet.collector().switch_window(i as u64).unwrap();
             assert_eq!(window_digest(replica), window_digest(sw), "switch {i}");
@@ -947,22 +904,11 @@ mod tests {
 
     #[test]
     fn dirty_rotation_bytes_stay_below_delta() {
-        // The steady-state cost ladder the modes exist for: dirty only
-        // pays for buckets the closed epoch changed, so on any traffic
-        // with re-used flows it must undercut a delta, which always
-        // ships the whole sketch.
-        let mk = |mode| {
-            let mut fleet = Fleet::<u64>::new(FleetConfig {
-                switches: 2,
-                window: 4,
-                epoch_packets: 4_000,
-                mode,
-                ..FleetConfig::default()
-            });
-            fleet.run_trace(&zipfish(48_000, 5));
-            fleet.stats().bytes_last_rotation
-        };
-        let (dirty_bytes, delta_bytes) = (mk(ExportMode::Dirty), mk(ExportMode::Delta));
+        // Dirty only pays for buckets the closed epoch changed, so on
+        // traffic with re-used flows it undercuts shipping every
+        // occupied bucket against the empty baseline.
+        let fleet = steady_fleet(ExportMode::Dirty);
+        let (dirty_bytes, delta_bytes) = (fleet.stats().bytes_last_rotation, delta_bytes(&fleet));
         assert!(
             dirty_bytes < delta_bytes,
             "dirty {dirty_bytes} bytes/rotation must undercut delta {delta_bytes}"

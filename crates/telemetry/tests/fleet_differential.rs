@@ -3,14 +3,15 @@
 //!
 //! Two properties are pinned, matching the telemetry plane's contract:
 //!
-//! 1. **Full frames are lossless**: under full-frame export (and under
-//!    lossless delta export) every collector replica is *bit-exact*
-//!    with its switch's own [`SlidingTopK`] — same ring geometry,
-//!    rotation counter, every epoch's bucket words, every store entry.
-//! 2. **Delta mode self-heals**: with frames dropped and reordered by
-//!    the channel, the resync protocol (gap detection → full-snapshot
+//! 1. **Export is lossless**: under full-frame export, and under
+//!    lossless dirty export from the first rotation on, every collector
+//!    replica is *bit-exact* with its switch's own [`SlidingTopK`] —
+//!    same ring geometry, rotation counter, every epoch's bucket words,
+//!    every store entry.
+//! 2. **Loss self-heals**: with frames dropped and reordered by the
+//!    channel, the resync protocol (gap detection → full-snapshot
 //!    re-anchor, plus the end-of-run reconcile for losses on the final
-//!    rotation) restores bit-exactness.
+//!    rotation) restores bit-exactness in either mode.
 //!
 //! "Bit-exact" is checked bucket-by-bucket here (not just through the
 //! query surface), and compactly via [`window_digest`] across sweeps.
@@ -91,72 +92,17 @@ fn full_frames_reassemble_bit_exact_across_geometries() {
 }
 
 #[test]
-fn lossless_deltas_reassemble_bit_exact() {
-    let mut fleet = Fleet::<u64>::new(FleetConfig {
-        switches: 3,
-        window: 4,
-        epoch_packets: 4_000,
-        mode: ExportMode::Delta,
-        seed: 3,
-        ..FleetConfig::default()
-    });
-    fleet.run_trace(&stream(48_000, 5));
-    // Steady state: every rotation shipped one delta per switch.
-    assert_eq!(fleet.stats().delta_frames, 3 * 12);
-    assert_eq!(fleet.stats().frames_lost, 0);
-    for (i, sw) in fleet.switches().iter().enumerate() {
-        let replica = fleet.collector().switch_window(i as u64).unwrap();
-        assert_bit_exact(replica, sw, &format!("switch {i}"));
-    }
-}
-
-#[test]
-fn delta_mode_with_loss_recovers_bit_exact_after_resync() {
-    // Heavy injected loss and reorder: mid-run the collector falls
-    // behind (gaps), the resync protocol re-anchors it, and after the
-    // final reconcile every replica is bit-exact again.
-    let mut fleet = Fleet::<u64>::new(FleetConfig {
-        switches: 3,
-        window: 4,
-        epoch_packets: 3_000,
-        mode: ExportMode::Delta,
-        loss: 0.3,
-        reorder: 0.15,
-        seed: 11,
-        ..FleetConfig::default()
-    });
-    fleet.run_trace(&stream(60_000, 13));
-    let s = *fleet.stats();
-    assert!(s.frames_lost > 0, "the channel must actually drop frames");
-    assert!(
-        s.resyncs > 0,
-        "loss at this rate must have triggered resyncs"
-    );
-
-    // The end-of-run reconcile heals everything the in-band protocol
-    // could not see (e.g. a loss on the very last rotation).
-    fleet.reconcile();
-    assert!(fleet.collector().resync_needed().is_empty());
-    for (i, sw) in fleet.switches().iter().enumerate() {
-        let replica = fleet
-            .collector()
-            .switch_window(i as u64)
-            .expect("reconcile installs every switch");
-        assert_bit_exact(replica, sw, &format!("switch {i} after resync"));
-    }
-}
-
-#[test]
 fn loss_sweep_always_converges() {
-    // Digest-level sweep over loss rates and seeds: whatever the
-    // channel does, reconcile ends bit-exact.
+    // Digest-level sweep over loss rates and seeds in full mode: a lost
+    // snapshot leaves no baseline behind, and whatever the channel
+    // does, reconcile ends bit-exact.
     for loss in [0.05, 0.5, 0.8] {
         for seed in 1..=4u64 {
             let mut fleet = Fleet::<u64>::new(FleetConfig {
                 switches: 2,
                 window: 3,
                 epoch_packets: 1_000,
-                mode: ExportMode::Delta,
+                mode: ExportMode::Full,
                 loss,
                 reorder: 0.2,
                 seed,
@@ -186,25 +132,30 @@ fn lossless_dirty_patches_reassemble_bit_exact() {
         seed: 3,
         ..FleetConfig::default()
     });
-    fleet.run_trace(&stream(48_000, 5));
-    // Steady state: one priming delta per switch (rotation 1), dirty
-    // patches everywhere after.
-    assert_eq!(fleet.stats().delta_frames, 3);
-    assert_eq!(fleet.stats().dirty_frames, 3 * 11);
-    assert_eq!(fleet.stats().frames_lost, 0);
-    for (i, sw) in fleet.switches().iter().enumerate() {
-        let replica = fleet.collector().switch_window(i as u64).unwrap();
-        assert_bit_exact(replica, sw, &format!("switch {i}"));
+    // Bucket for bucket after every rotation, from rotation 1 on: the
+    // first frame per switch is against the empty baseline, every later
+    // one a patch against the previous export.
+    for (period, chunk) in stream(48_000, 5).chunks(4_000).enumerate() {
+        fleet.ingest(chunk);
+        fleet.rotate();
+        for (i, sw) in fleet.switches().iter().enumerate() {
+            let replica = fleet.collector().switch_window(i as u64).unwrap();
+            assert_bit_exact(replica, sw, &format!("rotation {} switch {i}", period + 1));
+        }
     }
+    assert_eq!(fleet.stats().dirty_frames, 3 * 12);
+    assert_eq!(fleet.stats().frames_lost, 0);
 }
 
 #[test]
 fn dirty_mode_with_loss_recovers_bit_exact_after_resync() {
-    // The same punishment the delta test takes, in dirty mode: 30%
-    // loss plus reordering. A lost dirty patch leaves the replica's
-    // baseline behind, so *every* later patch for that switch is
-    // unusable until a resync snapshot re-anchors it — the strongest
-    // self-healing obligation in the protocol.
+    // Heavy injected loss and reorder: 30% loss plus reordering. Mid-run
+    // the collector falls behind (gaps), the resync protocol re-anchors
+    // it, and after the final reconcile every replica is bit-exact
+    // again. A lost dirty patch leaves the replica's baseline behind, so
+    // *every* later patch for that switch is unusable until a resync
+    // snapshot re-anchors it — the strongest self-healing obligation in
+    // the protocol.
     let mut fleet = Fleet::<u64>::new(FleetConfig {
         switches: 3,
         window: 4,
@@ -271,7 +222,7 @@ fn dirty_loss_sweep_always_converges() {
 
 #[test]
 fn collector_windowed_topk_tracks_oracle_under_loss() {
-    // The CI recall property: a lossy delta-mode collector's windowed
+    // The CI recall property: a lossy dirty-mode collector's windowed
     // top-k stays close to the loss-free merged oracle (resyncs keep
     // pulling it back), and matches it exactly after reconcile.
     let mut fleet = Fleet::<u64>::new(FleetConfig {
@@ -279,7 +230,7 @@ fn collector_windowed_topk_tracks_oracle_under_loss() {
         window: 4,
         epoch_packets: 5_000,
         k: 10,
-        mode: ExportMode::Delta,
+        mode: ExportMode::Dirty,
         loss: 0.05,
         seed: 2,
         ..FleetConfig::default()

@@ -157,7 +157,8 @@ pub fn from_bytes<K: TraceRecord>(mut data: Bytes, name: &str) -> Result<Trace<K
     }
     let _reserved = data.get_u16_le();
     let count = data.get_u64_le() as usize;
-    if data.remaining() < count * K::WIDTH {
+    let needed = count.checked_mul(K::WIDTH).ok_or(TraceIoError::Truncated)?;
+    if data.remaining() < needed {
         return Err(TraceIoError::Truncated);
     }
     let mut packets = Vec::with_capacity(count);
@@ -245,6 +246,16 @@ mod tests {
         let b = to_bytes(&t);
         let cut = b.slice(0..b.len() - 4);
         let r: Result<Trace<u64>, _> = from_bytes(cut, "t");
+        assert_eq!(r.unwrap_err(), TraceIoError::Truncated);
+    }
+
+    #[test]
+    fn overflowing_count_rejected() {
+        // 2^61 eight-byte records wrap the byte count to zero; the
+        // reader must refuse the claim, not reserve for it.
+        let mut b = to_bytes(&Trace::<u64>::new("t", vec![])).to_vec();
+        b[8..16].copy_from_slice(&(1u64 << 61).to_le_bytes());
+        let r: Result<Trace<u64>, _> = from_bytes(Bytes::from(b), "t");
         assert_eq!(r.unwrap_err(), TraceIoError::Truncated);
     }
 

@@ -13,7 +13,7 @@
 //! * [`hk_metrics`] — precision / ARE / AAE / throughput harness.
 //! * [`hk_ovs`] — the simulated Open vSwitch deployment of Section VII.
 //! * [`hk_telemetry`] — the windowed telemetry plane (fleet scenario
-//!   driver over the wire-v2 epoch frames).
+//!   driver over the full and dirty window frames).
 //! * [`hk_obs`] — the runtime observability plane (stage counters,
 //!   log2 histograms, event journal, Prometheus/JSON exposition).
 //! * [`hk_common`] — shared substrate (hashing, Stream-Summary, top-k).
