@@ -6,7 +6,7 @@ use criterion::{criterion_group, criterion_main, BatchSize, Criterion, Throughpu
 use heavykeeper::{MinimumTopK, ParallelTopK};
 use hk_baselines::{LossyCountingTopK, SpaceSavingTopK};
 use hk_common::algorithm::TopKAlgorithm;
-use hk_ovs::deployment::{run_deployment, RingMode};
+use hk_ovs::deployment::run_deployment;
 use hk_traffic::flow::FiveTuple;
 use hk_traffic::presets::campus_like;
 
@@ -59,14 +59,9 @@ fn bench_ovs_pipeline(c: &mut Criterion) {
     g.throughput(Throughput::Elements(trace.packets.len() as u64));
     g.bench_function("ovs_baseline", |b| {
         b.iter(|| {
-            run_deployment::<ParallelTopK<FiveTuple>>(
-                &trace.packets,
-                None,
-                2048,
-                RingMode::Backpressure,
-            )
-            .0
-            .consumed
+            run_deployment::<ParallelTopK<FiveTuple>>(&trace.packets, None, 2048)
+                .0
+                .consumed
         })
     });
     g.bench_function("ovs_hk_parallel", |b| {
@@ -75,7 +70,6 @@ fn bench_ovs_pipeline(c: &mut Criterion) {
                 &trace.packets,
                 Some(ParallelTopK::<FiveTuple>::with_memory(MEM, K, 1)),
                 2048,
-                RingMode::Backpressure,
             )
             .0
             .consumed

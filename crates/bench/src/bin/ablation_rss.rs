@@ -1,8 +1,9 @@
 //! Ablation (extension, `hk-ovs::rss`): multi-queue scale-out of the
-//! Section VII deployment. One datapath thread RSS-steers traffic over
-//! `q` rings; `q` consumer threads run independent HeavyKeepers that
-//! are Sum-merged into the port-wide view. Prints aggregate Mps and
-//! the merged view's accuracy per queue count.
+//! Section VII deployment. One datapath thread feeds a `q`-shard
+//! `ShardedEngine`, which RSS-steers the traffic over `q` rings; the
+//! `q` shard workers run independent HeavyKeepers that are Sum-merged
+//! into the port-wide view. Prints aggregate Mps and the merged view's
+//! accuracy per queue count.
 //!
 //! Expected shape: consumer-side throughput stops being the bottleneck
 //! as queues are added (the single producer becomes the limit), and
@@ -39,7 +40,7 @@ fn main() {
         "queues", "Mps", "precision", "ARE", "queue_imbal"
     );
     for &q in QUEUES {
-        let (report, merged) = run_rss_deployment(&trace.packets, &cfg, q, 4096);
+        let (report, merged) = run_rss_deployment(&trace.packets, &cfg, q);
         let acc = evaluate_topk(&merged.top_k(), &oracle, k);
         let max_q = *report.per_queue.iter().max().unwrap() as f64;
         let mean_q = report.per_queue.iter().sum::<u64>() as f64 / q as f64;

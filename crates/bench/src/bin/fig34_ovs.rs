@@ -11,7 +11,7 @@ use hk_baselines::{CmSketchTopK, LossyCountingTopK, SpaceSavingTopK};
 use hk_bench::{emit, scale, seed};
 use hk_common::algorithm::TopKAlgorithm;
 use hk_metrics::experiment::Series;
-use hk_ovs::deployment::{run_deployment, RingMode};
+use hk_ovs::deployment::run_deployment;
 use hk_traffic::flow::FiveTuple;
 
 const RING_CAPACITY: usize = 4096;
@@ -60,8 +60,7 @@ fn main() {
         "Mps",
     );
     for (idx, (name, algo)) in algos.into_iter().enumerate() {
-        let (report, _) =
-            run_deployment(&trace.packets, algo, RING_CAPACITY, RingMode::Backpressure);
+        let (report, _) = run_deployment(&trace.packets, algo, RING_CAPACITY);
         println!(
             "{name:>10}: {:.2} Mps ({} packets, {:.2}s)",
             report.mps, report.consumed, report.seconds

@@ -65,11 +65,11 @@ Fleet leases:
   evict/re-admit cycle from the driver.
 
 Observability:
-  hk run --stats-json FILE attaches the hk-obs plane to the sharded
-  engine (any engine-path run: --shards > 1, --fault, --recover or
-  --reshard) and writes stage counters, latency/batch histograms and
-  the event journal as JSON after the stream. hk fleet prints a
-  per-period obs stat line.
+  hk run --stats-json FILE writes the sharded engine's built-in obs
+  snapshot (any engine-path run: --shards > 1, --fault, --recover or
+  --reshard): stage counters, latency/batch histograms and the event
+  journal as JSON after the stream. hk fleet prints a per-period obs
+  stat line.
 ";
 
 /// Builds an algorithm by CLI name. The box is `Send` so instances can
@@ -164,11 +164,6 @@ pub fn run_stream(args: &Args) -> Result<(), CliError> {
         spec => parse_reshard_schedule(spec).map_err(CliError::Usage)?,
     };
     let stats_path = args.get_or("stats-json", "").to_string();
-    let obs_hub = if stats_path.is_empty() {
-        None
-    } else {
-        Some(std::sync::Arc::new(hk_obs::ObsHub::new()))
-    };
     // Fault injection, recovery and live resharding need the concrete
     // checkpointable engines (ParallelTopK / SlidingTopK), not a boxed
     // algorithm — and the engine path even at --shards 1.
@@ -231,9 +226,6 @@ pub fn run_stream(args: &Args) -> Result<(), CliError> {
             let mut engine = ShardedEngine::from_fn(shards, k, |_| {
                 SlidingTopK::<u64>::with_memory(mem / shards, k, seed, window)
             });
-            if let Some(hub) = &obs_hub {
-                engine.attach_obs(hub.clone());
-            }
             if fault_mode {
                 arm_fault_harness(&mut engine, fault.as_ref(), recover, ckpt_every)?;
             }
@@ -264,9 +256,6 @@ pub fn run_stream(args: &Args) -> Result<(), CliError> {
         let mut engine = ShardedEngine::from_fn(shards, k, |_| {
             ParallelTopK::<u64>::with_memory(mem / shards, k, seed)
         });
-        if let Some(hub) = &obs_hub {
-            engine.attach_obs(hub.clone());
-        }
         arm_fault_harness(&mut engine, fault.as_ref(), recover, ckpt_every)?;
         let mut steps = reshard_steps.iter().copied().peekable();
         let report = stream_steady_with(&mut engine, &trace, batch, shards, k, |eng, fed| {
@@ -293,9 +282,6 @@ pub fn run_stream(args: &Args) -> Result<(), CliError> {
             instances.push(make_algo(algo_name, mem / shards, k, seed)?);
         }
         let mut engine = ShardedEngine::from_shards(instances, k);
-        if let Some(hub) = &obs_hub {
-            engine.attach_obs(hub.clone());
-        }
         let report = stream_steady(&mut engine, &trace, batch, shards, k);
         print_engine_backpressure(&engine);
         check_shard_health(&engine)?;
@@ -366,24 +352,20 @@ where
     check_shard_health(engine)
 }
 
-/// Prints the engine's backpressure accounting — always, so a shedding
-/// or lossy run can never read as a clean one. Zero/zero is the
-/// healthy-path assertion, not noise.
+/// Prints the engine's loss accounting — always, so a lossy run can
+/// never read as a clean one. Zero is the healthy-path assertion, not
+/// noise.
 fn print_engine_backpressure<K, A>(engine: &ShardedEngine<K, A>)
 where
     K: hk_common::key::FlowKey + Send + 'static,
     A: PreparedInsert<K> + Send + 'static,
 {
-    println!(
-        "backpressure: {} packet(s) shed, {} packet(s) lost",
-        engine.shed_packets(),
-        engine.lost_packets()
-    );
+    println!("backpressure: {} packet(s) lost", engine.lost_packets());
 }
 
 /// Rejects `--stats-json` on runs that never build a sharded engine —
 /// the obs plane instruments the engine's dispatch/ingest stages, so a
-/// bare single-instance run has nothing to attach it to.
+/// bare single-instance run has no snapshot to write.
 fn require_engine_for_stats(stats_path: &str) -> Result<(), CliError> {
     if stats_path.is_empty() {
         Ok(())
@@ -403,10 +385,7 @@ where
     K: hk_common::key::FlowKey + Send + 'static,
     A: PreparedInsert<K> + Send + 'static,
 {
-    let snap = engine
-        .obs_snapshot()
-        .ok_or_else(|| CliError::Io("--stats-json: no observability hub attached".into()))?;
-    std::fs::write(path, snap.render_json())
+    std::fs::write(path, engine.obs_snapshot().render_json())
         .map_err(|e| CliError::Io(format!("--stats-json {path}: {e}")))?;
     println!("stats: obs snapshot written to {path}");
     Ok(())
@@ -944,9 +923,6 @@ pub fn fleet(args: &Args) -> Result<(), CliError> {
         reorder,
         lease,
     });
-    // The obs plane rides every fleet run: per-period stat lines below.
-    let obs = std::sync::Arc::new(hk_obs::ObsHub::new());
-    fleet.attach_obs(obs.clone());
     let start = Instant::now();
     // The per-period loop (instead of `run_trace`) lets an `--outage`
     // silence one switch's uplink for a stretch of rotations — the
@@ -958,7 +934,7 @@ pub fn fleet(args: &Args) -> Result<(), CliError> {
         fleet.ingest(chunk);
         if chunk.len() == epoch_packets {
             fleet.rotate();
-            let snap = obs.snapshot();
+            let snap = fleet.obs().snapshot();
             println!(
                 "obs: period {period} | exports {} | frame bytes p50 {} p95 {} p99 {} | \
                  journal {} event(s), {} dropped",
@@ -1156,29 +1132,47 @@ mod tests {
         .unwrap();
         generate(&gen).unwrap();
 
-        // One faulted, recovered, resharded engine run with the obs
-        // plane attached: the snapshot must tell the whole story.
-        let run = Args::parse(&sv(&[
-            "run",
-            "--trace",
-            trace_s,
-            "--memory-kb",
-            "64",
-            "--k",
-            "10",
-            "--shards",
-            "2",
+        // Every engine-path run writes the engine's built-in snapshot.
+        let run_json = |extra: &[&str]| {
+            let mut argv = vec![
+                "run",
+                "--trace",
+                trace_s,
+                "--memory-kb",
+                "64",
+                "--k",
+                "10",
+                "--shards",
+                "2",
+                "--stats-json",
+                stats_s,
+            ];
+            argv.extend_from_slice(extra);
+            run_stream(&Args::parse(&sv(&argv)).unwrap()).unwrap();
+            std::fs::read_to_string(&stats).unwrap()
+        };
+
+        // A plain sharded run, with no setup: every packet dispatched
+        // and ingested, none lost.
+        let json = run_json(&[]);
+        assert!(json.contains("\"dispatch_packets\": 30000,"), "{json}");
+        assert!(json.contains("\"lost_packets\": 0\n"), "{json}");
+        let ingested: u64 = json
+            .lines()
+            .filter_map(|l| l.split("\"ingest_packets\": ").nth(1))
+            .map(|v| v.split(',').next().unwrap().parse::<u64>().unwrap())
+            .sum();
+        assert_eq!(ingested, 30_000, "{json}");
+
+        // One faulted, recovered, resharded engine run: the snapshot
+        // must tell the whole story.
+        let json = run_json(&[
             "--fault",
             "kill:1@8000",
             "--recover",
             "--reshard",
             "3@16000",
-            "--stats-json",
-            stats_s,
-        ]))
-        .unwrap();
-        run_stream(&run).unwrap();
-        let json = std::fs::read_to_string(&stats).unwrap();
+        ]);
         assert!(!json.contains("\"dispatch_packets\": 0"), "{json}");
         assert!(json.contains("\"ingest_packets\""), "{json}");
         assert!(json.contains("\"kind\": \"recovery\""), "{json}");

@@ -82,7 +82,7 @@ pub use merge::{MergeError, MergeMode};
 pub use minimum::MinimumTopK;
 pub use parallel::ParallelTopK;
 pub use reshard::{ReshardError, ReshardReport};
-pub use sharded::{BackpressurePolicy, RecoverError, RecoveryReport, ShardPoisoned, ShardedEngine};
+pub use sharded::{RecoverError, RecoveryReport, ShardPoisoned, ShardedEngine};
 pub use sketch::HkSketch;
 pub use sliding::SlidingTopK;
 pub use stats::InsertStats;

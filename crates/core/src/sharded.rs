@@ -34,17 +34,17 @@
 //!   bound.
 //! * **Merge at query.** Because flows are partitioned, the global
 //!   top-k is the k largest of the union of per-shard top-ks — no
-//!   cross-shard double counting. For HK shards the classic sketch
-//!   [`crate::merge`] machinery is additionally available through
-//!   [`ShardedEngine::merged`], which folds every shard into one
-//!   instance for network-wide-style queries.
+//!   cross-shard double counting. For Parallel shards the classic
+//!   sketch [`crate::merge`] machinery is additionally available
+//!   through [`ShardedEngine::merged`], which folds every shard into
+//!   one instance for network-wide-style queries.
 //!
 //! ## Batch boundary and snapshot semantics
 //!
 //! Scalar [`TopKAlgorithm::insert`] calls accumulate in a per-shard
-//! pending buffer and are dispatched when
-//! [`ShardedEngine::batch_capacity`] packets are buffered;
-//! [`TopKAlgorithm::insert_batch`] dispatches at every call boundary.
+//! pending buffer and are dispatched when [`BATCH_CAPACITY`] packets
+//! are buffered; [`TopKAlgorithm::insert_batch`] dispatches at every
+//! call boundary.
 //! Any read ([`TopKAlgorithm::query`] / [`TopKAlgorithm::top_k`])
 //! first dispatches pending packets and then **flushes**: it waits until
 //! every shard has drained its ring, so reads always observe every
@@ -115,12 +115,22 @@
 //! Rotation, on-demand checkpoints and the checkpoint baseline share one
 //! private barrier: dispatch what is pending under the pending lock,
 //! then enqueue one op per shard, optionally waiting for the flush. The
-//! three window exports share one flushed per-shard visitor.
+//! two window exports share one flushed per-shard visitor.
+//!
+//! ## Observability
+//!
+//! Every engine builds its own [`ObsHub`] and hands each worker its
+//! [`WorkerObs`] bundle at spawn (first spawn, respawn and reshard
+//! alike). Instrumentation samples at batch boundaries only: one clock
+//! read and two counter bumps per dispatched sub-batch, one elapsed
+//! time, two counter bumps and two histogram records per drained one —
+//! the per-packet walk stays timing- and counter-free.
+//! [`ShardedEngine::obs_snapshot`] adds the totals the engine owns
+//! (ring traffic, lost packets) to the hub's snapshot.
 
 use crate::config::HkConfig;
 use crate::fault::{FaultKind, FaultPlan, ShardFaults};
 use crate::merge::MergeError;
-use crate::minimum::MinimumTopK;
 use crate::parallel::ParallelTopK;
 use crate::reshard::{donor_range, lane_to_shard, ReshardError, ReshardReport};
 use crate::spsc::{PushError, SpscRing};
@@ -129,9 +139,9 @@ use hk_common::algorithm::{
 };
 use hk_common::key::FlowKey;
 use hk_common::prepared::{HashSpec, PreparedKey};
-use hk_obs::{EventKind, ObsHub, ReshardStage, WorkerObs};
+use hk_obs::{EventKind, ObsHub, ReshardStage, Snapshot, WorkerObs};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, MutexGuard, OnceLock, PoisonError};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::thread::JoinHandle;
 use std::time::Instant;
 
@@ -141,14 +151,15 @@ use std::time::Instant;
 /// so shard assignment stays independent of bucket placement.
 const ROUTE_SEED: u64 = 0x5EED_0F50 ^ 0xA110_C8ED;
 
-/// Default number of scalar inserts buffered before a dispatch.
-pub const DEFAULT_BATCH_CAPACITY: usize = 4096;
+/// Number of scalar inserts buffered before a dispatch.
+pub const BATCH_CAPACITY: usize = 4096;
 
 /// Work-ring depth per shard: how many dispatched sub-batches may be in
 /// flight before the dispatcher blocks (backpressure). Small on
 /// purpose — at the default batch size one slot is thousands of
 /// packets, and a deep ring would only hide a slow shard behind queue
-/// growth.
+/// growth. A full ring always blocks: shedding would trade exact
+/// accounting for a latency bound no caller asks for.
 const WORK_RING_CAPACITY: usize = 8;
 
 /// Return-ring depth: work ring + the buffer the worker holds + the one
@@ -160,27 +171,6 @@ const RECYCLE_RING_CAPACITY: usize = WORK_RING_CAPACITY + 2;
 /// How many empty polls a worker burns before parking.
 const WORKER_SPIN: usize = 64;
 
-/// What the dispatcher does when a shard's work ring is full.
-///
-/// The ring is deliberately shallow ([`WORK_RING_CAPACITY`] slots), so
-/// a shard that falls behind fills it fast; this policy decides whether
-/// the *whole* dispatch plane then runs at the slow shard's pace or the
-/// slow shard's overflow is dropped. See
-/// [`ShardedEngine::set_backpressure`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum BackpressurePolicy {
-    /// Hold the message until the worker frees a slot — lossless, the
-    /// default: dispatch throughput degrades to the slowest shard's.
-    #[default]
-    Block,
-    /// Drop the crossing sub-batch and count its packets in
-    /// [`ShardedEngine::shed_packets`] — lossy: dispatch never stalls
-    /// behind one slow shard. Only packet batches are ever shed;
-    /// control ops (rotation, checkpoint barriers) always block, so
-    /// phase alignment and checkpoint cuts stay exact under shedding.
-    Shed,
-}
-
 /// A routed sub-batch in structure-of-arrays form: flow keys and, on
 /// the hash-once handoff path, their prepared hash state (index
 /// aligned; empty in route-only mode). Buffers cycle dispatcher →
@@ -189,11 +179,10 @@ pub enum BackpressurePolicy {
 struct SubBatch<K> {
     keys: Vec<K>,
     prepared: Vec<PreparedKey>,
-    /// Dispatch timestamp for the dispatch→drain latency histogram.
-    /// Stamped only when an [`ObsHub`] is attached (one `Instant::now`
-    /// per *batch*, at the batch boundary — never per packet), `None`
-    /// otherwise.
-    sent_at: Option<Instant>,
+    /// Dispatch timestamp for the dispatch→drain latency histogram:
+    /// one `Instant::now` per *batch*, restamped at every dispatch —
+    /// never per packet.
+    sent_at: Instant,
 }
 
 impl<K> SubBatch<K> {
@@ -201,14 +190,13 @@ impl<K> SubBatch<K> {
         Self {
             keys: Vec::new(),
             prepared: Vec::new(),
-            sent_at: None,
+            sent_at: Instant::now(),
         }
     }
 
     fn clear(&mut self) {
         self.keys.clear();
         self.prepared.clear();
-        self.sent_at = None;
     }
 }
 
@@ -357,11 +345,6 @@ struct Shard<K, A> {
     /// This shard's slice of the installed fault plan. Preserved across
     /// respawns so repeated faults keep firing in sequence.
     faults: Arc<ShardFaults>,
-    /// The worker's observation bundle, populated by
-    /// [`ShardedEngine::attach_obs`] (workers spawn at construction,
-    /// before any hub exists). Unset = instrumentation off: the worker
-    /// pays one atomic load per batch and nothing else.
-    obs: Arc<OnceLock<WorkerObs>>,
     worker: Option<JoinHandle<()>>,
 }
 
@@ -415,7 +398,6 @@ pub struct ShardedEngine<K: FlowKey, A: TopKAlgorithm<K>> {
     /// dispatcher's prepared keys directly (hash-once handoff).
     handoff: bool,
     k: usize,
-    batch_capacity: usize,
     pending: Mutex<Pending<K>>,
     /// Packets routed to a shard after its worker died (dropped, since
     /// no thread can ingest them).
@@ -437,20 +419,14 @@ pub struct ShardedEngine<K: FlowKey, A: TopKAlgorithm<K>> {
     auto_recover: bool,
     /// Every recovery this engine has performed, in order.
     recovery_log: Vec<RecoveryReport>,
-    /// Full-work-ring policy (see [`BackpressurePolicy`]).
-    backpressure: BackpressurePolicy,
-    /// Packets dropped by [`BackpressurePolicy::Shed`] on full rings —
-    /// the lossy-policy sibling of [`ShardedEngine::lost_packets`].
-    shed: AtomicU64,
     /// The installed fault plan, kept so a reshard can arm shard
     /// indices the old topology never had (`None` when no plan).
     fault_plan: Option<FaultPlan>,
     /// Every reshard migration this engine has run, in order
     /// (committed and rolled back alike).
     reshard_log: Vec<ReshardReport>,
-    /// The attached observability hub; `None` (the default) disables
-    /// all instrumentation down to one branch per dispatched batch.
-    obs: Option<Arc<ObsHub>>,
+    /// The engine's own observability hub (see the module docs).
+    obs: ObsHub,
 }
 
 impl<K, A> ShardedEngine<K, A>
@@ -492,16 +468,19 @@ where
         } else {
             HashSpec::new(ROUTE_SEED, 32)
         };
+        let obs = ObsHub::new();
         let shards = shards
             .into_iter()
-            .map(|a| Self::spawn_shard(a, handoff))
+            .enumerate()
+            .map(|(i, a)| {
+                Self::spawn_shard(a, handoff, Arc::default(), Arc::default(), 0, obs.worker(i))
+            })
             .collect();
         Self {
             shards,
             route,
             handoff,
             k,
-            batch_capacity: DEFAULT_BATCH_CAPACITY,
             pending: Mutex::new(Pending {
                 per_shard: (0..n).map(|_| SubBatch::new()).collect(),
                 total: 0,
@@ -513,22 +492,10 @@ where
             restore: None,
             auto_recover: false,
             recovery_log: Vec::new(),
-            backpressure: BackpressurePolicy::Block,
-            shed: AtomicU64::new(0),
             fault_plan: None,
             reshard_log: Vec::new(),
-            obs: None,
+            obs,
         }
-    }
-
-    fn spawn_shard(algo: A, handoff: bool) -> Shard<K, A> {
-        Self::spawn_shard_with(
-            algo,
-            handoff,
-            Arc::new(Mutex::new(None)),
-            Arc::new(ShardFaults::default()),
-            0,
-        )
     }
 
     /// Spawns a shard worker around `algo`, reusing the given checkpoint
@@ -537,19 +504,21 @@ where
     /// applied-packet position at `base_packets` — the restoring
     /// checkpoint's cut, so dark-window accounting and fault thresholds
     /// stay in cumulative sub-stream coordinates across repeated kills.
-    fn spawn_shard_with(
+    /// `obs` is the worker's bundle for its shard slot, so a respawned
+    /// or resharded shard keeps accumulating on the slot's series.
+    fn spawn_shard(
         algo: A,
         handoff: bool,
         checkpoint: Arc<Mutex<Option<CheckpointSlot>>>,
         faults: Arc<ShardFaults>,
         base_packets: u64,
+        obs: WorkerObs,
     ) -> Shard<K, A> {
         let algo = Arc::new(Mutex::new(algo));
         let processed = Arc::new(AtomicU64::new(0));
         let sleeping = Arc::new(AtomicBool::new(false));
         let work = Arc::new(SpscRing::new(WORK_RING_CAPACITY));
         let recycled = Arc::new(SpscRing::new(RECYCLE_RING_CAPACITY));
-        let obs: Arc<OnceLock<WorkerObs>> = Arc::new(OnceLock::new());
         let worker = {
             let algo = Arc::clone(&algo);
             let processed = Arc::clone(&processed);
@@ -557,7 +526,6 @@ where
             let work = Arc::clone(&work);
             let recycled = Arc::clone(&recycled);
             let faults = Arc::clone(&faults);
-            let obs = Arc::clone(&obs);
             std::thread::spawn(move || {
                 Self::worker_loop(
                     &algo,
@@ -586,7 +554,6 @@ where
             ckpt_batches: AtomicU64::new(0),
             checkpoint,
             faults,
-            obs,
             worker: Some(worker),
         }
     }
@@ -605,7 +572,7 @@ where
         sleeping: &AtomicBool,
         faults: &ShardFaults,
         handoff: bool,
-        obs: &OnceLock<WorkerObs>,
+        obs: &WorkerObs,
     ) {
         // Cumulative packets applied, in the same rebased coordinates as
         // the shard's routed counter: the stream position fault
@@ -671,20 +638,14 @@ where
                             guard.insert_batch(&batch.keys);
                         }
                     }
-                    // Instrumentation samples at the batch boundary:
-                    // one counter bump and one histogram record per
-                    // *drained batch*, and the latency clock was read
-                    // at dispatch — the per-packet walk above stays
-                    // timing- and counter-free.
-                    if let Some(o) = obs.get() {
-                        o.shard.ingest_batches.incr();
-                        o.shard.ingest_packets.add(units);
-                        o.batch_packets.record(units);
-                        if let Some(sent) = batch.sent_at {
-                            let ns = sent.elapsed().as_nanos();
-                            o.latency_ns.record(u64::try_from(ns).unwrap_or(u64::MAX));
-                        }
-                    }
+                    // Instrumentation samples at the batch boundary,
+                    // once per *drained batch* — the per-packet walk
+                    // above stays timing- and counter-free.
+                    obs.shard.ingest_batches.incr();
+                    obs.shard.ingest_packets.add(units);
+                    obs.batch_packets.record(units);
+                    let ns = batch.sent_at.elapsed().as_nanos();
+                    obs.latency_ns.record(u64::try_from(ns).unwrap_or(u64::MAX));
                     packets_done += units;
                     processed.fetch_add(units, Ordering::Release);
                     // Hand the drained buffer back for reuse; a full
@@ -742,16 +703,6 @@ where
     /// Number of shards.
     pub fn shards(&self) -> usize {
         self.shards.len()
-    }
-
-    /// The scalar-insert buffering threshold (see the module docs).
-    pub fn batch_capacity(&self) -> usize {
-        self.batch_capacity
-    }
-
-    /// Overrides the scalar-insert buffering threshold.
-    pub fn set_batch_capacity(&mut self, capacity: usize) {
-        self.batch_capacity = capacity.max(1);
     }
 
     /// True when the engine ships dispatcher-prepared keys to workers
@@ -851,80 +802,36 @@ where
         self.lost.load(Ordering::Acquire)
     }
 
-    /// Packets dropped by [`BackpressurePolicy::Shed`] when their
-    /// shard's work ring was full — the lossy-policy counter next to
-    /// [`ShardedEngine::lost_packets`] (which counts dead-shard drops;
-    /// the two never overlap). Always zero under the default
-    /// [`BackpressurePolicy::Block`].
+    /// Always zero: a full work ring blocks the dispatcher until the
+    /// worker frees a slot, so no packet is ever shed. Kept for
+    /// callers that still report it next to
+    /// [`ShardedEngine::lost_packets`].
     pub fn shed_packets(&self) -> u64 {
-        self.shed.load(Ordering::Acquire)
+        0
     }
 
-    /// Attaches an observability hub: every stage of the engine starts
-    /// reporting into it — dispatch/ingest counters, dispatch→drain
-    /// latency and batch-size histograms, and journal events for
-    /// worker death, recovery, reshard phases and shedding. Idempotent
-    /// per shard slot (the worker's bundle is set once); shard slots
-    /// created later (reshard growth, respawn) are wired automatically.
-    ///
-    /// With no hub attached (the default) the hot path pays one branch
-    /// per dispatched batch and one relaxed load per drained batch. The
-    /// `no-timing-in-hot-path` lint keeps clock reads off the per-packet
-    /// path; the attached-hub cost returns as a benchmark workload
-    /// (`ledger/`) in a later benchmark change.
-    pub fn attach_obs(&mut self, hub: Arc<ObsHub>) {
-        for (idx, shard) in self.shards.iter().enumerate() {
-            let _ = shard.obs.set(hub.worker(idx));
-        }
-        self.obs = Some(hub);
-    }
-
-    /// The attached hub, if any.
-    pub fn obs(&self) -> Option<&Arc<ObsHub>> {
-        self.obs.as_ref()
-    }
-
-    /// Publishes the engine-owned gauge totals (SPSC ring push/pop
-    /// counts, lost and shed packets) into the attached hub and returns
-    /// a coherent snapshot. `None` when no hub is attached.
-    pub fn obs_snapshot(&self) -> Option<hk_obs::Snapshot> {
-        let hub = self.obs.as_ref()?;
-        let mut pushes = 0u64;
-        let mut pops = 0u64;
+    /// A coherent snapshot of the engine's hub (see the module docs),
+    /// with the totals the engine owns filled in: SPSC ring pushes and
+    /// pops over the live shards' work and return rings, and
+    /// [`ShardedEngine::lost_packets`].
+    pub fn obs_snapshot(&self) -> Snapshot {
+        let mut snap = self.obs.snapshot();
         for shard in &self.shards {
-            pushes += shard.work.pushes() + shard.recycled.pushes();
-            pops += shard.work.pops() + shard.recycled.pops();
+            snap.stages.ring_pushes += shard.work.pushes() + shard.recycled.pushes();
+            snap.stages.ring_pops += shard.work.pops() + shard.recycled.pops();
         }
-        hub.stages.ring_pushes.set(pushes);
-        hub.stages.ring_pops.set(pops);
-        hub.stages.lost_packets.set(self.lost_packets());
-        hub.stages.shed_packets.set(self.shed_packets());
-        Some(hub.snapshot())
+        snap.stages.lost_packets = self.lost_packets();
+        snap
     }
 
-    /// Journals a reshard phase transition (no-op without a hub).
+    /// Journals a reshard phase transition.
     fn obs_reshard_phase(&self, from: usize, to: usize, stage: ReshardStage) {
-        if let Some(hub) = &self.obs {
-            hub.stages.reshard_phases.incr();
-            hub.journal.record(EventKind::ReshardPhase {
-                from_shards: from as u64,
-                to_shards: to as u64,
-                stage,
-            });
-        }
-    }
-
-    /// The current full-ring policy.
-    pub fn backpressure(&self) -> BackpressurePolicy {
-        self.backpressure
-    }
-
-    /// Sets the full-ring policy (see [`BackpressurePolicy`]). A shed
-    /// sub-batch's buffer is dropped with it, so sustained shedding
-    /// re-allocates replacement buffers at the shedding rate —
-    /// shedding trades the zero-alloc steady state for liveness.
-    pub fn set_backpressure(&mut self, policy: BackpressurePolicy) {
-        self.backpressure = policy;
+        self.obs.stages.reshard_phases.incr();
+        self.obs.journal.record(EventKind::ReshardPhase {
+            from_shards: from as u64,
+            to_shards: to as u64,
+            stage,
+        });
     }
 
     /// Accounts a newly detected worker death exactly once: whichever
@@ -942,11 +849,10 @@ where
             let done = shard.processed.load(Ordering::Acquire);
             self.lost
                 .fetch_add(target.saturating_sub(done), Ordering::Release);
-            if let Some(hub) = &self.obs {
-                hub.shard(idx).worker_deaths.incr();
-                hub.journal
-                    .record(EventKind::WorkerDeath { shard: idx as u64 });
-            }
+            self.obs.shard(idx).worker_deaths.incr();
+            self.obs
+                .journal
+                .record(EventKind::WorkerDeath { shard: idx as u64 });
         }
     }
 
@@ -999,23 +905,6 @@ where
                         return;
                     }
                     msg = err.into_inner();
-                    // Shed policy: a live-but-slow shard's overflow
-                    // batch is dropped instead of stalling the whole
-                    // dispatch plane. Ops always block — a shed
-                    // rotation or checkpoint barrier would tear the
-                    // phase alignment shedding is meant to preserve.
-                    if self.backpressure == BackpressurePolicy::Shed
-                        && matches!(msg, ShardMsg::Batch(_))
-                    {
-                        self.shed.fetch_add(packet_units, Ordering::Release);
-                        if let Some(hub) = &self.obs {
-                            hub.journal.record(EventKind::Shed {
-                                shard: idx as u64,
-                                packets: packet_units,
-                            });
-                        }
-                        return;
-                    }
                     std::thread::yield_now();
                 }
             }
@@ -1063,14 +952,12 @@ where
             let replacement = self.take_buffer(idx);
             let mut batch = std::mem::replace(&mut pending.per_shard[idx], replacement);
             let units = batch.keys.len() as u64;
-            if let Some(hub) = &self.obs {
-                hub.stages.dispatch_batches.incr();
-                hub.stages.dispatch_packets.add(units);
-                // One clock read per dispatched batch, at the batch
-                // boundary — the worker computes the elapsed
-                // dispatch→drain time when it drains this buffer.
-                batch.sent_at = Some(Instant::now());
-            }
+            self.obs.stages.dispatch_batches.incr();
+            self.obs.stages.dispatch_packets.add(units);
+            // One clock read per dispatched batch, at the batch
+            // boundary — the worker computes the elapsed
+            // dispatch→drain time when it drains this buffer.
+            batch.sent_at = Instant::now();
             self.send_to_shard(idx, ShardMsg::Batch(batch), units, units);
             // Scheduled checkpoint: every `checkpoint_every` dispatched
             // batches, the shard encodes itself right behind the work
@@ -1109,9 +996,7 @@ where
                 packets: at_packets,
             });
         };
-        if let Some(hub) = &self.obs {
-            hub.stages.checkpoints.incr();
-        }
+        self.obs.stages.checkpoints.incr();
         self.send_to_shard(idx, ShardMsg::Op(Box::new(op)), 1, 0);
     }
 
@@ -1353,14 +1238,12 @@ where
                 dark_packets: routed.saturating_sub(slot.packets),
             };
             self.respawn_shard(idx, algo, slot.packets);
-            if let Some(hub) = &self.obs {
-                hub.stages.recoveries.incr();
-                hub.dark_packets.record(report.dark_packets);
-                hub.journal.record(EventKind::Recovery {
-                    shard: idx as u64,
-                    dark_packets: report.dark_packets,
-                });
-            }
+            self.obs.stages.recoveries.incr();
+            self.obs.dark_packets.record(report.dark_packets);
+            self.obs.journal.record(EventKind::Recovery {
+                shard: idx as u64,
+                dark_packets: report.dark_packets,
+            });
             self.recovery_log.push(report.clone());
             reports.push(report);
         }
@@ -1370,9 +1253,10 @@ where
     /// Replaces a dead shard's interior with a fresh worker around
     /// `algo`: fresh rings (the dead thread holds clones of the old
     /// ones), fresh flush counters, packet counters rebased to the
-    /// restoring checkpoint's cut. The checkpoint slot and fault
-    /// schedule carry over — the slot still matches the restored state,
-    /// and remaining faults keep firing on the respawned worker.
+    /// restoring checkpoint's cut. The checkpoint slot, fault schedule
+    /// and hub slot carry over — the slot still matches the restored
+    /// state, remaining faults keep firing on the respawned worker, and
+    /// its counters keep accumulating on the same series.
     fn respawn_shard(&mut self, idx: usize, algo: A, base_packets: u64) {
         let old = &mut self.shards[idx];
         old.work.close();
@@ -1381,13 +1265,9 @@ where
         }
         let checkpoint = Arc::clone(&old.checkpoint);
         let faults = Arc::clone(&old.faults);
+        let obs = self.obs.worker(idx);
         self.shards[idx] =
-            Self::spawn_shard_with(algo, self.handoff, checkpoint, faults, base_packets);
-        // The fresh worker's OnceLock is empty; re-wire it so the
-        // respawned shard keeps accumulating on the same hub slot.
-        if let Some(hub) = &self.obs {
-            let _ = self.shards[idx].obs.set(hub.worker(idx));
-        }
+            Self::spawn_shard(algo, self.handoff, checkpoint, faults, base_packets, obs);
     }
 
     /// The auto-recover death scan: one `is_finished` load per shard
@@ -1447,7 +1327,7 @@ where
     ///    joined.
     ///
     /// Ingest issued between phases buffers in the pending partition
-    /// under the usual bounded backpressure policy and is dispatched to
+    /// under the usual bounded backpressure and is dispatched to
     /// the *new* topology after the swap. A migration that cannot
     /// complete — unrecoverable shard, undecodable or fold-incompatible
     /// checkpoint, faults exhausting the drain retry budget — **rolls
@@ -1504,9 +1384,7 @@ where
         self.obs_reshard_phase(from, new_shards, ReshardStage::Swap);
         self.reshard_swap(states, encode);
         self.obs_reshard_phase(from, new_shards, ReshardStage::Commit);
-        if let Some(hub) = &self.obs {
-            hub.stages.reshards.incr();
-        }
+        self.obs.stages.reshards.incr();
         let report = ReshardReport {
             from_shards: from,
             to_shards: new_shards,
@@ -1636,12 +1514,16 @@ where
                 }
                 f
             };
-            fresh.push(Self::spawn_shard_with(
+            // Slot counters are per index: shards alive on both sides
+            // keep their series, grown indices start fresh ones.
+            let obs = self.obs.worker(j);
+            fresh.push(Self::spawn_shard(
                 algo,
                 self.handoff,
                 slot,
                 faults,
                 base,
+                obs,
             ));
         }
         self.buffers_allocated
@@ -1654,14 +1536,6 @@ where
             pending.total = 0;
             std::mem::replace(&mut self.shards, fresh)
         };
-        // Wire the new topology's workers into the hub: slot counters
-        // are per-index, so shards alive on both sides keep their
-        // series and grown indices start fresh ones.
-        if let Some(hub) = &self.obs {
-            for (j, shard) in self.shards.iter().enumerate() {
-                let _ = shard.obs.set(hub.worker(j));
-            }
-        }
         for mut shard in old {
             shard.work.close();
             shard.wake();
@@ -1706,12 +1580,12 @@ where
         let dispatch = {
             let mut pending = self.lock_pending();
             self.route_into(std::slice::from_ref(key), &mut pending);
-            pending.total >= self.batch_capacity
+            pending.total >= BATCH_CAPACITY
         };
         if dispatch {
             self.auto_recover_if_needed();
             let mut pending = self.lock_pending();
-            if pending.total >= self.batch_capacity {
+            if pending.total >= BATCH_CAPACITY {
                 self.dispatch_locked(&mut pending);
             }
         }
@@ -1811,9 +1685,7 @@ where
         // right behind the rotate op, so a restart from it resumes at a
         // clean epoch boundary.
         let res = self.barrier(Some(A::rotate_epoch), false);
-        if let Some(hub) = &self.obs {
-            hub.stages.rotations.incr();
-        }
+        self.obs.stages.rotations.incr();
         res
     }
 }
@@ -1882,8 +1754,7 @@ impl<K: FlowKey + Send + 'static> ShardedEngine<K, crate::sliding::SlidingTopK<K
     /// so every frame is cut at the same point of the stream, then calls
     /// `export(window, switch_id)` on every shard in index order (shard
     /// `i` is switch `switch_id_base + i`). Returns the frames only if
-    /// every shard produced one, and then records them in the attached
-    /// hub.
+    /// every shard produced one, and then records them in the hub.
     fn export_each(
         &self,
         switch_id_base: u64,
@@ -1905,10 +1776,10 @@ impl<K: FlowKey + Send + 'static> ShardedEngine<K, crate::sliding::SlidingTopK<K
             })
             .collect();
         let frames: Option<Vec<Vec<u8>>> = frames.into_iter().collect();
-        if let (Some(hub), Some(frames)) = (&self.obs, &frames) {
-            hub.stages.exports.incr();
+        if let Some(frames) = &frames {
+            self.obs.stages.exports.incr();
             for f in frames {
-                hub.export_bytes.record(f.len() as u64);
+                self.obs.export_bytes.record(f.len() as u64);
             }
         }
         Ok(frames)
@@ -1993,33 +1864,6 @@ impl<K: FlowKey + Send + 'static> ShardedEngine<K, ParallelTopK<K>> {
     }
 }
 
-impl<K: FlowKey + Send + 'static> ShardedEngine<K, MinimumTopK<K>> {
-    /// An engine of `shards` Minimum-variant instances (see
-    /// [`ShardedEngine::parallel`] for the memory split).
-    pub fn minimum(cfg: &HkConfig, shards: usize) -> Self {
-        let per = split_config(cfg, shards);
-        Self::from_fn(shards, cfg.k, |_| MinimumTopK::new(per.clone()))
-    }
-
-    /// Folds every **live** shard into one Minimum instance via the
-    /// sketch merge machinery (same degradation rules as the Parallel
-    /// engine's `merged`: poisoned shards are skipped,
-    /// [`MergeError::NoLiveShards`] when none survive).
-    pub fn merged(&self) -> Result<MinimumTopK<K>, MergeError> {
-        let mut out: Option<MinimumTopK<K>> = None;
-        for i in 0..self.shards() {
-            let Some(part) = self.with_shard(i, |a| a.clone()) else {
-                continue;
-            };
-            match &mut out {
-                None => out = Some(part),
-                Some(acc) => acc.merge_from(&part)?,
-            }
-        }
-        out.ok_or(MergeError::NoLiveShards)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -2083,7 +1927,7 @@ mod tests {
         for _ in 0..10 {
             engine.insert(&7u64);
         }
-        // Far below batch_capacity, yet reads must see every packet.
+        // Far below BATCH_CAPACITY, yet reads must see every packet.
         assert_eq!(engine.query(&7), 10);
         assert_eq!(engine.top_k()[0], (7, 10));
     }
@@ -2497,7 +2341,7 @@ mod tests {
 
     /// An algorithm whose ingest blocks until a shared gate opens:
     /// makes the worker deterministically slow so the work ring fills
-    /// and the full-ring backpressure policies are observable.
+    /// and the full-ring backpressure is observable.
     struct Gated {
         open: Arc<std::sync::atomic::AtomicBool>,
         count: u64,
@@ -2534,36 +2378,6 @@ mod tests {
     }
 
     #[test]
-    fn shed_policy_drops_counted_packets_on_full_ring() {
-        let gate = Arc::new(std::sync::atomic::AtomicBool::new(false));
-        let mut engine = ShardedEngine::from_shards(
-            vec![Gated {
-                open: Arc::clone(&gate),
-                count: 0,
-            }],
-            4,
-        );
-        engine.set_batch_capacity(1);
-        assert_eq!(engine.backpressure(), BackpressurePolicy::Block);
-        engine.set_backpressure(BackpressurePolicy::Shed);
-        // The gated worker never frees a ring slot, so once the ring
-        // fills every further batch must shed instead of stalling —
-        // this loop terminates *because* Shed never blocks.
-        let total = 20 * WORK_RING_CAPACITY as u64;
-        for _ in 0..total {
-            engine.insert_batch(&[7u64]);
-        }
-        assert!(engine.shed_packets() > 0, "full ring under Shed must shed");
-        gate.store(true, Ordering::Release);
-        engine.flush().expect("gated worker is alive, not dead");
-        // Shed is bookkept loss, not silent loss: what was not shed was
-        // applied, and none of it counts as dead-shard loss.
-        assert_eq!(engine.query(&7), total - engine.shed_packets());
-        assert_eq!(engine.lost_packets(), 0);
-        assert!(engine.poisoned_shards().is_empty());
-    }
-
-    #[test]
     fn block_policy_stalls_until_worker_catches_up() {
         let gate = Arc::new(std::sync::atomic::AtomicBool::new(false));
         let mut engine = ShardedEngine::from_shards(
@@ -2573,10 +2387,10 @@ mod tests {
             }],
             4,
         );
-        engine.set_batch_capacity(1);
-        // Open the gate from the side once the dispatcher is (almost
-        // surely) parked on the full ring; under Block it must wait for
-        // the worker rather than drop or shed anything.
+        // Every `insert_batch` dispatches one sub-batch. Open the gate
+        // from the side once the dispatcher is (almost surely) parked
+        // on the full ring; it must wait for the worker rather than
+        // drop or shed anything.
         let opener = {
             let gate = Arc::clone(&gate);
             std::thread::spawn(move || {
@@ -2732,16 +2546,16 @@ mod tests {
         engine.insert_batch(&stream);
         engine.flush().expect("healthy engine");
         let applied0 = stream.iter().filter(|f| engine.shard_of(f) == 0).count() as u64;
-        // The fault crosses only when the *drain* dispatches the staged
-        // sub-batch below — the stream above ends exactly at the
-        // threshold and `>` does not fire.
+        // The fault crosses only on the staged sub-batch below — the
+        // stream above ends exactly at the threshold and `>` does not
+        // fire.
         engine.set_fault_plan(&FaultPlan::new().kill(0, applied0));
         let mut victim = 0u64;
         while engine.shard_of(&victim) != 0 {
             victim += 1;
         }
         let staged = vec![victim; 50];
-        engine.insert_batch(&staged); // stays pending: far below batch_capacity
+        engine.insert_batch(&staged); // dispatched at once: the worker dies on it
         let report = engine.reshard(4).expect("well-formed reshard");
         assert!(report.committed, "drain heals and retries: {report}");
         assert_eq!(report.recoveries.len(), 1, "exactly the scheduled kill");
@@ -2826,9 +2640,7 @@ mod tests {
 
     #[test]
     fn obs_snapshot_covers_a_faulted_resharded_run() {
-        let hub = Arc::new(hk_obs::ObsHub::new());
         let mut engine = checked_engine(2048, 2);
-        engine.attach_obs(hub.clone());
         engine.set_fault_plan(&FaultPlan::new().kill(0, 200));
         engine.set_auto_recover(true);
         let batch = counting_batch();
@@ -2842,7 +2654,7 @@ mod tests {
         engine.insert_batch(&batch);
         engine.flush().expect("healthy after reshard");
 
-        let snap = engine.obs_snapshot().expect("hub attached");
+        let snap = engine.obs_snapshot();
         // Stage counters: every packet dispatched, all of them ingested
         // (recovery replays the checkpointed prefix, so ingest can
         // exceed dispatch — never undershoot what survived).
@@ -2870,28 +2682,29 @@ mod tests {
         assert!(snap.journal.count_of("recovery") >= 1);
         assert!(snap.journal.count_of("reshard_phase") >= 4);
         assert_eq!(snap.journal.dropped, 0);
-        // Both exposition formats carry the keys CI greps for.
+        // The JSON exposition carries the keys CI greps for.
         let json = snap.render_json();
         assert!(json.contains("\"dispatch_packets\""), "{json}");
+        assert!(json.contains("\"recoveries\": 1,"), "{json}");
         assert!(json.contains("\"kind\": \"recovery\""), "{json}");
         assert!(json.contains("\"kind\": \"reshard_phase\""), "{json}");
-        let prom = snap.render_prometheus();
-        assert!(prom.contains("hk_recoveries 1"), "{prom}");
     }
 
     #[test]
-    fn detached_engine_has_no_obs_and_sheds_no_instrumentation_state() {
+    fn fresh_engine_snapshot_counts_every_dispatched_and_ingested_packet() {
         let mut engine = ShardedEngine::parallel(&cfg(256, 8), 2);
-        assert!(engine.obs().is_none());
-        assert!(engine.obs_snapshot().is_none());
-        engine.insert_batch(&counting_batch());
+        let batch = counting_batch();
+        engine.insert_batch(&batch);
         engine.flush().expect("healthy");
-        // Attaching mid-life starts counting from here on.
-        let hub = Arc::new(hk_obs::ObsHub::new());
-        engine.attach_obs(hub);
-        engine.insert_batch(&counting_batch());
-        engine.flush().expect("healthy");
-        let snap = engine.obs_snapshot().expect("attached");
-        assert_eq!(snap.stages.dispatch_packets, counting_batch().len() as u64);
+        let snap = engine.obs_snapshot();
+        let n = batch.len() as u64;
+        assert_eq!(snap.stages.dispatch_packets, n);
+        assert_eq!(snap.shards.len(), 2, "one slot per shard from the start");
+        let ingested: u64 = snap.shards.iter().map(|s| s.ingest_packets).sum();
+        assert_eq!(ingested, n, "every dispatched packet was ingested");
+        assert_eq!(snap.batch_packets.sum, n);
+        assert_eq!(snap.dispatch_latency_ns.count, snap.stages.dispatch_batches);
+        assert_eq!(snap.stages.lost_packets, 0);
+        assert!(snap.stages.ring_pushes >= snap.stages.dispatch_batches);
     }
 }

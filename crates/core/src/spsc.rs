@@ -182,15 +182,6 @@ impl<T> SpscRing<T> {
         self.pops.load(Ordering::Relaxed)
     }
 
-    /// True when every slot is occupied — the next `try_push` would
-    /// return [`PushError::Full`]. Advisory on the producer side (the
-    /// consumer may free a slot at any moment): a shedding dispatcher
-    /// uses it to decide *before* building a message, the push result
-    /// stays the source of truth.
-    pub fn is_full(&self) -> bool {
-        self.len() == self.capacity()
-    }
-
     /// Drains up to `max` items into `out`, returning how many were
     /// taken. This is the consumer-side batch boundary: one call's
     /// worth of items becomes one `insert_batch`.
@@ -246,11 +237,8 @@ mod tests {
     #[test]
     fn full_hands_item_back() {
         let ring: SpscRing<u32> = SpscRing::new(2);
-        assert!(!ring.is_full());
         ring.try_push(1).unwrap();
-        assert!(!ring.is_full());
         ring.try_push(2).unwrap();
-        assert!(ring.is_full(), "capacity reached");
         match ring.try_push(3) {
             Err(PushError::Full(item)) => assert_eq!(item, 3, "backpressure returns the item"),
             other => panic!("expected Full, got {other:?}"),

@@ -70,9 +70,9 @@ pub struct LintConfig {
     pub hot_functions: Vec<(String, String)>,
     /// Per-packet functions for `no-timing-in-hot-path`. Deliberately
     /// narrower than [`LintConfig::hot_functions`]: batch-boundary
-    /// code (`dispatch_locked`, `worker_loop`) may read the clock once
-    /// per batch — the obs latency histogram depends on it — but
-    /// per-packet walks must never.
+    /// code (`dispatch_locked`, `worker_loop`) reads the clock once
+    /// per batch on every engine — the built-in obs latency histogram
+    /// depends on it — but per-packet walks must never.
     pub timing_hot_functions: Vec<(String, String)>,
     /// Files that are wholly worker/fault/recovery scope.
     pub worker_files: Vec<String>,
@@ -154,8 +154,8 @@ impl LintConfig {
             ]),
             // The per-packet subset of the hot set: everything above
             // except the batch-boundary dispatch/worker code, which
-            // stamps one Instant per *batch* for the obs latency
-            // histogram (PR 10) and is allowed to.
+            // always stamps one Instant per *batch* for the built-in
+            // obs latency histogram and is allowed to.
             timing_hot_functions: pairs(&[
                 ("crates/core/src/sketch.rs", "insert_basic_keyed"),
                 ("crates/core/src/sketch.rs", "walk_parallel"),
@@ -179,7 +179,6 @@ impl LintConfig {
             worker_functions: pairs(&[
                 ("crates/core/src/sharded.rs", "worker_loop"),
                 ("crates/core/src/sharded.rs", "spawn_shard"),
-                ("crates/core/src/sharded.rs", "spawn_shard_with"),
                 ("crates/core/src/sharded.rs", "recover"),
                 ("crates/core/src/sharded.rs", "respawn_shard"),
                 ("crates/core/src/sharded.rs", "auto_recover_if_needed"),

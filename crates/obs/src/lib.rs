@@ -6,9 +6,9 @@
 //! subsystems now also report through:
 //!
 //! * **Stage counters** ([`StageCounters`], [`ShardObs`]) — relaxed,
-//!   cache-line-padded atomics covering dispatch, ring push/pop, worker
-//!   ingest, rotate, export, checkpoint, recovery and reshard phases.
-//!   One `fetch_add(Relaxed)` per *batch* on the hot path, never per
+//!   cache-line-padded atomics covering dispatch, worker ingest,
+//!   rotate, export, checkpoint, recovery and reshard phases. One
+//!   `fetch_add(Relaxed)` per *batch* on the hot path, never per
 //!   packet.
 //! * **Log2 histograms** ([`Log2Hist`]) — 64 power-of-two buckets with
 //!   integer-only recording (one `leading_zeros` + two relaxed adds)
@@ -17,19 +17,18 @@
 //!   dark windows.
 //! * **Event journal** ([`EventJournal`]) — a fixed-capacity ring of
 //!   typed [`Event`]s (worker death, recovery, reshard phase
-//!   transitions, eviction/readmission, resync, shed) with monotonic
+//!   transitions, eviction/readmission, resync) with monotonic
 //!   sequence numbers and drop accounting when the ring overwrites.
 //! * **Exposition** ([`Snapshot`]) — a coherent point-in-time snapshot
-//!   from [`ObsHub::snapshot`], rendered with
-//!   [`Snapshot::render_json`] (the repo's hand-rolled JSON) or
-//!   [`Snapshot::render_prometheus`]. `hk run --stats-json PATH` and
-//!   the periodic `hk fleet` stat lines are thin wrappers over it.
+//!   from [`ObsHub::snapshot`], rendered with [`Snapshot::render_json`]
+//!   (the repo's hand-rolled JSON). `hk run --stats-json PATH` and the
+//!   periodic `hk fleet` stat lines are thin wrappers over it.
 //!
-//! Instrumentation is **attach-based and off by default**: the engine
-//! holds an `Option<Arc<ObsHub>>` that is `None` unless a caller
-//! attaches one, so the disabled hot path pays a single branch per
-//! batch. Measuring the attached-hub cost returns as a workload of the
-//! workspace benchmark (`ledger/`) in a later benchmark change.
+//! Instrumentation is **built in**: every sharded engine and every
+//! fleet creates its own hub, so each run explains itself through one
+//! snapshot with no setup. Totals an engine already keeps (ring
+//! traffic, lost packets) are not mirrored here; the engine's
+//! `obs_snapshot` fills them into the [`StageSnapshot`] it returns.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -74,23 +73,10 @@ impl Counter {
     pub fn get(&self) -> u64 {
         self.v.load(Ordering::Relaxed)
     }
-
-    /// Overwrites the value — for gauge-style publication of totals
-    /// owned elsewhere (ring push/pop counts, lost/shed packets).
-    #[inline]
-    pub fn set(&self, n: u64) {
-        self.v.store(n, Ordering::Relaxed);
-    }
 }
 
-/// Global (engine-wide) per-stage counters.
-///
-/// `dispatch_*`, `checkpoints`, `rotations`, `exports`, `recoveries`
-/// and `reshard_*` are true counters incremented at the named stage.
-/// `ring_pushes`/`ring_pops`/`lost_packets`/`shed_packets` are
-/// *published gauges*: the engine owns those totals (rings are
-/// replaced wholesale on respawn/reshard) and stores them into the hub
-/// when asked for a snapshot.
+/// Global (engine-wide) per-stage counters, each incremented at the
+/// named stage.
 #[derive(Debug, Default)]
 pub struct StageCounters {
     /// Sub-batches handed to shard workers by the dispatcher.
@@ -110,14 +96,6 @@ pub struct StageCounters {
     pub reshards: Counter,
     /// Reshard phase transitions (drain/rebuild/swap/rollback).
     pub reshard_phases: Counter,
-    /// Gauge: total successful SPSC ring pushes (work + recycle).
-    pub ring_pushes: Counter,
-    /// Gauge: total successful SPSC ring pops (work + recycle).
-    pub ring_pops: Counter,
-    /// Gauge: packets lost to dead shards (engine `lost_packets`).
-    pub lost_packets: Counter,
-    /// Gauge: packets shed under `BackpressurePolicy::Shed`.
-    pub shed_packets: Counter,
 }
 
 /// Per-shard worker-side counters, updated only by that shard's worker
@@ -132,7 +110,8 @@ pub struct ShardObs {
     pub worker_deaths: Counter,
 }
 
-/// Point-in-time copy of [`StageCounters`].
+/// Point-in-time copy of [`StageCounters`], plus the totals an engine
+/// owns itself (zero in a bare [`ObsHub::snapshot`]).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct StageSnapshot {
     /// See [`StageCounters::dispatch_batches`].
@@ -151,14 +130,13 @@ pub struct StageSnapshot {
     pub reshards: u64,
     /// See [`StageCounters::reshard_phases`].
     pub reshard_phases: u64,
-    /// See [`StageCounters::ring_pushes`].
+    /// Successful SPSC ring pushes (work + return rings), from the
+    /// engine.
     pub ring_pushes: u64,
-    /// See [`StageCounters::ring_pops`].
+    /// Successful SPSC ring pops (work + return rings), from the engine.
     pub ring_pops: u64,
-    /// See [`StageCounters::lost_packets`].
+    /// Packets lost to dead shards, from the engine.
     pub lost_packets: u64,
-    /// See [`StageCounters::shed_packets`].
-    pub shed_packets: u64,
 }
 
 /// Point-in-time copy of one shard's [`ShardObs`].
@@ -310,7 +288,7 @@ pub enum ReshardStage {
 }
 
 impl ReshardStage {
-    /// Stable lower-case label used in both exposition formats.
+    /// Stable lower-case label used in the JSON exposition.
     pub fn label(self) -> &'static str {
         match self {
             ReshardStage::Drain => "drain",
@@ -361,17 +339,10 @@ pub enum EventKind {
         /// Switch id resynced.
         switch: u64,
     },
-    /// Packets shed at dispatch under `BackpressurePolicy::Shed`.
-    Shed {
-        /// Shard whose full ring triggered the shed.
-        shard: u64,
-        /// Packets dropped by this shed decision.
-        packets: u64,
-    },
 }
 
 impl EventKind {
-    /// Stable snake_case label used in both exposition formats.
+    /// Stable snake_case label used in the JSON exposition.
     pub fn label(&self) -> &'static str {
         match self {
             EventKind::WorkerDeath { .. } => "worker_death",
@@ -380,7 +351,6 @@ impl EventKind {
             EventKind::Eviction { .. } => "eviction",
             EventKind::Readmission { .. } => "readmission",
             EventKind::Resync { .. } => "resync",
-            EventKind::Shed { .. } => "shed",
         }
     }
 
@@ -411,9 +381,6 @@ impl EventKind {
             | EventKind::Readmission { switch }
             | EventKind::Resync { switch } => {
                 let _ = write!(out, "\"switch\": {switch}");
-            }
-            EventKind::Shed { shard, packets } => {
-                let _ = write!(out, "\"shard\": {shard}, \"packets\": {packets}");
             }
         }
     }
@@ -555,11 +522,11 @@ impl JournalSnapshot {
 
 /// The per-worker observation bundle.
 ///
-/// Built once per worker (via [`ObsHub::worker`]) and cached on the
-/// shard handle, so the worker loop touches only pre-resolved `Arc`s:
-/// its own [`ShardObs`] plus the shared latency/batch histograms and
-/// the journal. Holding these by `Arc` (not via the hub) keeps worker
-/// threads free of any back-reference to [`ObsHub`].
+/// Built once per worker (via [`ObsHub::worker`]) and handed to the
+/// worker at spawn, so the worker loop touches only pre-resolved `Arc`s:
+/// its own [`ShardObs`] plus the shared latency/batch histograms.
+/// Holding these by `Arc` (not via the hub) keeps worker threads free
+/// of any back-reference to [`ObsHub`].
 #[derive(Debug, Clone)]
 pub struct WorkerObs {
     /// This worker's shard counters.
@@ -568,14 +535,11 @@ pub struct WorkerObs {
     pub latency_ns: Arc<Log2Hist>,
     /// Ingested sub-batch size histogram (packets).
     pub batch_packets: Arc<Log2Hist>,
-    /// The shared event journal.
-    pub journal: Arc<EventJournal>,
 }
 
-/// The attachable observability hub: one per engine/fleet run.
+/// The observability hub: each sharded engine and each fleet owns one.
 ///
-/// Cheap to share (`Arc`), cheap to ignore (`Option<Arc<ObsHub>>`
-/// checked once per batch). All counter updates are relaxed atomics;
+/// All counter updates are relaxed atomics, at most a few per batch;
 /// the journal takes a short mutex only when an *event* (rare by
 /// construction) fires.
 #[derive(Debug)]
@@ -588,11 +552,11 @@ pub struct ObsHub {
     /// Ingested sub-batch sizes (packets).
     pub batch_packets: Arc<Log2Hist>,
     /// Export payload sizes (bytes) per export call.
-    pub export_bytes: Arc<Log2Hist>,
+    pub export_bytes: Log2Hist,
     /// Recovery dark windows (packets) per recovered shard.
-    pub dark_packets: Arc<Log2Hist>,
+    pub dark_packets: Log2Hist,
     /// The structured event journal.
-    pub journal: Arc<EventJournal>,
+    pub journal: EventJournal,
 }
 
 impl Default for ObsHub {
@@ -602,21 +566,17 @@ impl Default for ObsHub {
 }
 
 impl ObsHub {
-    /// A hub with the default journal capacity.
+    /// A hub whose journal retains the newest
+    /// [`DEFAULT_JOURNAL_CAPACITY`] events.
     pub fn new() -> Self {
-        Self::with_journal_capacity(DEFAULT_JOURNAL_CAPACITY)
-    }
-
-    /// A hub whose journal retains at most `capacity` events.
-    pub fn with_journal_capacity(capacity: usize) -> Self {
         Self {
             stages: StageCounters::default(),
             shards: Mutex::new(Vec::new()),
             dispatch_latency_ns: Arc::new(Log2Hist::new()),
             batch_packets: Arc::new(Log2Hist::new()),
-            export_bytes: Arc::new(Log2Hist::new()),
-            dark_packets: Arc::new(Log2Hist::new()),
-            journal: Arc::new(EventJournal::with_capacity(capacity)),
+            export_bytes: Log2Hist::new(),
+            dark_packets: Log2Hist::new(),
+            journal: EventJournal::new(),
         }
     }
 
@@ -637,11 +597,11 @@ impl ObsHub {
             shard: self.shard(idx),
             latency_ns: Arc::clone(&self.dispatch_latency_ns),
             batch_packets: Arc::clone(&self.batch_packets),
-            journal: Arc::clone(&self.journal),
         }
     }
 
-    /// Point-in-time snapshot of everything the hub holds.
+    /// Point-in-time snapshot of everything the hub holds. The
+    /// engine-owned [`StageSnapshot`] totals are left at zero.
     pub fn snapshot(&self) -> Snapshot {
         let s = &self.stages;
         let stages = StageSnapshot {
@@ -653,10 +613,7 @@ impl ObsHub {
             recoveries: s.recoveries.get(),
             reshards: s.reshards.get(),
             reshard_phases: s.reshard_phases.get(),
-            ring_pushes: s.ring_pushes.get(),
-            ring_pops: s.ring_pops.get(),
-            lost_packets: s.lost_packets.get(),
-            shed_packets: s.shed_packets.get(),
+            ..StageSnapshot::default()
         };
         let shards = {
             let guard = self.shards.lock().unwrap_or_else(PoisonError::into_inner);
@@ -712,16 +669,6 @@ fn json_hist(out: &mut String, name: &str, h: &HistSnapshot, indent: &str) {
     );
 }
 
-fn prom_hist(out: &mut String, name: &str, h: &HistSnapshot) {
-    use std::fmt::Write;
-    let _ = writeln!(out, "# TYPE {name} summary");
-    let _ = writeln!(out, "{name}{{quantile=\"0.5\"}} {}", h.p50);
-    let _ = writeln!(out, "{name}{{quantile=\"0.95\"}} {}", h.p95);
-    let _ = writeln!(out, "{name}{{quantile=\"0.99\"}} {}", h.p99);
-    let _ = writeln!(out, "{name}_sum {}", h.sum);
-    let _ = writeln!(out, "{name}_count {}", h.count);
-}
-
 impl Snapshot {
     /// Renders the repo's hand-rolled JSON exposition format (what
     /// `hk run --stats-json` writes).
@@ -732,7 +679,7 @@ impl Snapshot {
         out.push_str("{\n  \"stages\": {\n");
         let _ = write!(
             out,
-            "    \"dispatch_batches\": {},\n    \"dispatch_packets\": {},\n    \"checkpoints\": {},\n    \"rotations\": {},\n    \"exports\": {},\n    \"recoveries\": {},\n    \"reshards\": {},\n    \"reshard_phases\": {},\n    \"ring_pushes\": {},\n    \"ring_pops\": {},\n    \"lost_packets\": {},\n    \"shed_packets\": {}\n  }},\n",
+            "    \"dispatch_batches\": {},\n    \"dispatch_packets\": {},\n    \"checkpoints\": {},\n    \"rotations\": {},\n    \"exports\": {},\n    \"recoveries\": {},\n    \"reshards\": {},\n    \"reshard_phases\": {},\n    \"ring_pushes\": {},\n    \"ring_pops\": {},\n    \"lost_packets\": {}\n  }},\n",
             s.dispatch_batches,
             s.dispatch_packets,
             s.checkpoints,
@@ -744,7 +691,6 @@ impl Snapshot {
             s.ring_pushes,
             s.ring_pops,
             s.lost_packets,
-            s.shed_packets,
         );
         out.push_str("  \"shards\": [\n");
         for (i, sh) in self.shards.iter().enumerate() {
@@ -794,90 +740,6 @@ impl Snapshot {
         out.push_str("    ]\n  }\n}\n");
         out
     }
-
-    /// Renders Prometheus-style text exposition.
-    pub fn render_prometheus(&self) -> String {
-        use std::fmt::Write;
-        let s = &self.stages;
-        let mut out = String::with_capacity(2048);
-        let counters: [(&str, u64); 8] = [
-            ("hk_dispatch_batches", s.dispatch_batches),
-            ("hk_dispatch_packets", s.dispatch_packets),
-            ("hk_checkpoints", s.checkpoints),
-            ("hk_rotations", s.rotations),
-            ("hk_exports", s.exports),
-            ("hk_recoveries", s.recoveries),
-            ("hk_reshards", s.reshards),
-            ("hk_reshard_phases", s.reshard_phases),
-        ];
-        for (name, v) in counters {
-            let _ = writeln!(out, "# TYPE {name} counter\n{name} {v}");
-        }
-        let gauges: [(&str, u64); 4] = [
-            ("hk_ring_pushes", s.ring_pushes),
-            ("hk_ring_pops", s.ring_pops),
-            ("hk_lost_packets", s.lost_packets),
-            ("hk_shed_packets", s.shed_packets),
-        ];
-        for (name, v) in gauges {
-            let _ = writeln!(out, "# TYPE {name} gauge\n{name} {v}");
-        }
-        out.push_str("# TYPE hk_shard_ingest_packets counter\n");
-        for sh in &self.shards {
-            let _ = writeln!(
-                out,
-                "hk_shard_ingest_packets{{shard=\"{}\"}} {}",
-                sh.shard, sh.ingest_packets
-            );
-        }
-        out.push_str("# TYPE hk_shard_ingest_batches counter\n");
-        for sh in &self.shards {
-            let _ = writeln!(
-                out,
-                "hk_shard_ingest_batches{{shard=\"{}\"}} {}",
-                sh.shard, sh.ingest_batches
-            );
-        }
-        out.push_str("# TYPE hk_shard_worker_deaths counter\n");
-        for sh in &self.shards {
-            let _ = writeln!(
-                out,
-                "hk_shard_worker_deaths{{shard=\"{}\"}} {}",
-                sh.shard, sh.worker_deaths
-            );
-        }
-        prom_hist(
-            &mut out,
-            "hk_dispatch_latency_ns",
-            &self.dispatch_latency_ns,
-        );
-        prom_hist(&mut out, "hk_batch_packets", &self.batch_packets);
-        prom_hist(&mut out, "hk_export_bytes", &self.export_bytes);
-        prom_hist(&mut out, "hk_dark_packets", &self.dark_packets);
-        let _ = writeln!(
-            out,
-            "# TYPE hk_journal_recorded counter\nhk_journal_recorded {}",
-            self.journal.recorded
-        );
-        let _ = writeln!(
-            out,
-            "# TYPE hk_journal_dropped counter\nhk_journal_dropped {}",
-            self.journal.dropped
-        );
-        let mut by_label: Vec<(&'static str, u64)> = Vec::new();
-        for e in &self.journal.events {
-            let label = e.kind.label();
-            match by_label.iter_mut().find(|(l, _)| *l == label) {
-                Some((_, n)) => *n += 1,
-                None => by_label.push((label, 1)),
-            }
-        }
-        out.push_str("# TYPE hk_journal_events counter\n");
-        for (label, n) in by_label {
-            let _ = writeln!(out, "hk_journal_events{{kind=\"{label}\"}} {n}");
-        }
-        out
-    }
 }
 
 #[cfg(test)]
@@ -893,8 +755,6 @@ mod tests {
         c.incr();
         c.add(41);
         assert_eq!(c.get(), 42);
-        c.set(7);
-        assert_eq!(c.get(), 7);
     }
 
     #[test]
@@ -1056,20 +916,5 @@ mod tests {
         let open = json.matches(['{', '[']).count();
         let close = json.matches(['}', ']']).count();
         assert_eq!(open, close, "balanced brackets:\n{json}");
-    }
-
-    #[test]
-    fn prometheus_render_has_types_and_labels() {
-        let hub = ObsHub::new();
-        hub.stages.rotations.add(3);
-        hub.worker(1).shard.ingest_packets.add(9);
-        hub.export_bytes.record(4096);
-        hub.journal.record(EventKind::Eviction { switch: 5 });
-        hub.journal.record(EventKind::Eviction { switch: 6 });
-        let text = hub.snapshot().render_prometheus();
-        assert!(text.contains("# TYPE hk_rotations counter\nhk_rotations 3"));
-        assert!(text.contains("hk_shard_ingest_packets{shard=\"1\"} 9"));
-        assert!(text.contains("hk_export_bytes{quantile=\"0.99\"} 8191"));
-        assert!(text.contains("hk_journal_events{kind=\"eviction\"} 2"));
     }
 }

@@ -4,8 +4,11 @@
 //! parses and forwards frames and writes flow IDs into the shared ring;
 //! the user-space thread drains the ring and feeds the measurement
 //! algorithm. The ring is the workspace's one SPSC ring,
-//! [`heavykeeper::spsc::SpscRing`]; the datapath closes it after the
-//! last packet, and the consumer stops once it is closed and drained.
+//! [`heavykeeper::spsc::SpscRing`]. A full ring stalls the datapath
+//! until the consumer frees space, so end-to-end throughput is gated by
+//! the slower stage, like the paper's saturated pipeline. The datapath
+//! closes the ring after the last packet, and the consumer stops once
+//! it is closed and drained.
 //! End-to-end throughput — packets fully processed per second — is what
 //! Figure 34 compares across algorithms (plus a no-algorithm OVS
 //! baseline).
@@ -19,7 +22,7 @@
 //! drains run full, on an idle ring they shrink to whatever arrived.
 
 use crate::datapath::{synthesize_frame, Datapath, FRAME_LEN};
-use heavykeeper::spsc::{PushError, SpscRing};
+use heavykeeper::spsc::SpscRing;
 use heavykeeper::SlidingTopK;
 use hk_common::algorithm::TopKAlgorithm;
 use hk_traffic::flow::FiveTuple;
@@ -27,17 +30,6 @@ use std::time::Instant;
 
 /// Most flow IDs the consumer drains into one `insert_batch` call.
 pub const CONSUMER_BATCH: usize = 512;
-
-/// What the datapath does when the ring is full.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum RingMode {
-    /// Spin until the consumer frees space — end-to-end throughput is
-    /// gated by the slower stage, like the paper's saturated pipeline.
-    Backpressure,
-    /// Drop the mirror (the packet is still forwarded). Measures how
-    /// much measurement traffic survives a slow consumer.
-    DropWhenFull,
-}
 
 /// Results of one deployment run.
 #[derive(Debug, Clone)]
@@ -47,8 +39,6 @@ pub struct DeploymentReport {
     pub mps: f64,
     /// Packets the datapath forwarded.
     pub forwarded: u64,
-    /// Flow IDs dropped at the ring (only in [`RingMode::DropWhenFull`]).
-    pub dropped: u64,
     /// Packets the algorithm consumed.
     pub consumed: u64,
     /// Wall-clock seconds.
@@ -68,12 +58,11 @@ pub fn run_deployment<A>(
     flows: &[FiveTuple],
     mut algo: Option<A>,
     ring_capacity: usize,
-    mode: RingMode,
 ) -> (DeploymentReport, Option<A>)
 where
     A: TopKAlgorithm<FiveTuple> + Send,
 {
-    let report = run_pipeline(flows, ring_capacity, mode, |batch| {
+    let report = run_pipeline(flows, ring_capacity, |batch| {
         if let Some(a) = algo.as_mut() {
             a.insert_batch(batch);
         }
@@ -81,28 +70,11 @@ where
     (report, algo)
 }
 
-/// Pushes one item under `mode`: spins while the ring is full
-/// ([`RingMode::Backpressure`]) or refuses the item
-/// ([`RingMode::DropWhenFull`], and on a closed ring). Returns whether
-/// the item was enqueued.
-pub(crate) fn push_mirror<T>(ring: &SpscRing<T>, mut item: T, mode: RingMode) -> bool {
-    loop {
-        match ring.try_push(item) {
-            Ok(()) => return true,
-            Err(PushError::Full(back)) if mode == RingMode::Backpressure => {
-                item = back;
-                std::hint::spin_loop();
-            }
-            Err(_) => return false,
-        }
-    }
-}
-
-/// The user-space side of one ring: drains it in batches of at most
+/// The user-space side of the ring: drains it in batches of at most
 /// [`CONSUMER_BATCH`] items, hands each batch to `consume`, and returns
 /// how many items it consumed once the producer has closed the ring
 /// and the backlog is drained.
-pub(crate) fn drain_until_closed<T>(ring: &SpscRing<T>, mut consume: impl FnMut(&[T])) -> u64 {
+fn drain_until_closed<T>(ring: &SpscRing<T>, mut consume: impl FnMut(&[T])) -> u64 {
     let mut batch: Vec<T> = Vec::with_capacity(CONSUMER_BATCH);
     let mut consumed = 0u64;
     loop {
@@ -125,28 +97,27 @@ pub(crate) fn drain_until_closed<T>(ring: &SpscRing<T>, mut consume: impl FnMut(
 }
 
 /// The datapath thread: parses and forwards the frames a burst at a
-/// time, mirrors each burst's flow IDs into `ring` under `mode`, and
-/// closes the ring after the last one. Returns the packets forwarded
-/// and the mirrors refused by a full ring.
-fn run_datapath(
-    frames: &[[u8; FRAME_LEN]],
-    ring: &SpscRing<FiveTuple>,
-    mode: RingMode,
-) -> (u64, u64) {
+/// time, mirrors each burst's flow IDs into `ring` (spinning while it
+/// is full), and closes the ring after the last one. Returns the
+/// packets forwarded.
+fn run_datapath(frames: &[[u8; FRAME_LEN]], ring: &SpscRing<FiveTuple>) -> u64 {
     let mut dp = Datapath::new();
-    let mut dropped = 0u64;
     let mut mirror: Vec<FiveTuple> = Vec::with_capacity(CONSUMER_BATCH);
     for burst in frames.chunks(CONSUMER_BATCH) {
         mirror.clear();
         dp.process_batch(burst.iter().map(|f| f.as_slice()), &mut mirror);
         for &ft in &mirror {
-            if !push_mirror(ring, ft, mode) {
-                dropped += 1;
+            // Only this thread closes the ring, so a refused push is
+            // always a full ring: wait for the consumer.
+            let mut item = ft;
+            while let Err(full) = ring.try_push(item) {
+                item = full.into_inner();
+                std::hint::spin_loop();
             }
         }
     }
     ring.close();
-    (dp.forwarded(), dropped)
+    dp.forwarded()
 }
 
 /// The two-thread skeleton both deployments share: pre-synthesizes the
@@ -156,7 +127,6 @@ fn run_datapath(
 fn run_pipeline(
     flows: &[FiveTuple],
     ring_capacity: usize,
-    mode: RingMode,
     consume: impl FnMut(&[FiveTuple]),
 ) -> DeploymentReport {
     assert!(!flows.is_empty(), "need packets to run");
@@ -164,8 +134,8 @@ fn run_pipeline(
     let ring: SpscRing<FiveTuple> = SpscRing::new(ring_capacity);
 
     let start = Instant::now();
-    let (consumed, (forwarded, dropped)) = std::thread::scope(|s| {
-        let producer = s.spawn(|| run_datapath(&frames, &ring, mode));
+    let (consumed, forwarded) = std::thread::scope(|s| {
+        let producer = s.spawn(|| run_datapath(&frames, &ring));
         let consumed = drain_until_closed(&ring, consume);
         (consumed, producer.join().expect("datapath thread"))
     });
@@ -173,7 +143,6 @@ fn run_pipeline(
     DeploymentReport {
         mps: consumed as f64 / seconds / 1e6,
         forwarded,
-        dropped,
         consumed,
         seconds,
     }
@@ -216,14 +185,13 @@ pub fn run_windowed_deployment(
     switch_id: u64,
     epoch_packets: usize,
     ring_capacity: usize,
-    mode: RingMode,
 ) -> (WindowedDeploymentReport, SlidingTopK<FiveTuple>) {
     assert!(epoch_packets > 0, "epoch length must be positive");
     let frames_budget = epoch_packets.min(u32::MAX as usize) as u32;
     // The frame stream starts from a full snapshot of the (empty) ring.
     let mut exported: Vec<Vec<u8>> = vec![window.export_frame(switch_id, frames_budget)];
     let mut until_rotation = epoch_packets;
-    let report = run_pipeline(flows, ring_capacity, mode, |mut batch| {
+    let report = run_pipeline(flows, ring_capacity, |mut batch| {
         // Split drained batches at period boundaries: a rotation lands
         // between packet `epoch_packets` and packet `epoch_packets + 1`
         // of the sub-stream, exactly like the trace-driven windowed
@@ -273,10 +241,9 @@ mod tests {
     fn backpressure_processes_every_packet() {
         let pkts = flows(200_000, 100);
         let algo = ParallelTopK::<FiveTuple>::new(HkConfig::builder().width(256).k(10).build());
-        let (report, algo) = run_deployment(&pkts, Some(algo), 1024, RingMode::Backpressure);
+        let (report, algo) = run_deployment(&pkts, Some(algo), 1024);
         assert_eq!(report.forwarded, 200_000);
         assert_eq!(report.consumed, 200_000);
-        assert_eq!(report.dropped, 0);
         assert!(report.mps > 0.0);
         // The algorithm actually saw the traffic.
         let top = algo.unwrap().top_k();
@@ -287,26 +254,14 @@ mod tests {
     #[test]
     fn no_algorithm_baseline_runs() {
         let pkts = flows(100_000, 50);
-        let (report, _) =
-            run_deployment::<ParallelTopK<FiveTuple>>(&pkts, None, 1024, RingMode::Backpressure);
+        let (report, _) = run_deployment::<ParallelTopK<FiveTuple>>(&pkts, None, 1024);
         assert_eq!(report.consumed, 100_000);
-    }
-
-    #[test]
-    fn drop_mode_may_shed_load() {
-        let pkts = flows(100_000, 50);
-        // A tiny ring plus a slow consumer: some mirrors may drop, but
-        // forwarded + accounting must stay consistent.
-        let algo = ParallelTopK::<FiveTuple>::new(HkConfig::builder().width(64).k(5).build());
-        let (report, _) = run_deployment(&pkts, Some(algo), 16, RingMode::DropWhenFull);
-        assert_eq!(report.forwarded, 100_000);
-        assert_eq!(report.consumed + report.dropped, 100_000);
     }
 
     #[test]
     #[should_panic(expected = "need packets")]
     fn empty_trace_panics() {
-        run_deployment::<ParallelTopK<FiveTuple>>(&[], None, 8, RingMode::Backpressure);
+        run_deployment::<ParallelTopK<FiveTuple>>(&[], None, 8);
     }
 
     #[test]
@@ -316,8 +271,7 @@ mod tests {
         let pkts = flows(60_000, 200);
         let win =
             SlidingTopK::<FiveTuple>::new(HkConfig::builder().width(256).k(10).seed(5).build(), 3);
-        let (out, win) =
-            run_windowed_deployment(&pkts, win, 42, 10_000, 1024, RingMode::Backpressure);
+        let (out, win) = run_windowed_deployment(&pkts, win, 42, 10_000, 1024);
         assert_eq!(out.report.consumed, 60_000);
         assert_eq!(out.rotations, 6, "60k packets / 10k per epoch");
         // One initial snapshot + one closed epoch per rotation.

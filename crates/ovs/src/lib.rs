@@ -11,10 +11,13 @@
 //! parsing ([`datapath`]), and a two-thread deployment that measures
 //! the same end-to-end throughput ([`deployment`]) over the workspace's
 //! bounded SPSC ring ([`heavykeeper::spsc::SpscRing`]) standing in for
-//! the shared-memory region; [`rss`] scales it out to one ring per
-//! receive queue. The *relative* impact of each algorithm on pipeline
-//! throughput — the quantity Figure 34 compares — is preserved; absolute
-//! Mps obviously reflect this machine, as the paper's reflect theirs.
+//! the shared-memory region. A full ring stalls the datapath, so the
+//! slower stage gates the pipeline. [`rss`] scales it out to one
+//! receive queue per shard of the workspace's multi-queue engine
+//! ([`heavykeeper::ShardedEngine`]). The *relative* impact of each
+//! algorithm on pipeline throughput — the quantity Figure 34 compares —
+//! is preserved; absolute Mps obviously reflect this machine, as the
+//! paper's reflect theirs.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -24,4 +27,4 @@ pub mod deployment;
 pub mod rss;
 
 pub use datapath::{parse_packet, synthesize_frame, Datapath};
-pub use deployment::{run_deployment, DeploymentReport, RingMode};
+pub use deployment::{run_deployment, DeploymentReport};

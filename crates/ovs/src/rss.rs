@@ -1,22 +1,18 @@
-//! Multi-queue (RSS) deployment: one ring + consumer per queue.
+//! Multi-queue (RSS) deployment: one datapath feeding one queue per
+//! shard of a [`ShardedEngine`].
 //!
 //! Real OVS-DPDK deployments spread a port's traffic over several
 //! receive queues by hashing the flow ID (Receive Side Scaling), with
-//! one poll-mode thread per queue. This module models that scale-out:
-//! the datapath RSS-hashes each flow to one of `q` rings; `q` consumer
-//! threads run *independent* HeavyKeeper instances (same config and
-//! seed); at the end the per-queue sketches are Sum-merged
-//! ([`heavykeeper::merge`]) into one port-wide view.
-//!
-//! Since the hash-once dispatch refactor the RSS plane mirrors the
-//! sharded engine's discipline: the datapath thread **prepares each
-//! parsed flow once** under the consumers' shared
-//! [`HashSpec`] and steers by [`PreparedKey::lane`] (a further fold of
-//! the same hash, standing in for the NIC's RSS key), then ships the
-//! `(flow, prepared)` pair through the ring. Consumers ingest via
-//! [`PreparedInsert::insert_prepared_batch`], so no packet is hashed
-//! twice anywhere in the pipeline — the queue hash *is* the sketch
-//! hash, refolded.
+//! one poll-mode thread per queue. This module models that scale-out
+//! with the workspace's multi-queue engine: the datapath thread parses
+//! and forwards each frame burst and hands its flow IDs to a
+//! [`ShardedEngine`] of `q` independent [`ParallelTopK`] shards (same
+//! config and seed). The engine is RSS in software — it prepares each
+//! flow **once**, steers it by the lane fold of that hash (standing in
+//! for the NIC's RSS key) to one shard's SPSC ring, and the shard's
+//! worker ingests the shipped prepared keys, so no packet is hashed
+//! twice anywhere in the pipeline. At the end the per-queue sketches
+//! are Sum-merged ([`ShardedEngine::merged`]) into one port-wide view.
 //!
 //! RSS is flow-affine — every packet of a flow lands in the same queue
 //! — so the per-queue streams are *disjoint by flow*: the Sum merge
@@ -28,28 +24,11 @@
 //! bandwidth.
 
 use crate::datapath::{synthesize_frame, Datapath, FRAME_LEN};
-use crate::deployment::{drain_until_closed, push_mirror, RingMode, CONSUMER_BATCH};
-use heavykeeper::spsc::SpscRing;
-use heavykeeper::{HkConfig, ParallelTopK};
-use hk_common::algorithm::PreparedInsert;
-use hk_common::key::FlowKey;
-use hk_common::prepared::{HashSpec, PreparedKey};
+use crate::deployment::CONSUMER_BATCH;
+use heavykeeper::{HkConfig, ParallelTopK, ShardedEngine};
+use hk_common::algorithm::TopKAlgorithm;
 use hk_traffic::flow::FiveTuple;
 use std::time::Instant;
-
-/// The spec the RSS plane prepares flows under for a given sketch
-/// configuration — necessarily the sketches' own spec, so the prepared
-/// state steered by it is directly ingestible on the consumer side.
-pub fn rss_spec(cfg: &HkConfig) -> HashSpec {
-    HashSpec::new(cfg.seed, cfg.fingerprint_bits)
-}
-
-/// Which queue a prepared flow's packets land in: the lane fold of the
-/// one per-packet hash, multiply-shifted over the queue count (no
-/// modulo bias). Flow-affine by construction.
-pub fn rss_queue(p: &PreparedKey, queues: usize) -> usize {
-    ((p.lane() as u64 * queues as u64) >> 32) as usize
-}
 
 /// Results of one multi-queue run.
 #[derive(Debug, Clone)]
@@ -64,99 +43,50 @@ pub struct RssReport {
     pub seconds: f64,
 }
 
-/// Runs the RSS deployment: one datapath thread (parse, forward,
-/// prepare-once, steer), `queues` rings of `(flow, prepared)` pairs and
-/// consumer threads each feeding its own HeavyKeeper through the
-/// prepared handoff, then a Sum-merge into the returned port-wide
-/// sketch.
+/// Runs the RSS deployment: the datapath (this thread) parses and
+/// forwards the frames a burst at a time and feeds each burst's flow
+/// IDs to a `queues`-shard engine, then flushes it and Sum-merges the
+/// shards into the returned port-wide sketch. The engine's work rings
+/// have a fixed depth, so a slow queue stalls the datapath.
 ///
 /// # Panics
 ///
-/// Panics if `flows` is empty, `queues == 0`, or `ring_capacity == 0`.
+/// Panics if `flows` is empty, `queues == 0`, or a queue worker dies.
 pub fn run_rss_deployment(
     flows: &[FiveTuple],
     cfg: &HkConfig,
     queues: usize,
-    ring_capacity: usize,
 ) -> (RssReport, ParallelTopK<FiveTuple>) {
     assert!(!flows.is_empty(), "need packets to run");
     assert!(queues > 0, "need at least one queue");
 
     let frames: Vec<[u8; FRAME_LEN]> = flows.iter().map(synthesize_frame).collect();
-    let rings: Vec<SpscRing<(FiveTuple, PreparedKey)>> =
-        (0..queues).map(|_| SpscRing::new(ring_capacity)).collect();
-    let spec = rss_spec(cfg);
+    let mut engine = ShardedEngine::from_fn(queues, cfg.k, |_| ParallelTopK::new(cfg.clone()));
 
     let start = Instant::now();
-    let mut forwarded = 0u64;
-    let mut sketches: Vec<ParallelTopK<FiveTuple>> = Vec::with_capacity(queues);
-    let mut per_queue = vec![0u64; queues];
-
-    std::thread::scope(|s| {
-        // Per-queue consumers.
-        let handles: Vec<_> = rings
-            .iter()
-            .map(|ring| {
-                let cfg = cfg.clone();
-                s.spawn(move || {
-                    let mut hk = ParallelTopK::<FiveTuple>::new(cfg);
-                    debug_assert_eq!(hk.hash_spec(), spec, "rss_spec must match the sketch");
-                    // Structure-of-arrays views of each drained batch for
-                    // the prepared handoff, reused across drains.
-                    let mut keys: Vec<FiveTuple> = Vec::with_capacity(CONSUMER_BATCH);
-                    let mut prepared: Vec<PreparedKey> = Vec::with_capacity(CONSUMER_BATCH);
-                    let n = drain_until_closed(ring, |batch| {
-                        keys.clear();
-                        prepared.clear();
-                        for &(ft, p) in batch {
-                            keys.push(ft);
-                            prepared.push(p);
-                        }
-                        // Hash-once: the datapath already prepared these.
-                        hk.insert_prepared_batch(&keys, &prepared);
-                    });
-                    (hk, n)
-                })
-            })
-            .collect();
-
-        // Datapath producer (this thread): parse, forward, prepare
-        // once, steer by the prepared lane.
-        let mut dp = Datapath::new();
-        for frame in &frames {
-            if let Some(ft) = dp.process(frame) {
-                let p = spec.prepare(ft.key_bytes().as_slice());
-                push_mirror(
-                    &rings[rss_queue(&p, queues)],
-                    (ft, p),
-                    RingMode::Backpressure,
-                );
-            }
-        }
-        forwarded = dp.forwarded();
-        for ring in &rings {
-            ring.close();
-        }
-
-        for (q, h) in handles.into_iter().enumerate() {
-            let (hk, n) = h.join().expect("consumer thread");
-            sketches.push(hk);
-            per_queue[q] = n;
-        }
-    });
+    let mut dp = Datapath::new();
+    let mut mirror: Vec<FiveTuple> = Vec::with_capacity(CONSUMER_BATCH);
+    for burst in frames.chunks(CONSUMER_BATCH) {
+        mirror.clear();
+        dp.process_batch(burst.iter().map(|f| f.as_slice()), &mut mirror);
+        engine.insert_batch(&mirror);
+    }
+    engine.flush().expect("queue workers stay alive");
     let seconds = start.elapsed().as_secs_f64();
 
+    let per_queue: Vec<u64> = engine
+        .obs_snapshot()
+        .shards
+        .iter()
+        .map(|s| s.ingest_packets)
+        .collect();
     // Port-wide view: Sum-merge (queues partition the traffic by flow).
-    let mut merged = sketches.swap_remove(0);
-    for sk in &sketches {
-        merged.merge_from(sk).expect("same config + seed merge");
-    }
-
+    let merged = engine.merged().expect("same config + seed merge");
     let consumed: u64 = per_queue.iter().sum();
     (
         RssReport {
             mps: consumed as f64 / seconds / 1e6,
-            forwarded,
+            forwarded: dp.forwarded(),
             per_queue,
             seconds,
         },
@@ -167,7 +97,6 @@ pub fn run_rss_deployment(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use hk_common::algorithm::TopKAlgorithm;
 
     fn flows(n: u64, distinct: u64) -> Vec<FiveTuple> {
         (0..n)
@@ -180,27 +109,9 @@ mod tests {
     }
 
     #[test]
-    fn rss_is_flow_affine_and_covers_all_queues() {
-        let qs = 4;
-        let spec = rss_spec(&cfg());
-        for i in 0..1000u64 {
-            let f = FiveTuple::from_index(i);
-            let p = spec.prepare(f.key_bytes().as_slice());
-            assert_eq!(rss_queue(&p, qs), rss_queue(&p, qs));
-        }
-        let mut seen = vec![false; qs];
-        for i in 0..1000u64 {
-            let f = FiveTuple::from_index(i);
-            let p = spec.prepare(f.key_bytes().as_slice());
-            seen[rss_queue(&p, qs)] = true;
-        }
-        assert!(seen.iter().all(|&s| s), "some queue never selected");
-    }
-
-    #[test]
     fn every_packet_consumed_exactly_once() {
         let pkts = flows(100_000, 200);
-        let (report, _) = run_rss_deployment(&pkts, &cfg(), 4, 512);
+        let (report, _) = run_rss_deployment(&pkts, &cfg(), 4);
         assert_eq!(report.forwarded, 100_000);
         assert_eq!(report.per_queue.iter().sum::<u64>(), 100_000);
         assert!(report.mps > 0.0);
@@ -217,7 +128,7 @@ mod tests {
             }
             pkts.push(FiveTuple::from_index(1000 + round));
         }
-        let (_, merged) = run_rss_deployment(&pkts, &cfg(), 4, 512);
+        let (_, merged) = run_rss_deployment(&pkts, &cfg(), 4);
         let top = merged.top_k();
         assert_eq!(top.len(), 10);
         for (f, est) in &top {
@@ -233,7 +144,7 @@ mod tests {
         // and the prepared handoff must be bit-exact with direct scalar
         // insertion.
         let pkts = flows(50_000, 100);
-        let (report, merged) = run_rss_deployment(&pkts, &cfg(), 1, 512);
+        let (report, merged) = run_rss_deployment(&pkts, &cfg(), 1);
         assert_eq!(report.per_queue, vec![50_000]);
         let mut direct = ParallelTopK::<FiveTuple>::new(cfg());
         for p in &pkts {
@@ -245,6 +156,6 @@ mod tests {
     #[test]
     #[should_panic(expected = "need at least one queue")]
     fn zero_queues_panics() {
-        run_rss_deployment(&flows(10, 2), &cfg(), 0, 8);
+        run_rss_deployment(&flows(10, 2), &cfg(), 0);
     }
 }

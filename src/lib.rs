@@ -15,7 +15,8 @@
 //! * [`hk_telemetry`] — the windowed telemetry plane (fleet scenario
 //!   driver over the full and dirty window frames).
 //! * [`hk_obs`] — the runtime observability plane (stage counters,
-//!   log2 histograms, event journal, Prometheus/JSON exposition).
+//!   log2 histograms, event journal, JSON exposition) built into every
+//!   sharded engine and fleet.
 //! * [`hk_common`] — shared substrate (hashing, Stream-Summary, top-k).
 //! * [`hk_lint`] — the workspace invariant lint (`hk lint`, CI `--deny`
 //!   gate, in-process sweep in `crates/lint/tests/`).
