@@ -48,8 +48,9 @@
 use std::collections::{BTreeMap, HashMap, HashSet};
 use std::sync::{Mutex, PoisonError};
 
-use crate::merge::{MergeError, MergeMode};
+use crate::merge::{check_compatible, merge_bucket, MergeError, MergeMode};
 use crate::parallel::ParallelTopK;
+use crate::sketch::HkSketch;
 use crate::sliding::SlidingTopK;
 use crate::wire::{DirtyPatch, FrameKind, WindowFrame, WireError};
 use hk_common::algorithm::TopKAlgorithm;
@@ -186,10 +187,12 @@ pub enum AggregationRule {
 /// ([`Collector::submit_window_frame`]): full snapshots install a
 /// per-switch [`SlidingTopK`] replica, dirty frames advance it one
 /// closed epoch per rotation, and [`Collector::window_top_k`]
-/// answers the network-wide windowed top-k by merging live epochs
-/// across switches through the [`crate::merge`] machinery. The windowed
-/// plane is independent of the tumbling report/sketch path (and of
-/// [`Collector::end_period`]) — a sliding window has no period to end.
+/// answers the network-wide windowed top-k. Its merged estimate is what
+/// merging the switches' live epochs would give, read from each
+/// candidate's own buckets under the [`crate::merge`] bucket rule
+/// without building a merged ring. The windowed plane is independent of
+/// the tumbling report/sketch path (and of [`Collector::end_period`]) —
+/// a sliding window has no period to end.
 #[derive(Debug)]
 pub struct Collector<K: FlowKey> {
     rule: AggregationRule,
@@ -308,10 +311,7 @@ impl<K: FlowKey> Collector<K> {
     /// points), [`AggregationRule::Max`] takes the maximum (overlapping
     /// paths — summing would double-count shared packets).
     pub fn submit_sketch(&mut self, sketch: &ParallelTopK<K>) -> Result<(), MergeError> {
-        let mode = match self.rule {
-            AggregationRule::Max => MergeMode::Max,
-            AggregationRule::Sum => MergeMode::Sum,
-        };
+        let mode = self.merge_mode();
         match &mut self.merged {
             None => {
                 self.merged = Some(sketch.clone());
@@ -624,98 +624,32 @@ impl<K: FlowKey> Collector<K> {
         out
     }
 
-    /// Merges the live-window epochs of every reassembled switch into
-    /// one network-wide [`SlidingTopK`], epoch-aligned from the newest
-    /// backwards, under the collector's aggregation rule
-    /// ([`MergeMode::Sum`] for disjoint vantage points,
-    /// [`MergeMode::Max`] for overlapping paths) — the existing sketch
-    /// merge machinery applied per epoch.
-    ///
-    /// Returns `None` when no window was submitted, or `Err` when the
-    /// switches' rings are not merge-compatible (different seeds /
-    /// geometries).
-    pub fn merged_window(&self) -> Result<Option<SlidingTopK<K>>, MergeError> {
-        let mode = match self.rule {
-            AggregationRule::Max => MergeMode::Max,
-            AggregationRule::Sum => MergeMode::Sum,
-        };
-        let mut switches: Vec<&SwitchWindow<K>> = Vec::with_capacity(self.windows.len());
-        {
-            // Deterministic merge order — ascending switch id (HashMap
-            // iteration order is not deterministic, and the Sum-conflict
-            // tie rule makes merge results order-sensitive).
-            let mut ids: Vec<(&u64, &SwitchWindow<K>)> = self.windows.iter().collect();
-            ids.sort_by_key(|(&id, _)| id);
-            switches.extend(ids.into_iter().map(|(_, w)| w));
-        }
-        let Some(deepest) = switches.iter().map(|w| w.replica.live_epochs()).max() else {
-            return Ok(None);
-        };
-        // Align epochs on their distance from the newest: switches
-        // rotate in phase in a windowed deployment, so "i rotations
-        // ago" names the same period everywhere; switches still filling
-        // their ring simply contribute to fewer epochs.
-        let mut merged_newest_first: Vec<ParallelTopK<K>> = Vec::with_capacity(deepest);
-        for back in 0..deepest {
-            let mut acc: Option<ParallelTopK<K>> = None;
-            for w in &switches {
-                let live = w.replica.live_epochs();
-                if back >= live {
-                    continue;
-                }
-                let epoch = w
-                    .replica
-                    .epoch_iter()
-                    .nth(live - 1 - back)
-                    .expect("index within live epochs");
-                match &mut acc {
-                    None => acc = Some(epoch.clone()),
-                    Some(a) => a.merge_from_with(epoch, mode)?,
-                }
-            }
-            merged_newest_first.push(acc.expect("deepest covers at least one switch"));
-        }
-        merged_newest_first.reverse();
-        let cfg = merged_newest_first
-            .last()
-            .expect("at least one epoch")
-            .config()
-            .clone();
-        let window = switches
-            .iter()
-            .map(|w| w.replica.window())
-            .max()
-            .expect("at least one switch");
-        let rotations = switches
-            .iter()
-            .map(|w| w.replica.rotations())
-            .max()
-            .expect("at least one switch");
-        Ok(Some(SlidingTopK::from_epochs(
-            cfg,
-            window,
-            rotations,
-            merged_newest_first,
-        )))
-    }
-
     /// The network-wide top-k over the *live windows* of every
     /// reassembled switch, largest first.
     ///
     /// Candidates are the union of per-switch window top-k sets
-    /// (deduplicated through the retained scratch); each candidate's
-    /// estimate combines the per-switch window queries under the
-    /// aggregation rule with (when the rings are merge-compatible) the
-    /// [`Collector::merged_window`] estimate — both are lower bounds on
-    /// the flow's true window count, so the combination never
-    /// over-estimates.
+    /// (deduplicated through the retained scratch). Each candidate's
+    /// estimate is the larger of two lower bounds on the flow's true
+    /// window count, so the answer never over-estimates:
+    ///
+    /// * the per-switch window queries combined under the aggregation
+    ///   rule;
+    /// * the merged estimate: what one network-wide ring would answer
+    ///   if every switch's live epochs were merged epoch-aligned from
+    ///   the newest, in ascending switch-id order, under the rule's
+    ///   [`MergeMode`]. No ring is built: the candidate is hashed once
+    ///   and only its `d` buckets per epoch per switch are folded, under
+    ///   the same per-bucket rule the sketch merge applies. When some
+    ///   epoch distance is not merge-compatible (different seeds or
+    ///   geometries, or an epoch grown by Section III-F expansion), no
+    ///   candidate gets merged evidence.
     pub fn window_top_k(&self) -> Vec<(K, u64)> {
-        // The merged ring catches cross-switch elephants that no single
-        // switch reports; incompatible rings fall back to report-level
-        // aggregation alone.
-        let merged = self.merged_window().ok().flatten();
         let mut switches: Vec<(&u64, &SwitchWindow<K>)> = self.windows.iter().collect();
         switches.sort_by_key(|(&id, _)| id);
+        // The merged estimate catches cross-switch elephants that no
+        // single switch reports.
+        let by_distance = epochs_by_distance(switches.iter().map(|(_, w)| &w.replica));
+        let mode = self.merge_mode();
 
         // Scratch is cleared before use — poison cannot leak state.
         let mut scratch = self.scratch.lock().unwrap_or_else(PoisonError::into_inner);
@@ -738,8 +672,8 @@ impl<K: FlowKey> Collector<K> {
                         .map(|(_, sw)| sw.replica.query(&key))
                         .fold(0u64, u64::saturating_add),
                 };
-                if let Some(m) = &merged {
-                    est = est.max(m.query(&key));
+                if let Some(groups) = &by_distance {
+                    est = est.max(merged_estimate(groups, &key, mode));
                 }
                 if est > 0 {
                     candidates.push((key, est));
@@ -753,6 +687,79 @@ impl<K: FlowKey> Collector<K> {
         candidates.truncate(self.k);
         candidates.clone()
     }
+
+    /// The bucket merge mode matching the aggregation rule.
+    fn merge_mode(&self) -> MergeMode {
+        match self.rule {
+            AggregationRule::Max => MergeMode::Max,
+            AggregationRule::Sum => MergeMode::Sum,
+        }
+    }
+}
+
+/// The replicas' live epochs grouped by distance from the newest epoch,
+/// newest first. Each group holds the sketch of every replica that has
+/// an epoch that far back, in the order the replicas come (ascending
+/// switch id). Switches rotate in phase in a windowed deployment, so
+/// "`n` rotations ago" names the same period everywhere; a switch still
+/// filling its ring joins fewer groups.
+///
+/// `None` when there is no replica, or when any group has a sketch that
+/// is not merge-compatible with the group's first. The merged ring
+/// cannot be built then, so no candidate gets merged evidence; falling
+/// back per group would change answers.
+fn epochs_by_distance<'a, K: FlowKey + 'a>(
+    replicas: impl Iterator<Item = &'a SlidingTopK<K>> + Clone,
+) -> Option<Vec<Vec<&'a HkSketch>>> {
+    let deepest = replicas.clone().map(SlidingTopK::live_epochs).max()?;
+    (0..deepest)
+        .map(|back| {
+            let group: Vec<&HkSketch> = replicas
+                .clone()
+                .filter_map(|r| r.epoch_iter().rev().nth(back))
+                .map(ParallelTopK::sketch)
+                .collect();
+            let (first, rest) = group.split_first()?;
+            rest.iter()
+                .all(|other| check_compatible(first, other).is_ok())
+                .then_some(group)
+        })
+        .collect()
+}
+
+/// The estimate the merged network-wide ring would give `key`, read
+/// from the key's own buckets: in each group of [`epochs_by_distance`],
+/// fold the buckets at the key's slot of every row under
+/// [`merge_bucket`] (first sketch first, as a materialised merge folds
+/// them), take the largest count whose fingerprint matches, and sum
+/// over the groups.
+fn merged_estimate<K: FlowKey>(groups: &[Vec<&HkSketch>], key: &K, mode: MergeMode) -> u64 {
+    // A ring's epochs share one seed and each group is compatible, so
+    // one prepared key serves every bucket read below. It is the key
+    // the merged ring's own query would hash: that ring's newest epoch
+    // starts as the newest group's first sketch.
+    let p = groups[0][0].prepare(key.key_bytes().as_slice());
+    groups
+        .iter()
+        .map(|group| {
+            let (first, rest) = group.split_first().expect("groups are never empty");
+            let max = first.counter_max();
+            (0..first.arrays())
+                .map(|j| {
+                    let i = first.slot(j, &p);
+                    let merged = rest.iter().fold(first.bucket(j, i), |acc, other| {
+                        merge_bucket(acc, other.bucket(j, i), mode, max)
+                    });
+                    if merged.fp == p.fp {
+                        merged.count
+                    } else {
+                        0
+                    }
+                })
+                .max()
+                .unwrap_or(0)
+        })
+        .sum()
 }
 
 #[cfg(test)]
@@ -1253,9 +1260,304 @@ mod tests {
         assert_eq!(top[0].0, 500, "cross-switch elephant must rank first");
         assert!(top[0].1 <= 600, "no over-estimation: {}", top[0].1);
         assert!(top[0].1 >= 550, "sum evidence lost: {}", top[0].1);
-        // The merged ring exists and answers window queries.
-        let merged = coll.merged_window().unwrap().unwrap();
+        // The materialised merged ring answers the same.
+        let merged = reference_merged_ring(&replicas(&coll), MergeMode::Sum)
+            .unwrap()
+            .unwrap();
         assert_eq!(merged.query(&500), top[0].1);
+        assert_eq!(top, reference_window_top_k(&coll, AggregationRule::Sum, 4));
+    }
+
+    /// Every installed replica, ascending switch id.
+    fn replicas(coll: &Collector<u64>) -> Vec<&SlidingTopK<u64>> {
+        coll.window_switches()
+            .into_iter()
+            .map(|s| coll.switch_window(s).expect("listed switch has a replica"))
+            .collect()
+    }
+
+    /// The network-wide ring, materialised from public API: every live
+    /// epoch cloned and merged across the replicas (ascending switch
+    /// id), epoch-aligned from the newest. `Err` when some epoch
+    /// distance is not merge-compatible.
+    fn reference_merged_ring(
+        replicas: &[&SlidingTopK<u64>],
+        mode: MergeMode,
+    ) -> Result<Option<SlidingTopK<u64>>, MergeError> {
+        let Some(deepest) = replicas.iter().map(|r| r.live_epochs()).max() else {
+            return Ok(None);
+        };
+        let mut newest_first: Vec<ParallelTopK<u64>> = Vec::with_capacity(deepest);
+        for back in 0..deepest {
+            let mut acc: Option<ParallelTopK<u64>> = None;
+            for r in replicas {
+                let live = r.live_epochs();
+                if back >= live {
+                    continue;
+                }
+                let epoch = r.epoch_iter().nth(live - 1 - back).unwrap();
+                match &mut acc {
+                    None => acc = Some(epoch.clone()),
+                    Some(a) => a.merge_from_with(epoch, mode)?,
+                }
+            }
+            newest_first.push(acc.expect("the deepest replica has this epoch"));
+        }
+        newest_first.reverse();
+        let cfg = newest_first.last().unwrap().config().clone();
+        let window = replicas.iter().map(|r| r.window()).max().unwrap();
+        let rotations = replicas.iter().map(|r| r.rotations()).max().unwrap();
+        Ok(Some(SlidingTopK::from_epochs(
+            cfg,
+            window,
+            rotations,
+            newest_first,
+        )))
+    }
+
+    /// The answer [`Collector::window_top_k`] must give, from public
+    /// API alone: the candidate union, the per-switch estimates under
+    /// `rule`, and the materialised merged ring's estimate whenever the
+    /// ring builds.
+    fn reference_window_top_k(
+        coll: &Collector<u64>,
+        rule: AggregationRule,
+        k: usize,
+    ) -> Vec<(u64, u64)> {
+        let replicas = replicas(coll);
+        let mode = match rule {
+            AggregationRule::Max => MergeMode::Max,
+            AggregationRule::Sum => MergeMode::Sum,
+        };
+        let merged = reference_merged_ring(&replicas, mode).ok().flatten();
+        let mut seen = HashSet::new();
+        let mut out = Vec::new();
+        for r in &replicas {
+            for (key, _) in r.top_k() {
+                if !seen.insert(key) {
+                    continue;
+                }
+                let per_switch = replicas.iter().map(|r| r.query(&key));
+                let mut est = match rule {
+                    AggregationRule::Max => per_switch.max().unwrap_or(0),
+                    AggregationRule::Sum => per_switch.fold(0, u64::saturating_add),
+                };
+                if let Some(m) = &merged {
+                    est = est.max(m.query(&key));
+                }
+                if est > 0 {
+                    out.push((key, est));
+                }
+            }
+        }
+        out.sort_by(|a, b| {
+            b.1.cmp(&a.1)
+                .then_with(|| a.0.key_bytes().as_slice().cmp(b.0.key_bytes().as_slice()))
+        });
+        out.truncate(k);
+        out
+    }
+
+    /// How often the differential run below met each input it is meant
+    /// to cover.
+    #[derive(Debug, Default)]
+    struct ProbeCoverage {
+        /// Reads whose rings merged, so the probe answered.
+        compatible_reads: usize,
+        /// Reads with an incompatible epoch distance: no merged evidence.
+        incompatible_reads: usize,
+        /// Reads where the replicas' live-epoch counts differed.
+        uneven_live_reads: usize,
+        /// Reads where a replica lagged its switch.
+        lagging_reads: usize,
+        /// Equal counts under different fingerprints at a candidate's
+        /// buckets (the `Sum` tie rule; under `Max`, ours stays).
+        ties: usize,
+        /// Matching-fingerprint sums past the counter maximum at a
+        /// candidate's buckets.
+        saturations: usize,
+        /// Candidates whose merged estimate beat the per-switch evidence.
+        merged_wins: usize,
+    }
+
+    /// Counts the ties and saturations folding `key`'s buckets meets.
+    fn fold_events(groups: &[Vec<&HkSketch>], key: u64, mode: MergeMode, cov: &mut ProbeCoverage) {
+        for group in groups {
+            let p = group[0].prepare(&key.to_le_bytes());
+            let max = group[0].counter_max();
+            for j in 0..group[0].arrays() {
+                let i = group[0].slot(j, &p);
+                let mut acc = group[0].bucket(j, i);
+                for other in &group[1..] {
+                    let theirs = other.bucket(j, i);
+                    if !acc.is_empty() && !theirs.is_empty() {
+                        if acc.fp != theirs.fp && acc.count == theirs.count {
+                            cov.ties += 1;
+                        }
+                        if acc.fp == theirs.fp && acc.count + theirs.count > max {
+                            cov.saturations += 1;
+                        }
+                    }
+                    acc = merge_bucket(acc, theirs, mode, max);
+                }
+            }
+        }
+    }
+
+    /// One switch's traffic for one period: a cross-switch elephant
+    /// (flow 7) big enough that a `Sum` of two switches saturates 8-bit
+    /// counters, a flow that visits one switch per period (flow 5), the
+    /// switch's own medium flows, and a crowd of mice that fills a
+    /// 64-wide sketch with conflicts and count-1 ties.
+    fn period_batch(switch: u64, period: u64) -> Vec<u64> {
+        let mut batch = Vec::new();
+        for i in 0..300u64 {
+            if i < 150 {
+                batch.push(7);
+            }
+            if i < 80 && period % 3 == switch {
+                batch.push(5);
+            }
+            if i % 2 == 0 {
+                batch.push(100 + switch * 20 + (period + i) % 20);
+            }
+            batch.push(10_000 + switch * 100_000 + period * 1_000 + i);
+        }
+        batch
+    }
+
+    /// Drives three switches through dirty frames and, after every
+    /// rotation, checks [`Collector::window_top_k`] against
+    /// [`reference_window_top_k`] on whole answers and the probe
+    /// against the materialised ring on every candidate. Inputs: width
+    /// 64 (fingerprint conflicts, `Sum` ties), 8-bit counters
+    /// (saturation), switch 2 joining late (uneven live epochs), one
+    /// lost dirty frame (a lagging replica until its resync snapshot)
+    /// and one epoch of switch 0 grown by Section III-F expansion (an
+    /// incompatible epoch distance for as long as it is live).
+    fn probe_differential(rule: AggregationRule) -> ProbeCoverage {
+        const WINDOW: usize = 4;
+        const K: usize = 10;
+        const LATE_JOIN: u64 = 3;
+        const LOST: (u64, u64) = (1, 6); // (switch, rotation)
+        const RESYNC: (u64, u64) = (1, 10); // (switch, period)
+        const GROWN: (u64, u64) = (0, 8); // (switch, period)
+        let cfg = HkConfig::builder()
+            .arrays(2)
+            .width(64)
+            .k(8)
+            .counter_bits(8)
+            .seed(17)
+            .expansion(crate::config::ExpansionPolicy {
+                large_counter: 200,
+                blocked_threshold: 64,
+                max_arrays: 3,
+            })
+            .build();
+        let mode = match rule {
+            AggregationRule::Max => MergeMode::Max,
+            AggregationRule::Sum => MergeMode::Sum,
+        };
+        let mut coll = Collector::<u64>::new(K, rule);
+        let mut wins: Vec<SlidingTopK<u64>> = Vec::new();
+        let mut cov = ProbeCoverage::default();
+        for period in 0..16u64 {
+            if period == 0 || period == LATE_JOIN {
+                let (from, to) = if period == 0 { (0, 2) } else { (2, 3) };
+                for s in from..to {
+                    wins.push(SlidingTopK::new(cfg.clone(), WINDOW));
+                    coll.submit_window_frame(&wins[s].export_frame(s as u64, 1000))
+                        .unwrap();
+                }
+            }
+            for (s, win) in wins.iter_mut().enumerate() {
+                let s = s as u64;
+                win.insert_batch(&period_batch(s, period));
+                if (s, period) == GROWN {
+                    // Elephants one after another, each claiming only
+                    // empty buckets, until later ones find both of
+                    // theirs held by large counters and are blocked.
+                    let burst: Vec<u64> = (0..200u64)
+                        .flat_map(|f| std::iter::repeat_n(50_000 + f, 210))
+                        .collect();
+                    win.insert_batch(&burst);
+                    let newest = win.epoch_iter().next_back().unwrap();
+                    assert_eq!(newest.sketch().arrays(), 3, "the burst must expand");
+                }
+                win.rotate();
+                let frame = win.export_dirty(s, 1000).expect("closed epoch");
+                if (s, win.rotations()) != LOST {
+                    coll.submit_window_frame(&frame).unwrap();
+                }
+                if (s, period) == RESYNC {
+                    coll.submit_window_frame(&win.export_frame(s, 1000))
+                        .unwrap();
+                }
+            }
+
+            let top = coll.window_top_k();
+            assert_eq!(
+                top,
+                reference_window_top_k(&coll, rule, K),
+                "period {period}"
+            );
+            let replicas = replicas(&coll);
+            let ring = reference_merged_ring(&replicas, mode).ok().flatten();
+            let groups = epochs_by_distance(replicas.iter().copied());
+            assert_eq!(groups.is_some(), ring.is_some(), "period {period}");
+            let live: HashSet<usize> = replicas.iter().map(|r| r.live_epochs()).collect();
+            cov.uneven_live_reads += usize::from(live.len() > 1);
+            cov.lagging_reads += usize::from(
+                replicas
+                    .iter()
+                    .zip(&wins)
+                    .any(|(r, w)| r.rotations() < w.rotations()),
+            );
+            let (Some(groups), Some(ring)) = (groups, ring) else {
+                cov.incompatible_reads += 1;
+                continue;
+            };
+            cov.compatible_reads += 1;
+            let mut candidates: Vec<u64> = replicas
+                .iter()
+                .flat_map(|r| r.top_k())
+                .map(|(f, _)| f)
+                .collect();
+            candidates.extend([5, 7, 42, 10_000, 50_000]);
+            for key in candidates {
+                let probe = merged_estimate(&groups, &key, mode);
+                assert_eq!(probe, ring.query(&key), "period {period}, flow {key}");
+                let per_switch = replicas.iter().map(|r| r.query(&key));
+                let per_switch = match rule {
+                    AggregationRule::Max => per_switch.max().unwrap_or(0),
+                    AggregationRule::Sum => per_switch.fold(0, u64::saturating_add),
+                };
+                cov.merged_wins += usize::from(probe > per_switch);
+                fold_events(&groups, key, mode, &mut cov);
+            }
+        }
+        // Every input above must really have occurred.
+        assert!(cov.compatible_reads > 0, "{cov:?}");
+        assert!(cov.incompatible_reads > 0, "{cov:?}");
+        assert!(cov.uneven_live_reads > 0, "{cov:?}");
+        assert!(cov.lagging_reads > 0, "{cov:?}");
+        assert!(cov.ties > 0, "{cov:?}");
+        assert!(cov.saturations > 0, "{cov:?}");
+        cov
+    }
+
+    #[test]
+    fn window_probe_matches_materialised_merge_under_sum() {
+        probe_differential(AggregationRule::Sum);
+    }
+
+    #[test]
+    fn window_probe_matches_materialised_merge_under_max() {
+        // Flow 5 visits one switch per period: under `Max` it is bigger
+        // network-wide than at any one switch, which only the merged
+        // estimate sees.
+        let cov = probe_differential(AggregationRule::Max);
+        assert!(cov.merged_wins > 0, "{cov:?}");
     }
 
     #[test]

@@ -12,6 +12,12 @@
 //!   the sketch halves and fold the other instance's top-k entries into
 //!   this one's store.
 //!
+//! Both rest on one per-bucket rule, `merge_bucket`. The collector's
+//! windowed query ([`crate::collector::Collector::window_top_k`]) uses
+//! the same rule without merging any matrix: merged bucket `(j, i)` is
+//! the inputs' buckets `(j, i)` folded in order, and a query reads only
+//! the `d` buckets at the flow's slots, so it folds just those.
+//!
 //! ## Bucket merge rules
 //!
 //! The right way to combine two counts of the *same* flow depends on
@@ -51,9 +57,11 @@
 //! distribution but not bit-exact under reordering (the tie rule breaks
 //! symmetry); the tests pin down the properties that do hold.
 
+use crate::bucket::Bucket;
 use crate::minimum::MinimumTopK;
 use crate::parallel::ParallelTopK;
 use crate::sketch::HkSketch;
+use hk_common::algorithm::TopKAlgorithm;
 use hk_common::key::FlowKey;
 
 /// How counts of the same flow combine across two sketches (see the
@@ -139,77 +147,91 @@ impl HkSketch {
     pub fn merge_from_with(&mut self, other: &HkSketch, mode: MergeMode) -> Result<(), MergeError> {
         check_compatible(self, other)?;
         let max = self.counter_max();
+        let layout = other.matrix().layout();
         for j in 0..self.arrays() {
-            // Walk the other side's packed row view; each merged bucket
-            // is one read-compute-write on our matrix.
-            let layout = other.matrix().layout();
-            let row = other.matrix().row(j);
-            for (i, &word) in row.iter().enumerate() {
+            for (i, &word) in other.matrix().row(j).iter().enumerate() {
                 let theirs = layout.unpack(word);
+                // An empty bucket there leaves ours as it is: skip the
+                // read-compute-write.
                 if theirs.is_empty() {
                     continue;
                 }
-                let mut ours = self.bucket(j, i);
-                if ours.is_empty() {
-                    ours = theirs;
-                } else if ours.fp == theirs.fp {
-                    ours.count = match mode {
-                        MergeMode::Sum => (ours.count + theirs.count).min(max),
-                        MergeMode::Max => ours.count.max(theirs.count),
-                    };
-                } else {
-                    match mode {
-                        MergeMode::Sum => {
-                            if theirs.count > ours.count {
-                                ours.fp = theirs.fp;
-                                ours.count = theirs.count - ours.count;
-                            } else if theirs.count < ours.count {
-                                ours.count -= theirs.count;
-                            } else {
-                                // Tie: keep our fingerprint, shrink to the
-                                // floor the contest would end at. Counters
-                                // stay non-zero so the "held bucket is
-                                // never empty" invariant survives.
-                                ours.count = 1;
-                            }
-                        }
-                        MergeMode::Max => {
-                            if theirs.count > ours.count {
-                                ours = theirs;
-                            }
-                        }
-                    }
-                }
-                self.set_bucket(j, i, ours);
+                let merged = merge_bucket(self.bucket(j, i), theirs, mode, max);
+                self.set_bucket(j, i, merged);
             }
         }
         Ok(())
     }
 }
 
-/// Folds `reported` (another instance's top-k, any order) into a top-k
-/// algorithm by re-estimating each flow against the *merged* sketch and
-/// offering it to the store.
+/// The per-bucket merge rule (the table in the module docs): the bucket
+/// `ours` becomes when `theirs` folds into it under `mode`, a `Sum` of
+/// matching counts saturating at `counter_max`.
+///
+/// This is the only copy of the rule. [`HkSketch::merge_from_with`]
+/// applies it to every bucket of a matrix; the collector's windowed
+/// query applies it to the few buckets a candidate flow maps to, so its
+/// estimate equals the one a materialised merge would give.
+pub(crate) fn merge_bucket(
+    ours: Bucket,
+    theirs: Bucket,
+    mode: MergeMode,
+    counter_max: u64,
+) -> Bucket {
+    if theirs.is_empty() {
+        return ours;
+    }
+    if ours.is_empty() {
+        return theirs;
+    }
+    if ours.fp == theirs.fp {
+        let count = match mode {
+            MergeMode::Sum => (ours.count + theirs.count).min(counter_max),
+            MergeMode::Max => ours.count.max(theirs.count),
+        };
+        return Bucket { fp: ours.fp, count };
+    }
+    match mode {
+        MergeMode::Sum if theirs.count > ours.count => Bucket {
+            fp: theirs.fp,
+            count: theirs.count - ours.count,
+        },
+        MergeMode::Sum if theirs.count < ours.count => Bucket {
+            fp: ours.fp,
+            count: ours.count - theirs.count,
+        },
+        // Tie: keep our fingerprint, shrink to the floor the contest
+        // would end at. Counters stay non-zero so the "held bucket is
+        // never empty" invariant survives.
+        MergeMode::Sum => Bucket {
+            fp: ours.fp,
+            count: 1,
+        },
+        MergeMode::Max if theirs.count > ours.count => theirs,
+        MergeMode::Max => ours,
+    }
+}
+
+/// Re-estimates `reported` (another instance's top-k, any order)
+/// against the *merged* sketch, returning the `(flow, estimate)` pairs
+/// to offer to the store.
 ///
 /// Admission here is collector-side bookkeeping, not the per-packet
 /// Algorithm 1 path, so Optimization I's `n̂ = n_min + 1` gate does not
 /// apply: estimates arrive in arbitrary (not +1-increment) steps.
-fn fold_reported<K, Q, A>(reported: Vec<(K, u64)>, query: Q, admit: A)
-where
-    K: FlowKey,
-    Q: Fn(&K) -> u64,
-    A: FnMut(K, u64),
-{
-    let mut admit = admit;
-    for (key, reported_est) in reported {
-        // The merged sketch may know the flow better than the report
-        // (fingerprint survived the merge) or have lost it (conflict
-        // eviction); trust whichever evidence is stronger.
-        let est = query(&key).max(reported_est);
-        if est > 0 {
-            admit(key, est);
-        }
-    }
+/// Offering never touches the sketch, so every estimate can be read off
+/// it before the first offer.
+fn reestimate<K: FlowKey>(reported: Vec<(K, u64)>, merged: &HkSketch) -> Vec<(K, u64)> {
+    reported
+        .into_iter()
+        .filter_map(|(key, reported_est)| {
+            // The merged sketch may know the flow better than the report
+            // (fingerprint survived the merge) or have lost it (conflict
+            // eviction); trust whichever evidence is stronger.
+            let est = merged.query(key.key_bytes().as_slice()).max(reported_est);
+            (est > 0).then_some((key, est))
+        })
+        .collect()
 }
 
 impl<K: FlowKey> ParallelTopK<K> {
@@ -223,16 +245,9 @@ impl<K: FlowKey> ParallelTopK<K> {
     /// [`ParallelTopK::merge_from`] under an explicit [`MergeMode`].
     pub fn merge_from_with(&mut self, other: &Self, mode: MergeMode) -> Result<(), MergeError> {
         self.sketch_mut().merge_from_with(other.sketch(), mode)?;
-        let snapshot = {
-            use hk_common::algorithm::TopKAlgorithm;
-            other.top_k()
-        };
-        let sketch = self.sketch().clone();
-        fold_reported(
-            snapshot,
-            |k: &K| sketch.query(k.key_bytes().as_slice()),
-            |k, est| self.offer(k, est),
-        );
+        for (key, est) in reestimate(other.top_k(), self.sketch()) {
+            self.offer(key, est);
+        }
         Ok(())
     }
 }
@@ -248,16 +263,9 @@ impl<K: FlowKey> MinimumTopK<K> {
     /// [`MinimumTopK::merge_from`] under an explicit [`MergeMode`].
     pub fn merge_from_with(&mut self, other: &Self, mode: MergeMode) -> Result<(), MergeError> {
         self.sketch_mut().merge_from_with(other.sketch(), mode)?;
-        let snapshot = {
-            use hk_common::algorithm::TopKAlgorithm;
-            other.top_k()
-        };
-        let sketch = self.sketch().clone();
-        fold_reported(
-            snapshot,
-            |k: &K| sketch.query(k.key_bytes().as_slice()),
-            |k, est| self.offer(k, est),
-        );
+        for (key, est) in reestimate(other.top_k(), self.sketch()) {
+            self.offer(key, est);
+        }
         Ok(())
     }
 }
@@ -291,7 +299,6 @@ impl<K: FlowKey> hk_common::ShardReshard<K> for crate::sliding::SlidingTopK<K> {
 mod tests {
     use super::*;
     use crate::config::HkConfig;
-    use hk_common::algorithm::TopKAlgorithm;
 
     fn cfg(seed: u64) -> HkConfig {
         HkConfig::builder()

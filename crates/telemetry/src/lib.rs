@@ -47,9 +47,11 @@
 //!
 //! Switches observe *disjoint* sub-streams (flows are hash-partitioned
 //! across the fleet, RSS-style), so the collector runs
-//! [`AggregationRule::Sum`] and the network-wide windowed top-k is
-//! answered by epoch-aligned sketch merges
-//! ([`Collector::window_top_k`]).
+//! [`AggregationRule::Sum`] and the network-wide windowed top-k
+//! ([`Collector::window_top_k`]) adds the estimate of an epoch-aligned
+//! merge of the switches' rings. That estimate is read from each
+//! candidate's own buckets under the sketch merge's bucket rule; no
+//! merged ring is built.
 //!
 //! Everything is deterministic given [`FleetConfig::seed`]: the channel
 //! noise comes from a seeded [`XorShift64`], so a fleet run — loss

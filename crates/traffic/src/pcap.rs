@@ -28,6 +28,11 @@ pub const MAGIC_USEC: u32 = 0xA1B2_C3D4;
 pub const MAGIC_NSEC: u32 = 0xA1B2_3C4D;
 /// LINKTYPE_ETHERNET.
 pub const LINKTYPE_ETHERNET: u32 = 1;
+/// libpcap's largest snap length. The reader bounds every record by it
+/// rather than by the file's own snaplen field, which is 0 in some
+/// captures and, at up to `u32::MAX`, would let one record reserve
+/// gigabytes before a byte of it is read.
+pub const MAX_SNAPLEN: u32 = 262_144;
 
 /// Errors from pcap reading/writing.
 #[derive(Debug, PartialEq, Eq)]
@@ -36,9 +41,9 @@ pub enum PcapError {
     BadMagic(u32),
     /// The stream ended inside a header or record body.
     Truncated,
-    /// A record claims more captured bytes than the snap length allows
-    /// (2x slack) — almost certainly file corruption; bail out rather
-    /// than allocating gigabytes.
+    /// A record claims more captured bytes than [`MAX_SNAPLEN`] allows
+    /// (2x slack, 512 KiB) — almost certainly file corruption; bail out
+    /// rather than allocating gigabytes.
     OversizedRecord(u32),
     /// Underlying I/O failure (message only, for `PartialEq`).
     Io(String),
@@ -101,7 +106,6 @@ pub struct PcapReader<R> {
     src: R,
     swapped: bool,
     nanos: bool,
-    snaplen: u32,
     linktype: u32,
 }
 
@@ -126,13 +130,12 @@ impl<R: Read> PcapReader<R> {
                 u32::from_le_bytes(w)
             }
         };
-        let snaplen = u32_at(&hdr, 16).max(262_144); // tolerate 0 snaplens
+        // The snaplen field (offset 16) is not trusted; see MAX_SNAPLEN.
         let linktype = u32_at(&hdr, 20);
         Ok(Self {
             src,
             swapped,
             nanos,
-            snaplen,
             linktype,
         })
     }
@@ -179,7 +182,7 @@ impl<R: Read> PcapReader<R> {
         let subsec = word(4);
         let incl_len = word(8);
         let orig_len = word(12);
-        if incl_len > self.snaplen.saturating_mul(2) {
+        if incl_len > 2 * MAX_SNAPLEN {
             return Some(Err(PcapError::OversizedRecord(incl_len)));
         }
         let mut data = vec![0u8; incl_len as usize];
@@ -262,7 +265,7 @@ impl<W: Write> PcapWriter<W> {
         sink.write_all(&4u16.to_le_bytes())?; // minor
         sink.write_all(&0i32.to_le_bytes())?; // thiszone
         sink.write_all(&0u32.to_le_bytes())?; // sigfigs
-        sink.write_all(&262_144u32.to_le_bytes())?; // snaplen
+        sink.write_all(&MAX_SNAPLEN.to_le_bytes())?; // snaplen
         sink.write_all(&linktype.to_le_bytes())?;
         Ok(Self { sink })
     }
@@ -451,12 +454,24 @@ mod tests {
             w.write_packet(0, 0, &[0u8; 4]).unwrap();
         }
         // Corrupt incl_len to a huge value.
-        buf[32..36].copy_from_slice(&u32::MAX.to_le_bytes());
-        let mut r = PcapReader::new(buf.as_slice()).unwrap();
+        let mut huge = buf.clone();
+        huge[32..36].copy_from_slice(&u32::MAX.to_le_bytes());
+        let mut r = PcapReader::new(huge.as_slice()).unwrap();
         assert!(matches!(
             r.next_record().unwrap().unwrap_err(),
             PcapError::OversizedRecord(_)
         ));
+        // A header snaplen of u32::MAX does not raise the bound: a
+        // record claiming 1 GiB, with 4 payload bytes behind it, is
+        // refused before anything is reserved for it.
+        let mut lying = buf;
+        lying[16..20].copy_from_slice(&u32::MAX.to_le_bytes());
+        lying[32..36].copy_from_slice(&(1u32 << 30).to_le_bytes());
+        let mut r = PcapReader::new(lying.as_slice()).unwrap();
+        assert_eq!(
+            r.next_record().unwrap().unwrap_err(),
+            PcapError::OversizedRecord(1 << 30)
+        );
     }
 
     #[test]
