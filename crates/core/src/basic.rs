@@ -17,7 +17,8 @@ use hk_common::algorithm::{PreparedInsert, TopKAlgorithm};
 use hk_common::key::FlowKey;
 use hk_common::prepared::{HashSpec, KeySlots, PreparedBatch};
 
-/// Basic HeavyKeeper + min-heap (Section III-C).
+/// Basic HeavyKeeper + top-k store (Section III-C; a Stream-Summary, as
+/// the paper implements its min-heap).
 ///
 /// # Examples
 ///
@@ -44,7 +45,7 @@ impl<K: FlowKey> BasicTopK<K> {
     pub fn new(cfg: HkConfig) -> Self {
         Self {
             sketch: HkSketch::new(&cfg),
-            store: TopKStore::new(cfg.store, cfg.k),
+            store: TopKStore::new(cfg.k),
             cfg,
             scratch: PreparedBatch::new(),
         }
@@ -79,7 +80,7 @@ impl<K: FlowKey> BasicTopK<K> {
     /// footnote 2), where each switch reports and resets per period.
     pub fn reset(&mut self) {
         self.sketch.reset();
-        self.store = TopKStore::new(self.cfg.store, self.cfg.k);
+        self.store = TopKStore::new(self.cfg.k);
     }
 
     /// The insert body, generic over how bucket slots are obtained (on

@@ -324,9 +324,9 @@ impl BucketMatrix {
         *self = grown;
     }
 
-    /// Scan-and-compares row `j` against `base` (the same row of a
-    /// retained snapshot; `None` means an all-empty baseline, e.g. a row
-    /// added by Section III-F expansion since the snapshot), filling
+    /// Scan-and-compares row `j` against `base` (the same row of the
+    /// baseline epoch; `None` means an all-empty baseline, e.g. a row
+    /// added by Section III-F expansion since the baseline), filling
     /// `bitmap` with one bit per bucket — set iff the packed words
     /// differ — and returning the changed-bucket count. `bitmap` is
     /// resized to `width.div_ceil(64)` words; trailing bits past

@@ -385,8 +385,10 @@ impl<K: FlowKey> Collector<K> {
     ///   is dropped idempotently.
     /// * A **dirty** frame carrying rotation `R` applies when the
     ///   replica stands at `R - 1`: its patch is reconstructed against
-    ///   the replica's newest closed epoch, or against nothing when its
-    ///   baseline is empty ([`DirtyPatch::apply`]), and committed
+    ///   the replica's newest closed epoch (the epoch closed by `R - 1`,
+    ///   which the switch's ring diffed against), or against nothing
+    ///   when its baseline is empty — a `W = 2` switch ships every
+    ///   epoch that way ([`DirtyPatch::apply`]) — and committed
     ///   ([`SlidingTopK::commit_epoch`]). A patch whose baseline row
     ///   count disagrees with that epoch is refused and leaves the
     ///   switch flagged for resync. `R` at or below the replica's
@@ -522,7 +524,8 @@ impl<K: FlowKey> Collector<K> {
     /// Reconstructs the epoch a dirty patch describes. Its baseline, if
     /// it names one, is the replica's newest closed epoch — the epoch
     /// closed by `rotation - 1`, bit-exact by the protocol invariant,
-    /// which is exactly the shadow snapshot the exporter diffed against.
+    /// which is the epoch the exporter's ring held two behind its
+    /// newest when it diffed.
     fn apply_patch(
         entry: &SwitchWindow<K>,
         patch: &DirtyPatch<K>,

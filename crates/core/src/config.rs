@@ -1,20 +1,12 @@
 //! HeavyKeeper configuration.
 //!
 //! Defaults follow the paper's evaluation setup (Section VI-A): `d = 2`
-//! arrays, 16-bit fingerprints, 16-bit counters, decay base `b = 1.08`,
-//! and a Stream-Summary with `m = k` entries for top-k bookkeeping.
+//! arrays, 16-bit fingerprints, 16-bit counters and decay base
+//! `b = 1.08`. Top-k bookkeeping is not configurable: every variant
+//! keeps a Stream-Summary with `m = k` entries
+//! ([`TopKStore`](crate::store::TopKStore)), as the paper implements it.
 
 use crate::decay::DecayFn;
-
-/// Which structure tracks the current top-k flows.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum StoreKind {
-    /// The Stream-Summary used by the paper's implementation (O(1)
-    /// amortized updates).
-    StreamSummary,
-    /// The min-heap the paper uses for exposition (O(log k) updates).
-    MinHeap,
-}
 
 /// Section III-F dynamic expansion policy.
 ///
@@ -63,8 +55,6 @@ pub struct HkConfig {
     pub counter_bits: u32,
     /// Master seed for hash functions and the decay RNG.
     pub seed: u64,
-    /// Top-k bookkeeping structure.
-    pub store: StoreKind,
     /// Optional Section III-F dynamic expansion.
     pub expansion: Option<ExpansionPolicy>,
 }
@@ -112,7 +102,6 @@ pub struct HkConfigBuilder {
     fingerprint_bits: u32,
     counter_bits: u32,
     seed: u64,
-    store: StoreKind,
     expansion: Option<ExpansionPolicy>,
 }
 
@@ -127,7 +116,6 @@ impl Default for HkConfigBuilder {
             fingerprint_bits: 16,
             counter_bits: 16,
             seed: 0x5EED_CAFE,
-            store: StoreKind::StreamSummary,
             expansion: None,
         }
     }
@@ -193,12 +181,6 @@ impl HkConfigBuilder {
         self
     }
 
-    /// Chooses the top-k bookkeeping structure.
-    pub fn store(mut self, store: StoreKind) -> Self {
-        self.store = store;
-        self
-    }
-
     /// Enables Section III-F dynamic expansion.
     pub fn expansion(mut self, policy: ExpansionPolicy) -> Self {
         self.expansion = Some(policy);
@@ -248,7 +230,6 @@ impl HkConfigBuilder {
             fingerprint_bits: self.fingerprint_bits,
             counter_bits: self.counter_bits,
             seed: self.seed,
-            store: self.store,
             expansion: self.expansion,
         }
     }
@@ -266,7 +247,6 @@ mod tests {
         assert_eq!(cfg.counter_bits, 16);
         assert_eq!(cfg.bucket_bytes(), 4);
         assert_eq!(cfg.counter_max(), 65_535);
-        assert_eq!(cfg.store, StoreKind::StreamSummary);
         assert!(cfg.expansion.is_none());
     }
 

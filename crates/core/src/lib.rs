@@ -75,7 +75,7 @@ pub mod wire;
 pub use basic::BasicTopK;
 pub use change::{ChangeKind, HeavyChange, HeavyChangeDetector};
 pub use collector::{AggregationRule, Collector, WindowSubmit, WindowSubmitError};
-pub use config::{ExpansionPolicy, HkConfig, HkConfigBuilder, StoreKind};
+pub use config::{ExpansionPolicy, HkConfig, HkConfigBuilder};
 pub use decay::DecayFn;
 pub use fault::{FaultKind, FaultPlan, FaultSpec};
 pub use merge::{MergeError, MergeMode};

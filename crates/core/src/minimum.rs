@@ -54,7 +54,7 @@ impl<K: FlowKey> MinimumTopK<K> {
     pub fn new(cfg: HkConfig) -> Self {
         Self {
             sketch: HkSketch::new(&cfg),
-            store: TopKStore::new(cfg.store, cfg.k),
+            store: TopKStore::new(cfg.k),
             cfg,
             scratch: PreparedBatch::new(),
         }
@@ -109,7 +109,7 @@ impl<K: FlowKey> MinimumTopK<K> {
     /// footnote 2), where each switch reports and resets per period.
     pub fn reset(&mut self) {
         self.sketch.reset();
-        self.store = TopKStore::new(self.cfg.store, self.cfg.k);
+        self.store = TopKStore::new(self.cfg.k);
     }
 
     /// The insert body (Algorithm 2), generic over how bucket slots are

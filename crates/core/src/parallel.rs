@@ -56,7 +56,7 @@ impl<K: FlowKey> ParallelTopK<K> {
     pub fn new(cfg: HkConfig) -> Self {
         Self {
             sketch: HkSketch::new(&cfg),
-            store: TopKStore::new(cfg.store, cfg.k),
+            store: TopKStore::new(cfg.k),
             cfg,
             scratch: PreparedBatch::new(),
         }
@@ -111,7 +111,7 @@ impl<K: FlowKey> ParallelTopK<K> {
     /// footnote 2), where each switch reports and resets per period.
     pub fn reset(&mut self) {
         self.sketch.reset();
-        self.store = TopKStore::new(self.cfg.store, self.cfg.k);
+        self.store = TopKStore::new(self.cfg.k);
     }
 
     /// Restores the instance to its exact as-constructed state —
@@ -121,7 +121,7 @@ impl<K: FlowKey> ParallelTopK<K> {
     /// recycles evicted epochs through this instead of allocating.
     pub fn recycle(&mut self) {
         self.sketch.recycle();
-        self.store = TopKStore::new(self.cfg.store, self.cfg.k);
+        self.store = TopKStore::new(self.cfg.k);
     }
 
     /// Queries an already-prepared flow (the sliding window prepares a

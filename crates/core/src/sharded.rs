@@ -647,12 +647,15 @@ where
                     let ns = batch.sent_at.elapsed().as_nanos();
                     obs.latency_ns.record(u64::try_from(ns).unwrap_or(u64::MAX));
                     packets_done += units;
-                    processed.fetch_add(units, Ordering::Release);
                     // Hand the drained buffer back for reuse; a full
                     // return ring just drops it (the dispatcher will
-                    // allocate a replacement on demand).
+                    // allocate a replacement on demand). The push comes
+                    // before the progress count: a `flush` that sees the
+                    // count returns, and the next dispatch must find
+                    // this buffer on the return ring, not allocate one.
                     batch.clear();
                     let _ = recycled.try_push(batch);
+                    processed.fetch_add(units, Ordering::Release);
                 }
                 Some(ShardMsg::Op(op)) => {
                     spins = 0;
@@ -1736,11 +1739,13 @@ impl<K: FlowKey + Send + 'static> ShardedEngine<K, crate::sliding::SlidingTopK<K
     /// **dirty** frame per shard behind the same flush barrier, each
     /// carrying the shard window's newest closed epoch
     /// ([`SlidingTopK::export_dirty`](crate::sliding::SlidingTopK::export_dirty):
-    /// a patch against the previous export, or against the empty
-    /// baseline on the first call or after a skipped rotation). Returns
-    /// `None` before the first rotation — the shards rotate in lockstep
-    /// through [`ShardedEngine::rotate_all`], so either all have a
-    /// closed epoch or none do — and the caller ships
+    /// a patch against the epoch closed one rotation earlier, read from
+    /// the shard's own ring, or against the empty baseline when the ring
+    /// no longer holds that epoch — every rotation of a `W = 2` window —
+    /// or a reshard rewrote it). Returns `None` before the first
+    /// rotation — the shards rotate in lockstep through
+    /// [`ShardedEngine::rotate_all`], so either all have a closed epoch
+    /// or none do — and the caller ships
     /// [`ShardedEngine::export_frames`] instead.
     pub fn export_dirties(
         &self,
@@ -1752,18 +1757,16 @@ impl<K: FlowKey + Send + 'static> ShardedEngine<K, crate::sliding::SlidingTopK<K
 
     /// The flushed per-shard visitor behind the two exports: flushes,
     /// so every frame is cut at the same point of the stream, then calls
-    /// `export(window, switch_id)` on every shard in index order (shard
+    /// `export(window, switch_id)` on the shards in index order (shard
     /// `i` is switch `switch_id_base + i`). Returns the frames only if
     /// every shard produced one, and then records them in the hub.
     fn export_each(
         &self,
         switch_id_base: u64,
-        mut export: impl FnMut(&mut crate::sliding::SlidingTopK<K>, u64) -> Option<Vec<u8>>,
+        export: impl Fn(&crate::sliding::SlidingTopK<K>, u64) -> Option<Vec<u8>>,
     ) -> Result<Option<Vec<Vec<u8>>>, ShardPoisoned> {
         self.flush()?;
-        // Visit every shard even once one came up empty: a dirty export
-        // is what moves each shard's shadow for next time.
-        let frames: Vec<Option<Vec<u8>>> = self
+        let frames: Option<Vec<Vec<u8>>> = self
             .shards
             .iter()
             .enumerate()
@@ -1771,11 +1774,10 @@ impl<K: FlowKey + Send + 'static> ShardedEngine<K, crate::sliding::SlidingTopK<K
                 // The flush barrier already rejected dead workers;
                 // residual poison can only come from a reader's panic
                 // (shared access, state intact) — absorb it.
-                let mut guard = shard.algo.lock().unwrap_or_else(PoisonError::into_inner);
-                export(&mut guard, switch_id_base + i as u64)
+                let guard = shard.algo.lock().unwrap_or_else(PoisonError::into_inner);
+                export(&guard, switch_id_base + i as u64)
             })
             .collect();
-        let frames: Option<Vec<Vec<u8>>> = frames.into_iter().collect();
         if let Some(frames) = &frames {
             self.obs.stages.exports.incr();
             for f in frames {
@@ -2271,39 +2273,45 @@ mod tests {
     fn sharded_dirty_export_primes_then_ships_lockstep() {
         use crate::wire::{FrameKind, WindowFrame};
 
-        let mut engine = ShardedEngine::<u64, _>::sliding(&cfg(1024, 8), 3, 2);
-
-        // No rotation yet: no closed epoch anywhere.
-        engine.insert_batch(&(0..3000u64).map(|i| i % 6).collect::<Vec<_>>());
-        assert!(engine.export_dirties(10, 500).unwrap().is_none());
-
-        // One closed epoch: every shard ships it against the empty
-        // baseline and keeps it as its shadow.
-        engine.rotate_all().unwrap();
-        let first = engine
-            .export_dirties(10, 500)
-            .unwrap()
-            .expect("every shard has a closed epoch");
-        for bytes in &first {
-            let patch = WindowFrame::<u64>::decode(bytes).unwrap().patch.unwrap();
-            assert_eq!(patch.base_rows(), 0, "nothing exported before");
+        // Three rotations of a 3-shard engine of `window`-epoch shard
+        // windows; returns every frame's baseline rows, per rotation.
+        let run = |window: usize| -> Vec<Vec<usize>> {
+            let mut engine = ShardedEngine::<u64, _>::sliding(&cfg(1024, 8), 3, window);
+            // No rotation yet: no closed epoch anywhere.
+            engine.insert_batch(&(0..3000u64).map(|i| i % 6).collect::<Vec<_>>());
+            assert!(engine.export_dirties(10, 500).unwrap().is_none());
+            (1..=3u64)
+                .map(|r| {
+                    engine.rotate_all().unwrap();
+                    let frames = engine
+                        .export_dirties(10, 500)
+                        .unwrap()
+                        .expect("every shard has a closed epoch");
+                    assert_eq!(frames.len(), 3);
+                    let rows = frames.iter().enumerate().map(|(i, bytes)| {
+                        let f = WindowFrame::<u64>::decode(bytes).unwrap();
+                        assert_eq!(f.kind, FrameKind::Dirty);
+                        assert_eq!(f.switch_id, 10 + i as u64);
+                        assert_eq!(f.rotation, r, "phase-aligned rotation count");
+                        assert_eq!(f.window, window);
+                        f.patch.unwrap().base_rows()
+                    });
+                    let rows = rows.collect();
+                    engine.insert_batch(&(0..3000u64).map(|i| 100 * r + i % 6).collect::<Vec<_>>());
+                    rows
+                })
+                .collect()
+        };
+        // W = 3: the first rotation ships against the empty baseline,
+        // then every shard patches against its ring in lockstep.
+        let w3 = run(3);
+        assert!(w3[0].iter().all(|&b| b == 0), "nothing closed before");
+        for rows in &w3[1..] {
+            assert!(rows.iter().all(|&b| b > 0), "patched in lockstep: {rows:?}");
         }
-
-        engine.insert_batch(&(0..3000u64).map(|i| 100 + i % 6).collect::<Vec<_>>());
-        engine.rotate_all().unwrap();
-        let frames = engine
-            .export_dirties(10, 500)
-            .unwrap()
-            .expect("every shard has a closed epoch");
-        assert_eq!(frames.len(), 3);
-        for (i, bytes) in frames.iter().enumerate() {
-            let f = WindowFrame::<u64>::decode(bytes).unwrap();
-            assert_eq!(f.kind, FrameKind::Dirty);
-            assert_eq!(f.switch_id, 10 + i as u64);
-            assert_eq!(f.rotation, 2, "phase-aligned rotation count");
-            assert_eq!(f.window, 2);
-            assert!(f.patch.unwrap().base_rows() > 0, "patched in lockstep");
-        }
+        // W = 2: the baseline is recycled before each export, so every
+        // frame carries its whole epoch.
+        assert!(run(2).iter().flatten().all(|&b| b == 0));
     }
 
     #[test]

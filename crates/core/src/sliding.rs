@@ -26,10 +26,7 @@
 //! * a window query sums per-epoch estimates over the live epochs.
 //!   All epochs share `cfg.seed`, so one [`PreparedKey`] is valid in
 //!   every epoch: a candidate is hashed **once** and walked through all
-//!   `W` epochs ([`ParallelTopK::query_prepared`]). Sums over the
-//!   *closed* epochs (all but the newest) are additionally cached
-//!   between rotations — closed epochs are immutable until the next
-//!   [`SlidingTopK::rotate`], which invalidates the cache.
+//!   `W` epochs ([`ParallelTopK::query_prepared`]).
 //!   Per-epoch estimates never over-estimate (Theorem 2), so the summed
 //!   window estimate never over-estimates the flow's window count.
 //!
@@ -39,9 +36,11 @@
 //! be missed — the same within-epoch granularity limit as every
 //! epoch-ring scheme; widening per-epoch `k` mitigates it.
 //!
-//! Memory is `W`× one sketch, the usual price of sliding windows.
+//! Memory is `W`× one sketch, the usual price of sliding windows, and
+//! the ring is all the window keeps: the dirty exporter reads its
+//! baseline from the ring too ([`SlidingTopK::export_dirty`]).
 
-use std::collections::{HashMap, HashSet, VecDeque};
+use std::collections::{HashSet, VecDeque};
 use std::sync::{Mutex, PoisonError};
 
 use crate::config::HkConfig;
@@ -77,45 +76,20 @@ pub struct SlidingTopK<K: FlowKey> {
     cfg: HkConfig,
     window: usize,
     rotations: u64,
-    /// Per-flow sums of estimates over the *closed* epochs (all but the
-    /// newest). Closed epochs are immutable between rotations, so
-    /// entries stay valid until [`SlidingTopK::rotate`] clears them;
-    /// ingest only touches the newest epoch, which is excluded.
-    /// A `Mutex` (not `RefCell`) so the window stays `Sync` like every
-    /// other algorithm here — uncontended on the single-owner path.
-    closed_cache: Mutex<HashMap<K, u64>>,
+    /// The rotation count when the ring was last rebuilt
+    /// ([`SlidingTopK::from_epochs`]) or rewritten in place
+    /// ([`SlidingTopK::merge_from`], [`SlidingTopK::retain_monitored`]).
+    /// An epoch closed at or before it may differ from what any earlier
+    /// export shipped, so it is never a dirty patch's baseline
+    /// ([`SlidingTopK::patch_base`]).
+    rewritten_at: u64,
     /// Reusable scratch for [`SlidingTopK::top_k`]: the dedup set and
     /// the candidate buffer keep their capacity across queries instead
     /// of being reallocated per call (a windowed monitor polls `top_k`
-    /// every few batches, and `W·k` candidates per poll add up). Same
-    /// `Mutex`-for-`Sync` reasoning as the closed cache.
+    /// every few batches, and `W·k` candidates per poll add up). A
+    /// `Mutex` (not `RefCell`) so the window stays `Sync` like every
+    /// other algorithm here — uncontended on the single-owner path.
     topk_scratch: Mutex<TopKScratch<K>>,
-    /// The dirty exporter's retained snapshot of the last exported
-    /// closed epoch ([`SlidingTopK::export_dirty`]): the packed words the
-    /// *next* closed epoch is scan-and-compared against. `None` until the
-    /// first dirty export fills it. One extra matrix of memory — the
-    /// price of O(changed buckets) steady-state export — deliberately
-    /// outside [`SlidingTopK::memory_bytes`], which accounts the
-    /// measurement structure, not the telemetry plane.
-    pub(crate) export_shadow: Option<ExportShadow>,
-}
-
-/// The packed words of the last closed epoch a dirty frame shipped,
-/// tagged with the rotation that closed it (staleness check: a patch at
-/// rotation `R` may only use the shadow of `R - 1` as its baseline).
-#[derive(Debug, Clone)]
-pub(crate) struct ExportShadow {
-    /// Rotation counter at snapshot time; the snapshotted epoch is the
-    /// one this rotation closed.
-    pub(crate) rotation: u64,
-    /// Matrix rows at snapshot time (Section III-F expansion can make
-    /// this differ from the next closed epoch's).
-    pub(crate) rows: usize,
-    /// Matrix width (never changes within a ring; double-checked so a
-    /// stale shadow can never be diffed against a different geometry).
-    pub(crate) width: usize,
-    /// The snapshot: `rows × width` packed words, row-major.
-    pub(crate) words: Vec<u64>,
 }
 
 /// The per-query allocations of `top_k`, retained across calls.
@@ -141,10 +115,9 @@ impl<K: FlowKey> Clone for SlidingTopK<K> {
             cfg: self.cfg.clone(),
             window: self.window,
             rotations: self.rotations,
-            closed_cache: Mutex::new(self.cache().clone()),
+            rewritten_at: self.rewritten_at,
             // Scratch is cheap to refill; a clone starts cold.
             topk_scratch: Mutex::new(TopKScratch::default()),
-            export_shadow: self.export_shadow.clone(),
         }
     }
 }
@@ -169,9 +142,8 @@ impl<K: FlowKey> SlidingTopK<K> {
             cfg,
             window,
             rotations: 0,
-            closed_cache: Mutex::new(HashMap::new()),
+            rewritten_at: 0,
             topk_scratch: Mutex::new(TopKScratch::default()),
-            export_shadow: None,
         }
     }
 
@@ -259,50 +231,6 @@ impl<K: FlowKey> SlidingTopK<K> {
             self.epochs.push_back(ParallelTopK::new(self.cfg.clone()));
         }
         self.rotations += 1;
-        // The closed set changed; cached closed-epoch sums are stale.
-        self.cache().clear();
-    }
-
-    fn cache(&self) -> std::sync::MutexGuard<'_, HashMap<K, u64>> {
-        // The guard only covers map reads/inserts, so poison (which
-        // would need a panic in the allocator) cannot leave a torn
-        // entry behind — absorb it.
-        self.closed_cache
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-    }
-
-    /// Cap on cached closed-epoch sums: enough for every `top_k`
-    /// candidate (at most `W·k` per rotation) several times over, while
-    /// keeping the window's memory bounded no matter how many distinct
-    /// flows are point-queried between rotations — an unbounded map
-    /// would betray the sketch's fixed-memory contract.
-    fn closed_cache_cap(&self) -> usize {
-        (4 * self.window * self.cfg.k).max(1024)
-    }
-
-    /// The sum of per-epoch estimates over the closed epochs, through
-    /// the cache (one walk per closed epoch on a miss, one map lookup
-    /// afterwards until the next rotation). `p` is the caller's
-    /// prepared state for `key`.
-    fn closed_estimate(&self, key: &K, p: &PreparedKey) -> u64 {
-        if self.epochs.len() <= 1 {
-            return 0;
-        }
-        if let Some(&sum) = self.cache().get(key) {
-            return sum;
-        }
-        let sum = self
-            .epochs
-            .iter()
-            .take(self.epochs.len() - 1)
-            .map(|e| e.query_prepared(p))
-            .sum();
-        let mut cache = self.cache();
-        if cache.len() < self.closed_cache_cap() {
-            cache.insert(*key, sum);
-        }
-        sum
     }
 
     /// Hashes a flow once; the prepared state is valid in every epoch
@@ -313,13 +241,12 @@ impl<K: FlowKey> SlidingTopK<K> {
     }
 
     /// The flow's estimated size over the window: the sum of per-epoch
-    /// estimates. The flow is hashed exactly once; closed-epoch sums
-    /// come from the rotation-invalidated cache. Never over-estimates
-    /// the window count (each summand is a per-epoch lower bound,
-    /// Theorem 2).
+    /// estimates. The flow is hashed exactly once and walked through
+    /// every live epoch. Never over-estimates the window count (each
+    /// summand is a per-epoch lower bound, Theorem 2).
     pub fn query(&self, key: &K) -> u64 {
         let p = self.prepare(key);
-        self.closed_estimate(key, &p) + self.newest().query_prepared(&p)
+        self.epochs.iter().map(|e| e.query_prepared(&p)).sum()
     }
 
     /// The top-k flows over the window, largest first.
@@ -373,11 +300,28 @@ impl<K: FlowKey> SlidingTopK<K> {
         self.epochs.iter().rev().nth(1)
     }
 
+    /// The baseline of the dirty patch for the current rotation `R`: the
+    /// epoch closed by `R - 1`, two behind the newest. A collector
+    /// applies rotation `R` only to a replica standing at `R - 1`, whose
+    /// newest closed epoch is exactly that one. `None` — the empty
+    /// baseline — when the ring no longer holds it (a `W ≤ 2` ring has
+    /// already recycled it) or when the ring was rebuilt or rewritten
+    /// after it closed, so the collector's copy may differ.
+    pub(crate) fn patch_base(&self) -> Option<&ParallelTopK<K>> {
+        let closed_by = self.rotations.checked_sub(1)?;
+        if closed_by <= self.rewritten_at {
+            return None;
+        }
+        self.epochs.iter().rev().nth(2)
+    }
+
     /// Rebuilds a window from externally supplied epochs (oldest first)
     /// — the collector-side constructor: a decoded
     /// [`WindowFrame`](crate::wire::WindowFrame) becomes a queryable
     /// replica of the switch's ring. `rotations` restores the rotation
-    /// counter so dirty-frame reassembly can continue from here.
+    /// counter so dirty-frame reassembly can continue from here; the
+    /// supplied epochs are never a dirty patch's baseline, so the first
+    /// dirty export after the next rotation is self-contained.
     ///
     /// # Panics
     ///
@@ -399,9 +343,8 @@ impl<K: FlowKey> SlidingTopK<K> {
             cfg,
             window,
             rotations,
-            closed_cache: Mutex::new(HashMap::new()),
+            rewritten_at: rotations,
             topk_scratch: Mutex::new(TopKScratch::default()),
-            export_shadow: None,
         }
     }
 
@@ -409,8 +352,7 @@ impl<K: FlowKey> SlidingTopK<K> {
     /// `final_epoch` as the definitive state of the current newest
     /// epoch, then crosses the period boundary exactly like
     /// [`SlidingTopK::rotate`] (evict-and-recycle once the ring is
-    /// full, fresh empty newest, rotation counter bumped, caches
-    /// invalidated).
+    /// full, fresh empty newest, rotation counter bumped).
     ///
     /// This is the collector's reassembly step for dirty frames: a
     /// switch that ships only its just-closed epoch per rotation keeps
@@ -450,10 +392,8 @@ impl<K: FlowKey> SlidingTopK<K> {
         for (mine, theirs) in self.epochs.iter_mut().zip(other.epochs.iter()) {
             mine.merge_from(theirs)?;
         }
-        // Closed-epoch sums changed and the shadow no longer matches
-        // any epoch this window will close.
-        self.cache().clear();
-        self.export_shadow = None;
+        // Every closed epoch changed: none is a baseline any more.
+        self.rewritten_at = self.rotations;
         Ok(())
     }
 
@@ -464,8 +404,7 @@ impl<K: FlowKey> SlidingTopK<K> {
         for epoch in self.epochs.iter_mut() {
             epoch.retain_monitored(keep);
         }
-        self.cache().clear();
-        self.export_shadow = None;
+        self.rewritten_at = self.rotations;
     }
 }
 
@@ -583,9 +522,9 @@ mod tests {
     }
 
     #[test]
-    fn closed_cache_does_not_hide_live_traffic() {
-        // A repeated query must keep seeing the newest epoch's growth:
-        // only the closed epochs are cached.
+    fn query_sees_newest_epoch_traffic_at_once() {
+        // A repeated query must keep seeing the newest epoch's growth
+        // between rotations.
         let mut win = SlidingTopK::<u64>::new(cfg(256, 4), 3);
         for _ in 0..100 {
             win.insert(&9);
@@ -645,29 +584,8 @@ mod tests {
     }
 
     #[test]
-    fn closed_cache_is_bounded_and_capped_queries_stay_exact() {
-        let mut win = SlidingTopK::<u64>::new(cfg(256, 4), 2);
-        for _ in 0..100 {
-            win.insert(&1);
-        }
-        win.rotate();
-        // Probe far more distinct flows than the cap admits.
-        let cap = win.closed_cache_cap();
-        for f in 0..(cap as u64 * 3) {
-            let _ = win.query(&(1_000_000 + f));
-        }
-        assert!(
-            win.cache().len() <= cap,
-            "cache grew past its cap: {} > {cap}",
-            win.cache().len()
-        );
-        // Queries past the cap still answer correctly (uncached path).
-        assert_eq!(win.query(&1), 100);
-    }
-
-    #[test]
     fn window_is_send_and_sync() {
-        // The closed-epoch cache must not cost the auto-traits: shared
+        // The top-k scratch must not cost the auto-traits: shared
         // references to a window are usable across threads like every
         // other algorithm in the workspace.
         fn assert_send_sync<T: Send + Sync>() {}

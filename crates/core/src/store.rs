@@ -3,48 +3,31 @@
 //! The paper describes its top-k structure as a min-heap "for better
 //! understanding" but implements it with Stream-Summary because both
 //! expose the same operations and Stream-Summary updates in O(1)
-//! (Section III-C, Note). [`TopKStore`] wraps either structure behind the
-//! exact operations the HeavyKeeper variants need, and the test suite
-//! checks the two are observationally equivalent.
+//! (Section III-C, Note). [`TopKStore`] is that Stream-Summary behind
+//! the exact operations the HeavyKeeper variants need. The min-heap
+//! ([`hk_common::topk::MinHeapTopK`]) serves only the sketch baselines.
 
 use hk_common::key::FlowKey;
 use hk_common::stream_summary::StreamSummary;
-use hk_common::topk::MinHeapTopK;
-
-use crate::config::StoreKind;
 
 /// A bounded store of the current top-k flow IDs and estimated sizes.
 #[derive(Debug, Clone)]
-pub enum TopKStore<K: FlowKey> {
-    /// Min-heap backed store (exposition variant).
-    MinHeap(MinHeapTopK<K>),
-    /// Stream-Summary backed store (the paper's implementation).
-    StreamSummary(StreamSummary<K>),
-}
+pub struct TopKStore<K: FlowKey>(StreamSummary<K>);
 
 impl<K: FlowKey> TopKStore<K> {
-    /// Creates a store of the chosen kind holding at most `k` flows.
-    pub fn new(kind: StoreKind, k: usize) -> Self {
-        match kind {
-            StoreKind::MinHeap => Self::MinHeap(MinHeapTopK::new(k)),
-            StoreKind::StreamSummary => Self::StreamSummary(StreamSummary::new(k)),
-        }
+    /// Creates a store holding at most `k` flows.
+    pub fn new(k: usize) -> Self {
+        Self(StreamSummary::new(k))
     }
 
     /// True if `key` is currently monitored (the paper's `flag`).
     pub fn contains(&self, key: &K) -> bool {
-        match self {
-            Self::MinHeap(h) => h.contains(key),
-            Self::StreamSummary(s) => s.contains(key),
-        }
+        self.0.contains(key)
     }
 
     /// Number of monitored flows.
     pub fn len(&self) -> usize {
-        match self {
-            Self::MinHeap(h) => h.len(),
-            Self::StreamSummary(s) => s.len(),
-        }
+        self.0.len()
     }
 
     /// True when no flows are monitored.
@@ -54,18 +37,12 @@ impl<K: FlowKey> TopKStore<K> {
 
     /// True when `k` flows are monitored.
     pub fn is_full(&self) -> bool {
-        match self {
-            Self::MinHeap(h) => h.is_full(),
-            Self::StreamSummary(s) => s.is_full(),
-        }
+        self.0.is_full()
     }
 
     /// Capacity `k`.
     pub fn capacity(&self) -> usize {
-        match self {
-            Self::MinHeap(h) => h.capacity(),
-            Self::StreamSummary(s) => s.capacity(),
-        }
+        self.0.capacity()
     }
 
     /// The paper's `n_min`: the smallest monitored size once full, else 0.
@@ -73,18 +50,12 @@ impl<K: FlowKey> TopKStore<K> {
         if !self.is_full() {
             return 0;
         }
-        match self {
-            Self::MinHeap(h) => h.min_count().unwrap_or(0),
-            Self::StreamSummary(s) => s.min_count().unwrap_or(0),
-        }
+        self.0.min_count().unwrap_or(0)
     }
 
     /// The monitored size of `key`, if present.
     pub fn count(&self, key: &K) -> Option<u64> {
-        match self {
-            Self::MinHeap(h) => h.count(key),
-            Self::StreamSummary(s) => s.count(key),
-        }
+        self.0.count(key)
     }
 
     /// Updates a monitored flow to `max(current, estimate)` — the
@@ -92,25 +63,14 @@ impl<K: FlowKey> TopKStore<K> {
     ///
     /// Returns `false` if the key is not monitored.
     pub fn update_max(&mut self, key: &K, estimate: u64) -> bool {
-        match self {
-            Self::MinHeap(h) => match h.count(key) {
-                Some(cur) => {
-                    if estimate > cur {
-                        h.update(key, estimate);
-                    }
-                    true
+        match self.0.count(key) {
+            Some(cur) => {
+                if estimate > cur {
+                    self.0.set_count(key, estimate);
                 }
-                None => false,
-            },
-            Self::StreamSummary(s) => match s.count(key) {
-                Some(cur) => {
-                    if estimate > cur {
-                        s.set_count(key, estimate);
-                    }
-                    true
-                }
-                None => false,
-            },
+                true
+            }
+            None => false,
         }
     }
 
@@ -120,29 +80,21 @@ impl<K: FlowKey> TopKStore<K> {
     /// The *decision* to admit (Optimization I's `n̂ = n_min + 1` rule)
     /// belongs to the caller; this method only performs the insertion.
     pub fn admit(&mut self, key: K, estimate: u64) -> Option<(K, u64)> {
-        match self {
-            Self::MinHeap(h) => h.offer(key, estimate),
-            Self::StreamSummary(s) => {
-                if s.contains(&key) {
-                    let cur = s.count(&key).unwrap_or(0);
-                    if estimate > cur {
-                        s.set_count(&key, estimate);
-                    }
-                    return None;
-                }
-                let evicted = if s.is_full() { s.evict_min() } else { None };
-                s.insert(key, estimate);
-                evicted
-            }
+        if self.update_max(&key, estimate) {
+            return None;
         }
+        let evicted = if self.0.is_full() {
+            self.0.evict_min()
+        } else {
+            None
+        };
+        self.0.insert(key, estimate);
+        evicted
     }
 
     /// All monitored flows, largest first.
     pub fn sorted_desc(&self) -> Vec<(K, u64)> {
-        match self {
-            Self::MinHeap(h) => h.sorted_desc(),
-            Self::StreamSummary(s) => s.iter_desc().map(|(k, c)| (*k, c)).collect(),
-        }
+        self.0.iter_desc().map(|(k, c)| (*k, c)).collect()
     }
 
     /// Accounted memory: `k` entries of (flow ID + 32-bit size), matching
@@ -157,13 +109,9 @@ impl<K: FlowKey> TopKStore<K> {
     /// first so no admission can evict a survivor (the kept set never
     /// exceeds capacity).
     pub fn retain(&mut self, keep: &mut dyn FnMut(&K) -> bool) {
-        let kind = match self {
-            Self::MinHeap(_) => StoreKind::MinHeap,
-            Self::StreamSummary(_) => StoreKind::StreamSummary,
-        };
         let mut kept = self.sorted_desc();
         kept.retain(|(k, _)| keep(k));
-        let mut fresh = Self::new(kind, self.capacity());
+        let mut fresh = Self::new(self.capacity());
         for (k, c) in kept.into_iter().rev() {
             fresh.admit(k, c);
         }
@@ -175,96 +123,52 @@ impl<K: FlowKey> TopKStore<K> {
 mod tests {
     use super::*;
 
-    fn both(k: usize) -> [TopKStore<u64>; 2] {
-        [
-            TopKStore::new(StoreKind::MinHeap, k),
-            TopKStore::new(StoreKind::StreamSummary, k),
-        ]
-    }
-
     #[test]
     fn nmin_zero_until_full() {
-        for mut s in both(3) {
-            assert_eq!(s.nmin(), 0);
-            s.admit(1, 10);
-            s.admit(2, 20);
-            assert_eq!(s.nmin(), 0, "not full yet");
-            s.admit(3, 30);
-            assert_eq!(s.nmin(), 10);
-        }
+        let mut s = TopKStore::new(3);
+        assert_eq!(s.nmin(), 0);
+        s.admit(1u64, 10);
+        s.admit(2, 20);
+        assert_eq!(s.nmin(), 0, "not full yet");
+        s.admit(3, 30);
+        assert_eq!(s.nmin(), 10);
     }
 
     #[test]
     fn admit_evicts_min_when_full() {
-        for mut s in both(2) {
-            s.admit(1, 10);
-            s.admit(2, 20);
-            let evicted = s.admit(3, 15);
-            assert_eq!(evicted, Some((1, 10)));
-            assert!(s.contains(&3) && s.contains(&2) && !s.contains(&1));
-        }
+        let mut s = TopKStore::new(2);
+        s.admit(1u64, 10);
+        s.admit(2, 20);
+        let evicted = s.admit(3, 15);
+        assert_eq!(evicted, Some((1, 10)));
+        assert!(s.contains(&3) && s.contains(&2) && !s.contains(&1));
     }
 
     #[test]
     fn update_max_only_raises() {
-        for mut s in both(2) {
-            s.admit(1, 10);
-            assert!(s.update_max(&1, 5));
-            assert_eq!(s.count(&1), Some(10));
-            assert!(s.update_max(&1, 50));
-            assert_eq!(s.count(&1), Some(50));
-            assert!(!s.update_max(&99, 1));
-        }
+        let mut s = TopKStore::new(2);
+        s.admit(1u64, 10);
+        assert!(s.update_max(&1, 5));
+        assert_eq!(s.count(&1), Some(10));
+        assert!(s.update_max(&1, 50));
+        assert_eq!(s.count(&1), Some(50));
+        assert!(!s.update_max(&99, 1));
     }
 
     #[test]
     fn sorted_desc_order() {
-        for mut s in both(4) {
-            for (k, c) in [(1u64, 5), (2, 50), (3, 20), (4, 1)] {
-                s.admit(k, c);
-            }
-            let v = s.sorted_desc();
-            let counts: Vec<u64> = v.iter().map(|&(_, c)| c).collect();
-            assert_eq!(counts, vec![50, 20, 5, 1]);
+        let mut s = TopKStore::new(4);
+        for (k, c) in [(1u64, 5), (2, 50), (3, 20), (4, 1)] {
+            s.admit(k, c);
         }
-    }
-
-    #[test]
-    fn heap_and_summary_equivalent_on_random_ops() {
-        use rand::{Rng, SeedableRng};
-        let mut rng = rand::rngs::StdRng::seed_from_u64(17);
-        let mut heap = TopKStore::<u64>::new(StoreKind::MinHeap, 8);
-        let mut ss = TopKStore::<u64>::new(StoreKind::StreamSummary, 8);
-        for step in 0..20_000u64 {
-            let key = rng.gen_range(0..40u64);
-            // Strictly increasing estimates keep counts unique, so the two
-            // stores evict identical victims (under ties the choice of
-            // victim is unspecified and the stores may legitimately
-            // diverge in *which* key they keep).
-            let est = step + 1;
-            // Drive both stores through the same admission logic the
-            // HeavyKeeper variants use.
-            for s in [&mut heap, &mut ss] {
-                if s.contains(&key) {
-                    s.update_max(&key, est);
-                } else if !s.is_full() || est > s.nmin() {
-                    s.admit(key, est);
-                }
-            }
-            // The multiset of monitored counts must agree (the exact
-            // eviction victim may differ under ties, so compare counts).
-            let mut a: Vec<u64> = heap.sorted_desc().iter().map(|&(_, c)| c).collect();
-            let mut b: Vec<u64> = ss.sorted_desc().iter().map(|&(_, c)| c).collect();
-            a.sort_unstable();
-            b.sort_unstable();
-            assert_eq!(a, b, "divergence at step {step}");
-            assert_eq!(heap.nmin(), ss.nmin());
-        }
+        let v = s.sorted_desc();
+        let counts: Vec<u64> = v.iter().map(|&(_, c)| c).collect();
+        assert_eq!(counts, vec![50, 20, 5, 1]);
     }
 
     #[test]
     fn memory_accounting() {
-        let s = TopKStore::<u64>::new(StoreKind::StreamSummary, 100);
+        let s = TopKStore::<u64>::new(100);
         // 100 entries x (8-byte id + 4-byte count) = 1200.
         assert_eq!(s.memory_bytes(), 1200);
     }

@@ -68,7 +68,7 @@ impl<K: FlowKey> WeightedTopK<K> {
     pub fn new(cfg: HkConfig) -> Self {
         Self {
             sketch: HkSketch::new(&cfg),
-            store: TopKStore::new(cfg.store, cfg.k),
+            store: TopKStore::new(cfg.k),
             cfg,
         }
     }

@@ -10,7 +10,7 @@
 //! ```text
 //! magic "HKSK" | version u8 | key_len u8 |
 //! config: arrays u16 | width u32 | k u32 | fp_bits u8 | ctr_bits u8 |
-//!         seed u64 | decay tag u8 + param f64 | store u8 |
+//!         seed u64 | decay tag u8 + param f64 | store kind u8 (0) |
 //!         expansion flag u8 [+ large u64 + blocked u64 + max u16]
 //! buckets: arrays × width × (fp u32 | count u64)
 //! store:   n u32, then n × (key bytes | count u64)
@@ -25,7 +25,7 @@
 //! by expansion are preserved because the encoded config carries the
 //! *current* array count).
 
-use crate::config::{ExpansionPolicy, HkConfig, StoreKind};
+use crate::config::{ExpansionPolicy, HkConfig};
 use crate::decay::DecayFn;
 use crate::parallel::ParallelTopK;
 use hk_common::algorithm::TopKAlgorithm;
@@ -167,10 +167,8 @@ impl<K: FlowKey> ParallelTopK<K> {
         out.push(cfg.counter_bits as u8);
         out.extend_from_slice(&cfg.seed.to_le_bytes());
         encode_decay(out, cfg.decay);
-        out.push(match cfg.store {
-            StoreKind::StreamSummary => 0,
-            StoreKind::MinHeap => 1,
-        });
+        // The store-kind byte: 0 is Stream-Summary, the only store.
+        out.push(0);
         match cfg.expansion {
             None => out.push(0),
             Some(p) => {
@@ -223,11 +221,9 @@ impl<K: FlowKey> ParallelTopK<K> {
         let ctr_bits = r.u8()? as u32;
         let seed = r.u64()?;
         let decay = decode_decay(&mut r)?;
-        let store = match r.u8()? {
-            0 => StoreKind::StreamSummary,
-            1 => StoreKind::MinHeap,
-            _ => return Err(WireError::Corrupt("store kind")),
-        };
+        if r.u8()? != 0 {
+            return Err(WireError::Corrupt("store kind"));
+        }
         let expansion = match r.u8()? {
             0 => None,
             1 => Some(ExpansionPolicy {
@@ -271,8 +267,7 @@ impl<K: FlowKey> ParallelTopK<K> {
             .fingerprint_bits(fp_bits)
             .counter_bits(ctr_bits)
             .seed(seed)
-            .decay(decay)
-            .store(store);
+            .decay(decay);
         if let Some(p) = expansion {
             builder = builder.expansion(p);
         }
@@ -364,12 +359,13 @@ impl<K: FlowKey> ParallelTopK<K> {
 //   ```
 //
 //   `base_rows = 0` names the empty baseline: the record carries the
-//   whole closed epoch and needs no earlier export (the first export,
-//   the one after a skipped rotation, `export_delta`). `base_rows > 0`
-//   names the epoch closed by `rotation - 1`, which had that many rows.
-//   Against it the steady-state cost is O(changed buckets), which
-//   HeavyKeeper's own thesis makes O(elephants): almost all buckets
-//   hold mice or nothing and are untouched between rotations.
+//   whole closed epoch and needs no earlier export (the first rotation,
+//   every rotation of a `W = 2` ring, the first after the ring is
+//   rebuilt or rewritten, `export_delta`). `base_rows > 0` names the
+//   epoch closed by `rotation - 1`, which had that many rows; the
+//   exporter reads it from its own ring, two behind the newest epoch.
+//   Against it the cost is O(changed buckets), which is small when
+//   flows recur from one epoch to the next.
 //
 // Kind 1 (the retired v2 delta, which re-shipped the closed epoch as a
 // whole v1 sketch) and v3 dirty records (no baseline field) no longer
@@ -499,12 +495,11 @@ fn encode_record(out: &mut Vec<u8>, write: impl FnOnce(&mut Vec<u8>)) {
 }
 
 /// A dirty frame carrying `closed`, the epoch closed by `rotation`,
-/// diffed against `base` — the shadow of the epoch closed by
-/// `rotation - 1` — or against the empty baseline when `base` is
-/// `None`.
+/// diffed against `base` — the epoch closed by `rotation - 1` — or
+/// against the empty baseline when `base` is `None`.
 fn dirty_frame<K: FlowKey>(
     closed: &ParallelTopK<K>,
-    base: Option<&crate::sliding::ExportShadow>,
+    base: Option<&ParallelTopK<K>>,
     switch_id: u64,
     rotation: u64,
     window: usize,
@@ -552,7 +547,7 @@ impl<K: FlowKey> crate::sliding::SlidingTopK<K> {
     /// Exports the newest *closed* epoch as a [`FrameKind::Dirty`]
     /// frame against the empty baseline: a self-contained record that
     /// needs no earlier export. It is [`export_dirty`]'s encoder with
-    /// the shadow left out, and neither reads nor moves the shadow.
+    /// the baseline left out.
     ///
     /// Returns `None` when no closed epoch is live — before the first
     /// rotation, and *always* for a `W = 1` window (its only slot is the
@@ -574,56 +569,37 @@ impl<K: FlowKey> crate::sliding::SlidingTopK<K> {
     }
 
     /// Exports the newest closed epoch as a [`FrameKind::Dirty`] frame:
-    /// a patch of only the buckets whose packed words *changed* since
-    /// the previous export, scan-and-compared against a retained shadow
-    /// snapshot — plain u64 compares at export time, no per-write dirty
-    /// tracking, the ingest hot path untouched. Steady-state cost is
-    /// O(changed buckets) ≈ O(elephants) instead of O(sketch).
+    /// a patch of only the buckets whose packed words differ from the
+    /// epoch closed one rotation earlier, which the ring still holds two
+    /// behind the newest — plain u64 compares at export time, no
+    /// per-write dirty tracking, the ingest hot path untouched. A
+    /// collector applies the patch to a replica standing at
+    /// `rotation - 1`, whose newest closed epoch is that baseline.
     ///
-    /// The patch's baseline is the shadow when it snapshots exactly the
-    /// epoch closed by `rotation - 1` at the same width. Otherwise — on
-    /// the first call, after a skipped rotation, or after a merge — the
-    /// frame is encoded against the empty baseline and carries the
-    /// whole closed epoch, so every rotation ships dirty. Either way the
-    /// shadow then moves to the epoch just closed. Returns `None` only
-    /// when no closed epoch is live (before the first rotation, or a
-    /// `W = 1` window); the caller ships [`export_frame`] instead.
-    ///
-    /// The shadow costs one extra matrix per window and is accounted to
-    /// the telemetry plane, not [`memory_bytes`].
+    /// The frame is encoded against the empty baseline, carrying the
+    /// whole closed epoch, when the ring no longer holds the baseline
+    /// (every rotation of a `W = 2` ring, the first rotation of any) or
+    /// when the ring was rebuilt or rewritten after the baseline closed
+    /// ([`from_epochs`], [`merge_from`], [`retain_monitored`]). The
+    /// frame is a function of the ring alone: exporting twice at one
+    /// rotation returns the same bytes, and an export after a skipped
+    /// one still patches. Returns `None` only when no closed epoch is
+    /// live (before the first rotation, or a `W = 1` window); the caller
+    /// ships [`export_frame`] instead.
     ///
     /// [`export_frame`]: crate::sliding::SlidingTopK::export_frame
-    /// [`memory_bytes`]: crate::sliding::SlidingTopK::memory_bytes
-    pub fn export_dirty(&mut self, switch_id: u64, epoch_packets: u32) -> Option<Vec<u8>> {
-        let rotation = self.rotations();
-        // Taken first: with no closed epoch the stale shadow is dropped.
-        let shadow = self.export_shadow.take();
-        let closed = self.newest_closed()?;
-        let sketch = closed.sketch();
-        let width = sketch.width();
-        let base = shadow
-            .as_ref()
-            .filter(|s| s.rotation + 1 == rotation && s.width == width);
-        let bytes = dirty_frame(
-            closed,
-            base,
+    /// [`from_epochs`]: crate::sliding::SlidingTopK::from_epochs
+    /// [`merge_from`]: crate::sliding::SlidingTopK::merge_from
+    /// [`retain_monitored`]: crate::sliding::SlidingTopK::retain_monitored
+    pub fn export_dirty(&self, switch_id: u64, epoch_packets: u32) -> Option<Vec<u8>> {
+        Some(dirty_frame(
+            self.newest_closed()?,
+            self.patch_base(),
             switch_id,
-            rotation,
+            self.rotations(),
             self.window(),
             epoch_packets,
-        );
-        // The next shadow reuses the old one's buffer.
-        let mut words = shadow.map(|s| s.words).unwrap_or_default();
-        words.clear();
-        words.extend_from_slice(sketch.matrix().data());
-        let next = crate::sliding::ExportShadow {
-            rotation,
-            rows: sketch.arrays(),
-            width,
-            words,
-        };
-        self.export_shadow = Some(next);
-        Some(bytes)
+        ))
     }
 }
 
@@ -632,23 +608,20 @@ const HEADER_LEN: usize = 31;
 
 /// Appends the dirty-patch record payload: the closed epoch diffed
 /// against `base` (rows beyond it — Section III-F expansion since the
-/// last export — and every row when `base` is `None` against all-empty
-/// words), then the whole top-k store (small — `k` entries — and not
-/// worth diffing).
+/// baseline closed — and every row when `base` is `None` against
+/// all-empty words), then the whole top-k store (small — `k` entries —
+/// and not worth diffing).
 fn encode_dirty_payload<K: FlowKey>(
     out: &mut Vec<u8>,
     closed: &ParallelTopK<K>,
-    base: Option<&crate::sliding::ExportShadow>,
+    base: Option<&ParallelTopK<K>>,
 ) {
     use hk_common::varint;
 
-    let sketch = closed.sketch();
-    let matrix = sketch.matrix();
+    let matrix = closed.sketch().matrix();
     let (rows, width) = (matrix.rows(), matrix.width());
-    let (base_rows, base_words) = base.map_or((0, &[][..]), |s| {
-        debug_assert_eq!(s.width, width, "caller checked geometry");
-        (s.rows, &s.words[..])
-    });
+    let base = base.map(|b| b.sketch().matrix());
+    let base_rows = base.map_or(0, |b| b.rows());
 
     out.extend_from_slice(DIRTY_MAGIC);
     varint::write_u64(out, base_rows as u64);
@@ -656,7 +629,7 @@ fn encode_dirty_payload<K: FlowKey>(
     varint::write_u64(out, width as u64);
     let mut bitmap: Vec<u64> = Vec::new();
     for j in 0..rows {
-        let base = (j < base_rows).then(|| &base_words[j * width..(j + 1) * width]);
+        let base = base.filter(|_| j < base_rows).map(|b| b.row(j));
         matrix.diff_row_bitmap(j, base, &mut bitmap);
         varint::write_bitmap_rle(out, &bitmap);
         let row = matrix.row(j);
@@ -1184,6 +1157,13 @@ mod tests {
             ParallelTopK::<u64>::from_wire(&wire).unwrap_err(),
             WireError::Corrupt(_)
         ));
+        // The store byte (offset 35) must be 0, Stream-Summary.
+        let mut wire = hk.to_wire();
+        wire[35] = 1;
+        assert_eq!(
+            ParallelTopK::<u64>::from_wire(&wire).unwrap_err(),
+            WireError::Corrupt("store kind")
+        );
     }
 
     #[test]
@@ -1472,8 +1452,7 @@ mod tests {
         let mut win = crate::SlidingTopK::<u64>::new(cfg, 3);
         feed_and_rotate(&mut win, 5, 0);
         // First call after the first rotation: a closed epoch exists
-        // but no shadow does — it ships against the empty baseline and
-        // primes the shadow.
+        // but no earlier one does — it ships against the empty baseline.
         let first = win.export_dirty(9, 3000).expect("a closed epoch");
         assert_eq!(base_rows(&first), 0);
         feed_and_rotate(&mut win, 6, 1);
@@ -1488,7 +1467,7 @@ mod tests {
     }
 
     #[test]
-    fn export_dirty_after_skipped_rotation_ships_self_contained_frame() {
+    fn export_dirty_after_full_frame_patches_against_the_ring() {
         use crate::collector::{AggregationRule, Collector, WindowSubmit};
         let cfg = HkConfig::builder().width(64).k(4).seed(3).build();
         let mut win = crate::SlidingTopK::<u64>::new(cfg, 3);
@@ -1498,34 +1477,81 @@ mod tests {
         feed_and_rotate(&mut win, 3, 0);
         coll.submit_window_frame(&win.export_dirty(0, 3000).unwrap())
             .unwrap();
-        // Rotation 2 goes out as a full snapshot: the dirty exporter
-        // never sees it, so its shadow still holds rotation 1's epoch.
+        // Rotation 2 goes out as a full snapshot, no dirty export.
         feed_and_rotate(&mut win, 4, 1);
         coll.submit_window_frame(&win.export_frame(0, 3000))
             .unwrap();
-        // A patch against that shadow would skip an epoch; the frame
-        // ships against the empty baseline instead and still applies.
+        // Rotation 3 still patches: its baseline, the epoch closed by
+        // rotation 2, is in the ring and is the replica's newest closed
+        // epoch.
         feed_and_rotate(&mut win, 5, 2);
         let bytes = win.export_dirty(0, 3000).expect("a closed epoch");
-        assert_eq!(base_rows(&bytes), 0, "a stale shadow is no baseline");
+        assert!(base_rows(&bytes) > 0, "the ring holds the baseline");
         assert_eq!(
             coll.submit_window_frame(&bytes).unwrap(),
             WindowSubmit::Applied
         );
         assert_windows_bit_equal(&win, coll.switch_window(0).unwrap());
-        // The shadow moved along: the next rotation patches again.
-        feed_and_rotate(&mut win, 6, 3);
-        let next = win.export_dirty(0, 3000).expect("a closed epoch");
-        assert!(base_rows(&next) > 0);
-        assert_eq!(
-            coll.submit_window_frame(&next).unwrap(),
-            WindowSubmit::Applied
-        );
-        assert_windows_bit_equal(&win, coll.switch_window(0).unwrap());
+    }
+
+    #[test]
+    fn dirty_export_is_a_function_of_the_ring() {
+        use crate::collector::{AggregationRule, Collector, WindowSubmit};
+        let mut coll = Collector::<u64>::new(8, AggregationRule::Sum);
+        // Exporting twice at one rotation ships the same patch.
+        let win = run_dirty_stream(&mut coll, 1, 3, 3);
+        let once = win.export_dirty(1, 3000).unwrap();
+        assert!(base_rows(&once) > 0);
+        assert_eq!(win.export_dirty(1, 3000).unwrap(), once);
+        // A W = 2 ring has recycled the baseline by the time it exports:
+        // every frame ships whole (the helper checks `base_rows() == 0`)
+        // and the replica stays bit-exact.
+        run_dirty_stream(&mut coll, 2, 2, 5);
+        // After a rebuild or an in-place rewrite, the next frame ships
+        // whole and the one after patches again.
+        let rewrites: [fn(&mut crate::SlidingTopK<u64>); 3] = [
+            |win| {
+                let epochs = win.epoch_iter().cloned().collect();
+                *win = crate::SlidingTopK::from_epochs(
+                    win.config().clone(),
+                    3,
+                    win.rotations(),
+                    epochs,
+                );
+            },
+            |win| {
+                let mut other = crate::SlidingTopK::new(win.config().clone(), 3);
+                for _ in 0..win.rotations() {
+                    other.insert_batch(&[77u64; 300]);
+                    other.rotate();
+                }
+                win.merge_from(&other).unwrap();
+            },
+            |win| win.retain_monitored(&mut |k| k % 2 == 0),
+        ];
+        for (switch, rewrite) in (3u64..).zip(rewrites) {
+            let mut win = run_dirty_stream(&mut coll, switch, 3, 3);
+            rewrite(&mut win);
+            // A rewrite changed the closed epochs: re-anchor the replica.
+            coll.submit_window_frame(&win.export_frame(switch, 3000))
+                .unwrap();
+            for r in 3..5 {
+                feed_and_rotate(&mut win, switch * 100 + r, r);
+                let bytes = win.export_dirty(switch, 3000).unwrap();
+                assert_eq!(base_rows(&bytes) > 0, r == 4, "switch {switch}");
+                assert_eq!(
+                    coll.submit_window_frame(&bytes).unwrap(),
+                    WindowSubmit::Applied
+                );
+                assert_windows_bit_equal(&win, coll.switch_window(switch).unwrap());
+            }
+        }
     }
 
     /// Drives one switch and a collector through `periods` of dirty
-    /// export, asserting bit-exactness after every applied frame.
+    /// export, asserting bit-exactness after every applied frame and
+    /// the baseline rule: the first rotation, and every rotation of a
+    /// `W = 2` ring, ships the whole epoch; the rest patch.
     fn run_dirty_stream(
         coll: &mut crate::collector::Collector<u64>,
         switch: u64,
@@ -1544,6 +1570,7 @@ mod tests {
         for r in 0..periods {
             feed_and_rotate(&mut win, switch * 100 + r, r);
             let bytes = win.export_dirty(switch, 3000).expect("a closed epoch");
+            assert_eq!(base_rows(&bytes) > 0, window > 2 && r > 0, "rotation {r}");
             coll.submit_window_frame(&bytes).unwrap();
             assert_windows_bit_equal(&win, coll.switch_window(switch).unwrap());
         }
@@ -1627,8 +1654,8 @@ mod tests {
             .unwrap();
         assert!(coll.resync_needed().is_empty());
         assert_windows_bit_equal(&win, coll.switch_window(6).unwrap());
-        // And the stream continues dirty afterwards: the exporter
-        // shadow never desynced.
+        // And the stream continues dirty afterwards, patching against
+        // the epoch the snapshot carried.
         feed_and_rotate(&mut win, 63, 5);
         let next = win.export_dirty(6, 3000).expect("stream stays dirty");
         assert_eq!(
@@ -1822,8 +1849,8 @@ mod tests {
 
     #[test]
     fn dirty_patch_expansion_grows_rows_against_empty_baseline() {
-        // Section III-F expansion between two exports: the new closed
-        // epoch has more rows than the shadow; the extra rows are
+        // Section III-F expansion between two rotations: the new closed
+        // epoch has more rows than its baseline; the extra rows are
         // diffed — and reconstructed — against an all-empty baseline.
         let cfg = HkConfig::builder()
             .arrays(2)
@@ -1840,7 +1867,7 @@ mod tests {
         let mut coll = Collector::<u64>::new(4, AggregationRule::Sum);
         let mut win = crate::SlidingTopK::<u64>::new(cfg, 3);
         // Quiet first period; snapshot, then a dirty export the
-        // snapshot already covers (it only primes the shadow).
+        // snapshot already covers.
         win.insert_batch(&(0..200u64).map(|i| 10_000 + i).collect::<Vec<_>>());
         win.rotate();
         coll.submit_window_frame(&win.export_frame(3, 2000))
@@ -1863,7 +1890,7 @@ mod tests {
         let bytes = win.export_dirty(3, 2000).expect("a closed epoch");
         let frame = WindowFrame::<u64>::decode(&bytes).unwrap();
         let patch = frame.patch.as_ref().unwrap();
-        assert_eq!(patch.base_rows(), 2, "patched against the shadow");
+        assert_eq!(patch.base_rows(), 2, "patched against the ring");
         assert!(patch.rows() > 2);
         assert_eq!(
             coll.submit_window_frame(&bytes).unwrap(),

@@ -3,8 +3,8 @@
 //! The windowed rewrite changed three things at once: evicted epochs
 //! are *recycled* (memset + RNG rewind) instead of freshly allocated,
 //! ingest rides the prepared-batch pipeline instead of scalar inserts,
-//! and window queries share one prehash across epochs behind a
-//! rotation-invalidated cache. None of that may change a single
+//! and window queries share one prehash across epochs. None of that
+//! may change a single
 //! observable bit: this test drives [`SlidingTopK`] against a
 //! replica of the pre-refactor implementation — scalar inserts, a
 //! freshly allocated `ParallelTopK` per rotation, quadratic candidate
@@ -145,9 +145,9 @@ fn batched_recycled_window_is_bit_exact_with_seed() {
     }
 }
 
-/// Interleaving queries between batches must not disturb ingest (the
-/// closed-epoch cache is read-only state); scalar trait inserts and
-/// batched inserts may also be mixed freely.
+/// Interleaving queries between batches must not disturb ingest
+/// (queries only read the ring); scalar trait inserts and batched
+/// inserts may also be mixed freely.
 #[test]
 fn interleaved_queries_and_mixed_ingest_stay_exact() {
     let pkts = stream(30_000, 8, 800, 123);
@@ -165,7 +165,7 @@ fn interleaved_queries_and_mixed_ingest_stay_exact() {
                 TopKAlgorithm::insert(&mut win, p);
             }
         }
-        // Probe mid-stream — exercises cache fills between rotations.
+        // Probe mid-stream, between rotations.
         let probe = (n as u64 * 13) % universe;
         assert_eq!(seed_win.query(&probe), win.query(&probe), "chunk {n}");
         if n % 9 == 8 {

@@ -33,12 +33,14 @@
 //!   for the initial snapshot, for resync, and as the only frame kind
 //!   under [`ExportMode::Full`].
 //! * **Dirty frames** ([`ExportMode::Dirty`]) carry the closed epoch as
-//!   a changed-bucket patch against an explicit baseline — the previous
-//!   export, O(changed buckets) bytes per rotation; or, on the first
-//!   rotation and after a skipped one, the empty baseline, O(occupied
-//!   buckets). Only a `W = 1` ring, which never retains a closed epoch,
-//!   falls back to full frames; the per-frame kind labels in
-//!   [`FleetStats`] account for the mix.
+//!   a changed-bucket patch against an explicit baseline — the epoch
+//!   closed one rotation earlier, which the switch's own ring still
+//!   holds, O(changed buckets) bytes per rotation; or, on the first
+//!   rotation and on every rotation of a `W = 2` ring (which has already
+//!   recycled that epoch), the empty baseline, O(occupied buckets). A
+//!   switch keeps no export state beyond its ring. Only a `W = 1` ring,
+//!   which never retains a closed epoch, falls back to full frames; the
+//!   per-frame kind labels in [`FleetStats`] account for the mix.
 //! * **Loss** shows up as a rotation-id gap at the collector, which
 //!   buffers the early patch, flags the switch in
 //!   [`Collector::resync_needed`], and is healed by the next full
@@ -82,9 +84,11 @@ const PARTITION_SALT: u64 = 0xF1EE_7000_5A17_0000;
 pub enum ExportMode {
     /// A full snapshot every rotation — O(W · sketch) bytes.
     Full,
-    /// Changed buckets of the closed epoch per rotation — O(changed)
-    /// bytes, at the cost of one shadow matrix per switch. A `W = 1`
-    /// ring has no closed epoch and ships full frames instead.
+    /// Changed buckets of the closed epoch per rotation, diffed against
+    /// the epoch before it in the switch's ring — O(changed) bytes. A
+    /// `W = 2` ring no longer holds that epoch and ships each closed
+    /// epoch whole; a `W = 1` ring has no closed epoch and ships full
+    /// frames instead.
     #[default]
     Dirty,
 }
@@ -336,7 +340,7 @@ impl<K: FlowKey> Fleet<K> {
         let muted = &self.muted;
         let frames: Vec<(Vec<u8>, ExportKind)> = self
             .switches
-            .iter_mut()
+            .iter()
             .enumerate()
             .filter(|(i, _)| !muted.contains(i))
             .map(|(i, sw)| {
