@@ -234,10 +234,7 @@ pub fn run_stream(args: &Args) -> Result<(), CliError> {
             // Worker death is reported, never silently absorbed into
             // healthy-looking numbers — unless --recover healed it,
             // in which case the dark window is reported instead.
-            finish_engine_run(&mut engine, recover, trace.len() as u64)?;
-            if !stats_path.is_empty() {
-                write_stats_json(&engine, &stats_path)?;
-            }
+            finish_engine_run(&mut engine, recover, trace.len() as u64, &stats_path)?;
             enforce_min_recall(args, report.precision)
         } else {
             require_engine_for_stats(&stats_path)?;
@@ -267,10 +264,7 @@ pub fn run_stream(args: &Args) -> Result<(), CliError> {
                 }
             }
         });
-        finish_engine_run(&mut engine, recover, trace.len() as u64)?;
-        if !stats_path.is_empty() {
-            write_stats_json(&engine, &stats_path)?;
-        }
+        finish_engine_run(&mut engine, recover, trace.len() as u64, &stats_path)?;
         enforce_min_recall(args, report.precision)
     } else if shards > 1 {
         // One instance per shard, each charged an equal share of the
@@ -283,11 +277,7 @@ pub fn run_stream(args: &Args) -> Result<(), CliError> {
         }
         let mut engine = ShardedEngine::from_shards(instances, k);
         let report = stream_steady(&mut engine, &trace, batch, shards, k);
-        print_engine_backpressure(&engine);
-        check_shard_health(&engine)?;
-        if !stats_path.is_empty() {
-            write_stats_json(&engine, &stats_path)?;
-        }
+        finish_engine_run(&mut engine, false, trace.len() as u64, &stats_path)?;
         enforce_min_recall(args, report.precision)
     } else {
         require_engine_for_stats(&stats_path)?;
@@ -318,49 +308,51 @@ where
     Ok(())
 }
 
-/// Post-stream wrap-up for a fault-mode engine run: with `--recover`,
-/// heal any shard that died after the last ingest (auto-recovery only
-/// triggers on the next insert) and print the dark-window accounting;
-/// then apply the usual health check so an *unrecovered* death still
-/// fails the run.
+/// Post-stream wrap-up of every engine run: with `--recover`, heal any
+/// shard that died after the last ingest (auto-recovery only triggers
+/// on the next insert); print the journal's recovery and reshard
+/// accounting and — always, so a lossy run never reads as clean — the
+/// loss count; fail a run with an *unrecovered* death; write the
+/// `--stats-json` snapshot.
 fn finish_engine_run<A>(
     engine: &mut ShardedEngine<u64, A>,
     recover: bool,
     stream_packets: u64,
+    stats_path: &str,
 ) -> Result<(), CliError>
 where
     A: PreparedInsert<u64> + Send + 'static,
 {
     if recover {
         engine.recover().map_err(|e| CliError::Io(e.to_string()))?;
-        let acc = hk_metrics::RecoveryAccounting::from_reports(engine.recovery_log());
-        if acc.recoveries > 0 {
-            println!(
-                "recovery: {acc} | {:.4}% of stream dark",
-                100.0 * acc.dark_fraction(stream_packets)
-            );
-        }
     }
-    let racc = hk_metrics::ReshardAccounting::from_reports(engine.reshard_log());
+    let journal = engine.obs_snapshot().journal;
+    let acc = journal.recovery_accounting();
+    if recover && acc.recoveries > 0 {
+        println!(
+            "recovery: {acc} | {:.4}% of stream dark",
+            100.0 * acc.dark_fraction(stream_packets)
+        );
+    }
+    let racc = journal.reshard_accounting();
     if racc.migrations > 0 {
         println!(
             "reshard: {racc} | {:.4}% of stream dark",
             100.0 * racc.dark_fraction(stream_packets)
         );
     }
-    print_engine_backpressure(engine);
-    check_shard_health(engine)
-}
-
-/// Prints the engine's loss accounting — always, so a lossy run can
-/// never read as a clean one. Zero is the healthy-path assertion, not
-/// noise.
-fn print_engine_backpressure<K, A>(engine: &ShardedEngine<K, A>)
-where
-    K: hk_common::key::FlowKey + Send + 'static,
-    A: PreparedInsert<K> + Send + 'static,
-{
     println!("backpressure: {} packet(s) lost", engine.lost_packets());
+    // Results over partial data must never read as healthy: name the
+    // dead shards and the dropped-packet count.
+    engine
+        .flush()
+        .map_err(|e| CliError::Io(format!("{e}; {} packet(s) dropped", engine.lost_packets())))?;
+    if !stats_path.is_empty() {
+        std::fs::write(stats_path, engine.obs_snapshot().render_json())
+            .map_err(|e| CliError::Io(format!("--stats-json {stats_path}: {e}")))?;
+        println!("stats: obs snapshot written to {stats_path}");
+    }
+    Ok(())
 }
 
 /// Rejects `--stats-json` on runs that never build a sharded engine —
@@ -376,19 +368,6 @@ fn require_engine_for_stats(stats_path: &str) -> Result<(), CliError> {
                 .into(),
         ))
     }
-}
-
-/// Writes the engine's observability snapshot (counters, histograms,
-/// event journal) as JSON to `path` — the `--stats-json` exit ramp.
-fn write_stats_json<K, A>(engine: &ShardedEngine<K, A>, path: &str) -> Result<(), CliError>
-where
-    K: hk_common::key::FlowKey + Send + 'static,
-    A: PreparedInsert<K> + Send + 'static,
-{
-    std::fs::write(path, engine.obs_snapshot().render_json())
-        .map_err(|e| CliError::Io(format!("--stats-json {path}: {e}")))?;
-    println!("stats: obs snapshot written to {path}");
-    Ok(())
 }
 
 /// Parses `--reshard`'s comma-separated `shards@packets` steps into a
@@ -435,19 +414,6 @@ fn enforce_min_recall(args: &Args, precision: f64) -> Result<(), CliError> {
         println!("recall bound {bound:.2} satisfied");
     }
     Ok(())
-}
-
-/// Fails a run whose sharded engine took worker deaths, naming the dead
-/// shards and the dropped-packet count — results over partial data must
-/// never read as healthy.
-fn check_shard_health<K, A>(engine: &ShardedEngine<K, A>) -> Result<(), CliError>
-where
-    K: hk_common::key::FlowKey + Send + 'static,
-    A: PreparedInsert<K> + Send + 'static,
-{
-    engine
-        .flush()
-        .map_err(|e| CliError::Io(format!("{e}; {} packet(s) dropped", engine.lost_packets())))
 }
 
 /// The steady-state ingest + report body of `hk run`, generic so the
@@ -937,13 +903,12 @@ pub fn fleet(args: &Args) -> Result<(), CliError> {
             let snap = fleet.obs().snapshot();
             println!(
                 "obs: period {period} | exports {} | frame bytes p50 {} p95 {} p99 {} | \
-                 journal {} event(s), {} dropped",
+                 journal {} event(s)",
                 snap.stages.exports,
                 snap.export_bytes.p50,
                 snap.export_bytes.p95,
                 snap.export_bytes.p99,
-                snap.journal.recorded,
-                snap.journal.dropped,
+                snap.journal.events.len(),
             );
         }
     }

@@ -92,7 +92,8 @@
 //!   work/return rings (the dead thread still owns clones of the old
 //!   ones), re-admits the lane, and reports the *dark window* — the
 //!   packets routed to the shard after the checkpoint cut, which the
-//!   restored state does not include — in a [`RecoveryReport`]. With
+//!   restored state does not include — in a [`RecoveryReport`], which
+//!   it also journals (see Observability below). With
 //!   [`ShardedEngine::set_auto_recover`] the ingest entry points run
 //!   the same recovery as soon as they observe a dead worker, so the
 //!   stream heals without caller involvement. Reads during the dark
@@ -127,6 +128,11 @@
 //! the per-packet walk stays timing- and counter-free.
 //! [`ShardedEngine::obs_snapshot`] adds the totals the engine owns
 //! (ring traffic, lost packets) to the hub's snapshot.
+//!
+//! The hub's journal is the engine's only record of worker deaths,
+//! recoveries and reshard phases: each is journaled once, where it
+//! happens. [`ShardedEngine::recovery_log`] and the snapshot's
+//! lifecycle counters are views of it.
 
 use crate::config::HkConfig;
 use crate::fault::{FaultKind, FaultPlan, ShardFaults};
@@ -144,6 +150,8 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::thread::JoinHandle;
 use std::time::Instant;
+
+pub use hk_obs::RecoveryReport;
 
 /// Seed of the fallback routing hash, used only when shards disagree on
 /// their [`PreparedInsert::hash_spec`] (so no single prepared key is
@@ -241,36 +249,6 @@ impl std::error::Error for ShardPoisoned {}
 struct CheckpointSlot {
     bytes: Vec<u8>,
     packets: u64,
-}
-
-/// What one shard recovery did: which shard was respawned, where its
-/// restoring checkpoint cut the sub-stream, and how many packets fell
-/// in the *dark window* — routed to the shard after the checkpoint cut,
-/// hence absent from the restored state. The dark window is the
-/// recovery's loss bound: at most one checkpoint interval of that
-/// shard's sub-stream plus whatever was routed while the shard was
-/// down.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct RecoveryReport {
-    /// Index of the respawned shard.
-    pub shard: usize,
-    /// Cumulative routed-packet position of the restoring checkpoint.
-    pub checkpoint_packets: u64,
-    /// Cumulative packets routed to the shard when recovery ran.
-    pub routed_packets: u64,
-    /// `routed_packets - checkpoint_packets`: the packets the restored
-    /// shard never saw.
-    pub dark_packets: u64,
-}
-
-impl std::fmt::Display for RecoveryReport {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(
-            f,
-            "shard {} respawned from checkpoint @{} pkts ({} dark of {} routed)",
-            self.shard, self.checkpoint_packets, self.dark_packets, self.routed_packets
-        )
-    }
 }
 
 /// Error: [`ShardedEngine::recover`] could not respawn a dead shard.
@@ -417,15 +395,12 @@ pub struct ShardedEngine<K: FlowKey, A: TopKAlgorithm<K>> {
     restore: Option<RestoreFn<A>>,
     /// When set, ingest entry points respawn dead shards themselves.
     auto_recover: bool,
-    /// Every recovery this engine has performed, in order.
-    recovery_log: Vec<RecoveryReport>,
     /// The installed fault plan, kept so a reshard can arm shard
     /// indices the old topology never had (`None` when no plan).
     fault_plan: Option<FaultPlan>,
-    /// Every reshard migration this engine has run, in order
-    /// (committed and rolled back alike).
-    reshard_log: Vec<ReshardReport>,
-    /// The engine's own observability hub (see the module docs).
+    /// The engine's own observability hub; its journal is the only
+    /// record of deaths, recoveries and reshard phases (see the module
+    /// docs).
     obs: ObsHub,
 }
 
@@ -491,9 +466,7 @@ where
             encode: None,
             restore: None,
             auto_recover: false,
-            recovery_log: Vec::new(),
             fault_plan: None,
-            reshard_log: Vec::new(),
             obs,
         }
     }
@@ -829,7 +802,6 @@ where
 
     /// Journals a reshard phase transition.
     fn obs_reshard_phase(&self, from: usize, to: usize, stage: ReshardStage) {
-        self.obs.stages.reshard_phases.incr();
         self.obs.journal.record(EventKind::ReshardPhase {
             from_shards: from as u64,
             to_shards: to as u64,
@@ -852,7 +824,6 @@ where
             let done = shard.processed.load(Ordering::Acquire);
             self.lost
                 .fetch_add(target.saturating_sub(done), Ordering::Release);
-            self.obs.shard(idx).worker_deaths.incr();
             self.obs
                 .journal
                 .record(EventKind::WorkerDeath { shard: idx as u64 });
@@ -1185,16 +1156,11 @@ where
             .map(|s| s.bytes.clone())
     }
 
-    /// Every recovery this engine has performed, in order (both
-    /// explicit [`ShardedEngine::recover`] calls and auto-recoveries).
-    pub fn recovery_log(&self) -> &[RecoveryReport] {
-        &self.recovery_log
-    }
-
-    /// Every reshard migration this engine has run, in order —
-    /// committed and rolled back alike (see [`ShardedEngine::reshard`]).
-    pub fn reshard_log(&self) -> &[ReshardReport] {
-        &self.reshard_log
+    /// Every recovery this engine has performed, in order (explicit
+    /// [`ShardedEngine::recover`] calls, auto-recoveries and the heals
+    /// a reshard drain forces), read from the journal.
+    pub fn recovery_log(&self) -> Vec<RecoveryReport> {
+        self.obs.journal.snapshot().recoveries().copied().collect()
     }
 
     /// Respawns every poisoned shard from its last checkpoint: decodes
@@ -1241,13 +1207,7 @@ where
                 dark_packets: routed.saturating_sub(slot.packets),
             };
             self.respawn_shard(idx, algo, slot.packets);
-            self.obs.stages.recoveries.incr();
-            self.obs.dark_packets.record(report.dark_packets);
-            self.obs.journal.record(EventKind::Recovery {
-                shard: idx as u64,
-                dark_packets: report.dark_packets,
-            });
-            self.recovery_log.push(report.clone());
+            self.obs.journal.record(EventKind::Recovery(report));
             reports.push(report);
         }
         Ok(reports)
@@ -1337,7 +1297,8 @@ where
     /// back**: the old topology keeps serving exactly as before the
     /// call, and the returned [`ReshardReport`] carries the reason plus
     /// the dark-window accounting of any recoveries that did run.
-    /// `reshard(current_count)` is a committed no-op.
+    /// `reshard(current_count)` is a committed no-op: it runs no phase,
+    /// so it journals nothing and is not a migration.
     ///
     /// # Errors
     ///
@@ -1354,7 +1315,7 @@ where
         let from = self.shards.len();
         let mut recoveries: Vec<RecoveryReport> = Vec::new();
         if new_shards == from {
-            let report = ReshardReport {
+            return Ok(ReshardReport {
                 from_shards: from,
                 to_shards: new_shards,
                 committed: true,
@@ -1362,9 +1323,7 @@ where
                 dark_packets: 0,
                 recoveries,
                 rollback: None,
-            };
-            self.reshard_log.push(report.clone());
-            return Ok(report);
+            });
         }
 
         self.obs_reshard_phase(from, new_shards, ReshardStage::Drain);
@@ -1387,8 +1346,7 @@ where
         self.obs_reshard_phase(from, new_shards, ReshardStage::Swap);
         self.reshard_swap(states, encode);
         self.obs_reshard_phase(from, new_shards, ReshardStage::Commit);
-        self.obs.stages.reshards.incr();
-        let report = ReshardReport {
+        Ok(ReshardReport {
             from_shards: from,
             to_shards: new_shards,
             committed: true,
@@ -1396,9 +1354,7 @@ where
             dark_packets: recoveries.iter().map(|r| r.dark_packets).sum(),
             recoveries,
             rollback: None,
-        };
-        self.reshard_log.push(report.clone());
-        Ok(report)
+        })
     }
 
     /// Phase 1 of [`ShardedEngine::reshard`]: the checkpoint barrier.
@@ -1548,17 +1504,18 @@ where
         }
     }
 
-    /// Builds, logs, and returns the rollback report: the old topology
-    /// was not (or could not be) swapped out and keeps serving.
+    /// Journals the rollback phase and returns the rollback report: the
+    /// old topology was not (or could not be) swapped out and keeps
+    /// serving.
     fn reshard_rollback(
-        &mut self,
+        &self,
         to_shards: usize,
         cut_packets: Vec<u64>,
         recoveries: Vec<RecoveryReport>,
         reason: String,
     ) -> ReshardReport {
         self.obs_reshard_phase(self.shards.len(), to_shards, ReshardStage::Rollback);
-        let report = ReshardReport {
+        ReshardReport {
             from_shards: self.shards.len(),
             to_shards,
             committed: false,
@@ -1566,9 +1523,7 @@ where
             cut_packets,
             recoveries,
             rollback: Some(reason),
-        };
-        self.reshard_log.push(report.clone());
-        report
+        }
     }
 }
 
@@ -2460,7 +2415,8 @@ mod tests {
             assert_eq!(hits.len(), 1, "flow {f} reported exactly once");
             assert_eq!(hits[0].1, 2 * 100 * (f + 1));
         }
-        assert_eq!(engine.reshard_log().len(), 1);
+        let acc = engine.obs_snapshot().journal.reshard_accounting();
+        assert_eq!((acc.migrations, acc.committed), (1, 1));
     }
 
     #[test]
@@ -2540,11 +2496,14 @@ mod tests {
         );
         engine.enable_checkpoints(4).unwrap();
         assert_eq!(engine.reshard(0), Err(ReshardError::ZeroShards));
-        assert!(engine.reshard_log().is_empty(), "misuse is not logged");
-        // Same-count reshard is a committed no-op.
+        // Same-count reshard is a committed no-op. Like misuse, it runs
+        // no phase: nothing is journaled and no migration counted.
         let report = engine.reshard(2).unwrap();
         assert!(report.committed);
         assert_eq!(engine.shards(), 2);
+        let journal = engine.obs_snapshot().journal;
+        assert!(journal.events.is_empty(), "{:?}", journal.events);
+        assert_eq!(journal.reshard_accounting().migrations, 0);
     }
 
     #[test]
@@ -2608,8 +2567,8 @@ mod tests {
             "unexpected reason: {reason}"
         );
         assert_eq!(engine.shards(), 4, "old topology survives the rollback");
-        assert_eq!(engine.reshard_log().len(), 1);
-        assert!(!engine.reshard_log()[0].committed);
+        let acc = engine.obs_snapshot().journal.reshard_accounting();
+        assert_eq!((acc.migrations, acc.committed, acc.rollbacks), (1, 0, 1));
         // Reads and writes keep working against the pre-swap state.
         engine.insert_batch(&batch);
         for f in 0..8u64 {
@@ -2689,7 +2648,13 @@ mod tests {
         assert!(snap.journal.count_of("worker_death") >= 1);
         assert!(snap.journal.count_of("recovery") >= 1);
         assert!(snap.journal.count_of("reshard_phase") >= 4);
-        assert_eq!(snap.journal.dropped, 0);
+        // The lifecycle counters are views of the journal.
+        let (j, st) = (&snap.journal, &snap.stages);
+        assert_eq!(st.recoveries, j.count_of("recovery") as u64);
+        assert_eq!(st.reshard_phases, j.count_of("reshard_phase") as u64);
+        let deaths: u64 = snap.shards.iter().map(|s| s.worker_deaths).sum();
+        assert_eq!(deaths, j.count_of("worker_death") as u64);
+        assert_eq!(snap.dark_packets.count, st.recoveries);
         // The JSON exposition carries the keys CI greps for.
         let json = snap.render_json();
         assert!(json.contains("\"dispatch_packets\""), "{json}");

@@ -17,8 +17,11 @@
 //!    recovers within one epoch of dark window (plus transport slack)
 //!    and keeps the reported top-k close to a loss-free oracle.
 
-use heavykeeper::{FaultKind, FaultPlan, HkConfig, ParallelTopK, ShardedEngine, SlidingTopK};
+use heavykeeper::{
+    FaultKind, FaultPlan, HkConfig, ParallelTopK, ReshardReport, ShardedEngine, SlidingTopK,
+};
 use hk_common::algorithm::{EpochRotate, ShardCheckpoint, TopKAlgorithm};
+use hk_obs::ReshardAccounting;
 
 fn cfg(w: usize, k: usize, seed: u64) -> HkConfig {
     HkConfig::builder()
@@ -313,6 +316,19 @@ fn recall_of(faulty: &[(u64, u64)], oracle: &[(u64, u64)]) -> f64 {
     hits as f64 / oracle.len() as f64
 }
 
+/// The reference fold of the reports `reshard()` returned, which the
+/// journal's [`ReshardAccounting`] must equal.
+fn fold_reports(reports: &[ReshardReport]) -> ReshardAccounting {
+    let committed = reports.iter().filter(|r| r.committed).count();
+    ReshardAccounting {
+        migrations: reports.len(),
+        committed,
+        rollbacks: reports.len() - committed,
+        forced_recoveries: reports.iter().map(|r| r.recoveries.len()).sum(),
+        dark_packets: reports.iter().map(|r| r.dark_packets).sum(),
+    }
+}
+
 #[test]
 fn kill_in_every_reshard_phase_recovers_with_bounded_dark_window() {
     let k = 20;
@@ -345,9 +361,20 @@ fn kill_in_every_reshard_phase_recovers_with_bounded_dark_window() {
         }
         engine.recover().expect("every death must be restorable");
         engine.flush().expect("healed engine");
+        // The journal is the one record: its fold equals the reports'.
+        let journal = engine.obs_snapshot().journal;
+        let tag = format!("{from}->{to}");
+        let want = fold_reports(std::slice::from_ref(&report));
+        assert_eq!(journal.reshard_accounting(), want, "{tag}");
         // `recovery_log` includes drain-phase heals (they also appear
-        // in `report.recoveries`) and post-swap auto-heals.
-        (engine.top_k(), report, engine.recovery_log().to_vec())
+        // in `report.recoveries`, in the same order) and post-swap
+        // auto-heals.
+        let log = engine.recovery_log();
+        let mut rest = log.iter();
+        for r in &report.recoveries {
+            assert!(rest.any(|l| l == r), "{tag}: {r} missing from the log");
+        }
+        (engine.top_k(), report, log)
     };
 
     for (from, to) in [(2usize, 4usize), (4usize, 2usize)] {
@@ -468,7 +495,7 @@ fn kill_at_every_rotation_stays_within_one_epoch_of_loss() {
         let _ = engine.recover().expect("checkpoints armed");
         assert!(engine.poisoned_shards().is_empty());
         let top = engine.top_k();
-        let log = engine.recovery_log().to_vec();
+        let log = engine.recovery_log();
         (top, log)
     };
 

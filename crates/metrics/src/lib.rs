@@ -9,8 +9,10 @@
 //! * [`throughput`] — million-insertions-per-second (Mps) measurement.
 //! * [`experiment`] — algorithm factories, parameter sweeps and the
 //!   table printer used by the per-figure binaries in `hk-bench`.
-//! * [`recovery`] — dark-window accounting over the sharded engine's
-//!   checkpoint/respawn recovery reports.
+//!
+//! Recovery and reshard accounting lives next to the event journal it
+//! folds (`hk_obs::JournalSnapshot::recovery_accounting` and
+//! `reshard_accounting`).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -18,11 +20,9 @@
 pub mod accuracy;
 pub mod experiment;
 pub mod ranking;
-pub mod recovery;
 pub mod throughput;
 
 pub use accuracy::{evaluate_topk, AccuracyReport};
 pub use experiment::{Series, SeriesPoint};
 pub use ranking::{intersection_at, kendall_tau, weighted_overlap};
-pub use recovery::{RecoveryAccounting, ReshardAccounting};
 pub use throughput::{measure_mps, measure_mps_with, IngestMode};

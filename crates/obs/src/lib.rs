@@ -1,41 +1,46 @@
 //! `hk-obs` — the workspace's runtime observability plane.
 //!
-//! Every earlier PR reported through its own ad-hoc struct
-//! (`RecoveryReport`, `ReshardAccounting`, `FleetStats`) and only
-//! *after* a run finished. This crate is the live substrate those
-//! subsystems now also report through:
+//! Every sharded engine and every fleet builds in one [`ObsHub`]. It
+//! holds:
 //!
 //! * **Stage counters** ([`StageCounters`], [`ShardObs`]) — relaxed,
 //!   cache-line-padded atomics covering dispatch, worker ingest,
-//!   rotate, export, checkpoint, recovery and reshard phases. One
-//!   `fetch_add(Relaxed)` per *batch* on the hot path, never per
-//!   packet.
+//!   rotate, export and checkpoint. One `fetch_add(Relaxed)` per
+//!   *batch* on the hot path, never per packet.
 //! * **Log2 histograms** ([`Log2Hist`]) — 64 power-of-two buckets with
 //!   integer-only recording (one `leading_zeros` + two relaxed adds)
 //!   and p50/p95/p99 extraction at snapshot time. Used for
-//!   dispatch→drain latency, batch sizes, export bytes and recovery
-//!   dark windows.
-//! * **Event journal** ([`EventJournal`]) — a fixed-capacity ring of
-//!   typed [`Event`]s (worker death, recovery, reshard phase
-//!   transitions, eviction/readmission, resync) with monotonic
-//!   sequence numbers and drop accounting when the ring overwrites.
+//!   dispatch→drain latency, batch sizes and export bytes.
+//! * **Event journal** ([`EventJournal`]) — every typed [`Event`]
+//!   (worker death, recovery, reshard phase transitions,
+//!   eviction/readmission, resync) in order, with dense sequence
+//!   numbers. It is the only record of these events: each is written
+//!   once, at the one site that makes it happen. Events come per
+//!   fault, phase, resync or eviction, never per packet, so the journal
+//!   keeps them all.
+//! * **Views of the journal.** [`ObsHub::snapshot`] derives the
+//!   recovery, reshard and worker-death counters and the dark-window
+//!   histogram from it, and [`JournalSnapshot::recovery_accounting`] /
+//!   [`JournalSnapshot::reshard_accounting`] fold it into the
+//!   operator-facing summaries.
 //! * **Exposition** ([`Snapshot`]) — a coherent point-in-time snapshot
 //!   from [`ObsHub::snapshot`], rendered with [`Snapshot::render_json`]
 //!   (the repo's hand-rolled JSON). `hk run --stats-json PATH` and the
 //!   periodic `hk fleet` stat lines are thin wrappers over it.
 //!
-//! Instrumentation is **built in**: every sharded engine and every
-//! fleet creates its own hub, so each run explains itself through one
-//! snapshot with no setup. Totals an engine already keeps (ring
-//! traffic, lost packets) are not mirrored here; the engine's
-//! `obs_snapshot` fills them into the [`StageSnapshot`] it returns.
+//! Totals an engine already keeps (ring traffic, lost packets) are not
+//! mirrored here; the engine's `obs_snapshot` fills them into the
+//! [`StageSnapshot`] it returns.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, PoisonError};
+
+mod recovery;
+
+pub use recovery::{RecoveryAccounting, RecoveryReport, ReshardAccounting};
 
 /// A cache-line-padded relaxed counter.
 ///
@@ -90,28 +95,23 @@ pub struct StageCounters {
     /// Window-frame exports served, full or dirty: one per engine-wide
     /// export barrier, one per frame a fleet ships.
     pub exports: Counter,
-    /// Completed recovery passes (respawned shards).
-    pub recoveries: Counter,
-    /// Committed reshard migrations.
-    pub reshards: Counter,
-    /// Reshard phase transitions (drain/rebuild/swap/rollback).
-    pub reshard_phases: Counter,
 }
 
 /// Per-shard worker-side counters, updated only by that shard's worker
-/// thread (so relaxed increments are uncontended).
+/// thread through its [`WorkerObs`] (so relaxed increments are
+/// uncontended). A worker's death is not counted here: it is a journal
+/// event, written by whichever thread detects it.
 #[derive(Debug, Default)]
 pub struct ShardObs {
     /// Sub-batches drained from the work ring and ingested.
     pub ingest_batches: Counter,
     /// Packets ingested (counted once per drained batch).
     pub ingest_packets: Counter,
-    /// Times this shard slot's worker died (poisoned).
-    pub worker_deaths: Counter,
 }
 
-/// Point-in-time copy of [`StageCounters`], plus the totals an engine
-/// owns itself (zero in a bare [`ObsHub::snapshot`]).
+/// Point-in-time copy of [`StageCounters`], plus the counts derived
+/// from the journal and the totals an engine owns itself (zero in a
+/// bare [`ObsHub::snapshot`]).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct StageSnapshot {
     /// See [`StageCounters::dispatch_batches`].
@@ -124,11 +124,12 @@ pub struct StageSnapshot {
     pub rotations: u64,
     /// See [`StageCounters::exports`].
     pub exports: u64,
-    /// See [`StageCounters::recoveries`].
+    /// Shard recoveries: the journal's `recovery` events.
     pub recoveries: u64,
-    /// See [`StageCounters::reshards`].
+    /// Committed reshard migrations, from the journal
+    /// ([`ReshardAccounting::committed`]).
     pub reshards: u64,
-    /// See [`StageCounters::reshard_phases`].
+    /// Reshard phase transitions: the journal's `reshard_phase` events.
     pub reshard_phases: u64,
     /// Successful SPSC ring pushes (work + return rings), from the
     /// engine.
@@ -139,7 +140,8 @@ pub struct StageSnapshot {
     pub lost_packets: u64,
 }
 
-/// Point-in-time copy of one shard's [`ShardObs`].
+/// Point-in-time copy of one shard's [`ShardObs`], plus its worker
+/// deaths from the journal.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ShardSnapshot {
     /// Shard index at snapshot time.
@@ -148,7 +150,7 @@ pub struct ShardSnapshot {
     pub ingest_batches: u64,
     /// Packets ingested by this shard's worker.
     pub ingest_packets: u64,
-    /// Worker deaths observed on this shard slot.
+    /// The journal's `worker_death` events for this shard slot.
     pub worker_deaths: u64,
 }
 
@@ -309,12 +311,7 @@ pub enum EventKind {
         shard: u64,
     },
     /// A poisoned shard was respawned from its checkpoint.
-    Recovery {
-        /// Shard slot recovered.
-        shard: u64,
-        /// Packets in the dark window (routed since checkpoint).
-        dark_packets: u64,
-    },
+    Recovery(RecoveryReport),
     /// A live-reshard phase transition.
     ReshardPhase {
         /// Shard count before the migration.
@@ -346,7 +343,7 @@ impl EventKind {
     pub fn label(&self) -> &'static str {
         match self {
             EventKind::WorkerDeath { .. } => "worker_death",
-            EventKind::Recovery { .. } => "recovery",
+            EventKind::Recovery(_) => "recovery",
             EventKind::ReshardPhase { .. } => "reshard_phase",
             EventKind::Eviction { .. } => "eviction",
             EventKind::Readmission { .. } => "readmission",
@@ -360,11 +357,12 @@ impl EventKind {
             EventKind::WorkerDeath { shard } => {
                 let _ = write!(out, "\"shard\": {shard}");
             }
-            EventKind::Recovery {
-                shard,
-                dark_packets,
-            } => {
-                let _ = write!(out, "\"shard\": {shard}, \"dark_packets\": {dark_packets}");
+            EventKind::Recovery(r) => {
+                let _ = write!(
+                    out,
+                    "\"shard\": {}, \"dark_packets\": {}, \"checkpoint_packets\": {}, \"routed_packets\": {}",
+                    r.shard, r.dark_packets, r.checkpoint_packets, r.routed_packets
+                );
             }
             EventKind::ReshardPhase {
                 from_shards,
@@ -386,115 +384,47 @@ impl EventKind {
     }
 }
 
-/// One journal entry: a monotonic sequence number plus the event.
+/// One journal entry: its sequence number plus the event.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Event {
-    /// Monotonic sequence number (0-based, never reused).
+    /// Sequence number: the event's 0-based position in the journal.
     pub seq: u64,
     /// What happened.
     pub kind: EventKind,
 }
 
-/// Default journal capacity when built via [`EventJournal::new`] /
-/// [`ObsHub::new`].
-pub const DEFAULT_JOURNAL_CAPACITY: usize = 256;
-
-struct JournalInner {
-    events: VecDeque<Event>,
-    next_seq: u64,
-    dropped: u64,
-}
-
-/// A fixed-capacity ring of typed events.
+/// The ordered record of every lifecycle event.
 ///
-/// When full, recording overwrites the *oldest* event and bumps the
-/// drop counter — the journal always holds the most recent history.
-/// Sequence numbers are assigned under the lock, so they are strictly
-/// monotonic across concurrent writers; `seq` gaps in a snapshot are
-/// exactly the `dropped` overwrites.
+/// Sequence numbers are assigned under the lock, so they are dense and
+/// strictly monotonic across concurrent writers. Nothing is ever
+/// overwritten: an event is written once per fault, migration phase,
+/// resync or eviction, so the journal grows with lifecycle history, not
+/// with traffic.
+#[derive(Debug, Default)]
 pub struct EventJournal {
-    inner: Mutex<JournalInner>,
-    capacity: usize,
-}
-
-impl std::fmt::Debug for EventJournal {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("EventJournal")
-            .field("capacity", &self.capacity)
-            .finish_non_exhaustive()
-    }
-}
-
-impl Default for EventJournal {
-    fn default() -> Self {
-        Self::new()
-    }
+    events: Mutex<Vec<Event>>,
 }
 
 impl EventJournal {
-    /// A journal with [`DEFAULT_JOURNAL_CAPACITY`] slots.
-    pub fn new() -> Self {
-        Self::with_capacity(DEFAULT_JOURNAL_CAPACITY)
-    }
-
-    /// A journal holding at most `capacity` events (min 1).
-    pub fn with_capacity(capacity: usize) -> Self {
-        let capacity = capacity.max(1);
-        Self {
-            inner: Mutex::new(JournalInner {
-                events: VecDeque::with_capacity(capacity),
-                next_seq: 0,
-                dropped: 0,
-            }),
-            capacity,
-        }
-    }
-
-    /// Maximum events retained.
-    pub fn capacity(&self) -> usize {
-        self.capacity
-    }
-
-    /// Records an event, overwriting the oldest when full. Safe to
-    /// call from any thread; the critical section is a ring push.
+    /// Appends an event and returns its sequence number. Safe to call
+    /// from any thread; the critical section is a `Vec` push.
     pub fn record(&self, kind: EventKind) -> u64 {
-        // A panicking recorder cannot tear this state (ring push +
-        // two integer bumps) — absorb poison rather than cascade.
-        let mut inner = self.inner.lock().unwrap_or_else(PoisonError::into_inner);
-        let seq = inner.next_seq;
-        inner.next_seq += 1;
-        if inner.events.len() == self.capacity {
-            inner.events.pop_front();
-            inner.dropped += 1;
-        }
-        inner.events.push_back(Event { seq, kind });
+        // A panicking recorder cannot tear this state (one push) —
+        // absorb poison rather than cascade.
+        let mut events = self.events.lock().unwrap_or_else(PoisonError::into_inner);
+        let seq = events.len() as u64;
+        events.push(Event { seq, kind });
         seq
     }
 
-    /// Events ever recorded (including overwritten ones).
-    pub fn recorded(&self) -> u64 {
-        self.inner
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .next_seq
-    }
-
-    /// Events overwritten because the ring was full.
-    pub fn dropped(&self) -> u64 {
-        self.inner
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .dropped
-    }
-
-    /// Point-in-time copy: retained events oldest-first, plus drop
-    /// accounting.
+    /// Point-in-time copy of every event, oldest first.
     pub fn snapshot(&self) -> JournalSnapshot {
-        let inner = self.inner.lock().unwrap_or_else(PoisonError::into_inner);
         JournalSnapshot {
-            events: inner.events.iter().copied().collect(),
-            recorded: inner.next_seq,
-            dropped: inner.dropped,
+            events: self
+                .events
+                .lock()
+                .unwrap_or_else(PoisonError::into_inner)
+                .clone(),
         }
     }
 }
@@ -502,16 +432,12 @@ impl EventJournal {
 /// Point-in-time copy of an [`EventJournal`].
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct JournalSnapshot {
-    /// Retained events, oldest first, `seq` strictly increasing.
+    /// Every event, oldest first, `seq` equal to the position.
     pub events: Vec<Event>,
-    /// Events ever recorded (next sequence number).
-    pub recorded: u64,
-    /// Events overwritten on overflow (`recorded - events.len()`).
-    pub dropped: u64,
 }
 
 impl JournalSnapshot {
-    /// Count of retained events with the given label.
+    /// Count of events with the given label.
     pub fn count_of(&self, label: &str) -> usize {
         self.events
             .iter()
@@ -553,9 +479,7 @@ pub struct ObsHub {
     pub batch_packets: Arc<Log2Hist>,
     /// Export payload sizes (bytes) per export call.
     pub export_bytes: Log2Hist,
-    /// Recovery dark windows (packets) per recovered shard.
-    pub dark_packets: Log2Hist,
-    /// The structured event journal.
+    /// The lifecycle event journal.
     pub journal: EventJournal,
 }
 
@@ -566,8 +490,7 @@ impl Default for ObsHub {
 }
 
 impl ObsHub {
-    /// A hub whose journal retains the newest
-    /// [`DEFAULT_JOURNAL_CAPACITY`] events.
+    /// A hub with zeroed counters and an empty journal.
     pub fn new() -> Self {
         Self {
             stages: StageCounters::default(),
@@ -575,34 +498,32 @@ impl ObsHub {
             dispatch_latency_ns: Arc::new(Log2Hist::new()),
             batch_packets: Arc::new(Log2Hist::new()),
             export_bytes: Log2Hist::new(),
-            dark_packets: Log2Hist::new(),
-            journal: EventJournal::new(),
+            journal: EventJournal::default(),
         }
     }
 
-    /// The counters for shard `idx`, creating slots on first use.
-    /// Counters survive respawn/reshard: a recovered shard keeps
-    /// accumulating on the same slot.
-    pub fn shard(&self, idx: usize) -> Arc<ShardObs> {
+    /// The full observation bundle shard `idx`'s worker caches: the
+    /// only handle on that shard's counters. Slots are created on
+    /// first use and survive respawn/reshard, so a recovered shard
+    /// keeps accumulating on the same slot.
+    pub fn worker(&self, idx: usize) -> WorkerObs {
         let mut shards = self.shards.lock().unwrap_or_else(PoisonError::into_inner);
         while shards.len() <= idx {
             shards.push(Arc::new(ShardObs::default()));
         }
-        Arc::clone(&shards[idx])
-    }
-
-    /// The full observation bundle a shard worker caches.
-    pub fn worker(&self, idx: usize) -> WorkerObs {
         WorkerObs {
-            shard: self.shard(idx),
+            shard: Arc::clone(&shards[idx]),
             latency_ns: Arc::clone(&self.dispatch_latency_ns),
             batch_packets: Arc::clone(&self.batch_packets),
         }
     }
 
     /// Point-in-time snapshot of everything the hub holds. The
-    /// engine-owned [`StageSnapshot`] totals are left at zero.
+    /// recovery, reshard and worker-death counts and the dark-window
+    /// histogram are views of the journal; the engine-owned
+    /// [`StageSnapshot`] totals are left at zero.
     pub fn snapshot(&self) -> Snapshot {
+        let journal = self.journal.snapshot();
         let s = &self.stages;
         let stages = StageSnapshot {
             dispatch_batches: s.dispatch_batches.get(),
@@ -610,9 +531,9 @@ impl ObsHub {
             checkpoints: s.checkpoints.get(),
             rotations: s.rotations.get(),
             exports: s.exports.get(),
-            recoveries: s.recoveries.get(),
-            reshards: s.reshards.get(),
-            reshard_phases: s.reshard_phases.get(),
+            recoveries: journal.count_of("recovery") as u64,
+            reshards: journal.reshard_accounting().committed as u64,
+            reshard_phases: journal.count_of("reshard_phase") as u64,
             ..StageSnapshot::default()
         };
         let shards = {
@@ -624,18 +545,26 @@ impl ObsHub {
                     shard: i as u64,
                     ingest_batches: sh.ingest_batches.get(),
                     ingest_packets: sh.ingest_packets.get(),
-                    worker_deaths: sh.worker_deaths.get(),
+                    worker_deaths: journal
+                        .events
+                        .iter()
+                        .filter(|e| e.kind == EventKind::WorkerDeath { shard: i as u64 })
+                        .count() as u64,
                 })
                 .collect()
         };
+        let dark_packets = Log2Hist::new();
+        for r in journal.recoveries() {
+            dark_packets.record(r.dark_packets);
+        }
         Snapshot {
             stages,
             shards,
             dispatch_latency_ns: self.dispatch_latency_ns.snapshot(),
             batch_packets: self.batch_packets.snapshot(),
             export_bytes: self.export_bytes.snapshot(),
-            dark_packets: self.dark_packets.snapshot(),
-            journal: self.journal.snapshot(),
+            dark_packets: dark_packets.snapshot(),
+            journal,
         }
     }
 }
@@ -654,7 +583,7 @@ pub struct Snapshot {
     pub batch_packets: HistSnapshot,
     /// Export payload sizes (bytes).
     pub export_bytes: HistSnapshot,
-    /// Recovery dark windows (packets).
+    /// Recovery dark windows (packets), from the journal.
     pub dark_packets: HistSnapshot,
     /// The event journal.
     pub journal: JournalSnapshot,
@@ -720,8 +649,8 @@ impl Snapshot {
         out.push_str("\n  },\n");
         let _ = write!(
             out,
-            "  \"journal\": {{\n    \"recorded\": {},\n    \"dropped\": {},\n    \"events\": [\n",
-            self.journal.recorded, self.journal.dropped
+            "  \"journal\": {{\n    \"recorded\": {},\n    \"events\": [\n",
+            self.journal.events.len()
         );
         for (i, e) in self.journal.events.iter().enumerate() {
             let _ = write!(
@@ -804,46 +733,22 @@ mod tests {
     }
 
     #[test]
-    fn journal_wraparound_overwrites_oldest() {
-        let j = EventJournal::with_capacity(4);
-        for shard in 0..10u64 {
-            j.record(EventKind::WorkerDeath { shard });
-        }
-        let s = j.snapshot();
-        assert_eq!(s.events.len(), 4, "ring holds capacity events");
-        assert_eq!(s.recorded, 10);
-        assert_eq!(s.dropped, 6, "six oldest overwritten");
-        // The survivors are the newest four, oldest first.
-        let seqs: Vec<u64> = s.events.iter().map(|e| e.seq).collect();
-        assert_eq!(seqs, vec![6, 7, 8, 9]);
-        let shards: Vec<u64> = s
-            .events
-            .iter()
-            .map(|e| match e.kind {
-                EventKind::WorkerDeath { shard } => shard,
-                _ => unreachable!(),
-            })
-            .collect();
-        assert_eq!(shards, vec![6, 7, 8, 9]);
-    }
-
-    #[test]
-    fn journal_seq_monotone_and_gap_free_under_capacity() {
-        let j = EventJournal::with_capacity(64);
+    fn journal_seq_monotone_and_gap_free() {
+        let j = EventJournal::default();
         for switch in 0..50u64 {
             j.record(EventKind::Resync { switch });
         }
         let s = j.snapshot();
-        assert_eq!(s.dropped, 0);
+        assert_eq!(s.events.len(), 50, "every event kept");
         for (i, e) in s.events.iter().enumerate() {
             assert_eq!(e.seq, i as u64, "dense monotone sequence");
         }
     }
 
     #[test]
-    fn journal_concurrent_writers_keep_seq_unique_and_account_drops() {
-        // Satellite: concurrent writers from multiple shard threads.
-        let j = Arc::new(EventJournal::with_capacity(32));
+    fn journal_concurrent_writers_keep_seq_unique_and_dense() {
+        // Concurrent writers from multiple shard threads.
+        let j = Arc::new(EventJournal::default());
         const THREADS: u64 = 8;
         const PER_THREAD: u64 = 500;
         let handles: Vec<_> = (0..THREADS)
@@ -861,14 +766,11 @@ mod tests {
         }
         let s = j.snapshot();
         let total = THREADS * PER_THREAD;
-        assert_eq!(s.recorded, total, "every record got a unique seq");
-        assert_eq!(s.events.len(), 32);
-        assert_eq!(s.dropped, total - 32, "drops account for every overwrite");
-        // Retained events are strictly increasing and are the newest.
-        for w in s.events.windows(2) {
-            assert!(w[0].seq < w[1].seq);
+        assert_eq!(s.events.len() as u64, total, "every record kept");
+        // Every record got a unique seq, in journal order.
+        for (i, e) in s.events.iter().enumerate() {
+            assert_eq!(e.seq, i as u64);
         }
-        assert_eq!(s.events.last().unwrap().seq, total - 1);
     }
 
     #[test]
@@ -897,21 +799,37 @@ mod tests {
         hub.stages.dispatch_packets.add(5000);
         hub.worker(0).shard.ingest_packets.add(5000);
         hub.dispatch_latency_ns.record(1500);
-        hub.journal.record(EventKind::Recovery {
+        hub.worker(1);
+        hub.journal.record(EventKind::WorkerDeath { shard: 1 });
+        for stage in [ReshardStage::Drain, ReshardStage::Commit] {
+            hub.journal.record(EventKind::ReshardPhase {
+                from_shards: 2,
+                to_shards: 4,
+                stage,
+            });
+        }
+        hub.journal.record(EventKind::Recovery(RecoveryReport {
             shard: 1,
+            checkpoint_packets: 100,
+            routed_packets: 142,
             dark_packets: 42,
-        });
-        hub.journal.record(EventKind::ReshardPhase {
-            from_shards: 2,
-            to_shards: 4,
-            stage: ReshardStage::Commit,
-        });
-        let json = hub.snapshot().render_json();
+        }));
+        let snap = hub.snapshot();
+        // The lifecycle counters are views of the journal.
+        assert_eq!(snap.stages.recoveries, 1);
+        assert_eq!(snap.stages.reshards, 1);
+        assert_eq!(snap.stages.reshard_phases, 2);
+        let deaths: Vec<u64> = snap.shards.iter().map(|s| s.worker_deaths).collect();
+        assert_eq!(deaths, vec![0, 1]);
+        assert_eq!((snap.dark_packets.count, snap.dark_packets.sum), (1, 42));
+        let json = snap.render_json();
         assert!(json.contains("\"dispatch_packets\": 5000"), "{json}");
         assert!(json.contains("\"ingest_packets\": 5000"), "{json}");
         assert!(json.contains("\"kind\": \"recovery\""), "{json}");
-        assert!(json.contains("\"dark_packets\": 42"), "{json}");
+        let record = "\"dark_packets\": 42, \"checkpoint_packets\": 100, \"routed_packets\": 142";
+        assert!(json.contains(record), "{json}");
         assert!(json.contains("\"stage\": \"commit\""), "{json}");
+        assert!(json.contains("\"recorded\": 4,"), "{json}");
         // Braces balance (cheap well-formedness check without a parser).
         let open = json.matches(['{', '[']).count();
         let close = json.matches(['}', ']']).count();

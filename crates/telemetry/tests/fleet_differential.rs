@@ -193,7 +193,10 @@ fn dirty_mode_with_loss_recovers_bit_exact_after_resync() {
 fn dirty_loss_sweep_always_converges() {
     // Digest-level sweep over loss rates and seeds in dirty mode:
     // whatever the channel does to the patch stream, reconcile ends
-    // bit-exact.
+    // bit-exact, and every shipped frame — reconcile's catch-up
+    // snapshots included — is accounted once: the stats and the hub
+    // agree.
+    let mut caught_up = 0;
     for loss in [0.05, 0.5, 0.8] {
         for seed in 1..=4u64 {
             let mut fleet = Fleet::<u64>::new(FleetConfig {
@@ -207,7 +210,7 @@ fn dirty_loss_sweep_always_converges() {
                 ..FleetConfig::default()
             });
             fleet.run_trace(&stream(12_000, seed * 7 + 1));
-            fleet.reconcile();
+            caught_up += fleet.reconcile();
             for (i, sw) in fleet.switches().iter().enumerate() {
                 let replica = fleet.collector().switch_window(i as u64).unwrap();
                 assert_eq!(
@@ -216,8 +219,15 @@ fn dirty_loss_sweep_always_converges() {
                     "loss {loss} seed {seed} switch {i}"
                 );
             }
+            let (s, obs) = (*fleet.stats(), fleet.obs().snapshot());
+            let tag = format!("loss {loss} seed {seed}");
+            assert_eq!(s.frames_sent, obs.stages.exports, "{tag}");
+            assert_eq!(s.bytes_sent, obs.export_bytes.sum, "{tag}");
+            let resyncs = obs.journal.count_of("resync") as u64;
+            assert_eq!(s.resyncs, resyncs, "{tag}");
         }
     }
+    assert!(caught_up > 0, "no reconcile shipped a catch-up snapshot");
 }
 
 #[test]
