@@ -17,9 +17,11 @@ use hk_common::prng::XorShift64;
 use hk_common::varint;
 
 const N: usize = 64 * 1024;
-/// Row width (in 64-bucket words) matching the fleet bench geometry:
-/// 4 MiB / 4 epochs / 8 bytes per bucket / 2 rows = 64Ki buckets/row.
-const BITMAP_WORDS: usize = 1024;
+/// Row width (in 64-bucket words) matching the `fleet-window` geometry:
+/// 4 MiB / 4 epochs, less the 1,200 B top-k store, at 4 accounted bytes
+/// per bucket (16-bit fingerprint + 16-bit counter) over 2 rows is
+/// 130,922 buckets per row, which is 2,046 words.
+const BITMAP_WORDS: usize = 2046;
 
 fn values(shape: &str, seed: u64) -> Vec<u64> {
     let mut rng = XorShift64::new(seed);

@@ -918,6 +918,8 @@ pub fn fleet(args: &Args) -> Result<(), CliError> {
     let oracle = fleet.oracle_collector();
     let recall = fleet.recall_against(&oracle);
     let s = *fleet.stats();
+    let journal = fleet.obs().journal.snapshot();
+    let evictions = journal.count_of("eviction");
 
     println!(
         "fleet: {switches} switch(es) x window {window} x {epoch_packets} pkts/epoch, \
@@ -934,13 +936,13 @@ pub fn fleet(args: &Args) -> Result<(), CliError> {
         s.frames_reordered,
         s.full_frames,
         s.dirty_frames,
-        s.resyncs,
+        journal.count_of("resync"),
         s.duplicates,
     );
-    if lease > 0 || s.evictions > 0 {
+    if lease > 0 || evictions > 0 {
         println!(
-            "lease {lease}: {} eviction(s), {} re-admission(s)",
-            s.evictions, s.readmissions,
+            "lease {lease}: {evictions} eviction(s), {} re-admission(s)",
+            journal.count_of("readmission"),
         );
     }
     println!(

@@ -332,23 +332,36 @@ impl BucketMatrix {
     /// resized to `width.div_ceil(64)` words; trailing bits past
     /// `width` stay zero. Plain u64 compares over the packed row view:
     /// this is the dirty exporter's whole read path, and it never
-    /// touches ingest.
+    /// touches ingest. Each bitmap word is built from one branch-free
+    /// compare over its 64-bucket chunk.
     pub fn diff_row_bitmap(&self, j: usize, base: Option<&[u64]>, bitmap: &mut Vec<u64>) -> usize {
-        if let Some(base) = base {
-            debug_assert_eq!(base.len(), self.width, "baseline row width");
+        /// One bit per bucket of a chunk of at most 64, set iff it
+        /// differs from the baseline word.
+        fn diff_word(new: &[u64], old: &[u64]) -> u64 {
+            new.iter()
+                .zip(old)
+                .enumerate()
+                .fold(0, |bits, (i, (n, o))| bits | u64::from(n != o) << i)
         }
+        const EMPTY: [u64; 64] = [0; 64];
+
         bitmap.clear();
         bitmap.resize(self.width.div_ceil(64), 0);
-        let row = self.row(j);
-        let mut changed = 0usize;
-        for (i, &new) in row.iter().enumerate() {
-            let old = base.map_or(0, |b| b[i]);
-            if old != new {
-                bitmap[i / 64] |= 1u64 << (i % 64);
-                changed += 1;
+        let chunks = self.row(j).chunks(64);
+        match base {
+            Some(base) => {
+                debug_assert_eq!(base.len(), self.width, "baseline row width");
+                for (word, (new, old)) in bitmap.iter_mut().zip(chunks.zip(base.chunks(64))) {
+                    *word = diff_word(new, old);
+                }
+            }
+            None => {
+                for (word, new) in bitmap.iter_mut().zip(chunks) {
+                    *word = diff_word(new, &EMPTY);
+                }
             }
         }
-        changed
+        bitmap.iter().map(|w| w.count_ones() as usize).sum()
     }
 
     /// True if the live region actually starts on a 64-byte boundary
@@ -487,6 +500,63 @@ mod tests {
         assert_eq!(m.row(1)[0], m.word(1, 0));
         let flat: Vec<u64> = m.row(0).iter().chain(m.row(1)).copied().collect();
         assert_eq!(flat, m.data());
+    }
+
+    /// The per-bucket loop `diff_row_bitmap` replaced: the reference
+    /// its word-at-a-time compare must match.
+    fn diff_row_reference(row: &[u64], base: Option<&[u64]>) -> Vec<u64> {
+        let mut bitmap = vec![0u64; row.len().div_ceil(64)];
+        for (i, &new) in row.iter().enumerate() {
+            if base.map_or(0, |b| b[i]) != new {
+                bitmap[i / 64] |= 1u64 << (i % 64);
+            }
+        }
+        bitmap
+    }
+
+    #[test]
+    fn diff_row_bitmap_matches_per_bucket_reference() {
+        // Widths around a bitmap word's edges, plus the fleet row
+        // (4 MiB over W = 4 epochs, 2 rows of 130,922 buckets).
+        for width in [1, 63, 64, 65, 130, 130_922] {
+            let layout = PackedLayout::new(16, 16);
+            let (mut m, mut base) = (
+                BucketMatrix::new(2, width, layout),
+                BucketMatrix::new(2, width, layout),
+            );
+            let mut rng = hk_common::prng::XorShift64::new(width as u64);
+            for j in 0..2 {
+                for i in 0..width {
+                    // About a third occupied on each side, and a third of
+                    // those the same word on both, so equal, changed,
+                    // emptied and newly filled buckets all occur.
+                    let r = rng.next_u64_raw();
+                    let word = (r >> 8) | 1;
+                    if r.is_multiple_of(3) {
+                        m.set_word(j, i, word);
+                    }
+                    match r % 9 {
+                        0 | 1 => base.set_word(j, i, word),
+                        3 => base.set_word(j, i, word ^ 0x100),
+                        _ => {}
+                    }
+                }
+            }
+            let mut bitmap = vec![u64::MAX; 3]; // stale contents must go
+            for j in 0..2 {
+                for base_row in [Some(base.row(j)), None] {
+                    let ctx = format!("width {width} row {j} base {}", base_row.is_some());
+                    let changed = m.diff_row_bitmap(j, base_row, &mut bitmap);
+                    assert_eq!(bitmap, diff_row_reference(m.row(j), base_row), "{ctx}");
+                    let popcount: u32 = bitmap.iter().map(|w| w.count_ones()).sum();
+                    assert_eq!(changed, popcount as usize, "{ctx}");
+                    if width % 64 != 0 {
+                        let tail = bitmap.last().unwrap() >> (width % 64);
+                        assert_eq!(tail, 0, "{ctx}: bits past the width");
+                    }
+                }
+            }
+        }
     }
 
     #[test]

@@ -632,11 +632,15 @@ fn encode_dirty_payload<K: FlowKey>(
         let base = base.filter(|_| j < base_rows).map(|b| b.row(j));
         matrix.diff_row_bitmap(j, base, &mut bitmap);
         varint::write_bitmap_rle(out, &bitmap);
+        // Visit only the set bits, in ascending bucket order.
         let row = matrix.row(j);
-        for (i, &new) in row.iter().enumerate() {
-            if bitmap[i / 64] & (1u64 << (i % 64)) != 0 {
+        for (w, &bits) in bitmap.iter().enumerate() {
+            let mut bits = bits;
+            while bits != 0 {
+                let i = w * 64 + bits.trailing_zeros() as usize;
+                bits &= bits - 1;
                 let old = base.map_or(0, |b| b[i]);
-                varint::write_u64(out, old ^ new);
+                varint::write_u64(out, old ^ row[i]);
             }
         }
     }

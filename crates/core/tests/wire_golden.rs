@@ -1,0 +1,131 @@
+//! Golden frame bytes: the window-frame encoders must keep producing
+//! the *exact* bytes they produced when these digests were recorded.
+//!
+//! The digests below were recorded by running this test on commit
+//! `ece24d5`, before the encoders' inner loops (the CRC-32, the dirty
+//! bitmap scan and the changed-word walk) were rewritten. Each case
+//! streams the recorded packets through a `W = 4` window, then folds
+//! three frames through FNV-1a:
+//!
+//! * `export_frame` — the full snapshot of every live epoch;
+//! * `export_dirty` — a patch against a real baseline (`base_rows > 0`);
+//! * `export_delta` — the same closed epoch against the empty baseline.
+//!
+//! Two widths: 256 (whole bitmap words) and 1,000, which is not a
+//! multiple of 64, so the last bitmap word of every row has a tail
+//! that must stay zero. Any change to these frames' bytes is a wire
+//! change, and must come with a version bump instead of a new digest.
+
+use heavykeeper::sliding::SlidingTopK;
+use heavykeeper::wire::WindowFrame;
+use heavykeeper::HkConfig;
+
+const EPOCH_PACKETS: u32 = 3_000;
+const ROTATIONS: u64 = 5;
+
+/// The recorded stream for one epoch: a xorshift mix of recurring
+/// elephants (a third), a per-epoch band of medium flows, and mice.
+fn epoch_stream(state: &mut u64, epoch: u64) -> Vec<u64> {
+    (0..EPOCH_PACKETS)
+        .map(|_| {
+            *state ^= *state << 13;
+            *state ^= *state >> 7;
+            *state ^= *state << 17;
+            match *state % 3 {
+                0 => *state % 10,
+                1 => 100 + epoch * 40 + *state % 60,
+                _ => 10_000 + *state % 4_000,
+            }
+        })
+        .collect()
+}
+
+/// A `W = 4` window of the given width after the recorded stream.
+fn recorded_window(width: usize) -> SlidingTopK<u64> {
+    let cfg = HkConfig::builder()
+        .arrays(2)
+        .width(width)
+        .k(16)
+        .seed(41)
+        .build();
+    let mut win = SlidingTopK::<u64>::new(cfg, 4);
+    let mut state = 0x9E37_79B9_7F4A_7C15u64;
+    for epoch in 0..=ROTATIONS {
+        win.insert_batch(&epoch_stream(&mut state, epoch));
+        if epoch < ROTATIONS {
+            win.rotate();
+        }
+    }
+    win
+}
+
+/// FNV-1a over the frame's bytes, paired with its length.
+fn digest(frame: &[u8]) -> (u64, usize) {
+    let h = frame.iter().fold(0xCBF2_9CE4_8422_2325u64, |h, &b| {
+        (h ^ b as u64).wrapping_mul(0x0000_0100_0000_01B3)
+    });
+    (h, frame.len())
+}
+
+/// `(digest, length)` of each frame, recorded at `ece24d5`.
+struct Golden {
+    full: (u64, usize),
+    dirty: (u64, usize),
+    delta: (u64, usize),
+}
+
+const GOLDEN_W256: Golden = Golden {
+    full: (0xad07_803a_359e_0077, 25_827),
+    dirty: (0xb6cd_8596_7fdb_ee27, 3_521),
+    delta: (0x0434_1f6a_cd7e_79b9, 3_757),
+};
+
+const GOLDEN_W1000: Golden = Golden {
+    full: (0x706f_f46a_1036_669b, 97_251),
+    dirty: (0x427e_e985_6ca0_fb92, 10_327),
+    delta: (0x85ac_b93a_43f6_b4e4, 8_913),
+};
+
+fn run_case(width: usize, golden: &Golden) {
+    let win = recorded_window(width);
+    let full = win.export_frame(7, EPOCH_PACKETS);
+    let dirty = win.export_dirty(7, EPOCH_PACKETS).expect("a closed epoch");
+    let delta = win.export_delta(7, EPOCH_PACKETS).expect("a closed epoch");
+
+    // The dirty frame must be a patch against a real baseline, or the
+    // case would not cover the XOR arm of the encoder.
+    let patch = WindowFrame::<u64>::decode(&dirty)
+        .expect("dirty frame decodes")
+        .patch
+        .expect("a dirty frame carries a patch");
+    assert!(
+        patch.base_rows() > 0,
+        "width {width}: dirty frame has no baseline"
+    );
+
+    assert_eq!(
+        digest(&full),
+        golden.full,
+        "width {width}: export_frame bytes changed"
+    );
+    assert_eq!(
+        digest(&dirty),
+        golden.dirty,
+        "width {width}: export_dirty bytes changed"
+    );
+    assert_eq!(
+        digest(&delta),
+        golden.delta,
+        "width {width}: export_delta bytes changed"
+    );
+}
+
+#[test]
+fn frames_match_recorded_bytes_at_width_256() {
+    run_case(256, &GOLDEN_W256);
+}
+
+#[test]
+fn frames_match_recorded_bytes_at_width_1000() {
+    run_case(1_000, &GOLDEN_W1000);
+}

@@ -64,7 +64,8 @@
 //! reconcile snapshot — is accounted by one function, which bumps the
 //! [`FleetStats`] frame and byte totals, the hub's `exports` counter and
 //! frame-size histogram, and journals each resync snapshot. Lease
-//! evictions and re-admissions land in the journal too.
+//! evictions and re-admissions land in the journal too: it is their
+//! only record (`count_of("resync" | "eviction" | "readmission")`).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -177,16 +178,8 @@ pub struct FleetStats {
     pub full_frames: u64,
     /// Dirty (changed-bucket patch) frames sent.
     pub dirty_frames: u64,
-    /// Full snapshots sent *in answer to a resync request*.
-    pub resyncs: u64,
     /// Frames the collector dropped as duplicates.
     pub duplicates: u64,
-    /// Switches evicted for overrunning their lease
-    /// ([`FleetConfig::lease`]).
-    pub evictions: u64,
-    /// Previously evicted switches whose replica was reinstalled by a
-    /// later snapshot (the resync re-admission path).
-    pub readmissions: u64,
     /// Total frame bytes handed to the channel.
     pub bytes_sent: u64,
     /// Bytes of the most recent rotation's scheduled exports (all
@@ -398,7 +391,6 @@ impl<K: FlowKey> Fleet<K> {
         let max_idle = self.cfg.lease.saturating_mul(self.cfg.switches as u64);
         for id in self.collector.stale_switches(max_idle) {
             if self.collector.evict_switch(id) {
-                self.stats.evictions += 1;
                 self.evicted.insert(id);
                 self.obs.journal.record(EventKind::Eviction { switch: id });
             }
@@ -410,7 +402,6 @@ impl<K: FlowKey> Fleet<K> {
             .filter(|&id| self.collector.switch_window(id).is_some())
             .collect();
         for id in readmitted {
-            self.stats.readmissions += 1;
             self.evicted.remove(&id);
             self.obs
                 .journal
@@ -491,7 +482,6 @@ impl<K: FlowKey> Fleet<K> {
             ExportKind::Dirty => self.stats.dirty_frames += 1,
             ExportKind::Resync(switch) => {
                 self.stats.full_frames += 1;
-                self.stats.resyncs += 1;
                 let switch = switch.into();
                 self.obs.journal.record(EventKind::Resync { switch });
             }
@@ -759,8 +749,9 @@ mod tests {
             fleet.ingest(p);
             fleet.rotate();
         }
-        assert_eq!(fleet.stats().evictions, 1, "silent switch evicted");
-        assert_eq!(fleet.stats().readmissions, 0);
+        let journal = fleet.obs().journal.snapshot();
+        assert_eq!(journal.count_of("eviction"), 1, "silent switch evicted");
+        assert_eq!(journal.count_of("readmission"), 0);
         assert!(
             fleet.collector().switch_window(1).is_none(),
             "evicted replica is gone from the windowed plane"
@@ -773,7 +764,8 @@ mod tests {
             fleet.ingest(p);
             fleet.rotate();
         }
-        assert_eq!(fleet.stats().readmissions, 1, "resync re-admits");
+        let journal = fleet.obs().journal.snapshot();
+        assert_eq!(journal.count_of("readmission"), 1, "resync re-admits");
         fleet.reconcile();
         for (i, sw) in fleet.switches().iter().enumerate() {
             let replica = fleet
@@ -783,7 +775,7 @@ mod tests {
             assert_eq!(window_digest(replica), window_digest(sw), "switch {i}");
         }
         // Re-admission used the ordinary resync machinery.
-        assert!(fleet.stats().resyncs >= 1);
+        assert!(fleet.obs().journal.snapshot().count_of("resync") >= 1);
     }
 
     #[test]
@@ -796,7 +788,11 @@ mod tests {
         });
         fleet.set_muted(1, true);
         fleet.run_trace(&zipfish(20_000, 5));
-        assert_eq!(fleet.stats().evictions, 0, "leasing is off by default");
+        assert_eq!(
+            fleet.obs().journal.snapshot().count_of("eviction"),
+            0,
+            "leasing is off by default"
+        );
         // The muted switch's replica just goes stale, it is not dropped.
         assert!(fleet.collector().switch_window(1).is_some());
     }
