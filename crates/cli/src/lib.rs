@@ -39,20 +39,22 @@ pub use args::{Args, CliError};
 /// Entry point shared by the binary and the tests.
 pub fn run(argv: &[String]) -> Result<(), CliError> {
     let args = Args::parse(argv)?;
-    match args.command.as_str() {
-        "generate" => commands::generate(&args),
-        "run" => commands::run_stream(&args),
-        "analyze" => commands::analyze(&args),
-        "compare" => commands::compare(&args),
-        "pcap-gen" => commands::pcap_gen(&args),
-        "pcap" => commands::pcap(&args),
-        "change" => commands::change(&args),
-        "fleet" => commands::fleet(&args),
-        "lint" => commands::lint(&args),
-        "help" | "" => {
+    let command: fn(&Args) -> Result<(), CliError> = match args.command.as_str() {
+        "generate" => commands::generate,
+        "run" => commands::run_stream,
+        "analyze" => commands::analyze,
+        "compare" => commands::compare,
+        "pcap-gen" => commands::pcap_gen,
+        "pcap" => commands::pcap,
+        "change" => commands::change,
+        "fleet" => commands::fleet,
+        "lint" => commands::lint,
+        "help" | "" => |_| {
             print!("{}", commands::USAGE);
             Ok(())
-        }
-        other => Err(CliError::Usage(format!("unknown subcommand `{other}`"))),
-    }
+        },
+        other => return Err(CliError::Usage(format!("unknown subcommand `{other}`"))),
+    };
+    args.reject_unknown_flags()?;
+    command(&args)
 }

@@ -18,8 +18,6 @@
 //!   amortized increment and replace-min.
 //! * [`topk`] — an indexed min-heap top-k tracker, the didactic structure
 //!   the paper uses to explain the algorithms.
-//! * [`counters`] — bit-width-limited counters so that memory accounting
-//!   (16-bit counter fields, Section VI-A) is enforced in type.
 //! * [`crc`] — CRC-32 (IEEE) for wire-payload integrity (the windowed
 //!   telemetry frames checksum every epoch payload).
 //! * [`varint`] — LEB128 varints and run-length-encoded bitmaps, the
@@ -30,7 +28,6 @@
 #![warn(missing_docs)]
 
 pub mod algorithm;
-pub mod counters;
 pub mod crc;
 pub mod fingerprint;
 pub mod hash;
@@ -42,7 +39,6 @@ pub mod topk;
 pub mod varint;
 
 pub use algorithm::{EpochRotate, PreparedInsert, ShardCheckpoint, ShardReshard, TopKAlgorithm};
-pub use counters::SaturatingCounter;
 pub use crc::crc32;
 pub use fingerprint::fingerprint_of;
 pub use hash::{HashFamily, SeededHasher};

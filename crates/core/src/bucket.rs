@@ -180,7 +180,7 @@ const ALIGN_PAD: usize = 7;
 /// packed buckets.
 ///
 /// The alignment is achieved without `unsafe`: the backing `Vec<u64>`
-/// is over-allocated by [`ALIGN_PAD`] words and the live region starts
+/// is over-allocated by `ALIGN_PAD` (7) words and the live region starts
 /// at the first 64-byte boundary inside it, so every row of 8 buckets
 /// begins on a cache line whenever `width` is a multiple of 8.
 #[derive(Debug)]

@@ -405,22 +405,9 @@ impl<K: FlowKey> Collector<K> {
         &mut self,
         payload: &[u8],
     ) -> Result<WindowSubmit, WindowSubmitError> {
-        let frame = match WindowFrame::<K>::decode(payload) {
-            Ok(f) => f,
-            Err(e) => {
-                self.window_frames_rejected += 1;
-                return Err(WindowSubmitError::Wire(e));
-            }
-        };
-        self.submit_window(frame)
-    }
-
-    /// [`Collector::submit_window_frame`] over an already-decoded frame.
-    pub fn submit_window(
-        &mut self,
-        frame: WindowFrame<K>,
-    ) -> Result<WindowSubmit, WindowSubmitError> {
-        let out = self.submit_window_inner(frame);
+        let out = WindowFrame::<K>::decode(payload)
+            .map_err(WindowSubmitError::Wire)
+            .and_then(|frame| self.submit_window_inner(frame));
         if out.is_err() {
             self.window_frames_rejected += 1;
         }

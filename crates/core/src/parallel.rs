@@ -114,13 +114,16 @@ impl<K: FlowKey> ParallelTopK<K> {
         self.store = TopKStore::new(self.cfg.k);
     }
 
-    /// Restores the instance to its exact as-constructed state —
-    /// buckets zeroed, decay RNG rewound, store emptied — so it is
-    /// indistinguishable from `ParallelTopK::new(cfg)` while keeping
-    /// its (already page-resident) allocations. The sliding window
-    /// recycles evicted epochs through this instead of allocating.
-    pub fn recycle(&mut self) {
-        self.sketch.recycle();
+    /// Restores the instance to the exact as-constructed state of an
+    /// `arrays`-array instance of its configuration — buckets zeroed,
+    /// decay RNG rewound, store emptied — so it is indistinguishable
+    /// from `ParallelTopK::new(cfg)` with `cfg.arrays = arrays` while
+    /// keeping its (already page-resident) allocations. The sliding
+    /// window recycles evicted epochs through this, at its own array
+    /// count, instead of allocating ([`HkSketch::recycle`]).
+    pub fn recycle(&mut self, arrays: usize) {
+        self.cfg.arrays = arrays;
+        self.sketch.recycle(arrays);
         self.store = TopKStore::new(self.cfg.k);
     }
 

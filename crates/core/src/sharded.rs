@@ -100,9 +100,9 @@
 //!   window keep degrading to the surviving shards as before.
 //! * **Fault injection.** Recovery code only exercised by hand-crafted
 //!   thread aborts rots; [`ShardedEngine::set_fault_plan`] installs a
-//!   deterministic [`FaultPlan`](crate::fault::FaultPlan) — kill /
-//!   mid-walk / wedge at exact sub-stream positions — threaded through
-//!   the worker loop, so every recovery path has a reproducible test.
+//!   deterministic [`FaultPlan`] — kill / mid-walk / wedge at exact
+//!   sub-stream positions — threaded through the worker loop, so every
+//!   recovery path has a reproducible test.
 //!
 //! ## Epoch rotation
 //!
@@ -115,8 +115,7 @@
 //!
 //! Rotation, on-demand checkpoints and the checkpoint baseline share one
 //! private barrier: dispatch what is pending under the pending lock,
-//! then enqueue one op per shard, optionally waiting for the flush. The
-//! two window exports share one flushed per-shard visitor.
+//! then enqueue one op per shard, optionally waiting for the flush.
 //!
 //! ## Observability
 //!
@@ -1648,101 +1647,6 @@ where
     }
 }
 
-impl<K: FlowKey + Send + 'static> ShardedEngine<K, crate::sliding::SlidingTopK<K>> {
-    /// An engine of `shards` sliding windows (see
-    /// [`ShardedEngine::parallel`] for the memory split): every shard
-    /// runs a `window`-epoch [`SlidingTopK`](crate::sliding::SlidingTopK)
-    /// ring, sharing `cfg`'s seed so the engine rides hash-once handoff
-    /// and the shard windows stay merge-compatible.
-    pub fn sliding(cfg: &HkConfig, shards: usize, window: usize) -> Self {
-        let per = split_config(cfg, shards);
-        Self::from_fn(shards, cfg.k, |_| {
-            crate::sliding::SlidingTopK::new(per.clone(), window)
-        })
-    }
-
-    /// Exports one **full** wire-v2 frame per shard, phase-aligned:
-    /// everything inserted before this call is dispatched and flushed
-    /// first — the same pending-dispatch barrier
-    /// [`ShardedEngine::rotate_all`] cuts behind — so every frame is
-    /// captured at the same point of the stream and the same rotation
-    /// count. Shard `i`'s frame carries switch id `switch_id_base + i`:
-    /// flows are hash-partitioned across shards, so a collector
-    /// aggregates the frames as *disjoint* vantage points
-    /// ([`crate::collector::AggregationRule::Sum`]).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ShardPoisoned`] when any shard's worker has died (its
-    /// ring state may be torn; no frame is exported for it — the
-    /// surviving shards' frames are not returned either, so a partial
-    /// fleet view is never mistaken for a complete one).
-    pub fn export_frames(
-        &self,
-        switch_id_base: u64,
-        epoch_packets: u32,
-    ) -> Result<Vec<Vec<u8>>, ShardPoisoned> {
-        // Every shard has a full frame, so the visitor always returns
-        // `Some`.
-        self.export_each(switch_id_base, |w, id| {
-            Some(w.export_frame(id, epoch_packets))
-        })
-        .map(Option::unwrap_or_default)
-    }
-
-    /// The dirty sibling of [`ShardedEngine::export_frames`]: one
-    /// **dirty** frame per shard behind the same flush barrier, each
-    /// carrying the shard window's newest closed epoch
-    /// ([`SlidingTopK::export_dirty`](crate::sliding::SlidingTopK::export_dirty):
-    /// a patch against the epoch closed one rotation earlier, read from
-    /// the shard's own ring, or against the empty baseline when the ring
-    /// no longer holds that epoch — every rotation of a `W = 2` window —
-    /// or a reshard rewrote it). Returns `None` before the first
-    /// rotation — the shards rotate in lockstep through
-    /// [`ShardedEngine::rotate_all`], so either all have a closed epoch
-    /// or none do — and the caller ships
-    /// [`ShardedEngine::export_frames`] instead.
-    pub fn export_dirties(
-        &self,
-        switch_id_base: u64,
-        epoch_packets: u32,
-    ) -> Result<Option<Vec<Vec<u8>>>, ShardPoisoned> {
-        self.export_each(switch_id_base, |w, id| w.export_dirty(id, epoch_packets))
-    }
-
-    /// The flushed per-shard visitor behind the two exports: flushes,
-    /// so every frame is cut at the same point of the stream, then calls
-    /// `export(window, switch_id)` on the shards in index order (shard
-    /// `i` is switch `switch_id_base + i`). Returns the frames only if
-    /// every shard produced one, and then records them in the hub.
-    fn export_each(
-        &self,
-        switch_id_base: u64,
-        export: impl Fn(&crate::sliding::SlidingTopK<K>, u64) -> Option<Vec<u8>>,
-    ) -> Result<Option<Vec<Vec<u8>>>, ShardPoisoned> {
-        self.flush()?;
-        let frames: Option<Vec<Vec<u8>>> = self
-            .shards
-            .iter()
-            .enumerate()
-            .map(|(i, shard)| {
-                // The flush barrier already rejected dead workers;
-                // residual poison can only come from a reader's panic
-                // (shared access, state intact) — absorb it.
-                let guard = shard.algo.lock().unwrap_or_else(PoisonError::into_inner);
-                export(&guard, switch_id_base + i as u64)
-            })
-            .collect();
-        if let Some(frames) = &frames {
-            self.obs.stages.exports.incr();
-            for f in frames {
-                self.obs.export_bytes.record(f.len() as u64);
-            }
-        }
-        Ok(frames)
-    }
-}
-
 impl<K, A> EpochRotate for ShardedEngine<K, A>
 where
     K: FlowKey + Send + 'static,
@@ -1774,15 +1678,6 @@ impl<K: FlowKey, A: TopKAlgorithm<K>> Drop for ShardedEngine<K, A> {
     }
 }
 
-/// Divides a configuration's width by the shard count so an `n`-shard
-/// engine is accounted the same total sketch memory as one `cfg`
-/// instance.
-fn split_config(cfg: &HkConfig, shards: usize) -> HkConfig {
-    let mut per = cfg.clone();
-    per.width = (cfg.width / shards.max(1)).max(1);
-    per
-}
-
 impl<K: FlowKey + Send + 'static> ShardedEngine<K, ParallelTopK<K>> {
     /// An engine of `shards` Parallel-variant instances. Each shard gets
     /// `cfg` with its width divided by the shard count, so total sketch
@@ -1790,7 +1685,8 @@ impl<K: FlowKey + Send + 'static> ShardedEngine<K, ParallelTopK<K>> {
     /// seed, which keeps them merge-compatible — and puts the engine in
     /// hash-once handoff mode (shared hash spec).
     pub fn parallel(cfg: &HkConfig, shards: usize) -> Self {
-        let per = split_config(cfg, shards);
+        let mut per = cfg.clone();
+        per.width = (cfg.width / shards.max(1)).max(1);
         Self::from_fn(shards, cfg.k, |_| ParallelTopK::new(per.clone()))
     }
 
@@ -2166,107 +2062,6 @@ mod tests {
         for f in 0..8u64 {
             assert_eq!(engine.query(&f), 100, "flow {f}");
         }
-    }
-
-    #[test]
-    fn sharded_export_is_phase_aligned_and_collectible() {
-        use crate::collector::{AggregationRule, Collector};
-        use crate::wire::{FrameKind, WindowFrame};
-
-        let mut engine = ShardedEngine::<u64, _>::sliding(&cfg(1024, 8), 3, 2);
-        assert!(engine.prepared_handoff());
-
-        // No rotation yet: no closed epoch anywhere, so no dirty frames.
-        engine.insert_batch(&(0..3000u64).map(|i| i % 6).collect::<Vec<_>>());
-        assert!(engine.export_dirties(0, 500).unwrap().is_none());
-
-        engine.rotate_all().unwrap();
-        engine.insert_batch(&(0..3000u64).map(|i| 100 + i % 6).collect::<Vec<_>>());
-
-        // Full frames: one per shard, all at the same rotation count
-        // (the flush barrier), decodable, with the right switch ids.
-        let frames = engine.export_frames(10, 500).unwrap();
-        assert_eq!(frames.len(), 3);
-        for (i, bytes) in frames.iter().enumerate() {
-            let f = WindowFrame::<u64>::decode(bytes).unwrap();
-            assert_eq!(f.kind, FrameKind::Full);
-            assert_eq!(f.switch_id, 10 + i as u64);
-            assert_eq!(f.rotation, 1, "phase-aligned rotation count");
-            assert_eq!(f.window, 2);
-            assert_eq!(f.epoch_packets, 500);
-        }
-
-        // Dirty frames exist now and carry the closed epoch of rotation 1.
-        let dirties = engine.export_dirties(10, 500).unwrap().unwrap();
-        assert_eq!(dirties.len(), 3);
-        for bytes in &dirties {
-            let f = WindowFrame::<u64>::decode(bytes).unwrap();
-            assert_eq!(f.kind, FrameKind::Dirty);
-            assert_eq!(f.rotation, 1);
-        }
-
-        // A Sum-rule collector (shards are disjoint vantage points)
-        // reassembles the full frames into the engine's own view.
-        let mut coll = Collector::<u64>::new(16, AggregationRule::Sum);
-        for bytes in &frames {
-            coll.submit_window_frame(bytes).unwrap();
-        }
-        for f in (0..6u64).chain(100..106) {
-            assert_eq!(
-                coll.window_top_k()
-                    .iter()
-                    .find(|(k, _)| *k == f)
-                    .map(|&(_, c)| c)
-                    .unwrap_or(0),
-                engine.query(&f),
-                "flow {f}: collector view must match the engine"
-            );
-        }
-    }
-
-    #[test]
-    fn sharded_dirty_export_primes_then_ships_lockstep() {
-        use crate::wire::{FrameKind, WindowFrame};
-
-        // Three rotations of a 3-shard engine of `window`-epoch shard
-        // windows; returns every frame's baseline rows, per rotation.
-        let run = |window: usize| -> Vec<Vec<usize>> {
-            let mut engine = ShardedEngine::<u64, _>::sliding(&cfg(1024, 8), 3, window);
-            // No rotation yet: no closed epoch anywhere.
-            engine.insert_batch(&(0..3000u64).map(|i| i % 6).collect::<Vec<_>>());
-            assert!(engine.export_dirties(10, 500).unwrap().is_none());
-            (1..=3u64)
-                .map(|r| {
-                    engine.rotate_all().unwrap();
-                    let frames = engine
-                        .export_dirties(10, 500)
-                        .unwrap()
-                        .expect("every shard has a closed epoch");
-                    assert_eq!(frames.len(), 3);
-                    let rows = frames.iter().enumerate().map(|(i, bytes)| {
-                        let f = WindowFrame::<u64>::decode(bytes).unwrap();
-                        assert_eq!(f.kind, FrameKind::Dirty);
-                        assert_eq!(f.switch_id, 10 + i as u64);
-                        assert_eq!(f.rotation, r, "phase-aligned rotation count");
-                        assert_eq!(f.window, window);
-                        f.patch.unwrap().base_rows()
-                    });
-                    let rows = rows.collect();
-                    engine.insert_batch(&(0..3000u64).map(|i| 100 * r + i % 6).collect::<Vec<_>>());
-                    rows
-                })
-                .collect()
-        };
-        // W = 3: the first rotation ships against the empty baseline,
-        // then every shard patches against its ring in lockstep.
-        let w3 = run(3);
-        assert!(w3[0].iter().all(|&b| b == 0), "nothing closed before");
-        for rows in &w3[1..] {
-            assert!(rows.iter().all(|&b| b > 0), "patched in lockstep: {rows:?}");
-        }
-        // W = 2: the baseline is recycled before each export, so every
-        // frame carries its whole epoch.
-        assert!(run(2).iter().flatten().all(|&b| b == 0));
     }
 
     #[test]

@@ -9,11 +9,11 @@
 //!
 //! ## Storage
 //!
-//! Buckets live in one contiguous, 64-byte-aligned
-//! [`BucketMatrix`](crate::bucket::BucketMatrix): each bucket is a
-//! single packed `u64` word (counter low, fingerprint high — see
-//! [`crate::bucket`]), so the per-packet work on each of the `d` mapped
-//! buckets is one load, a few register ops, and at most one store.
+//! Buckets live in one contiguous, 64-byte-aligned [`BucketMatrix`]:
+//! each bucket is a single packed `u64` word (counter low, fingerprint
+//! high — see [`crate::bucket`]), so the per-packet work on each of the
+//! `d` mapped buckets is one load, a few register ops, and at most one
+//! store.
 //! Eight buckets share a cache line where the old padded
 //! `Vec<Array>`-of-`Vec<Bucket>` layout fit four behind two pointer
 //! hops — on large sketches the random bucket loads dominate, and this
@@ -31,9 +31,8 @@
 //!   hash, so fingerprint equality does not imply index equality.
 //!
 //! The batched paths go one step further: the batch prolog caches each
-//! packet's per-array bucket index in the
-//! [`PreparedBatch`](hk_common::prepared::PreparedBatch) scratch's flat
-//! slot table, so the pre-touch pass, the insert pass, and the
+//! packet's per-array bucket index in the [`PreparedBatch`] scratch's
+//! flat slot table, so the pre-touch pass, the insert pass, and the
 //! post-insert query are pure gathers over cached offsets — no index
 //! rederivation once the prolog has run. Insert/query bodies are
 //! generic over [`KeySlots`], which the scalar path satisfies with a
@@ -464,9 +463,9 @@ impl HkSketch {
     /// prolog's flat slot table, one load per `(packet, array)`, no
     /// index derivation. Plain reads double as software prefetch
     /// without `unsafe`; the batched insert paths call this one
-    /// [`TOUCH_BLOCK`]-sized block ahead of the update walk so the
-    /// block's random loads overlap instead of serializing behind each
-    /// packet's update. State is untouched.
+    /// `TOUCH_BLOCK`-sized block (64 packets) ahead of the update walk
+    /// so the block's random loads overlap instead of serializing
+    /// behind each packet's update. State is untouched.
     #[inline]
     pub fn touch_batch(&self, batch: &PreparedBatch, range: std::ops::Range<usize>) {
         let arrays = batch.arrays();
@@ -812,26 +811,28 @@ impl HkSketch {
         self.stats = InsertStats::default();
     }
 
-    /// Restores the sketch to its exact as-constructed state: every
-    /// bucket zero, the decay RNG rewound to its seed, expansion rows
-    /// dropped, all counters cleared.
+    /// Restores the sketch to the exact as-constructed state of an
+    /// `arrays`-array sketch of its configuration: every bucket zero,
+    /// the decay RNG rewound to its seed, all counters cleared.
     ///
     /// Stronger than [`HkSketch::reset`] (which keeps the RNG stream and
     /// expansion rows): a recycled sketch is indistinguishable from
-    /// `HkSketch::new(&cfg)` — the property the sliding window's epoch
-    /// recycling relies on for bit-exactness with freshly allocated
-    /// epochs. In the common un-expanded case this is one memset over
-    /// the already-resident matrix, so no pages are faulted back in.
-    pub fn recycle(&mut self) {
-        if self.expansions > 0 {
-            // Expansion grew the matrix; rebuild at the original
-            // geometry (rare — only windows with expansion enabled).
-            let rows = self.matrix.rows() - self.expansions;
-            self.matrix = BucketMatrix::new(rows, self.width, self.matrix.layout());
-            self.expansions = 0;
-        } else {
+    /// `HkSketch::new(&cfg)` with `cfg.arrays = arrays` — the property
+    /// the sliding window's epoch recycling relies on for bit-exactness
+    /// with freshly allocated epochs. The caller names the array count
+    /// because the sketch cannot know it: one decoded from the wire
+    /// reports its Section III-F rows as configured ones. In the common
+    /// un-expanded case this is one memset over the already-resident
+    /// matrix, so no pages are faulted back in.
+    pub fn recycle(&mut self, arrays: usize) {
+        if self.matrix.rows() == arrays {
             self.matrix.reset();
+        } else {
+            // Expansion grew the matrix; rebuild at the given geometry
+            // (rare — only windows with expansion enabled).
+            self.matrix = BucketMatrix::new(arrays, self.width, self.matrix.layout());
         }
+        self.expansions = 0;
         self.rng = XorShift64::new(self.seed ^ 0xDECA_F00D);
         self.blocked = 0;
         self.stats = InsertStats::default();
@@ -1095,7 +1096,7 @@ mod tests {
             let v = rng.next_u64_raw() % 60;
             recycled.insert_basic(&v.to_le_bytes());
         }
-        recycled.recycle();
+        recycled.recycle(c.arrays);
         assert_eq!(recycled.occupancy(), 0);
         assert_eq!(*recycled.stats(), InsertStats::default());
 
@@ -1129,7 +1130,7 @@ mod tests {
             sk.note_blocked();
         }
         assert_eq!(sk.arrays(), 3);
-        sk.recycle();
+        sk.recycle(cfg.arrays);
         assert_eq!(sk.arrays(), 2, "recycle restores the configured rows");
         assert_eq!(sk.expansions(), 0);
         assert_eq!(sk.blocked_count(), 0);

@@ -225,7 +225,9 @@ impl<K: FlowKey> SlidingTopK<K> {
                 .epochs
                 .pop_front()
                 .expect("at least one epoch is always live");
-            evicted.recycle();
+            // At the ring's own array count: an epoch rebuilt from a
+            // frame carries any Section III-F rows as configured ones.
+            evicted.recycle(self.cfg.arrays);
             self.epochs.push_back(evicted);
         } else {
             self.epochs.push_back(ParallelTopK::new(self.cfg.clone()));
@@ -467,6 +469,57 @@ mod tests {
 
     fn cfg(w: usize, k: usize) -> HkConfig {
         HkConfig::builder().arrays(2).width(w).k(k).seed(5).build()
+    }
+
+    #[test]
+    fn rebuilt_ring_recycles_grown_epochs_at_its_own_array_count() {
+        use crate::collector::{AggregationRule, Collector};
+        use crate::config::ExpansionPolicy;
+        use hk_common::ShardCheckpoint;
+
+        // Epoch 1 grows under Section III-F expansion. A ring rebuilt
+        // from a full frame — a checkpoint restore or a collector
+        // replica — must drop those rows on recycle, as the switch does.
+        let cfg = HkConfig::builder()
+            .arrays(2)
+            .width(2)
+            .k(2)
+            .seed(9)
+            .expansion(ExpansionPolicy {
+                large_counter: 30,
+                blocked_threshold: 40,
+                max_arrays: 6,
+            })
+            .build();
+        let mut win = SlidingTopK::<u64>::new(cfg, 3);
+        let mice = |from: u64, n: u64| (from..from + n).collect::<Vec<u64>>();
+        win.insert_batch(&mice(1_000_000, 2_000));
+        win.rotate();
+        let mut heavy: Vec<u64> = (0..4u64).flat_map(|f| [f; 2_000]).collect();
+        heavy.extend([999u64; 3_000]);
+        win.insert_batch(&heavy);
+        let arrays = |w: &SlidingTopK<u64>| -> Vec<usize> {
+            w.epoch_iter().map(|e| e.sketch().arrays()).collect()
+        };
+        assert_eq!(arrays(&win), [2, 3], "expansion precondition");
+
+        let mut restored =
+            SlidingTopK::<u64>::restore_checkpoint(&win.encode_checkpoint()).unwrap();
+        let mut coll = Collector::<u64>::new(2, AggregationRule::Sum);
+        coll.submit_window_frame(&win.export_frame(0, 500)).unwrap();
+        for round in 1..=4u64 {
+            win.rotate();
+            restored.rotate();
+            coll.submit_window_frame(&win.export_dirty(0, 500).unwrap())
+                .unwrap();
+            let m = mice(2_000_000 + round * 500, 500);
+            win.insert_batch(&m);
+            restored.insert_batch(&m);
+            assert_eq!(arrays(&restored), arrays(&win), "rotation {round}");
+            let replica = coll.switch_window(0).unwrap();
+            assert_eq!(arrays(replica), arrays(&win), "replica, rotation {round}");
+        }
+        assert_eq!(restored.encode_checkpoint(), win.encode_checkpoint());
     }
 
     #[test]

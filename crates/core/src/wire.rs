@@ -979,7 +979,8 @@ impl<K: FlowKey> WindowFrame<K> {
         // (Section III-F), but a freshly recycled epoch always starts at
         // the base count — the minimum across the ring (a recycle drops
         // expansion rows, so any un-expanded epoch in the frame shows
-        // the base).
+        // the base). A frame whose every epoch has grown does not carry
+        // the base, and the replica then recycles at a grown count.
         let cfg = self
             .epochs
             .iter()

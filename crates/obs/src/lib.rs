@@ -92,8 +92,8 @@ pub struct StageCounters {
     pub checkpoints: Counter,
     /// Window rotations driven through the engine.
     pub rotations: Counter,
-    /// Window-frame exports served, full or dirty: one per engine-wide
-    /// export barrier, one per frame a fleet ships.
+    /// Window frames a fleet ships, full or dirty: one per frame handed
+    /// to its channel or delivered reliably. Engines ship none.
     pub exports: Counter,
 }
 
@@ -477,7 +477,8 @@ pub struct ObsHub {
     pub dispatch_latency_ns: Arc<Log2Hist>,
     /// Ingested sub-batch sizes (packets).
     pub batch_packets: Arc<Log2Hist>,
-    /// Export payload sizes (bytes) per export call.
+    /// Sizes (bytes) of the frames counted in
+    /// [`StageCounters::exports`].
     pub export_bytes: Log2Hist,
     /// The lifecycle event journal.
     pub journal: EventJournal,

@@ -23,7 +23,6 @@
 
 use crate::datapath::{synthesize_frame, Datapath, FRAME_LEN};
 use heavykeeper::spsc::SpscRing;
-use heavykeeper::SlidingTopK;
 use hk_common::algorithm::TopKAlgorithm;
 use hk_traffic::flow::FiveTuple;
 use std::time::Instant;
@@ -51,6 +50,10 @@ pub struct DeploymentReport {
 /// When `algo` is `None`, the consumer still drains the ring but runs no
 /// algorithm — the paper's "original OVS" baseline in Figure 34.
 ///
+/// The frames are synthesized before the clock starts (frame
+/// construction is not measured); the datapath runs on a scoped thread
+/// and the calling thread drains the ring.
+///
 /// # Panics
 ///
 /// Panics if `flows` is empty or `ring_capacity == 0`.
@@ -62,11 +65,27 @@ pub fn run_deployment<A>(
 where
     A: TopKAlgorithm<FiveTuple> + Send,
 {
-    let report = run_pipeline(flows, ring_capacity, |batch| {
-        if let Some(a) = algo.as_mut() {
-            a.insert_batch(batch);
-        }
+    assert!(!flows.is_empty(), "need packets to run");
+    let frames: Vec<[u8; FRAME_LEN]> = flows.iter().map(synthesize_frame).collect();
+    let ring: SpscRing<FiveTuple> = SpscRing::new(ring_capacity);
+
+    let start = Instant::now();
+    let (consumed, forwarded) = std::thread::scope(|s| {
+        let producer = s.spawn(|| run_datapath(&frames, &ring));
+        let consumed = drain_until_closed(&ring, |batch| {
+            if let Some(a) = algo.as_mut() {
+                a.insert_batch(batch);
+            }
+        });
+        (consumed, producer.join().expect("datapath thread"))
     });
+    let seconds = start.elapsed().as_secs_f64();
+    let report = DeploymentReport {
+        mps: consumed as f64 / seconds / 1e6,
+        forwarded,
+        consumed,
+        seconds,
+    };
     (report, algo)
 }
 
@@ -120,112 +139,6 @@ fn run_datapath(frames: &[[u8; FRAME_LEN]], ring: &SpscRing<FiveTuple>) -> u64 {
     dp.forwarded()
 }
 
-/// The two-thread skeleton both deployments share: pre-synthesizes the
-/// frames (so frame construction is not measured), runs the datapath on
-/// a scoped thread, and drains the ring on the calling thread into
-/// `consume`.
-fn run_pipeline(
-    flows: &[FiveTuple],
-    ring_capacity: usize,
-    consume: impl FnMut(&[FiveTuple]),
-) -> DeploymentReport {
-    assert!(!flows.is_empty(), "need packets to run");
-    let frames: Vec<[u8; FRAME_LEN]> = flows.iter().map(synthesize_frame).collect();
-    let ring: SpscRing<FiveTuple> = SpscRing::new(ring_capacity);
-
-    let start = Instant::now();
-    let (consumed, forwarded) = std::thread::scope(|s| {
-        let producer = s.spawn(|| run_datapath(&frames, &ring));
-        let consumed = drain_until_closed(&ring, consume);
-        (consumed, producer.join().expect("datapath thread"))
-    });
-    let seconds = start.elapsed().as_secs_f64();
-    DeploymentReport {
-        mps: consumed as f64 / seconds / 1e6,
-        forwarded,
-        consumed,
-        seconds,
-    }
-}
-
-/// Results of one windowed deployment run: the plain report plus the
-/// telemetry frames the consumer exported at each period boundary.
-#[derive(Debug)]
-pub struct WindowedDeploymentReport {
-    /// The end-to-end pipeline report.
-    pub report: DeploymentReport,
-    /// The exported window frames, in export order: one initial full
-    /// snapshot, then one closed epoch per rotation — exactly the
-    /// stream a collector's `submit_window_frame` reassembles.
-    pub frames: Vec<Vec<u8>>,
-    /// Period boundaries crossed (equals the per-rotation frame count).
-    pub rotations: u64,
-}
-
-/// [`run_deployment`] with a sliding-window consumer that *feeds the
-/// telemetry exporter*: the user-space thread drains the ring in
-/// batches into `window`, rotates it every `epoch_packets` consumed
-/// packets, and exports a frame at every boundary — an initial
-/// [`SlidingTopK::export_frame`] snapshot before the stream, then one
-/// [`SlidingTopK::export_delta`] per rotation (the closed epoch as a
-/// dirty frame against the empty baseline, O(occupied buckets)). The
-/// returned frames are ready for a collector.
-///
-/// Export happens on the consumer thread between ring drains, exactly
-/// where a deployed switch would serialize: the cost shows up in `mps`
-/// like every other consumer-side cost.
-///
-/// # Panics
-///
-/// Panics if `flows` is empty, `ring_capacity == 0`, or
-/// `epoch_packets == 0`.
-pub fn run_windowed_deployment(
-    flows: &[FiveTuple],
-    mut window: SlidingTopK<FiveTuple>,
-    switch_id: u64,
-    epoch_packets: usize,
-    ring_capacity: usize,
-) -> (WindowedDeploymentReport, SlidingTopK<FiveTuple>) {
-    assert!(epoch_packets > 0, "epoch length must be positive");
-    let frames_budget = epoch_packets.min(u32::MAX as usize) as u32;
-    // The frame stream starts from a full snapshot of the (empty) ring.
-    let mut exported: Vec<Vec<u8>> = vec![window.export_frame(switch_id, frames_budget)];
-    let mut until_rotation = epoch_packets;
-    let report = run_pipeline(flows, ring_capacity, |mut batch| {
-        // Split drained batches at period boundaries: a rotation lands
-        // between packet `epoch_packets` and packet `epoch_packets + 1`
-        // of the sub-stream, exactly like the trace-driven windowed
-        // ingest.
-        while !batch.is_empty() {
-            let (now, rest) = batch.split_at(batch.len().min(until_rotation));
-            window.insert_batch(now);
-            batch = rest;
-            until_rotation -= now.len();
-            if until_rotation == 0 {
-                window.rotate();
-                // A W = 1 ring has no closed epoch to ship (its only
-                // slot is the accumulating one); fall back to a full
-                // frame so every rotation still exports.
-                exported.push(
-                    window
-                        .export_delta(switch_id, frames_budget)
-                        .unwrap_or_else(|| window.export_frame(switch_id, frames_budget)),
-                );
-                until_rotation = epoch_packets;
-            }
-        }
-    });
-    let rotations = window.rotations();
-    (
-        WindowedDeploymentReport {
-            report,
-            frames: exported,
-            rotations,
-        },
-        window,
-    )
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -262,45 +175,5 @@ mod tests {
     #[should_panic(expected = "need packets")]
     fn empty_trace_panics() {
         run_deployment::<ParallelTopK<FiveTuple>>(&[], None, 8);
-    }
-
-    #[test]
-    fn windowed_deployment_exports_collectible_frames() {
-        use heavykeeper::collector::{AggregationRule, Collector};
-
-        let pkts = flows(60_000, 200);
-        let win =
-            SlidingTopK::<FiveTuple>::new(HkConfig::builder().width(256).k(10).seed(5).build(), 3);
-        let (out, win) = run_windowed_deployment(&pkts, win, 42, 10_000, 1024);
-        assert_eq!(out.report.consumed, 60_000);
-        assert_eq!(out.rotations, 6, "60k packets / 10k per epoch");
-        // One initial snapshot + one closed epoch per rotation.
-        assert_eq!(out.frames.len(), 1 + out.rotations as usize);
-
-        // The frame stream reassembles loss-free at a collector.
-        let mut coll = Collector::<FiveTuple>::new(10, AggregationRule::Sum);
-        for frame in &out.frames {
-            coll.submit_window_frame(frame).unwrap();
-        }
-        assert!(coll.resync_needed().is_empty());
-        let replica = coll.switch_window(42).expect("switch installed");
-        assert_eq!(replica.rotations(), win.rotations());
-        // Every *closed* epoch is bit-identical (the switch's newest
-        // epoch only had packets after the last export, and here the
-        // trace length is a multiple of the epoch length, so both
-        // newest epochs are empty and the whole ring matches).
-        assert_eq!(replica.live_epochs(), win.live_epochs());
-        for (ea, eb) in replica.epoch_iter().zip(win.epoch_iter()) {
-            for j in 0..ea.sketch().arrays() {
-                for i in 0..ea.sketch().width() {
-                    assert_eq!(ea.sketch().bucket(j, i), eb.sketch().bucket(j, i));
-                }
-            }
-        }
-        // Window queries answered from the collector match the
-        // switch-local view.
-        for &f in pkts.iter().take(50) {
-            assert_eq!(replica.query(&f), win.query(&f));
-        }
     }
 }
