@@ -10,8 +10,9 @@
 //! paper's baseline variant and as the subject of the appendix error
 //! bound (Theorem 5), which experiment E21 validates.
 
+use crate::bucket::BucketWord;
 use crate::config::HkConfig;
-use crate::sketch::{HkSketch, PreparedKey};
+use crate::sketch::{with_words, HkSketch, PreparedKey, SketchWords};
 use crate::store::TopKStore;
 use hk_common::algorithm::{PreparedInsert, TopKAlgorithm};
 use hk_common::key::FlowKey;
@@ -83,18 +84,29 @@ impl<K: FlowKey> BasicTopK<K> {
         self.store = TopKStore::new(self.cfg.k);
     }
 
-    /// The insert body, generic over how bucket slots are obtained (on
-    /// demand for the scalar path, cached for the batched path).
+    /// The scalar insert: picks the bucket word for this one packet.
     fn insert_keyed<S: KeySlots>(&mut self, key: &K, s: &S) {
-        self.sketch.insert_basic_keyed(s);
-        let estimate = self.sketch.query_keyed(s);
-        if self.store.contains(key) {
-            self.store.update_max(key, estimate);
-        } else if estimate > self.store.nmin() {
+        with_words!(self.sketch, sk => Self::insert_words(&mut self.store, &mut sk, key, s))
+    }
+
+    /// The insert body, generic over the bucket word and over how
+    /// bucket slots are obtained (on demand for the scalar path, cached
+    /// for the batched path, which picks the word once per batch).
+    fn insert_words<W: BucketWord, S: KeySlots>(
+        store: &mut TopKStore<K>,
+        sk: &mut SketchWords<'_, W>,
+        key: &K,
+        s: &S,
+    ) {
+        sk.walk_basic(s);
+        let estimate = sk.query(s);
+        if store.contains(key) {
+            store.update_max(key, estimate);
+        } else if estimate > store.nmin() {
             // nmin() is 0 while the store is not full, so early flows with
             // any positive estimate are admitted, as in the paper.
             if estimate > 0 {
-                self.store.admit(*key, estimate);
+                store.admit(*key, estimate);
             }
         }
     }

@@ -57,7 +57,7 @@
 //! distribution but not bit-exact under reordering (the tie rule breaks
 //! symmetry); the tests pin down the properties that do hold.
 
-use crate::bucket::Bucket;
+use crate::bucket::{with_matrix, Bucket, BucketMatrix, BucketWord, Buckets};
 use crate::minimum::MinimumTopK;
 use crate::parallel::ParallelTopK;
 use crate::sketch::HkSketch;
@@ -147,20 +147,32 @@ impl HkSketch {
     pub fn merge_from_with(&mut self, other: &HkSketch, mode: MergeMode) -> Result<(), MergeError> {
         check_compatible(self, other)?;
         let max = self.counter_max();
-        let layout = other.matrix().layout();
-        for j in 0..self.arrays() {
-            for (i, &word) in other.matrix().row(j).iter().enumerate() {
-                let theirs = layout.unpack(word);
-                // An empty bucket there leaves ours as it is: skip the
-                // read-compute-write.
-                if theirs.is_empty() {
-                    continue;
-                }
-                let merged = merge_bucket(self.bucket(j, i), theirs, mode, max);
-                self.set_bucket(j, i, merged);
-            }
-        }
+        with_matrix!(self.buckets_mut(), ours => merge_words(ours, other.buckets(), mode, max));
         Ok(())
+    }
+}
+
+/// The body of [`HkSketch::merge_from_with`], over words `W`: folds
+/// every non-empty bucket of `theirs` into `ours`.
+fn merge_words<W: BucketWord>(
+    ours: &mut BucketMatrix<W>,
+    theirs: &Buckets,
+    mode: MergeMode,
+    counter_max: u64,
+) {
+    let theirs = W::matrix(theirs).expect("compatible sketches pack the same word");
+    let layout = theirs.layout();
+    for j in 0..ours.rows() {
+        for (i, &word) in theirs.row(j).iter().enumerate() {
+            let theirs = layout.unpack(word.to_u64());
+            // An empty bucket there leaves ours as it is: skip the
+            // read-compute-write.
+            if theirs.is_empty() {
+                continue;
+            }
+            let merged = merge_bucket(ours.get(j, i), theirs, mode, counter_max);
+            ours.set(j, i, merged);
+        }
     }
 }
 

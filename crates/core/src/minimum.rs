@@ -16,8 +16,9 @@
 //! arrays), memory is used more efficiently — the paper's Figures 23–31
 //! show the accuracy gain, which experiments E15–E17 reproduce.
 
+use crate::bucket::BucketWord;
 use crate::config::HkConfig;
-use crate::sketch::{HkSketch, PreparedKey};
+use crate::sketch::{with_words, HkSketch, PreparedKey, SketchWords};
 use crate::stats::InsertStats;
 use crate::store::TopKStore;
 use hk_common::algorithm::{PreparedInsert, TopKAlgorithm};
@@ -112,35 +113,46 @@ impl<K: FlowKey> MinimumTopK<K> {
         self.store = TopKStore::new(self.cfg.k);
     }
 
-    /// The insert body (Algorithm 2), generic over how bucket slots are
-    /// obtained (on demand for the scalar path, cached for the batched
-    /// path).
+    /// The scalar insert: picks the bucket word for this one packet.
     fn insert_keyed<S: KeySlots>(&mut self, key: &K, s: &S) {
+        with_words!(self.sketch, sk => Self::insert_words(&mut self.store, &mut sk, key, s))
+    }
+
+    /// The insert body (Algorithm 2), generic over the bucket word and
+    /// over how bucket slots are obtained (on demand for the scalar
+    /// path, cached for the batched path, which picks the word once
+    /// per batch).
+    fn insert_words<W: BucketWord, S: KeySlots>(
+        store: &mut TopKStore<K>,
+        sk: &mut SketchWords<'_, W>,
+        key: &K,
+        s: &S,
+    ) {
         // Step 1: monitored flag and admission threshold.
-        let flag = self.store.contains(key);
-        let nmin = self.store.nmin();
+        let flag = store.contains(key);
+        let nmin = store.nmin();
 
         // Steps 2-4: the at-most-one-bucket walk
-        // ([`HkSketch::walk_minimum`]).
-        let (heavy_v, blocked) = self.sketch.walk_minimum(s, flag, nmin);
+        // ([`SketchWords::walk_minimum`]).
+        let (heavy_v, blocked) = sk.walk_minimum(s, flag, nmin);
         if blocked {
-            self.sketch.stats_mut().blocked += 1;
-            self.sketch.note_blocked();
+            sk.stats_mut().blocked += 1;
+            sk.note_blocked();
         }
 
         // Step 5: top-k store update (same rule as the Parallel version).
         if flag {
-            self.store.update_max(key, heavy_v);
-        } else if !self.store.is_full() {
+            store.update_max(key, heavy_v);
+        } else if !store.is_full() {
             if heavy_v > 0 {
-                self.store.admit(*key, heavy_v);
-                self.sketch.stats_mut().admissions += 1;
+                store.admit(*key, heavy_v);
+                sk.stats_mut().admissions += 1;
             }
         } else if heavy_v == nmin + 1 {
-            self.store.admit(*key, heavy_v);
-            self.sketch.stats_mut().admissions += 1;
+            store.admit(*key, heavy_v);
+            sk.stats_mut().admissions += 1;
         } else if heavy_v > nmin {
-            self.sketch.stats_mut().admissions_rejected += 1;
+            sk.stats_mut().admissions_rejected += 1;
         }
     }
 }

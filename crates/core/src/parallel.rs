@@ -18,8 +18,9 @@
 //! implementation runs them sequentially; the *property* matters for
 //! FPGA/ASIC ports, not for the accuracy evaluation.)
 
+use crate::bucket::BucketWord;
 use crate::config::HkConfig;
-use crate::sketch::{HkSketch, PreparedKey};
+use crate::sketch::{with_words, HkSketch, PreparedKey, SketchWords};
 use crate::stats::InsertStats;
 use crate::store::TopKStore;
 use hk_common::algorithm::{PreparedInsert, TopKAlgorithm};
@@ -143,38 +144,49 @@ impl<K: FlowKey> ParallelTopK<K> {
         self.store.retain(keep);
     }
 
-    /// The insert body (Algorithm 1), generic over how bucket slots are
-    /// obtained (on demand for the scalar path, cached for the batched
-    /// path).
+    /// The scalar insert: picks the bucket word for this one packet.
     fn insert_keyed<S: KeySlots>(&mut self, key: &K, s: &S) {
+        with_words!(self.sketch, sk => Self::insert_words(&mut self.store, &mut sk, key, s))
+    }
+
+    /// The insert body (Algorithm 1), generic over the bucket word and
+    /// over how bucket slots are obtained (on demand for the scalar
+    /// path, cached for the batched path, which picks the word once
+    /// per batch).
+    fn insert_words<W: BucketWord, S: KeySlots>(
+        store: &mut TopKStore<K>,
+        sk: &mut SketchWords<'_, W>,
+        key: &K,
+        s: &S,
+    ) {
         // Step 1: is the flow already monitored?
-        let flag = self.store.contains(key);
-        let nmin = self.store.nmin();
+        let flag = store.contains(key);
+        let nmin = store.nmin();
 
         // Step 2: per-array bucket update (Algorithm 1 lines 4-20, the
-        // word-level walk in [`HkSketch::walk_parallel`]).
-        let (heavy_v, blocked) = self.sketch.walk_parallel(s, flag, nmin);
+        // word-level walk in [`SketchWords::walk_parallel`]).
+        let (heavy_v, blocked) = sk.walk_parallel(s, flag, nmin);
         if blocked {
-            self.sketch.stats_mut().blocked += 1;
-            self.sketch.note_blocked();
+            sk.stats_mut().blocked += 1;
+            sk.note_blocked();
         }
 
         // Step 3: top-k store update (Algorithm 1 lines 21-25).
         if flag {
-            self.store.update_max(key, heavy_v);
-        } else if !self.store.is_full() {
+            store.update_max(key, heavy_v);
+        } else if !store.is_full() {
             if heavy_v > 0 {
-                self.store.admit(*key, heavy_v);
-                self.sketch.stats_mut().admissions += 1;
+                store.admit(*key, heavy_v);
+                sk.stats_mut().admissions += 1;
             }
         } else if heavy_v == nmin + 1 {
             // Optimization I: only the exact n_min + 1 estimate is a
             // legitimate promotion; anything larger is a fingerprint
             // collision (Theorem 1).
-            self.store.admit(*key, heavy_v);
-            self.sketch.stats_mut().admissions += 1;
+            store.admit(*key, heavy_v);
+            sk.stats_mut().admissions += 1;
         } else if heavy_v > nmin {
-            self.sketch.stats_mut().admissions_rejected += 1;
+            sk.stats_mut().admissions_rejected += 1;
         }
     }
 }

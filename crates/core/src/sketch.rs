@@ -10,14 +10,17 @@
 //! ## Storage
 //!
 //! Buckets live in one contiguous, 64-byte-aligned [`BucketMatrix`]:
-//! each bucket is a single packed `u64` word (counter low, fingerprint
-//! high — see [`crate::bucket`]), so the per-packet work on each of the
-//! `d` mapped buckets is one load, a few register ops, and at most one
-//! store.
-//! Eight buckets share a cache line where the old padded
-//! `Vec<Array>`-of-`Vec<Bucket>` layout fit four behind two pointer
-//! hops — on large sketches the random bucket loads dominate, and this
-//! halves the lines touched per packet.
+//! each bucket is a single packed word (counter low, fingerprint high —
+//! see [`crate::bucket`]), so the per-packet work on each of the `d`
+//! mapped buckets is one load, a few register ops, and at most one
+//! store. The word is a `u32` when the configured fields fit 32 bits
+//! (the paper's 16+16: runtime bytes equal the accounted bytes, sixteen
+//! buckets to a cache line) and a `u64` otherwise. The ingest walks
+//! run on a `SketchWords`, the sketch with its word picked: the
+//! batched paths pick it once per batch, the scalar paths once per
+//! packet, and each walk is one body generic over the word. Only the
+//! value accessors [`HkSketch::bucket`] and [`HkSketch::set_bucket`]
+//! (diagnostics, tests, collector-side reads) pick it per bucket.
 //!
 //! ## Hashing
 //!
@@ -38,8 +41,8 @@
 //! generic over [`KeySlots`], which the scalar path satisfies with a
 //! plain [`PreparedKey`] (slots derived on demand).
 
-use crate::bucket::{Bucket, BucketMatrix, PackedLayout};
-use crate::config::HkConfig;
+use crate::bucket::{with_matrix, Bucket, BucketMatrix, BucketWord, Buckets, PackedLayout};
+use crate::config::{ExpansionPolicy, HkConfig};
 use crate::decay::DecayTable;
 use crate::stats::InsertStats;
 use hk_common::prepared::{HashSpec, KeySlots, PreparedBatch};
@@ -94,25 +97,29 @@ macro_rules! hk_insert_prepared_batch_body {
 
 pub(crate) use hk_insert_prepared_batch_body;
 
-/// The shared epilog of the two batch prologs above: walk the prepared
-/// scratch in pre-touched [`TOUCH_BLOCK`]s through the variant's
-/// slot-generic `insert_keyed`.
-/// A macro rather than a helper function because the touch pass
-/// borrows `$self.sketch` while the ingest pass needs `&mut $self` —
-/// splitting that across a closure-taking function fights the borrow
-/// checker for no codegen benefit.
+/// The shared epilog of the two batch prologs above: pick the bucket
+/// word once for the batch, then walk the prepared scratch in
+/// pre-touched [`TOUCH_BLOCK`]s through the variant's word- and
+/// slot-generic `insert_words(store, sketch_words, key, slots)`.
+/// A macro rather than a helper function because the walk borrows
+/// `$self.sketch` and `$self.store` apart — splitting that across a
+/// closure-taking function fights the borrow checker for no codegen
+/// benefit.
 macro_rules! hk_walk_batch_body {
     ($self:ident, $keys:ident, $scratch:ident) => {{
-        let mut idx = 0;
-        while idx < $keys.len() {
-            let end = (idx + crate::sketch::TOUCH_BLOCK).min($keys.len());
-            $self.sketch.touch_batch(&$scratch, idx..end);
-            for (off, key) in $keys[idx..end].iter().enumerate() {
-                let entry = $scratch.entry(idx + off);
-                $self.insert_keyed(key, &entry);
+        let store = &mut $self.store;
+        crate::sketch::with_words!($self.sketch, sk => {
+            let mut idx = 0;
+            while idx < $keys.len() {
+                let end = (idx + crate::sketch::TOUCH_BLOCK).min($keys.len());
+                sk.touch_batch(&$scratch, idx..end);
+                for (off, key) in $keys[idx..end].iter().enumerate() {
+                    let entry = $scratch.entry(idx + off);
+                    Self::insert_words(store, &mut sk, key, &entry);
+                }
+                idx = end;
             }
-            idx = end;
-        }
+        })
     }};
 }
 
@@ -125,7 +132,7 @@ pub struct LayoutReport {
     pub rows: usize,
     /// Buckets per array `w`.
     pub width: usize,
-    /// Runtime bytes per bucket (one packed word).
+    /// Runtime bytes per bucket (one packed word: 4 or 8).
     pub bucket_bytes: usize,
     /// Buckets sharing one 64-byte cache line.
     pub buckets_per_line: usize,
@@ -150,7 +157,7 @@ impl LayoutReport {
     /// the allocator's behavior, not the size, decides it).
     pub fn for_config(cfg: &HkConfig) -> Self {
         let layout = PackedLayout::new(cfg.fingerprint_bits, cfg.counter_bits);
-        let probe = BucketMatrix::new(1, 8, layout);
+        let probe = Buckets::new(1, 8, layout);
         Self::build(
             cfg.arrays,
             cfg.width,
@@ -168,13 +175,14 @@ impl LayoutReport {
         aligned: bool,
         layout: PackedLayout,
     ) -> Self {
+        let bucket_bytes = layout.word_bytes();
         LayoutReport {
             rows,
             width,
-            bucket_bytes: std::mem::size_of::<u64>(),
-            buckets_per_line: 64 / std::mem::size_of::<u64>(),
+            bucket_bytes,
+            buckets_per_line: 64 / bucket_bytes,
             lines_per_packet: rows,
-            runtime_bytes: rows * width * std::mem::size_of::<u64>(),
+            runtime_bytes: rows * width * bucket_bytes,
             accounted_bytes,
             aligned,
             fp_field_bits: layout.fp_bits(),
@@ -221,24 +229,65 @@ impl std::fmt::Display for LayoutReport {
 /// ```
 #[derive(Debug, Clone)]
 pub struct HkSketch {
-    matrix: BucketMatrix,
-    decay_table: DecayTable,
-    rng: XorShift64,
+    buckets: Buckets,
+    walk: WalkState,
     seed: u64,
     fingerprint_mask: u32,
-    counter_max: u64,
     width: usize,
     fingerprint_bits: u32,
+}
+
+/// What a bucket walk reads and writes besides the bucket words: the
+/// decay coin, the saturation bound, the expansion state and the
+/// outcome counters. It sits beside [`Buckets`] in the sketch, so a
+/// [`SketchWords`] borrows both at once after the word is picked.
+#[derive(Debug, Clone)]
+struct WalkState {
+    decay_table: DecayTable,
+    rng: XorShift64,
+    counter_max: u64,
+    expansion: Option<ExpansionPolicy>,
     /// Section III-F global counter of blocked insertions.
     blocked: u64,
-    expansion: Option<crate::config::ExpansionPolicy>,
     /// How many arrays were added by expansion (diagnostics).
     expansions: usize,
-    /// Insertion-outcome counters, updated by the walk methods. Living
-    /// on the sketch keeps every hot-loop counter behind the same base
-    /// pointer as the buckets — one memory increment per event.
+    /// Insertion-outcome counters, updated by the walks: one memory
+    /// increment per event.
     stats: InsertStats,
 }
+
+/// An [`HkSketch`] with its bucket word picked: the matrix of words
+/// `W` and the walk state beside it. Every ingest walk is a method
+/// here, written once over the word; [`with_words!`] builds one per
+/// call or batch.
+pub(crate) struct SketchWords<'a, W: BucketWord> {
+    m: &'a mut BucketMatrix<W>,
+    walk: &'a mut WalkState,
+}
+
+/// [`HkSketch::words_mut`]: a [`SketchWords`] in whichever word the
+/// sketch stores.
+pub(crate) enum WordsMut<'a> {
+    /// 4-byte words.
+    Narrow(SketchWords<'a, u32>),
+    /// 8-byte words.
+    Wide(SketchWords<'a, u64>),
+}
+
+/// Evaluates `$body` with `$v` bound to the [`SketchWords`] of the
+/// [`HkSketch`] place `$sketch`, once per word type: the one place an
+/// ingest walk picks the word (the read-only touch and query pick it
+/// through `with_matrix!`).
+macro_rules! with_words {
+    ($sketch:expr, $v:ident => $body:expr) => {
+        match $sketch.words_mut() {
+            $crate::sketch::WordsMut::Narrow(mut $v) => $body,
+            $crate::sketch::WordsMut::Wide(mut $v) => $body,
+        }
+    };
+}
+
+pub(crate) use with_words;
 
 impl HkSketch {
     /// Builds the sketch described by `cfg`.
@@ -252,25 +301,37 @@ impl HkSketch {
             "at most {MAX_ARRAYS} arrays supported"
         );
         let layout = PackedLayout::new(cfg.fingerprint_bits, cfg.counter_bits);
-        let matrix = BucketMatrix::new(cfg.arrays, cfg.width, layout);
+        let buckets = Buckets::new(cfg.arrays, cfg.width, layout);
         let fingerprint_mask = if cfg.fingerprint_bits == 32 {
             u32::MAX
         } else {
             (1u32 << cfg.fingerprint_bits) - 1
         };
         Self {
-            matrix,
-            decay_table: DecayTable::new(cfg.decay),
-            rng: XorShift64::new(cfg.seed ^ 0xDECA_F00D),
+            buckets,
+            walk: WalkState {
+                decay_table: DecayTable::new(cfg.decay),
+                rng: XorShift64::new(cfg.seed ^ 0xDECA_F00D),
+                counter_max: cfg.counter_max(),
+                expansion: cfg.expansion,
+                blocked: 0,
+                expansions: 0,
+                stats: InsertStats::default(),
+            },
             seed: cfg.seed,
             fingerprint_mask,
-            counter_max: cfg.counter_max(),
             width: cfg.width,
             fingerprint_bits: cfg.fingerprint_bits,
-            blocked: 0,
-            expansion: cfg.expansion,
-            expansions: 0,
-            stats: InsertStats::default(),
+        }
+    }
+
+    /// The sketch with its bucket word picked ([`with_words!`]).
+    #[inline]
+    pub(crate) fn words_mut(&mut self) -> WordsMut<'_> {
+        let walk = &mut self.walk;
+        match &mut self.buckets {
+            Buckets::Narrow(m) => WordsMut::Narrow(SketchWords { m, walk }),
+            Buckets::Wide(m) => WordsMut::Wide(SketchWords { m, walk }),
         }
     }
 
@@ -278,19 +339,13 @@ impl HkSketch {
     /// [`HkSketch::reset`] (filled by the Parallel/Minimum walks).
     #[inline]
     pub fn stats(&self) -> &InsertStats {
-        &self.stats
-    }
-
-    /// Mutable access for the variants' store-phase counters.
-    #[inline]
-    pub(crate) fn stats_mut(&mut self) -> &mut InsertStats {
-        &mut self.stats
+        &self.walk.stats
     }
 
     /// Number of arrays `d` (grows under expansion).
     #[inline]
     pub fn arrays(&self) -> usize {
-        self.matrix.rows()
+        self.buckets.rows()
     }
 
     /// Buckets per array `w`.
@@ -302,7 +357,7 @@ impl HkSketch {
     /// Maximum value a counter may hold (from the configured bit width).
     #[inline]
     pub fn counter_max(&self) -> u64 {
-        self.counter_max
+        self.walk.counter_max
     }
 
     /// The master seed this sketch hashes with. Two sketches agree on
@@ -371,28 +426,32 @@ impl HkSketch {
     /// Reads a bucket (one packed-word load).
     #[inline]
     pub fn bucket(&self, j: usize, i: usize) -> Bucket {
-        self.matrix.get(j, i)
+        self.buckets.get(j, i)
     }
 
-    /// Overwrites a bucket (one packed-word store). Debug-asserts the
-    /// fields fit their runtime widths.
+    /// Overwrites a bucket (one packed-word store).
+    ///
+    /// # Panics
+    ///
+    /// Panics if the counter or the fingerprint does not fit its field
+    /// of the runtime word ([`PackedLayout::pack`]), in release builds
+    /// too.
     #[inline]
     pub fn set_bucket(&mut self, j: usize, i: usize, b: Bucket) {
-        self.matrix.set(j, i, b);
+        self.buckets.set(j, i, b);
     }
 
-    /// Read access to the packed matrix (diagnostics, merge walks).
+    /// Read access to the packed matrix (merge walks, the codecs).
     #[inline]
-    pub(crate) fn matrix(&self) -> &BucketMatrix {
-        &self.matrix
+    pub(crate) fn buckets(&self) -> &Buckets {
+        &self.buckets
     }
 
-    /// Mutable access to the packed matrix — the dirty-patch apply path
-    /// seeds a reconstructed epoch from its baseline's words wholesale
-    /// instead of round-tripping every bucket through unpack/pack.
+    /// Mutable access to the packed matrix — the decoders fill a fresh
+    /// epoch's words wholesale, picking the word once.
     #[inline]
-    pub(crate) fn matrix_mut(&mut self) -> &mut BucketMatrix {
-        &mut self.matrix
+    pub(crate) fn buckets_mut(&mut self) -> &mut Buckets {
+        &mut self.buckets
     }
 
     /// Matrix geometry diagnostics (the CLI's `--layout-report`).
@@ -401,8 +460,8 @@ impl HkSketch {
             self.arrays(),
             self.width,
             self.memory_bytes(),
-            self.matrix.is_aligned(),
-            self.matrix.layout(),
+            self.buckets.is_aligned(),
+            self.buckets.layout(),
         )
     }
 
@@ -412,8 +471,7 @@ impl HkSketch {
     /// one 64-bit compare, no floating point on the hot path.
     #[inline]
     pub fn decay_roll(&mut self, c: u64) -> bool {
-        let t = self.decay_table.threshold(c);
-        t != 0 && self.rng.next_u64_raw() < t
+        self.walk.decay_roll(c)
     }
 
     /// Plays `weight` opposing unit-decay trials against a counter at
@@ -432,30 +490,7 @@ impl HkSketch {
     /// case the caller claims the bucket for the new flow (the weighted
     /// analogue of "replace the fingerprint and set `C = 1`").
     pub fn weighted_decay_roll(&mut self, c: u64, weight: u64) -> (u64, u64) {
-        let mut c = c;
-        let mut w = weight;
-        while w > 0 && c > 0 {
-            let p = self.decay_table.probability(c);
-            if p <= 0.0 {
-                // Past the table cutoff: effectively immovable.
-                return (c, 0);
-            }
-            if p >= 1.0 {
-                c -= 1;
-                w -= 1;
-                continue;
-            }
-            // Trials until the first success ~ Geometric(p). The draw is
-            // mapped into (0, 1]: zero is excluded so ln is finite.
-            let u = ((self.rng.next_u64_raw() >> 11) + 1) as f64 * (1.0 / (1u64 << 53) as f64);
-            let skip = (u.ln() / (1.0 - p).ln()).floor() as u64 + 1;
-            if skip > w {
-                return (c, 0);
-            }
-            w -= skip;
-            c -= 1;
-        }
-        (c, w)
+        self.walk.weighted_decay_roll(c, weight)
     }
 
     /// Pulls every bucket line a range of batch-scratch entries maps
@@ -468,21 +503,7 @@ impl HkSketch {
     /// behind each packet's update. State is untouched.
     #[inline]
     pub fn touch_batch(&self, batch: &PreparedBatch, range: std::ops::Range<usize>) {
-        let arrays = batch.arrays();
-        let width = self.width;
-        let words = self.matrix.data();
-        let mut acc = 0u64;
-        // Rows beyond the prepared geometry (expansion mid-batch) are
-        // skipped: the touch is only a prefetch, partial coverage is
-        // sound.
-        for chunk in batch.slots_range(range).chunks_exact(arrays.max(1)) {
-            let mut base = 0usize;
-            for &slot in chunk {
-                acc = acc.wrapping_add(words[base + slot as usize]);
-                base += width;
-            }
-        }
-        std::hint::black_box(acc);
+        with_matrix!(&self.buckets, m => touch_words(m, batch, range))
     }
 
     /// Queries the estimated size of a prepared flow: the maximum counter
@@ -496,16 +517,7 @@ impl HkSketch {
     /// paths pass cached-slot scratch entries so the query gathers over
     /// precomputed offsets.
     pub fn query_keyed<S: KeySlots>(&self, s: &S) -> u64 {
-        let pfp = self.matrix.layout().packed_fp(s.key().fp);
-        let mut best = 0;
-        for j in 0..self.matrix.rows() {
-            let word = self.matrix.word(j, s.slot(j, self.width));
-            let count = self.matrix.layout().count(word);
-            if self.matrix.layout().fp_matches(word, pfp) && count > best {
-                best = count;
-            }
-        }
-        best
+        with_matrix!(&self.buckets, m => query_words(m, s))
     }
 
     /// Convenience query from raw key bytes.
@@ -531,43 +543,256 @@ impl HkSketch {
         self.insert_basic_keyed(p)
     }
 
-    /// [`HkSketch::insert_basic_prepared`] over any slot source.
+    /// [`HkSketch::insert_basic_prepared`] over any slot source: picks
+    /// the word once, then walks the `d` mapped buckets
+    /// (`SketchWords::walk_basic`).
+    pub fn insert_basic_keyed<S: KeySlots>(&mut self, s: &S) -> u64 {
+        with_words!(self, sk => sk.walk_basic(s))
+    }
+
+    /// Records a blocked insertion (Section III-F): every mapped bucket
+    /// was held by another flow with a "large" counter. When the global
+    /// counter crosses the policy threshold, a new array is appended.
+    ///
+    /// Returns `true` if an array was added.
+    pub fn note_blocked(&mut self) -> bool {
+        with_words!(self, sk => sk.note_blocked())
+    }
+
+    /// True if, for a non-matching flow, a bucket counter counts as
+    /// "large" under the expansion policy (never true when expansion is
+    /// disabled).
+    #[inline]
+    pub fn is_large_for_expansion(&self, count: u64) -> bool {
+        self.walk.is_large_for_expansion(count)
+    }
+
+    /// Number of arrays added by Section III-F expansion so far.
+    pub fn expansions(&self) -> usize {
+        self.walk.expansions
+    }
+
+    /// Current value of the global blocked counter.
+    pub fn blocked_count(&self) -> u64 {
+        self.walk.blocked
+    }
+
+    /// Accounted memory of the bucket matrix in bytes: each bucket is
+    /// charged `fingerprint_bits + counter_bits` bits like the paper's
+    /// packed 16+16 layout (for 16+16, exactly the runtime bytes).
+    pub fn memory_bytes(&self) -> usize {
+        let bucket_bits =
+            self.fingerprint_bits as usize + (64 - self.walk.counter_max.leading_zeros() as usize);
+        self.arrays() * self.width * bucket_bits.div_ceil(8)
+    }
+
+    /// Total non-empty buckets (diagnostics): a flat scan of the packed
+    /// words.
+    pub fn occupancy(&self) -> usize {
+        self.buckets.occupancy()
+    }
+
+    /// Clears every bucket and the blocked counter, keeping the
+    /// configuration (including any arrays added by expansion).
+    ///
+    /// One contiguous `fill(0)` over the matrix (the all-zero word is
+    /// the all-empty bucket), not a per-bucket walk.
+    ///
+    /// Network-wide measurement resets sketches at every reporting
+    /// period (paper footnote 2: "sketches in different switches are
+    /// often periodically sent to a collector").
+    pub fn reset(&mut self) {
+        self.buckets.reset();
+        self.walk.blocked = 0;
+        self.walk.stats = InsertStats::default();
+    }
+
+    /// Restores the sketch to the exact as-constructed state of an
+    /// `arrays`-array sketch of its configuration: every bucket zero,
+    /// the decay RNG rewound to its seed, all counters cleared.
+    ///
+    /// Stronger than [`HkSketch::reset`] (which keeps the RNG stream and
+    /// expansion rows): a recycled sketch is indistinguishable from
+    /// `HkSketch::new(&cfg)` with `cfg.arrays = arrays` — the property
+    /// the sliding window's epoch recycling relies on for bit-exactness
+    /// with freshly allocated epochs. The caller names the array count
+    /// because the sketch cannot know it: one decoded from the wire
+    /// reports its Section III-F rows as configured ones. In the common
+    /// un-expanded case this is one memset over the already-resident
+    /// matrix, so no pages are faulted back in.
+    pub fn recycle(&mut self, arrays: usize) {
+        if self.buckets.rows() == arrays {
+            self.buckets.reset();
+        } else {
+            // Expansion grew the matrix; rebuild at the given geometry
+            // (rare — only windows with expansion enabled).
+            self.buckets = Buckets::new(arrays, self.width, self.buckets.layout());
+        }
+        self.walk.expansions = 0;
+        self.walk.rng = XorShift64::new(self.seed ^ 0xDECA_F00D);
+        self.walk.blocked = 0;
+        self.walk.stats = InsertStats::default();
+    }
+}
+
+/// The body of [`HkSketch::touch_batch`], over words `W`.
+#[inline]
+fn touch_words<W: BucketWord>(
+    m: &BucketMatrix<W>,
+    batch: &PreparedBatch,
+    range: std::ops::Range<usize>,
+) {
+    let arrays = batch.arrays();
+    let width = m.width();
+    let words = m.data();
+    let mut acc = 0u64;
+    // Rows beyond the prepared geometry (expansion mid-batch) are
+    // skipped: the touch is only a prefetch, partial coverage is sound.
+    for chunk in batch.slots_range(range).chunks_exact(arrays.max(1)) {
+        let mut base = 0usize;
+        for &slot in chunk {
+            acc = acc.wrapping_add(words[base + slot as usize].to_u64());
+            base += width;
+        }
+    }
+    std::hint::black_box(acc);
+}
+
+/// The body of [`HkSketch::query_keyed`], over words `W`.
+fn query_words<W: BucketWord, S: KeySlots>(m: &BucketMatrix<W>, s: &S) -> u64 {
+    let pfp = m.layout().packed_fp(s.key().fp);
+    let mut best = 0;
+    for j in 0..m.rows() {
+        let word = m.word(j, s.slot(j, m.width()));
+        let count = m.layout().count(word);
+        if m.layout().fp_matches(word, pfp) && count > best {
+            best = count;
+        }
+    }
+    best
+}
+
+impl WalkState {
+    /// See [`HkSketch::decay_roll`].
+    #[inline]
+    fn decay_roll(&mut self, c: u64) -> bool {
+        let t = self.decay_table.threshold(c);
+        t != 0 && self.rng.next_u64_raw() < t
+    }
+
+    /// See [`HkSketch::is_large_for_expansion`].
+    #[inline]
+    fn is_large_for_expansion(&self, count: u64) -> bool {
+        match self.expansion {
+            Some(p) => count >= p.large_counter,
+            None => false,
+        }
+    }
+
+    /// See [`HkSketch::weighted_decay_roll`].
+    fn weighted_decay_roll(&mut self, c: u64, weight: u64) -> (u64, u64) {
+        let mut c = c;
+        let mut w = weight;
+        while w > 0 && c > 0 {
+            let p = self.decay_table.probability(c);
+            if p <= 0.0 {
+                // Past the table cutoff: effectively immovable.
+                return (c, 0);
+            }
+            if p >= 1.0 {
+                c -= 1;
+                w -= 1;
+                continue;
+            }
+            // Trials until the first success ~ Geometric(p). The draw is
+            // mapped into (0, 1]: zero is excluded so ln is finite.
+            let u = ((self.rng.next_u64_raw() >> 11) + 1) as f64 * (1.0 / (1u64 << 53) as f64);
+            let skip = (u.ln() / (1.0 - p).ln()).floor() as u64 + 1;
+            if skip > w {
+                return (c, 0);
+            }
+            w -= skip;
+            c -= 1;
+        }
+        (c, w)
+    }
+}
+
+impl<W: BucketWord> SketchWords<'_, W> {
+    /// Mutable access for the variants' store-phase counters.
+    #[inline]
+    pub(crate) fn stats_mut(&mut self) -> &mut InsertStats {
+        &mut self.walk.stats
+    }
+
+    /// [`HkSketch::touch_batch`] on the picked word.
+    #[inline]
+    pub(crate) fn touch_batch(&self, batch: &PreparedBatch, range: std::ops::Range<usize>) {
+        touch_words(self.m, batch, range);
+    }
+
+    /// [`HkSketch::query_keyed`] on the picked word.
+    #[inline]
+    pub(crate) fn query<S: KeySlots>(&self, s: &S) -> u64 {
+        query_words(self.m, s)
+    }
+
+    /// [`HkSketch::note_blocked`] on the picked word.
+    pub(crate) fn note_blocked(&mut self) -> bool {
+        let Some(policy) = self.walk.expansion else {
+            return false;
+        };
+        self.walk.blocked += 1;
+        if self.walk.blocked > policy.blocked_threshold
+            && self.m.rows() < policy.max_arrays.min(MAX_ARRAYS)
+        {
+            self.m.push_row();
+            self.walk.blocked = 0;
+            self.walk.expansions += 1;
+            return true;
+        }
+        false
+    }
+
+    /// The basic insertion of [`HkSketch::insert_basic_keyed`]: Cases
+    /// 1–3 in every mapped bucket; returns the post-insert estimate.
     ///
     /// Works on packed words with the fingerprint pre-shifted once per
     /// packet ([`PackedLayout::packed_fp`] + [`PackedLayout::fp_matches`]):
-    /// per bucket one load, a few and/compare ops against self-resident
-    /// fields, and at most one store. Keeping accesses self-relative
-    /// (rather than hoisting masks into locals) keeps the loop's live
-    /// register set — and with it the out-of-order window across
-    /// packets — as small as possible.
-    pub fn insert_basic_keyed<S: KeySlots>(&mut self, s: &S) -> u64 {
-        let pfp = self.matrix.layout().packed_fp(s.key().fp);
+    /// per bucket one load, a few and/compare ops against fields of
+    /// the matrix and the walk state, and at most one store. Keeping
+    /// accesses relative to those two (rather than hoisting masks into
+    /// locals) keeps the loop's live register set — and with it the
+    /// out-of-order window across packets — as small as possible.
+    pub(crate) fn walk_basic<S: KeySlots>(&mut self, s: &S) -> u64 {
+        let pfp = self.m.layout().packed_fp(s.key().fp);
         let mut estimate = 0u64;
-        for j in 0..self.matrix.rows() {
-            let i = s.slot(j, self.width);
-            let word = self.matrix.word(j, i);
-            let count = self.matrix.layout().count(word);
+        for j in 0..self.m.rows() {
+            let i = s.slot(j, self.m.width());
+            let word = self.m.word(j, i);
+            let count = self.m.layout().count(word);
             if count == 0 {
                 // Case 1.
-                self.matrix.set_word(j, i, pfp | 1);
+                self.m.set_word(j, i, pfp | 1);
                 estimate = estimate.max(1);
-            } else if self.matrix.layout().fp_matches(word, pfp) {
-                // Case 2 (saturating strictly below the field limit, so
-                // the increment cannot carry into the fingerprint).
-                if count < self.counter_max {
-                    self.matrix.set_word(j, i, word + 1);
+            } else if self.m.layout().fp_matches(word, pfp) {
+                // Case 2 (saturating at the configured maximum, which
+                // the field holds, so the increment cannot carry into
+                // the fingerprint).
+                if count < self.walk.counter_max {
+                    self.m.set_word(j, i, word + 1);
                     estimate = estimate.max(count + 1);
                 } else {
                     estimate = estimate.max(count);
                 }
             } else {
                 // Case 3.
-                if self.decay_roll(count) {
+                if self.walk.decay_roll(count) {
                     if count == 1 {
-                        self.matrix.set_word(j, i, pfp | 1);
+                        self.m.set_word(j, i, pfp | 1);
                         estimate = estimate.max(1);
                     } else {
-                        self.matrix.set_word(j, i, word - 1);
+                        self.m.set_word(j, i, word - 1);
                     }
                 }
             }
@@ -587,21 +812,21 @@ impl HkSketch {
         flag: bool,
         nmin: u64,
     ) -> (u64, bool) {
-        self.stats.packets += 1;
-        let pfp = self.matrix.layout().packed_fp(s.key().fp);
+        self.walk.stats.packets += 1;
+        let pfp = self.m.layout().packed_fp(s.key().fp);
         let mut heavy_v = 0u64; // The paper's HeavyK_V.
-        let mut blocked = self.matrix.rows() > 0; // Section III-F probe.
-        for j in 0..self.matrix.rows() {
-            let i = s.slot(j, self.width);
-            let word = self.matrix.word(j, i);
-            let count = self.matrix.layout().count(word);
+        let mut blocked = self.m.rows() > 0; // Section III-F probe.
+        for j in 0..self.m.rows() {
+            let i = s.slot(j, self.m.width());
+            let word = self.m.word(j, i);
+            let count = self.m.layout().count(word);
             if count == 0 {
                 // Case 1: take the empty bucket.
-                self.matrix.set_word(j, i, pfp | 1);
+                self.m.set_word(j, i, pfp | 1);
                 heavy_v = heavy_v.max(1);
                 blocked = false;
-                self.stats.empty_claims += 1;
-            } else if self.matrix.layout().fp_matches(word, pfp) {
+                self.walk.stats.empty_claims += 1;
+            } else if self.m.layout().fp_matches(word, pfp) {
                 // Case 2, gated by Optimization II. The optimization's
                 // text says to "make no change" only when the counter
                 // already *exceeds* n_min (such a match must be a
@@ -611,30 +836,30 @@ impl HkSketch {
                 // n_min, no outside flow could ever reach n_min + 1.)
                 blocked = false;
                 if flag || count <= nmin {
-                    if count < self.counter_max {
-                        self.matrix.set_word(j, i, word + 1);
+                    if count < self.walk.counter_max {
+                        self.m.set_word(j, i, word + 1);
                         heavy_v = heavy_v.max(count + 1);
                     } else {
                         heavy_v = heavy_v.max(count);
                     }
-                    self.stats.increments += 1;
+                    self.walk.stats.increments += 1;
                 } else {
-                    self.stats.increments_gated += 1;
+                    self.walk.stats.increments_gated += 1;
                 }
             } else {
                 // Case 3: exponential-weakening decay.
-                if !self.is_large_for_expansion(count) {
+                if !self.walk.is_large_for_expansion(count) {
                     blocked = false;
                 }
-                self.stats.decay_rolls += 1;
-                if self.decay_roll(count) {
-                    self.stats.decays += 1;
+                self.walk.stats.decay_rolls += 1;
+                if self.walk.decay_roll(count) {
+                    self.walk.stats.decays += 1;
                     if count == 1 {
-                        self.matrix.set_word(j, i, pfp | 1);
+                        self.m.set_word(j, i, pfp | 1);
                         heavy_v = heavy_v.max(1);
-                        self.stats.replacements += 1;
+                        self.walk.stats.replacements += 1;
                     } else {
-                        self.matrix.set_word(j, i, word - 1);
+                        self.m.set_word(j, i, word - 1);
                     }
                 }
             }
@@ -648,7 +873,7 @@ impl HkSketch {
     /// decay-roll the first smallest. Outcome counters land in
     /// [`HkSketch::stats`]. Returns `(HeavyK_V, blocked)`; the caller
     /// applies the store update and, when `blocked`, calls
-    /// [`HkSketch::note_blocked`] (deferred past the walk, which is
+    /// [`SketchWords::note_blocked`] (deferred past the walk, which is
     /// state-equivalent: expansion only appends an empty row).
     pub(crate) fn walk_minimum<S: KeySlots>(
         &mut self,
@@ -656,27 +881,27 @@ impl HkSketch {
         flag: bool,
         nmin: u64,
     ) -> (u64, bool) {
-        self.stats.packets += 1;
-        let pfp = self.matrix.layout().packed_fp(s.key().fp);
+        self.walk.stats.packets += 1;
+        let pfp = self.m.layout().packed_fp(s.key().fp);
 
         // Scan the d mapped buckets once, remembering what the write
         // phase needs ((j, i) pairs; counts read once).
         let mut matched: Option<(usize, usize, u64)> = None;
         let mut first_empty: Option<(usize, usize)> = None;
         let mut min_slot: Option<(usize, usize, u64)> = None;
-        for j in 0..self.matrix.rows() {
-            let i = s.slot(j, self.width);
-            let word = self.matrix.word(j, i);
-            let count = self.matrix.layout().count(word);
+        for j in 0..self.m.rows() {
+            let i = s.slot(j, self.m.width());
+            let word = self.m.word(j, i);
+            let count = self.m.layout().count(word);
             if count == 0 {
                 if first_empty.is_none() {
                     first_empty = Some((j, i));
                 }
             } else {
-                if matched.is_none() && self.matrix.layout().fp_matches(word, pfp) {
+                if matched.is_none() && self.m.layout().fp_matches(word, pfp) {
                     matched = Some((j, i, count));
                 }
-                if min_slot.is_none_or(|(_, _, m)| count < m) {
+                if min_slot.is_none_or(|(_, _, min)| count < min) {
                     // Strict `<` keeps the *first* smallest (Situation 3).
                     min_slot = Some((j, i, count));
                 }
@@ -691,47 +916,47 @@ impl HkSketch {
         let mut handled = false;
         if let Some((j, i, count)) = matched {
             if flag || count <= nmin {
-                if count < self.counter_max {
-                    self.matrix.set_word(j, i, self.matrix.word(j, i) + 1);
+                if count < self.walk.counter_max {
+                    self.m.set_word(j, i, self.m.word(j, i) + 1);
                     heavy_v = count + 1;
                 } else {
                     heavy_v = count;
                 }
                 handled = true;
-                self.stats.increments += 1;
+                self.walk.stats.increments += 1;
             } else {
-                self.stats.increments_gated += 1;
+                self.walk.stats.increments_gated += 1;
             }
         }
 
         // Step 3: claim the first empty bucket.
         if !handled {
             if let Some((j, i)) = first_empty {
-                self.matrix.set_word(j, i, pfp | 1);
+                self.m.set_word(j, i, pfp | 1);
                 heavy_v = 1;
                 handled = true;
-                self.stats.empty_claims += 1;
+                self.walk.stats.empty_claims += 1;
             }
         }
 
         // Step 4: minimum decay — roll against the first smallest counter.
         if !handled && matched.is_none() {
             if let Some((j, i, count)) = min_slot {
-                if self.is_large_for_expansion(count) {
+                if self.walk.is_large_for_expansion(count) {
                     // Every bucket is at least as large as the minimum, so
                     // a large minimum means all d buckets are large:
                     // Section III-F's blocked situation.
                     blocked = true;
                 }
-                self.stats.decay_rolls += 1;
-                if self.decay_roll(count) {
-                    self.stats.decays += 1;
+                self.walk.stats.decay_rolls += 1;
+                if self.walk.decay_roll(count) {
+                    self.walk.stats.decays += 1;
                     if count == 1 {
-                        self.matrix.set_word(j, i, pfp | 1);
+                        self.m.set_word(j, i, pfp | 1);
                         heavy_v = 1;
-                        self.stats.replacements += 1;
+                        self.walk.stats.replacements += 1;
                     } else {
-                        self.matrix.set_word(j, i, self.matrix.word(j, i) - 1);
+                        self.m.set_word(j, i, self.m.word(j, i) - 1);
                     }
                 }
             }
@@ -739,103 +964,52 @@ impl HkSketch {
         (heavy_v, blocked)
     }
 
-    /// Records a blocked insertion (Section III-F): every mapped bucket
-    /// was held by another flow with a "large" counter. When the global
-    /// counter crosses the policy threshold, a new array is appended.
-    ///
-    /// Returns `true` if an array was added.
-    pub fn note_blocked(&mut self) -> bool {
-        let Some(policy) = self.expansion else {
-            return false;
-        };
-        self.blocked += 1;
-        if self.blocked > policy.blocked_threshold
-            && self.matrix.rows() < policy.max_arrays.min(MAX_ARRAYS)
-        {
-            self.matrix.push_row();
-            self.blocked = 0;
-            self.expansions += 1;
-            return true;
+    /// The weighted walk of [`crate::WeightedTopK::insert_weighted`]:
+    /// every mapped bucket plays Cases 1–3 with `weight` units at once
+    /// (claim with the weight, add it behind the Optimization II gate,
+    /// or contest the incumbent with `weight` decay trials through
+    /// [`HkSketch::weighted_decay_roll`]). Every count written is at
+    /// most `counter_max`, so the words are built in place like the
+    /// other walks'. Returns the largest count the flow now holds.
+    pub(crate) fn walk_weighted<S: KeySlots>(
+        &mut self,
+        s: &S,
+        weight: u64,
+        flag: bool,
+        nmin: u64,
+    ) -> u64 {
+        let pfp = self.m.layout().packed_fp(s.key().fp);
+        let max = self.walk.counter_max;
+        let mut heavy_v = 0u64;
+        for j in 0..self.m.rows() {
+            let i = s.slot(j, self.m.width());
+            let word = self.m.word(j, i);
+            let count = self.m.layout().count(word);
+            if count == 0 {
+                // Case 1 (weighted): claim with the full weight.
+                let c = weight.min(max);
+                self.m.set_word(j, i, pfp | c);
+                heavy_v = heavy_v.max(c);
+            } else if self.m.layout().fp_matches(word, pfp) {
+                // Case 2 (weighted), behind the Optimization II gate.
+                if flag || count <= nmin {
+                    let c = (count + weight).min(max);
+                    self.m.set_word(j, i, pfp | c);
+                    heavy_v = heavy_v.max(c);
+                }
+            } else {
+                // Case 3 (weighted): contest the incumbent.
+                let (new_c, rem) = self.walk.weighted_decay_roll(count, weight);
+                if new_c == 0 {
+                    let c = rem.max(1).min(max);
+                    self.m.set_word(j, i, pfp | c);
+                    heavy_v = heavy_v.max(c);
+                } else {
+                    self.m.set_word(j, i, word - (count - new_c));
+                }
+            }
         }
-        false
-    }
-
-    /// True if, for a non-matching flow, a bucket counter counts as
-    /// "large" under the expansion policy (never true when expansion is
-    /// disabled).
-    #[inline]
-    pub fn is_large_for_expansion(&self, count: u64) -> bool {
-        match self.expansion {
-            Some(p) => count >= p.large_counter,
-            None => false,
-        }
-    }
-
-    /// Number of arrays added by Section III-F expansion so far.
-    pub fn expansions(&self) -> usize {
-        self.expansions
-    }
-
-    /// Current value of the global blocked counter.
-    pub fn blocked_count(&self) -> u64 {
-        self.blocked
-    }
-
-    /// Accounted memory of the bucket matrix in bytes: each bucket is
-    /// charged `fingerprint_bits + counter_bits` bits like the paper's
-    /// packed 16+16 layout.
-    pub fn memory_bytes(&self) -> usize {
-        let bucket_bits =
-            self.fingerprint_bits as usize + (64 - self.counter_max.leading_zeros() as usize);
-        self.matrix.rows() * self.width * bucket_bits.div_ceil(8)
-    }
-
-    /// Total non-empty buckets (diagnostics): a flat scan of the packed
-    /// words.
-    pub fn occupancy(&self) -> usize {
-        self.matrix.occupancy()
-    }
-
-    /// Clears every bucket and the blocked counter, keeping the
-    /// configuration (including any arrays added by expansion).
-    ///
-    /// One contiguous `fill(0)` over the matrix (the all-zero word is
-    /// the all-empty bucket), not a per-bucket walk.
-    ///
-    /// Network-wide measurement resets sketches at every reporting
-    /// period (paper footnote 2: "sketches in different switches are
-    /// often periodically sent to a collector").
-    pub fn reset(&mut self) {
-        self.matrix.reset();
-        self.blocked = 0;
-        self.stats = InsertStats::default();
-    }
-
-    /// Restores the sketch to the exact as-constructed state of an
-    /// `arrays`-array sketch of its configuration: every bucket zero,
-    /// the decay RNG rewound to its seed, all counters cleared.
-    ///
-    /// Stronger than [`HkSketch::reset`] (which keeps the RNG stream and
-    /// expansion rows): a recycled sketch is indistinguishable from
-    /// `HkSketch::new(&cfg)` with `cfg.arrays = arrays` — the property
-    /// the sliding window's epoch recycling relies on for bit-exactness
-    /// with freshly allocated epochs. The caller names the array count
-    /// because the sketch cannot know it: one decoded from the wire
-    /// reports its Section III-F rows as configured ones. In the common
-    /// un-expanded case this is one memset over the already-resident
-    /// matrix, so no pages are faulted back in.
-    pub fn recycle(&mut self, arrays: usize) {
-        if self.matrix.rows() == arrays {
-            self.matrix.reset();
-        } else {
-            // Expansion grew the matrix; rebuild at the given geometry
-            // (rare — only windows with expansion enabled).
-            self.matrix = BucketMatrix::new(arrays, self.width, self.matrix.layout());
-        }
-        self.expansions = 0;
-        self.rng = XorShift64::new(self.seed ^ 0xDECA_F00D);
-        self.blocked = 0;
-        self.stats = InsertStats::default();
+        heavy_v
     }
 }
 
@@ -1138,18 +1312,41 @@ mod tests {
 
     #[test]
     fn layout_report_geometry() {
+        // 16+16 packs into 4-byte words: runtime bytes equal the
+        // paper's accounted bytes.
         let sk = HkSketch::new(&cfg(128));
         let r = sk.layout_report();
         assert_eq!(r.rows, 2);
         assert_eq!(r.width, 128);
-        assert_eq!(r.bucket_bytes, 8);
-        assert_eq!(r.buckets_per_line, 8);
+        assert_eq!(r.bucket_bytes, 4);
+        assert_eq!(r.buckets_per_line, 16);
         assert_eq!(r.lines_per_packet, 2);
-        assert_eq!(r.runtime_bytes, 2 * 128 * 8);
-        assert_eq!(r.accounted_bytes, 2 * 128 * 4);
+        assert_eq!(r.runtime_bytes, 2 * 128 * 4);
+        assert_eq!(r.accounted_bytes, r.runtime_bytes);
         assert!(r.aligned);
-        assert_eq!(r.fp_field_bits + r.count_field_bits, 64);
+        assert_eq!((r.fp_field_bits, r.count_field_bits), (16, 16));
+        assert_eq!(r, LayoutReport::for_config(&cfg(128)));
         let text = r.to_string();
         assert!(text.contains("2 x 128"), "report text: {text}");
+        assert!(
+            text.contains("(1024 B runtime, 1024 B accounted)"),
+            "report text: {text}"
+        );
+        assert!(text.contains("4 B (fp 16 bits | count 16 bits), 16 buckets/cache line"));
+        // Past 32 configured bits (WeightedTopK's 16+32) the word is 8
+        // bytes, 6 of them accounted.
+        let wide = HkConfig::builder()
+            .arrays(2)
+            .width(128)
+            .counter_bits(32)
+            .build();
+        let r = HkSketch::new(&wide).layout_report();
+        assert_eq!(r.bucket_bytes, 8);
+        assert_eq!(r.buckets_per_line, 8);
+        assert_eq!(r.runtime_bytes, 2 * 128 * 8);
+        assert_eq!(r.accounted_bytes, 2 * 128 * 6);
+        assert!(r.aligned);
+        assert_eq!((r.fp_field_bits, r.count_field_bits), (32, 32));
+        assert_eq!(r, LayoutReport::for_config(&wide));
     }
 }

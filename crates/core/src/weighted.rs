@@ -29,7 +29,7 @@
 //! unaffected — counters still only grow by the true arriving weight.
 
 use crate::config::HkConfig;
-use crate::sketch::HkSketch;
+use crate::sketch::{with_words, HkSketch};
 use crate::store::TopKStore;
 use hk_common::algorithm::TopKAlgorithm;
 use hk_common::key::FlowKey;
@@ -105,41 +105,13 @@ impl<K: FlowKey> WeightedTopK<K> {
         }
         let kb = key.key_bytes();
         let p = self.sketch.prepare(kb.as_slice());
-        let max = self.sketch.counter_max();
 
         let flag = self.store.contains(key);
         let nmin = self.store.nmin();
 
-        let mut heavy_v = 0u64;
-        for j in 0..self.sketch.arrays() {
-            let i = self.sketch.slot(j, &p);
-            let mut bucket = self.sketch.bucket(j, i);
-            if bucket.is_empty() {
-                // Case 1 (weighted): claim with the full weight.
-                bucket = crate::bucket::Bucket {
-                    fp: p.fp,
-                    count: weight.min(max),
-                };
-                heavy_v = heavy_v.max(bucket.count);
-            } else if bucket.fp == p.fp {
-                // Case 2 (weighted), behind the Optimization II gate.
-                if flag || bucket.count <= nmin {
-                    bucket.count = (bucket.count + weight).min(max);
-                    heavy_v = heavy_v.max(bucket.count);
-                }
-            } else {
-                // Case 3 (weighted): contest the incumbent.
-                let (new_c, rem) = self.sketch.weighted_decay_roll(bucket.count, weight);
-                if new_c == 0 {
-                    bucket.fp = p.fp;
-                    bucket.count = rem.max(1).min(max);
-                    heavy_v = heavy_v.max(bucket.count);
-                } else {
-                    bucket.count = new_c;
-                }
-            }
-            self.sketch.set_bucket(j, i, bucket);
-        }
+        // The weighted Cases 1-3 in every mapped bucket, on the
+        // sketch's bucket word (`SketchWords::walk_weighted`).
+        let heavy_v = with_words!(self.sketch, sk => sk.walk_weighted(&p, weight, flag, nmin));
 
         // Admission: Theorem 1's equality gate does not survive weighted
         // updates, so admit on `n̂ > n_min` (see module docs).

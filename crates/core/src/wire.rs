@@ -25,6 +25,7 @@
 //! by expansion are preserved because the encoded config carries the
 //! *current* array count).
 
+use crate::bucket::{with_matrix, Bucket, BucketMatrix, BucketWord, Buckets};
 use crate::config::{ExpansionPolicy, HkConfig};
 use crate::decay::DecayFn;
 use crate::parallel::ParallelTopK;
@@ -179,15 +180,15 @@ impl<K: FlowKey> ParallelTopK<K> {
             }
         }
 
-        // Bucket matrix, streamed row by row over the packed row views.
-        for j in 0..sketch.arrays() {
-            let layout = sketch.matrix().layout();
-            for &word in sketch.matrix().row(j) {
-                let b = layout.unpack(word);
+        // Bucket matrix, streamed row-major over the packed words.
+        with_matrix!(sketch.buckets(), m => {
+            let layout = m.layout();
+            for &word in m.data() {
+                let b = layout.unpack(word.to_u64());
                 out.extend_from_slice(&b.fp.to_le_bytes());
                 out.extend_from_slice(&b.count.to_le_bytes());
             }
-        }
+        });
 
         // Top-k store.
         out.extend_from_slice(&(top.len() as u32).to_le_bytes());
@@ -280,27 +281,28 @@ impl<K: FlowKey> ParallelTopK<K> {
         } else {
             (1u32 << fp_bits) - 1
         };
-        for j in 0..arrays {
-            for i in 0..width {
-                let mut cell = Reader {
-                    data: r.take(12)?,
-                    pos: 0,
-                };
-                let fp = cell.u32()?;
-                let count = cell.u64()?;
-                if fp > fp_max {
-                    return Err(WireError::Corrupt("bucket fingerprint"));
+        with_matrix!(hk.sketch_mut().buckets_mut(), m => {
+            for j in 0..arrays {
+                for i in 0..width {
+                    let mut cell = Reader {
+                        data: r.take(12)?,
+                        pos: 0,
+                    };
+                    let fp = cell.u32()?;
+                    let count = cell.u64()?;
+                    if fp > fp_max {
+                        return Err(WireError::Corrupt("bucket fingerprint"));
+                    }
+                    if count > counter_max {
+                        return Err(WireError::Corrupt("bucket counter"));
+                    }
+                    if count == 0 && fp != 0 {
+                        return Err(WireError::Corrupt("empty bucket with fingerprint"));
+                    }
+                    m.set(j, i, Bucket { fp, count });
                 }
-                if count > counter_max {
-                    return Err(WireError::Corrupt("bucket counter"));
-                }
-                if count == 0 && fp != 0 {
-                    return Err(WireError::Corrupt("empty bucket with fingerprint"));
-                }
-                hk.sketch_mut()
-                    .set_bucket(j, i, crate::bucket::Bucket { fp, count });
             }
-        }
+        });
 
         // Top-k store, re-offered largest-first so admissions succeed.
         let n = r.u32()? as usize;
@@ -618,37 +620,52 @@ fn encode_dirty_payload<K: FlowKey>(
 ) {
     use hk_common::varint;
 
-    let matrix = closed.sketch().matrix();
-    let (rows, width) = (matrix.rows(), matrix.width());
-    let base = base.map(|b| b.sketch().matrix());
-    let base_rows = base.map_or(0, |b| b.rows());
-
+    let base = base.map(|b| b.sketch().buckets());
     out.extend_from_slice(DIRTY_MAGIC);
-    varint::write_u64(out, base_rows as u64);
-    varint::write_u64(out, rows as u64);
-    varint::write_u64(out, width as u64);
-    let mut bitmap: Vec<u64> = Vec::new();
-    for j in 0..rows {
-        let base = base.filter(|_| j < base_rows).map(|b| b.row(j));
-        matrix.diff_row_bitmap(j, base, &mut bitmap);
-        varint::write_bitmap_rle(out, &bitmap);
-        // Visit only the set bits, in ascending bucket order.
-        let row = matrix.row(j);
-        for (w, &bits) in bitmap.iter().enumerate() {
-            let mut bits = bits;
-            while bits != 0 {
-                let i = w * 64 + bits.trailing_zeros() as usize;
-                bits &= bits - 1;
-                let old = base.map_or(0, |b| b[i]);
-                varint::write_u64(out, old ^ row[i]);
-            }
-        }
-    }
+    varint::write_u64(out, base.map_or(0, |b| b.rows()) as u64);
+    varint::write_u64(out, closed.sketch().arrays() as u64);
+    varint::write_u64(out, closed.sketch().width() as u64);
+    with_matrix!(closed.sketch().buckets(), m => encode_dirty_rows(out, m, base));
     let top = closed.top_k();
     varint::write_u64(out, top.len() as u64);
     for (key, count) in &top {
         out.extend_from_slice(key.key_bytes().as_slice());
         varint::write_u64(out, *count);
+    }
+}
+
+/// Appends a dirty patch's rows, over words `W`: per row the diff
+/// bitmap against `base`, then each changed bucket's `old XOR new` with
+/// both words widened to the codec's 8-byte layout
+/// ([`PackedLayout::widened`](crate::bucket::PackedLayout::widened)),
+/// so the bytes do not depend on the runtime word.
+fn encode_dirty_rows<W: BucketWord>(
+    out: &mut Vec<u8>,
+    m: &BucketMatrix<W>,
+    base: Option<&Buckets>,
+) {
+    use hk_common::varint;
+
+    let base = base.map(|b| W::matrix(b).expect("a ring's epochs pack the same word"));
+    let base_rows = base.map_or(0, |b| b.rows());
+    let (layout, wide) = (m.layout(), m.layout().widened());
+    let widen = |word: W| wide.pack(layout.unpack(word.to_u64()));
+    let mut bitmap: Vec<u64> = Vec::new();
+    for j in 0..m.rows() {
+        let base = base.filter(|_| j < base_rows).map(|b| b.row(j));
+        m.diff_row_bitmap(j, base, &mut bitmap);
+        varint::write_bitmap_rle(out, &bitmap);
+        // Visit only the set bits, in ascending bucket order.
+        let row = m.row(j);
+        for (w, &bits) in bitmap.iter().enumerate() {
+            let mut bits = bits;
+            while bits != 0 {
+                let i = w * 64 + bits.trailing_zeros() as usize;
+                bits &= bits - 1;
+                let old = base.map_or(0, |b| widen(b[i]));
+                varint::write_u64(out, old ^ widen(row[i]));
+            }
+        }
     }
 }
 
@@ -771,16 +788,17 @@ impl<K: FlowKey> DirtyPatch<K> {
     }
 
     /// Reconstructs the closed epoch this patch describes:
-    /// `base XOR diff` over the packed words. `base` is the collector
-    /// replica's newest closed epoch (the epoch closed by
-    /// `rotation - 1`, bit-exact by the rotation protocol); it is only
-    /// read when [`base_rows`](DirtyPatch::base_rows) is nonzero, and
-    /// must then be present with exactly that many rows. Rows beyond
-    /// the baseline, and every row of an empty-baseline patch, patch
-    /// all-empty words. `ring_cfg` is the replica's configuration; the
+    /// `base XOR diff` over the packed words, widened to the codec's
+    /// 8-byte layout. `base` is the collector replica's newest closed
+    /// epoch (the epoch closed by `rotation - 1`, bit-exact by the
+    /// rotation protocol); it is only read when
+    /// [`base_rows`](DirtyPatch::base_rows) is nonzero, and must then be
+    /// present with exactly that many rows. Rows beyond the baseline,
+    /// and every row of an empty-baseline patch, patch all-empty words. `ring_cfg` is the replica's configuration; the
     /// reconstructed epoch opens from it with this patch's array count.
     ///
-    /// Every *changed* word is validated like
+    /// Every *changed* word is validated in that 8-byte layout, before
+    /// it is narrowed into the runtime word, like
     /// [`ParallelTopK::from_wire`] validates buckets (counter and
     /// fingerprint within their configured ranges, no empty bucket with
     /// a fingerprint); unchanged words were validated when the baseline
@@ -797,14 +815,13 @@ impl<K: FlowKey> DirtyPatch<K> {
         let base = match (self.base_rows, base) {
             (0, _) => None,
             (rows, Some(b)) if b.sketch().arrays() == rows && b.sketch().width() == self.width => {
-                Some(b)
+                Some(b.sketch().buckets())
             }
             _ => return Err(WireError::Corrupt("patch baseline")),
         };
         let mut cfg = ring_cfg.clone();
         cfg.arrays = self.rows;
         let mut hk = ParallelTopK::<K>::new(cfg);
-        let layout = hk.sketch().matrix().layout();
         let counter_max = hk.sketch().counter_max();
         let fp_bits = hk.sketch().fingerprint_bits();
         let fp_max = if fp_bits == 32 {
@@ -813,31 +830,9 @@ impl<K: FlowKey> DirtyPatch<K> {
             (1u32 << fp_bits) - 1
         };
 
-        // Seed from the baseline (an empty or shorter baseline leaves
-        // the fresh all-empty rows), then XOR the diffs in.
-        if let Some(base) = base {
-            let src = base.sketch().matrix();
-            let shared = self.rows.min(src.rows()) * self.width;
-            hk.sketch_mut().matrix_mut().data_mut()[..shared]
-                .copy_from_slice(&src.data()[..shared]);
-        }
-        let dst = hk.sketch_mut().matrix_mut().data_mut();
-        for &(at, diff) in &self.diffs {
-            // `at < rows × width`: decode bounds every bitmap bit.
-            let slot = &mut dst[at];
-            let word = *slot ^ diff;
-            let b = layout.unpack(word);
-            if b.fp > fp_max {
-                return Err(WireError::Corrupt("bucket fingerprint"));
-            }
-            if b.count > counter_max {
-                return Err(WireError::Corrupt("bucket counter"));
-            }
-            if b.count == 0 && b.fp != 0 {
-                return Err(WireError::Corrupt("empty bucket with fingerprint"));
-            }
-            *slot = word;
-        }
+        with_matrix!(hk.sketch_mut().buckets_mut(), m => {
+            apply_diffs(m, base, &self.diffs, fp_max, counter_max)
+        })?;
 
         if self.store.len() > ring_cfg.k {
             return Err(WireError::Corrupt("store size"));
@@ -849,6 +844,43 @@ impl<K: FlowKey> DirtyPatch<K> {
         }
         Ok(hk)
     }
+}
+
+/// The bucket half of [`DirtyPatch::apply`], over words `W`: seeds `m`
+/// from the baseline's words (an empty or shorter baseline leaves the
+/// fresh all-empty rows), then XORs each diff into its bucket widened
+/// to the codec's 8-byte layout, and checks the 64-bit result before
+/// narrowing it back.
+fn apply_diffs<W: BucketWord>(
+    m: &mut BucketMatrix<W>,
+    base: Option<&Buckets>,
+    diffs: &[(usize, u64)],
+    fp_max: u32,
+    counter_max: u64,
+) -> Result<(), WireError> {
+    if let Some(base) = base {
+        let src = W::matrix(base).ok_or(WireError::Corrupt("patch baseline"))?;
+        let shared = m.rows().min(src.rows()) * m.width();
+        m.data_mut()[..shared].copy_from_slice(&src.data()[..shared]);
+    }
+    let (layout, wide) = (m.layout(), m.layout().widened());
+    let words = m.data_mut();
+    for &(at, diff) in diffs {
+        // `at < rows × width`: decode bounds every bitmap bit.
+        let slot = &mut words[at];
+        let b = wide.unpack(wide.pack(layout.unpack(slot.to_u64())) ^ diff);
+        if b.fp > fp_max {
+            return Err(WireError::Corrupt("bucket fingerprint"));
+        }
+        if b.count > counter_max {
+            return Err(WireError::Corrupt("bucket counter"));
+        }
+        if b.count == 0 && b.fp != 0 {
+            return Err(WireError::Corrupt("empty bucket with fingerprint"));
+        }
+        *slot = W::from_u64(layout.pack(b));
+    }
+    Ok(())
 }
 
 impl<K: FlowKey> WindowFrame<K> {
@@ -1814,7 +1846,7 @@ mod tests {
         let base_word = (u64::from(b.fp) << 32) | b.count;
         let evil_diff = base_word ^ (1u64 << 32);
         assert_ne!(evil_diff, 0, "diff must survive the zero-diff check");
-        let craft = |base_rows: usize| {
+        let craft = |base_rows: usize, diff: u64| {
             let mut out = Vec::new();
             encode_frame_header(&mut out, FrameKind::Dirty, 8, 2, 2, 3, 1, 3000);
             encode_record(&mut out, |out| {
@@ -1823,7 +1855,7 @@ mod tests {
                 hk_common::varint::write_u64(out, 1); // rows
                 hk_common::varint::write_u64(out, 64); // width
                 hk_common::varint::write_bitmap_rle(out, &[1u64]); // bucket 0
-                hk_common::varint::write_u64(out, evil_diff);
+                hk_common::varint::write_u64(out, diff);
                 hk_common::varint::write_u64(out, 0); // empty store
             });
             out
@@ -1831,19 +1863,31 @@ mod tests {
         // A baseline the replica's newest closed epoch is not: refused
         // before any bucket math.
         assert_eq!(
-            coll.submit_window_frame(&craft(baseline.arrays() + 1))
+            coll.submit_window_frame(&craft(baseline.arrays() + 1, evil_diff))
                 .unwrap_err(),
             WindowSubmitError::Wire(WireError::Corrupt("patch baseline"))
         );
-        assert_eq!(
-            coll.submit_window_frame(&craft(baseline.arrays()))
-                .unwrap_err(),
-            WindowSubmitError::Wire(WireError::Corrupt("empty bucket with fingerprint"))
-        );
-        // The replica kept its pre-frame state and the switch is
-        // flagged: the rotation was seen but never applied.
-        assert_eq!(coll.switch_window(2).unwrap().rotations(), 1);
-        assert_eq!(coll.resync_needed(), vec![2]);
+        // Two more diffs fit the 64-bit wire word but not a 4-byte
+        // 16+16 bucket: a fingerprint bit above the configured 16, and a
+        // counter past `counter_max`. Apply checks the widened word
+        // before narrowing it.
+        let fp_too_wide = 1u64 << (32 + 16);
+        let count_too_big = base_word ^ ((u64::from(b.fp) << 32) | (1 << 16));
+        for (diff, error) in [
+            (evil_diff, "empty bucket with fingerprint"),
+            (fp_too_wide, "bucket fingerprint"),
+            (count_too_big, "bucket counter"),
+        ] {
+            assert_eq!(
+                coll.submit_window_frame(&craft(baseline.arrays(), diff))
+                    .unwrap_err(),
+                WindowSubmitError::Wire(WireError::Corrupt(error))
+            );
+            // The replica kept its pre-frame state and the switch is
+            // flagged: the rotation was seen but never applied.
+            assert_eq!(coll.switch_window(2).unwrap().rotations(), 1, "{error}");
+            assert_eq!(coll.resync_needed(), vec![2], "{error}");
+        }
         // A snapshot heals, as after any loss.
         feed_and_rotate(&mut win, 2, 1);
         coll.submit_window_frame(&win.export_frame(2, 3000))

@@ -132,6 +132,15 @@ impl LintConfig {
                 ("crates/core/src/sketch.rs", "insert_basic_keyed"),
                 ("crates/core/src/sketch.rs", "walk_parallel"),
                 ("crates/core/src/sketch.rs", "walk_minimum"),
+                // The other walks on a picked bucket word (4 or 8 bytes),
+                // with the batch pre-touch and the query they share, and
+                // the variants' per-packet insert bodies the batch walk
+                // calls once the word is picked.
+                ("crates/core/src/sketch.rs", "walk_basic"),
+                ("crates/core/src/sketch.rs", "walk_weighted"),
+                ("crates/core/src/sketch.rs", "touch_words"),
+                ("crates/core/src/sketch.rs", "query_words"),
+                ("", "insert_words"),
                 // Every prepared-batch ingest implementation (PR 4).
                 ("", "insert_prepared_batch"),
                 // The prepared-batch prologs feeding them, and the
@@ -160,6 +169,11 @@ impl LintConfig {
                 ("crates/core/src/sketch.rs", "insert_basic_keyed"),
                 ("crates/core/src/sketch.rs", "walk_parallel"),
                 ("crates/core/src/sketch.rs", "walk_minimum"),
+                ("crates/core/src/sketch.rs", "walk_basic"),
+                ("crates/core/src/sketch.rs", "walk_weighted"),
+                ("crates/core/src/sketch.rs", "touch_words"),
+                ("crates/core/src/sketch.rs", "query_words"),
+                ("", "insert_words"),
                 ("", "insert_prepared_batch"),
                 ("crates/common/src/prepared.rs", "prepare"),
                 ("crates/common/src/prepared.rs", "prepare_from"),
