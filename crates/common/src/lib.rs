@@ -21,7 +21,7 @@
 //! * [`crc`] — CRC-32 (IEEE) for wire-payload integrity (the windowed
 //!   telemetry frames checksum every epoch payload).
 //! * [`varint`] — LEB128 varints and run-length-encoded bitmaps, the
-//!   coding substrate of the dirty (wire v4) telemetry frames.
+//!   coding substrate of the dirty (wire v5) telemetry frames.
 //! * [`prng`] — a tiny, fast xorshift PRNG used for decay coin flips.
 
 #![forbid(unsafe_code)]

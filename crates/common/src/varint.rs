@@ -1,12 +1,14 @@
 //! LEB128 varints and run-length-encoded bitmaps for the wire plane.
 //!
-//! The dirty window frame (wire v4) encodes "which buckets changed" as a
-//! per-row bitmap and "how they changed" as `old XOR new` packed words.
-//! Both halves live or die on cheap small-integer coding:
+//! The dirty window frame (wire v5) encodes "which buckets changed" as a
+//! per-row bitmap and "how they changed" as `old XOR new` of each
+//! bucket field: the counter XOR as a varint, the fingerprint XOR as
+//! raw bytes when it changed. Both halves live or die on cheap
+//! small-integer coding:
 //!
 //! * [`write_u64`] / [`read_u64`] — unsigned LEB128: 7 value bits per
 //!   byte, the high bit marks continuation. Small diffs (counter-only
-//!   bucket changes) take 1–2 bytes; a full 64-bit word takes 10.
+//!   bucket changes) take 1–2 bytes; a full 64-bit value takes 10.
 //! * [`write_bitmap_rle`] / [`read_bitmap_rle`] — a bitmap as
 //!   `(zero_run, literal_run, literal words…)` pairs: runs of all-zero
 //!   `u64` bitmap words (the common case — most buckets hold mice or

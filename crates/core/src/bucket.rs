@@ -100,15 +100,6 @@ impl PackedLayout {
         Self::split(word_bits, fingerprint_bits, counter_bits)
     }
 
-    /// The same fields in an 8-byte word, split by the rule
-    /// [`PackedLayout::new`] applies to 8-byte words: 32/32 for every
-    /// 4-byte layout, and an 8-byte layout is its own widening. The
-    /// dirty-frame codec XORs buckets in this layout, so frame bytes do
-    /// not depend on the runtime word.
-    pub fn widened(&self) -> Self {
-        Self::split(64, self.fp_bits(), self.count_bits)
-    }
-
     fn split(word_bits: u32, fingerprint_bits: u32, counter_bits: u32) -> Self {
         assert!(
             (1..=32).contains(&fingerprint_bits),
@@ -636,14 +627,12 @@ mod tests {
         assert_eq!(l.count_bits(), 16);
         assert_eq!(l.fp_bits(), 16);
         assert_eq!(l.count_max(), u16::MAX as u64);
-        // The codec's widened form of the same fields is the 32/32
-        // 8-byte split, as is any configuration past 32 bits.
-        for l in [narrow().widened(), wide(), wide().widened()] {
-            assert_eq!(l.word_bytes(), 8);
-            assert_eq!(l.count_bits(), 32);
-            assert_eq!(l.fp_bits(), 32);
-            assert_eq!(l.count_max(), u32::MAX as u64);
-        }
+        // A configuration past 32 bits takes the 32/32 8-byte split.
+        let l = wide();
+        assert_eq!(l.word_bytes(), 8);
+        assert_eq!(l.count_bits(), 32);
+        assert_eq!(l.fp_bits(), 32);
+        assert_eq!(l.count_max(), u32::MAX as u64);
         // 32 bits is the boundary: one more bit takes the wide word.
         assert_eq!(PackedLayout::new(12, 20).word_bytes(), 4);
         assert_eq!(PackedLayout::new(12, 21).word_bytes(), 8);
@@ -846,7 +835,7 @@ mod tests {
 
     proptest! {
         /// Round-trip at every representable bit split, in the runtime
-        /// word and widened to the codec's 8-byte one: any in-range
+        /// word and in the 8-byte split of the same fields: any in-range
         /// (fp, count) survives pack → unpack bit-exactly, and the
         /// runtime word is 4 bytes exactly when the configured fields
         /// fit 32 bits.
@@ -861,10 +850,7 @@ mod tests {
             let runtime = PackedLayout::new(fp_bits, count_bits);
             let word_bytes = if fp_bits + count_bits <= 32 { 4 } else { 8 };
             prop_assert_eq!(runtime.word_bytes(), word_bytes);
-            // Widening gives the split `new` gives configurations past
-            // 32 bits, whatever the runtime word.
-            prop_assert_eq!(runtime.widened(), PackedLayout::split(64, fp_bits, count_bits));
-            for l in [runtime, runtime.widened()] {
+            for l in [runtime, PackedLayout::split(64, fp_bits, count_bits)] {
                 prop_assert!(l.count_bits() >= count_bits);
                 prop_assert!(l.fp_bits() >= fp_bits);
                 prop_assert_eq!(l.count_bits() + l.fp_bits(), 8 * l.word_bytes() as u32);

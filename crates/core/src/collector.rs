@@ -20,6 +20,17 @@
 //! * [`AggregationRule::Sum`] — vantage points observe *disjoint* traffic
 //!   (e.g. per-rack ToR uplinks), so sizes add.
 //!
+//! Sliding-window deployments ship window frames instead
+//! ([`Collector::submit_window_frame`]), and the collector keeps a
+//! replica of each switch's epoch ring. A full frame installs the
+//! replica. A dirty frame (wire v5) is applied in place as the
+//! replica's next rotation: the replica's open epoch takes a copy of its
+//! newest closed epoch, the record's counter and fingerprint XORs are
+//! walked from the record bytes into it, and the ring advances.
+//! No epoch, matrix or per-bucket list is allocated per frame. A frame
+//! that fails a check leaves the replica bit-identical and flags the
+//! switch for resync.
+//!
 //! # Examples
 //!
 //! ```
@@ -384,13 +395,14 @@ impl<K: FlowKey> Collector<K> {
     ///   resync flag; a stale full frame (rotation behind the replica)
     ///   is dropped idempotently.
     /// * A **dirty** frame carrying rotation `R` applies when the
-    ///   replica stands at `R - 1`: its patch is reconstructed against
-    ///   the replica's newest closed epoch (the epoch closed by `R - 1`,
-    ///   which the switch's ring diffed against), or against nothing
-    ///   when its baseline is empty — a `W = 2` switch ships every
-    ///   epoch that way ([`DirtyPatch::apply`]) — and committed
-    ///   ([`SlidingTopK::commit_epoch`]). A patch whose baseline row
-    ///   count disagrees with that epoch is refused and leaves the
+    ///   replica stands at `R - 1`, written straight into the replica's
+    ///   open epoch: the replica's newest closed epoch (the epoch
+    ///   closed by `R - 1`, which the switch's ring diffed against) is
+    ///   copied in, unless the baseline is empty — a `W = 2` switch
+    ///   ships every epoch that way — and the patch is XORed over it;
+    ///   then the ring advances. A patch whose baseline row count
+    ///   disagrees with that epoch, or that fails a bucket check, is
+    ///   refused, leaves the replica bit-identical, and leaves the
     ///   switch flagged for resync. `R` at or below the replica's
     ///   rotation is a duplicate (idempotent drop). `R` further ahead is
     ///   a **gap**: the patch is buffered (so a reordered neighbor can
@@ -491,9 +503,9 @@ impl<K: FlowKey> Collector<K> {
                 // cannot be cleared until the replica truly catches up.
                 entry.max_seen = entry.max_seen.max(rotation);
                 if rotation == current + 1 {
-                    let epoch =
-                        Self::apply_patch(entry, &patch).map_err(WindowSubmitError::Wire)?;
-                    entry.replica.commit_epoch(epoch);
+                    patch
+                        .apply_to(&mut entry.replica)
+                        .map_err(WindowSubmitError::Wire)?;
                     Self::drain_pending(entry);
                     return Ok(WindowSubmit::Applied);
                 }
@@ -506,18 +518,6 @@ impl<K: FlowKey> Collector<K> {
                 Ok(WindowSubmit::ResyncRequested)
             }
         }
-    }
-
-    /// Reconstructs the epoch a dirty patch describes. Its baseline, if
-    /// it names one, is the replica's newest closed epoch — the epoch
-    /// closed by `rotation - 1`, bit-exact by the protocol invariant,
-    /// which is the epoch the exporter's ring held two behind its
-    /// newest when it diffed.
-    fn apply_patch(
-        entry: &SwitchWindow<K>,
-        patch: &DirtyPatch<K>,
-    ) -> Result<ParallelTopK<K>, WireError> {
-        patch.apply(entry.replica.newest_closed(), entry.replica.config())
     }
 
     /// Applies buffered out-of-order patches that have become
@@ -544,9 +544,8 @@ impl<K: FlowKey> Collector<K> {
             // the gap was healed. One that fails against it is dropped:
             // `max_seen` keeps the switch resync-flagged, so a snapshot
             // supersedes it.
-            match Self::apply_patch(entry, &patch) {
-                Ok(epoch) => entry.replica.commit_epoch(epoch),
-                Err(_) => break,
+            if patch.apply_to(&mut entry.replica).is_err() {
+                break;
             }
         }
     }

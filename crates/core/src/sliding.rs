@@ -83,6 +83,11 @@ pub struct SlidingTopK<K: FlowKey> {
     /// export shipped, so it is never a dirty patch's baseline
     /// ([`SlidingTopK::patch_base`]).
     rewritten_at: u64,
+    /// True while the open (newest) epoch is as-constructed: set by
+    /// [`SlidingTopK::rotate`], cleared by every write. The in-place
+    /// apply writes into a fresh open epoch directly and sets any other
+    /// aside first ([`SlidingTopK::close_open_epoch`]).
+    open_fresh: bool,
     /// Reusable scratch for [`SlidingTopK::top_k`]: the dedup set and
     /// the candidate buffer keep their capacity across queries instead
     /// of being reallocated per call (a windowed monitor polls `top_k`
@@ -116,6 +121,7 @@ impl<K: FlowKey> Clone for SlidingTopK<K> {
             window: self.window,
             rotations: self.rotations,
             rewritten_at: self.rewritten_at,
+            open_fresh: self.open_fresh,
             // Scratch is cheap to refill; a clone starts cold.
             topk_scratch: Mutex::new(TopKScratch::default()),
         }
@@ -143,6 +149,7 @@ impl<K: FlowKey> SlidingTopK<K> {
             window,
             rotations: 0,
             rewritten_at: 0,
+            open_fresh: true,
             topk_scratch: Mutex::new(TopKScratch::default()),
         }
     }
@@ -194,7 +201,9 @@ impl<K: FlowKey> SlidingTopK<K> {
             .expect("at least one epoch is always live")
     }
 
+    /// The open epoch, for a write: it is no longer as-constructed.
     fn newest_mut(&mut self) -> &mut ParallelTopK<K> {
+        self.open_fresh = false;
         self.epochs
             .back_mut()
             .expect("at least one epoch is always live")
@@ -233,6 +242,7 @@ impl<K: FlowKey> SlidingTopK<K> {
             self.epochs.push_back(ParallelTopK::new(self.cfg.clone()));
         }
         self.rotations += 1;
+        self.open_fresh = true;
     }
 
     /// Hashes a flow once; the prepared state is valid in every epoch
@@ -346,24 +356,46 @@ impl<K: FlowKey> SlidingTopK<K> {
             window,
             rotations,
             rewritten_at: rotations,
+            open_fresh: false,
             topk_scratch: Mutex::new(TopKScratch::default()),
         }
     }
 
-    /// Applies a remotely *closed* epoch to this replica: installs
-    /// `final_epoch` as the definitive state of the current newest
-    /// epoch, then crosses the period boundary exactly like
-    /// [`SlidingTopK::rotate`] (evict-and-recycle once the ring is
-    /// full, fresh empty newest, rotation counter bumped).
+    /// Closes the open epoch with the state `fill` writes into it, then
+    /// crosses the period boundary exactly like [`SlidingTopK::rotate`]:
+    /// the collector's in-place apply of a dirty frame
+    /// ([`DirtyPatch::apply_to`](crate::wire::DirtyPatch::apply_to)).
+    /// A switch that ships only its just-closed epoch per rotation keeps
+    /// the replica ring bit-identical to its own.
     ///
-    /// This is the collector's reassembly step for dirty frames: a
-    /// switch that ships only its just-closed epoch per rotation keeps
-    /// the replica ring bit-identical to its own — the fresh epoch both
-    /// sides open is empty, and every closed epoch is the shipped final
-    /// state.
-    pub fn commit_epoch(&mut self, final_epoch: ParallelTopK<K>) {
-        *self.newest_mut() = final_epoch;
+    /// `fill` receives the open epoch as-constructed, and the newest
+    /// closed epoch (the patch's baseline). An open epoch that took
+    /// writes since the last rotation — a replica rebuilt from a full
+    /// frame exported mid-epoch — is set aside for a fresh one first.
+    /// If `fill` fails, the ring is left bit-identical: the set-aside
+    /// epoch goes back, or the open one is recycled to its
+    /// as-constructed state.
+    pub(crate) fn close_open_epoch<E>(
+        &mut self,
+        fill: impl FnOnce(&mut ParallelTopK<K>, Option<&ParallelTopK<K>>) -> Result<(), E>,
+    ) -> Result<(), E> {
+        let set_aside = (!self.open_fresh).then(|| {
+            let fresh = ParallelTopK::new(self.cfg.clone());
+            std::mem::replace(self.newest_mut(), fresh)
+        });
+        let mut newest_first = self.epochs.iter_mut().rev();
+        let open = newest_first
+            .next()
+            .expect("at least one epoch is always live");
+        if let Err(e) = fill(open, newest_first.next().map(|e| &*e)) {
+            match set_aside {
+                Some(epoch) => *open = epoch,
+                None => open.recycle(self.cfg.arrays),
+            }
+            return Err(e);
+        }
         self.rotate();
+        Ok(())
     }
 
     /// Accounted memory: `window` full instances (the epoch ring's cost).
@@ -396,6 +428,7 @@ impl<K: FlowKey> SlidingTopK<K> {
         }
         // Every closed epoch changed: none is a baseline any more.
         self.rewritten_at = self.rotations;
+        self.open_fresh = false;
         Ok(())
     }
 
@@ -407,6 +440,7 @@ impl<K: FlowKey> SlidingTopK<K> {
             epoch.retain_monitored(keep);
         }
         self.rewritten_at = self.rotations;
+        self.open_fresh = false;
     }
 }
 

@@ -31,6 +31,7 @@ use crate::decay::DecayFn;
 use crate::parallel::ParallelTopK;
 use hk_common::algorithm::TopKAlgorithm;
 use hk_common::key::FlowKey;
+use std::marker::PhantomData;
 
 const MAGIC: &[u8; 4] = b"HKSK";
 const VERSION: u8 = 1;
@@ -340,7 +341,7 @@ impl<K: FlowKey> ParallelTopK<K> {
 // under one header:
 //
 // ```text
-// magic "HKWF" | version u8 (2 full, 4 dirty) | kind u8 (0 full / 2 dirty) |
+// magic "HKWF" | version u8 (2 full, 5 dirty) | kind u8 (0 full / 2 dirty) |
 // key_len u8 | switch_id u64 | rotation u64 | window u16 | live u16 |
 // epoch_packets u32
 // then `live` records, oldest -> newest:
@@ -350,15 +351,25 @@ impl<K: FlowKey> ParallelTopK<K> {
 // * **Full** frames (v2) carry every live epoch (the accumulating
 //   newest included) as v1 "HKSK" payloads — the initial snapshot, the
 //   resync path and the sliding-window checkpoint.
-// * **Dirty** frames (v4) carry exactly one "HKDP" record: the epoch
+// * **Dirty** frames (v5) carry exactly one "HKDP" record: the epoch
 //   *closed* by rotation number `rotation`, expressed as a patch
 //   against an explicit baseline:
 //
 //   ```text
-//   magic "HKDP" | base_rows varint | rows varint | width varint |
-//   rows × (changed-bucket bitmap, RLE | changed words: old XOR new, varint) |
+//   magic "HKDP" | fp_bytes u8 | base_rows varint | rows varint | width varint |
+//   rows × (changed-bucket bitmap, RLE | one entry per set bit) |
 //   store: n varint, then n × (key bytes | count varint)
+//   entry: varint(count_xor << 1 | fp_changed) [| fp_xor: fp_bytes LE]
 //   ```
+//
+//   An entry XORs the bucket's counter and fingerprint fields
+//   separately (`old ^ new` of each), so the bytes depend on the
+//   configured fields, never on the runtime word. `fp_bytes` is
+//   ⌈fingerprint_bits / 8⌉; the fingerprint XOR follows only when it
+//   is nonzero, so a counter-only change costs the counter varint
+//   alone. Counter fields are at most 63 bits, so the shifted head
+//   cannot overflow. A zero head or a flagged all-zero fingerprint XOR
+//   is not canonical and does not decode.
 //
 //   `base_rows = 0` names the empty baseline: the record carries the
 //   whole closed epoch and needs no earlier export (the first rotation,
@@ -370,12 +381,14 @@ impl<K: FlowKey> ParallelTopK<K> {
 //   flows recur from one epoch to the next.
 //
 // Kind 1 (the retired v2 delta, which re-shipped the closed epoch as a
-// whole v1 sketch) and v3 dirty records (no baseline field) no longer
+// whole v1 sketch), v3 dirty records (no baseline field) and v4 ones
+// (whole packed words widened to 8 bytes, one varint each) no longer
 // decode. Every record is CRC-32-checksummed independently, so
 // corruption is detected before any expensive decode. The collector
 // applies a dirty frame of rotation R only on top of state at rotation
-// R-1, treats R ≤ current as a duplicate (idempotent drop) and
-// R > current+1 as a gap that flags the switch for resync.
+// R-1, writing it straight into the replica's open epoch, treats
+// R ≤ current as a duplicate (idempotent drop) and R > current+1 as a
+// gap that flags the switch for resync.
 // ---------------------------------------------------------------------
 
 /// Magic prefix of a windowed telemetry frame.
@@ -383,7 +396,7 @@ const FRAME_MAGIC: &[u8; 4] = b"HKWF";
 /// Wire version of full window frames.
 const FRAME_VERSION: u8 = 2;
 /// Wire version of dirty-patch window frames ([`FrameKind::Dirty`]).
-const DIRTY_FRAME_VERSION: u8 = 4;
+const DIRTY_FRAME_VERSION: u8 = 5;
 /// Magic prefix of a dirty-patch record payload (where full records
 /// carry v1 "HKSK" sketches).
 const DIRTY_MAGIC: &[u8; 4] = b"HKDP";
@@ -431,8 +444,9 @@ pub struct WindowFrame<K: FlowKey> {
     /// record is [`WindowFrame::patch`]).
     pub epochs: Vec<ParallelTopK<K>>,
     /// The dirty-bucket patch — `Some` iff `kind` is
-    /// [`FrameKind::Dirty`]. Applied to a replica's newest closed epoch
-    /// via [`DirtyPatch::apply`].
+    /// [`FrameKind::Dirty`]. The collector applies it in place, as the
+    /// next rotation of the switch's replica
+    /// ([`Collector::submit_window_frame`](crate::collector::Collector::submit_window_frame)).
     pub patch: Option<DirtyPatch<K>>,
 }
 
@@ -608,10 +622,16 @@ impl<K: FlowKey> crate::sliding::SlidingTopK<K> {
 /// Length of the fixed frame header (shared by full and dirty frames).
 const HEADER_LEN: usize = 31;
 
+/// Bytes a dirty record spends on a changed fingerprint's XOR:
+/// ⌈`fingerprint_bits` / 8⌉, so 1–4.
+fn fp_bytes(fingerprint_bits: u32) -> usize {
+    fingerprint_bits.div_ceil(8) as usize
+}
+
 /// Appends the dirty-patch record payload: the closed epoch diffed
 /// against `base` (rows beyond it — Section III-F expansion since the
 /// baseline closed — and every row when `base` is `None` against
-/// all-empty words), then the whole top-k store (small — `k` entries —
+/// all-empty buckets), then the whole top-k store (small — `k` entries —
 /// and not worth diffing).
 fn encode_dirty_payload<K: FlowKey>(
     out: &mut Vec<u8>,
@@ -621,11 +641,13 @@ fn encode_dirty_payload<K: FlowKey>(
     use hk_common::varint;
 
     let base = base.map(|b| b.sketch().buckets());
+    let fp_bytes = fp_bytes(closed.sketch().fingerprint_bits());
     out.extend_from_slice(DIRTY_MAGIC);
+    out.push(fp_bytes as u8);
     varint::write_u64(out, base.map_or(0, |b| b.rows()) as u64);
     varint::write_u64(out, closed.sketch().arrays() as u64);
     varint::write_u64(out, closed.sketch().width() as u64);
-    with_matrix!(closed.sketch().buckets(), m => encode_dirty_rows(out, m, base));
+    with_matrix!(closed.sketch().buckets(), m => encode_dirty_rows(out, m, base, fp_bytes));
     let top = closed.top_k();
     varint::write_u64(out, top.len() as u64);
     for (key, count) in &top {
@@ -635,26 +657,27 @@ fn encode_dirty_payload<K: FlowKey>(
 }
 
 /// Appends a dirty patch's rows, over words `W`: per row the diff
-/// bitmap against `base`, then each changed bucket's `old XOR new` with
-/// both words widened to the codec's 8-byte layout
-/// ([`PackedLayout::widened`](crate::bucket::PackedLayout::widened)),
-/// so the bytes do not depend on the runtime word.
+/// bitmap against `base`, then one entry per changed bucket — the XOR
+/// of its counter fields shifted over a flag bit, and the XOR of its
+/// fingerprints in `fp_bytes` bytes when the flag is set. Both words
+/// pack one layout, so one word XOR XORs each field in place.
 fn encode_dirty_rows<W: BucketWord>(
     out: &mut Vec<u8>,
     m: &BucketMatrix<W>,
     base: Option<&Buckets>,
+    fp_bytes: usize,
 ) {
     use hk_common::varint;
 
     let base = base.map(|b| W::matrix(b).expect("a ring's epochs pack the same word"));
     let base_rows = base.map_or(0, |b| b.rows());
-    let (layout, wide) = (m.layout(), m.layout().widened());
-    let widen = |word: W| wide.pack(layout.unpack(word.to_u64()));
+    let layout = m.layout();
     let mut bitmap: Vec<u64> = Vec::new();
     for j in 0..m.rows() {
         let base = base.filter(|_| j < base_rows).map(|b| b.row(j));
-        m.diff_row_bitmap(j, base, &mut bitmap);
+        let changed = m.diff_row_bitmap(j, base, &mut bitmap);
         varint::write_bitmap_rle(out, &bitmap);
+        out.reserve(changed * (1 + fp_bytes));
         // Visit only the set bits, in ascending bucket order.
         let row = m.row(j);
         for (w, &bits) in bitmap.iter().enumerate() {
@@ -662,27 +685,145 @@ fn encode_dirty_rows<W: BucketWord>(
             while bits != 0 {
                 let i = w * 64 + bits.trailing_zeros() as usize;
                 bits &= bits - 1;
-                let old = base.map_or(0, |b| widen(b[i]));
-                varint::write_u64(out, old ^ widen(row[i]));
+                let xor = base.map_or(0, |b| b[i].to_u64()) ^ row[i].to_u64();
+                let fp_xor = layout.fp(xor);
+                // Both fingerprints fit the configured width.
+                assert!(
+                    u64::from(fp_xor) >> (8 * fp_bytes) == 0,
+                    "fingerprint XOR {fp_xor:#x} exceeds {fp_bytes} bytes"
+                );
+                varint::write_u64(out, layout.count(xor) << 1 | u64::from(fp_xor != 0));
+                // Store all four fingerprint bytes and keep `fp_bytes`
+                // of them only when the fingerprint changed: fixed-size
+                // stores, no branch on the flag.
+                out.extend_from_slice(&fp_xor.to_le_bytes());
+                out.truncate(out.len() - 4 + if fp_xor != 0 { fp_bytes } else { 0 });
             }
         }
     }
 }
 
-/// A decoded [`FrameKind::Dirty`] record: which buckets of the closed
-/// epoch differ from its baseline, and how — `old XOR new` packed
-/// words, stored sparsely so decoding allocates in proportion to the
-/// payload rather than to the geometry it claims — plus the epoch's
-/// whole top-k store.
+/// Walks the rows of a dirty record from `*pos`: per row the RLE diff
+/// bitmap, then one entry per set bit. Calls `visit(index, count_xor,
+/// fp_xor)` for each changed bucket, at its row-major index, ascending;
+/// every index is below `rows × width`, and every entry is canonical (a
+/// nonzero head, a nonzero fingerprint XOR when flagged). Decode walks
+/// with a no-op visitor to check a record's structure and apply walks
+/// again to XOR it in, so the two cannot disagree on the format.
+fn walk_dirty_rows(
+    data: &[u8],
+    pos: &mut usize,
+    rows: usize,
+    width: usize,
+    fp_bytes: usize,
+    visit: impl FnMut(usize, u64, u32),
+) -> Result<(), WireError> {
+    // One copy per fingerprint width, so each reads its bytes as a
+    // fixed-size load.
+    match fp_bytes {
+        1 => walk_rows::<1>(data, pos, rows, width, visit),
+        2 => walk_rows::<2>(data, pos, rows, width, visit),
+        3 => walk_rows::<3>(data, pos, rows, width, visit),
+        4 => walk_rows::<4>(data, pos, rows, width, visit),
+        _ => Err(WireError::Corrupt("fingerprint bytes")),
+    }
+}
+
+/// [`walk_dirty_rows`] for `FP` fingerprint bytes.
+fn walk_rows<const FP: usize>(
+    data: &[u8],
+    pos: &mut usize,
+    rows: usize,
+    width: usize,
+    mut visit: impl FnMut(usize, u64, u32),
+) -> Result<(), WireError> {
+    use hk_common::varint;
+
+    let bitmap_words = width.div_ceil(64);
+    let mut set_words: Vec<(usize, u64)> = Vec::new();
+    for j in 0..rows {
+        varint::read_bitmap_rle(data, pos, bitmap_words, &mut set_words)
+            .ok_or(WireError::Corrupt("dirty bitmap"))?;
+        for &(w, bits) in &set_words {
+            // Bits past `width` in the last bitmap word name no bucket.
+            if w + 1 == bitmap_words && !width.is_multiple_of(64) && bits >> (width % 64) != 0 {
+                return Err(WireError::Corrupt("dirty bitmap tail"));
+            }
+            let word_at = j * width + w * 64;
+            let mut bits = bits;
+            while bits != 0 {
+                let at = word_at + bits.trailing_zeros() as usize;
+                bits &= bits - 1;
+                let head = varint::read_u64(data, pos).ok_or(WireError::Corrupt("patch varint"))?;
+                if head == 0 {
+                    // Nothing changed, so the bitmap bit must not have
+                    // been set.
+                    return Err(WireError::Corrupt("zero dirty diff"));
+                }
+                let mut fp_xor = 0;
+                if head & 1 != 0 {
+                    let bytes = data.get(*pos..*pos + FP).ok_or(WireError::Truncated)?;
+                    *pos += FP;
+                    fp_xor = bytes.iter().rev().fold(0, |v, &b| v << 8 | u32::from(b));
+                    if fp_xor == 0 {
+                        return Err(WireError::Corrupt("zero fingerprint diff"));
+                    }
+                }
+                visit(at, head >> 1, fp_xor);
+            }
+        }
+    }
+    Ok(())
+}
+
+/// Walks a dirty record's store from `*pos`, calling `visit(key,
+/// count)` per entry; the record must end with it.
+fn walk_dirty_store<K: FlowKey>(
+    data: &[u8],
+    pos: &mut usize,
+    mut visit: impl FnMut(K, u64),
+) -> Result<(), WireError> {
+    use hk_common::varint;
+
+    let n = varint::read_u64(data, pos).ok_or(WireError::Corrupt("patch varint"))?;
+    if n > ((data.len() - *pos) / (K::ENCODED_LEN + 1)) as u64 {
+        // Every entry costs its key bytes and at least one count byte.
+        return Err(WireError::Corrupt("store size"));
+    }
+    for _ in 0..n {
+        let end = pos
+            .checked_add(K::ENCODED_LEN)
+            .ok_or(WireError::Truncated)?;
+        let kb = data.get(*pos..end).ok_or(WireError::Truncated)?;
+        *pos = end;
+        let key = K::from_key_bytes(kb).ok_or(WireError::KeyMismatch)?;
+        let count = varint::read_u64(data, pos).ok_or(WireError::Corrupt("patch varint"))?;
+        if count == 0 {
+            return Err(WireError::Corrupt("zero store count"));
+        }
+        visit(key, count);
+    }
+    if *pos != data.len() {
+        return Err(WireError::Corrupt("trailing bytes"));
+    }
+    Ok(())
+}
+
+/// A decoded [`FrameKind::Dirty`] record: the geometry it claims and
+/// its CRC-checked bytes, whose structure decode has walked. Nothing is
+/// expanded per bucket: the collector walks the bytes again to XOR them
+/// into its replica, or keeps them until the gap before them fills, so
+/// a patch costs its wire bytes.
 #[derive(Debug, Clone)]
 pub struct DirtyPatch<K: FlowKey> {
+    fp_bytes: usize,
     base_rows: usize,
     rows: usize,
     width: usize,
-    /// The changed words as `(row-major index, old XOR new)`, ascending;
-    /// every diff is nonzero.
-    diffs: Vec<(usize, u64)>,
-    store: Vec<(K, u64)>,
+    /// The record payload; its rows start at `rows_at`.
+    record: Box<[u8]>,
+    rows_at: usize,
+    key: PhantomData<K>,
 }
 
 impl<K: FlowKey> DirtyPatch<K> {
@@ -705,16 +846,21 @@ impl<K: FlowKey> DirtyPatch<K> {
     }
 
     /// Decodes one "HKDP" record payload (CRC already verified by the
-    /// frame decoder). Structural validation only — semantic limits
-    /// (counter/fingerprint ranges, store size, the baseline) need the
-    /// ring and are enforced by [`DirtyPatch::apply`].
+    /// frame decoder) and walks its bitmaps, entries, store and trailing
+    /// bytes. Semantic limits (counter and fingerprint ranges, the
+    /// fingerprint width, store size, the baseline) need the ring and
+    /// are enforced by [`DirtyPatch::apply_to`].
     fn decode(data: &[u8]) -> Result<Self, WireError> {
         use hk_common::varint;
 
         if data.len() < 4 || &data[..4] != DIRTY_MAGIC {
             return Err(WireError::Corrupt("dirty patch magic"));
         }
-        let mut pos = 4usize;
+        let fp_bytes = usize::from(*data.get(4).ok_or(WireError::Truncated)?);
+        if !(1..=4).contains(&fp_bytes) {
+            return Err(WireError::Corrupt("fingerprint bytes"));
+        }
+        let mut pos = 5usize;
         let mut field =
             || varint::read_u64(data, &mut pos).ok_or(WireError::Corrupt("patch varint"));
         let (base_rows, rows, width) = (field()?, field()?, field()?);
@@ -728,159 +874,132 @@ impl<K: FlowKey> DirtyPatch<K> {
             return Err(WireError::Corrupt("width/k"));
         }
         let (rows, width) = (rows as usize, width as usize);
-        let bitmap_words = width.div_ceil(64);
-        let mut diffs: Vec<(usize, u64)> = Vec::new();
-        let mut set_words: Vec<(usize, u64)> = Vec::new();
-        for j in 0..rows {
-            varint::read_bitmap_rle(data, &mut pos, bitmap_words, &mut set_words)
-                .ok_or(WireError::Corrupt("dirty bitmap"))?;
-            for &(w, bits) in &set_words {
-                // Bits past `width` in the last bitmap word name no bucket.
-                if w + 1 == bitmap_words && width % 64 != 0 && bits >> (width % 64) != 0 {
-                    return Err(WireError::Corrupt("dirty bitmap tail"));
-                }
-                let mut bits = bits;
-                while bits != 0 {
-                    let i = w * 64 + bits.trailing_zeros() as usize;
-                    bits &= bits - 1;
-                    let diff = varint::read_u64(data, &mut pos)
-                        .ok_or(WireError::Corrupt("patch varint"))?;
-                    if diff == 0 {
-                        // A zero diff means the bucket did not change;
-                        // its bitmap bit must not have been set.
-                        return Err(WireError::Corrupt("zero dirty diff"));
-                    }
-                    diffs.push((j * width + i, diff));
-                }
-            }
-        }
-        let n = varint::read_u64(data, &mut pos).ok_or(WireError::Corrupt("patch varint"))?;
-        if n > ((data.len() - pos) / (K::ENCODED_LEN + 1)) as u64 {
-            // Bound before allocating: every entry costs its key bytes
-            // and at least one count byte on the wire.
-            return Err(WireError::Corrupt("store size"));
-        }
-        let mut store = Vec::with_capacity(n as usize);
-        for _ in 0..n {
-            let end = pos
-                .checked_add(K::ENCODED_LEN)
-                .ok_or(WireError::Truncated)?;
-            let kb = data.get(pos..end).ok_or(WireError::Truncated)?;
-            pos = end;
-            let key = K::from_key_bytes(kb).ok_or(WireError::KeyMismatch)?;
-            let count =
-                varint::read_u64(data, &mut pos).ok_or(WireError::Corrupt("patch varint"))?;
-            if count == 0 {
-                return Err(WireError::Corrupt("zero store count"));
-            }
-            store.push((key, count));
-        }
-        if pos != data.len() {
-            return Err(WireError::Corrupt("trailing bytes"));
-        }
+        let rows_at = pos;
+        walk_dirty_rows(data, &mut pos, rows, width, fp_bytes, |_, _, _| {})?;
+        walk_dirty_store::<K>(data, &mut pos, |_, _| {})?;
         Ok(Self {
+            fp_bytes,
             base_rows: base_rows as usize,
             rows,
             width,
-            diffs,
-            store,
+            record: data.into(),
+            rows_at,
+            key: PhantomData,
         })
     }
 
-    /// Reconstructs the closed epoch this patch describes:
-    /// `base XOR diff` over the packed words, widened to the codec's
-    /// 8-byte layout. `base` is the collector replica's newest closed
-    /// epoch (the epoch closed by `rotation - 1`, bit-exact by the
-    /// rotation protocol); it is only read when
-    /// [`base_rows`](DirtyPatch::base_rows) is nonzero, and must then be
-    /// present with exactly that many rows. Rows beyond the baseline,
-    /// and every row of an empty-baseline patch, patch all-empty words. `ring_cfg` is the replica's configuration; the
-    /// reconstructed epoch opens from it with this patch's array count.
+    /// Applies the patch as `replica`'s next rotation, in place: the
+    /// replica's open epoch becomes the closed epoch the patch
+    /// describes, and the ring advances
+    /// ([`SlidingTopK::close_open_epoch`](crate::sliding::SlidingTopK::close_open_epoch)).
+    /// The open epoch is seeded from the baseline — the replica's newest
+    /// closed epoch, the epoch closed by `rotation - 1`, bit-exact by
+    /// the rotation protocol — when [`base_rows`](DirtyPatch::base_rows)
+    /// names one, which must then have exactly that many rows; every
+    /// entry is XORed over it. Rows beyond the baseline, and every row
+    /// of an empty-baseline patch, patch empty buckets. No epoch or
+    /// matrix is allocated unless Section III-F expansion changed the
+    /// row count.
     ///
-    /// Every *changed* word is validated in that 8-byte layout, before
-    /// it is narrowed into the runtime word, like
-    /// [`ParallelTopK::from_wire`] validates buckets (counter and
-    /// fingerprint within their configured ranges, no empty bucket with
-    /// a fingerprint); unchanged words were validated when the baseline
+    /// Every changed bucket is checked in the configured fields, like
+    /// [`ParallelTopK::from_wire`] checks buckets (counter and
+    /// fingerprint within their ranges, no empty bucket with a
+    /// fingerprint); unchanged buckets were checked when the baseline
     /// was installed. The store is re-offered largest-first, like the
-    /// v1 decode path.
-    pub fn apply(
+    /// v1 decode path. On any error the replica is left bit-identical.
+    pub(crate) fn apply_to(
         &self,
-        base: Option<&ParallelTopK<K>>,
-        ring_cfg: &HkConfig,
-    ) -> Result<ParallelTopK<K>, WireError> {
-        if self.width != ring_cfg.width {
+        replica: &mut crate::sliding::SlidingTopK<K>,
+    ) -> Result<(), WireError> {
+        let cfg = replica.config();
+        if self.width != cfg.width {
             return Err(WireError::Corrupt("patch width"));
         }
-        let base = match (self.base_rows, base) {
-            (0, _) => None,
-            (rows, Some(b)) if b.sketch().arrays() == rows && b.sketch().width() == self.width => {
-                Some(b.sketch().buckets())
+        if self.fp_bytes != fp_bytes(cfg.fingerprint_bits) {
+            return Err(WireError::Corrupt("fingerprint bytes"));
+        }
+        let (k, fp_max, counter_max) = (
+            cfg.k,
+            u64::MAX >> (64 - cfg.fingerprint_bits),
+            cfg.counter_max(),
+        );
+        replica.close_open_epoch(|open, closed| {
+            let base = match (self.base_rows, closed) {
+                (0, _) => None,
+                (rows, Some(b)) if b.sketch().arrays() == rows => Some(b.sketch().buckets()),
+                _ => return Err(WireError::Corrupt("patch baseline")),
+            };
+            // The open epoch is as-constructed: only a row count that
+            // expansion changed needs a new matrix.
+            if open.sketch().arrays() != self.rows {
+                open.recycle(self.rows);
             }
-            _ => return Err(WireError::Corrupt("patch baseline")),
-        };
-        let mut cfg = ring_cfg.clone();
-        cfg.arrays = self.rows;
-        let mut hk = ParallelTopK::<K>::new(cfg);
-        let counter_max = hk.sketch().counter_max();
-        let fp_bits = hk.sketch().fingerprint_bits();
-        let fp_max = if fp_bits == 32 {
-            u32::MAX
-        } else {
-            (1u32 << fp_bits) - 1
-        };
-
-        with_matrix!(hk.sketch_mut().buckets_mut(), m => {
-            apply_diffs(m, base, &self.diffs, fp_max, counter_max)
-        })?;
-
-        if self.store.len() > ring_cfg.k {
-            return Err(WireError::Corrupt("store size"));
-        }
-        let mut entries = self.store.clone();
-        entries.sort_by_key(|&(_, c)| std::cmp::Reverse(c));
-        for (key, count) in entries {
-            hk.offer(key, count);
-        }
-        Ok(hk)
+            let mut pos = self.rows_at;
+            with_matrix!(open.sketch_mut().buckets_mut(), m => {
+                self.xor_rows(m, base, &mut pos, fp_max, counter_max)
+            })?;
+            let mut store = Vec::new();
+            walk_dirty_store::<K>(&self.record, &mut pos, |key, count| {
+                store.push((key, count))
+            })?;
+            if store.len() > k {
+                return Err(WireError::Corrupt("store size"));
+            }
+            store.sort_by_key(|&(_, c)| std::cmp::Reverse(c));
+            for (key, count) in store {
+                open.offer(key, count);
+            }
+            Ok(())
+        })
     }
-}
 
-/// The bucket half of [`DirtyPatch::apply`], over words `W`: seeds `m`
-/// from the baseline's words (an empty or shorter baseline leaves the
-/// fresh all-empty rows), then XORs each diff into its bucket widened
-/// to the codec's 8-byte layout, and checks the 64-bit result before
-/// narrowing it back.
-fn apply_diffs<W: BucketWord>(
-    m: &mut BucketMatrix<W>,
-    base: Option<&Buckets>,
-    diffs: &[(usize, u64)],
-    fp_max: u32,
-    counter_max: u64,
-) -> Result<(), WireError> {
-    if let Some(base) = base {
-        let src = W::matrix(base).ok_or(WireError::Corrupt("patch baseline"))?;
-        let shared = m.rows().min(src.rows()) * m.width();
-        m.data_mut()[..shared].copy_from_slice(&src.data()[..shared]);
+    /// The bucket half of [`DirtyPatch::apply_to`], over words `W`:
+    /// seeds `m` (as-constructed, `rows × width`) from the baseline's
+    /// words, then XORs each entry's fields over its bucket. The three
+    /// checks fold into one flag word, read once after the walk; a bad
+    /// bucket is written masked to the word, and the caller discards
+    /// the epoch.
+    fn xor_rows<W: BucketWord>(
+        &self,
+        m: &mut BucketMatrix<W>,
+        base: Option<&Buckets>,
+        pos: &mut usize,
+        fp_max: u64,
+        counter_max: u64,
+    ) -> Result<(), WireError> {
+        if let Some(base) = base {
+            let src = W::matrix(base).ok_or(WireError::Corrupt("patch baseline"))?;
+            let shared = m.rows().min(src.rows()) * m.width();
+            m.data_mut()[..shared].copy_from_slice(&src.data()[..shared]);
+        }
+        let layout = m.layout();
+        let shift = layout.count_bits();
+        let word_mask = u64::MAX >> (64 - 8 * std::mem::size_of::<W>());
+        let words = m.data_mut();
+        let mut bad = 0u8;
+        walk_dirty_rows(
+            &self.record,
+            pos,
+            self.rows,
+            self.width,
+            self.fp_bytes,
+            |at, count_xor, fp_xor| {
+                let old = words[at].to_u64();
+                let fp = u64::from(layout.fp(old) ^ fp_xor);
+                let count = layout.count(old) ^ count_xor;
+                bad |= u8::from(fp > fp_max)
+                    | u8::from(count > counter_max) << 1
+                    | u8::from(count == 0 && fp != 0) << 2;
+                words[at] = W::from_u64((fp << shift | count) & word_mask);
+            },
+        )?;
+        match bad {
+            0 => Ok(()),
+            b if b & 1 != 0 => Err(WireError::Corrupt("bucket fingerprint")),
+            b if b & 2 != 0 => Err(WireError::Corrupt("bucket counter")),
+            _ => Err(WireError::Corrupt("empty bucket with fingerprint")),
+        }
     }
-    let (layout, wide) = (m.layout(), m.layout().widened());
-    let words = m.data_mut();
-    for &(at, diff) in diffs {
-        // `at < rows × width`: decode bounds every bitmap bit.
-        let slot = &mut words[at];
-        let b = wide.unpack(wide.pack(layout.unpack(slot.to_u64())) ^ diff);
-        if b.fp > fp_max {
-            return Err(WireError::Corrupt("bucket fingerprint"));
-        }
-        if b.count > counter_max {
-            return Err(WireError::Corrupt("bucket counter"));
-        }
-        if b.count == 0 && b.fp != 0 {
-            return Err(WireError::Corrupt("empty bucket with fingerprint"));
-        }
-        *slot = W::from_u64(layout.pack(b));
-    }
-    Ok(())
 }
 
 impl<K: FlowKey> WindowFrame<K> {
@@ -997,11 +1116,10 @@ impl<K: FlowKey> WindowFrame<K> {
 
     /// Converts a [`FrameKind::Full`] frame into a queryable window
     /// replica ([`SlidingTopK::from_epochs`]); `None` for dirty
-    /// patches, which only make sense committed to an existing
-    /// replica ([`SlidingTopK::commit_epoch`], [`DirtyPatch::apply`]).
+    /// patches, which only make sense applied to an existing replica
+    /// as its next rotation.
     ///
     /// [`SlidingTopK::from_epochs`]: crate::sliding::SlidingTopK::from_epochs
-    /// [`SlidingTopK::commit_epoch`]: crate::sliding::SlidingTopK::commit_epoch
     pub fn into_window(self) -> Option<crate::sliding::SlidingTopK<K>> {
         if self.kind != FrameKind::Full {
             return None;
@@ -1349,14 +1467,33 @@ mod tests {
         let patch = frame.patch.as_ref().unwrap();
         assert_eq!(patch.base_rows(), 0, "the empty baseline");
         // The patch alone rebuilds the epoch just behind the
-        // accumulating newest.
-        let closed = win.epoch_iter().rev().nth(1).unwrap();
-        let rebuilt = patch.apply(None, win.config()).unwrap();
-        for j in 0..closed.sketch().arrays() {
-            for i in 0..closed.sketch().width() {
-                assert_eq!(rebuilt.sketch().bucket(j, i), closed.sketch().bucket(j, i));
+        // accumulating newest. Its replica stands one rotation earlier,
+        // rebuilt from a full frame exported mid-epoch, so its open
+        // epoch holds part of that epoch's packets; the apply replaces
+        // them with the closed state.
+        let before = populated_window(7, 3, 3);
+        let mut replica = WindowFrame::<u64>::decode(&before.export_frame(3, 4000))
+            .unwrap()
+            .into_window()
+            .unwrap();
+        patch.apply_to(&mut replica).unwrap();
+        assert_eq!(replica.rotations(), win.rotations());
+        let sorted = |mut v: Vec<(u64, u64)>| {
+            v.sort_unstable();
+            v
+        };
+        let closed = replica.epoch_iter().rev().skip(1);
+        assert_eq!(closed.len(), 2);
+        for (rebuilt, closed) in closed.zip(win.epoch_iter().rev().skip(1)) {
+            for j in 0..closed.sketch().arrays() {
+                for i in 0..closed.sketch().width() {
+                    assert_eq!(rebuilt.sketch().bucket(j, i), closed.sketch().bucket(j, i));
+                }
             }
+            assert_eq!(sorted(rebuilt.top_k()), sorted(closed.top_k()));
         }
+        // The open epoch the apply left is as-constructed.
+        assert!(replica.epoch_iter().last().unwrap().top_k().is_empty());
         // Patches do not convert to standalone windows.
         assert!(frame.into_window().is_none());
         // Cost check: a delta is roughly one epoch, not W of them.
@@ -1748,6 +1885,50 @@ mod tests {
         );
     }
 
+    /// A CRC-valid dirty frame from switch 2 at `rotation` (W = 3)
+    /// around the record `payload` writes.
+    fn dirty_frame_around(rotation: u64, payload: impl FnOnce(&mut Vec<u8>)) -> Vec<u8> {
+        let mut out = Vec::new();
+        encode_frame_header(&mut out, FrameKind::Dirty, 8, 2, rotation, 3, 1, 3000);
+        encode_record(&mut out, payload);
+        out
+    }
+
+    /// Writes the record header, up to its first row.
+    fn dirty_record_header(out: &mut Vec<u8>, fp_bytes: u8, base_rows: usize, rows: usize) {
+        out.extend_from_slice(DIRTY_MAGIC);
+        out.push(fp_bytes);
+        for field in [base_rows, rows, 64] {
+            hk_common::varint::write_u64(out, field as u64);
+        }
+    }
+
+    /// A hand-built dirty frame of `rows` rows of 64 buckets: `entries`
+    /// — `(bucket, head, fingerprint XOR bytes)`, ascending — change
+    /// row 0, the other rows are unchanged, and the store is empty.
+    fn crafted_dirty(
+        rotation: u64,
+        fp_bytes: u8,
+        base_rows: usize,
+        rows: usize,
+        entries: &[(usize, u64, &[u8])],
+    ) -> Vec<u8> {
+        use hk_common::varint;
+        dirty_frame_around(rotation, |out| {
+            dirty_record_header(out, fp_bytes, base_rows, rows);
+            let bitmap = entries.iter().fold(0u64, |b, &(i, _, _)| b | 1 << i);
+            varint::write_bitmap_rle(out, &[bitmap]);
+            for &(_, head, fp) in entries {
+                varint::write_u64(out, head);
+                out.extend_from_slice(fp);
+            }
+            for _ in 1..rows {
+                varint::write_bitmap_rle(out, &[0]);
+            }
+            varint::write_u64(out, 0); // empty store
+        })
+    }
+
     #[test]
     fn dirty_header_and_payload_corruption_rejected() {
         let cfg = HkConfig::builder().width(64).k(4).seed(8).build();
@@ -1757,20 +1938,23 @@ mod tests {
         feed_and_rotate(&mut win, 2, 1);
         let bytes = win.export_dirty(0, 3000).unwrap();
         assert!(WindowFrame::<u64>::decode(&bytes).is_ok());
-        // Version byte: a dirty kind under v2 is a pairing violation,
-        // and v3 (dirty records without a baseline field) is retired.
+        // Version byte: a dirty kind under v2 is a pairing violation;
+        // v3 (dirty records without a baseline field) and v4 (whole
+        // widened words) are retired.
         let mut v = bytes.clone();
         v[4] = 2;
         assert_eq!(
             WindowFrame::<u64>::decode(&v).unwrap_err(),
             WireError::Corrupt("frame version/kind pairing")
         );
-        v[4] = 3;
-        assert_eq!(
-            WindowFrame::<u64>::decode(&v).unwrap_err(),
-            WireError::BadVersion(3)
-        );
-        // Kind byte: a full kind under v4 is a pairing violation, and
+        for retired in [3, 4] {
+            v[4] = retired;
+            assert_eq!(
+                WindowFrame::<u64>::decode(&v).unwrap_err(),
+                WireError::BadVersion(retired)
+            );
+        }
+        // Kind byte: a full kind under v5 is a pairing violation, and
         // kind 1 (the retired v2 delta) is unknown.
         let mut k = bytes.clone();
         k[5] = 0;
@@ -1805,95 +1989,225 @@ mod tests {
             WindowFrame::<u64>::decode(&flipped).unwrap_err(),
             WireError::BadCrc { .. }
         ));
+
+        // CRC-valid records that are not canonical v5. A well-formed
+        // one first: bucket 3's counter XOR 2, bucket 9's fingerprint
+        // XOR 0x0102.
+        let entries: [(usize, u64, &[u8]); 2] = [(3, 2 << 1, &[]), (9, 1, &[2, 1])];
+        assert!(WindowFrame::<u64>::decode(&crafted_dirty(2, 2, 0, 2, &entries)).is_ok());
+        for (frame, error) in [
+            // A head of zero says nothing changed under a set bit.
+            (
+                crafted_dirty(2, 2, 0, 2, &[(3, 0, &[])]),
+                WireError::Corrupt("zero dirty diff"),
+            ),
+            // A flagged entry whose fingerprint XOR is zero.
+            (
+                crafted_dirty(2, 2, 0, 2, &[(3, 5 << 1 | 1, &[0, 0])]),
+                WireError::Corrupt("zero fingerprint diff"),
+            ),
+            // The record ends inside a fingerprint XOR.
+            (
+                dirty_frame_around(2, |out| {
+                    dirty_record_header(out, 2, 0, 1);
+                    hk_common::varint::write_bitmap_rle(out, &[1 << 3]);
+                    hk_common::varint::write_u64(out, 1);
+                    out.push(0x12);
+                }),
+                WireError::Truncated,
+            ),
+            // A fingerprint wider than any configuration holds.
+            (
+                crafted_dirty(2, 5, 0, 2, &entries),
+                WireError::Corrupt("fingerprint bytes"),
+            ),
+            (
+                crafted_dirty(2, 0, 0, 2, &entries),
+                WireError::Corrupt("fingerprint bytes"),
+            ),
+        ] {
+            assert_eq!(WindowFrame::<u64>::decode(&frame).unwrap_err(), error);
+        }
+    }
+
+    #[test]
+    fn dirty_entries_cost_the_counter_varint_plus_changed_fingerprint_bytes() {
+        use crate::bucket::PackedLayout;
+        use hk_common::varint;
+
+        for fp_bits in [16u32, 24, 32] {
+            let fp_bytes = fp_bytes(fp_bits);
+            assert_eq!(fp_bytes, fp_bits as usize / 8);
+            let layout = PackedLayout::new(fp_bits, 16);
+            let fp_max = u32::MAX >> (32 - fp_bits);
+            let b = |fp, count| Bucket { fp, count };
+            // One bucket of a one-row matrix changes from `old` to `new`.
+            for (old, new) in [
+                (b(7, 1), b(7, 2)),
+                (b(7, 300), b(7, 0xFFFF)),
+                (b(7, 5), b(fp_max, 5)),
+                (b(0, 0), b(fp_max, 0xFFFF)),
+                (b(9, 40), b(0, 0)),
+            ] {
+                let (mut base, mut m) = (Buckets::new(1, 64, layout), Buckets::new(1, 64, layout));
+                base.set(0, 5, old);
+                m.set(0, 5, new);
+                let mut out = Vec::new();
+                with_matrix!(&m, m => encode_dirty_rows(&mut out, m, Some(&base), fp_bytes));
+                let mut bitmap = Vec::new();
+                varint::write_bitmap_rle(&mut bitmap, &[1 << 5]);
+                let entry = &out[bitmap.len()..];
+
+                let (count_xor, fp_xor) = (old.count ^ new.count, old.fp ^ new.fp);
+                let ctx = format!("{fp_bits}-bit fingerprints, {old:?} -> {new:?}");
+                let fp_cost = if fp_xor == 0 { 0 } else { fp_bytes };
+                assert_eq!(
+                    entry.len(),
+                    varint::encoded_len(count_xor << 1) + fp_cost,
+                    "{ctx}"
+                );
+                assert_eq!(
+                    &entry[entry.len() - fp_cost..],
+                    &fp_xor.to_le_bytes()[..fp_cost]
+                );
+                // The walker reads back the same fields.
+                let mut seen = Vec::new();
+                let mut pos = 0;
+                walk_dirty_rows(&out, &mut pos, 1, 64, fp_bytes, |at, c, f| {
+                    seen.push((at, c, f))
+                })
+                .unwrap();
+                assert_eq!(seen, [(5, count_xor, fp_xor)], "{ctx}");
+                assert_eq!(pos, out.len(), "{ctx}");
+            }
+        }
     }
 
     #[test]
     fn dirty_patch_apply_rejects_empty_bucket_with_fingerprint() {
-        // XOR of two field-valid packed words is always field-valid, so
-        // the one reconstruction error an honest-geometry patch can
-        // reach is a zero counter under a nonzero fingerprint. A patch
-        // is internally consistent on its own — only apply-time
-        // validation against the actual baseline can catch this.
+        // The XOR of two fingerprints that fit their whole bytes always
+        // fits them again, so the one reconstruction error an
+        // honest-geometry patch can reach at 16+16 is a zero counter
+        // under a nonzero fingerprint. A patch is internally consistent
+        // on its own — only apply-time validation against the actual
+        // baseline can catch this.
         let cfg = HkConfig::builder().width(64).k(4).seed(1).build();
-        let patch = DirtyPatch::<u64> {
-            base_rows: 0,
-            rows: 1,
-            width: 64,
-            // fp = 1, count = 0 against a zero base
-            diffs: vec![(3, 1u64 << 32)],
-            store: Vec::new(),
-        };
+        let mut replica = crate::SlidingTopK::<u64>::new(cfg, 3);
+        replica.rotate();
+        let before = replica.clone();
+        // Bucket 3's fingerprint XOR 1 over an empty baseline.
+        let frame =
+            WindowFrame::<u64>::decode(&crafted_dirty(2, 2, 0, 2, &[(3, 1, &[1, 0])])).unwrap();
         assert_eq!(
-            patch.apply(None, &cfg).unwrap_err(),
+            frame.patch.unwrap().apply_to(&mut replica).unwrap_err(),
             WireError::Corrupt("empty bucket with fingerprint")
         );
+        assert_windows_bit_equal(&replica, &before);
     }
 
     #[test]
     fn malicious_dirty_frame_rejected_at_apply_and_flags_resync() {
-        use crate::collector::{AggregationRule, Collector, WindowSubmitError};
-        let cfg = HkConfig::builder().width(64).k(4).seed(8).build();
-        let mut win = crate::SlidingTopK::<u64>::new(cfg, 3);
-        feed_and_rotate(&mut win, 1, 0);
-        let mut coll = Collector::<u64>::new(4, AggregationRule::Sum);
-        coll.submit_window_frame(&win.export_frame(2, 3000))
-            .unwrap();
-        // Craft well-formed frames for rotation 2 with one diff that
-        // reconstructs an empty bucket carrying a fingerprint when
-        // XOR-ed onto the replica's true baseline.
-        let baseline = win.epoch_iter().rev().nth(1).unwrap().sketch();
-        let b = baseline.bucket(0, 0);
-        let base_word = (u64::from(b.fp) << 32) | b.count;
-        let evil_diff = base_word ^ (1u64 << 32);
-        assert_ne!(evil_diff, 0, "diff must survive the zero-diff check");
-        let craft = |base_rows: usize, diff: u64| {
-            let mut out = Vec::new();
-            encode_frame_header(&mut out, FrameKind::Dirty, 8, 2, 2, 3, 1, 3000);
-            encode_record(&mut out, |out| {
-                out.extend_from_slice(DIRTY_MAGIC);
-                hk_common::varint::write_u64(out, base_rows as u64);
-                hk_common::varint::write_u64(out, 1); // rows
-                hk_common::varint::write_u64(out, 64); // width
-                hk_common::varint::write_bitmap_rle(out, &[1u64]); // bucket 0
-                hk_common::varint::write_u64(out, diff);
-                hk_common::varint::write_u64(out, 0); // empty store
-            });
-            out
-        };
-        // A baseline the replica's newest closed epoch is not: refused
-        // before any bucket math.
-        assert_eq!(
-            coll.submit_window_frame(&craft(baseline.arrays() + 1, evil_diff))
-                .unwrap_err(),
-            WindowSubmitError::Wire(WireError::Corrupt("patch baseline"))
-        );
-        // Two more diffs fit the 64-bit wire word but not a 4-byte
-        // 16+16 bucket: a fingerprint bit above the configured 16, and a
-        // counter past `counter_max`. Apply checks the widened word
-        // before narrowing it.
-        let fp_too_wide = 1u64 << (32 + 16);
-        let count_too_big = base_word ^ ((u64::from(b.fp) << 32) | (1 << 16));
-        for (diff, error) in [
-            (evil_diff, "empty bucket with fingerprint"),
-            (fp_too_wide, "bucket fingerprint"),
-            (count_too_big, "bucket counter"),
-        ] {
+        use crate::collector::{AggregationRule, Collector, WindowSubmit, WindowSubmitError};
+        // 12-bit fingerprints travel in 2 bytes and counters in a 16-bit
+        // field, so a crafted entry can overflow either.
+        let cfg = HkConfig::builder()
+            .width(64)
+            .k(4)
+            .seed(8)
+            .fingerprint_bits(12)
+            .build();
+        // The replica's open epoch is either the fresh one a rotation
+        // left, or one holding packets because the snapshot was exported
+        // mid-epoch; a failed apply must restore either bit for bit.
+        for mid_epoch in [false, true] {
+            let mut win = crate::SlidingTopK::<u64>::new(cfg.clone(), 3);
+            let mut coll = Collector::<u64>::new(4, AggregationRule::Sum);
+            feed_and_rotate(&mut win, 1, 0);
+            if mid_epoch {
+                win.insert_batch(&[5u64; 300]);
+                coll.submit_window_frame(&win.export_frame(2, 3000))
+                    .unwrap();
+            } else {
+                coll.submit_window_frame(&win.export_frame(2, 3000))
+                    .unwrap();
+                feed_and_rotate(&mut win, 2, 1);
+                let bytes = win.export_dirty(2, 3000).unwrap();
+                assert_eq!(
+                    coll.submit_window_frame(&bytes).unwrap(),
+                    WindowSubmit::Applied
+                );
+            }
+            let before = coll.switch_window(2).unwrap().clone();
+            let open_packets = before.epoch_iter().last().unwrap().top_k();
+            assert_eq!(!open_packets.is_empty(), mid_epoch, "precondition");
+            let next = before.rotations() + 1;
+            let baseline = before.epoch_iter().rev().nth(1).unwrap().sketch();
+            let rows = baseline.arrays();
+            // Empties bucket 0 but keeps a fingerprint, whatever the
+            // baseline holds there.
+            let b = baseline.bucket(0, 0);
+            let empty_with_fp: (u64, Vec<u8>) = if b.count == 0 {
+                (1, vec![1, 0])
+            } else {
+                (b.count << 1, Vec::new())
+            };
+            let fp_too_wide = (1u16 << 12).to_le_bytes();
+            for (frame, error) in [
+                (
+                    crafted_dirty(next, 2, rows, rows, &[(0, 1, &fp_too_wide)]),
+                    "bucket fingerprint",
+                ),
+                (
+                    crafted_dirty(next, 2, rows, rows, &[(0, 1 << 17, &[])]),
+                    "bucket counter",
+                ),
+                (
+                    crafted_dirty(
+                        next,
+                        2,
+                        rows,
+                        rows,
+                        &[(0, empty_with_fp.0, &empty_with_fp.1)],
+                    ),
+                    "empty bucket with fingerprint",
+                ),
+                (
+                    crafted_dirty(next, 3, rows, rows, &[(0, 1, &[1, 0, 0])]),
+                    "fingerprint bytes",
+                ),
+                (
+                    crafted_dirty(next, 2, rows + 1, rows, &[(0, 2, &[])]),
+                    "patch baseline",
+                ),
+            ] {
+                let ctx = format!("mid-epoch snapshot {mid_epoch}: {error}");
+                assert!(WindowFrame::<u64>::decode(&frame).is_ok(), "{ctx}");
+                assert_eq!(
+                    coll.submit_window_frame(&frame).unwrap_err(),
+                    WindowSubmitError::Wire(WireError::Corrupt(error)),
+                    "{ctx}"
+                );
+                // The replica kept its pre-frame state, open epoch
+                // included, and the switch is flagged: the rotation was
+                // seen but never applied.
+                assert_windows_bit_equal(coll.switch_window(2).unwrap(), &before);
+                assert_eq!(coll.resync_needed(), vec![2], "{ctx}");
+            }
+            // A snapshot heals, as after any loss, and the stream goes
+            // on patching.
+            feed_and_rotate(&mut win, 3, 2);
+            coll.submit_window_frame(&win.export_frame(2, 3000))
+                .unwrap();
+            assert!(coll.resync_needed().is_empty());
+            assert_windows_bit_equal(&win, coll.switch_window(2).unwrap());
+            feed_and_rotate(&mut win, 4, 3);
+            let bytes = win.export_dirty(2, 3000).unwrap();
             assert_eq!(
-                coll.submit_window_frame(&craft(baseline.arrays(), diff))
-                    .unwrap_err(),
-                WindowSubmitError::Wire(WireError::Corrupt(error))
+                coll.submit_window_frame(&bytes).unwrap(),
+                WindowSubmit::Applied
             );
-            // The replica kept its pre-frame state and the switch is
-            // flagged: the rotation was seen but never applied.
-            assert_eq!(coll.switch_window(2).unwrap().rotations(), 1, "{error}");
-            assert_eq!(coll.resync_needed(), vec![2], "{error}");
+            assert_windows_bit_equal(&win, coll.switch_window(2).unwrap());
         }
-        // A snapshot heals, as after any loss.
-        feed_and_rotate(&mut win, 2, 1);
-        coll.submit_window_frame(&win.export_frame(2, 3000))
-            .unwrap();
-        assert!(coll.resync_needed().is_empty());
-        assert_windows_bit_equal(&win, coll.switch_window(2).unwrap());
     }
 
     #[test]

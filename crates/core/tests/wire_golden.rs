@@ -1,11 +1,14 @@
 //! Golden frame bytes: the window-frame encoders must keep producing
 //! the *exact* bytes they produced when these digests were recorded.
 //!
-//! The digests below were recorded by running this test on commit
-//! `ece24d5`, before the encoders' inner loops (the CRC-32, the dirty
-//! bitmap scan and the changed-word walk) were rewritten. Each case
-//! streams the recorded packets through a `W = 4` window, then folds
-//! three frames through FNV-1a:
+//! The full-frame digests below were recorded by running this test on
+//! commit `ece24d5`, before the encoders' inner loops (the CRC-32, the
+//! dirty bitmap scan and the changed-word walk) were rewritten. The
+//! dirty and delta digests were recorded when the dirty record moved
+//! to v5 (each changed bucket's counter and fingerprint XORed apart,
+//! the fingerprint XOR shipped only when nonzero); the full frames did
+//! not change with it. Each case streams the recorded packets through
+//! a `W = 4` window, then folds three frames through FNV-1a:
 //!
 //! * `export_frame` — the full snapshot of every live epoch;
 //! * `export_dirty` — a patch against a real baseline (`base_rows > 0`);
@@ -14,7 +17,8 @@
 //! Two widths: 256 (whole bitmap words) and 1,000, which is not a
 //! multiple of 64, so the last bitmap word of every row has a tail
 //! that must stay zero. Any change to these frames' bytes is a wire
-//! change, and must come with a version bump instead of a new digest.
+//! change: a digest is re-recorded only together with a version bump
+//! of the frame it pins.
 
 use heavykeeper::sliding::SlidingTopK;
 use heavykeeper::wire::WindowFrame;
@@ -67,7 +71,8 @@ fn digest(frame: &[u8]) -> (u64, usize) {
     (h, frame.len())
 }
 
-/// `(digest, length)` of each frame, recorded at `ece24d5`.
+/// `(digest, length)` of each frame: the full frame recorded at
+/// `ece24d5`, the dirty and delta frames at dirty-frame v5.
 struct Golden {
     full: (u64, usize),
     dirty: (u64, usize),
@@ -76,14 +81,14 @@ struct Golden {
 
 const GOLDEN_W256: Golden = Golden {
     full: (0xad07_803a_359e_0077, 25_827),
-    dirty: (0xb6cd_8596_7fdb_ee27, 3_521),
-    delta: (0x0434_1f6a_cd7e_79b9, 3_757),
+    dirty: (0xa6d5_fa75_4c0f_3ec1, 1_683),
+    delta: (0xb3b3_7f60_6c23_6563, 1_786),
 };
 
 const GOLDEN_W1000: Golden = Golden {
     full: (0x706f_f46a_1036_669b, 97_251),
-    dirty: (0x427e_e985_6ca0_fb92, 10_327),
-    delta: (0x85ac_b93a_43f6_b4e4, 8_913),
+    dirty: (0x0fa0_bb0b_c924_d596, 4_732),
+    delta: (0x99ba_3e60_2302_ab5f, 4_108),
 };
 
 fn run_case(width: usize, golden: &Golden) {

@@ -236,7 +236,7 @@ fn dirty_header_corruption_rejected_specifically() {
     // Stamping the dirty version and kind onto a full frame's byte
     // layout cannot decode.
     let mut bad = win.export_frame(1, 2000);
-    bad[OFF_VERSION] = 4;
+    bad[OFF_VERSION] = 5;
     bad[OFF_KIND] = 2;
     assert!(WindowFrame::<u64>::decode(&bad).is_err());
 
@@ -248,7 +248,7 @@ fn dirty_header_corruption_rejected_specifically() {
             WindowFrame::<u64>::decode(&bad).unwrap_err(),
             WireError::Corrupt("frame version/kind pairing")
         );
-        // …and a full kind under v4 are both impossible; kind 1 (the
+        // …and a full kind under v5 are both impossible; kind 1 (the
         // retired v2 delta) is unknown.
         let mut bad = good.clone();
         bad[OFF_KIND] = 0;
@@ -315,7 +315,7 @@ fn peak_rss() -> Option<u64> {
 /// hand-built HKDP payload.
 fn dirty_frame_around(payload: &[u8]) -> Vec<u8> {
     let mut out = b"HKWF".to_vec();
-    out.extend_from_slice(&[4, 2, 8]); // version, kind, key width
+    out.extend_from_slice(&[5, 2, 8]); // version, kind, key width
     out.extend_from_slice(&0u64.to_le_bytes());
     out.extend_from_slice(&2u64.to_le_bytes());
     out.extend_from_slice(&3u16.to_le_bytes());
@@ -331,14 +331,15 @@ fn dirty_frame_around(payload: &[u8]) -> Vec<u8> {
 fn length_fields_cannot_amplify_allocation() {
     let before = peak_rss();
 
-    // A 50-byte frame claiming 16 rows × u32::MAX buckets, and no
+    // A 51-byte frame claiming 16 rows × u32::MAX buckets, and no
     // bitmap: refused without reserving a word per claimed bucket.
     let mut payload = b"HKDP".to_vec();
+    payload.push(2); // fingerprint bytes
     for field in [0, 16, u64::from(u32::MAX)] {
         varint::write_u64(&mut payload, field); // base_rows, rows, width
     }
     let frame = dirty_frame_around(&payload);
-    assert_eq!(frame.len(), 50);
+    assert_eq!(frame.len(), 51);
     assert_eq!(
         WindowFrame::<u64>::decode(&frame).unwrap_err(),
         WireError::Corrupt("dirty bitmap")

@@ -215,8 +215,8 @@ impl LintConfig {
             ],
             magics: vec![
                 b"HKSK".to_vec(),       // v1 sketch payload
-                b"HKWF".to_vec(),       // window frame header (v2 full, v4 dirty)
-                b"HKDP".to_vec(),       // dirty-patch record inside a v4 frame
+                b"HKWF".to_vec(),       // window frame header (v2 full, v5 dirty)
+                b"HKDP".to_vec(),       // dirty-patch record inside a v5 frame
                 b"HKTR".to_vec(),       // trace file container
                 b"HKCKPT\0\0".to_vec(), // reserved checkpoint switch id
             ],
@@ -224,7 +224,7 @@ impl LintConfig {
             versions: vec![
                 ("VERSION".into(), 1),             // HKSK sketch payload / HKTR trace
                 ("FRAME_VERSION".into(), 2),       // HKWF full (kind 0 only)
-                ("DIRTY_FRAME_VERSION".into(), 4), // HKWF dirty (kind 2 only)
+                ("DIRTY_FRAME_VERSION".into(), 5), // HKWF dirty (kind 2 only)
             ],
         }
     }
