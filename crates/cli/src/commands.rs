@@ -47,7 +47,7 @@ Algorithms for --algo:
 
 Fault injection (--algo parallel only):
   --fault takes a comma-separated plan of kind:shard@packets entries,
-  e.g. `kill:2@50000,wedge:1@90000` (kinds: kill, mid-walk, wedge).
+  e.g. `kill:2@50000,wedge:1@90000` (kinds: kill, wedge).
   With --recover the engine checkpoints every --checkpoint-every
   batches (default 8) and respawns dead shards from their last
   checkpoint; --min-recall R fails the run if precision drops below R.

@@ -3,8 +3,8 @@
 //! Recovery code that is only exercised by hand-crafted thread aborts
 //! rots; a [`FaultPlan`] makes worker death a *scheduled, reproducible*
 //! event instead. A plan is a list of [`FaultSpec`]s — `kill shard k
-//! after p packets`, `panic mid-walk`, `wedge the work ring` — threaded
-//! through the shard worker loop by
+//! after p packets`, `wedge the work ring` — threaded through the shard
+//! worker loop by
 //! [`ShardedEngine::set_fault_plan`](crate::ShardedEngine::set_fault_plan).
 //! Triggers are counted in *packets applied by that shard's worker*, so
 //! a given trace + seed + plan always dies at the same point of the
@@ -19,8 +19,6 @@
 //! ```text
 //! kill:2@50000            worker of shard 2 panics before the packet
 //!                         that would be its 50_001st
-//! mid-walk:0@1000         shard 0 applies part of the crossing batch,
-//!                         then panics (state torn mid-stream)
 //! wedge:1@9000            shard 1 stops consuming and closes its work
 //!                         ring (backpressure sees Closed, not Full)
 //! ```
@@ -31,14 +29,10 @@ use std::sync::Mutex;
 /// What a scheduled fault does to the worker when it fires.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FaultKind {
-    /// Panic before applying the batch that crosses the threshold: a
-    /// clean death at a batch boundary (state consistent up to the
-    /// previous batch).
+    /// Panic before applying the batch that crosses the threshold. The
+    /// worker owns its shard's state, so the state dies with it wherever
+    /// the panic strikes; no other thread ever sees it half-applied.
     Kill,
-    /// Apply the packets up to the threshold, then panic *inside* the
-    /// batch: the worst case — the shard's sketch is torn mid-stream
-    /// and its algo mutex is poisoned.
-    MidWalk,
     /// Stop consuming: close the work ring from the consumer side and
     /// exit without panicking. The dispatcher's backpressure path
     /// observes `Closed` (not `Full`) and must poison, not spin.
@@ -49,20 +43,9 @@ impl FaultKind {
     fn parse(s: &str) -> Option<Self> {
         match s {
             "kill" => Some(Self::Kill),
-            "mid-walk" | "midwalk" => Some(Self::MidWalk),
             "wedge" => Some(Self::Wedge),
             _ => None,
         }
-    }
-}
-
-impl std::fmt::Display for FaultKind {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(match self {
-            Self::Kill => "kill",
-            Self::MidWalk => "mid-walk",
-            Self::Wedge => "wedge",
-        })
     }
 }
 
@@ -125,8 +108,7 @@ impl FaultPlan {
     }
 
     /// Parses the CLI spelling: comma-separated `kind:shard@packets`
-    /// entries (`kill:2@50000,wedge:1@9000`). Kinds: `kill`,
-    /// `mid-walk`, `wedge`.
+    /// entries (`kill:2@50000,wedge:1@9000`). Kinds: `kill`, `wedge`.
     ///
     /// # Errors
     ///
@@ -218,11 +200,13 @@ mod tests {
                 kind: FaultKind::Kill
             }]
         );
-        let plan = FaultPlan::parse("kill:0@10,mid-walk:1@20,wedge:0@30").unwrap();
-        assert_eq!(plan.specs().len(), 3);
-        assert_eq!(plan.specs()[1].kind, FaultKind::MidWalk);
-        assert_eq!(plan.specs()[2].kind, FaultKind::Wedge);
+        let plan = FaultPlan::parse("kill:0@10,wedge:0@30").unwrap();
+        assert_eq!(plan.specs().len(), 2);
+        assert_eq!(plan.specs()[1].kind, FaultKind::Wedge);
         assert_eq!(FaultPlan::parse("").unwrap(), FaultPlan::new());
+        // A death inside a batch is a `kill`: no thread sees torn state.
+        let err = FaultPlan::parse("mid-walk:0@1").unwrap_err();
+        assert!(err.contains("unknown fault kind `mid-walk`"), "{err}");
     }
 
     #[test]

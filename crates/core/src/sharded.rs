@@ -39,20 +39,25 @@
 //!   through [`ShardedEngine::merged`], which folds every shard into
 //!   one instance for network-wide-style queries.
 //!
-//! ## Batch boundary and snapshot semantics
+//! ## One owner per shard
 //!
-//! Scalar [`TopKAlgorithm::insert`] calls accumulate in a per-shard
-//! pending buffer and are dispatched when [`BATCH_CAPACITY`] packets
-//! are buffered; [`TopKAlgorithm::insert_batch`] dispatches at every
-//! call boundary.
-//! Any read ([`TopKAlgorithm::query`] / [`TopKAlgorithm::top_k`])
-//! first dispatches pending packets and then **flushes**: it waits until
-//! every shard has drained its ring, so reads always observe every
-//! packet inserted before them — the pipeline lag is bounded by the
-//! flush, not exposed to readers. Within one shard packets are
-//! processed in arrival order by a single thread, so results are
-//! deterministic: independent of scheduling, equal to running each
-//! shard's sub-stream sequentially.
+//! A shard's algorithm is owned by value by its worker thread, and no
+//! other thread can reach it. Everything else is a message on the
+//! shard's work ring, applied in ring order: sub-batches, rotations,
+//! checkpoint encodes, reads and the flush barrier. Scalar
+//! [`TopKAlgorithm::insert`] calls accumulate in a per-shard pending
+//! buffer and are dispatched when [`BATCH_CAPACITY`] packets are
+//! buffered; [`TopKAlgorithm::insert_batch`] dispatches at every call
+//! boundary. A read ([`TopKAlgorithm::query`], [`TopKAlgorithm::top_k`],
+//! [`ShardedEngine::with_shard`]) or [`ShardedEngine::flush`] dispatches
+//! what is pending, posts one op behind it to every shard it needs,
+//! and only then waits for the replies: reads observe every packet
+//! inserted before them, and the shards answer in parallel. A panic in
+//! a `with_shard` closure is caught on the worker and re-raised on the
+//! caller; the shard and its state survive it. Within one shard
+//! packets are processed in arrival order by a single thread, so
+//! results are deterministic: independent of scheduling, equal to
+//! running each shard's sub-stream sequentially.
 //!
 //! ## Worker wakeups
 //!
@@ -63,14 +68,16 @@
 //!
 //! ## Worker death
 //!
-//! A shard algorithm that panics inside ingest kills its worker thread.
-//! The engine does **not** propagate that as a panic on the caller
-//! thread: the shard is marked *poisoned*, [`ShardedEngine::flush`]
-//! (and the non-trait ingest/rotation entry points) report it as a
-//! [`ShardPoisoned`] error, packets routed to it are dropped and counted
-//! in [`ShardedEngine::lost_packets`], and reads keep serving from the
-//! surviving shards (a poisoned shard's flows go unreported — its state
-//! may be torn mid-insert).
+//! A shard algorithm that panics inside ingest kills its worker thread,
+//! and the shard's state goes with the thread. The engine does **not**
+//! propagate that as a panic on the caller thread: a push or a reply
+//! wait that finds the worker finished marks the shard *poisoned*,
+//! [`ShardedEngine::flush`] (and the non-trait ingest/rotation entry
+//! points) report it as a [`ShardPoisoned`] error, and reads keep
+//! serving from the surviving shards (a poisoned shard's flows go
+//! unreported, and [`TopKAlgorithm::memory_bytes`] sums the live shards
+//! only). [`ShardedEngine::lost_packets`] counts exactly the packets
+//! routed to the shard that its worker did not apply.
 //!
 //! ## Checkpoint/respawn recovery
 //!
@@ -78,31 +85,33 @@
 //! [`ShardedEngine::enable_checkpoints`] the engine turns worker death
 //! into a *bounded-loss, self-healing* event instead:
 //!
-//! * **Checkpointing.** Every shard's algorithm is periodically encoded
-//!   (via [`ShardCheckpoint`] — the encoding is the algorithm's own wire
-//!   format, so wire frames double as restart state) into an in-engine
-//!   checkpoint slot. Checkpoint *ops* ride the work ring like any
-//!   control message, so a checkpoint captures the state after exactly
-//!   the packets dispatched before it — a well-defined cut of the
-//!   shard's sub-stream. Cadence: every `N` dispatched batches, at
-//!   every [`ShardedEngine::rotate_all`] barrier, and on demand via
+//! * **Checkpointing.** Every shard's worker periodically encodes its
+//!   algorithm (via [`ShardCheckpoint`] — the encoding is the
+//!   algorithm's own wire format, so wire frames double as restart
+//!   state) and sends the bytes back; the engine keeps each shard's
+//!   newest checkpoint, including one sent just before a death.
+//!   Checkpoint *ops* ride the work ring like any other op, so a
+//!   checkpoint captures the state after exactly the packets dispatched
+//!   before it — a well-defined cut of the shard's sub-stream. Cadence:
+//!   every `N` dispatched batches, at every
+//!   [`ShardedEngine::rotate_all`] barrier, and on demand via
 //!   [`ShardedEngine::checkpoint_now`].
 //! * **Respawn.** [`ShardedEngine::recover`] decodes each poisoned
-//!   shard's last checkpoint, spawns a fresh worker with fresh SPSC
-//!   work/return rings (the dead thread still owns clones of the old
-//!   ones), re-admits the lane, and reports the *dark window* — the
-//!   packets routed to the shard after the checkpoint cut, which the
-//!   restored state does not include — in a [`RecoveryReport`], which
-//!   it also journals (see Observability below). With
-//!   [`ShardedEngine::set_auto_recover`] the ingest entry points run
-//!   the same recovery as soon as they observe a dead worker, so the
-//!   stream heals without caller involvement. Reads during the dark
-//!   window keep degrading to the surviving shards as before.
+//!   shard's newest checkpoint, hands the restored state to a fresh
+//!   worker on fresh SPSC work/return rings, re-admits the lane, and
+//!   reports the *dark window* — the packets routed to the shard after
+//!   the checkpoint cut, which the restored state does not include — in
+//!   a [`RecoveryReport`], which it also journals (see Observability
+//!   below). With [`ShardedEngine::set_auto_recover`] the ingest entry
+//!   points run the same recovery as soon as they observe a dead
+//!   worker, so the stream heals without caller involvement. Reads
+//!   during the dark window keep degrading to the surviving shards as
+//!   before.
 //! * **Fault injection.** Recovery code only exercised by hand-crafted
 //!   thread aborts rots; [`ShardedEngine::set_fault_plan`] installs a
-//!   deterministic [`FaultPlan`] — kill / mid-walk / wedge at exact
-//!   sub-stream positions — threaded through the worker loop, so every
-//!   recovery path has a reproducible test.
+//!   deterministic [`FaultPlan`] — kill / wedge at exact sub-stream
+//!   positions — threaded through the worker loop, so every recovery
+//!   path has a reproducible test.
 //!
 //! ## Epoch rotation
 //!
@@ -126,7 +135,8 @@
 //! time, two counter bumps and two histogram records per drained one —
 //! the per-packet walk stays timing- and counter-free.
 //! [`ShardedEngine::obs_snapshot`] adds the totals the engine owns
-//! (ring traffic, lost packets) to the hub's snapshot.
+//! (ring traffic, which counts ops as well as sub-batches, and lost
+//! packets) to the hub's snapshot.
 //!
 //! The hub's journal is the engine's only record of worker deaths,
 //! recoveries and reshard phases: each is journaled once, where it
@@ -145,10 +155,12 @@ use hk_common::algorithm::{
 use hk_common::key::FlowKey;
 use hk_common::prepared::{HashSpec, PreparedKey};
 use hk_obs::{EventKind, ObsHub, ReshardStage, Snapshot, WorkerObs};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
+use std::sync::atomic::{fence, AtomicBool, AtomicU64, Ordering};
+use std::sync::mpsc::{self, Receiver, RecvTimeoutError, Sender};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::thread::JoinHandle;
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 pub use hk_obs::RecoveryReport;
 
@@ -207,16 +219,19 @@ impl<K> SubBatch<K> {
     }
 }
 
-/// One unit of shard-worker work: a routed sub-batch, or a control
-/// operation applied to the shard's algorithm in stream order (e.g. the
-/// epoch rotation of [`ShardedEngine::rotate_all`]). Because the ring
-/// preserves order and every shard receives the same cut — all
-/// sub-batches dispatched before the op, none after — control ops stay
-/// phase-aligned across shards.
+/// One message on a shard's work ring: a routed sub-batch, or an op the
+/// worker applies to the algorithm it owns — the epoch rotation of
+/// [`ShardedEngine::rotate_all`], or a checkpoint encode, read or flush
+/// that answers on a reply channel. Because the ring preserves order
+/// and every shard receives the same cut — all sub-batches dispatched
+/// before the op, none after — ops stay phase-aligned across shards.
 enum ShardMsg<K, A> {
     Batch(SubBatch<K>),
     Op(Box<dyn FnOnce(&mut A) + Send>),
 }
+
+/// A posted read's reply: the reader's result, or its panic payload.
+type Reply<R> = Receiver<std::thread::Result<R>>;
 
 /// Error: one or more shard workers died mid-stream (the shard's
 /// algorithm panicked while ingesting). The engine keeps serving from
@@ -240,10 +255,10 @@ impl std::fmt::Display for ShardPoisoned {
 
 impl std::error::Error for ShardPoisoned {}
 
-/// A shard's last taken checkpoint: the encoded restart state plus the
-/// routed-packet count at its cut (the value of the shard's cumulative
-/// routed counter when the checkpoint op was enqueued — by ring order,
-/// exactly the packets the worker had applied when it encoded).
+/// A checkpoint a worker sent back: the encoded restart state plus the
+/// routed-packet count at its cut (the lane's routed counter when the
+/// checkpoint op was enqueued — by ring order, exactly the packets the
+/// worker had applied when it encoded).
 #[derive(Clone)]
 struct CheckpointSlot {
     bytes: Vec<u8>,
@@ -288,58 +303,219 @@ impl std::fmt::Display for RecoverError {
 
 impl std::error::Error for RecoverError {}
 
-struct Shard<K, A> {
-    algo: Arc<Mutex<A>>,
-    /// Dispatcher → worker transport (sub-batches + control ops).
-    work: Arc<SpscRing<ShardMsg<K, A>>>,
+/// What the engine and a shard's worker share: the rings between them
+/// and the counters both sides read.
+struct Link<K, A> {
+    /// Dispatcher → worker transport (sub-batches and ops).
+    work: SpscRing<ShardMsg<K, A>>,
     /// Worker → dispatcher transport of drained, cleared buffers.
-    recycled: Arc<SpscRing<SubBatch<K>>>,
-    /// Flush units handed to the worker (batch lengths + 1 per op).
-    /// Written only on the producer side, under the pending lock.
-    enqueued: AtomicU64,
-    /// Flush units the worker has fully applied.
-    processed: Arc<AtomicU64>,
+    recycled: SpscRing<SubBatch<K>>,
+    /// Packets the worker has applied, in its lane's routed
+    /// coordinates. Final once the worker has finished; the engine
+    /// reads it only to account a death's loss.
+    applied: AtomicU64,
     /// True while the worker is parked on an empty ring; the dispatcher
     /// unparks (and clears) it after a push. Edge-triggered wakeups.
-    sleeping: Arc<AtomicBool>,
-    /// The worker's thread handle, for unparking.
-    unparker: std::thread::Thread,
-    /// Set once the worker is observed dead with work outstanding; the
-    /// shard is skipped from then on instead of panicking the caller
-    /// thread.
-    poisoned: AtomicBool,
-    /// Cumulative packets routed to this shard (enqueued *or* dropped
-    /// dead), written on the producer side under the pending lock.
-    /// Rebased to the checkpoint cut on respawn, so `routed - ckpt`
-    /// is the dark window across repeated kills.
-    packets_routed: AtomicU64,
-    /// Batches dispatched since the last scheduled checkpoint
-    /// (producer side, under the pending lock).
-    ckpt_batches: AtomicU64,
-    /// The last taken checkpoint. Shared with in-flight checkpoint ops
-    /// and preserved across respawns.
-    checkpoint: Arc<Mutex<Option<CheckpointSlot>>>,
+    sleeping: AtomicBool,
     /// This shard's slice of the installed fault plan. Preserved across
     /// respawns so repeated faults keep firing in sequence.
     faults: Arc<ShardFaults>,
+}
+
+/// The engine's handle on one shard worker.
+struct Shard<K, A> {
+    link: Arc<Link<K, A>>,
     worker: Option<JoinHandle<()>>,
 }
 
 impl<K, A> Shard<K, A> {
-    fn is_poisoned(&self) -> bool {
-        self.poisoned.load(Ordering::Acquire)
+    /// True once the worker thread is gone: shut down, wedged or dead.
+    /// Everything the worker wrote (replies, its applied count) is then
+    /// visible: the fence pairs with the release by which the thread
+    /// hands back its result.
+    fn finished(&self) -> bool {
+        let finished = self.worker.as_ref().is_none_or(JoinHandle::is_finished);
+        fence(Ordering::Acquire);
+        finished
     }
 
     /// Wakes the worker iff it advertised itself asleep.
     fn wake(&self) {
-        if self.sleeping.swap(false, Ordering::SeqCst) {
-            self.unparker.unpark();
+        if self.link.sleeping.swap(false, Ordering::SeqCst) {
+            if let Some(worker) = &self.worker {
+                worker.thread().unpark();
+            }
+        }
+    }
+
+    /// Closes the ring, so the worker drains its backlog and exits, and
+    /// joins it.
+    fn stop(&mut self) {
+        self.link.work.close();
+        self.wake();
+        if let Some(worker) = self.worker.take() {
+            let _ = worker.join();
         }
     }
 }
 
+/// A shard worker: the only owner of the shard's algorithm, which is
+/// dropped with the thread however it ends.
+struct Worker<K, A> {
+    algo: A,
+    link: Arc<Link<K, A>>,
+    handoff: bool,
+    obs: WorkerObs,
+}
+
+impl<K: FlowKey, A: PreparedInsert<K>> Worker<K, A> {
+    /// Drains the work ring in order, parking when idle. Runs until the
+    /// engine closes the ring and the backlog is drained, or an
+    /// injected fault takes it down first.
+    fn run(mut self) {
+        let mut spins = 0usize;
+        loop {
+            if let Some(msg) = self.link.work.try_pop() {
+                spins = 0;
+                match msg {
+                    ShardMsg::Batch(batch) => {
+                        if !self.ingest(batch) {
+                            return; // Wedged.
+                        }
+                    }
+                    ShardMsg::Op(op) => op(&mut self.algo),
+                }
+                continue;
+            }
+            if self.link.work.is_closed() {
+                return; // Drained and shut down.
+            }
+            if spins < WORKER_SPIN {
+                spins += 1;
+                std::hint::spin_loop();
+                continue;
+            }
+            // Sleep protocol: advertise, re-check, park. Every access in
+            // the handshake is SeqCst, so in the total order either this
+            // re-check sees the push/close, or the other side's
+            // post-push (or post-close) `wake` sees the flag and unparks
+            // — a missed wakeup is impossible, and an unpark that wins
+            // the race just makes `park` return immediately. The
+            // generous timeout is a pure backstop, cheap enough (a few
+            // wakeups per second) that an idle engine stays idle.
+            let link = &self.link;
+            link.sleeping.store(true, Ordering::SeqCst);
+            if !link.work.is_empty() || link.work.is_closed() {
+                link.sleeping.store(false, Ordering::SeqCst);
+                continue;
+            }
+            std::thread::park_timeout(Duration::from_millis(250));
+            link.sleeping.store(false, Ordering::SeqCst);
+            spins = 0;
+        }
+    }
+
+    /// Ingests one sub-batch and hands its buffer back, unless a
+    /// scheduled fault fires on it first. False when an injected wedge
+    /// stopped the worker.
+    fn ingest(&mut self, mut batch: SubBatch<K>) -> bool {
+        let units = batch.keys.len() as u64;
+        // Only this thread writes the count: the stream position fault
+        // thresholds are measured against.
+        let applied = self.link.applied.load(Ordering::Relaxed);
+        if let Some((threshold, kind)) = self.link.faults.crossing(applied, units) {
+            match kind {
+                // Death at a batch boundary: nothing of the crossing
+                // batch is applied.
+                FaultKind::Kill => {
+                    // hk-lint: allow(panic-free-worker-paths) deliberate fault injection: this panic IS the simulated worker death
+                    panic!("fault injection: kill at {threshold} packets")
+                }
+                // Silent stop: close the work ring from the consumer
+                // side and exit without panicking, so the dispatcher's
+                // backpressure path sees `Closed` (not `Full`) on a
+                // live-looking shard.
+                FaultKind::Wedge => {
+                    self.link.work.close();
+                    return false;
+                }
+            }
+        }
+        if self.handoff {
+            self.algo
+                .insert_prepared_batch(&batch.keys, &batch.prepared);
+        } else {
+            self.algo.insert_batch(&batch.keys);
+        }
+        // Instrumentation samples at the batch boundary, once per
+        // *drained batch* — the per-packet walk above stays timing- and
+        // counter-free.
+        self.obs.shard.ingest_batches.incr();
+        self.obs.shard.ingest_packets.add(units);
+        self.obs.batch_packets.record(units);
+        let ns = batch.sent_at.elapsed().as_nanos();
+        self.obs
+            .latency_ns
+            .record(u64::try_from(ns).unwrap_or(u64::MAX));
+        // Hand the drained buffer back for reuse; a full return ring
+        // just drops it (the dispatcher will allocate a replacement on
+        // demand). Any later flush reply comes after this push, so the
+        // next dispatch finds the buffer on the return ring.
+        batch.clear();
+        let _ = self.link.recycled.try_push(batch);
+        self.link.applied.store(applied + units, Ordering::Release);
+        true
+    }
+}
+
+/// The producer side of one shard, guarded by the pending lock: the
+/// sub-batch being filled and what the engine knows of the shard.
+struct Lane<K> {
+    buf: SubBatch<K>,
+    /// Cumulative packets routed to this shard, delivered or dropped.
+    /// Rebased to the restoring checkpoint's cut on respawn, so
+    /// `routed - checkpoint` is the dark window across repeated kills.
+    routed: u64,
+    /// Batches dispatched since the last scheduled checkpoint.
+    since_checkpoint: u64,
+    /// Set once the worker is found dead; what is routed to the shard
+    /// is then dropped and counted lost until a respawn.
+    dead: bool,
+    /// The newest checkpoint taken in, kept across respawns (it still
+    /// matches the restored state).
+    checkpoint: Option<CheckpointSlot>,
+    /// Checkpoint replies: each checkpoint op carries a clone of the
+    /// sender, and the engine takes them in through the receiver.
+    ckpt_tx: Sender<CheckpointSlot>,
+    ckpt_rx: Receiver<CheckpointSlot>,
+}
+
+impl<K> Lane<K> {
+    fn new(routed: u64, checkpoint: Option<CheckpointSlot>) -> Self {
+        let (ckpt_tx, ckpt_rx) = mpsc::channel();
+        Self {
+            buf: SubBatch::new(),
+            routed,
+            since_checkpoint: 0,
+            dead: false,
+            checkpoint,
+            ckpt_tx,
+            ckpt_rx,
+        }
+    }
+
+    /// Takes in every checkpoint the worker has sent, those sent just
+    /// before it died included, and returns the newest.
+    fn newest_checkpoint(&mut self) -> Option<&CheckpointSlot> {
+        while let Ok(slot) = self.ckpt_rx.try_recv() {
+            self.checkpoint = Some(slot);
+        }
+        self.checkpoint.as_ref()
+    }
+}
+
 struct Pending<K> {
-    per_shard: Vec<SubBatch<K>>,
+    lanes: Vec<Lane<K>>,
     total: usize,
 }
 
@@ -375,9 +551,11 @@ pub struct ShardedEngine<K: FlowKey, A: TopKAlgorithm<K>> {
     /// dispatcher's prepared keys directly (hash-once handoff).
     handoff: bool,
     k: usize,
+    /// Every shard's producer side. The lock serializes all ring pushes
+    /// (the SPSC producer discipline); it is the engine's only lock.
     pending: Mutex<Pending<K>>,
-    /// Packets routed to a shard after its worker died (dropped, since
-    /// no thread can ingest them).
+    /// Packets lost to dead workers (see
+    /// [`ShardedEngine::lost_packets`]); written under the pending lock.
     lost: AtomicU64,
     /// Sub-batch buffers ever allocated (the initial per-shard set plus
     /// any allocated when the return ring came up empty). Flat after
@@ -446,9 +624,7 @@ where
         let shards = shards
             .into_iter()
             .enumerate()
-            .map(|(i, a)| {
-                Self::spawn_shard(a, handoff, Arc::default(), Arc::default(), 0, obs.worker(i))
-            })
+            .map(|(i, a)| Self::spawn_shard(a, handoff, Arc::default(), 0, obs.worker(i)))
             .collect();
         Self {
             shards,
@@ -456,7 +632,7 @@ where
             handoff,
             k,
             pending: Mutex::new(Pending {
-                per_shard: (0..n).map(|_| SubBatch::new()).collect(),
+                lanes: (0..n).map(|_| Lane::new(0, None)).collect(),
                 total: 0,
             }),
             lost: AtomicU64::new(0),
@@ -470,203 +646,36 @@ where
         }
     }
 
-    /// Spawns a shard worker around `algo`, reusing the given checkpoint
-    /// slot and fault schedule (fresh on first spawn, the dead shard's
-    /// on respawn) and starting the routed counter and the worker's
-    /// applied-packet position at `base_packets` — the restoring
-    /// checkpoint's cut, so dark-window accounting and fault thresholds
-    /// stay in cumulative sub-stream coordinates across repeated kills.
-    /// `obs` is the worker's bundle for its shard slot, so a respawned
-    /// or resharded shard keeps accumulating on the slot's series.
+    /// Spawns a worker that owns `algo`, on fresh rings, with the given
+    /// fault schedule (fresh on first spawn, the dead shard's on
+    /// respawn) and its applied count starting at `base_packets` — the
+    /// restoring checkpoint's cut, so fault thresholds and loss
+    /// accounting stay in cumulative sub-stream coordinates across
+    /// repeated kills. `obs` is the worker's bundle for its shard slot,
+    /// so a respawned or resharded shard keeps accumulating on the
+    /// slot's series.
     fn spawn_shard(
         algo: A,
         handoff: bool,
-        checkpoint: Arc<Mutex<Option<CheckpointSlot>>>,
         faults: Arc<ShardFaults>,
         base_packets: u64,
         obs: WorkerObs,
     ) -> Shard<K, A> {
-        let algo = Arc::new(Mutex::new(algo));
-        let processed = Arc::new(AtomicU64::new(0));
-        let sleeping = Arc::new(AtomicBool::new(false));
-        let work = Arc::new(SpscRing::new(WORK_RING_CAPACITY));
-        let recycled = Arc::new(SpscRing::new(RECYCLE_RING_CAPACITY));
-        let worker = {
-            let algo = Arc::clone(&algo);
-            let processed = Arc::clone(&processed);
-            let sleeping = Arc::clone(&sleeping);
-            let work = Arc::clone(&work);
-            let recycled = Arc::clone(&recycled);
-            let faults = Arc::clone(&faults);
-            std::thread::spawn(move || {
-                Self::worker_loop(
-                    &algo,
-                    &work,
-                    &recycled,
-                    &processed,
-                    base_packets,
-                    &sleeping,
-                    &faults,
-                    handoff,
-                    &obs,
-                )
-            })
-        };
-        let unparker = worker.thread().clone();
-        Shard {
-            algo,
-            work,
-            recycled,
-            enqueued: AtomicU64::new(0),
-            processed,
-            sleeping,
-            unparker,
-            poisoned: AtomicBool::new(false),
-            packets_routed: AtomicU64::new(base_packets),
-            ckpt_batches: AtomicU64::new(0),
-            checkpoint,
+        let link = Arc::new(Link {
+            work: SpscRing::new(WORK_RING_CAPACITY),
+            recycled: SpscRing::new(RECYCLE_RING_CAPACITY),
+            applied: AtomicU64::new(base_packets),
+            sleeping: AtomicBool::new(false),
             faults,
-            worker: Some(worker),
-        }
-    }
-
-    /// The shard worker: drain the work ring in order, return drained
-    /// buffers, park when idle. Runs until the dispatcher closes the
-    /// ring (engine drop) and the backlog is drained — or an injected
-    /// fault takes it down first.
-    #[allow(clippy::too_many_arguments)]
-    fn worker_loop(
-        algo: &Mutex<A>,
-        work: &SpscRing<ShardMsg<K, A>>,
-        recycled: &SpscRing<SubBatch<K>>,
-        processed: &AtomicU64,
-        base_packets: u64,
-        sleeping: &AtomicBool,
-        faults: &ShardFaults,
-        handoff: bool,
-        obs: &WorkerObs,
-    ) {
-        // Cumulative packets applied, in the same rebased coordinates as
-        // the shard's routed counter: the stream position fault
-        // thresholds are measured against.
-        let mut packets_done = base_packets;
-        let mut spins = 0usize;
-        loop {
-            match work.try_pop() {
-                Some(ShardMsg::Batch(mut batch)) => {
-                    spins = 0;
-                    let units = batch.keys.len() as u64;
-                    let applied = packets_done;
-                    if let Some((threshold, kind)) = faults.crossing(applied, units) {
-                        match kind {
-                            // Clean death at a batch boundary: nothing
-                            // of the crossing batch is applied.
-                            FaultKind::Kill => {
-                                // hk-lint: allow(panic-free-worker-paths) deliberate fault injection: this panic IS the simulated worker death
-                                panic!("fault injection: kill at {threshold} packets")
-                            }
-                            // Torn death: apply the batch up to the
-                            // threshold, then die *holding* the algo
-                            // mutex — sketch torn mid-stream, mutex
-                            // poisoned. The worst case recovery must
-                            // absorb.
-                            FaultKind::MidWalk => {
-                                let cut = (threshold.saturating_sub(applied) as usize)
-                                    .min(batch.keys.len());
-                                let mut guard = algo.lock().unwrap_or_else(PoisonError::into_inner);
-                                if handoff {
-                                    guard.insert_prepared_batch(
-                                        &batch.keys[..cut],
-                                        &batch.prepared[..cut],
-                                    );
-                                } else {
-                                    guard.insert_batch(&batch.keys[..cut]);
-                                }
-                                // hk-lint: allow(panic-free-worker-paths) deliberate fault injection: dies holding the algo mutex to simulate a torn walk
-                                panic!("fault injection: mid-walk at {threshold} packets")
-                            }
-                            // Silent stop: close the work ring from the
-                            // consumer side and exit without panicking,
-                            // so the dispatcher's backpressure path sees
-                            // `Closed` (not `Full`) on a live-looking
-                            // shard.
-                            FaultKind::Wedge => {
-                                work.close();
-                                return;
-                            }
-                        }
-                    }
-                    {
-                        // A *live* worker can only observe poison from
-                        // a reader thread panicking in its `with_shard`
-                        // closure (shared access — the sketch is not
-                        // torn); a panic on this thread would have
-                        // killed the worker already. Absorb and keep
-                        // ingesting.
-                        let mut guard = algo.lock().unwrap_or_else(PoisonError::into_inner);
-                        if handoff {
-                            guard.insert_prepared_batch(&batch.keys, &batch.prepared);
-                        } else {
-                            guard.insert_batch(&batch.keys);
-                        }
-                    }
-                    // Instrumentation samples at the batch boundary,
-                    // once per *drained batch* — the per-packet walk
-                    // above stays timing- and counter-free.
-                    obs.shard.ingest_batches.incr();
-                    obs.shard.ingest_packets.add(units);
-                    obs.batch_packets.record(units);
-                    let ns = batch.sent_at.elapsed().as_nanos();
-                    obs.latency_ns.record(u64::try_from(ns).unwrap_or(u64::MAX));
-                    packets_done += units;
-                    // Hand the drained buffer back for reuse; a full
-                    // return ring just drops it (the dispatcher will
-                    // allocate a replacement on demand). The push comes
-                    // before the progress count: a `flush` that sees the
-                    // count returns, and the next dispatch must find
-                    // this buffer on the return ring, not allocate one.
-                    batch.clear();
-                    let _ = recycled.try_push(batch);
-                    processed.fetch_add(units, Ordering::Release);
-                }
-                Some(ShardMsg::Op(op)) => {
-                    spins = 0;
-                    {
-                        let mut guard = algo.lock().unwrap_or_else(PoisonError::into_inner);
-                        op(&mut guard);
-                    }
-                    processed.fetch_add(1, Ordering::Release);
-                }
-                None => {
-                    if work.is_closed() {
-                        return; // Drained and shut down.
-                    }
-                    if spins < WORKER_SPIN {
-                        spins += 1;
-                        std::hint::spin_loop();
-                        continue;
-                    }
-                    // Sleep protocol: advertise, re-check, park. Every
-                    // access in the handshake is SeqCst, so in the
-                    // total order either this re-check sees the
-                    // push/close, or the other side's post-push (or
-                    // post-close) `wake` sees the flag and unparks —
-                    // a missed wakeup is impossible, and an unpark
-                    // that wins the race just makes `park` return
-                    // immediately. The generous timeout is a pure
-                    // backstop, cheap enough (a few wakeups per
-                    // second) that an idle engine stays idle.
-                    sleeping.store(true, Ordering::SeqCst);
-                    if !work.is_empty() || work.is_closed() {
-                        sleeping.store(false, Ordering::SeqCst);
-                        continue;
-                    }
-                    std::thread::park_timeout(std::time::Duration::from_millis(250));
-                    sleeping.store(false, Ordering::SeqCst);
-                    spins = 0;
-                }
-            }
-        }
+        });
+        let worker = Worker {
+            algo,
+            link: Arc::clone(&link),
+            handoff,
+            obs,
+        };
+        let worker = Some(std::thread::spawn(move || worker.run()));
+        Shard { link, worker }
     }
 
     /// Builds the engine with `n` shards produced by `make(shard_index)`.
@@ -712,27 +721,90 @@ where
         self.lane_shard(self.route.prepare(kb.as_slice()).lane())
     }
 
-    /// Runs `f` against one shard's algorithm (flushed first), for
-    /// diagnostics and merging. Returns `None` when the shard is
-    /// poisoned (its worker died mid-ingest and its state may be torn)
-    /// — the engine degrades to the surviving shards instead of
-    /// panicking; [`ShardedEngine::poisoned_shards`] names the dead
-    /// ones.
-    pub fn with_shard<R>(&self, shard: usize, f: impl FnOnce(&A) -> R) -> Option<R> {
-        let _ = self.dispatch_and_flush();
-        let s = &self.shards[shard];
-        if s.is_poisoned() {
-            return None;
+    /// Runs `f` against one shard's algorithm on the shard's worker,
+    /// behind every packet inserted before the call, for diagnostics
+    /// and merging. Returns `None` when the shard is poisoned (its
+    /// worker died and the shard's state went with it) — the engine
+    /// degrades to the surviving shards instead of panicking;
+    /// [`ShardedEngine::poisoned_shards`] names the dead ones.
+    ///
+    /// # Panics
+    ///
+    /// Re-raises a panic of `f` on the caller thread. The panic is
+    /// caught on the worker, so the shard and its state survive it.
+    pub fn with_shard<R, F>(&self, shard: usize, f: F) -> Option<R>
+    where
+        F: FnOnce(&A) -> R + Send + 'static,
+        R: Send + 'static,
+    {
+        self.wait(shard, self.post(shard, f)?)
+    }
+
+    /// Runs `f` on every live shard, like [`ShardedEngine::with_shard`],
+    /// but posts to every shard before it waits for any reply, so the
+    /// shards answer in parallel. `None` for a dead shard.
+    fn ask_all<R: Send + 'static>(&self, f: fn(&A) -> R) -> Vec<Option<R>> {
+        let replies: Vec<_> = (0..self.shards.len())
+            .map(|idx| self.post(idx, f))
+            .collect();
+        replies
+            .into_iter()
+            .enumerate()
+            .map(|(idx, reply)| self.wait(idx, reply?))
+            .collect()
+    }
+
+    /// Dispatches what is pending and posts the read `f` to shard `idx`
+    /// behind it. The worker runs `f` under `catch_unwind` — a reader
+    /// only has shared access, so its panic cannot tear the state — and
+    /// sends back the result or the panic. `None` when the shard is
+    /// dead and the op was dropped.
+    fn post<R, F>(&self, idx: usize, f: F) -> Option<Reply<R>>
+    where
+        F: FnOnce(&A) -> R + Send + 'static,
+        R: Send + 'static,
+    {
+        let (tx, reply) = mpsc::sync_channel(1);
+        let op = move |a: &mut A| {
+            let _ = tx.send(catch_unwind(AssertUnwindSafe(|| f(a))));
+        };
+        let mut pending = self.lock_pending();
+        self.dispatch_locked(&mut pending);
+        let lane = &mut pending.lanes[idx];
+        self.send_to_shard(lane, idx, ShardMsg::Op(Box::new(op)), 0)
+            .then_some(reply)
+    }
+
+    /// Waits for a posted read's reply and re-raises a reader's panic.
+    /// A wait that finds the worker finished without a reply marks the
+    /// shard dead and answers `None`: a wedged worker, or a killed one
+    /// with ops still queued, never answers.
+    fn wait<R>(&self, idx: usize, reply: Reply<R>) -> Option<R> {
+        let outcome = loop {
+            // Block rather than spin: a read can wait out a backlog of
+            // several batches, and the worker may need this CPU. Once a
+            // millisecond the wait checks that the worker still lives.
+            match reply.recv_timeout(Duration::from_millis(1)) {
+                Ok(outcome) => break Some(outcome),
+                Err(RecvTimeoutError::Timeout) if !self.shards[idx].finished() => {}
+                // The worker is gone; a reply it sent just before it
+                // died is still in the channel.
+                Err(_) => break reply.try_recv().ok(),
+            }
+        };
+        match outcome {
+            Some(Ok(answer)) => Some(answer),
+            Some(Err(panic)) => resume_unwind(panic),
+            None => {
+                self.mark_dead(&mut self.lock_pending().lanes[idx], idx);
+                None
+            }
         }
-        // A poisoned algo mutex (the worker panicked holding it) means
-        // the same thing as a poisoned shard: torn state, no answer.
-        let guard = s.algo.lock().ok()?;
-        Some(f(&guard))
     }
 
     /// The pending-buffer lock, recovering from poison: `Pending` is
-    /// plain routed-buffer state (keys copied in, a running total), so
-    /// a caller thread that panicked mid-route leaves it usable — at
+    /// plain routed-buffer state (keys copied in, counters), so a
+    /// caller thread that panicked mid-route leaves it usable — at
     /// worst a partially routed batch that the next dispatch ships.
     /// Recovering keeps a single caller panic from wedging every later
     /// ingest and read on this engine.
@@ -740,9 +812,17 @@ where
         self.pending.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
-    /// Dispatches buffered scalar inserts and waits until every live
-    /// shard has drained its ring. After this returns `Ok`, every
-    /// packet previously inserted is reflected in shard state.
+    /// The pending state through `&mut self`, which needs no lock.
+    fn pending_mut(&mut self) -> &mut Pending<K> {
+        self.pending
+            .get_mut()
+            .unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// Dispatches buffered scalar inserts and waits for one reply per
+    /// live shard, each posted behind that shard's backlog. After this
+    /// returns `Ok`, every packet previously inserted is reflected in
+    /// shard state.
     ///
     /// # Errors
     ///
@@ -752,27 +832,29 @@ where
     /// them, and packets routed to dead shards are dropped and counted
     /// in [`ShardedEngine::lost_packets`].
     pub fn flush(&self) -> Result<(), ShardPoisoned> {
-        self.dispatch_and_flush()
+        self.ask_all(|_| ());
+        self.health()
     }
 
     /// Indices of shards whose workers have died so far (ascending;
     /// empty in the healthy steady state). Detection happens on
-    /// dispatch/flush boundaries, so call [`ShardedEngine::flush`]
+    /// dispatch and reply boundaries, so call [`ShardedEngine::flush`]
     /// first for an up-to-date answer.
     pub fn poisoned_shards(&self) -> Vec<usize> {
-        self.shards
+        self.lock_pending()
+            .lanes
             .iter()
             .enumerate()
-            .filter(|(_, s)| s.is_poisoned())
+            .filter(|(_, lane)| lane.dead)
             .map(|(i, _)| i)
             .collect()
     }
 
-    /// Packets dropped because their shard's worker was dead: packets
-    /// routed to an already-poisoned shard, plus the backlog that was
-    /// queued when the death was detected (best-effort — a control op
-    /// in flight at the moment of death can perturb the count by its
-    /// single flush unit).
+    /// Packets lost to dead workers: for each death, exactly the
+    /// packets routed to the shard that its worker did not apply — the
+    /// backlog queued at the death, the batch it died on, and
+    /// everything routed to the shard while it stays dead. Ops carry no
+    /// packets and never count.
     pub fn lost_packets(&self) -> u64 {
         self.lost.load(Ordering::Acquire)
     }
@@ -792,8 +874,9 @@ where
     pub fn obs_snapshot(&self) -> Snapshot {
         let mut snap = self.obs.snapshot();
         for shard in &self.shards {
-            snap.stages.ring_pushes += shard.work.pushes() + shard.recycled.pushes();
-            snap.stages.ring_pops += shard.work.pops() + shard.recycled.pops();
+            let link = &shard.link;
+            snap.stages.ring_pushes += link.work.pushes() + link.recycled.pushes();
+            snap.stages.ring_pops += link.work.pops() + link.recycled.pops();
         }
         snap.stages.lost_packets = self.lost_packets();
         snap
@@ -808,74 +891,65 @@ where
         });
     }
 
-    /// Accounts a newly detected worker death exactly once: whichever
-    /// racing observer wins the false→true transition owns the
-    /// enqueued-but-unprocessed backlog (the worker is dead, so
-    /// `processed` is final).
-    fn poison_shard(&self, idx: usize) {
-        let shard = &self.shards[idx];
-        if shard
-            .poisoned
-            .compare_exchange(false, true, Ordering::AcqRel, Ordering::Acquire)
-            .is_ok()
-        {
-            let target = shard.enqueued.load(Ordering::Acquire);
-            let done = shard.processed.load(Ordering::Acquire);
-            self.lost
-                .fetch_add(target.saturating_sub(done), Ordering::Release);
-            self.obs
-                .journal
-                .record(EventKind::WorkerDeath { shard: idx as u64 });
+    /// Marks shard `idx` dead (once; the caller holds the pending lock
+    /// and has found the worker gone) and accounts the death's loss:
+    /// every packet routed to the shard that its worker did not apply.
+    /// The worker is gone, so its applied count is final.
+    fn mark_dead(&self, lane: &mut Lane<K>, idx: usize) {
+        if lane.dead {
+            return;
         }
+        lane.dead = true;
+        let applied = self.shards[idx].link.applied.load(Ordering::Acquire);
+        self.lost
+            .fetch_add(lane.routed.saturating_sub(applied), Ordering::Release);
+        self.obs
+            .journal
+            .record(EventKind::WorkerDeath { shard: idx as u64 });
     }
 
     /// Hands one message to a shard worker, blocking on a full ring
     /// (backpressure) until the worker frees a slot or is found dead.
-    /// `flush_units` is what the flush accounting waits for (batch
-    /// length, or 1 for a control op); `packet_units` is how many real
-    /// packets the message carries — only those count as
-    /// [`ShardedEngine::lost_packets`] when the shard is dead (a
-    /// dropped rotation op is not packet loss).
+    /// `packets` is how many packets the message carries (0 for an
+    /// op): they count as routed either way, and as lost when the shard
+    /// is dead. Returns whether the message was delivered.
     ///
     /// Producer-side ring access: all callers hold the pending lock,
     /// which is the SPSC producer-exclusivity discipline.
-    fn send_to_shard(&self, idx: usize, msg: ShardMsg<K, A>, flush_units: u64, packet_units: u64) {
-        let shard = &self.shards[idx];
+    fn send_to_shard(
+        &self,
+        lane: &mut Lane<K>,
+        idx: usize,
+        msg: ShardMsg<K, A>,
+        packets: u64,
+    ) -> bool {
         // Routed = destined for this shard, delivered or not: the dark
         // window a recovery reports is everything sent after the
         // checkpoint cut, including packets dropped while the shard was
         // down.
-        shard
-            .packets_routed
-            .fetch_add(packet_units, Ordering::Release);
-        if shard.is_poisoned() {
-            self.lost.fetch_add(packet_units, Ordering::Release);
-            return;
+        lane.routed += packets;
+        if lane.dead {
+            self.lost.fetch_add(packets, Ordering::Release);
+            return false;
         }
+        let shard = &self.shards[idx];
         let mut msg = msg;
         loop {
-            match shard.work.try_push(msg) {
+            match shard.link.work.try_push(msg) {
                 Ok(()) => {
-                    // Count after a successful push: counting first
-                    // would open a window where a racing flush waits on
-                    // (and a racing death accounting double-counts)
-                    // units that were never delivered.
-                    shard.enqueued.fetch_add(flush_units, Ordering::Release);
                     shard.wake();
-                    return;
+                    return true;
                 }
                 Err(err) => {
                     // Full ring: real backpressure while the worker is
                     // alive; a dead worker can never free a slot, so
-                    // poison instead of spinning forever. (Closed only
-                    // happens mid-drop; treat it like death.)
-                    let closed = matches!(err, PushError::Closed(_));
-                    if closed || shard.worker.as_ref().is_none_or(|w| w.is_finished()) {
-                        // This message never entered `enqueued`, so its
-                        // loss is owned here unconditionally.
-                        self.lost.fetch_add(packet_units, Ordering::Release);
-                        self.poison_shard(idx);
-                        return;
+                    // mark the shard dead instead of spinning forever. A
+                    // closed ring means a wedged worker. `routed`
+                    // already holds this message's packets, so the
+                    // death's loss includes them.
+                    if matches!(err, PushError::Closed(_)) || shard.finished() {
+                        self.mark_dead(lane, idx);
+                        return false;
                     }
                     msg = err.into_inner();
                     std::thread::yield_now();
@@ -888,7 +962,7 @@ where
     /// the worker's return ring when available, freshly allocated (and
     /// counted) only when the cycle has not converged yet.
     fn take_buffer(&self, idx: usize) -> SubBatch<K> {
-        match self.shards[idx].recycled.try_pop() {
+        match self.shards[idx].link.recycled.try_pop() {
             Some(buf) => {
                 debug_assert!(buf.keys.is_empty(), "worker returns cleared buffers");
                 buf
@@ -904,26 +978,24 @@ where
         if pending.total == 0 {
             return;
         }
-        for idx in 0..pending.per_shard.len() {
-            if pending.per_shard[idx].keys.is_empty() {
+        for (idx, lane) in pending.lanes.iter_mut().enumerate() {
+            if lane.buf.keys.is_empty() {
                 continue;
             }
-            if self.shards[idx].is_poisoned() {
+            if lane.dead {
                 // Dead shard: its packets are lost either way, so drop
                 // them in place — clearing keeps the buffer (and its
                 // capacity), taking no replacement, so a long-lived
                 // engine with one dead shard stays zero-alloc. Still
                 // routed, for dark-window accounting.
-                let units = pending.per_shard[idx].keys.len() as u64;
-                self.shards[idx]
-                    .packets_routed
-                    .fetch_add(units, Ordering::Release);
+                let units = lane.buf.keys.len() as u64;
+                lane.routed += units;
                 self.lost.fetch_add(units, Ordering::Release);
-                pending.per_shard[idx].clear();
+                lane.buf.clear();
                 continue;
             }
             let replacement = self.take_buffer(idx);
-            let mut batch = std::mem::replace(&mut pending.per_shard[idx], replacement);
+            let mut batch = std::mem::replace(&mut lane.buf, replacement);
             let units = batch.keys.len() as u64;
             self.obs.stages.dispatch_batches.incr();
             self.obs.stages.dispatch_packets.add(units);
@@ -931,17 +1003,14 @@ where
             // boundary — the worker computes the elapsed
             // dispatch→drain time when it drains this buffer.
             batch.sent_at = Instant::now();
-            self.send_to_shard(idx, ShardMsg::Batch(batch), units, units);
+            self.send_to_shard(lane, idx, ShardMsg::Batch(batch), units);
             // Scheduled checkpoint: every `checkpoint_every` dispatched
             // batches, the shard encodes itself right behind the work
             // it just received.
             if let Some(every) = self.checkpoint_every {
-                let n = self.shards[idx]
-                    .ckpt_batches
-                    .fetch_add(1, Ordering::Relaxed)
-                    + 1;
-                if n >= every {
-                    self.enqueue_checkpoint(idx);
+                lane.since_checkpoint += 1;
+                if lane.since_checkpoint >= every {
+                    self.enqueue_checkpoint(lane, idx);
                 }
             }
         }
@@ -951,59 +1020,27 @@ where
     /// Enqueues a checkpoint op on shard `idx`'s ring (caller holds the
     /// pending lock — producer discipline) and restarts the shard's
     /// checkpoint cadence. The op rides behind every batch dispatched so
-    /// far, so the state it encodes is exactly the routed-counter cut
-    /// captured here. A no-op until checkpoints are enabled.
-    fn enqueue_checkpoint(&self, idx: usize) {
+    /// far, so the state it encodes is exactly the routed cut captured
+    /// here, and the worker sends the bytes back on the lane's channel.
+    /// Replies already sent are taken in first, so at most a ring's
+    /// worth waits in the channel. A no-op until checkpoints are
+    /// enabled.
+    fn enqueue_checkpoint(&self, lane: &mut Lane<K>, idx: usize) {
         let Some(encode) = self.encode else { return };
-        let shard = &self.shards[idx];
-        shard.ckpt_batches.store(0, Ordering::Relaxed);
-        if shard.is_poisoned() {
+        lane.since_checkpoint = 0;
+        if lane.dead {
             return;
         }
-        let at_packets = shard.packets_routed.load(Ordering::Acquire);
-        let slot = Arc::clone(&shard.checkpoint);
+        lane.newest_checkpoint();
+        let (tx, packets) = (lane.ckpt_tx.clone(), lane.routed);
         let op = move |a: &mut A| {
-            let bytes = encode(a);
-            *slot.lock().unwrap_or_else(PoisonError::into_inner) = Some(CheckpointSlot {
-                bytes,
-                packets: at_packets,
+            let _ = tx.send(CheckpointSlot {
+                bytes: encode(a),
+                packets,
             });
         };
         self.obs.stages.checkpoints.incr();
-        self.send_to_shard(idx, ShardMsg::Op(Box::new(op)), 1, 0);
-    }
-
-    fn dispatch_and_flush(&self) -> Result<(), ShardPoisoned> {
-        {
-            let mut pending = self.lock_pending();
-            self.dispatch_locked(&mut pending);
-        }
-        for (idx, shard) in self.shards.iter().enumerate() {
-            loop {
-                if shard.is_poisoned() {
-                    break;
-                }
-                let target = shard.enqueued.load(Ordering::Acquire);
-                if shard.processed.load(Ordering::Acquire) >= target {
-                    break;
-                }
-                // A worker that died (its algorithm panicked inside
-                // ingest) can never catch up; poison the shard instead
-                // of busy-waiting forever. Re-read the counter after
-                // seeing the thread finished so a clean last batch is
-                // not mistaken for death.
-                if shard.worker.as_ref().is_none_or(|w| w.is_finished()) {
-                    let done = shard.processed.load(Ordering::Acquire);
-                    if done < target {
-                        self.poison_shard(idx);
-                        break;
-                    }
-                } else {
-                    std::thread::yield_now();
-                }
-            }
-        }
-        self.health()
+        self.send_to_shard(lane, idx, ShardMsg::Op(Box::new(op)), 0);
     }
 
     /// `Err` naming the dead shards, if any.
@@ -1030,15 +1067,15 @@ where
         {
             let mut pending = self.lock_pending();
             self.dispatch_locked(&mut pending);
-            for idx in 0..self.shards.len() {
+            for (idx, lane) in pending.lanes.iter_mut().enumerate() {
                 if let Some(op) = op {
-                    self.send_to_shard(idx, ShardMsg::Op(Box::new(op)), 1, 0);
+                    self.send_to_shard(lane, idx, ShardMsg::Op(Box::new(op)), 0);
                 }
-                self.enqueue_checkpoint(idx);
+                self.enqueue_checkpoint(lane, idx);
             }
         }
         if wait {
-            self.dispatch_and_flush()
+            self.flush()
         } else {
             self.health()
         }
@@ -1054,7 +1091,7 @@ where
             // Routing is vacuous and the worker re-hashes anyway: a
             // straight copy keeps the degenerate 1-shard route-only
             // engine at one hash per packet (the worker's).
-            pending.per_shard[0].keys.extend_from_slice(keys);
+            pending.lanes[0].buf.keys.extend_from_slice(keys);
             pending.total += keys.len();
             return;
         }
@@ -1066,7 +1103,7 @@ where
             } else {
                 self.lane_shard(p.lane())
             };
-            let buf = &mut pending.per_shard[s];
+            let buf = &mut pending.lanes[s].buf;
             buf.keys.push(*key);
             if self.handoff {
                 buf.prepared.push(p);
@@ -1126,7 +1163,7 @@ where
     /// production engine never calls this.
     pub fn set_fault_plan(&mut self, plan: &FaultPlan) {
         for (idx, shard) in self.shards.iter().enumerate() {
-            shard.faults.install(plan.specs_for(idx));
+            shard.link.faults.install(plan.specs_for(idx));
         }
         self.fault_plan = Some(plan.clone());
     }
@@ -1141,18 +1178,15 @@ where
         self.barrier(None, true)
     }
 
-    /// The bytes of `shard`'s last taken checkpoint (in-flight
-    /// checkpoint ops are flushed first), or `None` if none was taken
-    /// yet. The differential tests compare these against a fresh encode
-    /// of the restored shard to pin down bit-exact recovery.
+    /// The bytes of `shard`'s newest checkpoint (in-flight checkpoint
+    /// ops are flushed first), or `None` if none was taken yet. The
+    /// differential tests compare these against a fresh encode of the
+    /// restored shard to pin down bit-exact recovery.
     pub fn checkpoint_bytes(&self, shard: usize) -> Option<Vec<u8>> {
-        let _ = self.dispatch_and_flush();
-        self.shards[shard]
-            .checkpoint
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .as_ref()
-            .map(|s| s.bytes.clone())
+        let _ = self.flush();
+        self.lock_pending().lanes[shard]
+            .newest_checkpoint()
+            .map(|slot| slot.bytes.clone())
     }
 
     /// Every recovery this engine has performed, in order (explicit
@@ -1162,11 +1196,10 @@ where
         self.obs.journal.snapshot().recoveries().copied().collect()
     }
 
-    /// Respawns every poisoned shard from its last checkpoint: decodes
-    /// the checkpoint bytes, spawns a fresh worker on fresh work/return
-    /// rings (the dead thread still owns the old ones) around the
-    /// restored algorithm, re-admits the shard's lane, and reports each
-    /// recovery's dark window. After `Ok`,
+    /// Respawns every poisoned shard from its newest checkpoint: decodes
+    /// the checkpoint bytes, hands the restored algorithm to a fresh
+    /// worker on fresh work/return rings, re-admits the shard's lane,
+    /// and reports each recovery's dark window. After `Ok`,
     /// [`ShardedEngine::poisoned_shards`] is empty and routed packets
     /// flow to the respawned shards again. A healthy engine returns an
     /// empty `Vec`.
@@ -1180,56 +1213,54 @@ where
     /// earlier in the call stay recovered).
     pub fn recover(&mut self) -> Result<Vec<RecoveryReport>, RecoverError> {
         let restore = self.restore.ok_or(RecoverError::CheckpointsDisabled)?;
-        // Settle detection: drains pending (dropping dead shards'
-        // packets into the routed/lost counters) and poisons every
-        // shard whose worker is gone. The Err only repeats what
-        // `poisoned_shards` tells us next.
-        let _ = self.dispatch_and_flush();
+        // Settle detection: dispatches pending (dropping dead shards'
+        // packets into the routed/lost counters) and marks every shard
+        // whose worker is gone. The Err only repeats what the lanes
+        // tell us next.
+        let _ = self.flush();
         let mut reports = Vec::new();
         for idx in 0..self.shards.len() {
-            if !self.shards[idx].is_poisoned() {
+            let lane = &mut self.pending_mut().lanes[idx];
+            if !lane.dead {
                 continue;
             }
-            let slot = self.shards[idx]
-                .checkpoint
-                .lock()
-                .unwrap_or_else(PoisonError::into_inner)
-                .clone()
-                .ok_or(RecoverError::NoCheckpoint { shard: idx })?;
-            let algo =
-                restore(&slot.bytes).ok_or(RecoverError::CheckpointCorrupt { shard: idx })?;
-            let routed = self.shards[idx].packets_routed.load(Ordering::Acquire);
+            let (algo, cut) = {
+                let slot = lane
+                    .newest_checkpoint()
+                    .ok_or(RecoverError::NoCheckpoint { shard: idx })?;
+                let algo =
+                    restore(&slot.bytes).ok_or(RecoverError::CheckpointCorrupt { shard: idx })?;
+                (algo, slot.packets)
+            };
             let report = RecoveryReport {
                 shard: idx,
-                checkpoint_packets: slot.packets,
-                routed_packets: routed,
-                dark_packets: routed.saturating_sub(slot.packets),
+                checkpoint_packets: cut,
+                routed_packets: lane.routed,
+                dark_packets: lane.routed.saturating_sub(cut),
             };
-            self.respawn_shard(idx, algo, slot.packets);
+            // Rebase to the cut the restored state stands at, so the
+            // next death's dark window starts there.
+            lane.routed = cut;
+            lane.since_checkpoint = 0;
+            lane.dead = false;
+            self.respawn_shard(idx, algo, cut);
             self.obs.journal.record(EventKind::Recovery(report));
             reports.push(report);
         }
         Ok(reports)
     }
 
-    /// Replaces a dead shard's interior with a fresh worker around
-    /// `algo`: fresh rings (the dead thread holds clones of the old
-    /// ones), fresh flush counters, packet counters rebased to the
-    /// restoring checkpoint's cut. The checkpoint slot, fault schedule
-    /// and hub slot carry over — the slot still matches the restored
-    /// state, remaining faults keep firing on the respawned worker, and
-    /// its counters keep accumulating on the same series.
+    /// Replaces a dead shard's worker with a fresh one that owns `algo`,
+    /// on fresh rings (queued messages go with the old ones), its
+    /// applied count at the restoring checkpoint's cut. The fault
+    /// schedule and hub slot carry over: remaining faults keep firing
+    /// on the respawned worker, and its counters keep accumulating on
+    /// the same series.
     fn respawn_shard(&mut self, idx: usize, algo: A, base_packets: u64) {
-        let old = &mut self.shards[idx];
-        old.work.close();
-        if let Some(worker) = old.worker.take() {
-            let _ = worker.join(); // Already dead; reap the handle.
-        }
-        let checkpoint = Arc::clone(&old.checkpoint);
-        let faults = Arc::clone(&old.faults);
+        self.shards[idx].stop(); // Already dead; reap the handle.
+        let faults = Arc::clone(&self.shards[idx].link.faults);
         let obs = self.obs.worker(idx);
-        self.shards[idx] =
-            Self::spawn_shard(algo, self.handoff, checkpoint, faults, base_packets, obs);
+        self.shards[idx] = Self::spawn_shard(algo, self.handoff, faults, base_packets, obs);
     }
 
     /// The auto-recover death scan: one `is_finished` load per shard
@@ -1241,11 +1272,7 @@ where
         if !self.auto_recover || self.restore.is_none() {
             return;
         }
-        let any_dead = self
-            .shards
-            .iter()
-            .any(|s| s.is_poisoned() || s.worker.as_ref().is_none_or(|w| w.is_finished()));
-        if any_dead {
+        if self.shards.iter().any(Shard::finished) {
             let _ = self.recover();
         }
     }
@@ -1262,9 +1289,9 @@ where
     ///
     /// 1. **Drain** — dispatch everything pending and run a checkpoint
     ///    barrier op through every shard's SPSC ring
-    ///    ([`ShardedEngine::checkpoint_now`]), so each shard's slot is
-    ///    a packet-precise cut of its sub-stream. A `kill`/`wedge`/
-    ///    `mid-walk` fault firing here respawns the victim from its
+    ///    ([`ShardedEngine::checkpoint_now`]), so each shard's newest
+    ///    checkpoint is a packet-precise cut of its sub-stream. A
+    ///    `kill`/`wedge` fault firing here respawns the victim from its
     ///    last periodic checkpoint (dark window accounted in the
     ///    report) and re-runs the barrier.
     /// 2. **Split/merge** — pure computation on the drained checkpoint
@@ -1278,15 +1305,14 @@ where
     ///    estimates one-sided) while the monitored top-k set is
     ///    repartitioned under the new lane map
     ///    ([`ShardReshard::retain_flows`]).
-    /// 3. **Swap** — the new topology is installed atomically under
-    ///    the pending lock: routing is the same multiply-shift fold
-    ///    over the new shard count (divergent-spec fallback routing
-    ///    preserved — `route` does not change), per-shard packet
-    ///    counters are rebased to the packets each restored state
-    ///    represents (the sum of its donor cuts), and a baseline
-    ///    checkpoint of the carried state is primed so a death right
-    ///    after the swap is recoverable. Old workers are closed and
-    ///    joined.
+    /// 3. **Swap** — the new topology is installed in one step:
+    ///    routing is the same multiply-shift fold over the new shard
+    ///    count (divergent-spec fallback routing preserved — `route`
+    ///    does not change), per-shard packet counters are rebased to
+    ///    the packets each restored state represents (the sum of its
+    ///    donor cuts), and a baseline checkpoint of the carried state
+    ///    is primed so a death right after the swap is recoverable.
+    ///    Old workers are closed and joined.
     ///
     /// Ingest issued between phases buffers in the pending partition
     /// under the usual bounded backpressure and is dispatched to
@@ -1379,14 +1405,9 @@ where
             }
         }
         let mut cuts = Vec::with_capacity(self.shards.len());
-        for (idx, shard) in self.shards.iter().enumerate() {
-            let slot = shard
-                .checkpoint
-                .lock()
-                .unwrap_or_else(PoisonError::into_inner)
-                .clone();
-            match slot {
-                Some(slot) => cuts.push(slot),
+        for (idx, lane) in self.pending_mut().lanes.iter_mut().enumerate() {
+            match lane.newest_checkpoint() {
+                Some(slot) => cuts.push(slot.clone()),
                 None => return Err(format!("shard {idx} has no checkpoint after drain")),
             }
         }
@@ -1441,30 +1462,30 @@ where
     }
 
     /// Phase 3 of [`ShardedEngine::reshard`]: installs the new
-    /// topology. New workers spawn *before* the pending lock is taken
-    /// (spawning allocates; the lock only covers the pointer swap), the
-    /// pending partition is resized to the new shard count under the
-    /// lock — the atomic routing swap: every later `route_into` folds
-    /// lanes over the new count — and the old workers are closed and
-    /// joined after.
+    /// topology. New workers spawn first, then the lanes are replaced
+    /// by the new shard count's — the routing swap: every later
+    /// `route_into` folds lanes over the new count — and the old
+    /// workers are closed and joined.
     fn reshard_swap(&mut self, states: Vec<(A, u64)>, encode: EncodeFn<A>) {
         let from = self.shards.len();
+        let mut lanes = Vec::with_capacity(states.len());
         let mut fresh = Vec::with_capacity(states.len());
         for (j, (algo, base)) in states.into_iter().enumerate() {
             // Baseline checkpoint = the carried state at its rebased
             // cut: a death right after the swap restores exactly what
             // the migration installed (dark window = post-swap routed
             // packets only).
-            let slot = Arc::new(Mutex::new(Some(CheckpointSlot {
+            let baseline = CheckpointSlot {
                 bytes: encode(&algo),
                 packets: base,
-            })));
+            };
+            lanes.push(Lane::new(base, Some(baseline)));
             // Shard indices alive on both sides keep their fault slice
             // (consumed faults stay consumed across the migration);
             // indices the grow created get their slice of the stored
             // plan armed fresh.
             let faults = if j < from {
-                Arc::clone(&self.shards[j].faults)
+                Arc::clone(&self.shards[j].link.faults)
             } else {
                 let f = Arc::new(ShardFaults::default());
                 if let Some(plan) = &self.fault_plan {
@@ -1475,31 +1496,13 @@ where
             // Slot counters are per index: shards alive on both sides
             // keep their series, grown indices start fresh ones.
             let obs = self.obs.worker(j);
-            fresh.push(Self::spawn_shard(
-                algo,
-                self.handoff,
-                slot,
-                faults,
-                base,
-                obs,
-            ));
+            fresh.push(Self::spawn_shard(algo, self.handoff, faults, base, obs));
         }
         self.buffers_allocated
             .fetch_add(fresh.len() as u64, Ordering::Release);
-        let old = {
-            // Field-level borrows (not `lock_pending`) so the guard on
-            // `pending` and the mutable borrow of `shards` split.
-            let mut pending = self.pending.lock().unwrap_or_else(PoisonError::into_inner);
-            pending.per_shard = (0..fresh.len()).map(|_| SubBatch::new()).collect();
-            pending.total = 0;
-            std::mem::replace(&mut self.shards, fresh)
-        };
-        for mut shard in old {
-            shard.work.close();
-            shard.wake();
-            if let Some(worker) = shard.worker.take() {
-                let _ = worker.join();
-            }
+        *self.pending_mut() = Pending { lanes, total: 0 };
+        for mut shard in std::mem::replace(&mut self.shards, fresh) {
+            shard.stop();
         }
     }
 
@@ -1560,33 +1563,19 @@ where
     }
 
     fn query(&self, key: &K) -> u64 {
-        let _ = self.dispatch_and_flush();
-        let s = self.shard_of(key);
-        if self.shards[s].is_poisoned() {
-            // The flow's shard died mid-ingest; its state may be torn,
-            // so report "unknown" rather than a garbage estimate.
-            return 0;
-        }
-        match self.shards[s].algo.lock() {
-            Ok(guard) => guard.query(key),
-            // Poisoned mutex = worker died holding it; same degraded
-            // answer as a poisoned shard.
-            Err(_) => 0,
-        }
+        let key = *key;
+        // A dead shard's flows read as unknown, not as a guess.
+        self.with_shard(self.shard_of(&key), move |a| a.query(&key))
+            .unwrap_or(0)
     }
 
     fn top_k(&self) -> Vec<(K, u64)> {
-        let _ = self.dispatch_and_flush();
-        let mut all: Vec<(K, u64)> = Vec::new();
-        for shard in &self.shards {
-            if shard.is_poisoned() {
-                continue; // Dead shard: its flows are unreported.
-            }
-            let Ok(guard) = shard.algo.lock() else {
-                continue; // Torn mid-walk: degrade like a poisoned shard.
-            };
-            all.extend(guard.top_k());
-        }
+        let mut all: Vec<(K, u64)> = self
+            .ask_all(|a| a.top_k())
+            .into_iter()
+            .flatten()
+            .flatten()
+            .collect();
         // Flows are partitioned, so the union has no duplicates; the
         // global top-k is the k largest. Ties break on key bytes so the
         // report is deterministic.
@@ -1598,19 +1587,12 @@ where
         all
     }
 
+    /// The live shards' memory. A dead shard's state went with its
+    /// worker thread, so it holds none.
     fn memory_bytes(&self) -> usize {
-        self.shards
-            .iter()
-            .filter_map(|s| {
-                // A dead worker may have poisoned the mutex; its memory
-                // is still allocated, so account it when readable and
-                // fall back to the inner value otherwise.
-                s.algo
-                    .lock()
-                    .map(|g| g.memory_bytes())
-                    .or_else(|p| Ok::<usize, ()>(p.into_inner().memory_bytes()))
-                    .ok()
-            })
+        self.ask_all(|a| a.memory_bytes())
+            .into_iter()
+            .flatten()
             .sum()
     }
 
@@ -1665,15 +1647,13 @@ where
 
 impl<K: FlowKey, A: TopKAlgorithm<K>> Drop for ShardedEngine<K, A> {
     fn drop(&mut self) {
-        for shard in &mut self.shards {
-            // Close the ring; the worker drains the backlog and exits.
-            shard.work.close();
+        // Close every ring first, so the workers drain in parallel.
+        for shard in &self.shards {
+            shard.link.work.close();
             shard.wake();
         }
         for shard in &mut self.shards {
-            if let Some(worker) = shard.worker.take() {
-                let _ = worker.join();
-            }
+            shard.stop();
         }
     }
 }
@@ -1704,10 +1684,7 @@ impl<K: FlowKey + Send + 'static> ShardedEngine<K, ParallelTopK<K>> {
     /// [`MergeMode::Sum`]: crate::merge::MergeMode::Sum
     pub fn merged(&self) -> Result<ParallelTopK<K>, MergeError> {
         let mut out: Option<ParallelTopK<K>> = None;
-        for i in 0..self.shards() {
-            let Some(part) = self.with_shard(i, |a| a.clone()) else {
-                continue;
-            };
+        for part in self.ask_all(|a| a.clone()).into_iter().flatten() {
             match &mut out {
                 None => out = Some(part),
                 Some(acc) => acc.merge_from(&part)?,
@@ -1923,11 +1900,9 @@ mod tests {
             engine.insert_batch(&[2u64, 3u64]);
         }
         assert!(engine.flush().is_err());
-        assert!(
-            engine.lost_packets() >= 2,
-            "lost = {}",
-            engine.lost_packets()
-        );
+        // Exact: the packet the worker died on plus 32 × 2 routed while
+        // it was dead.
+        assert_eq!(engine.lost_packets(), 65);
         assert_eq!(
             engine.dispatch_buffers_allocated(),
             allocated,
@@ -1945,10 +1920,42 @@ mod tests {
             engine.insert_batch(&stream);
         }
         assert!(engine.flush().is_err());
-        assert!(
-            engine.lost_packets() > 0,
-            "overrun packets must be counted lost"
-        );
+        // Every packet was routed to the dead worker and none applied.
+        assert_eq!(engine.lost_packets(), 4 * WORK_RING_CAPACITY as u64 * 64);
+    }
+
+    #[test]
+    fn lost_packets_count_exactly_what_the_dead_worker_did_not_apply() {
+        // Batches of 512 cross the 5,000 threshold on the tenth, so the
+        // worker applies nine (4,608 packets) and dies. Every other
+        // packet is lost: the batch it died on, the backlog and all
+        // routed since. The checkpoint op behind every batch carries
+        // no packets and must not count.
+        let mut engine = checked_engine(1024, 1);
+        engine.set_fault_plan(&FaultPlan::new().kill(0, 5_000));
+        let stream = skewed_stream(40_000, 8, 400, 17);
+        for chunk in stream.chunks(512) {
+            engine.insert_batch(chunk);
+        }
+        assert!(engine.flush().is_err(), "the kill must fire");
+        assert_eq!(engine.lost_packets(), 40_000 - 4_608);
+    }
+
+    #[test]
+    fn a_panicking_reader_leaves_its_shard_serving() {
+        let mut engine = ShardedEngine::parallel(&cfg(1024, 8), 1);
+        engine.insert_batch(&skewed_stream(20_000, 8, 400, 5));
+        let before = engine.top_k();
+        let panicked = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            engine.with_shard(0, |_| -> u32 { panic!("reader fault") })
+        }));
+        assert!(panicked.is_err(), "the reader's panic reaches the caller");
+        // The panic was caught on the worker: the shard and its state
+        // survive it.
+        assert_eq!(engine.top_k(), before);
+        assert!(engine.query(&before[0].0) > 0);
+        assert!(engine.with_shard(0, |a| a.top_k().len()).is_some());
+        assert!(engine.poisoned_shards().is_empty());
     }
 
     #[test]

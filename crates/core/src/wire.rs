@@ -36,6 +36,14 @@ use std::marker::PhantomData;
 const MAGIC: &[u8; 4] = b"HKSK";
 const VERSION: u8 = 1;
 
+/// Bytes of the v1 header ahead of the expansion fields: magic 4,
+/// version 1, key length 1, arrays 2, width 4, k 4, field widths 2,
+/// seed 8, decay tag and parameter 9, store kind 1, expansion flag 1.
+const V1_FIXED_LEN: usize = 37;
+/// The expansion fields behind a set flag: large u64, blocked u64 and
+/// max arrays u16.
+const V1_EXPANSION_LEN: usize = 18;
+
 /// Why a wire payload could not be decoded.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum WireError {
@@ -155,7 +163,7 @@ impl<K: FlowKey> ParallelTopK<K> {
             b.1.cmp(&a.1)
                 .then_with(|| a.0.key_bytes().as_slice().cmp(b.0.key_bytes().as_slice()))
         });
-        out.reserve(32 + sketch.arrays() * sketch.width() * 12 + top.len() * (K::ENCODED_LEN + 8));
+        out.reserve(self.wire_len_bound());
         out.extend_from_slice(MAGIC);
         out.push(VERSION);
         out.push(K::ENCODED_LEN as u8);
@@ -197,6 +205,18 @@ impl<K: FlowKey> ParallelTopK<K> {
             out.extend_from_slice(key.key_bytes().as_slice());
             out.extend_from_slice(&count.to_le_bytes());
         }
+    }
+
+    /// An upper bound on the bytes [`ParallelTopK::wire_into`] writes:
+    /// exact but for the store, counted at its full `k` entries.
+    pub(crate) fn wire_len_bound(&self) -> usize {
+        let sketch = self.sketch();
+        let cfg = self.config();
+        V1_FIXED_LEN
+            + cfg.expansion.map_or(0, |_| V1_EXPANSION_LEN)
+            + sketch.arrays() * sketch.width() * 12
+            + 4
+            + cfg.k * (K::ENCODED_LEN + 8)
     }
 
     /// Reconstructs an instance from [`ParallelTopK::to_wire`] bytes.
@@ -543,7 +563,10 @@ impl<K: FlowKey> crate::sliding::SlidingTopK<K> {
     /// initial snapshot a dirty stream starts from, and the resync
     /// payload after loss.
     pub fn export_frame(&self, switch_id: u64, epoch_packets: u32) -> Vec<u8> {
-        let mut out: Vec<u8> = Vec::with_capacity(64 + self.live_epochs() * 1024);
+        // Sized once: each record is its payload plus a 4-byte length
+        // and a 4-byte CRC.
+        let records: usize = self.epoch_iter().map(|e| 8 + e.wire_len_bound()).sum();
+        let mut out: Vec<u8> = Vec::with_capacity(HEADER_LEN + records);
         encode_frame_header(
             &mut out,
             FrameKind::Full,
@@ -1303,10 +1326,8 @@ mod tests {
     fn corrupt_counter_rejected() {
         let hk = populated(3);
         let mut wire = hk.to_wire();
-        // First bucket's count field: bytes after the fixed header.
-        // Header: 4 magic + 1 ver + 1 keylen + 2 arrays + 4 width + 4 k
-        // + 1 fp + 1 ctr + 8 seed + 9 decay + 1 store + 1 expansion = 37.
-        let count_off = 37 + 4;
+        // First bucket's count field, behind the fixed header and fp.
+        let count_off = V1_FIXED_LEN + 4;
         wire[count_off..count_off + 8].copy_from_slice(&u64::MAX.to_le_bytes());
         assert!(matches!(
             ParallelTopK::<u64>::from_wire(&wire).unwrap_err(),
@@ -1568,8 +1589,19 @@ mod tests {
             "base-arrays epoch precondition: {arrays:?}"
         );
 
+        // The frame is sized once from each epoch's v1 bound, exact
+        // but for the store's unused slots, so it never regrows.
+        let bytes = win.export_frame(3, 4000);
+        let slack = win.live_epochs() * 2 * (8 + 8);
+        assert!(bytes.capacity() >= bytes.len());
+        assert!(
+            bytes.capacity() - bytes.len() <= slack,
+            "{}",
+            bytes.capacity()
+        );
+
         // The frame its own decoder must accept.
-        let frame = WindowFrame::<u64>::decode(&win.export_frame(3, 4000)).unwrap();
+        let frame = WindowFrame::<u64>::decode(&bytes).unwrap();
         let replica = frame.into_window().unwrap();
         assert_windows_bit_equal(&win, &replica);
         // Fresh replica epochs open at the base array count, like the

@@ -10,9 +10,8 @@
 //! 2. **Recovery** — a deterministic seeded kill mid-stream leaves the
 //!    engine healthy after `recover()`: no poisoned shards, the
 //!    respawned shard bit-exact with its restoring checkpoint, and the
-//!    dark window reported with consistent packet accounting. Mid-walk
-//!    (torn state + poisoned mutex), wedge (closed ring) and repeated
-//!    kills on one lane are covered too.
+//!    dark window reported with consistent packet accounting. Wedge
+//!    (closed ring) and repeated kills on one lane are covered too.
 //! 3. **Bounded loss** — a kill at every rotation of a windowed run
 //!    recovers within one epoch of dark window (plus transport slack)
 //!    and keeps the reported top-k close to a loss-free oracle.
@@ -203,38 +202,6 @@ fn repeated_kills_on_one_lane_rebase_the_dark_window_accounting() {
         assert!(r.routed_packets >= r.checkpoint_packets, "{r}");
         assert_eq!(r.dark_packets, r.routed_packets - r.checkpoint_packets);
     }
-}
-
-#[test]
-fn mid_walk_torn_state_is_degraded_then_recovered() {
-    let k = 12;
-    let stream = zipfish_stream(40_000, 10, 2000, 91);
-    let mut engine: ShardedEngine<u64, ParallelTopK<u64>> =
-        ShardedEngine::from_fn(4, k, |_| ParallelTopK::new(cfg(512, k, 5)));
-    engine.enable_checkpoints(4).unwrap();
-    engine.set_fault_plan(&FaultPlan::new().with(2, 5_000, FaultKind::MidWalk));
-
-    for chunk in stream.chunks(512) {
-        engine.insert_batch(chunk);
-    }
-    assert!(engine.flush().is_err(), "mid-walk death must surface");
-
-    // The worker died *inside* the bucket walk holding the algorithm
-    // mutex: state is torn and the mutex poisoned. Reads degrade to
-    // the survivors instead of reporting garbage.
-    let victim = (0..50u64).find(|f| engine.shard_of(f) == 2).unwrap();
-    assert_eq!(engine.query(&victim), 0, "torn shard reads as unknown");
-    let survivor_top = engine.top_k();
-    assert!(!survivor_top.is_empty(), "survivors still report");
-
-    // Recovery replaces the torn instance with the checkpoint restore.
-    let reports = engine.recover().expect("restorable despite torn state");
-    assert_eq!(reports.len(), 1);
-    assert!(engine.poisoned_shards().is_empty());
-    let live = engine
-        .with_shard(2, |a| a.encode_checkpoint())
-        .expect("restored shard serves reads");
-    assert_eq!(Some(live), engine.checkpoint_bytes(2));
 }
 
 #[test]

@@ -70,7 +70,7 @@ pub struct LintConfig {
     pub hot_functions: Vec<(String, String)>,
     /// Per-packet functions for `no-timing-in-hot-path`. Deliberately
     /// narrower than [`LintConfig::hot_functions`]: batch-boundary
-    /// code (`dispatch_locked`, `worker_loop`) reads the clock once
+    /// code (`dispatch_locked`, the worker's `ingest`) reads the clock once
     /// per batch on every engine — the built-in obs latency histogram
     /// depends on it — but per-packet walks must never.
     pub timing_hot_functions: Vec<(String, String)>,
@@ -158,6 +158,8 @@ impl LintConfig {
                 ("crates/core/src/sharded.rs", "route_into"),
                 ("crates/core/src/sharded.rs", "send_to_shard"),
                 ("crates/core/src/sharded.rs", "take_buffer"),
+                ("crates/core/src/sharded.rs", "run"),
+                ("crates/core/src/sharded.rs", "ingest"),
                 // Lane routing shared by dispatch and reshard (PR 9).
                 ("crates/core/src/reshard.rs", "lane_to_shard"),
             ]),
@@ -191,13 +193,17 @@ impl LintConfig {
                 "crates/core/src/spsc.rs".into(),
             ],
             worker_functions: pairs(&[
-                ("crates/core/src/sharded.rs", "worker_loop"),
+                ("crates/core/src/sharded.rs", "run"),
+                ("crates/core/src/sharded.rs", "ingest"),
                 ("crates/core/src/sharded.rs", "spawn_shard"),
+                ("crates/core/src/sharded.rs", "stop"),
+                ("crates/core/src/sharded.rs", "wait"),
+                ("crates/core/src/sharded.rs", "mark_dead"),
                 ("crates/core/src/sharded.rs", "recover"),
                 ("crates/core/src/sharded.rs", "respawn_shard"),
                 ("crates/core/src/sharded.rs", "auto_recover_if_needed"),
-                ("crates/core/src/sharded.rs", "poison_shard"),
                 ("crates/core/src/sharded.rs", "enqueue_checkpoint"),
+                ("crates/core/src/sharded.rs", "newest_checkpoint"),
                 // The live-migration phases (PR 9): they run while
                 // workers are live, so a panic here strands the engine
                 // mid-topology exactly like a worker panic would.
