@@ -4,14 +4,17 @@ use crate::commands::USAGE;
 use std::collections::HashMap;
 use std::fmt;
 
-/// Errors surfaced to the user with exit code 2.
+/// Errors surfaced to the user. A [`CliError::Usage`] exits 2 and
+/// prints the usage text; every other error exits 1 with its message
+/// alone.
 #[derive(Debug, PartialEq, Eq)]
 pub enum CliError {
     /// Malformed invocation (unknown flag, missing value, bad number).
     Usage(String),
-    /// Underlying I/O failure.
+    /// A run that failed: an I/O error, a dead worker, a missed
+    /// `--min-recall` floor.
     Io(String),
-    /// `hk lint --deny` found violations (exit code 1, no usage dump).
+    /// `hk lint --deny` found violations.
     LintFindings(usize),
 }
 

@@ -312,8 +312,9 @@ where
 /// shard that died after the last ingest (auto-recovery only triggers
 /// on the next insert); print the journal's recovery and reshard
 /// accounting and — always, so a lossy run never reads as clean — the
-/// loss count; fail a run with an *unrecovered* death; write the
-/// `--stats-json` snapshot.
+/// packets lost to dead workers (a full ring blocks, it never sheds);
+/// fail a run with an *unrecovered* death; write the `--stats-json`
+/// snapshot.
 fn finish_engine_run<A>(
     engine: &mut ShardedEngine<u64, A>,
     recover: bool,
@@ -341,7 +342,7 @@ where
             100.0 * racc.dark_fraction(stream_packets)
         );
     }
-    println!("backpressure: {} packet(s) lost", engine.lost_packets());
+    println!("lost to dead workers: {} packet(s)", engine.lost_packets());
     // Results over partial data must never read as healthy: name the
     // dead shards and the dropped-packet count.
     engine

@@ -8,7 +8,7 @@
 //!
 //! Every dirty export checksums its whole record and every apply
 //! checksums it again: about 300 KB per switch per rotation at the
-//! `fleet-window` geometry, and 12.6 MB for one switch's full frame.
+//! `fleet-window` geometry, and about 0.3 MB for one switch's full frame.
 //! The loop is *slicing-by-8*: eight compile-time 256-entry tables,
 //! where `TABLES[k][b]` is the remainder of byte `b` followed by `k`
 //! zero bytes. Each step folds the running CRC into the next 8 input

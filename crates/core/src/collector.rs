@@ -23,8 +23,9 @@
 //! Sliding-window deployments ship window frames instead
 //! ([`Collector::submit_window_frame`]), and the collector keeps a
 //! replica of each switch's epoch ring. A full frame installs the
-//! replica. A dirty frame (wire v5) is applied in place as the
-//! replica's next rotation: the replica's open epoch takes a copy of its
+//! replica, which opens fresh epochs at the ring config the frame
+//! carries. A dirty frame is applied in place as the replica's next
+//! rotation: the replica's open epoch takes a copy of its
 //! newest closed epoch, the record's counter and fingerprint XORs are
 //! walked from the record bytes into it, and the ring advances.
 //! No epoch, matrix or per-bucket list is allocated per frame. A frame
@@ -63,7 +64,7 @@ use crate::merge::{check_compatible, merge_bucket, MergeError, MergeMode};
 use crate::parallel::ParallelTopK;
 use crate::sketch::HkSketch;
 use crate::sliding::SlidingTopK;
-use crate::wire::{DirtyPatch, FrameKind, WindowFrame, WireError};
+use crate::wire::{DirtyPatch, FrameBody, WindowFrame, WireError};
 use hk_common::algorithm::TopKAlgorithm;
 use hk_common::key::FlowKey;
 
@@ -436,18 +437,14 @@ impl<K: FlowKey> Collector<K> {
         // frame does (even a duplicate resets the idle counter).
         self.clock += 1;
         let now = self.clock;
-        match frame.kind {
-            FrameKind::Full => {
-                let window = frame
-                    .into_window()
-                    .expect("full frames always convert to a window");
+        match frame.body {
+            FrameBody::Full(window) => {
                 if let Some(entry) = self.windows.get_mut(&switch) {
                     entry.last_progress = now;
-                    // Array counts are excluded from the ring-identity
-                    // check: Section III-F expansion grows them
-                    // per-epoch at runtime.
+                    // The frame carries the ring's own config, base
+                    // array count included.
                     if entry.replica.window() != window.window()
-                        || !crate::wire::same_ring_config(entry.replica.config(), window.config())
+                        || entry.replica.config() != window.config()
                     {
                         return Err(WindowSubmitError::Mismatch { switch });
                     }
@@ -473,7 +470,7 @@ impl<K: FlowKey> Collector<K> {
                 }
                 Ok(WindowSubmit::Snapshot)
             }
-            FrameKind::Dirty => {
+            FrameBody::Dirty(patch) => {
                 let Some(entry) = self.windows.get_mut(&switch) else {
                     // No ring to commit the epoch into; ask for a
                     // snapshot.
@@ -481,7 +478,6 @@ impl<K: FlowKey> Collector<K> {
                     return Err(WindowSubmitError::NoSnapshot { switch });
                 };
                 entry.last_progress = now;
-                let patch = frame.patch.expect("decode guarantees a patch");
                 // A dirty frame carries no epoch config (the patch is
                 // config-free by construction); ring identity is checked
                 // on the geometry it does carry. Seed/decay mismatches

@@ -87,4 +87,4 @@ pub use sketch::HkSketch;
 pub use sliding::SlidingTopK;
 pub use stats::InsertStats;
 pub use weighted::WeightedTopK;
-pub use wire::{FrameKind, WindowFrame, WireError};
+pub use wire::{FrameBody, WindowFrame, WireError};

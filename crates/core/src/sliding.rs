@@ -43,12 +43,38 @@
 use std::collections::{HashSet, VecDeque};
 use std::sync::{Mutex, PoisonError};
 
+use crate::bucket::PackedLayout;
 use crate::config::HkConfig;
 use crate::merge::MergeError;
 use crate::parallel::ParallelTopK;
+use crate::sketch::MAX_ARRAYS;
 use hk_common::algorithm::{EpochRotate, PreparedInsert, TopKAlgorithm};
 use hk_common::key::FlowKey;
 use hk_common::prepared::{HashSpec, PreparedKey};
+
+/// The most bucket-word bytes one ring may span: 1 GiB, 256× the 4 MiB
+/// rings of the ledger's `fleet-window` switches. A window frame's
+/// length does not bound what its decode allocates, so
+/// [`WindowFrame::decode`](crate::wire::WindowFrame::decode) refuses a
+/// ring over this bound and [`SlidingTopK::new`] refuses to build one.
+pub const MAX_RING_BYTES: usize = 1 << 30;
+
+/// The most rows an epoch of a ring built from `cfg` can hold: its
+/// array count, or the Section III-F cap when expansion grows past it.
+pub(crate) fn max_rows(cfg: &HkConfig) -> usize {
+    let cap = cfg.expansion.map_or(0, |p| p.max_arrays.min(MAX_ARRAYS));
+    cfg.arrays.max(cap)
+}
+
+/// Bucket-word bytes of a `window`-epoch ring of `cfg` with every epoch
+/// at [`max_rows`]; `None` past `usize`.
+pub(crate) fn ring_bytes(cfg: &HkConfig, window: usize) -> Option<usize> {
+    let word = PackedLayout::new(cfg.fingerprint_bits, cfg.counter_bits).word_bytes();
+    window
+        .checked_mul(max_rows(cfg))?
+        .checked_mul(cfg.width)?
+        .checked_mul(word)
+}
 
 /// Top-k flows over a sliding window of the last `W` epochs.
 ///
@@ -138,9 +164,15 @@ impl<K: FlowKey> SlidingTopK<K> {
     ///
     /// # Panics
     ///
-    /// Panics if `window == 0`.
+    /// Panics if `window == 0`, or if the ring would span more than
+    /// [`MAX_RING_BYTES`] of bucket words with every epoch grown to its
+    /// Section III-F cap.
     pub fn new(cfg: HkConfig, window: usize) -> Self {
         assert!(window > 0, "window must span at least one epoch");
+        assert!(
+            ring_bytes(&cfg, window).is_some_and(|n| n <= MAX_RING_BYTES),
+            "a {window}-epoch ring of this config exceeds MAX_RING_BYTES"
+        );
         let mut epochs = VecDeque::with_capacity(window);
         epochs.push_back(ParallelTopK::new(cfg.clone()));
         Self {
@@ -162,7 +194,7 @@ impl<K: FlowKey> SlidingTopK<K> {
     ///
     /// # Panics
     ///
-    /// Panics if `window == 0`.
+    /// Panics like [`SlidingTopK::new`].
     pub fn with_memory(bytes: usize, k: usize, seed: u64, window: usize) -> Self {
         assert!(window > 0, "window must span at least one epoch");
         let store_bytes = k * (K::ENCODED_LEN + 4);
@@ -511,9 +543,10 @@ mod tests {
         use crate::config::ExpansionPolicy;
         use hk_common::ShardCheckpoint;
 
-        // Epoch 1 grows under Section III-F expansion. A ring rebuilt
+        // Epochs grown under Section III-F expansion. A ring rebuilt
         // from a full frame — a checkpoint restore or a collector
-        // replica — must drop those rows on recycle, as the switch does.
+        // replica — must drop those rows on recycle, as the switch does,
+        // also when no live epoch shows the base count (W = 2).
         let cfg = HkConfig::builder()
             .arrays(2)
             .width(2)
@@ -525,35 +558,53 @@ mod tests {
                 max_arrays: 6,
             })
             .build();
-        let mut win = SlidingTopK::<u64>::new(cfg, 3);
         let mice = |from: u64, n: u64| (from..from + n).collect::<Vec<u64>>();
-        win.insert_batch(&mice(1_000_000, 2_000));
-        win.rotate();
-        let mut heavy: Vec<u64> = (0..4u64).flat_map(|f| [f; 2_000]).collect();
-        heavy.extend([999u64; 3_000]);
-        win.insert_batch(&heavy);
+        // Mice, or giants filling both tiny arrays and then late
+        // elephants, each expanding the epoch once.
+        let period = |elephants: u64| match elephants {
+            0 => mice(1_000_000, 2_000),
+            n => (0..4)
+                .chain(1000 - n..1000)
+                .flat_map(|f| [f; 2_500])
+                .collect(),
+        };
         let arrays = |w: &SlidingTopK<u64>| -> Vec<usize> {
             w.epoch_iter().map(|e| e.sketch().arrays()).collect()
         };
-        assert_eq!(arrays(&win), [2, 3], "expansion precondition");
-
-        let mut restored =
-            SlidingTopK::<u64>::restore_checkpoint(&win.encode_checkpoint()).unwrap();
-        let mut coll = Collector::<u64>::new(2, AggregationRule::Sum);
-        coll.submit_window_frame(&win.export_frame(0, 500)).unwrap();
-        for round in 1..=4u64 {
+        for (window, elephants, grown) in [(3, [0, 1], [2, 3]), (2, [1, 3], [3, 4])] {
+            let mut win = SlidingTopK::<u64>::new(cfg.clone(), window);
+            win.insert_batch(&period(elephants[0]));
             win.rotate();
-            restored.rotate();
-            coll.submit_window_frame(&win.export_dirty(0, 500).unwrap())
-                .unwrap();
-            let m = mice(2_000_000 + round * 500, 500);
-            win.insert_batch(&m);
-            restored.insert_batch(&m);
-            assert_eq!(arrays(&restored), arrays(&win), "rotation {round}");
-            let replica = coll.switch_window(0).unwrap();
-            assert_eq!(arrays(replica), arrays(&win), "replica, rotation {round}");
+            win.insert_batch(&period(elephants[1]));
+            assert_eq!(arrays(&win), grown, "expansion precondition");
+
+            let mut restored =
+                SlidingTopK::<u64>::restore_checkpoint(&win.encode_checkpoint()).unwrap();
+            let mut coll = Collector::<u64>::new(2, AggregationRule::Sum);
+            coll.submit_window_frame(&win.export_frame(0, 500)).unwrap();
+            for round in 1..=4u64 {
+                win.rotate();
+                restored.rotate();
+                coll.submit_window_frame(&win.export_dirty(0, 500).unwrap())
+                    .unwrap();
+                let m = mice(2_000_000 + round * 500, 500);
+                win.insert_batch(&m);
+                restored.insert_batch(&m);
+                let ctx = format!("W = {window}, rotation {round}");
+                assert_eq!(arrays(&restored), arrays(&win), "{ctx}");
+                let replica = coll.switch_window(0).unwrap();
+                assert_eq!(arrays(replica), arrays(&win), "replica, {ctx}");
+            }
+            assert_eq!(restored.encode_checkpoint(), win.encode_checkpoint());
         }
-        assert_eq!(restored.encode_checkpoint(), win.encode_checkpoint());
+    }
+
+    #[test]
+    #[should_panic(expected = "exceeds MAX_RING_BYTES")]
+    fn ring_over_the_decode_bound_panics() {
+        // 2 epochs of 2 × 2^28 four-byte buckets, 4 GiB: refused before
+        // any epoch is allocated.
+        let _ = SlidingTopK::<u64>::new(cfg(1 << 28, 4), 2);
     }
 
     #[test]

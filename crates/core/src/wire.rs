@@ -2,10 +2,11 @@
 //!
 //! Footnote 2's deployment has switches *send their sketches* to a
 //! collector every period. [`ParallelTopK::to_wire`] /
-//! [`ParallelTopK::from_wire`] implement that hop: a compact,
-//! self-describing binary encoding of the configuration, the bucket
-//! matrix, and the top-k store, suitable for a UDP report or an RPC
-//! payload.
+//! [`ParallelTopK::from_wire`] implement that hop for one whole-stream
+//! sketch: a compact, self-describing v1 `HKSK` encoding of the
+//! configuration, the bucket matrix, and the top-k store, suitable for
+//! a UDP report or an RPC payload. A sliding window ships
+//! [`WindowFrame`]s of sparse `HKDP` epoch records instead (below).
 //!
 //! ```text
 //! magic "HKSK" | version u8 | key_len u8 |
@@ -29,20 +30,13 @@ use crate::bucket::{with_matrix, Bucket, BucketMatrix, BucketWord, Buckets};
 use crate::config::{ExpansionPolicy, HkConfig};
 use crate::decay::DecayFn;
 use crate::parallel::ParallelTopK;
+use crate::sliding::{max_rows, ring_bytes, SlidingTopK, MAX_RING_BYTES};
 use hk_common::algorithm::TopKAlgorithm;
 use hk_common::key::FlowKey;
 use std::marker::PhantomData;
 
 const MAGIC: &[u8; 4] = b"HKSK";
 const VERSION: u8 = 1;
-
-/// Bytes of the v1 header ahead of the expansion fields: magic 4,
-/// version 1, key length 1, arrays 2, width 4, k 4, field widths 2,
-/// seed 8, decay tag and parameter 9, store kind 1, expansion flag 1.
-const V1_FIXED_LEN: usize = 37;
-/// The expansion fields behind a set flag: large u64, blocked u64 and
-/// max arrays u16.
-const V1_EXPANSION_LEN: usize = 18;
 
 /// Why a wire payload could not be decoded.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -58,10 +52,12 @@ pub enum WireError {
     /// The payload's key width does not match the requested key type,
     /// or the key type does not implement `from_key_bytes`.
     KeyMismatch,
-    /// An epoch payload's CRC-32 does not match its bytes (window
-    /// frames checksum every epoch record).
+    /// A record's CRC-32 does not match its bytes (window frames
+    /// checksum every record).
     BadCrc {
-        /// Index of the failing epoch record within the frame.
+        /// Index of the failing record within the frame: a full frame's
+        /// ring config is record 0 and its epochs follow; a dirty
+        /// frame's patch is record 0.
         epoch: usize,
     },
 }
@@ -74,7 +70,7 @@ impl std::fmt::Display for WireError {
             Self::Truncated => write!(f, "wire payload truncated"),
             Self::Corrupt(what) => write!(f, "corrupt field: {what}"),
             Self::KeyMismatch => write!(f, "key type does not match payload"),
-            Self::BadCrc { epoch } => write!(f, "epoch record {epoch} fails its CRC"),
+            Self::BadCrc { epoch } => write!(f, "record {epoch} fails its CRC"),
         }
     }
 }
@@ -109,8 +105,15 @@ impl<'a> Reader<'a> {
     fn u64(&mut self) -> Result<u64, WireError> {
         Ok(u64::from_le_bytes(self.take(8)?.try_into().unwrap()))
     }
-    fn f64(&mut self) -> Result<f64, WireError> {
-        Ok(f64::from_le_bytes(self.take(8)?.try_into().unwrap()))
+    /// One window-frame record: its payload, once the CRC behind it
+    /// matches. `index` names the record in the error.
+    fn record(&mut self, index: usize) -> Result<&'a [u8], WireError> {
+        let len = self.u32()? as usize;
+        let payload = self.take(len)?;
+        if hk_common::crc::crc32(payload) != self.u32()? {
+            return Err(WireError::BadCrc { epoch: index });
+        }
+        Ok(payload)
     }
 }
 
@@ -126,7 +129,7 @@ fn encode_decay(out: &mut Vec<u8>, decay: DecayFn) {
 
 fn decode_decay(r: &mut Reader<'_>) -> Result<DecayFn, WireError> {
     let tag = r.u8()?;
-    let param = r.f64()?;
+    let param = f64::from_bits(r.u64()?);
     if !param.is_finite() {
         return Err(WireError::Corrupt("decay parameter"));
     }
@@ -139,55 +142,99 @@ fn decode_decay(r: &mut Reader<'_>) -> Result<DecayFn, WireError> {
     }
 }
 
+/// Appends the configuration fields of the v1 header with `arrays` as
+/// the array count: a sketch's current count in a v1 payload, the
+/// ring's base count in a full window frame.
+fn encode_config(out: &mut Vec<u8>, cfg: &HkConfig, arrays: usize) {
+    out.extend_from_slice(&(arrays as u16).to_le_bytes());
+    out.extend_from_slice(&(cfg.width as u32).to_le_bytes());
+    out.extend_from_slice(&(cfg.k as u32).to_le_bytes());
+    out.push(cfg.fingerprint_bits as u8);
+    out.push(cfg.counter_bits as u8);
+    out.extend_from_slice(&cfg.seed.to_le_bytes());
+    encode_decay(out, cfg.decay);
+    // The store-kind byte: 0 is Stream-Summary, the only store.
+    out.push(0);
+    match cfg.expansion {
+        None => out.push(0),
+        Some(p) => {
+            out.push(1);
+            out.extend_from_slice(&p.large_counter.to_le_bytes());
+            out.extend_from_slice(&p.blocked_threshold.to_le_bytes());
+            out.extend_from_slice(&(p.max_arrays as u16).to_le_bytes());
+        }
+    }
+}
+
+/// Reads the fields [`encode_config`] writes, refusing any the config
+/// constructor would reject.
+fn decode_config(r: &mut Reader<'_>) -> Result<HkConfig, WireError> {
+    let arrays = r.u16()? as usize;
+    let width = r.u32()? as usize;
+    let k = r.u32()? as usize;
+    let fp_bits = r.u8()? as u32;
+    let ctr_bits = r.u8()? as u32;
+    let seed = r.u64()?;
+    let decay = decode_decay(r)?;
+    if r.u8()? != 0 {
+        return Err(WireError::Corrupt("store kind"));
+    }
+    let expansion = match r.u8()? {
+        0 => None,
+        1 => Some(ExpansionPolicy {
+            large_counter: r.u64()?,
+            blocked_threshold: r.u64()?,
+            max_arrays: r.u16()? as usize,
+        }),
+        _ => return Err(WireError::Corrupt("expansion flag")),
+    };
+    if arrays == 0 || arrays > crate::sketch::MAX_ARRAYS {
+        return Err(WireError::Corrupt("array count"));
+    }
+    if width == 0 || k == 0 {
+        return Err(WireError::Corrupt("width/k"));
+    }
+    // The packed bucket word must hold both fields.
+    if fp_bits == 0 || fp_bits > 32 || ctr_bits == 0 || ctr_bits >= 64 || fp_bits + ctr_bits > 64 {
+        return Err(WireError::Corrupt("field widths"));
+    }
+    Ok(HkConfig {
+        arrays,
+        width,
+        k,
+        decay,
+        fingerprint_bits: fp_bits,
+        counter_bits: ctr_bits,
+        seed,
+        expansion,
+    })
+}
+
+/// An epoch's store in canonical order: count descending, ties on key
+/// bytes. The store's own tie order depends on admission history, and a
+/// checkpoint round trip replays admissions in a different order, so
+/// every encoder writes this order: restored state re-encodes to the
+/// same bytes.
+fn canonical_top_k<K: FlowKey>(epoch: &ParallelTopK<K>) -> Vec<(K, u64)> {
+    let mut top = epoch.top_k();
+    top.sort_by(|a, b| {
+        b.1.cmp(&a.1)
+            .then_with(|| a.0.key_bytes().as_slice().cmp(b.0.key_bytes().as_slice()))
+    });
+    top
+}
+
 impl<K: FlowKey> ParallelTopK<K> {
     /// Serializes this instance for shipping to a collector.
     pub fn to_wire(&self) -> Vec<u8> {
-        let mut out = Vec::new();
-        self.wire_into(&mut out);
-        out
-    }
-
-    /// [`ParallelTopK::to_wire`], appended to an existing buffer — the
-    /// windowed frame encoder streams every epoch payload straight into
-    /// the frame through this, with no intermediate per-epoch `Vec`.
-    pub(crate) fn wire_into(&self, out: &mut Vec<u8>) {
         let sketch = self.sketch();
-        let cfg = self.config();
-        // Canonical store order (count desc, ties on key bytes): the
-        // store's internal tie order is admission-history dependent, and
-        // a checkpoint round trip replays admissions in a different
-        // order — encoding must not depend on it, or restored state
-        // would re-encode to different bytes.
-        let mut top = self.top_k();
-        top.sort_by(|a, b| {
-            b.1.cmp(&a.1)
-                .then_with(|| a.0.key_bytes().as_slice().cmp(b.0.key_bytes().as_slice()))
-        });
-        out.reserve(self.wire_len_bound());
+        let mut out = Vec::new();
         out.extend_from_slice(MAGIC);
         out.push(VERSION);
         out.push(K::ENCODED_LEN as u8);
-
-        // Config, with `arrays` reflecting the *current* matrix so that
-        // Section III-F growth survives the round trip.
-        out.extend_from_slice(&(sketch.arrays() as u16).to_le_bytes());
-        out.extend_from_slice(&(sketch.width() as u32).to_le_bytes());
-        out.extend_from_slice(&(cfg.k as u32).to_le_bytes());
-        out.push(cfg.fingerprint_bits as u8);
-        out.push(cfg.counter_bits as u8);
-        out.extend_from_slice(&cfg.seed.to_le_bytes());
-        encode_decay(out, cfg.decay);
-        // The store-kind byte: 0 is Stream-Summary, the only store.
-        out.push(0);
-        match cfg.expansion {
-            None => out.push(0),
-            Some(p) => {
-                out.push(1);
-                out.extend_from_slice(&p.large_counter.to_le_bytes());
-                out.extend_from_slice(&p.blocked_threshold.to_le_bytes());
-                out.extend_from_slice(&(p.max_arrays as u16).to_le_bytes());
-            }
-        }
+        // `arrays` reflects the *current* matrix, so that Section III-F
+        // growth survives the round trip.
+        encode_config(&mut out, self.config(), sketch.arrays());
 
         // Bucket matrix, streamed row-major over the packed words.
         with_matrix!(sketch.buckets(), m => {
@@ -200,23 +247,13 @@ impl<K: FlowKey> ParallelTopK<K> {
         });
 
         // Top-k store.
+        let top = canonical_top_k(self);
         out.extend_from_slice(&(top.len() as u32).to_le_bytes());
         for (key, count) in &top {
             out.extend_from_slice(key.key_bytes().as_slice());
             out.extend_from_slice(&count.to_le_bytes());
         }
-    }
-
-    /// An upper bound on the bytes [`ParallelTopK::wire_into`] writes:
-    /// exact but for the store, counted at its full `k` entries.
-    pub(crate) fn wire_len_bound(&self) -> usize {
-        let sketch = self.sketch();
-        let cfg = self.config();
-        V1_FIXED_LEN
-            + cfg.expansion.map_or(0, |_| V1_EXPANSION_LEN)
-            + sketch.arrays() * sketch.width() * 12
-            + 4
-            + cfg.k * (K::ENCODED_LEN + 8)
+        out
     }
 
     /// Reconstructs an instance from [`ParallelTopK::to_wire`] bytes.
@@ -235,40 +272,8 @@ impl<K: FlowKey> ParallelTopK<K> {
         if r.u8()? as usize != K::ENCODED_LEN {
             return Err(WireError::KeyMismatch);
         }
-
-        let arrays = r.u16()? as usize;
-        let width = r.u32()? as usize;
-        let k = r.u32()? as usize;
-        let fp_bits = r.u8()? as u32;
-        let ctr_bits = r.u8()? as u32;
-        let seed = r.u64()?;
-        let decay = decode_decay(&mut r)?;
-        if r.u8()? != 0 {
-            return Err(WireError::Corrupt("store kind"));
-        }
-        let expansion = match r.u8()? {
-            0 => None,
-            1 => Some(ExpansionPolicy {
-                large_counter: r.u64()?,
-                blocked_threshold: r.u64()?,
-                max_arrays: r.u16()? as usize,
-            }),
-            _ => return Err(WireError::Corrupt("expansion flag")),
-        };
-        if arrays == 0 || arrays > crate::sketch::MAX_ARRAYS {
-            return Err(WireError::Corrupt("array count"));
-        }
-        if width == 0 || k == 0 {
-            return Err(WireError::Corrupt("width/k"));
-        }
-        if fp_bits == 0 || fp_bits > 32 || ctr_bits == 0 || ctr_bits >= 64 {
-            return Err(WireError::Corrupt("field widths"));
-        }
-        if fp_bits + ctr_bits > 64 {
-            // The packed bucket word cannot hold both fields; reject
-            // instead of letting the config constructor panic.
-            return Err(WireError::Corrupt("field widths"));
-        }
+        let cfg = decode_config(&mut r)?;
+        let (arrays, width, k, fp_bits) = (cfg.arrays, cfg.width, cfg.k, cfg.fingerprint_bits);
         // The matrix is allocated before it is read, so the payload must
         // be able to hold it first: 12 bytes per bucket plus the store
         // count. A short header cannot make the decoder build a sketch
@@ -281,36 +286,15 @@ impl<K: FlowKey> ParallelTopK<K> {
         if data.len() - r.pos < needed {
             return Err(WireError::Truncated);
         }
-
-        let mut builder = HkConfig::builder()
-            .arrays(arrays)
-            .width(width)
-            .k(k)
-            .fingerprint_bits(fp_bits)
-            .counter_bits(ctr_bits)
-            .seed(seed)
-            .decay(decay);
-        if let Some(p) = expansion {
-            builder = builder.expansion(p);
-        }
-        let mut hk = ParallelTopK::<K>::new(builder.build());
+        let mut hk = ParallelTopK::<K>::new(cfg);
 
         // Bucket matrix.
         let counter_max = hk.sketch().counter_max();
-        let fp_max = if fp_bits == 32 {
-            u32::MAX
-        } else {
-            (1u32 << fp_bits) - 1
-        };
+        let fp_max = u32::MAX >> (32 - fp_bits);
         with_matrix!(hk.sketch_mut().buckets_mut(), m => {
             for j in 0..arrays {
                 for i in 0..width {
-                    let mut cell = Reader {
-                        data: r.take(12)?,
-                        pos: 0,
-                    };
-                    let fp = cell.u32()?;
-                    let count = cell.u64()?;
+                    let (fp, count) = (r.u32()?, r.u64()?);
                     if fp > fp_max {
                         return Err(WireError::Corrupt("bucket fingerprint"));
                     }
@@ -352,99 +336,70 @@ impl<K: FlowKey> ParallelTopK<K> {
 }
 
 // ---------------------------------------------------------------------
-// The windowed telemetry frame (epoch-ring framing).
-//
-// A sliding-window deployment cannot ship its state as one v1 sketch:
-// the measurement unit is a ring of W epoch sketches plus a rotation
-// counter, and steady-state export should not pay O(W · sketch) per
-// period when only one epoch changed. The frame carries two shapes
-// under one header:
+// The windowed telemetry frame: a ring of W epoch sketches plus a
+// rotation counter. Both kinds share one header, one version and one
+// epoch record:
 //
 // ```text
-// magic "HKWF" | version u8 (2 full, 5 dirty) | kind u8 (0 full / 2 dirty) |
+// magic "HKWF" | version u8 (6) | kind u8 (0 full / 2 dirty) |
 // key_len u8 | switch_id u64 | rotation u64 | window u16 | live u16 |
 // epoch_packets u32
-// then `live` records, oldest -> newest:
-//   payload_len u32 | payload | crc32 u32
-// ```
+// then records, each  payload_len u32 | payload | crc32 u32:
+//   full:  the ring config (the v1 config fields, `arrays` the ring's
+//          base count), then `live` epochs, oldest -> newest, each
+//          against the empty baseline: the snapshot, resync and
+//          checkpoint payload, costing what the ring holds
+//   dirty: the epoch closed by rotation `rotation`, against an
+//          explicit baseline
 //
-// * **Full** frames (v2) carry every live epoch (the accumulating
-//   newest included) as v1 "HKSK" payloads — the initial snapshot, the
-//   resync path and the sliding-window checkpoint.
-// * **Dirty** frames (v5) carry exactly one "HKDP" record: the epoch
-//   *closed* by rotation number `rotation`, expressed as a patch
-//   against an explicit baseline:
-//
-//   ```text
-//   magic "HKDP" | fp_bytes u8 | base_rows varint | rows varint | width varint |
+// epoch record: magic "HKDP" | fp_bytes u8 | base_rows varint |
+//   rows varint | width varint |
 //   rows × (changed-bucket bitmap, RLE | one entry per set bit) |
 //   store: n varint, then n × (key bytes | count varint)
-//   entry: varint(count_xor << 1 | fp_changed) [| fp_xor: fp_bytes LE]
-//   ```
+// entry: varint(count_xor << 1 | fp_changed) [| fp_xor: fp_bytes LE]
+// ```
 //
-//   An entry XORs the bucket's counter and fingerprint fields
-//   separately (`old ^ new` of each), so the bytes depend on the
-//   configured fields, never on the runtime word. `fp_bytes` is
-//   ⌈fingerprint_bits / 8⌉; the fingerprint XOR follows only when it
-//   is nonzero, so a counter-only change costs the counter varint
-//   alone. Counter fields are at most 63 bits, so the shifted head
-//   cannot overflow. A zero head or a flagged all-zero fingerprint XOR
-//   is not canonical and does not decode.
+// An entry XORs the bucket's counter and fingerprint fields separately
+// (`old ^ new` of each), so the bytes depend on the configured fields,
+// never on the runtime word. `fp_bytes` is ⌈fingerprint_bits / 8⌉; the
+// fingerprint XOR follows only when it is nonzero. Counter fields are at
+// most 63 bits, so the shifted head cannot overflow. A zero head or a
+// flagged all-zero fingerprint XOR is not canonical and does not
+// decode. The store is in canonical order: count descending, then key
+// bytes.
 //
-//   `base_rows = 0` names the empty baseline: the record carries the
-//   whole closed epoch and needs no earlier export (the first rotation,
-//   every rotation of a `W = 2` ring, the first after the ring is
-//   rebuilt or rewritten, `export_delta`). `base_rows > 0` names the
-//   epoch closed by `rotation - 1`, which had that many rows; the
-//   exporter reads it from its own ring, two behind the newest epoch.
-//   Against it the cost is O(changed buckets), which is small when
-//   flows recur from one epoch to the next.
+// `base_rows = 0` names the empty baseline: the record carries the
+// whole epoch (every epoch of a full frame; the first rotation, every
+// rotation of a `W = 2` ring, the first after the ring is rebuilt or
+// rewritten, `export_delta`). `base_rows > 0` names the epoch closed by
+// `rotation - 1`, which had that many rows; the exporter reads it from
+// its own ring, two behind the newest epoch, and the record costs
+// O(changed buckets).
 //
-// Kind 1 (the retired v2 delta, which re-shipped the closed epoch as a
-// whole v1 sketch), v3 dirty records (no baseline field) and v4 ones
-// (whole packed words widened to 8 bytes, one varint each) no longer
-// decode. Every record is CRC-32-checksummed independently, so
-// corruption is detected before any expensive decode. The collector
-// applies a dirty frame of rotation R only on top of state at rotation
-// R-1, writing it straight into the replica's open epoch, treats
-// R ≤ current as a duplicate (idempotent drop) and R > current+1 as a
-// gap that flags the switch for resync.
+// Kind 1 (the retired delta) and earlier versions no longer decode.
+// Every record is CRC-checked before it is decoded. A record describes
+// an empty epoch in a few bytes, so a frame's length does not bound
+// what decode allocates: it refuses a ring over `MAX_RING_BYTES` and an
+// epoch with more rows than its ring can grow. The collector applies a
+// dirty frame of rotation R only on top of state at rotation R-1,
+// treats R ≤ current as a duplicate and R > current+1 as a gap that
+// flags the switch for resync.
 // ---------------------------------------------------------------------
 
 /// Magic prefix of a windowed telemetry frame.
 const FRAME_MAGIC: &[u8; 4] = b"HKWF";
-/// Wire version of full window frames.
-const FRAME_VERSION: u8 = 2;
-/// Wire version of dirty-patch window frames ([`FrameKind::Dirty`]).
-const DIRTY_FRAME_VERSION: u8 = 5;
-/// Magic prefix of a dirty-patch record payload (where full records
-/// carry v1 "HKSK" sketches).
+/// Wire version of window frames, full and dirty alike.
+const FRAME_VERSION: u8 = 6;
+/// Magic prefix of an epoch record payload.
 const DIRTY_MAGIC: &[u8; 4] = b"HKDP";
+/// Kind byte of a full frame: the ring config, then every live epoch.
+const FULL_KIND: u8 = 0;
+/// Kind byte of a dirty frame: one closed epoch.
+const DIRTY_KIND: u8 = 2;
 
-/// Whether a window frame is a full snapshot or a dirty-bucket patch.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum FrameKind {
-    /// Every live epoch of the ring (snapshot / resync / checkpoint).
-    Full,
-    /// The epoch closed by `rotation` as a changed-buckets patch
-    /// against an explicit baseline: the epoch closed by
-    /// `rotation - 1`, or nothing ([`DirtyPatch::base_rows`]).
-    Dirty,
-}
-
-impl FrameKind {
-    /// The `(version, kind)` header bytes of this kind.
-    fn header_bytes(self) -> (u8, u8) {
-        match self {
-            Self::Full => (FRAME_VERSION, 0),
-            Self::Dirty => (DIRTY_FRAME_VERSION, 2),
-        }
-    }
-}
-
-/// A decoded windowed telemetry frame: one switch's epoch-ring state
-/// (or its newest closed epoch) plus the metadata the collector needs
-/// to reassemble the ring.
+/// A decoded windowed telemetry frame: one switch's epoch ring or its
+/// newest closed epoch, plus the metadata the collector needs to
+/// reassemble the ring.
 #[derive(Debug, Clone)]
 pub struct WindowFrame<K: FlowKey> {
     /// Which switch exported the frame (assigned by the deployment).
@@ -457,68 +412,31 @@ pub struct WindowFrame<K: FlowKey> {
     /// The switch's per-epoch packet budget (periods are cut every this
     /// many packets); carried so artifacts are self-describing.
     pub epoch_packets: u32,
-    /// Snapshot or dirty patch.
-    pub kind: FrameKind,
-    /// The carried epochs of a full frame, oldest first (the last is
-    /// the accumulating newest epoch); empty for a dirty frame (its
-    /// record is [`WindowFrame::patch`]).
-    pub epochs: Vec<ParallelTopK<K>>,
-    /// The dirty-bucket patch — `Some` iff `kind` is
-    /// [`FrameKind::Dirty`]. The collector applies it in place, as the
-    /// next rotation of the switch's replica
+    /// The ring itself, or the patch that advances a replica of it.
+    pub body: FrameBody<K>,
+}
+
+/// What a window frame carries.
+#[derive(Debug, Clone)]
+pub enum FrameBody<K: FlowKey> {
+    /// The switch's whole ring, rebuilt as a queryable replica at the
+    /// frame's rotation ([`SlidingTopK::from_epochs`]) that opens fresh
+    /// epochs at the carried configuration: the snapshot, resync and
+    /// checkpoint payload.
+    Full(SlidingTopK<K>),
+    /// The epoch closed by the frame's rotation as a changed-bucket
+    /// patch against an explicit baseline: the epoch closed by
+    /// `rotation - 1`, or nothing ([`DirtyPatch::base_rows`]). The
+    /// collector applies it in place, as the next rotation of the
+    /// switch's replica
     /// ([`Collector::submit_window_frame`](crate::collector::Collector::submit_window_frame)).
-    pub patch: Option<DirtyPatch<K>>,
-}
-
-/// True when two configurations describe the *same ring* — equal in
-/// every field except `arrays`, which Section III-F expansion grows
-/// per-epoch at runtime (one window's epochs can legitimately hold
-/// different array counts).
-pub(crate) fn same_ring_config(a: &HkConfig, b: &HkConfig) -> bool {
-    let mut a = a.clone();
-    let mut b = b.clone();
-    a.arrays = 0;
-    b.arrays = 0;
-    a == b
-}
-
-/// Appends the shared frame header.
-#[allow(clippy::too_many_arguments)]
-fn encode_frame_header(
-    out: &mut Vec<u8>,
-    kind: FrameKind,
-    key_len: usize,
-    switch_id: u64,
-    rotation: u64,
-    window: usize,
-    live: usize,
-    epoch_packets: u32,
-) {
-    // The header carries these as u16; silent truncation would emit a
-    // frame the decoder rejects (or, worse, one with a wrong ring
-    // size). A >65535-epoch window is 65536 sketches of memory — far
-    // past any sane deployment — so refuse loudly instead of encoding
-    // garbage.
-    assert!(
-        window <= u16::MAX as usize && live <= u16::MAX as usize,
-        "window frame fields exceed the wire format's u16 range ({window} epochs)"
-    );
-    out.extend_from_slice(FRAME_MAGIC);
-    let (version, kind) = kind.header_bytes();
-    out.push(version);
-    out.push(kind);
-    out.push(key_len as u8);
-    out.extend_from_slice(&switch_id.to_le_bytes());
-    out.extend_from_slice(&rotation.to_le_bytes());
-    out.extend_from_slice(&(window as u16).to_le_bytes());
-    out.extend_from_slice(&(live as u16).to_le_bytes());
-    out.extend_from_slice(&epoch_packets.to_le_bytes());
+    Dirty(DirtyPatch<K>),
 }
 
 /// Appends one record: the payload `write` streams straight into `out`
-/// (a v1 sketch through [`ParallelTopK::wire_into`], or a dirty patch),
-/// length-prefixed and followed by its CRC. The length is back-patched
-/// and the CRC computed over the written range — no intermediate copy.
+/// (the ring config or an epoch record), length-prefixed and followed
+/// by its CRC. The length is back-patched and the CRC computed over the
+/// written range — no intermediate copy.
 fn encode_record(out: &mut Vec<u8>, write: impl FnOnce(&mut Vec<u8>)) {
     let len_at = out.len();
     out.extend_from_slice(&0u32.to_le_bytes()); // placeholder
@@ -530,90 +448,88 @@ fn encode_record(out: &mut Vec<u8>, write: impl FnOnce(&mut Vec<u8>)) {
     out.extend_from_slice(&crc.to_le_bytes());
 }
 
-/// A dirty frame carrying `closed`, the epoch closed by `rotation`,
-/// diffed against `base` — the epoch closed by `rotation - 1` — or
-/// against the empty baseline when `base` is `None`.
-fn dirty_frame<K: FlowKey>(
-    closed: &ParallelTopK<K>,
-    base: Option<&ParallelTopK<K>>,
-    switch_id: u64,
-    rotation: u64,
-    window: usize,
-    epoch_packets: u32,
-) -> Vec<u8> {
-    let mut out = Vec::with_capacity(HEADER_LEN + 256);
-    encode_frame_header(
-        &mut out,
-        FrameKind::Dirty,
-        K::ENCODED_LEN,
-        switch_id,
-        rotation,
-        window,
-        1,
-        epoch_packets,
-    );
-    encode_record(&mut out, |out| encode_dirty_payload(out, closed, base));
-    out
-}
-
-impl<K: FlowKey> crate::sliding::SlidingTopK<K> {
-    /// Exports the whole ring as a [`FrameKind::Full`] window frame:
-    /// every live epoch (the accumulating newest included), the
-    /// rotation counter, and the per-epoch packet budget. This is the
-    /// initial snapshot a dirty stream starts from, and the resync
-    /// payload after loss.
-    pub fn export_frame(&self, switch_id: u64, epoch_packets: u32) -> Vec<u8> {
-        // Sized once: each record is its payload plus a 4-byte length
-        // and a 4-byte CRC.
-        let records: usize = self.epoch_iter().map(|e| 8 + e.wire_len_bound()).sum();
-        let mut out: Vec<u8> = Vec::with_capacity(HEADER_LEN + records);
-        encode_frame_header(
-            &mut out,
-            FrameKind::Full,
-            K::ENCODED_LEN,
-            switch_id,
-            self.rotations(),
-            self.window(),
-            self.live_epochs(),
-            epoch_packets,
+impl<K: FlowKey> SlidingTopK<K> {
+    /// The header of a frame of `kind` with `live` records at this
+    /// ring's rotation, to which the caller appends the records.
+    fn frame_header(&self, kind: u8, live: usize, switch_id: u64, epoch_packets: u32) -> Vec<u8> {
+        // The header carries the window as a u16; silent truncation
+        // would emit a frame with a wrong ring size. A >65535-epoch
+        // window is 65536 sketches of memory — far past any sane
+        // deployment — so refuse loudly instead of encoding garbage.
+        let window = self.window();
+        assert!(
+            window <= u16::MAX as usize,
+            "window frame fields exceed the wire format's u16 range ({window} epochs)"
         );
+        let mut out = Vec::with_capacity(256);
+        out.extend_from_slice(FRAME_MAGIC);
+        out.extend_from_slice(&[FRAME_VERSION, kind, K::ENCODED_LEN as u8]);
+        out.extend_from_slice(&switch_id.to_le_bytes());
+        out.extend_from_slice(&self.rotations().to_le_bytes());
+        // `live` is at most the window.
+        out.extend_from_slice(&(window as u16).to_le_bytes());
+        out.extend_from_slice(&(live as u16).to_le_bytes());
+        out.extend_from_slice(&epoch_packets.to_le_bytes());
+        out
+    }
+
+    /// A dirty frame carrying `closed`, the epoch closed by the latest
+    /// rotation, diffed against `base` — the epoch closed one rotation
+    /// earlier — or against the empty baseline when `base` is `None`.
+    fn dirty_frame(
+        &self,
+        closed: &ParallelTopK<K>,
+        base: Option<&ParallelTopK<K>>,
+        switch_id: u64,
+        epoch_packets: u32,
+    ) -> Vec<u8> {
+        let mut out = self.frame_header(DIRTY_KIND, 1, switch_id, epoch_packets);
+        encode_record(&mut out, |out| encode_epoch_record(out, closed, base));
+        out
+    }
+
+    /// Exports the whole ring as a full window frame: the ring's
+    /// configuration once (its base array count included), then every
+    /// live epoch oldest first, the accumulating newest last, each as
+    /// the empty-baseline record [`export_delta`] ships. The frame
+    /// costs what the ring holds, not its capacity. This is the initial
+    /// snapshot a dirty stream starts from, the resync payload after
+    /// loss and the windowed shard checkpoint.
+    ///
+    /// [`export_delta`]: SlidingTopK::export_delta
+    pub fn export_frame(&self, switch_id: u64, epoch_packets: u32) -> Vec<u8> {
+        let mut out = self.frame_header(FULL_KIND, self.live_epochs(), switch_id, epoch_packets);
+        let cfg = self.config();
+        encode_record(&mut out, |out| encode_config(out, cfg, cfg.arrays));
         for epoch in self.epoch_iter() {
-            encode_record(&mut out, |out| epoch.wire_into(out));
+            encode_record(&mut out, |out| encode_epoch_record(out, epoch, None));
         }
         out
     }
 
-    /// Exports the newest *closed* epoch as a [`FrameKind::Dirty`]
-    /// frame against the empty baseline: a self-contained record that
-    /// needs no earlier export. It is [`export_dirty`]'s encoder with
-    /// the baseline left out.
+    /// Exports the newest *closed* epoch as a dirty frame against the
+    /// empty baseline: a self-contained record that needs no earlier
+    /// export. It is [`export_dirty`]'s encoder with the baseline left
+    /// out.
     ///
     /// Returns `None` when no closed epoch is live — before the first
     /// rotation, and *always* for a `W = 1` window (its only slot is the
     /// accumulating epoch; rotation evicts the closed one immediately) —
     /// ship [`export_frame`] instead.
     ///
-    /// [`export_dirty`]: crate::sliding::SlidingTopK::export_dirty
-    /// [`export_frame`]: crate::sliding::SlidingTopK::export_frame
+    /// [`export_dirty`]: SlidingTopK::export_dirty
+    /// [`export_frame`]: SlidingTopK::export_frame
     pub fn export_delta(&self, switch_id: u64, epoch_packets: u32) -> Option<Vec<u8>> {
-        let closed = self.newest_closed()?;
-        Some(dirty_frame(
-            closed,
-            None,
-            switch_id,
-            self.rotations(),
-            self.window(),
-            epoch_packets,
-        ))
+        Some(self.dirty_frame(self.newest_closed()?, None, switch_id, epoch_packets))
     }
 
-    /// Exports the newest closed epoch as a [`FrameKind::Dirty`] frame:
-    /// a patch of only the buckets whose packed words differ from the
-    /// epoch closed one rotation earlier, which the ring still holds two
-    /// behind the newest — plain u64 compares at export time, no
-    /// per-write dirty tracking, the ingest hot path untouched. A
-    /// collector applies the patch to a replica standing at
-    /// `rotation - 1`, whose newest closed epoch is that baseline.
+    /// Exports the newest closed epoch as a dirty frame: a patch of
+    /// only the buckets whose packed words differ from the epoch closed
+    /// one rotation earlier, which the ring still holds two behind the
+    /// newest — plain word compares at export time, no per-write dirty
+    /// tracking, the ingest hot path untouched. A collector applies the
+    /// patch to a replica standing at `rotation - 1`, whose newest
+    /// closed epoch is that baseline.
     ///
     /// The frame is encoded against the empty baseline, carrying the
     /// whole closed epoch, when the ring no longer holds the baseline
@@ -626,24 +542,15 @@ impl<K: FlowKey> crate::sliding::SlidingTopK<K> {
     /// live (before the first rotation, or a `W = 1` window); the caller
     /// ships [`export_frame`] instead.
     ///
-    /// [`export_frame`]: crate::sliding::SlidingTopK::export_frame
-    /// [`from_epochs`]: crate::sliding::SlidingTopK::from_epochs
-    /// [`merge_from`]: crate::sliding::SlidingTopK::merge_from
-    /// [`retain_monitored`]: crate::sliding::SlidingTopK::retain_monitored
+    /// [`export_frame`]: SlidingTopK::export_frame
+    /// [`from_epochs`]: SlidingTopK::from_epochs
+    /// [`merge_from`]: SlidingTopK::merge_from
+    /// [`retain_monitored`]: SlidingTopK::retain_monitored
     pub fn export_dirty(&self, switch_id: u64, epoch_packets: u32) -> Option<Vec<u8>> {
-        Some(dirty_frame(
-            self.newest_closed()?,
-            self.patch_base(),
-            switch_id,
-            self.rotations(),
-            self.window(),
-            epoch_packets,
-        ))
+        let closed = self.newest_closed()?;
+        Some(self.dirty_frame(closed, self.patch_base(), switch_id, epoch_packets))
     }
 }
-
-/// Length of the fixed frame header (shared by full and dirty frames).
-const HEADER_LEN: usize = 31;
 
 /// Bytes a dirty record spends on a changed fingerprint's XOR:
 /// ⌈`fingerprint_bits` / 8⌉, so 1–4.
@@ -651,27 +558,26 @@ fn fp_bytes(fingerprint_bits: u32) -> usize {
     fingerprint_bits.div_ceil(8) as usize
 }
 
-/// Appends the dirty-patch record payload: the closed epoch diffed
-/// against `base` (rows beyond it — Section III-F expansion since the
-/// baseline closed — and every row when `base` is `None` against
-/// all-empty buckets), then the whole top-k store (small — `k` entries —
-/// and not worth diffing).
-fn encode_dirty_payload<K: FlowKey>(
+/// Appends an epoch record payload: `epoch` diffed against `base` (rows
+/// beyond it — Section III-F expansion since the baseline closed — and
+/// every row when `base` is `None` against all-empty buckets), then the
+/// whole top-k store (small — `k` entries — and not worth diffing).
+fn encode_epoch_record<K: FlowKey>(
     out: &mut Vec<u8>,
-    closed: &ParallelTopK<K>,
+    epoch: &ParallelTopK<K>,
     base: Option<&ParallelTopK<K>>,
 ) {
     use hk_common::varint;
 
     let base = base.map(|b| b.sketch().buckets());
-    let fp_bytes = fp_bytes(closed.sketch().fingerprint_bits());
+    let fp_bytes = fp_bytes(epoch.sketch().fingerprint_bits());
     out.extend_from_slice(DIRTY_MAGIC);
     out.push(fp_bytes as u8);
     varint::write_u64(out, base.map_or(0, |b| b.rows()) as u64);
-    varint::write_u64(out, closed.sketch().arrays() as u64);
-    varint::write_u64(out, closed.sketch().width() as u64);
-    with_matrix!(closed.sketch().buckets(), m => encode_dirty_rows(out, m, base, fp_bytes));
-    let top = closed.top_k();
+    varint::write_u64(out, epoch.sketch().arrays() as u64);
+    varint::write_u64(out, epoch.sketch().width() as u64);
+    with_matrix!(epoch.sketch().buckets(), m => encode_dirty_rows(out, m, base, fp_bytes));
+    let top = canonical_top_k(epoch);
     varint::write_u64(out, top.len() as u64);
     for (key, count) in &top {
         out.extend_from_slice(key.key_bytes().as_slice());
@@ -730,9 +636,10 @@ fn encode_dirty_rows<W: BucketWord>(
 /// bitmap, then one entry per set bit. Calls `visit(index, count_xor,
 /// fp_xor)` for each changed bucket, at its row-major index, ascending;
 /// every index is below `rows × width`, and every entry is canonical (a
-/// nonzero head, a nonzero fingerprint XOR when flagged). Decode walks
-/// with a no-op visitor to check a record's structure and apply walks
-/// again to XOR it in, so the two cannot disagree on the format.
+/// nonzero head, a nonzero fingerprint XOR when flagged). A dirty
+/// frame's decode walks with a no-op visitor to check a record's
+/// structure, and every write into an epoch walks with the XOR, so the
+/// two cannot disagree on the format.
 fn walk_dirty_rows(
     data: &[u8],
     pos: &mut usize,
@@ -832,48 +739,21 @@ fn walk_dirty_store<K: FlowKey>(
     Ok(())
 }
 
-/// A decoded [`FrameKind::Dirty`] record: the geometry it claims and
-/// its CRC-checked bytes, whose structure decode has walked. Nothing is
-/// expanded per bucket: the collector walks the bytes again to XOR them
-/// into its replica, or keeps them until the gap before them fills, so
-/// a patch costs its wire bytes.
-#[derive(Debug, Clone)]
-pub struct DirtyPatch<K: FlowKey> {
+/// What an epoch record's header claims: its geometry, its baseline,
+/// and where its rows start.
+#[derive(Debug, Clone, Copy)]
+struct RecordHeader {
     fp_bytes: usize,
     base_rows: usize,
     rows: usize,
     width: usize,
-    /// The record payload; its rows start at `rows_at`.
-    record: Box<[u8]>,
     rows_at: usize,
-    key: PhantomData<K>,
 }
 
-impl<K: FlowKey> DirtyPatch<K> {
-    /// Matrix rows of the baseline the patch was diffed against: the
-    /// epoch closed one rotation earlier, or `0` for the empty baseline
-    /// (the patch then carries the whole epoch on its own).
-    pub fn base_rows(&self) -> usize {
-        self.base_rows
-    }
-
-    /// Matrix rows of the patched epoch (the new epoch's array count —
-    /// Section III-F expansion can make it differ from the baseline's).
-    pub fn rows(&self) -> usize {
-        self.rows
-    }
-
-    /// Matrix width of the patched epoch (must equal the ring's).
-    pub fn width(&self) -> usize {
-        self.width
-    }
-
-    /// Decodes one "HKDP" record payload (CRC already verified by the
-    /// frame decoder) and walks its bitmaps, entries, store and trailing
-    /// bytes. Semantic limits (counter and fingerprint ranges, the
-    /// fingerprint width, store size, the baseline) need the ring and
-    /// are enforced by [`DirtyPatch::apply_to`].
-    fn decode(data: &[u8]) -> Result<Self, WireError> {
+impl RecordHeader {
+    /// Reads the header of one "HKDP" record payload (CRC already
+    /// verified by the frame decoder).
+    fn parse(data: &[u8]) -> Result<Self, WireError> {
         use hk_common::varint;
 
         if data.len() < 4 || &data[..4] != DIRTY_MAGIC {
@@ -896,87 +776,65 @@ impl<K: FlowKey> DirtyPatch<K> {
         if width == 0 || width > u32::MAX as u64 {
             return Err(WireError::Corrupt("width/k"));
         }
-        let (rows, width) = (rows as usize, width as usize);
-        let rows_at = pos;
-        walk_dirty_rows(data, &mut pos, rows, width, fp_bytes, |_, _, _| {})?;
-        walk_dirty_store::<K>(data, &mut pos, |_, _| {})?;
         Ok(Self {
             fp_bytes,
             base_rows: base_rows as usize,
-            rows,
-            width,
-            record: data.into(),
-            rows_at,
-            key: PhantomData,
+            rows: rows as usize,
+            width: width as usize,
+            rows_at: pos,
         })
     }
 
-    /// Applies the patch as `replica`'s next rotation, in place: the
-    /// replica's open epoch becomes the closed epoch the patch
-    /// describes, and the ring advances
-    /// ([`SlidingTopK::close_open_epoch`](crate::sliding::SlidingTopK::close_open_epoch)).
-    /// The open epoch is seeded from the baseline — the replica's newest
-    /// closed epoch, the epoch closed by `rotation - 1`, bit-exact by
-    /// the rotation protocol — when [`base_rows`](DirtyPatch::base_rows)
-    /// names one, which must then have exactly that many rows; every
-    /// entry is XORed over it. Rows beyond the baseline, and every row
-    /// of an empty-baseline patch, patch empty buckets. No epoch or
-    /// matrix is allocated unless Section III-F expansion changed the
-    /// row count.
-    ///
-    /// Every changed bucket is checked in the configured fields, like
-    /// [`ParallelTopK::from_wire`] checks buckets (counter and
-    /// fingerprint within their ranges, no empty bucket with a
-    /// fingerprint); unchanged buckets were checked when the baseline
-    /// was installed. The store is re-offered largest-first, like the
-    /// v1 decode path. On any error the replica is left bit-identical.
-    pub(crate) fn apply_to(
-        &self,
-        replica: &mut crate::sliding::SlidingTopK<K>,
-    ) -> Result<(), WireError> {
-        let cfg = replica.config();
+    /// Refuses a record that no epoch of a ring built from `cfg` could
+    /// have written: another width, another fingerprint width, or more
+    /// rows than Section III-F lets the ring grow.
+    fn check_ring(&self, cfg: &HkConfig) -> Result<(), WireError> {
         if self.width != cfg.width {
             return Err(WireError::Corrupt("patch width"));
         }
         if self.fp_bytes != fp_bytes(cfg.fingerprint_bits) {
             return Err(WireError::Corrupt("fingerprint bytes"));
         }
+        if self.rows > max_rows(cfg) {
+            return Err(WireError::Corrupt("array count"));
+        }
+        Ok(())
+    }
+
+    /// Writes the record `data` into `epoch`, an as-constructed epoch of
+    /// `rows` rows, in one walk: seeds it from `base` when given, XORs
+    /// every entry over it with [`ParallelTopK::from_wire`]'s bucket
+    /// checks, then offers the store largest-first. On error the epoch
+    /// holds garbage; the caller discards it.
+    fn write<K: FlowKey>(
+        &self,
+        data: &[u8],
+        epoch: &mut ParallelTopK<K>,
+        base: Option<&Buckets>,
+    ) -> Result<(), WireError> {
+        let cfg = epoch.config();
         let (k, fp_max, counter_max) = (
             cfg.k,
             u64::MAX >> (64 - cfg.fingerprint_bits),
             cfg.counter_max(),
         );
-        replica.close_open_epoch(|open, closed| {
-            let base = match (self.base_rows, closed) {
-                (0, _) => None,
-                (rows, Some(b)) if b.sketch().arrays() == rows => Some(b.sketch().buckets()),
-                _ => return Err(WireError::Corrupt("patch baseline")),
-            };
-            // The open epoch is as-constructed: only a row count that
-            // expansion changed needs a new matrix.
-            if open.sketch().arrays() != self.rows {
-                open.recycle(self.rows);
-            }
-            let mut pos = self.rows_at;
-            with_matrix!(open.sketch_mut().buckets_mut(), m => {
-                self.xor_rows(m, base, &mut pos, fp_max, counter_max)
-            })?;
-            let mut store = Vec::new();
-            walk_dirty_store::<K>(&self.record, &mut pos, |key, count| {
-                store.push((key, count))
-            })?;
-            if store.len() > k {
-                return Err(WireError::Corrupt("store size"));
-            }
-            store.sort_by_key(|&(_, c)| std::cmp::Reverse(c));
-            for (key, count) in store {
-                open.offer(key, count);
-            }
-            Ok(())
-        })
+        let mut pos = self.rows_at;
+        with_matrix!(epoch.sketch_mut().buckets_mut(), m => {
+            self.xor_rows(data, m, base, &mut pos, fp_max, counter_max)
+        })?;
+        let mut store = Vec::new();
+        walk_dirty_store::<K>(data, &mut pos, |key, count| store.push((key, count)))?;
+        if store.len() > k {
+            return Err(WireError::Corrupt("store size"));
+        }
+        store.sort_by_key(|&(_, c)| std::cmp::Reverse(c));
+        for (key, count) in store {
+            epoch.offer(key, count);
+        }
+        Ok(())
     }
 
-    /// The bucket half of [`DirtyPatch::apply_to`], over words `W`:
+    /// The bucket half of [`RecordHeader::write`], over words `W`:
     /// seeds `m` (as-constructed, `rows × width`) from the baseline's
     /// words, then XORs each entry's fields over its bucket. The three
     /// checks fold into one flag word, read once after the walk; a bad
@@ -984,6 +842,7 @@ impl<K: FlowKey> DirtyPatch<K> {
     /// the epoch.
     fn xor_rows<W: BucketWord>(
         &self,
+        data: &[u8],
         m: &mut BucketMatrix<W>,
         base: Option<&Buckets>,
         pos: &mut usize,
@@ -1001,7 +860,7 @@ impl<K: FlowKey> DirtyPatch<K> {
         let words = m.data_mut();
         let mut bad = 0u8;
         walk_dirty_rows(
-            &self.record,
+            data,
             pos,
             self.rows,
             self.width,
@@ -1025,36 +884,149 @@ impl<K: FlowKey> DirtyPatch<K> {
     }
 }
 
+/// A decoded dirty record: the geometry it claims and its CRC-checked
+/// bytes, whose structure decode has walked. Nothing is expanded per
+/// bucket: the collector walks the bytes again to XOR them into its
+/// replica, or keeps them until the gap before them fills, so a patch
+/// costs its wire bytes.
+#[derive(Debug, Clone)]
+pub struct DirtyPatch<K: FlowKey> {
+    header: RecordHeader,
+    record: Box<[u8]>,
+    key: PhantomData<K>,
+}
+
+impl<K: FlowKey> DirtyPatch<K> {
+    /// Matrix rows of the baseline the patch was diffed against: the
+    /// epoch closed one rotation earlier, or `0` for the empty baseline
+    /// (the patch then carries the whole epoch on its own).
+    pub fn base_rows(&self) -> usize {
+        self.header.base_rows
+    }
+
+    /// Matrix rows of the patched epoch (the new epoch's array count —
+    /// Section III-F expansion can make it differ from the baseline's).
+    pub fn rows(&self) -> usize {
+        self.header.rows
+    }
+
+    /// Matrix width of the patched epoch (must equal the ring's).
+    pub fn width(&self) -> usize {
+        self.header.width
+    }
+
+    /// Decodes one dirty frame's record and walks its bitmaps, entries,
+    /// store and trailing bytes. Semantic limits (counter and
+    /// fingerprint ranges, the ring's geometry, store size, the
+    /// baseline) need the ring and are enforced by
+    /// [`DirtyPatch::apply_to`].
+    fn decode(data: &[u8]) -> Result<Self, WireError> {
+        let header = RecordHeader::parse(data)?;
+        let mut pos = header.rows_at;
+        walk_dirty_rows(
+            data,
+            &mut pos,
+            header.rows,
+            header.width,
+            header.fp_bytes,
+            |_, _, _| {},
+        )?;
+        walk_dirty_store::<K>(data, &mut pos, |_, _| {})?;
+        Ok(Self {
+            header,
+            record: data.into(),
+            key: PhantomData,
+        })
+    }
+
+    /// Applies the patch as `replica`'s next rotation, in place: the
+    /// replica's open epoch becomes the closed epoch the patch
+    /// describes, and the ring advances
+    /// ([`SlidingTopK::close_open_epoch`]). The open epoch is seeded
+    /// from the baseline — the replica's newest closed epoch, bit-exact
+    /// by the rotation protocol — when [`base_rows`](DirtyPatch::base_rows)
+    /// names one, which must then have exactly that many rows. No epoch
+    /// or matrix is allocated unless Section III-F expansion changed the
+    /// row count. On any error the replica is left bit-identical.
+    pub(crate) fn apply_to(&self, replica: &mut SlidingTopK<K>) -> Result<(), WireError> {
+        let h = &self.header;
+        h.check_ring(replica.config())?;
+        replica.close_open_epoch(|open, closed| {
+            let base = match (h.base_rows, closed) {
+                (0, _) => None,
+                (rows, Some(b)) if b.sketch().arrays() == rows => Some(b.sketch().buckets()),
+                _ => return Err(WireError::Corrupt("patch baseline")),
+            };
+            // The open epoch is as-constructed: only a row count that
+            // expansion changed needs a new matrix.
+            if open.sketch().arrays() != h.rows {
+                open.recycle(h.rows);
+            }
+            h.write(&self.record, open, base)
+        })
+    }
+}
+
+/// Decodes a full frame's records: the ring config, then `live` epochs,
+/// each written in one walk into a fresh epoch of that config. Nothing
+/// is allocated for a ring [`SlidingTopK::new`] would refuse.
+fn decode_ring<K: FlowKey>(
+    r: &mut Reader<'_>,
+    window: usize,
+    rotation: u64,
+    live: usize,
+) -> Result<SlidingTopK<K>, WireError> {
+    let data = r.record(0)?;
+    let mut c = Reader { data, pos: 0 };
+    let cfg = decode_config(&mut c)?;
+    if c.pos != data.len() {
+        return Err(WireError::Corrupt("ring config length"));
+    }
+    if ring_bytes(&cfg, window).is_none_or(|n| n > MAX_RING_BYTES) {
+        return Err(WireError::Corrupt("ring size"));
+    }
+    let mut epochs = Vec::new();
+    for index in 1..=live {
+        let data = r.record(index)?;
+        let h = RecordHeader::parse(data)?;
+        h.check_ring(&cfg)?;
+        if h.base_rows != 0 {
+            return Err(WireError::Corrupt("patch baseline"));
+        }
+        let mut epoch = ParallelTopK::new(HkConfig {
+            arrays: h.rows,
+            ..cfg.clone()
+        });
+        h.write(data, &mut epoch, None)?;
+        epochs.push(epoch);
+    }
+    Ok(SlidingTopK::from_epochs(cfg, window, rotation, epochs))
+}
+
 impl<K: FlowKey> WindowFrame<K> {
     /// Decodes a window frame produced by
-    /// [`SlidingTopK::export_frame`](crate::sliding::SlidingTopK::export_frame),
-    /// [`SlidingTopK::export_dirty`](crate::sliding::SlidingTopK::export_dirty)
-    /// or
-    /// [`SlidingTopK::export_delta`](crate::sliding::SlidingTopK::export_delta).
+    /// [`SlidingTopK::export_frame`], [`SlidingTopK::export_dirty`] or
+    /// [`SlidingTopK::export_delta`].
     ///
-    /// Every header field is validated and every epoch record must pass
-    /// its CRC before its payload is decoded; any truncation, corruption
-    /// or inconsistency (a dirty frame with ≠ 1 record, more live epochs
-    /// than the window holds or than the rotation count allows, epochs
-    /// that are not merge-compatible with each other) is rejected.
+    /// Every header field is validated and every record must pass its
+    /// CRC before its payload is decoded; any truncation, corruption or
+    /// inconsistency (a dirty frame with ≠ 1 record, more live epochs
+    /// than the window holds or than the rotation count allows, an
+    /// epoch record another ring wrote, a ring over [`MAX_RING_BYTES`])
+    /// is rejected.
     pub fn decode(data: &[u8]) -> Result<Self, WireError> {
         let mut r = Reader { data, pos: 0 };
         if r.take(4)? != FRAME_MAGIC {
             return Err(WireError::BadMagic);
         }
         let version = r.u8()?;
-        if version != FRAME_VERSION && version != DIRTY_FRAME_VERSION {
+        if version != FRAME_VERSION {
             return Err(WireError::BadVersion(version));
         }
-        // Kind 1, the retired v2 delta, is unknown here.
-        let kind = match r.u8()? {
-            0 => FrameKind::Full,
-            2 => FrameKind::Dirty,
-            _ => return Err(WireError::Corrupt("frame kind")),
-        };
-        // A mismatched pairing never came from an exporter here.
-        if version != kind.header_bytes().0 {
-            return Err(WireError::Corrupt("frame version/kind pairing"));
+        // Kind 1, the retired delta, is unknown here.
+        let kind = r.u8()?;
+        if kind != FULL_KIND && kind != DIRTY_KIND {
+            return Err(WireError::Corrupt("frame kind"));
         }
         if r.u8()? as usize != K::ENCODED_LEN {
             return Err(WireError::KeyMismatch);
@@ -1070,117 +1042,51 @@ impl<K: FlowKey> WindowFrame<K> {
         if live == 0 || live > window {
             return Err(WireError::Corrupt("live epoch count"));
         }
-        match kind {
-            FrameKind::Dirty => {
-                if live != 1 {
-                    return Err(WireError::Corrupt("dirty epoch count"));
-                }
-                // A dirty frame carries a *closed* epoch, which takes at
-                // least one rotation to exist — and a W = 1 ring never
-                // retains a closed epoch to ship or to apply to.
-                if rotation == 0 {
-                    return Err(WireError::Corrupt("dirty before first rotation"));
-                }
-                if window < 2 {
-                    return Err(WireError::Corrupt("dirty window size"));
-                }
+        let body = if kind == DIRTY_KIND {
+            if live != 1 {
+                return Err(WireError::Corrupt("dirty epoch count"));
             }
-            FrameKind::Full => {
-                // The ring grows by one epoch per rotation from one, so
-                // more live epochs than `rotation + 1` are impossible.
-                if live as u64 > rotation.saturating_add(1) {
-                    return Err(WireError::Corrupt("more epochs than rotations"));
-                }
+            // A dirty frame carries a *closed* epoch, which takes at
+            // least one rotation to exist — and a W = 1 ring never
+            // retains a closed epoch to ship or to apply to.
+            if rotation == 0 {
+                return Err(WireError::Corrupt("dirty before first rotation"));
             }
-        }
-        // Every record costs at least its length and CRC fields: refuse
-        // a count the input cannot hold before reserving for it.
-        if live > (data.len() - r.pos) / 8 {
-            return Err(WireError::Truncated);
-        }
-
-        let mut epochs = Vec::with_capacity(if kind == FrameKind::Dirty { 0 } else { live });
-        let mut patch = None;
-        for idx in 0..live {
-            let payload_len = r.u32()? as usize;
-            let payload = r.take(payload_len)?;
-            let crc = r.u32()?;
-            if hk_common::crc::crc32(payload) != crc {
-                return Err(WireError::BadCrc { epoch: idx });
+            if window < 2 {
+                return Err(WireError::Corrupt("dirty window size"));
             }
-            if kind == FrameKind::Dirty {
-                patch = Some(DirtyPatch::<K>::decode(payload)?);
-            } else {
-                epochs.push(ParallelTopK::<K>::from_wire(payload)?);
+            FrameBody::Dirty(DirtyPatch::decode(r.record(0)?)?)
+        } else {
+            // The ring grows by one epoch per rotation from one, so
+            // more live epochs than `rotation + 1` are impossible.
+            if live as u64 > rotation.saturating_add(1) {
+                return Err(WireError::Corrupt("more epochs than rotations"));
             }
-        }
+            FrameBody::Full(decode_ring(&mut r, window, rotation, live)?)
+        };
         if r.pos != data.len() {
             return Err(WireError::Corrupt("trailing bytes"));
-        }
-        // All epochs of one ring share a configuration — except the
-        // array count, which Section III-F expansion can grow in one
-        // epoch but not another. Reject frames whose epochs could not
-        // have come from one switch.
-        for pair in epochs.windows(2) {
-            if !same_ring_config(pair[0].config(), pair[1].config()) {
-                return Err(WireError::Corrupt("epochs from different rings"));
-            }
         }
         Ok(Self {
             switch_id,
             rotation,
             window,
             epoch_packets,
-            kind,
-            epochs,
-            patch,
+            body,
         })
-    }
-
-    /// Converts a [`FrameKind::Full`] frame into a queryable window
-    /// replica ([`SlidingTopK::from_epochs`]); `None` for dirty
-    /// patches, which only make sense applied to an existing replica
-    /// as its next rotation.
-    ///
-    /// [`SlidingTopK::from_epochs`]: crate::sliding::SlidingTopK::from_epochs
-    pub fn into_window(self) -> Option<crate::sliding::SlidingTopK<K>> {
-        if self.kind != FrameKind::Full {
-            return None;
-        }
-        // The ring config the replica opens *fresh* epochs from. Decoded
-        // epoch configs carry each epoch's `arrays` as currently grown
-        // (Section III-F), but a freshly recycled epoch always starts at
-        // the base count — the minimum across the ring (a recycle drops
-        // expansion rows, so any un-expanded epoch in the frame shows
-        // the base). A frame whose every epoch has grown does not carry
-        // the base, and the replica then recycles at a grown count.
-        let cfg = self
-            .epochs
-            .iter()
-            .map(|e| e.config())
-            .min_by_key(|c| c.arrays)
-            .expect("decode guarantees at least one epoch")
-            .clone();
-        Some(crate::sliding::SlidingTopK::from_epochs(
-            cfg,
-            self.window,
-            self.rotation,
-            self.epochs,
-        ))
     }
 }
 
 // -- Checkpoint encode/restore hooks ------------------------------------
 //
 // The sharded engine's recovery plumbing rides the existing wire
-// formats: a shard checkpoint IS a wire payload (sketch wire-v1 for
-// steady sketches, a full wire-v2 window frame for sliding windows), so
-// the bytes that leave the process as telemetry double as restart
-// state. Both impls satisfy the `ShardCheckpoint` bit-exactness
-// contract for everything the formats ship; the decay RNG position is
-// transient by the format's design (the restored instance re-seeds from
-// the config), which perturbs *future* decay draws only, never
-// recorded counts.
+// formats: a shard checkpoint IS a wire payload (a v1 sketch for steady
+// sketches, a full window frame for sliding windows), so the bytes that
+// leave the process as telemetry double as restart state. Both impls
+// satisfy the `ShardCheckpoint` bit-exactness contract for everything
+// the formats ship; the decay RNG position is transient by the format's
+// design (the restored instance re-seeds from the config), which
+// perturbs *future* decay draws only, never recorded counts.
 
 impl<K: FlowKey> hk_common::ShardCheckpoint for ParallelTopK<K> {
     fn encode_checkpoint(&self) -> Vec<u8> {
@@ -1196,13 +1102,16 @@ impl<K: FlowKey> hk_common::ShardCheckpoint for ParallelTopK<K> {
 /// engine, so the id only needs to be recognizable in a debugger.
 const CHECKPOINT_SWITCH_ID: u64 = u64::from_le_bytes(*b"HKCKPT\0\0");
 
-impl<K: FlowKey> hk_common::ShardCheckpoint for crate::sliding::SlidingTopK<K> {
+impl<K: FlowKey> hk_common::ShardCheckpoint for SlidingTopK<K> {
     fn encode_checkpoint(&self) -> Vec<u8> {
         self.export_frame(CHECKPOINT_SWITCH_ID, 0)
     }
 
     fn restore_checkpoint(bytes: &[u8]) -> Option<Self> {
-        WindowFrame::<K>::decode(bytes).ok()?.into_window()
+        match WindowFrame::<K>::decode(bytes).ok()?.body {
+            FrameBody::Full(ring) => Some(ring),
+            FrameBody::Dirty(_) => None,
+        }
     }
 }
 
@@ -1326,8 +1235,9 @@ mod tests {
     fn corrupt_counter_rejected() {
         let hk = populated(3);
         let mut wire = hk.to_wire();
-        // First bucket's count field, behind the fixed header and fp.
-        let count_off = V1_FIXED_LEN + 4;
+        // First bucket's count field, behind the 37-byte fixed header
+        // and the fp.
+        let count_off = 37 + 4;
         wire[count_off..count_off + 8].copy_from_slice(&u64::MAX.to_le_bytes());
         assert!(matches!(
             ParallelTopK::<u64>::from_wire(&wire).unwrap_err(),
@@ -1419,16 +1329,12 @@ mod tests {
         assert_eq!(a.window(), b.window());
         assert_eq!(a.rotations(), b.rotations());
         assert_eq!(a.live_epochs(), b.live_epochs());
+        assert_eq!(a.config(), b.config(), "one ring config");
         let canon = |mut v: Vec<(u64, u64)>| {
             v.sort_unstable();
             v
         };
         for (ea, eb) in a.epoch_iter().zip(b.epoch_iter()) {
-            // Decoded configs carry each epoch's *current* array count
-            // (v1 semantics: growth survives the round trip) while the
-            // local config keeps the construction base; ring identity
-            // ignores that field, the sketch-level count must agree.
-            assert!(same_ring_config(ea.config(), eb.config()));
             assert_eq!(ea.sketch().arrays(), eb.sketch().arrays());
             for j in 0..ea.sketch().arrays() {
                 for i in 0..ea.sketch().width() {
@@ -1447,6 +1353,22 @@ mod tests {
         assert_eq!(canon(a.top_k()), canon(b.top_k()));
     }
 
+    /// The ring a full frame carries.
+    fn ring_of(frame: WindowFrame<u64>) -> crate::SlidingTopK<u64> {
+        match frame.body {
+            FrameBody::Full(ring) => ring,
+            FrameBody::Dirty(_) => panic!("a full frame"),
+        }
+    }
+
+    /// The patch a dirty frame carries.
+    fn patch_of(frame: WindowFrame<u64>) -> DirtyPatch<u64> {
+        match frame.body {
+            FrameBody::Dirty(patch) => patch,
+            FrameBody::Full(_) => panic!("a dirty frame"),
+        }
+    }
+
     #[test]
     fn full_frame_roundtrips_bit_exact() {
         let win = populated_window(5, 3, 5);
@@ -1456,9 +1378,8 @@ mod tests {
         assert_eq!(frame.rotation, 5);
         assert_eq!(frame.window, 3);
         assert_eq!(frame.epoch_packets, 4000);
-        assert_eq!(frame.kind, FrameKind::Full);
-        assert_eq!(frame.epochs.len(), 3);
-        let replica = frame.into_window().unwrap();
+        let replica = ring_of(frame);
+        assert_eq!(replica.live_epochs(), 3);
         assert_windows_bit_equal(&win, &replica);
     }
 
@@ -1469,8 +1390,8 @@ mod tests {
         let win = populated_window(9, 4, 1);
         assert_eq!(win.live_epochs(), 2);
         let frame = WindowFrame::<u64>::decode(&win.export_frame(1, 100)).unwrap();
-        assert_eq!(frame.epochs.len(), 2);
-        let mut replica = frame.into_window().unwrap();
+        let mut replica = ring_of(frame);
+        assert_eq!(replica.live_epochs(), 2);
         assert_windows_bit_equal(&win, &replica);
         replica.rotate();
         assert_eq!(replica.live_epochs(), 3);
@@ -1483,9 +1404,8 @@ mod tests {
             .export_delta(3, 4000)
             .expect("rotated window has a closed epoch");
         let frame = WindowFrame::<u64>::decode(&bytes).unwrap();
-        assert_eq!(frame.kind, FrameKind::Dirty);
         assert_eq!(frame.rotation, 4);
-        let patch = frame.patch.as_ref().unwrap();
+        let patch = patch_of(frame);
         assert_eq!(patch.base_rows(), 0, "the empty baseline");
         // The patch alone rebuilds the epoch just behind the
         // accumulating newest. Its replica stands one rotation earlier,
@@ -1493,10 +1413,8 @@ mod tests {
         // epoch holds part of that epoch's packets; the apply replaces
         // them with the closed state.
         let before = populated_window(7, 3, 3);
-        let mut replica = WindowFrame::<u64>::decode(&before.export_frame(3, 4000))
-            .unwrap()
-            .into_window()
-            .unwrap();
+        let mut replica =
+            ring_of(WindowFrame::<u64>::decode(&before.export_frame(3, 4000)).unwrap());
         patch.apply_to(&mut replica).unwrap();
         assert_eq!(replica.rotations(), win.rotations());
         let sorted = |mut v: Vec<(u64, u64)>| {
@@ -1515,8 +1433,6 @@ mod tests {
         }
         // The open epoch the apply left is as-constructed.
         assert!(replica.epoch_iter().last().unwrap().top_k().is_empty());
-        // Patches do not convert to standalone windows.
-        assert!(frame.into_window().is_none());
         // Cost check: a delta is roughly one epoch, not W of them.
         let full = win.export_frame(3, 4000);
         assert!(
@@ -1536,8 +1452,8 @@ mod tests {
         assert!(win.export_dirty(0, 10).is_none(), "same rule for dirty");
         // But a full frame works from the very start.
         let frame = WindowFrame::<u64>::decode(&win.export_frame(0, 10)).unwrap();
-        assert_eq!(frame.epochs.len(), 1);
         assert_eq!(frame.rotation, 0);
+        assert_eq!(ring_of(frame).live_epochs(), 1);
         // A W = 1 window never retains a closed epoch: full frames only.
         let mut one = crate::SlidingTopK::<u64>::new(cfg, 1);
         for _ in 0..4 {
@@ -1589,20 +1505,9 @@ mod tests {
             "base-arrays epoch precondition: {arrays:?}"
         );
 
-        // The frame is sized once from each epoch's v1 bound, exact
-        // but for the store's unused slots, so it never regrows.
-        let bytes = win.export_frame(3, 4000);
-        let slack = win.live_epochs() * 2 * (8 + 8);
-        assert!(bytes.capacity() >= bytes.len());
-        assert!(
-            bytes.capacity() - bytes.len() <= slack,
-            "{}",
-            bytes.capacity()
-        );
-
         // The frame its own decoder must accept.
-        let frame = WindowFrame::<u64>::decode(&bytes).unwrap();
-        let replica = frame.into_window().unwrap();
+        let bytes = win.export_frame(3, 4000);
+        let replica = ring_of(WindowFrame::<u64>::decode(&bytes).unwrap());
         assert_windows_bit_equal(&win, &replica);
         // Fresh replica epochs open at the base array count, like the
         // switch's own recycled epochs.
@@ -1648,8 +1553,7 @@ mod tests {
 
     /// The baseline row count of a dirty frame's patch.
     fn base_rows(bytes: &[u8]) -> usize {
-        let frame = WindowFrame::<u64>::decode(bytes).unwrap();
-        frame.patch.expect("a dirty frame").base_rows()
+        patch_of(WindowFrame::<u64>::decode(bytes).unwrap()).base_rows()
     }
 
     #[test]
@@ -1664,12 +1568,9 @@ mod tests {
         feed_and_rotate(&mut win, 6, 1);
         let bytes = win.export_dirty(9, 3000).expect("a closed epoch");
         let frame = WindowFrame::<u64>::decode(&bytes).unwrap();
-        assert_eq!(frame.kind, FrameKind::Dirty);
         assert_eq!(frame.switch_id, 9);
         assert_eq!(frame.rotation, 2);
-        assert!(frame.epochs.is_empty());
-        assert_eq!(frame.patch.as_ref().unwrap().base_rows(), 2);
-        assert!(frame.into_window().is_none(), "patches need a replica");
+        assert_eq!(patch_of(frame).base_rows(), 2);
     }
 
     #[test]
@@ -1920,8 +1821,9 @@ mod tests {
     /// A CRC-valid dirty frame from switch 2 at `rotation` (W = 3)
     /// around the record `payload` writes.
     fn dirty_frame_around(rotation: u64, payload: impl FnOnce(&mut Vec<u8>)) -> Vec<u8> {
-        let mut out = Vec::new();
-        encode_frame_header(&mut out, FrameKind::Dirty, 8, 2, rotation, 3, 1, 3000);
+        let mut ring = crate::SlidingTopK::<u64>::new(HkConfig::builder().width(64).build(), 3);
+        (0..rotation).for_each(|_| ring.rotate());
+        let mut out = ring.frame_header(DIRTY_KIND, 1, 2, 3000);
         encode_record(&mut out, payload);
         out
     }
@@ -1970,35 +1872,27 @@ mod tests {
         feed_and_rotate(&mut win, 2, 1);
         let bytes = win.export_dirty(0, 3000).unwrap();
         assert!(WindowFrame::<u64>::decode(&bytes).is_ok());
-        // Version byte: a dirty kind under v2 is a pairing violation;
-        // v3 (dirty records without a baseline field) and v4 (whole
-        // widened words) are retired.
+        // Version byte: every earlier version is retired — v2 full
+        // frames of dense sketches, v3 dirty records without a baseline
+        // field, v4 whole widened words, v5 split-field dirty records.
         let mut v = bytes.clone();
-        v[4] = 2;
-        assert_eq!(
-            WindowFrame::<u64>::decode(&v).unwrap_err(),
-            WireError::Corrupt("frame version/kind pairing")
-        );
-        for retired in [3, 4] {
+        for retired in [2, 3, 4, 5] {
             v[4] = retired;
             assert_eq!(
                 WindowFrame::<u64>::decode(&v).unwrap_err(),
                 WireError::BadVersion(retired)
             );
         }
-        // Kind byte: a full kind under v5 is a pairing violation, and
-        // kind 1 (the retired v2 delta) is unknown.
+        // Kind byte: kind 1 (the retired delta) is unknown, and a dirty
+        // record read as a full frame's ring config does not decode.
         let mut k = bytes.clone();
-        k[5] = 0;
-        assert_eq!(
-            WindowFrame::<u64>::decode(&k).unwrap_err(),
-            WireError::Corrupt("frame version/kind pairing")
-        );
         k[5] = 1;
         assert_eq!(
             WindowFrame::<u64>::decode(&k).unwrap_err(),
             WireError::Corrupt("frame kind")
         );
+        k[5] = 0;
+        assert!(WindowFrame::<u64>::decode(&k).is_err());
         // Rotation counter forced to 0: no epoch has closed yet.
         let mut r = bytes.clone();
         r[15..23].copy_from_slice(&0u64.to_le_bytes());
@@ -2131,7 +2025,7 @@ mod tests {
         let frame =
             WindowFrame::<u64>::decode(&crafted_dirty(2, 2, 0, 2, &[(3, 1, &[1, 0])])).unwrap();
         assert_eq!(
-            frame.patch.unwrap().apply_to(&mut replica).unwrap_err(),
+            patch_of(frame).apply_to(&mut replica).unwrap_err(),
             WireError::Corrupt("empty bucket with fingerprint")
         );
         assert_windows_bit_equal(&replica, &before);
@@ -2211,6 +2105,10 @@ mod tests {
                     crafted_dirty(next, 2, rows + 1, rows, &[(0, 2, &[])]),
                     "patch baseline",
                 ),
+                (
+                    crafted_dirty(next, 2, rows, rows + 1, &[(0, 2, &[])]),
+                    "array count",
+                ),
             ] {
                 let ctx = format!("mid-epoch snapshot {mid_epoch}: {error}");
                 assert!(WindowFrame::<u64>::decode(&frame).is_ok(), "{ctx}");
@@ -2283,8 +2181,7 @@ mod tests {
         let arrays: Vec<usize> = win.epoch_iter().map(|e| e.sketch().arrays()).collect();
         assert!(arrays.iter().any(|&a| a > 2), "expansion precondition");
         let bytes = win.export_dirty(3, 2000).expect("a closed epoch");
-        let frame = WindowFrame::<u64>::decode(&bytes).unwrap();
-        let patch = frame.patch.as_ref().unwrap();
+        let patch = patch_of(WindowFrame::<u64>::decode(&bytes).unwrap());
         assert_eq!(patch.base_rows(), 2, "patched against the ring");
         assert!(patch.rows() > 2);
         assert_eq!(

@@ -1,14 +1,12 @@
 //! Golden frame bytes: the window-frame encoders must keep producing
 //! the *exact* bytes they produced when these digests were recorded.
 //!
-//! The full-frame digests below were recorded by running this test on
-//! commit `ece24d5`, before the encoders' inner loops (the CRC-32, the
-//! dirty bitmap scan and the changed-word walk) were rewritten. The
-//! dirty and delta digests were recorded when the dirty record moved
-//! to v5 (each changed bucket's counter and fingerprint XORed apart,
-//! the fingerprint XOR shipped only when nonzero); the full frames did
-//! not change with it. Each case streams the recorded packets through
-//! a `W = 4` window, then folds three frames through FNV-1a:
+//! All six digests were recorded at frame v6, when full frames became
+//! the ring config plus one empty-baseline record per live epoch. The
+//! dirty and delta frames kept their v5 bytes but for the version byte
+//! and the canonical store order (count descending, then key bytes),
+//! which reorders tied counts. Each case streams the recorded packets
+//! through a `W = 4` window, then folds three frames through FNV-1a:
 //!
 //! * `export_frame` — the full snapshot of every live epoch;
 //! * `export_dirty` — a patch against a real baseline (`base_rows > 0`);
@@ -21,7 +19,7 @@
 //! of the frame it pins.
 
 use heavykeeper::sliding::SlidingTopK;
-use heavykeeper::wire::WindowFrame;
+use heavykeeper::wire::{FrameBody, WindowFrame};
 use heavykeeper::HkConfig;
 
 const EPOCH_PACKETS: u32 = 3_000;
@@ -71,8 +69,7 @@ fn digest(frame: &[u8]) -> (u64, usize) {
     (h, frame.len())
 }
 
-/// `(digest, length)` of each frame: the full frame recorded at
-/// `ece24d5`, the dirty and delta frames at dirty-frame v5.
+/// `(digest, length)` of each frame, recorded at frame v6.
 struct Golden {
     full: (u64, usize),
     dirty: (u64, usize),
@@ -80,15 +77,15 @@ struct Golden {
 }
 
 const GOLDEN_W256: Golden = Golden {
-    full: (0xad07_803a_359e_0077, 25_827),
-    dirty: (0xa6d5_fa75_4c0f_3ec1, 1_683),
-    delta: (0xb3b3_7f60_6c23_6563, 1_786),
+    full: (0x9353_84cb_2ddb_702e, 7_064),
+    dirty: (0x4399_7486_be57_bf46, 1_683),
+    delta: (0xec4b_b9b0_7a44_d356, 1_786),
 };
 
 const GOLDEN_W1000: Golden = Golden {
-    full: (0x706f_f46a_1036_669b, 97_251),
-    dirty: (0x0fa0_bb0b_c924_d596, 4_732),
-    delta: (0x99ba_3e60_2302_ab5f, 4_108),
+    full: (0xab81_ace1_0f12_d8c7, 16_137),
+    dirty: (0xd433_e92e_269e_77bf, 4_732),
+    delta: (0x1fcb_03e5_5d4d_cd5a, 4_108),
 };
 
 fn run_case(width: usize, golden: &Golden) {
@@ -99,10 +96,12 @@ fn run_case(width: usize, golden: &Golden) {
 
     // The dirty frame must be a patch against a real baseline, or the
     // case would not cover the XOR arm of the encoder.
-    let patch = WindowFrame::<u64>::decode(&dirty)
+    let FrameBody::Dirty(patch) = WindowFrame::<u64>::decode(&dirty)
         .expect("dirty frame decodes")
-        .patch
-        .expect("a dirty frame carries a patch");
+        .body
+    else {
+        panic!("a dirty frame carries a patch");
+    };
     assert!(
         patch.base_rows() > 0,
         "width {width}: dirty frame has no baseline"

@@ -27,8 +27,8 @@
 
 use heavykeeper::collector::{AggregationRule, Collector, WindowSubmit};
 use heavykeeper::sliding::SlidingTopK;
-use heavykeeper::wire::WindowFrame;
-use heavykeeper::{HkConfig, ParallelTopK, WireError};
+use heavykeeper::wire::{FrameBody, WindowFrame};
+use heavykeeper::{HkConfig, HkConfigBuilder, ParallelTopK, WireError};
 use hk_common::prng::XorShift64;
 use hk_common::varint;
 
@@ -233,29 +233,28 @@ fn header_corruption_rejected_specifically() {
 fn dirty_header_corruption_rejected_specifically() {
     let (win, frames) = populated_with_dirty(7, 3);
 
-    // Stamping the dirty version and kind onto a full frame's byte
-    // layout cannot decode.
+    // Stamping the dirty kind onto a full frame's byte layout cannot
+    // decode.
     let mut bad = win.export_frame(1, 2000);
-    bad[OFF_VERSION] = 5;
     bad[OFF_KIND] = 2;
     assert!(WindowFrame::<u64>::decode(&bad).is_err());
 
     for good in frames {
-        // Kind and version must agree: a dirty kind under v2…
+        // Both kinds share one version: v2 and v5, the retired full
+        // and dirty versions, are unknown…
         let mut bad = good.clone();
-        bad[OFF_VERSION] = 2;
-        assert_eq!(
-            WindowFrame::<u64>::decode(&bad).unwrap_err(),
-            WireError::Corrupt("frame version/kind pairing")
-        );
-        // …and a full kind under v5 are both impossible; kind 1 (the
-        // retired v2 delta) is unknown.
+        for retired in [2, 5] {
+            bad[OFF_VERSION] = retired;
+            assert_eq!(
+                WindowFrame::<u64>::decode(&bad).unwrap_err(),
+                WireError::BadVersion(retired)
+            );
+        }
+        // …a full kind over a patch cannot decode, and kind 1 (the
+        // retired delta) is unknown.
         let mut bad = good.clone();
         bad[OFF_KIND] = 0;
-        assert_eq!(
-            WindowFrame::<u64>::decode(&bad).unwrap_err(),
-            WireError::Corrupt("frame version/kind pairing")
-        );
+        assert!(WindowFrame::<u64>::decode(&bad).is_err());
         bad[OFF_KIND] = 1;
         assert_eq!(
             WindowFrame::<u64>::decode(&bad).unwrap_err(),
@@ -311,20 +310,40 @@ fn peak_rss() -> Option<u64> {
     Some(kb * 1024)
 }
 
-/// A CRC-valid dirty frame (switch 0, rotation 2, W = 3) around one
-/// hand-built HKDP payload.
-fn dirty_frame_around(payload: &[u8]) -> Vec<u8> {
+/// A CRC-valid frame of `kind` (switch 0, rotation 2, W = 3) around
+/// hand-built record payloads; a full frame's first is its ring config.
+fn frame_around(kind: u8, payloads: &[&[u8]]) -> Vec<u8> {
+    let live = payloads.len() - usize::from(kind == 0);
     let mut out = b"HKWF".to_vec();
-    out.extend_from_slice(&[5, 2, 8]); // version, kind, key width
+    out.extend_from_slice(&[6, kind, 8]); // version, kind, key width
     out.extend_from_slice(&0u64.to_le_bytes());
     out.extend_from_slice(&2u64.to_le_bytes());
     out.extend_from_slice(&3u16.to_le_bytes());
-    out.extend_from_slice(&1u16.to_le_bytes());
+    out.extend_from_slice(&(live as u16).to_le_bytes());
     out.extend_from_slice(&100u32.to_le_bytes());
-    out.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-    out.extend_from_slice(payload);
-    out.extend_from_slice(&hk_common::crc::crc32(payload).to_le_bytes());
+    for payload in payloads {
+        out.extend_from_slice(&(payload.len() as u32).to_le_bytes());
+        out.extend_from_slice(payload);
+        out.extend_from_slice(&hk_common::crc::crc32(payload).to_le_bytes());
+    }
     out
+}
+
+/// An HKDP payload of `rows` rows of `width` buckets against the empty
+/// baseline, every bitmap one zero run, and an empty store; its first
+/// 12 bytes are the header alone when `width` takes a 5-byte varint.
+fn empty_record(rows: u64, width: u64) -> Vec<u8> {
+    let mut payload = b"HKDP".to_vec();
+    payload.push(2); // fingerprint bytes
+    for field in [0, rows, width] {
+        varint::write_u64(&mut payload, field); // base_rows, rows, width
+    }
+    for _ in 0..rows {
+        varint::write_u64(&mut payload, width.div_ceil(64));
+        varint::write_u64(&mut payload, 0);
+    }
+    varint::write_u64(&mut payload, 0); // empty store
+    payload
 }
 
 #[test]
@@ -333,12 +352,8 @@ fn length_fields_cannot_amplify_allocation() {
 
     // A 51-byte frame claiming 16 rows × u32::MAX buckets, and no
     // bitmap: refused without reserving a word per claimed bucket.
-    let mut payload = b"HKDP".to_vec();
-    payload.push(2); // fingerprint bytes
-    for field in [0, 16, u64::from(u32::MAX)] {
-        varint::write_u64(&mut payload, field); // base_rows, rows, width
-    }
-    let frame = dirty_frame_around(&payload);
+    let payload = empty_record(16, u32::MAX.into());
+    let frame = frame_around(2, &[&payload[..12]]);
     assert_eq!(frame.len(), 51);
     assert_eq!(
         WindowFrame::<u64>::decode(&frame).unwrap_err(),
@@ -346,16 +361,35 @@ fn length_fields_cannot_amplify_allocation() {
     );
     // The same claim with every row's bitmap one zero run is a valid,
     // empty patch; it decodes in memory proportional to its bytes.
-    for _ in 0..16 {
-        varint::write_u64(&mut payload, u64::from(u32::MAX).div_ceil(64));
-        varint::write_u64(&mut payload, 0);
-    }
-    varint::write_u64(&mut payload, 0); // empty store
-    let patch = WindowFrame::<u64>::decode(&dirty_frame_around(&payload))
-        .unwrap()
-        .patch
-        .unwrap();
+    let frame = WindowFrame::<u64>::decode(&frame_around(2, &[&payload])).unwrap();
+    let FrameBody::Dirty(patch) = frame.body else {
+        panic!("a dirty frame");
+    };
     assert_eq!((patch.rows(), patch.width()), (16, u32::MAX as usize));
+
+    // A full frame's ring config in the v1 config fields: 2 arrays of
+    // `width` buckets, 16+16 bits, no expansion.
+    let config = |width: u32| {
+        let mut c = ParallelTopK::<u64>::new(cfg(1)).to_wire()[6..37].to_vec();
+        c[2..6].copy_from_slice(&width.to_le_bytes());
+        c
+    };
+    // A few hundred bytes claiming a 6 GiB ring, its epoch included:
+    // refused before any epoch is allocated.
+    let frame = frame_around(0, &[&config(1 << 28), &empty_record(2, 1 << 28)]);
+    assert!(frame.len() < 300, "{} bytes", frame.len());
+    assert_eq!(
+        WindowFrame::<u64>::decode(&frame).unwrap_err(),
+        WireError::Corrupt("ring size")
+    );
+    // A 192 MiB ring whose one record claims 16 rows, 512 MiB: no epoch
+    // of this ring grows past its 2 arrays, so the record is refused
+    // before its epoch is built.
+    let frame = frame_around(0, &[&config(1 << 23), &empty_record(16, 1 << 23)]);
+    assert_eq!(
+        WindowFrame::<u64>::decode(&frame).unwrap_err(),
+        WireError::Corrupt("array count")
+    );
 
     // A 37-byte v1 header claiming 50M buckets: refused before the
     // sketch it describes is built.
@@ -382,33 +416,50 @@ fn length_fields_cannot_amplify_allocation() {
     }
 }
 
+/// The records of a frame, whole: length, payload and CRC each.
+fn records(frame: &[u8]) -> Vec<&[u8]> {
+    let mut out = Vec::new();
+    let mut pos = HEADER_LEN;
+    while pos < frame.len() {
+        let len = u32::from_le_bytes(frame[pos..pos + 4].try_into().unwrap()) as usize;
+        out.push(&frame[pos..pos + 4 + len + 4]);
+        pos += 4 + len + 4;
+    }
+    out
+}
+
 #[test]
-fn mixed_ring_epochs_rejected() {
-    // Hand-build a "frame" whose two epoch payloads come from different
-    // seeds: decodable individually, impossible as one ring.
-    let a = populated(1, 2, 1);
-    let b = populated(2, 2, 1);
-    let fa = a.export_frame(0, 100);
-    let fb = b.export_frame(0, 100);
-    // Splice: header of `a`'s frame (live=2 already), first record from
-    // a, second record from b. Records start at HEADER_LEN; each is
-    // 4 + len + 4 bytes.
-    let rec = |f: &[u8], skip: usize| -> Vec<u8> {
-        let mut pos = HEADER_LEN;
-        for _ in 0..skip {
-            let len = u32::from_le_bytes(f[pos..pos + 4].try_into().unwrap()) as usize;
-            pos += 4 + len + 4;
-        }
-        let len = u32::from_le_bytes(f[pos..pos + 4].try_into().unwrap()) as usize;
-        f[pos..pos + 4 + len + 4].to_vec()
+fn record_from_another_ring_rejected() {
+    // A full frame carries one ring config, so every epoch record must
+    // be one that ring could have written. Splice a CRC-valid record
+    // from elsewhere in as the second epoch of a W = 2 frame.
+    let frame = populated(1, 2, 1).export_frame(0, 100);
+    let ours = records(&frame);
+    assert_eq!(ours.len(), 3, "the ring config and two epochs");
+    let kept = frame.len() - ours[2].len();
+    let splice = |foreign: &[u8]| [&frame[..kept], foreign].concat();
+    assert!(WindowFrame::<u64>::decode(&splice(ours[2])).is_ok());
+
+    // The first epoch of a ring of another geometry.
+    let other = |cfg: HkConfigBuilder| {
+        let mut win = SlidingTopK::<u64>::new(cfg.arrays(2).k(8).seed(1).build(), 2);
+        win.insert_batch(&(0..500u64).collect::<Vec<_>>());
+        win.export_frame(0, 100)
     };
-    let mut spliced = fa[..HEADER_LEN].to_vec();
-    spliced.extend_from_slice(&rec(&fa, 0));
-    spliced.extend_from_slice(&rec(&fb, 1));
-    assert_eq!(
-        WindowFrame::<u64>::decode(&spliced).unwrap_err(),
-        WireError::Corrupt("epochs from different rings")
-    );
+    let wide = other(HkConfig::builder().width(128));
+    let fp24 = other(HkConfig::builder().width(64).fingerprint_bits(24));
+    // A patch against a real baseline (`base_rows > 0`) of our ring.
+    let (_, [_, patch]) = populated_with_dirty(1, 3);
+    for (foreign, error) in [
+        (records(&wide)[1], "patch width"),
+        (records(&fp24)[1], "fingerprint bytes"),
+        (records(&patch)[0], "patch baseline"),
+    ] {
+        assert_eq!(
+            WindowFrame::<u64>::decode(&splice(foreign)).unwrap_err(),
+            WireError::Corrupt(error)
+        );
+    }
 }
 
 /// Content digest used by the protocol property tests (bucket words +

@@ -221,16 +221,15 @@ impl LintConfig {
             ],
             magics: vec![
                 b"HKSK".to_vec(),       // v1 sketch payload
-                b"HKWF".to_vec(),       // window frame header (v2 full, v5 dirty)
-                b"HKDP".to_vec(),       // dirty-patch record inside a v5 frame
+                b"HKWF".to_vec(),       // window frame header (v6, full and dirty)
+                b"HKDP".to_vec(),       // epoch record inside a v6 window frame
                 b"HKTR".to_vec(),       // trace file container
                 b"HKCKPT\0\0".to_vec(), // reserved checkpoint switch id
             ],
             numeric_magics: vec![0xA1B2_C3D4, 0xA1B2_3C4D], // pcap usec/nsec
             versions: vec![
-                ("VERSION".into(), 1),             // HKSK sketch payload / HKTR trace
-                ("FRAME_VERSION".into(), 2),       // HKWF full (kind 0 only)
-                ("DIRTY_FRAME_VERSION".into(), 5), // HKWF dirty (kind 2 only)
+                ("VERSION".into(), 1),       // HKSK sketch payload / HKTR trace
+                ("FRAME_VERSION".into(), 6), // HKWF, full (kind 0) and dirty (kind 2)
             ],
         }
     }

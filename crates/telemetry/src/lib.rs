@@ -29,9 +29,11 @@
 //!        └ export_frame ───────────────────────────────────────▶ snapshot (rotation 3): bit-exact again
 //! ```
 //!
-//! * **Full frames** carry every live epoch — O(W · sketch) bytes; used
-//!   for the initial snapshot, for resync, and as the only frame kind
-//!   under [`ExportMode::Full`].
+//! * **Full frames** carry the ring config once and every live epoch as
+//!   an empty-baseline record — O(occupied buckets of the live epochs)
+//!   bytes, what the ring holds rather than its capacity; used for the
+//!   initial snapshot, for resync, and as the only frame kind under
+//!   [`ExportMode::Full`].
 //! * **Dirty frames** ([`ExportMode::Dirty`]) carry the closed epoch as
 //!   a changed-bucket patch against an explicit baseline — the epoch
 //!   closed one rotation earlier, which the switch's own ring still
@@ -86,7 +88,9 @@ const PARTITION_SALT: u64 = 0xF1EE_7000_5A17_0000;
 /// ships at a period boundary.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub enum ExportMode {
-    /// A full snapshot every rotation — O(W · sketch) bytes.
+    /// A full snapshot every rotation: the ring config and every live
+    /// epoch, each as an empty-baseline record — O(occupied buckets of
+    /// the W live epochs) bytes.
     Full,
     /// Changed buckets of the closed epoch per rotation, diffed against
     /// the epoch before it in the switch's ring — O(changed) bytes. A
