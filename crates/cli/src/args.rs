@@ -11,9 +11,10 @@ use std::fmt;
 pub enum CliError {
     /// Malformed invocation (unknown flag, missing value, bad number).
     Usage(String),
-    /// A run that failed: an I/O error, a dead worker, a missed
-    /// `--min-recall` floor.
-    Io(String),
+    /// A run that failed, with its cause: a dead worker, a missed
+    /// `--min-recall` floor, an unreadable trace, or an I/O error (whose
+    /// message starts `i/o:`).
+    Run(String),
     /// `hk lint --deny` found violations.
     LintFindings(usize),
 }
@@ -22,7 +23,7 @@ impl fmt::Display for CliError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             Self::Usage(m) => write!(f, "{m}"),
-            Self::Io(m) => write!(f, "i/o: {m}"),
+            Self::Run(m) => write!(f, "{m}"),
             Self::LintFindings(n) => write!(f, "lint failed with {n} finding(s)"),
         }
     }
@@ -32,7 +33,7 @@ impl std::error::Error for CliError {}
 
 impl From<std::io::Error> for CliError {
     fn from(e: std::io::Error) -> Self {
-        Self::Io(e.to_string())
+        Self::Run(format!("i/o: {e}"))
     }
 }
 

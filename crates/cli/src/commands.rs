@@ -300,7 +300,7 @@ where
 {
     engine
         .enable_checkpoints(ckpt_every)
-        .map_err(|e| CliError::Io(e.to_string()))?;
+        .map_err(|e| CliError::Run(e.to_string()))?;
     if let Some(plan) = fault {
         engine.set_fault_plan(plan);
     }
@@ -325,7 +325,7 @@ where
     A: PreparedInsert<u64> + Send + 'static,
 {
     if recover {
-        engine.recover().map_err(|e| CliError::Io(e.to_string()))?;
+        engine.recover().map_err(|e| CliError::Run(e.to_string()))?;
     }
     let journal = engine.obs_snapshot().journal;
     let acc = journal.recovery_accounting();
@@ -347,10 +347,10 @@ where
     // dead shards and the dropped-packet count.
     engine
         .flush()
-        .map_err(|e| CliError::Io(format!("{e}; {} packet(s) dropped", engine.lost_packets())))?;
+        .map_err(|e| CliError::Run(format!("{e}; {} packet(s) dropped", engine.lost_packets())))?;
     if !stats_path.is_empty() {
         std::fs::write(stats_path, engine.obs_snapshot().render_json())
-            .map_err(|e| CliError::Io(format!("--stats-json {stats_path}: {e}")))?;
+            .map_err(|e| CliError::Run(format!("--stats-json {stats_path}: {e}")))?;
         println!("stats: obs snapshot written to {stats_path}");
     }
     Ok(())
@@ -408,7 +408,7 @@ fn enforce_min_recall(args: &Args, precision: f64) -> Result<(), CliError> {
     let bound: f64 = args.num_or("min-recall", -1.0)?;
     if bound >= 0.0 {
         if precision < bound {
-            return Err(CliError::Io(format!(
+            return Err(CliError::Run(format!(
                 "run precision {precision:.4} below --min-recall {bound:.4}"
             )));
         }
@@ -568,7 +568,7 @@ pub fn generate(args: &Args) -> Result<(), CliError> {
         other => return Err(CliError::Usage(format!("unknown trace kind `{other}`"))),
     };
     let mut file = File::create(out)?;
-    write_trace(&trace, &mut file).map_err(|e| CliError::Io(e.to_string()))?;
+    write_trace(&trace, &mut file).map_err(|e| CliError::Run(e.to_string()))?;
     println!("wrote {} packets ({}) to {out}", trace.len(), trace.name);
     Ok(())
 }
@@ -576,7 +576,7 @@ pub fn generate(args: &Args) -> Result<(), CliError> {
 fn load(args: &Args) -> Result<Trace<u64>, CliError> {
     let path = args.require("trace")?;
     let mut file = File::open(path)?;
-    read_trace(&mut file, path).map_err(|e| CliError::Io(e.to_string()))
+    read_trace(&mut file, path).map_err(|e| CliError::Run(e.to_string()))
 }
 
 /// `hk analyze`.
@@ -677,14 +677,14 @@ pub fn pcap_gen(args: &Args) -> Result<(), CliError> {
     let trace = sampled_zipf(packets, flows, skew, seed).map_keys(FiveTuple::from_index);
     let file = File::create(out)?;
     let mut w =
-        PcapWriter::new(std::io::BufWriter::new(file)).map_err(|e| CliError::Io(e.to_string()))?;
+        PcapWriter::new(std::io::BufWriter::new(file)).map_err(|e| CliError::Run(e.to_string()))?;
     for (n, flow) in trace.packets.iter().enumerate() {
         let ts_sec = (n / 1_000_000) as u32;
         let ts_usec = (n % 1_000_000) as u32;
         w.write_packet(ts_sec, ts_usec, &build_frame(flow, payload))
-            .map_err(|e| CliError::Io(e.to_string()))?;
+            .map_err(|e| CliError::Run(e.to_string()))?;
     }
-    w.finish().map_err(|e| CliError::Io(e.to_string()))?;
+    w.finish().map_err(|e| CliError::Run(e.to_string()))?;
     println!("wrote {} frames to {out}", trace.len());
     Ok(())
 }
@@ -703,9 +703,9 @@ pub fn pcap(args: &Args) -> Result<(), CliError> {
 
     let file = File::open(path)?;
     let cap = PcapReader::new(std::io::BufReader::new(file))
-        .map_err(|e| CliError::Io(e.to_string()))?
+        .map_err(|e| CliError::Run(e.to_string()))?
         .read_flows()
-        .map_err(|e| CliError::Io(e.to_string()))?;
+        .map_err(|e| CliError::Run(e.to_string()))?;
     println!(
         "{path}: {} frames parsed, {} skipped",
         cap.flows.len(),
@@ -973,7 +973,7 @@ pub fn fleet(args: &Args) -> Result<(), CliError> {
     let bound: f64 = args.num_or("min-recall", -1.0)?;
     if bound >= 0.0 {
         if recall < bound {
-            return Err(CliError::Io(format!(
+            return Err(CliError::Run(format!(
                 "fleet recall {recall:.4} below --min-recall {bound:.4}"
             )));
         }
@@ -1514,7 +1514,7 @@ mod tests {
     #[test]
     fn pcap_missing_file_is_io_error() {
         let ana = Args::parse(&sv(&["pcap", "--in", "/nonexistent/x.pcap"])).unwrap();
-        assert!(matches!(pcap(&ana).unwrap_err(), CliError::Io(_)));
+        assert!(matches!(pcap(&ana).unwrap_err(), CliError::Run(_)));
     }
 
     #[test]
@@ -1623,7 +1623,7 @@ mod tests {
             "1.1",
         ]))
         .unwrap();
-        assert!(matches!(fleet(&f).unwrap_err(), CliError::Io(_)));
+        assert!(matches!(fleet(&f).unwrap_err(), CliError::Run(_)));
 
         // Degenerate flags rejected.
         let bad = Args::parse(&sv(&["fleet", "--switches", "0"])).unwrap();

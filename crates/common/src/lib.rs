@@ -7,7 +7,8 @@
 //! * [`hash`] — from-scratch xxHash64 and MurmurHash3 implementations plus
 //!   a seeded, 2-universal hash family. The paper requires `d` 2-way
 //!   independent hash functions (Section III-B); this module provides them
-//!   without external hash crates.
+//!   without external hash crates. xxHash64 also checksums every record
+//!   of a windowed telemetry frame.
 //! * [`prepared`] — the prepared-key derivation (one 64-bit hash per
 //!   packet → per-array slots + fingerprint) shared by HeavyKeeper, the
 //!   baselines and the sharded engine, with batch prehashing.
@@ -18,17 +19,14 @@
 //!   amortized increment and replace-min.
 //! * [`topk`] — an indexed min-heap top-k tracker, the didactic structure
 //!   the paper uses to explain the algorithms.
-//! * [`crc`] — CRC-32 (IEEE) for wire-payload integrity (the windowed
-//!   telemetry frames checksum every epoch payload).
 //! * [`varint`] — LEB128 varints and run-length-encoded bitmaps, the
-//!   coding substrate of the dirty (wire v5) telemetry frames.
+//!   coding substrate of the epoch records in windowed telemetry frames.
 //! * [`prng`] — a tiny, fast xorshift PRNG used for decay coin flips.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod algorithm;
-pub mod crc;
 pub mod fingerprint;
 pub mod hash;
 pub mod key;
@@ -39,7 +37,6 @@ pub mod topk;
 pub mod varint;
 
 pub use algorithm::{EpochRotate, PreparedInsert, ShardCheckpoint, ShardReshard, TopKAlgorithm};
-pub use crc::crc32;
 pub use fingerprint::fingerprint_of;
 pub use hash::{HashFamily, SeededHasher};
 pub use key::{FlowKey, KeyBytes};

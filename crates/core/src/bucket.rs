@@ -451,12 +451,32 @@ impl<W: BucketWord> BucketMatrix<W> {
     /// compare over its 64-bucket chunk.
     pub fn diff_row_bitmap(&self, j: usize, base: Option<&[W]>, bitmap: &mut Vec<u64>) -> usize {
         /// One bit per bucket of a chunk of at most 64, set iff it
-        /// differs from the baseline word.
+        /// differs from the baseline word. A full chunk compares into 64
+        /// byte flags (a loop the compiler vectorizes), then packs each
+        /// eight into one bitmap byte with one multiply: flag `i` of the
+        /// little-endian `u64` sits at bit `8 i`, the multiplier moves it
+        /// to bit `56 + i`, and no two partial products share a bit, so
+        /// nothing carries into the top byte. The partial last chunk
+        /// folds bucket by bucket.
         fn diff_word<W: BucketWord>(new: &[W], old: &[W]) -> u64 {
-            new.iter()
-                .zip(old)
+            if new.len() < 64 {
+                return new
+                    .iter()
+                    .zip(old)
+                    .enumerate()
+                    .fold(0, |bits, (i, (n, o))| bits | u64::from(n != o) << i);
+            }
+            let mut flags = [0u8; 64];
+            for ((flag, n), o) in flags.iter_mut().zip(new).zip(old) {
+                *flag = u8::from(n != o);
+            }
+            flags
+                .chunks_exact(8)
                 .enumerate()
-                .fold(0, |bits, (i, (n, o))| bits | u64::from(n != o) << i)
+                .fold(0, |bits, (byte, eight)| {
+                    let eight = u64::from_le_bytes(eight.try_into().expect("chunks of 8"));
+                    bits | (eight.wrapping_mul(0x0102_0408_1020_4080) >> 56) << (8 * byte)
+                })
         }
         let empty = [W::default(); 64];
 

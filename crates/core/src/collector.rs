@@ -111,7 +111,7 @@ pub enum WindowSubmit {
 /// Why a window-frame submission failed.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum WindowSubmitError {
-    /// The frame did not decode (truncated, corrupt, bad CRC, …).
+    /// The frame did not decode (truncated, corrupt, bad checksum, …).
     Wire(WireError),
     /// The frame conflicts with the switch's established ring (window
     /// size or sketch configuration changed mid-stream).
@@ -401,14 +401,22 @@ impl<K: FlowKey> Collector<K> {
     ///   closed by `R - 1`, which the switch's ring diffed against) is
     ///   copied in, unless the baseline is empty — a `W = 2` switch
     ///   ships every epoch that way — and the patch is XORed over it;
-    ///   then the ring advances. A patch whose baseline row count
-    ///   disagrees with that epoch, or that fails a bucket check, is
-    ///   refused, leaves the replica bit-identical, and leaves the
-    ///   switch flagged for resync. `R` at or below the replica's
-    ///   rotation is a duplicate (idempotent drop). `R` further ahead is
-    ///   a **gap**: the patch is buffered (so a reordered neighbor can
+    ///   then the ring advances. `R` at or below the replica's rotation
+    ///   is a duplicate (idempotent drop). `R` further ahead is a
+    ///   **gap**: the patch is buffered (so a reordered neighbor can
     ///   still slot in once the gap fills) and the switch is flagged in
     ///   [`Collector::resync_needed`] until a full snapshot arrives.
+    ///
+    /// A dirty frame's record is read once. The apply of an in-sequence
+    /// frame is its only walk: a frame that passes its checksum but
+    /// fails that apply — malformed bytes, a baseline row count that
+    /// disagrees with the replica, or a bucket out of range — is
+    /// refused, leaves the replica bit-identical, and leaves the switch
+    /// flagged for resync, since its rotation was seen but not applied.
+    /// Every other dirty frame (a duplicate, a gap, one before any
+    /// snapshot or on another ring's geometry) is walked before it is
+    /// stamped, counted or buffered, so a malformed one is refused
+    /// without a trace.
     ///
     /// Returns what the frame did; errors are reserved for frames that
     /// cannot participate in the protocol at all (undecodable bytes,
@@ -418,7 +426,7 @@ impl<K: FlowKey> Collector<K> {
         &mut self,
         payload: &[u8],
     ) -> Result<WindowSubmit, WindowSubmitError> {
-        let out = WindowFrame::<K>::decode(payload)
+        let out = WindowFrame::<K>::parse(payload)
             .map_err(WindowSubmitError::Wire)
             .and_then(|frame| self.submit_window_inner(frame));
         if out.is_err() {
@@ -432,6 +440,18 @@ impl<K: FlowKey> Collector<K> {
         frame: WindowFrame<K>,
     ) -> Result<WindowSubmit, WindowSubmitError> {
         let switch = frame.switch_id;
+        if let FrameBody::Dirty(patch) = &frame.body {
+            // Only the next rotation on the replica's own geometry is
+            // walked by its apply; every other patch is walked here.
+            let applies_next = self.windows.get(&switch).is_some_and(|entry| {
+                frame.rotation.checked_sub(1) == Some(entry.replica.rotations())
+                    && frame.window == entry.replica.window()
+                    && patch.width() == entry.replica.config().width
+            });
+            if !applies_next {
+                patch.check().map_err(WindowSubmitError::Wire)?;
+            }
+        }
         // Any decodable frame naming the switch proves it alive, so the
         // liveness stamp lands before the protocol decides what the
         // frame does (even a duplicate resets the idle counter).
@@ -482,7 +502,8 @@ impl<K: FlowKey> Collector<K> {
                 // config-free by construction); ring identity is checked
                 // on the geometry it does carry. Seed/decay mismatches
                 // from an adversarial same-geometry stream fail at
-                // apply-time validation or in the CRC/rotation protocol.
+                // apply-time validation or in the checksum/rotation
+                // protocol.
                 if frame.window != entry.replica.window()
                     || patch.width() != entry.replica.config().width
                 {

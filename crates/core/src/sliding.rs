@@ -337,6 +337,12 @@ impl<K: FlowKey> SlidingTopK<K> {
         self.epochs.iter()
     }
 
+    /// True while the open epoch is as-constructed: no write reached it
+    /// since the ring was built or last rotated.
+    pub(crate) fn open_is_fresh(&self) -> bool {
+        self.open_fresh
+    }
+
     /// The newest *closed* epoch — the one the latest rotation closed,
     /// just behind the accumulating newest. `None` before the first
     /// rotation and always for a `W = 1` window.

@@ -52,13 +52,13 @@ pub enum WireError {
     /// The payload's key width does not match the requested key type,
     /// or the key type does not implement `from_key_bytes`.
     KeyMismatch,
-    /// A record's CRC-32 does not match its bytes (window frames
-    /// checksum every record).
-    BadCrc {
+    /// A record's xxh64 checksum does not match its bytes (window
+    /// frames checksum every record).
+    BadChecksum {
         /// Index of the failing record within the frame: a full frame's
         /// ring config is record 0 and its epochs follow; a dirty
         /// frame's patch is record 0.
-        epoch: usize,
+        record: usize,
     },
 }
 
@@ -70,7 +70,7 @@ impl std::fmt::Display for WireError {
             Self::Truncated => write!(f, "wire payload truncated"),
             Self::Corrupt(what) => write!(f, "corrupt field: {what}"),
             Self::KeyMismatch => write!(f, "key type does not match payload"),
-            Self::BadCrc { epoch } => write!(f, "record {epoch} fails its CRC"),
+            Self::BadChecksum { record } => write!(f, "record {record} fails its checksum"),
         }
     }
 }
@@ -105,13 +105,13 @@ impl<'a> Reader<'a> {
     fn u64(&mut self) -> Result<u64, WireError> {
         Ok(u64::from_le_bytes(self.take(8)?.try_into().unwrap()))
     }
-    /// One window-frame record: its payload, once the CRC behind it
-    /// matches. `index` names the record in the error.
+    /// One window-frame record: its payload, once the checksum behind
+    /// it matches. `index` names the record in the error.
     fn record(&mut self, index: usize) -> Result<&'a [u8], WireError> {
         let len = self.u32()? as usize;
         let payload = self.take(len)?;
-        if hk_common::crc::crc32(payload) != self.u32()? {
-            return Err(WireError::BadCrc { epoch: index });
+        if checksum(payload) != self.u64()? {
+            return Err(WireError::BadChecksum { record: index });
         }
         Ok(payload)
     }
@@ -341,10 +341,10 @@ impl<K: FlowKey> ParallelTopK<K> {
 // epoch record:
 //
 // ```text
-// magic "HKWF" | version u8 (6) | kind u8 (0 full / 2 dirty) |
+// magic "HKWF" | version u8 (7) | kind u8 (0 full / 2 dirty) |
 // key_len u8 | switch_id u64 | rotation u64 | window u16 | live u16 |
 // epoch_packets u32
-// then records, each  payload_len u32 | payload | crc32 u32:
+// then records, each  payload_len u32 | payload | xxh64 u64:
 //   full:  the ring config (the v1 config fields, `arrays` the ring's
 //          base count), then `live` epochs, oldest -> newest, each
 //          against the empty baseline: the snapshot, resync and
@@ -377,7 +377,8 @@ impl<K: FlowKey> ParallelTopK<K> {
 // O(changed buckets).
 //
 // Kind 1 (the retired delta) and earlier versions no longer decode.
-// Every record is CRC-checked before it is decoded. A record describes
+// Every record's checksum, the xxHash64 of its payload at seed 0, is
+// checked before the payload is read. A record describes
 // an empty epoch in a few bytes, so a frame's length does not bound
 // what decode allocates: it refuses a ring over `MAX_RING_BYTES` and an
 // epoch with more rows than its ring can grow. The collector applies a
@@ -389,7 +390,7 @@ impl<K: FlowKey> ParallelTopK<K> {
 /// Magic prefix of a windowed telemetry frame.
 const FRAME_MAGIC: &[u8; 4] = b"HKWF";
 /// Wire version of window frames, full and dirty alike.
-const FRAME_VERSION: u8 = 6;
+const FRAME_VERSION: u8 = 7;
 /// Magic prefix of an epoch record payload.
 const DIRTY_MAGIC: &[u8; 4] = b"HKDP";
 /// Kind byte of a full frame: the ring config, then every live epoch.
@@ -433,10 +434,15 @@ pub enum FrameBody<K: FlowKey> {
     Dirty(DirtyPatch<K>),
 }
 
+/// A record's checksum: the xxHash64 of its payload at seed 0.
+fn checksum(payload: &[u8]) -> u64 {
+    hk_common::hash::xxhash64(payload, 0)
+}
+
 /// Appends one record: the payload `write` streams straight into `out`
 /// (the ring config or an epoch record), length-prefixed and followed
-/// by its CRC. The length is back-patched and the CRC computed over the
-/// written range — no intermediate copy.
+/// by its checksum. The length is back-patched and the checksum
+/// computed over the written range — no intermediate copy.
 fn encode_record(out: &mut Vec<u8>, write: impl FnOnce(&mut Vec<u8>)) {
     let len_at = out.len();
     out.extend_from_slice(&0u32.to_le_bytes()); // placeholder
@@ -444,8 +450,8 @@ fn encode_record(out: &mut Vec<u8>, write: impl FnOnce(&mut Vec<u8>)) {
     write(out);
     let payload_len = out.len() - payload_at;
     out[len_at..len_at + 4].copy_from_slice(&(payload_len as u32).to_le_bytes());
-    let crc = hk_common::crc::crc32(&out[payload_at..]);
-    out.extend_from_slice(&crc.to_le_bytes());
+    let sum = checksum(&out[payload_at..]);
+    out.extend_from_slice(&sum.to_le_bytes());
 }
 
 impl<K: FlowKey> SlidingTopK<K> {
@@ -494,15 +500,25 @@ impl<K: FlowKey> SlidingTopK<K> {
     /// the empty-baseline record [`export_delta`] ships. The frame
     /// costs what the ring holds, not its capacity. This is the initial
     /// snapshot a dirty stream starts from, the resync payload after
-    /// loss and the windowed shard checkpoint.
+    /// loss and the windowed shard checkpoint. An open epoch that no
+    /// write reached since the last rotation — a new ring, or one
+    /// exported right after it rotated — is written without a scan.
     ///
     /// [`export_delta`]: SlidingTopK::export_delta
     pub fn export_frame(&self, switch_id: u64, epoch_packets: u32) -> Vec<u8> {
         let mut out = self.frame_header(FULL_KIND, self.live_epochs(), switch_id, epoch_packets);
         let cfg = self.config();
         encode_record(&mut out, |out| encode_config(out, cfg, cfg.arrays));
-        for epoch in self.epoch_iter() {
-            encode_record(&mut out, |out| encode_epoch_record(out, epoch, None));
+        let live = self.live_epochs();
+        for (i, epoch) in self.epoch_iter().enumerate() {
+            let fresh = i + 1 == live && self.open_is_fresh();
+            encode_record(&mut out, |out| {
+                if fresh {
+                    encode_fresh_record(out, epoch)
+                } else {
+                    encode_epoch_record(out, epoch, None)
+                }
+            });
         }
         out
     }
@@ -558,6 +574,23 @@ fn fp_bytes(fingerprint_bits: u32) -> usize {
     fingerprint_bits.div_ceil(8) as usize
 }
 
+/// Appends an epoch record's header, up to its first row: a `rows ×
+/// width` epoch with `fp_bytes`-byte fingerprint XORs, against a
+/// baseline of `base_rows` rows (`0`, the empty baseline).
+fn encode_record_header(
+    out: &mut Vec<u8>,
+    fp_bytes: usize,
+    base_rows: usize,
+    rows: usize,
+    width: usize,
+) {
+    out.extend_from_slice(DIRTY_MAGIC);
+    out.push(fp_bytes as u8);
+    for field in [base_rows, rows, width] {
+        hk_common::varint::write_u64(out, field as u64);
+    }
+}
+
 /// Appends an epoch record payload: `epoch` diffed against `base` (rows
 /// beyond it — Section III-F expansion since the baseline closed — and
 /// every row when `base` is `None` against all-empty buckets), then the
@@ -569,20 +602,35 @@ fn encode_epoch_record<K: FlowKey>(
 ) {
     use hk_common::varint;
 
-    let base = base.map(|b| b.sketch().buckets());
-    let fp_bytes = fp_bytes(epoch.sketch().fingerprint_bits());
-    out.extend_from_slice(DIRTY_MAGIC);
-    out.push(fp_bytes as u8);
-    varint::write_u64(out, base.map_or(0, |b| b.rows()) as u64);
-    varint::write_u64(out, epoch.sketch().arrays() as u64);
-    varint::write_u64(out, epoch.sketch().width() as u64);
-    with_matrix!(epoch.sketch().buckets(), m => encode_dirty_rows(out, m, base, fp_bytes));
+    let (sketch, base) = (epoch.sketch(), base.map(|b| b.sketch().buckets()));
+    let fp_bytes = fp_bytes(sketch.fingerprint_bits());
+    let base_rows = base.map_or(0, |b| b.rows());
+    encode_record_header(out, fp_bytes, base_rows, sketch.arrays(), sketch.width());
+    with_matrix!(sketch.buckets(), m => encode_dirty_rows(out, m, base, fp_bytes));
     let top = canonical_top_k(epoch);
     varint::write_u64(out, top.len() as u64);
     for (key, count) in &top {
         out.extend_from_slice(key.key_bytes().as_slice());
         varint::write_u64(out, *count);
     }
+}
+
+/// Appends the record [`encode_epoch_record`] writes for `epoch` against
+/// the empty baseline, for an as-constructed `epoch`, without reading
+/// its buckets: every row's bitmap is one zero run and the store is
+/// empty.
+fn encode_fresh_record<K: FlowKey>(out: &mut Vec<u8>, epoch: &ParallelTopK<K>) {
+    use hk_common::varint;
+
+    debug_assert!(epoch.top_k().is_empty(), "an as-constructed epoch");
+    let sketch = epoch.sketch();
+    let fp_bytes = fp_bytes(sketch.fingerprint_bits());
+    encode_record_header(out, fp_bytes, 0, sketch.arrays(), sketch.width());
+    let zeros = vec![0u64; sketch.width().div_ceil(64)];
+    for _ in 0..sketch.arrays() {
+        varint::write_bitmap_rle(out, &zeros);
+    }
+    varint::write_u64(out, 0);
 }
 
 /// Appends a dirty patch's rows, over words `W`: per row the diff
@@ -751,7 +799,7 @@ struct RecordHeader {
 }
 
 impl RecordHeader {
-    /// Reads the header of one "HKDP" record payload (CRC already
+    /// Reads the header of one "HKDP" record payload (checksum already
     /// verified by the frame decoder).
     fn parse(data: &[u8]) -> Result<Self, WireError> {
         use hk_common::varint;
@@ -884,11 +932,10 @@ impl RecordHeader {
     }
 }
 
-/// A decoded dirty record: the geometry it claims and its CRC-checked
-/// bytes, whose structure decode has walked. Nothing is expanded per
-/// bucket: the collector walks the bytes again to XOR them into its
-/// replica, or keeps them until the gap before them fills, so a patch
-/// costs its wire bytes.
+/// A dirty record: the geometry its header claims and its checksummed
+/// bytes. Nothing is expanded per bucket: the collector walks the bytes
+/// once, to XOR them into its replica, or checks and keeps them until
+/// the gap before them fills, so a patch costs its wire bytes.
 #[derive(Debug, Clone)]
 pub struct DirtyPatch<K: FlowKey> {
     header: RecordHeader,
@@ -915,28 +962,26 @@ impl<K: FlowKey> DirtyPatch<K> {
         self.header.width
     }
 
-    /// Decodes one dirty frame's record and walks its bitmaps, entries,
-    /// store and trailing bytes. Semantic limits (counter and
-    /// fingerprint ranges, the ring's geometry, store size, the
-    /// baseline) need the ring and are enforced by
-    /// [`DirtyPatch::apply_to`].
-    fn decode(data: &[u8]) -> Result<Self, WireError> {
-        let header = RecordHeader::parse(data)?;
-        let mut pos = header.rows_at;
-        walk_dirty_rows(
-            data,
-            &mut pos,
-            header.rows,
-            header.width,
-            header.fp_bytes,
-            |_, _, _| {},
-        )?;
-        walk_dirty_store::<K>(data, &mut pos, |_, _| {})?;
+    /// Reads one dirty frame's record header and keeps the record; its
+    /// rows and store are read by [`DirtyPatch::check`] or by the apply.
+    fn parse(data: &[u8]) -> Result<Self, WireError> {
         Ok(Self {
-            header,
+            header: RecordHeader::parse(data)?,
             record: data.into(),
             key: PhantomData,
         })
+    }
+
+    /// Walks the record's bitmaps, entries, store and trailing bytes.
+    /// Semantic limits (counter and fingerprint ranges, the ring's
+    /// geometry, store size, the baseline) need the ring and are
+    /// enforced by [`DirtyPatch::apply_to`], whose walk also makes
+    /// every check this one makes.
+    pub(crate) fn check(&self) -> Result<(), WireError> {
+        let (h, data) = (&self.header, &self.record[..]);
+        let mut pos = h.rows_at;
+        walk_dirty_rows(data, &mut pos, h.rows, h.width, h.fp_bytes, |_, _, _| {})?;
+        walk_dirty_store::<K>(data, &mut pos, |_, _| {})
     }
 
     /// Applies the patch as `replica`'s next rotation, in place: the
@@ -1009,12 +1054,24 @@ impl<K: FlowKey> WindowFrame<K> {
     /// [`SlidingTopK::export_delta`].
     ///
     /// Every header field is validated and every record must pass its
-    /// CRC before its payload is decoded; any truncation, corruption or
-    /// inconsistency (a dirty frame with ≠ 1 record, more live epochs
-    /// than the window holds or than the rotation count allows, an
-    /// epoch record another ring wrote, a ring over [`MAX_RING_BYTES`])
-    /// is rejected.
+    /// checksum before its payload is decoded; any truncation,
+    /// corruption or inconsistency (a dirty frame with ≠ 1 record, more
+    /// live epochs than the window holds or than the rotation count
+    /// allows, an epoch record another ring wrote, a ring over
+    /// [`MAX_RING_BYTES`], a dirty record whose rows or store do not
+    /// walk) is rejected.
     pub fn decode(data: &[u8]) -> Result<Self, WireError> {
+        let frame = Self::parse(data)?;
+        if let FrameBody::Dirty(patch) = &frame.body {
+            patch.check()?;
+        }
+        Ok(frame)
+    }
+
+    /// [`WindowFrame::decode`] short of walking a dirty record's rows
+    /// and store ([`DirtyPatch::check`]): the collector leaves that walk
+    /// to the apply of a frame it applies at once.
+    pub(crate) fn parse(data: &[u8]) -> Result<Self, WireError> {
         let mut r = Reader { data, pos: 0 };
         if r.take(4)? != FRAME_MAGIC {
             return Err(WireError::BadMagic);
@@ -1055,7 +1112,7 @@ impl<K: FlowKey> WindowFrame<K> {
             if window < 2 {
                 return Err(WireError::Corrupt("dirty window size"));
             }
-            FrameBody::Dirty(DirtyPatch::decode(r.record(0)?)?)
+            FrameBody::Dirty(DirtyPatch::parse(r.record(0)?)?)
         } else {
             // The ring grows by one epoch per rotation from one, so
             // more live epochs than `rotation + 1` are impossible.
@@ -1818,7 +1875,7 @@ mod tests {
         );
     }
 
-    /// A CRC-valid dirty frame from switch 2 at `rotation` (W = 3)
+    /// A checksum-valid dirty frame from switch 2 at `rotation` (W = 3)
     /// around the record `payload` writes.
     fn dirty_frame_around(rotation: u64, payload: impl FnOnce(&mut Vec<u8>)) -> Vec<u8> {
         let mut ring = crate::SlidingTopK::<u64>::new(HkConfig::builder().width(64).build(), 3);
@@ -1826,15 +1883,6 @@ mod tests {
         let mut out = ring.frame_header(DIRTY_KIND, 1, 2, 3000);
         encode_record(&mut out, payload);
         out
-    }
-
-    /// Writes the record header, up to its first row.
-    fn dirty_record_header(out: &mut Vec<u8>, fp_bytes: u8, base_rows: usize, rows: usize) {
-        out.extend_from_slice(DIRTY_MAGIC);
-        out.push(fp_bytes);
-        for field in [base_rows, rows, 64] {
-            hk_common::varint::write_u64(out, field as u64);
-        }
     }
 
     /// A hand-built dirty frame of `rows` rows of 64 buckets: `entries`
@@ -1849,7 +1897,7 @@ mod tests {
     ) -> Vec<u8> {
         use hk_common::varint;
         dirty_frame_around(rotation, |out| {
-            dirty_record_header(out, fp_bytes, base_rows, rows);
+            encode_record_header(out, fp_bytes.into(), base_rows, rows, 64);
             let bitmap = entries.iter().fold(0u64, |b, &(i, _, _)| b | 1 << i);
             varint::write_bitmap_rle(out, &[bitmap]);
             for &(_, head, fp) in entries {
@@ -1865,60 +1913,10 @@ mod tests {
 
     #[test]
     fn dirty_header_and_payload_corruption_rejected() {
-        let cfg = HkConfig::builder().width(64).k(4).seed(8).build();
-        let mut win = crate::SlidingTopK::<u64>::new(cfg, 3);
-        feed_and_rotate(&mut win, 1, 0);
-        win.export_dirty(0, 3000).unwrap();
-        feed_and_rotate(&mut win, 2, 1);
-        let bytes = win.export_dirty(0, 3000).unwrap();
-        assert!(WindowFrame::<u64>::decode(&bytes).is_ok());
-        // Version byte: every earlier version is retired — v2 full
-        // frames of dense sketches, v3 dirty records without a baseline
-        // field, v4 whole widened words, v5 split-field dirty records.
-        let mut v = bytes.clone();
-        for retired in [2, 3, 4, 5] {
-            v[4] = retired;
-            assert_eq!(
-                WindowFrame::<u64>::decode(&v).unwrap_err(),
-                WireError::BadVersion(retired)
-            );
-        }
-        // Kind byte: kind 1 (the retired delta) is unknown, and a dirty
-        // record read as a full frame's ring config does not decode.
-        let mut k = bytes.clone();
-        k[5] = 1;
-        assert_eq!(
-            WindowFrame::<u64>::decode(&k).unwrap_err(),
-            WireError::Corrupt("frame kind")
-        );
-        k[5] = 0;
-        assert!(WindowFrame::<u64>::decode(&k).is_err());
-        // Rotation counter forced to 0: no epoch has closed yet.
-        let mut r = bytes.clone();
-        r[15..23].copy_from_slice(&0u64.to_le_bytes());
-        assert_eq!(
-            WindowFrame::<u64>::decode(&r).unwrap_err(),
-            WireError::Corrupt("dirty before first rotation")
-        );
-        // Every truncation rejected.
-        for cut in 0..bytes.len() {
-            assert!(
-                WindowFrame::<u64>::decode(&bytes[..cut]).is_err(),
-                "prefix of {cut} bytes decoded"
-            );
-        }
-        // Payload bytes are CRC-protected.
-        let payload_at = 31 + 4;
-        let mut flipped = bytes.clone();
-        flipped[payload_at + 2] ^= 0x20;
-        assert!(matches!(
-            WindowFrame::<u64>::decode(&flipped).unwrap_err(),
-            WireError::BadCrc { .. }
-        ));
-
-        // CRC-valid records that are not canonical v5. A well-formed
-        // one first: bucket 3's counter XOR 2, bucket 9's fingerprint
-        // XOR 0x0102.
+        // Header fields, truncation and checksums are swept in
+        // tests/wire_window.rs; here, checksum-valid records that are
+        // not canonical. A well-formed one first: bucket 3's counter
+        // XOR 2, bucket 9's fingerprint XOR 0x0102.
         let entries: [(usize, u64, &[u8]); 2] = [(3, 2 << 1, &[]), (9, 1, &[2, 1])];
         assert!(WindowFrame::<u64>::decode(&crafted_dirty(2, 2, 0, 2, &entries)).is_ok());
         for (frame, error) in [
@@ -1935,7 +1933,7 @@ mod tests {
             // The record ends inside a fingerprint XOR.
             (
                 dirty_frame_around(2, |out| {
-                    dirty_record_header(out, 2, 0, 1);
+                    encode_record_header(out, 2, 0, 1, 64);
                     hk_common::varint::write_bitmap_rle(out, &[1 << 3]);
                     hk_common::varint::write_u64(out, 1);
                     out.push(0x12);
@@ -2189,6 +2187,35 @@ mod tests {
             WindowSubmit::Applied
         );
         assert_windows_bit_equal(&win, coll.switch_window(3).unwrap());
+    }
+
+    #[test]
+    fn fresh_open_epoch_record_equals_the_scanned_record() {
+        // The record `export_frame` writes for an as-constructed open
+        // epoch without reading it must be the bytes the scan writes:
+        // for a new ring and a just-rotated one, at a width of whole
+        // bitmap words and one with a tail.
+        for width in [256, 1_000] {
+            let cfg = HkConfig::builder()
+                .arrays(2)
+                .width(width)
+                .k(16)
+                .seed(41)
+                .build();
+            let new = crate::SlidingTopK::<u64>::new(cfg.clone(), 4);
+            let mut rotated = crate::SlidingTopK::<u64>::new(cfg, 4);
+            for r in 0..5 {
+                feed_and_rotate(&mut rotated, 7, r);
+            }
+            for (ring, name) in [(&new, "new"), (&rotated, "rotated")] {
+                assert!(ring.open_is_fresh(), "{name} ring, width {width}");
+                let open = ring.epoch_iter().last().unwrap();
+                let (mut direct, mut scanned) = (Vec::new(), Vec::new());
+                encode_fresh_record(&mut direct, open);
+                encode_epoch_record(&mut scanned, open, None);
+                assert_eq!(direct, scanned, "{name} ring, width {width}");
+            }
+        }
     }
 
     #[test]

@@ -1,12 +1,14 @@
 //! Golden frame bytes: the window-frame encoders must keep producing
 //! the *exact* bytes they produced when these digests were recorded.
 //!
-//! All six digests were recorded at frame v6, when full frames became
-//! the ring config plus one empty-baseline record per live epoch. The
-//! dirty and delta frames kept their v5 bytes but for the version byte
-//! and the canonical store order (count descending, then key bytes),
-//! which reorders tied counts. Each case streams the recorded packets
-//! through a `W = 4` window, then folds three frames through FNV-1a:
+//! All six digests were re-recorded at frame v7, when each record's
+//! 4-byte CRC-32 trailer became its 8-byte xxHash64. With the trailers
+//! stripped and the version byte reset, every frame equals its v6
+//! bytes: v6 had made full frames the ring config plus one
+//! empty-baseline record per live epoch, and put stores in canonical
+//! order (count descending, then key bytes). Each case streams the
+//! recorded packets through a `W = 4` window, then folds three frames
+//! through FNV-1a:
 //!
 //! * `export_frame` — the full snapshot of every live epoch;
 //! * `export_dirty` — a patch against a real baseline (`base_rows > 0`);
@@ -69,7 +71,7 @@ fn digest(frame: &[u8]) -> (u64, usize) {
     (h, frame.len())
 }
 
-/// `(digest, length)` of each frame, recorded at frame v6.
+/// `(digest, length)` of each frame, recorded at frame v7.
 struct Golden {
     full: (u64, usize),
     dirty: (u64, usize),
@@ -77,15 +79,15 @@ struct Golden {
 }
 
 const GOLDEN_W256: Golden = Golden {
-    full: (0x9353_84cb_2ddb_702e, 7_064),
-    dirty: (0x4399_7486_be57_bf46, 1_683),
-    delta: (0xec4b_b9b0_7a44_d356, 1_786),
+    full: (0xa316_cab5_88df_e8fb, 7_084),
+    dirty: (0x96ff_d882_02d3_ad89, 1_687),
+    delta: (0x9786_9a1e_3df3_3cdd, 1_790),
 };
 
 const GOLDEN_W1000: Golden = Golden {
-    full: (0xab81_ace1_0f12_d8c7, 16_137),
-    dirty: (0xd433_e92e_269e_77bf, 4_732),
-    delta: (0x1fcb_03e5_5d4d_cd5a, 4_108),
+    full: (0xea12_6c57_34b0_7009, 16_157),
+    dirty: (0x39ee_455b_006c_7544, 4_736),
+    delta: (0x14be_cf93_a6be_0ddf, 4_112),
 };
 
 fn run_case(width: usize, golden: &Golden) {

@@ -10,7 +10,7 @@
 //! * every strict prefix of a valid frame is rejected (truncation at
 //!   *every* byte);
 //! * any single-bit corruption of an epoch payload or its checksum is
-//!   rejected as [`WireError::BadCrc`] before the payload is decoded;
+//!   rejected as [`WireError::BadChecksum`] before the payload is decoded;
 //! * bad magic / version / kind / key width / impossible header fields
 //!   are rejected with their specific errors;
 //! * trailing bytes are rejected;
@@ -25,12 +25,12 @@
 //! * a gap always flags resync, and a subsequent full snapshot always
 //!   restores bit-exactness.
 
-use heavykeeper::collector::{AggregationRule, Collector, WindowSubmit};
+use heavykeeper::collector::{AggregationRule, Collector, WindowSubmit, WindowSubmitError};
 use heavykeeper::sliding::SlidingTopK;
 use heavykeeper::wire::{FrameBody, WindowFrame};
 use heavykeeper::{HkConfig, HkConfigBuilder, ParallelTopK, WireError};
 use hk_common::prng::XorShift64;
-use hk_common::varint;
+use hk_common::{varint, TopKAlgorithm};
 
 fn cfg(seed: u64) -> HkConfig {
     HkConfig::builder()
@@ -109,25 +109,25 @@ fn truncation_rejected_at_every_byte() {
 #[test]
 fn every_payload_byte_is_crc_protected() {
     // Corrupt one byte at a time across the entire epoch-record region:
-    // the decoder must fail — and fail with BadCrc whenever the flip
+    // the decoder must fail — and fail with BadChecksum whenever the flip
     // landed inside a payload or its checksum (a flip in a length
     // prefix may surface as Truncated/Corrupt instead, which is fine;
     // silent acceptance is the only bug).
     let win = populated(5, 2, 3);
     let frame = win.export_frame(9, 100);
-    let mut crc_hits = 0;
+    let mut checksum_hits = 0;
     for i in HEADER_LEN..frame.len() {
         let mut bad = frame.clone();
         bad[i] ^= 0x20;
         let err = WindowFrame::<u64>::decode(&bad);
         assert!(err.is_err(), "flip at byte {i} accepted");
-        if matches!(err, Err(WireError::BadCrc { .. })) {
-            crc_hits += 1;
+        if matches!(err, Err(WireError::BadChecksum { .. })) {
+            checksum_hits += 1;
         }
     }
     assert!(
-        crc_hits > (frame.len() - HEADER_LEN) / 2,
-        "CRC must catch most record corruption, caught {crc_hits}"
+        checksum_hits > (frame.len() - HEADER_LEN) / 2,
+        "the checksum must catch most record corruption, caught {checksum_hits}"
     );
 }
 
@@ -137,19 +137,19 @@ fn every_dirty_payload_byte_is_crc_protected() {
     // patch.
     let (_, frames) = populated_with_dirty(5, 3);
     for frame in frames {
-        let mut crc_hits = 0;
+        let mut checksum_hits = 0;
         for i in HEADER_LEN..frame.len() {
             let mut bad = frame.clone();
             bad[i] ^= 0x20;
             let err = WindowFrame::<u64>::decode(&bad);
             assert!(err.is_err(), "flip at byte {i} accepted");
-            if matches!(err, Err(WireError::BadCrc { .. })) {
-                crc_hits += 1;
+            if matches!(err, Err(WireError::BadChecksum { .. })) {
+                checksum_hits += 1;
             }
         }
         assert!(
-            crc_hits > (frame.len() - HEADER_LEN) / 2,
-            "CRC must catch most patch corruption, caught {crc_hits}"
+            checksum_hits > (frame.len() - HEADER_LEN) / 2,
+            "the checksum must catch most patch corruption, caught {checksum_hits}"
         );
     }
 }
@@ -158,12 +158,12 @@ fn every_dirty_payload_byte_is_crc_protected() {
 fn crc_field_corruption_rejected() {
     let win = populated(5, 2, 2);
     let mut frame = win.export_delta(0, 100).unwrap();
-    // The CRC is the last 4 bytes of a one-record frame.
+    // The checksum is the last 8 bytes of a one-record frame.
     let n = frame.len();
-    frame[n - 1] ^= 0xFF;
+    frame[n - 8] ^= 0xFF;
     assert!(matches!(
         WindowFrame::<u64>::decode(&frame),
-        Err(WireError::BadCrc { epoch: 0 })
+        Err(WireError::BadChecksum { record: 0 })
     ));
 }
 
@@ -240,10 +240,12 @@ fn dirty_header_corruption_rejected_specifically() {
     assert!(WindowFrame::<u64>::decode(&bad).is_err());
 
     for good in frames {
-        // Both kinds share one version: v2 and v5, the retired full
-        // and dirty versions, are unknown…
+        // Both kinds share one version, and every earlier one is
+        // retired: v2 full frames of dense sketches, v3 dirty records
+        // without a baseline field, v4 whole widened words, v5
+        // split-field dirty records, v6 CRC-32 record trailers…
         let mut bad = good.clone();
-        for retired in [2, 5] {
+        for retired in [2, 3, 4, 5, 6] {
             bad[OFF_VERSION] = retired;
             assert_eq!(
                 WindowFrame::<u64>::decode(&bad).unwrap_err(),
@@ -310,23 +312,29 @@ fn peak_rss() -> Option<u64> {
     Some(kb * 1024)
 }
 
-/// A CRC-valid frame of `kind` (switch 0, rotation 2, W = 3) around
-/// hand-built record payloads; a full frame's first is its ring config.
+/// A checksum-valid frame of `kind` (switch 0, rotation 2, W = 3)
+/// around hand-built record payloads; a full frame's first is its ring
+/// config.
 fn frame_around(kind: u8, payloads: &[&[u8]]) -> Vec<u8> {
     let live = payloads.len() - usize::from(kind == 0);
     let mut out = b"HKWF".to_vec();
-    out.extend_from_slice(&[6, kind, 8]); // version, kind, key width
+    out.extend_from_slice(&[7, kind, 8]); // version, kind, key width
     out.extend_from_slice(&0u64.to_le_bytes());
     out.extend_from_slice(&2u64.to_le_bytes());
     out.extend_from_slice(&3u16.to_le_bytes());
     out.extend_from_slice(&(live as u16).to_le_bytes());
     out.extend_from_slice(&100u32.to_le_bytes());
     for payload in payloads {
-        out.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-        out.extend_from_slice(payload);
-        out.extend_from_slice(&hk_common::crc::crc32(payload).to_le_bytes());
+        push_record(&mut out, payload);
     }
     out
+}
+
+/// Appends one record: length, payload, and the payload's xxHash64.
+fn push_record(out: &mut Vec<u8>, payload: &[u8]) {
+    out.extend_from_slice(&(payload.len() as u32).to_le_bytes());
+    out.extend_from_slice(payload);
+    out.extend_from_slice(&hk_common::hash::xxhash64(payload, 0).to_le_bytes());
 }
 
 /// An HKDP payload of `rows` rows of `width` buckets against the empty
@@ -350,11 +358,11 @@ fn empty_record(rows: u64, width: u64) -> Vec<u8> {
 fn length_fields_cannot_amplify_allocation() {
     let before = peak_rss();
 
-    // A 51-byte frame claiming 16 rows × u32::MAX buckets, and no
+    // A 55-byte frame claiming 16 rows × u32::MAX buckets, and no
     // bitmap: refused without reserving a word per claimed bucket.
     let payload = empty_record(16, u32::MAX.into());
     let frame = frame_around(2, &[&payload[..12]]);
-    assert_eq!(frame.len(), 51);
+    assert_eq!(frame.len(), 55);
     assert_eq!(
         WindowFrame::<u64>::decode(&frame).unwrap_err(),
         WireError::Corrupt("dirty bitmap")
@@ -416,14 +424,14 @@ fn length_fields_cannot_amplify_allocation() {
     }
 }
 
-/// The records of a frame, whole: length, payload and CRC each.
+/// The records of a frame, whole: length, payload and checksum each.
 fn records(frame: &[u8]) -> Vec<&[u8]> {
     let mut out = Vec::new();
     let mut pos = HEADER_LEN;
     while pos < frame.len() {
         let len = u32::from_le_bytes(frame[pos..pos + 4].try_into().unwrap()) as usize;
-        out.push(&frame[pos..pos + 4 + len + 4]);
-        pos += 4 + len + 4;
+        out.push(&frame[pos..pos + 4 + len + 8]);
+        pos += 4 + len + 8;
     }
     out
 }
@@ -431,7 +439,7 @@ fn records(frame: &[u8]) -> Vec<&[u8]> {
 #[test]
 fn record_from_another_ring_rejected() {
     // A full frame carries one ring config, so every epoch record must
-    // be one that ring could have written. Splice a CRC-valid record
+    // be one that ring could have written. Splice a checksum-valid record
     // from elsewhere in as the second epoch of a W = 2 frame.
     let frame = populated(1, 2, 1).export_frame(0, 100);
     let ours = records(&frame);
@@ -475,6 +483,12 @@ fn digest(win: &SlidingTopK<u64>) -> Vec<u8> {
                 out.extend_from_slice(&b.fp.to_le_bytes());
                 out.extend_from_slice(&b.count.to_le_bytes());
             }
+        }
+        let mut store = e.top_k();
+        store.sort_unstable();
+        for (key, count) in store {
+            out.extend_from_slice(&key.to_le_bytes());
+            out.extend_from_slice(&count.to_le_bytes());
         }
     }
     out
@@ -668,4 +682,71 @@ fn stale_full_snapshot_does_not_rewind() {
         WindowSubmit::Duplicate
     );
     assert_eq!(digest(coll.switch_window(0).unwrap()), before);
+}
+
+/// `frame`, a dirty frame, with one byte appended to its record and the
+/// length and checksum fixed to match: it passes its checksum, but the
+/// record runs on past its store, which only a walk of it can see.
+fn with_trailing_record_byte(frame: &[u8]) -> Vec<u8> {
+    let record = records(frame)[0];
+    let mut payload = record[4..record.len() - 8].to_vec();
+    payload.push(0);
+    let mut out = frame[..HEADER_LEN].to_vec();
+    push_record(&mut out, &payload);
+    out
+}
+
+#[test]
+fn malformed_dirty_frame_refused_in_every_arrival_order() {
+    // Switch 0's dirty frames for rotations 1..=5, indexed by rotation;
+    // the collector applies 1..=3.
+    let mut win = SlidingTopK::<u64>::new(cfg(4), 3);
+    let mut coll = Collector::<u64>::new(8, AggregationRule::Sum);
+    coll.submit_window_frame(&win.export_frame(0, 2000))
+        .unwrap();
+    let mut frames = vec![Vec::new()];
+    for r in 1..=5u64 {
+        win.insert_batch(&(0..2000u64).map(|i| (i * i + r) % 700).collect::<Vec<_>>());
+        win.rotate();
+        frames.push(win.export_dirty(0, 2000).expect("a closed epoch"));
+    }
+    for frame in &frames[1..=3] {
+        assert_eq!(
+            coll.submit_window_frame(frame).unwrap(),
+            WindowSubmit::Applied
+        );
+    }
+    let before = digest(coll.switch_window(0).unwrap());
+    let mut no_snapshot = with_trailing_record_byte(&frames[4]);
+    no_snapshot[7..15].copy_from_slice(&9u64.to_le_bytes()); // switch id
+    let refused = WindowSubmitError::Wire(WireError::Corrupt("trailing bytes"));
+
+    // A duplicate, a gap, and a frame before any snapshot are walked
+    // before anything else: each is refused and leaves no trace. It is
+    // counted once, the replica and the clock stand still, and nothing
+    // is buffered or flagged.
+    for (frame, order) in [
+        (with_trailing_record_byte(&frames[3]), "duplicate"),
+        (with_trailing_record_byte(&frames[5]), "gap"),
+        (no_snapshot, "before any snapshot"),
+    ] {
+        let rejected = coll.window_frames_rejected();
+        assert_eq!(coll.submit_window_frame(&frame), Err(refused), "{order}");
+        assert_eq!(coll.window_frames_rejected(), rejected + 1, "{order}");
+        assert_eq!(digest(coll.switch_window(0).unwrap()), before, "{order}");
+        assert!(coll.resync_needed().is_empty(), "{order}");
+        assert!(coll.stale_switches(0).is_empty(), "{order}");
+    }
+
+    // The next rotation is walked by its apply alone. It is refused
+    // the same way and the replica is left bit-identical, but its
+    // rotation was seen and not applied, so the switch is flagged.
+    let rejected = coll.window_frames_rejected();
+    assert_eq!(
+        coll.submit_window_frame(&with_trailing_record_byte(&frames[4])),
+        Err(refused)
+    );
+    assert_eq!(coll.window_frames_rejected(), rejected + 1);
+    assert_eq!(digest(coll.switch_window(0).unwrap()), before);
+    assert_eq!(coll.resync_needed(), vec![0]);
 }

@@ -162,6 +162,10 @@ impl LintConfig {
                 ("crates/core/src/sharded.rs", "ingest"),
                 // Lane routing shared by dispatch and reshard (PR 9).
                 ("crates/core/src/reshard.rs", "lane_to_shard"),
+                // The per-bucket loops of every fleet rotation: the
+                // dirty exporter's diff scan and the collector's apply.
+                ("crates/core/src/bucket.rs", "diff_row_bitmap"),
+                ("crates/core/src/wire.rs", "xor_rows"),
             ]),
             // The per-packet subset of the hot set: everything above
             // except the batch-boundary dispatch/worker code, which
@@ -221,15 +225,15 @@ impl LintConfig {
             ],
             magics: vec![
                 b"HKSK".to_vec(),       // v1 sketch payload
-                b"HKWF".to_vec(),       // window frame header (v6, full and dirty)
-                b"HKDP".to_vec(),       // epoch record inside a v6 window frame
+                b"HKWF".to_vec(),       // window frame header (v7, full and dirty)
+                b"HKDP".to_vec(),       // epoch record inside a v7 window frame
                 b"HKTR".to_vec(),       // trace file container
                 b"HKCKPT\0\0".to_vec(), // reserved checkpoint switch id
             ],
             numeric_magics: vec![0xA1B2_C3D4, 0xA1B2_3C4D], // pcap usec/nsec
             versions: vec![
                 ("VERSION".into(), 1),       // HKSK sketch payload / HKTR trace
-                ("FRAME_VERSION".into(), 6), // HKWF, full (kind 0) and dirty (kind 2)
+                ("FRAME_VERSION".into(), 7), // HKWF, full (kind 0) and dirty (kind 2)
             ],
         }
     }

@@ -610,12 +610,12 @@ impl<K: FlowKey> Fleet<K> {
     }
 }
 
-/// A window's content digest: CRC-32 over the ring geometry, rotation
+/// A window's content digest: xxHash64 over the ring geometry, rotation
 /// counter, every epoch's bucket words, and the (canonically sorted)
 /// top-k entries. Two windows with equal digests are bit-identical for
 /// every query the collector can pose — the compact form of the
 /// differential tests' bucket-by-bucket comparison.
-pub fn window_digest<K: FlowKey>(win: &SlidingTopK<K>) -> u32 {
+pub fn window_digest<K: FlowKey>(win: &SlidingTopK<K>) -> u64 {
     let mut buf: Vec<u8> = Vec::new();
     buf.extend_from_slice(&(win.window() as u64).to_le_bytes());
     buf.extend_from_slice(&win.rotations().to_le_bytes());
@@ -643,7 +643,7 @@ pub fn window_digest<K: FlowKey>(win: &SlidingTopK<K>) -> u32 {
             buf.extend_from_slice(&count.to_le_bytes());
         }
     }
-    hk_common::crc::crc32(&buf)
+    hk_common::hash::xxhash64(&buf, 0)
 }
 
 #[cfg(test)]
