@@ -168,8 +168,8 @@ pub trait PreparedInsert<K: FlowKey>: TopKAlgorithm<K> {
 /// periodically encoded into an in-engine checkpoint, and when the
 /// worker dies the shard is respawned from the last checkpoint instead
 /// of staying dark. The encoding is the algorithm's own wire format
-/// (sketch wire-v1, window frames), so checkpoints double as export
-/// frames and vice versa.
+/// (`HKSK` sketch payloads and window frames, one sparse record codec),
+/// so checkpoints double as export frames and vice versa.
 ///
 /// **Bit-exactness contract:** `restore_checkpoint(encode_checkpoint())`
 /// must rebuild an instance whose recorded state — bucket words, top-k

@@ -119,9 +119,9 @@ impl<K: FlowKey> ParallelTopK<K> {
     /// `arrays`-array instance of its configuration — buckets zeroed,
     /// decay RNG rewound, store emptied — so it is indistinguishable
     /// from `ParallelTopK::new(cfg)` with `cfg.arrays = arrays` while
-    /// keeping its (already page-resident) allocations. The sliding
-    /// window recycles evicted epochs through this, at its own array
-    /// count, instead of allocating ([`HkSketch::recycle`]).
+    /// keeping its (already page-resident) bucket matrix; the store is
+    /// built anew. The sliding window recycles evicted epochs through
+    /// this, at its own array count ([`HkSketch::recycle`]).
     pub fn recycle(&mut self, arrays: usize) {
         self.cfg.arrays = arrays;
         self.sketch.recycle(arrays);

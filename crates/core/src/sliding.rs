@@ -249,8 +249,9 @@ impl<K: FlowKey> SlidingTopK<K> {
     /// Processes a batch into the newest epoch through the batch-first
     /// pipeline: one prepared-batch prehash + slot-table prolog, then a
     /// pre-touched block walk ([`ParallelTopK::insert_batch`]). The
-    /// prolog scratch lives on the epoch and is recycled with it, so
-    /// steady-state windowed ingest allocates nothing.
+    /// prolog scratch lives on the epoch and is recycled with it, but
+    /// steady-state windowed ingest still allocates: each rotation gives
+    /// the recycled epoch a new top-k store, which regrows as it admits.
     pub fn insert_batch(&mut self, keys: &[K]) {
         self.newest_mut().insert_batch(keys);
     }

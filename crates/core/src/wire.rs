@@ -3,30 +3,70 @@
 //! Footnote 2's deployment has switches *send their sketches* to a
 //! collector every period. [`ParallelTopK::to_wire`] /
 //! [`ParallelTopK::from_wire`] implement that hop for one whole-stream
-//! sketch: a compact, self-describing v1 `HKSK` encoding of the
-//! configuration, the bucket matrix, and the top-k store, suitable for
-//! a UDP report or an RPC payload. A sliding window ships
-//! [`WindowFrame`]s of sparse `HKDP` epoch records instead (below).
+//! sketch, and a sliding window ships [`WindowFrame`]s. Both are one
+//! record codec: a config record, then one sparse `HKDP` epoch record
+//! per sketch, so a payload costs what its sketches hold, not their
+//! capacity. The same bytes are every shard checkpoint.
 //!
 //! ```text
-//! magic "HKSK" | version u8 | key_len u8 |
+//! sketch: magic "HKSK" | version u8 (2) | key_len u8 | the config
+//!         (`arrays` the current, possibly grown, count) | one epoch
+//!         (`rows` = `arrays`, against the empty baseline)
+//! frame:  magic "HKWF" | version u8 (7) | kind u8 (0 full / 2 dirty) |
+//!         key_len u8 | switch_id u64 | rotation u64 | window u16 |
+//!         live u16 | epoch_packets u32, then
+//!   full:  the config (`arrays` the ring's base count), then `live`
+//!          epochs, oldest -> newest, each against the empty baseline:
+//!          the snapshot, resync and checkpoint payload
+//!   dirty: the epoch closed by rotation `rotation`, against an
+//!          explicit baseline
+//!
+//! record: payload_len u32 | payload | xxh64 u64 (of the payload, seed 0)
 //! config: arrays u16 | width u32 | k u32 | fp_bits u8 | ctr_bits u8 |
 //!         seed u64 | decay tag u8 + param f64 | store kind u8 (0) |
 //!         expansion flag u8 [+ large u64 + blocked u64 + max u16]
-//! buckets: arrays × width × (fp u32 | count u64)
-//! store:   n u32, then n × (key bytes | count u64)
+//! epoch:  magic "HKDP" | fp_bytes u8 | base_rows varint | rows varint |
+//!         width varint | rows × (changed-bucket bitmap, RLE | one entry
+//!         per set bit) | store: n varint, n × (key bytes | count varint)
+//! entry:  varint(count_xor << 1 | fp_changed) [| fp_xor: fp_bytes LE]
 //! ```
 //!
-//! The decoded instance queries and merges identically to the original
-//! (bucket state and store entries are bit-preserved). Two pieces of
-//! *transient* state are intentionally not shipped: the decay RNG
-//! position (the decoded sketch re-seeds from the config, which affects
-//! reproducibility of *future* inserts, never correctness) and the
-//! Section III-F blocked counter (restarts at 0; arrays already added
-//! by expansion are preserved because the encoded config carries the
-//! *current* array count).
+//! An entry XORs the bucket's counter and fingerprint fields separately
+//! (`old ^ new` of each), so the bytes depend on the configured fields,
+//! never on the runtime word. `fp_bytes` is ⌈fingerprint_bits / 8⌉; the
+//! fingerprint XOR follows only when it is nonzero. Counter fields are at
+//! most 63 bits, so the shifted head cannot overflow. A zero head or a
+//! flagged all-zero fingerprint XOR is not canonical and does not
+//! decode. The store is in canonical order: count descending, then key
+//! bytes.
+//!
+//! `base_rows = 0` names the empty baseline: the record carries the
+//! whole epoch (a sketch, every epoch of a full frame; the first
+//! rotation, every rotation of a `W = 2` ring, the first after the ring
+//! is rebuilt or rewritten, `export_delta`). `base_rows > 0` names the
+//! epoch closed by `rotation - 1`, which had that many rows; the
+//! exporter reads it from its own ring, two behind the newest epoch, and
+//! the record costs O(changed buckets).
+//!
+//! Every record's checksum is checked before its payload is read.
+//! Earlier versions (the dense v1 sketch among them) and frame kind 1
+//! (the retired delta) do not decode. A record describes an empty epoch
+//! in a few bytes, so a payload's length does not bound what decode
+//! allocates: it refuses a ring (a sketch is a ring of one epoch) over
+//! [`MAX_RING_BYTES`] and an epoch with more rows than its ring can
+//! grow. The collector applies a dirty frame of rotation R only on top
+//! of state at rotation R-1, treats R ≤ current as a duplicate and
+//! R > current+1 as a gap that flags the switch for resync.
+//!
+//! Decoded state queries and merges identically to the original (bucket
+//! words and store entries are bit-preserved) and re-encodes to the
+//! same bytes. Two pieces of *transient* state are not shipped: the
+//! decay RNG position (decoded state re-seeds from the config, which
+//! affects reproducibility of *future* inserts, never correctness) and
+//! the Section III-F blocked counter (restarts at 0; rows already added
+//! by expansion ride the record's `rows`).
 
-use crate::bucket::{with_matrix, Bucket, BucketMatrix, BucketWord, Buckets};
+use crate::bucket::{with_matrix, BucketMatrix, BucketWord, Buckets};
 use crate::config::{ExpansionPolicy, HkConfig};
 use crate::decay::DecayFn;
 use crate::parallel::ParallelTopK;
@@ -35,13 +75,17 @@ use hk_common::algorithm::TopKAlgorithm;
 use hk_common::key::FlowKey;
 use std::marker::PhantomData;
 
-const MAGIC: &[u8; 4] = b"HKSK";
-const VERSION: u8 = 1;
+/// Magic prefix of a whole-stream sketch payload.
+const SKETCH_MAGIC: &[u8; 4] = b"HKSK";
+/// Wire version of sketch payloads: the config record, then one epoch
+/// record.
+const SKETCH_VERSION: u8 = 2;
 
 /// Why a wire payload could not be decoded.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum WireError {
-    /// Payload does not start with the `HKSK` magic.
+    /// Payload does not start with the magic of the format it is
+    /// decoded as: `HKSK` for a sketch, `HKWF` for a window frame.
     BadMagic,
     /// Unknown format version.
     BadVersion(u8),
@@ -52,12 +96,12 @@ pub enum WireError {
     /// The payload's key width does not match the requested key type,
     /// or the key type does not implement `from_key_bytes`.
     KeyMismatch,
-    /// A record's xxh64 checksum does not match its bytes (window
-    /// frames checksum every record).
+    /// A record's xxh64 checksum does not match its bytes (sketch
+    /// payloads and window frames checksum every record).
     BadChecksum {
-        /// Index of the failing record within the frame: a full frame's
-        /// ring config is record 0 and its epochs follow; a dirty
-        /// frame's patch is record 0.
+        /// Index of the failing record within the payload: a sketch's or
+        /// a full frame's config is record 0 and its epochs follow; a
+        /// dirty frame's patch is record 0.
         record: usize,
     },
 }
@@ -65,7 +109,7 @@ pub enum WireError {
 impl std::fmt::Display for WireError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
-            Self::BadMagic => write!(f, "not a HKSK payload"),
+            Self::BadMagic => write!(f, "missing magic (HKSK sketch or HKWF window frame)"),
             Self::BadVersion(v) => write!(f, "unsupported wire version {v}"),
             Self::Truncated => write!(f, "wire payload truncated"),
             Self::Corrupt(what) => write!(f, "corrupt field: {what}"),
@@ -84,6 +128,18 @@ struct Reader<'a> {
 }
 
 impl<'a> Reader<'a> {
+    /// A reader past `data`'s magic and version byte, which must be
+    /// `magic` and `version`.
+    fn open(data: &'a [u8], magic: &[u8; 4], version: u8) -> Result<Self, WireError> {
+        let mut r = Self { data, pos: 0 };
+        if r.take(4)? != magic {
+            return Err(WireError::BadMagic);
+        }
+        match r.u8()? {
+            v if v == version => Ok(r),
+            v => Err(WireError::BadVersion(v)),
+        }
+    }
     fn take(&mut self, n: usize) -> Result<&'a [u8], WireError> {
         let end = self.pos.checked_add(n).ok_or(WireError::Truncated)?;
         if end > self.data.len() {
@@ -105,8 +161,8 @@ impl<'a> Reader<'a> {
     fn u64(&mut self) -> Result<u64, WireError> {
         Ok(u64::from_le_bytes(self.take(8)?.try_into().unwrap()))
     }
-    /// One window-frame record: its payload, once the checksum behind
-    /// it matches. `index` names the record in the error.
+    /// One record: its payload, once the checksum behind it matches.
+    /// `index` names the record in the error.
     fn record(&mut self, index: usize) -> Result<&'a [u8], WireError> {
         let len = self.u32()? as usize;
         let payload = self.take(len)?;
@@ -142,9 +198,9 @@ fn decode_decay(r: &mut Reader<'_>) -> Result<DecayFn, WireError> {
     }
 }
 
-/// Appends the configuration fields of the v1 header with `arrays` as
-/// the array count: a sketch's current count in a v1 payload, the
-/// ring's base count in a full window frame.
+/// Appends a config record's fields with `arrays` as the array count: a
+/// sketch's current count in an `HKSK` payload, the ring's base count in
+/// a full window frame.
 fn encode_config(out: &mut Vec<u8>, cfg: &HkConfig, arrays: usize) {
     out.extend_from_slice(&(arrays as u16).to_le_bytes());
     out.extend_from_slice(&(cfg.width as u32).to_le_bytes());
@@ -225,167 +281,48 @@ fn canonical_top_k<K: FlowKey>(epoch: &ParallelTopK<K>) -> Vec<(K, u64)> {
 }
 
 impl<K: FlowKey> ParallelTopK<K> {
-    /// Serializes this instance for shipping to a collector.
+    /// Serializes this instance for shipping to a collector: the config
+    /// record, then the sketch as one epoch record against the empty
+    /// baseline, which costs what the sketch holds.
     pub fn to_wire(&self) -> Vec<u8> {
-        let sketch = self.sketch();
-        let mut out = Vec::new();
-        out.extend_from_slice(MAGIC);
-        out.push(VERSION);
-        out.push(K::ENCODED_LEN as u8);
-        // `arrays` reflects the *current* matrix, so that Section III-F
-        // growth survives the round trip.
-        encode_config(&mut out, self.config(), sketch.arrays());
-
-        // Bucket matrix, streamed row-major over the packed words.
-        with_matrix!(sketch.buckets(), m => {
-            let layout = m.layout();
-            for &word in m.data() {
-                let b = layout.unpack(word.to_u64());
-                out.extend_from_slice(&b.fp.to_le_bytes());
-                out.extend_from_slice(&b.count.to_le_bytes());
-            }
-        });
-
-        // Top-k store.
-        let top = canonical_top_k(self);
-        out.extend_from_slice(&(top.len() as u32).to_le_bytes());
-        for (key, count) in &top {
-            out.extend_from_slice(key.key_bytes().as_slice());
-            out.extend_from_slice(&count.to_le_bytes());
-        }
+        let mut out = Vec::with_capacity(256);
+        out.extend_from_slice(SKETCH_MAGIC);
+        out.extend_from_slice(&[SKETCH_VERSION, K::ENCODED_LEN as u8]);
+        // The current row count: a grown sketch re-encodes unchanged.
+        let arrays = self.sketch().arrays();
+        encode_record(&mut out, |out| encode_config(out, self.config(), arrays));
+        encode_record(&mut out, |out| encode_epoch_record(out, self, None));
         out
     }
 
     /// Reconstructs an instance from [`ParallelTopK::to_wire`] bytes.
     ///
     /// The key type `K` must match the one encoded (width-checked) and
-    /// must implement [`FlowKey::from_key_bytes`].
+    /// must implement [`FlowKey::from_key_bytes`]. The restored config's
+    /// `arrays` is the sketch's row count when encoded, growth included.
+    ///
+    /// # Errors
+    ///
+    /// Any truncation, failed checksum, corruption or trailing byte; a
+    /// v1 payload is [`WireError::BadVersion`]. Before allocating, it
+    /// refuses a config whose bucket words, up to its Section III-F cap,
+    /// exceed [`MAX_RING_BYTES`] (`Corrupt("ring size")`: a sketch over
+    /// 1 GiB of bucket words does not restore), and an epoch whose rows
+    /// are not the config's `arrays` (`Corrupt("array count")`).
     pub fn from_wire(data: &[u8]) -> Result<Self, WireError> {
-        let mut r = Reader { data, pos: 0 };
-        if r.take(4)? != MAGIC {
-            return Err(WireError::BadMagic);
-        }
-        let version = r.u8()?;
-        if version != VERSION {
-            return Err(WireError::BadVersion(version));
-        }
+        let mut r = Reader::open(data, SKETCH_MAGIC, SKETCH_VERSION)?;
         if r.u8()? as usize != K::ENCODED_LEN {
             return Err(WireError::KeyMismatch);
         }
-        let cfg = decode_config(&mut r)?;
-        let (arrays, width, k, fp_bits) = (cfg.arrays, cfg.width, cfg.k, cfg.fingerprint_bits);
-        // The matrix is allocated before it is read, so the payload must
-        // be able to hold it first: 12 bytes per bucket plus the store
-        // count. A short header cannot make the decoder build a sketch
-        // of the size it merely claims.
-        let needed = arrays
-            .checked_mul(width)
-            .and_then(|n| n.checked_mul(12))
-            .and_then(|n| n.checked_add(4))
-            .ok_or(WireError::Truncated)?;
-        if data.len() - r.pos < needed {
-            return Err(WireError::Truncated);
-        }
-        let mut hk = ParallelTopK::<K>::new(cfg);
-
-        // Bucket matrix.
-        let counter_max = hk.sketch().counter_max();
-        let fp_max = u32::MAX >> (32 - fp_bits);
-        with_matrix!(hk.sketch_mut().buckets_mut(), m => {
-            for j in 0..arrays {
-                for i in 0..width {
-                    let (fp, count) = (r.u32()?, r.u64()?);
-                    if fp > fp_max {
-                        return Err(WireError::Corrupt("bucket fingerprint"));
-                    }
-                    if count > counter_max {
-                        return Err(WireError::Corrupt("bucket counter"));
-                    }
-                    if count == 0 && fp != 0 {
-                        return Err(WireError::Corrupt("empty bucket with fingerprint"));
-                    }
-                    m.set(j, i, Bucket { fp, count });
-                }
-            }
-        });
-
-        // Top-k store, re-offered largest-first so admissions succeed.
-        let n = r.u32()? as usize;
-        if n > k {
-            return Err(WireError::Corrupt("store size"));
-        }
-        let mut entries = Vec::with_capacity(n);
-        for _ in 0..n {
-            let kb = r.take(K::ENCODED_LEN)?;
-            let key = K::from_key_bytes(kb).ok_or(WireError::KeyMismatch)?;
-            let count = r.u64()?;
-            entries.push((key, count));
-        }
+        // A sketch is a ring of one epoch, at its config's row count.
+        let cfg = decode_config_record(&mut r, 1)?;
+        let hk = decode_epoch(&mut r, 1, &cfg, Some(cfg.arrays))?;
         if r.pos != data.len() {
             return Err(WireError::Corrupt("trailing bytes"));
-        }
-        entries.sort_by_key(|&(_, c)| std::cmp::Reverse(c));
-        for (key, count) in entries {
-            if count == 0 {
-                return Err(WireError::Corrupt("zero store count"));
-            }
-            hk.offer(key, count);
         }
         Ok(hk)
     }
 }
-
-// ---------------------------------------------------------------------
-// The windowed telemetry frame: a ring of W epoch sketches plus a
-// rotation counter. Both kinds share one header, one version and one
-// epoch record:
-//
-// ```text
-// magic "HKWF" | version u8 (7) | kind u8 (0 full / 2 dirty) |
-// key_len u8 | switch_id u64 | rotation u64 | window u16 | live u16 |
-// epoch_packets u32
-// then records, each  payload_len u32 | payload | xxh64 u64:
-//   full:  the ring config (the v1 config fields, `arrays` the ring's
-//          base count), then `live` epochs, oldest -> newest, each
-//          against the empty baseline: the snapshot, resync and
-//          checkpoint payload, costing what the ring holds
-//   dirty: the epoch closed by rotation `rotation`, against an
-//          explicit baseline
-//
-// epoch record: magic "HKDP" | fp_bytes u8 | base_rows varint |
-//   rows varint | width varint |
-//   rows × (changed-bucket bitmap, RLE | one entry per set bit) |
-//   store: n varint, then n × (key bytes | count varint)
-// entry: varint(count_xor << 1 | fp_changed) [| fp_xor: fp_bytes LE]
-// ```
-//
-// An entry XORs the bucket's counter and fingerprint fields separately
-// (`old ^ new` of each), so the bytes depend on the configured fields,
-// never on the runtime word. `fp_bytes` is ⌈fingerprint_bits / 8⌉; the
-// fingerprint XOR follows only when it is nonzero. Counter fields are at
-// most 63 bits, so the shifted head cannot overflow. A zero head or a
-// flagged all-zero fingerprint XOR is not canonical and does not
-// decode. The store is in canonical order: count descending, then key
-// bytes.
-//
-// `base_rows = 0` names the empty baseline: the record carries the
-// whole epoch (every epoch of a full frame; the first rotation, every
-// rotation of a `W = 2` ring, the first after the ring is rebuilt or
-// rewritten, `export_delta`). `base_rows > 0` names the epoch closed by
-// `rotation - 1`, which had that many rows; the exporter reads it from
-// its own ring, two behind the newest epoch, and the record costs
-// O(changed buckets).
-//
-// Kind 1 (the retired delta) and earlier versions no longer decode.
-// Every record's checksum, the xxHash64 of its payload at seed 0, is
-// checked before the payload is read. A record describes
-// an empty epoch in a few bytes, so a frame's length does not bound
-// what decode allocates: it refuses a ring over `MAX_RING_BYTES` and an
-// epoch with more rows than its ring can grow. The collector applies a
-// dirty frame of rotation R only on top of state at rotation R-1,
-// treats R ≤ current as a duplicate and R > current+1 as a gap that
-// flags the switch for resync.
-// ---------------------------------------------------------------------
 
 /// Magic prefix of a windowed telemetry frame.
 const FRAME_MAGIC: &[u8; 4] = b"HKWF";
@@ -851,9 +788,9 @@ impl RecordHeader {
 
     /// Writes the record `data` into `epoch`, an as-constructed epoch of
     /// `rows` rows, in one walk: seeds it from `base` when given, XORs
-    /// every entry over it with [`ParallelTopK::from_wire`]'s bucket
-    /// checks, then offers the store largest-first. On error the epoch
-    /// holds garbage; the caller discards it.
+    /// every entry over it, checking each written bucket's fields, then
+    /// offers the store largest-first. On error the epoch holds garbage;
+    /// the caller discards it.
     fn write<K: FlowKey>(
         &self,
         data: &[u8],
@@ -1012,39 +949,60 @@ impl<K: FlowKey> DirtyPatch<K> {
     }
 }
 
-/// Decodes a full frame's records: the ring config, then `live` epochs,
-/// each written in one walk into a fresh epoch of that config. Nothing
-/// is allocated for a ring [`SlidingTopK::new`] would refuse.
+/// Reads record 0, the config of a `window`-epoch ring (a sketch is a
+/// ring of one), refusing a ring over [`MAX_RING_BYTES`] before anything
+/// is allocated.
+fn decode_config_record(r: &mut Reader<'_>, window: usize) -> Result<HkConfig, WireError> {
+    let data = r.record(0)?;
+    let mut c = Reader { data, pos: 0 };
+    let cfg = decode_config(&mut c)?;
+    if c.pos != data.len() {
+        return Err(WireError::Corrupt("config length"));
+    }
+    if ring_bytes(&cfg, window).is_none_or(|n| n > MAX_RING_BYTES) {
+        return Err(WireError::Corrupt("ring size"));
+    }
+    Ok(cfg)
+}
+
+/// Reads record `index` as an epoch of a ring built from `cfg`, against
+/// the empty baseline, and writes it in one walk into a fresh epoch of
+/// the rows it names; `rows`, when given, is the only row count
+/// accepted. Nothing is allocated for a record the ring refuses.
+fn decode_epoch<K: FlowKey>(
+    r: &mut Reader<'_>,
+    index: usize,
+    cfg: &HkConfig,
+    rows: Option<usize>,
+) -> Result<ParallelTopK<K>, WireError> {
+    let data = r.record(index)?;
+    let h = RecordHeader::parse(data)?;
+    h.check_ring(cfg)?;
+    if rows.is_some_and(|rows| rows != h.rows) {
+        return Err(WireError::Corrupt("array count"));
+    }
+    if h.base_rows != 0 {
+        return Err(WireError::Corrupt("patch baseline"));
+    }
+    let mut epoch = ParallelTopK::new(HkConfig {
+        arrays: h.rows,
+        ..cfg.clone()
+    });
+    h.write(data, &mut epoch, None)?;
+    Ok(epoch)
+}
+
+/// Decodes a full frame's records: the ring config, then `live` epochs.
 fn decode_ring<K: FlowKey>(
     r: &mut Reader<'_>,
     window: usize,
     rotation: u64,
     live: usize,
 ) -> Result<SlidingTopK<K>, WireError> {
-    let data = r.record(0)?;
-    let mut c = Reader { data, pos: 0 };
-    let cfg = decode_config(&mut c)?;
-    if c.pos != data.len() {
-        return Err(WireError::Corrupt("ring config length"));
-    }
-    if ring_bytes(&cfg, window).is_none_or(|n| n > MAX_RING_BYTES) {
-        return Err(WireError::Corrupt("ring size"));
-    }
-    let mut epochs = Vec::new();
-    for index in 1..=live {
-        let data = r.record(index)?;
-        let h = RecordHeader::parse(data)?;
-        h.check_ring(&cfg)?;
-        if h.base_rows != 0 {
-            return Err(WireError::Corrupt("patch baseline"));
-        }
-        let mut epoch = ParallelTopK::new(HkConfig {
-            arrays: h.rows,
-            ..cfg.clone()
-        });
-        h.write(data, &mut epoch, None)?;
-        epochs.push(epoch);
-    }
+    let cfg = decode_config_record(r, window)?;
+    let epochs = (1..=live)
+        .map(|index| decode_epoch(r, index, &cfg, None))
+        .collect::<Result<_, _>>()?;
     Ok(SlidingTopK::from_epochs(cfg, window, rotation, epochs))
 }
 
@@ -1072,14 +1030,7 @@ impl<K: FlowKey> WindowFrame<K> {
     /// and store ([`DirtyPatch::check`]): the collector leaves that walk
     /// to the apply of a frame it applies at once.
     pub(crate) fn parse(data: &[u8]) -> Result<Self, WireError> {
-        let mut r = Reader { data, pos: 0 };
-        if r.take(4)? != FRAME_MAGIC {
-            return Err(WireError::BadMagic);
-        }
-        let version = r.u8()?;
-        if version != FRAME_VERSION {
-            return Err(WireError::BadVersion(version));
-        }
+        let mut r = Reader::open(data, FRAME_MAGIC, FRAME_VERSION)?;
         // Kind 1, the retired delta, is unknown here.
         let kind = r.u8()?;
         if kind != FULL_KIND && kind != DIRTY_KIND {
@@ -1136,14 +1087,10 @@ impl<K: FlowKey> WindowFrame<K> {
 
 // -- Checkpoint encode/restore hooks ------------------------------------
 //
-// The sharded engine's recovery plumbing rides the existing wire
-// formats: a shard checkpoint IS a wire payload (a v1 sketch for steady
-// sketches, a full window frame for sliding windows), so the bytes that
-// leave the process as telemetry double as restart state. Both impls
-// satisfy the `ShardCheckpoint` bit-exactness contract for everything
-// the formats ship; the decay RNG position is transient by the format's
-// design (the restored instance re-seeds from the config), which
-// perturbs *future* decay draws only, never recorded counts.
+// A shard checkpoint IS a wire payload: an `HKSK` payload for a steady
+// sketch, a full window frame for a sliding window. Both satisfy the
+// `ShardCheckpoint` bit-exactness contract for everything the codec
+// ships; the decay RNG position is transient by design (module docs).
 
 impl<K: FlowKey> hk_common::ShardCheckpoint for ParallelTopK<K> {
     fn encode_checkpoint(&self) -> Vec<u8> {
@@ -1175,6 +1122,7 @@ impl<K: FlowKey> hk_common::ShardCheckpoint for SlidingTopK<K> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::bucket::Bucket;
 
     fn populated(seed: u64) -> ParallelTopK<u64> {
         let cfg = HkConfig::builder()
@@ -1288,24 +1236,45 @@ mod tests {
         );
     }
 
+    /// Where the config record's payload starts in an `HKSK` payload:
+    /// behind the 6-byte header and the record's length.
+    const CONFIG_AT: usize = 10;
+
+    /// Recomputes the checksum of the record whose payload starts at
+    /// `at`, so that an edited field reaches the payload parser.
+    fn refix_checksum(wire: &mut [u8], at: usize) {
+        let len = u32::from_le_bytes(wire[at - 4..at].try_into().unwrap()) as usize;
+        let sum = checksum(&wire[at..at + len]);
+        wire[at + len..at + len + 8].copy_from_slice(&sum.to_le_bytes());
+    }
+
     #[test]
     fn corrupt_counter_rejected() {
-        let hk = populated(3);
-        let mut wire = hk.to_wire();
-        // First bucket's count field, behind the 37-byte fixed header
-        // and the fp.
-        let count_off = 37 + 4;
-        wire[count_off..count_off + 8].copy_from_slice(&u64::MAX.to_le_bytes());
-        assert!(matches!(
+        // `populated`'s elephants count past 255, so their buckets cannot
+        // decode under an 8-bit counter field.
+        let mut wire = populated(3).to_wire();
+        wire[CONFIG_AT + 11] = 8; // ctr_bits
+        refix_checksum(&mut wire, CONFIG_AT);
+        assert_eq!(
             ParallelTopK::<u64>::from_wire(&wire).unwrap_err(),
-            WireError::Corrupt(_)
-        ));
-        // The store byte (offset 35) must be 0, Stream-Summary.
-        let mut wire = hk.to_wire();
-        wire[35] = 1;
+            WireError::Corrupt("bucket counter")
+        );
+        // The store byte (config offset 29) must be 0, Stream-Summary.
+        let mut wire = populated(3).to_wire();
+        wire[CONFIG_AT + 29] = 1;
+        refix_checksum(&mut wire, CONFIG_AT);
         assert_eq!(
             ParallelTopK::<u64>::from_wire(&wire).unwrap_err(),
             WireError::Corrupt("store kind")
+        );
+        // A 2-row epoch under a config of 3 arrays is not the sketch the
+        // config describes.
+        let mut wire = populated(3).to_wire();
+        wire[CONFIG_AT] = 3;
+        refix_checksum(&mut wire, CONFIG_AT);
+        assert_eq!(
+            ParallelTopK::<u64>::from_wire(&wire).unwrap_err(),
+            WireError::Corrupt("array count")
         );
     }
 
@@ -1315,9 +1284,10 @@ mod tests {
         // checks but cannot share one packed bucket word; decoding must
         // return Corrupt, not panic in the config constructor.
         let mut wire = populated(3).to_wire();
-        // Header: 4 magic + 1 ver + 1 keylen + 2 arrays + 4 width + 4 k.
-        wire[16] = 32; // fp_bits
-        wire[17] = 40; // ctr_bits
+        // Config: 2 arrays + 4 width + 4 k, then the two bit widths.
+        wire[CONFIG_AT + 10] = 32; // fp_bits
+        wire[CONFIG_AT + 11] = 40; // ctr_bits
+        refix_checksum(&mut wire, CONFIG_AT);
         assert_eq!(
             ParallelTopK::<u64>::from_wire(&wire).unwrap_err(),
             WireError::Corrupt("field widths")
@@ -1327,11 +1297,14 @@ mod tests {
     #[test]
     fn version_checked() {
         let mut wire = populated(3).to_wire();
-        wire[4] = 9;
-        assert_eq!(
-            ParallelTopK::<u64>::from_wire(&wire).unwrap_err(),
-            WireError::BadVersion(9)
-        );
+        // v1, the dense codec, is retired.
+        for version in [1, 9] {
+            wire[4] = version;
+            assert_eq!(
+                ParallelTopK::<u64>::from_wire(&wire).unwrap_err(),
+                WireError::BadVersion(version)
+            );
+        }
     }
 
     #[test]
@@ -2226,37 +2199,5 @@ mod tests {
             WindowFrame::<u32>::decode(&bytes).unwrap_err(),
             WireError::KeyMismatch
         );
-    }
-
-    #[test]
-    fn grown_arrays_survive_roundtrip() {
-        // Force Section III-F growth, then round-trip: the extra array
-        // and its contents must survive.
-        let cfg = HkConfig::builder()
-            .arrays(2)
-            .width(2)
-            .k(2)
-            .seed(9)
-            .expansion(ExpansionPolicy {
-                large_counter: 50,
-                blocked_threshold: 100,
-                max_arrays: 6,
-            })
-            .build();
-        let mut hk = ParallelTopK::<u64>::new(cfg);
-        for f in 0..4u64 {
-            for _ in 0..2000 {
-                hk.insert(&f);
-            }
-        }
-        for _ in 0..3000 {
-            hk.insert(&999);
-        }
-        assert!(hk.sketch().expansions() > 0, "growth precondition");
-        let back = ParallelTopK::<u64>::from_wire(&hk.to_wire()).unwrap();
-        assert_eq!(back.sketch().arrays(), hk.sketch().arrays());
-        for f in [0u64, 1, 2, 3, 999] {
-            assert_eq!(back.query(&f), hk.query(&f));
-        }
     }
 }

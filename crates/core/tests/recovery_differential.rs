@@ -17,7 +17,8 @@
 //!    and keeps the reported top-k close to a loss-free oracle.
 
 use heavykeeper::{
-    FaultKind, FaultPlan, HkConfig, ParallelTopK, ReshardReport, ShardedEngine, SlidingTopK,
+    ExpansionPolicy, FaultKind, FaultPlan, HkConfig, ParallelTopK, ReshardReport, ShardedEngine,
+    SlidingTopK,
 };
 use hk_common::algorithm::{EpochRotate, ShardCheckpoint, TopKAlgorithm};
 use hk_obs::ReshardAccounting;
@@ -49,27 +50,39 @@ fn zipfish_stream(n: usize, heavy: u64, tail: u64, seed: u64) -> Vec<u64> {
 
 #[test]
 fn parallel_checkpoint_restore_is_bit_exact() {
-    let mut hk = ParallelTopK::<u64>::new(cfg(512, 16, 9));
-    hk.insert_batch(&zipfish_stream(40_000, 12, 3000, 21));
+    // A plain sketch, and one Section III-F grew: 32 buckets per row
+    // cannot keep the heavy flows apart, so blocked inserts add arrays.
+    let grown = HkConfig {
+        expansion: Some(ExpansionPolicy::default()),
+        ..cfg(32, 16, 9)
+    };
+    for (cfg, rows) in [(cfg(512, 16, 9), 2..=2), (grown, 3..=8)] {
+        let mut hk = ParallelTopK::<u64>::new(cfg);
+        hk.insert_batch(&zipfish_stream(40_000, 12, 3000, 21));
+        assert!(rows.contains(&hk.sketch().arrays()), "growth precondition");
 
-    let bytes = hk.encode_checkpoint();
-    let restored = ParallelTopK::<u64>::restore_checkpoint(&bytes).expect("own bytes decode");
-    // Re-encoding the restored instance reproduces the checkpoint —
-    // the recorded state (buckets, store) survived the round trip
-    // bit-exact, so a respawn resumes from *exactly* the encoded cut.
-    assert_eq!(restored.encode_checkpoint(), bytes);
-    // Same monitored flows and estimates (tie *order* inside the store
-    // is admission-history dependent and exempt from the contract).
-    let mut want = hk.top_k();
-    let mut got = restored.top_k();
-    want.sort_unstable();
-    got.sort_unstable();
-    assert_eq!(got, want);
-    for f in 0..12u64 {
-        assert_eq!(restored.query(&f), hk.query(&f), "flow {f}");
+        let bytes = hk.encode_checkpoint();
+        let restored = ParallelTopK::<u64>::restore_checkpoint(&bytes).expect("own bytes decode");
+        // Re-encoding the restored instance reproduces the checkpoint —
+        // the recorded state (buckets, store) survived the round trip
+        // bit-exact, so a respawn resumes from *exactly* the encoded cut.
+        assert_eq!(restored.encode_checkpoint(), bytes);
+        // The restored config counts the rows the sketch grew to.
+        assert_eq!(restored.config().arrays, hk.sketch().arrays());
+        // Same monitored flows and estimates (tie *order* inside the
+        // store is admission-history dependent and exempt from the
+        // contract).
+        let mut want = hk.top_k();
+        let mut got = restored.top_k();
+        want.sort_unstable();
+        got.sort_unstable();
+        assert_eq!(got, want);
+        for f in 0..12u64 {
+            assert_eq!(restored.query(&f), hk.query(&f), "flow {f}");
+        }
+        // Corrupt / foreign bytes are rejected, not misdecoded.
+        assert!(ParallelTopK::<u64>::restore_checkpoint(&bytes[..bytes.len() / 2]).is_none());
     }
-    // Corrupt / foreign bytes are rejected, not misdecoded.
-    assert!(ParallelTopK::<u64>::restore_checkpoint(&bytes[..bytes.len() / 2]).is_none());
     assert!(ParallelTopK::<u64>::restore_checkpoint(&[]).is_none());
 }
 

@@ -1,5 +1,6 @@
-//! Golden frame bytes: the window-frame encoders must keep producing
-//! the *exact* bytes they produced when these digests were recorded.
+//! Golden wire bytes: the window-frame encoders and `to_wire` must keep
+//! producing the *exact* bytes they produced when these digests were
+//! recorded.
 //!
 //! All six digests were re-recorded at frame v7, when each record's
 //! 4-byte CRC-32 trailer became its 8-byte xxHash64. With the trailers
@@ -16,13 +17,15 @@
 //!
 //! Two widths: 256 (whole bitmap words) and 1,000, which is not a
 //! multiple of 64, so the last bitmap word of every row has a tail
-//! that must stay zero. Any change to these frames' bytes is a wire
-//! change: a digest is re-recorded only together with a version bump
-//! of the frame it pins.
+//! that must stay zero. The v2 `HKSK` payload of `to_wire` is pinned
+//! for the same stream at width 256, and at width 64 after Section III-F
+//! growth. Any change to these bytes is a wire change: a digest is
+//! re-recorded only together with a version bump of the format it pins.
 
 use heavykeeper::sliding::SlidingTopK;
 use heavykeeper::wire::{FrameBody, WindowFrame};
-use heavykeeper::HkConfig;
+use heavykeeper::{ExpansionPolicy, HkConfig, ParallelTopK};
+use hk_common::TopKAlgorithm;
 
 const EPOCH_PACKETS: u32 = 3_000;
 const ROTATIONS: u64 = 5;
@@ -134,4 +137,31 @@ fn frames_match_recorded_bytes_at_width_256() {
 #[test]
 fn frames_match_recorded_bytes_at_width_1000() {
     run_case(1_000, &GOLDEN_W1000);
+}
+
+/// `(digest, length)` of `to_wire` after the recorded stream, recorded
+/// at `HKSK` v2: width 256, and width 64 grown to 4 arrays.
+const GOLDEN_SKETCHES: [(u64, usize); 2] = [
+    (0x3358_96bd_aa02_6ebe, 1_856),
+    (0xb6c3_a5a7_8dcf_4ce9, 1_088),
+];
+
+#[test]
+fn sketch_payloads_match_recorded_bytes() {
+    let grow = ExpansionPolicy {
+        large_counter: 50,
+        blocked_threshold: 100,
+        max_arrays: 6,
+    };
+    let builder = |width| HkConfig::builder().arrays(2).width(width).k(16).seed(41);
+    let cases = [(builder(256), 2), (builder(64).expansion(grow), 4)];
+    for ((cfg, rows), golden) in cases.into_iter().zip(GOLDEN_SKETCHES) {
+        let mut hk = ParallelTopK::<u64>::new(cfg.build());
+        let mut state = 0x9E37_79B9_7F4A_7C15u64;
+        for epoch in 0..=ROTATIONS {
+            hk.insert_batch(&epoch_stream(&mut state, epoch));
+        }
+        assert_eq!(hk.sketch().arrays(), rows, "growth precondition");
+        assert_eq!(digest(&hk.to_wire()), golden, "{rows}-row sketch changed");
+    }
 }

@@ -1,7 +1,7 @@
 //! Window-frame robustness: the decoder against malformed bytes, and
 //! the collector's dirty-frame protocol against loss, duplication and
-//! reordering — mirroring the v1 `wire.rs` rejection suite at the frame
-//! level. Dirty frames come in two shapes, and every sweep runs both:
+//! reordering — mirroring the `wire.rs` sketch rejection suite at the
+//! frame level. Dirty frames come in two shapes, and every sweep runs both:
 //! against the empty baseline (the first export, `export_delta`) and
 //! against the previous export.
 //!
@@ -174,10 +174,9 @@ fn header_corruption_rejected_specifically() {
 
     let mut bad = good.clone();
     bad[0] = b'X';
-    assert_eq!(
-        WindowFrame::<u64>::decode(&bad).unwrap_err(),
-        WireError::BadMagic
-    );
+    let err = WindowFrame::<u64>::decode(&bad).unwrap_err();
+    assert_eq!(err, WireError::BadMagic);
+    assert!(err.to_string().contains("HKWF"), "{err}");
 
     let mut bad = good.clone();
     bad[OFF_VERSION] = 9;
@@ -330,6 +329,17 @@ fn frame_around(kind: u8, payloads: &[&[u8]]) -> Vec<u8> {
     out
 }
 
+/// A checksum-valid `HKSK` payload (v2, u64 keys) around hand-built
+/// record payloads: the config, then the sketch's epoch.
+fn sketch_around(payloads: &[&[u8]]) -> Vec<u8> {
+    let mut out = b"HKSK".to_vec();
+    out.extend_from_slice(&[2, 8]); // version, key width
+    for payload in payloads {
+        push_record(&mut out, payload);
+    }
+    out
+}
+
 /// Appends one record: length, payload, and the payload's xxHash64.
 fn push_record(out: &mut Vec<u8>, payload: &[u8]) {
     out.extend_from_slice(&(payload.len() as u32).to_le_bytes());
@@ -375,10 +385,10 @@ fn length_fields_cannot_amplify_allocation() {
     };
     assert_eq!((patch.rows(), patch.width()), (16, u32::MAX as usize));
 
-    // A full frame's ring config in the v1 config fields: 2 arrays of
-    // `width` buckets, 16+16 bits, no expansion.
+    // A config record (a full frame's ring config, an `HKSK` payload's
+    // first): 2 arrays of `width` buckets, 16+16 bits, no expansion.
     let config = |width: u32| {
-        let mut c = ParallelTopK::<u64>::new(cfg(1)).to_wire()[6..37].to_vec();
+        let mut c = ParallelTopK::<u64>::new(cfg(1)).to_wire()[10..41].to_vec();
         c[2..6].copy_from_slice(&width.to_le_bytes());
         c
     };
@@ -399,19 +409,19 @@ fn length_fields_cannot_amplify_allocation() {
         WireError::Corrupt("array count")
     );
 
-    // A 37-byte v1 header claiming 50M buckets: refused before the
-    // sketch it describes is built.
-    let mut v1 = ParallelTopK::<u64>::new(cfg(1)).to_wire();
-    v1.truncate(37);
-    v1[8..12].copy_from_slice(&25_000_000u32.to_le_bytes()); // width × 2 rows
+    // A sketch payload of a few hundred bytes claiming 2 GiB of
+    // buckets: refused before the sketch it describes is built.
+    let sketch = sketch_around(&[&config(1 << 28), &empty_record(2, 1 << 28)]);
+    assert!(sketch.len() < 300, "{} bytes", sketch.len());
     assert_eq!(
-        ParallelTopK::<u64>::from_wire(&v1).unwrap_err(),
-        WireError::Truncated
+        ParallelTopK::<u64>::from_wire(&sketch).unwrap_err(),
+        WireError::Corrupt("ring size")
     );
     // And a valid payload whose `k` claims 2^32 - 1 store slots decodes
     // without reserving them.
-    let mut wide_k = ParallelTopK::<u64>::new(cfg(1)).to_wire();
-    wide_k[12..16].copy_from_slice(&u32::MAX.to_le_bytes());
+    let mut wide_k = config(64);
+    wide_k[6..10].copy_from_slice(&u32::MAX.to_le_bytes());
+    let wide_k = sketch_around(&[&wide_k, &empty_record(2, 64)]);
     let back = ParallelTopK::<u64>::from_wire(&wide_k).unwrap();
     assert_eq!(back.config().k, u32::MAX as usize);
 

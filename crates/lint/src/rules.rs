@@ -224,16 +224,17 @@ impl LintConfig {
                 "checkpoint".into(),
             ],
             magics: vec![
-                b"HKSK".to_vec(),       // v1 sketch payload
+                b"HKSK".to_vec(),       // sketch payload (v2, config + one HKDP record)
                 b"HKWF".to_vec(),       // window frame header (v7, full and dirty)
-                b"HKDP".to_vec(),       // epoch record inside a v7 window frame
+                b"HKDP".to_vec(),       // epoch record of a v7 window frame or v2 sketch
                 b"HKTR".to_vec(),       // trace file container
                 b"HKCKPT\0\0".to_vec(), // reserved checkpoint switch id
             ],
             numeric_magics: vec![0xA1B2_C3D4, 0xA1B2_3C4D], // pcap usec/nsec
             versions: vec![
-                ("VERSION".into(), 1),       // HKSK sketch payload / HKTR trace
-                ("FRAME_VERSION".into(), 7), // HKWF, full (kind 0) and dirty (kind 2)
+                ("SKETCH_VERSION".into(), 2), // HKSK: the config record plus one epoch record
+                ("VERSION".into(), 1),        // HKTR trace
+                ("FRAME_VERSION".into(), 7),  // HKWF, full (kind 0) and dirty (kind 2)
             ],
         }
     }
