@@ -27,6 +27,14 @@ const NIL: usize = usize::MAX;
 /// claiming `k = 2^32` allocate gigabytes.
 pub(crate) const PREALLOC_LIMIT: usize = 1 << 16;
 
+/// A tracked key's place in a [`StreamSummary`], from
+/// [`StreamSummary::find`] or [`StreamSummary::insert_absent`]: reading
+/// or setting a count through it needs no hash of the key. It stays
+/// valid until its key leaves the summary; after `evict_min`, `remove`
+/// or `clear` the same handle may name another key.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Handle(usize);
+
 #[derive(Debug, Clone)]
 struct ItemNode<K> {
     key: K,
@@ -120,9 +128,32 @@ impl<K: Eq + Hash + Clone> StreamSummary<K> {
 
     /// The count associated with `key`, if tracked.
     pub fn count(&self, key: &K) -> Option<u64> {
-        self.index
-            .get(key)
-            .map(|&i| self.buckets[self.items[i].bucket].count)
+        self.find(key).map(|h| self.count_at(h))
+    }
+
+    /// Looks `key` up once: its handle if tracked.
+    #[inline]
+    pub fn find(&self, key: &K) -> Option<Handle> {
+        self.index.get(key).map(|&i| Handle(i))
+    }
+
+    /// The count of the key at `h`.
+    #[inline]
+    pub fn count_at(&self, h: Handle) -> u64 {
+        self.buckets[self.items[h.0].bucket].count
+    }
+
+    /// Sets the count of the key at `h` (up or down) and returns the old
+    /// count. An unchanged count leaves the key where it is, so ties keep
+    /// their order.
+    #[inline]
+    pub fn set_count_at(&mut self, h: Handle, count: u64) -> u64 {
+        let old_bucket = self.items[h.0].bucket;
+        let old = self.buckets[old_bucket].count;
+        if old != count {
+            self.move_item(h.0, old_bucket, count);
+        }
+        old
     }
 
     /// The smallest count among tracked keys (`None` when empty).
@@ -286,11 +317,38 @@ impl<K: Eq + Hash + Clone> StreamSummary<K> {
         if self.is_full() || self.contains(&key) {
             return false;
         }
+        self.insert_absent(key, count);
+        true
+    }
+
+    /// Inserts a key the caller knows is absent, skipping the lookup
+    /// [`StreamSummary::insert`] makes, and returns its handle.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the summary is full. Inserting a key that is already
+    /// tracked breaks the index (debug builds panic).
+    pub fn insert_absent(&mut self, key: K, count: u64) -> Handle {
+        assert!(!self.is_full(), "insert_absent into a full summary");
+        debug_assert!(!self.contains(&key), "insert_absent of a tracked key");
         let b = self.bucket_for(count, NIL);
         let i = self.alloc_item(key.clone(), b);
         self.attach(i, b);
         self.index.insert(key, i);
-        true
+        Handle(i)
+    }
+
+    /// Removes every key, keeping the item slab, the bucket list and
+    /// the index at their capacity: a cleared summary refills without
+    /// allocating, and behaves exactly like a new one.
+    pub fn clear(&mut self) {
+        self.items.clear();
+        self.free_items.clear();
+        self.buckets.clear();
+        self.free_buckets.clear();
+        self.min_bucket = NIL;
+        self.max_bucket = NIL;
+        self.index.clear();
     }
 
     /// Removes and returns one key with the minimum count.
@@ -331,13 +389,8 @@ impl<K: Eq + Hash + Clone> StreamSummary<K> {
     /// Sets `key`'s count to `count` (up or down). Returns the old count,
     /// or `None` if the key is not tracked.
     pub fn set_count(&mut self, key: &K, count: u64) -> Option<u64> {
-        let i = *self.index.get(key)?;
-        let old_bucket = self.items[i].bucket;
-        let old = self.buckets[old_bucket].count;
-        if old != count {
-            self.move_item(i, old_bucket, count);
-        }
-        Some(old)
+        let h = self.find(key)?;
+        Some(self.set_count_at(h, count))
     }
 
     fn move_item(&mut self, i: usize, old_bucket: usize, new_count: u64) {
@@ -588,34 +641,127 @@ mod tests {
     #[test]
     fn many_random_ops_keep_invariants() {
         use rand::{Rng, SeedableRng};
+        use std::collections::HashMap;
         let mut rng = rand::rngs::StdRng::seed_from_u64(42);
         let mut ss: StreamSummary<u32> = StreamSummary::new(16);
-        for _ in 0..5000 {
+        // The counts every op should leave, keyed like the summary.
+        let mut model: HashMap<u32, u64> = HashMap::new();
+        for _ in 0..8000 {
             let key = rng.gen_range(0..64u32);
-            match rng.gen_range(0..4) {
+            match rng.gen_range(0..7) {
                 0 => {
                     if !ss.contains(&key) && !ss.is_full() {
-                        ss.insert(key, rng.gen_range(1..100));
+                        let c = rng.gen_range(1..100);
+                        assert!(ss.insert(key, c));
+                        model.insert(key, c);
                     }
                 }
                 1 => {
                     if ss.contains(&key) {
-                        ss.increment(&key, rng.gen_range(1..5));
+                        let by = rng.gen_range(1..5);
+                        let new = ss.increment(&key, by).unwrap();
+                        *model.get_mut(&key).unwrap() += by;
+                        assert_eq!(new, model[&key]);
                     }
                 }
                 2 => {
                     if ss.contains(&key) {
-                        ss.set_count(&key, rng.gen_range(1..200));
+                        let c = rng.gen_range(1..200);
+                        ss.set_count(&key, c);
+                        model.insert(key, c);
+                    }
+                }
+                3 => {
+                    // Find, then read by handle.
+                    match ss.find(&key) {
+                        Some(h) => assert_eq!(ss.count_at(h), model[&key]),
+                        None => assert!(!model.contains_key(&key)),
+                    }
+                }
+                4 => {
+                    // Find, then set by handle (sometimes to the same count).
+                    if let Some(h) = ss.find(&key) {
+                        let c = if rng.gen_bool(0.2) {
+                            model[&key]
+                        } else {
+                            rng.gen_range(1..200)
+                        };
+                        assert_eq!(ss.set_count_at(h, c), model[&key]);
+                        assert_eq!(ss.count_at(h), c);
+                        model.insert(key, c);
+                    }
+                }
+                5 => {
+                    // The absent-key insert, then read through its handle.
+                    if ss.find(&key).is_none() && !ss.is_full() {
+                        let c = rng.gen_range(1..100);
+                        let h = ss.insert_absent(key, c);
+                        assert_eq!(ss.find(&key), Some(h));
+                        assert_eq!(ss.count_at(h), c);
+                        model.insert(key, c);
                     }
                 }
                 _ => {
                     if ss.is_full() {
-                        ss.evict_min();
+                        let (k, c) = ss.evict_min().unwrap();
+                        assert_eq!(model.remove(&k), Some(c));
                     }
                 }
             }
             ss.check_invariants();
+            assert_eq!(ss.len(), model.len());
         }
+    }
+
+    #[test]
+    fn clear_keeps_capacity_and_refills_like_new() {
+        // A mixed workload: inserts, raises, a drop, evictions.
+        fn drive(ss: &mut StreamSummary<u32>, salt: u32) {
+            for i in 0..40u32 {
+                let key = (i * 7 + salt) % 23;
+                match ss.find(&key) {
+                    Some(h) => {
+                        let c = ss.count_at(h);
+                        ss.set_count_at(h, c + u64::from(i % 3));
+                    }
+                    None => {
+                        if ss.is_full() {
+                            ss.evict_min();
+                        }
+                        ss.insert_absent(key, u64::from(i % 5 + 1));
+                    }
+                }
+                if i % 11 == 0 {
+                    ss.set_count(&key, 1);
+                }
+            }
+        }
+        let mut reused = StreamSummary::new(8);
+        drive(&mut reused, 5);
+        let caps = (
+            reused.items.capacity(),
+            reused.buckets.capacity(),
+            reused.index.capacity(),
+        );
+        reused.clear();
+        reused.check_invariants();
+        assert!(reused.is_empty());
+        assert_eq!((reused.min_count(), reused.max_count()), (None, None));
+        assert_eq!(
+            (
+                reused.items.capacity(),
+                reused.buckets.capacity(),
+                reused.index.capacity()
+            ),
+            caps,
+            "clear must keep the allocations"
+        );
+        drive(&mut reused, 0);
+        reused.check_invariants();
+        let mut fresh = StreamSummary::new(8);
+        drive(&mut fresh, 0);
+        assert!(reused.iter_desc().eq(fresh.iter_desc()));
+        assert_eq!(reused.len(), 8);
     }
 
     #[test]

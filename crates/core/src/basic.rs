@@ -13,7 +13,7 @@
 use crate::bucket::BucketWord;
 use crate::config::HkConfig;
 use crate::sketch::{with_words, HkSketch, PreparedKey, SketchWords};
-use crate::store::TopKStore;
+use crate::store::{Flag, TopKStore};
 use hk_common::algorithm::{PreparedInsert, TopKAlgorithm};
 use hk_common::key::FlowKey;
 use hk_common::prepared::{HashSpec, KeySlots, PreparedBatch};
@@ -81,7 +81,7 @@ impl<K: FlowKey> BasicTopK<K> {
     /// footnote 2), where each switch reports and resets per period.
     pub fn reset(&mut self) {
         self.sketch.reset();
-        self.store = TopKStore::new(self.cfg.k);
+        self.store.clear();
     }
 
     /// The scalar insert: picks the bucket word for this one packet.
@@ -100,15 +100,10 @@ impl<K: FlowKey> BasicTopK<K> {
     ) {
         sk.walk_basic(s);
         let estimate = sk.query(s);
-        if store.contains(key) {
-            store.update_max(key, estimate);
-        } else if estimate > store.nmin() {
-            // nmin() is 0 while the store is not full, so early flows with
-            // any positive estimate are admitted, as in the paper.
-            if estimate > 0 {
-                store.admit(*key, estimate);
-            }
-        }
+        // Raise a monitored flow, admit an outside one above n_min (0
+        // while the store has room, as in the paper). No walk decision
+        // reads `flag`, so only the store update may look the flow up.
+        store.update(key, estimate, store.nmin(), Flag::default());
     }
 }
 

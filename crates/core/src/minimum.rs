@@ -15,12 +15,27 @@
 //! Because each flow occupies at most one bucket (no duplicates across
 //! arrays), memory is used more efficiently — the paper's Figures 23–31
 //! show the accuracy gain, which experiments E15–E17 reproduce.
+//!
+//! ## The store step
+//!
+//! Algorithm 2 reads `flag` (is the flow in the top-k store?) first,
+//! like Algorithm 1. Here the flow is looked up at most once per packet,
+//! and only where a decision reads the answer: step 2's Optimization II
+//! gate at a matching bucket whose counter exceeds `n_min`, and the
+//! store update only when `HeavyK_V > n_min`. At or below `n_min` the
+//! update changes nothing for either value of `flag` (a full store's
+//! monitored flows count at least `n_min`; a store with room has
+//! `n_min = 0`). The update is the Parallel variant's, with
+//! Optimization I's `n_min + 1` admission rule (see
+//! [`crate::parallel`]); `crates/core/tests/differential.rs` checks
+//! every bucket, store entry and [`InsertStats`] counter against a
+//! transcription that reads `flag` first.
 
 use crate::bucket::BucketWord;
 use crate::config::HkConfig;
 use crate::sketch::{with_words, HkSketch, PreparedKey, SketchWords};
 use crate::stats::InsertStats;
-use crate::store::TopKStore;
+use crate::store::{Flag, TopKStore};
 use hk_common::algorithm::{PreparedInsert, TopKAlgorithm};
 use hk_common::key::FlowKey;
 use hk_common::prepared::{HashSpec, KeySlots, PreparedBatch};
@@ -88,11 +103,7 @@ impl<K: FlowKey> MinimumTopK<K> {
     /// store (collector-side path: no Optimization I gate, estimates
     /// arrive in arbitrary steps rather than +1 increments).
     pub(crate) fn offer(&mut self, key: K, estimate: u64) {
-        if self.store.contains(&key) {
-            self.store.update_max(&key, estimate);
-        } else if !self.store.is_full() || estimate > self.store.nmin() {
-            self.store.admit(key, estimate);
-        }
+        self.store.offer(key, estimate);
     }
 
     /// The configuration this instance was built with.
@@ -110,7 +121,7 @@ impl<K: FlowKey> MinimumTopK<K> {
     /// footnote 2), where each switch reports and resets per period.
     pub fn reset(&mut self) {
         self.sketch.reset();
-        self.store = TopKStore::new(self.cfg.k);
+        self.store.clear();
     }
 
     /// The scalar insert: picks the bucket word for this one packet.
@@ -128,32 +139,21 @@ impl<K: FlowKey> MinimumTopK<K> {
         key: &K,
         s: &S,
     ) {
-        // Step 1: monitored flag and admission threshold.
-        let flag = store.contains(key);
+        // Step 1: the admission floor; `flag` is looked up lazily (see
+        // the module docs).
         let nmin = store.nmin();
+        let mut flag = Flag::default();
 
         // Steps 2-4: the at-most-one-bucket walk
         // ([`SketchWords::walk_minimum`]).
-        let (heavy_v, blocked) = sk.walk_minimum(s, flag, nmin);
+        let (heavy_v, blocked) = sk.walk_minimum(s, nmin, || flag.read(store, key));
         if blocked {
             sk.stats_mut().blocked += 1;
             sk.note_blocked();
         }
 
-        // Step 5: top-k store update (same rule as the Parallel version).
-        if flag {
-            store.update_max(key, heavy_v);
-        } else if !store.is_full() {
-            if heavy_v > 0 {
-                store.admit(*key, heavy_v);
-                sk.stats_mut().admissions += 1;
-            }
-        } else if heavy_v == nmin + 1 {
-            store.admit(*key, heavy_v);
-            sk.stats_mut().admissions += 1;
-        } else if heavy_v > nmin {
-            sk.stats_mut().admissions_rejected += 1;
-        }
+        // Step 5: top-k store update (the Parallel version's rule).
+        store.update_gated(key, heavy_v, nmin, flag, sk.stats_mut());
     }
 }
 

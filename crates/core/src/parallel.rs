@@ -17,12 +17,33 @@
 //! operations can run in parallel in hardware — hence the name. (This
 //! implementation runs them sequentially; the *property* matters for
 //! FPGA/ASIC ports, not for the accuracy evaluation.)
+//!
+//! ## The store step: `flag` read only where a decision needs it
+//!
+//! Algorithm 1 reads `flag` (is the flow in the top-k store?) before
+//! the walk. Only two decisions use it, so the flow is looked up in the
+//! store at most once per packet, and only when one of them is reached:
+//!
+//! * Optimization II's gate reads it only at a matching bucket whose
+//!   counter exceeds `n_min`; a counter at or below `n_min` increments
+//!   whatever `flag` says;
+//! * lines 21–25 change nothing when `HeavyK_V ≤ n_min`: once the store
+//!   is full a monitored flow already counts at least `n_min`, and an
+//!   outside flow is neither admitted nor rejected; before that
+//!   `n_min = 0` and an estimate of 0 has nothing to raise or admit.
+//!
+//! The lookup yields a handle that the raise or the admission acts on.
+//! `n_min` is read before the walk and the walk never touches the
+//! store, so every bucket, every store entry with its tie order, and
+//! every [`InsertStats`] counter come out exactly as in the paper's
+//! order; `crates/core/tests/differential.rs` checks that against a
+//! transcription that reads `flag` first.
 
 use crate::bucket::BucketWord;
 use crate::config::HkConfig;
 use crate::sketch::{with_words, HkSketch, PreparedKey, SketchWords};
 use crate::stats::InsertStats;
-use crate::store::TopKStore;
+use crate::store::{Flag, TopKStore};
 use hk_common::algorithm::{PreparedInsert, TopKAlgorithm};
 use hk_common::key::FlowKey;
 use hk_common::prepared::{HashSpec, KeySlots, PreparedBatch};
@@ -90,11 +111,7 @@ impl<K: FlowKey> ParallelTopK<K> {
     /// store (collector-side path: no Optimization I gate, estimates
     /// arrive in arbitrary steps rather than +1 increments).
     pub(crate) fn offer(&mut self, key: K, estimate: u64) {
-        if self.store.contains(&key) {
-            self.store.update_max(&key, estimate);
-        } else if !self.store.is_full() || estimate > self.store.nmin() {
-            self.store.admit(key, estimate);
-        }
+        self.store.offer(key, estimate);
     }
 
     /// The configuration this instance was built with.
@@ -112,20 +129,21 @@ impl<K: FlowKey> ParallelTopK<K> {
     /// footnote 2), where each switch reports and resets per period.
     pub fn reset(&mut self) {
         self.sketch.reset();
-        self.store = TopKStore::new(self.cfg.k);
+        self.store.clear();
     }
 
     /// Restores the instance to the exact as-constructed state of an
     /// `arrays`-array instance of its configuration — buckets zeroed,
     /// decay RNG rewound, store emptied — so it is indistinguishable
     /// from `ParallelTopK::new(cfg)` with `cfg.arrays = arrays` while
-    /// keeping its (already page-resident) bucket matrix; the store is
-    /// built anew. The sliding window recycles evicted epochs through
-    /// this, at its own array count ([`HkSketch::recycle`]).
+    /// keeping its (already page-resident) bucket matrix and the
+    /// store's allocations ([`TopKStore::clear`]). The sliding window
+    /// recycles evicted epochs through this, at its own array count
+    /// ([`HkSketch::recycle`]).
     pub fn recycle(&mut self, arrays: usize) {
         self.cfg.arrays = arrays;
         self.sketch.recycle(arrays);
-        self.store = TopKStore::new(self.cfg.k);
+        self.store.clear();
     }
 
     /// Queries an already-prepared flow (the sliding window prepares a
@@ -159,35 +177,22 @@ impl<K: FlowKey> ParallelTopK<K> {
         key: &K,
         s: &S,
     ) {
-        // Step 1: is the flow already monitored?
-        let flag = store.contains(key);
+        // Step 1: the admission floor. `flag` is looked up lazily (see
+        // the module docs).
         let nmin = store.nmin();
+        let mut flag = Flag::default();
 
         // Step 2: per-array bucket update (Algorithm 1 lines 4-20, the
         // word-level walk in [`SketchWords::walk_parallel`]).
-        let (heavy_v, blocked) = sk.walk_parallel(s, flag, nmin);
+        let (heavy_v, blocked) = sk.walk_parallel(s, nmin, || flag.read(store, key));
         if blocked {
             sk.stats_mut().blocked += 1;
             sk.note_blocked();
         }
 
-        // Step 3: top-k store update (Algorithm 1 lines 21-25).
-        if flag {
-            store.update_max(key, heavy_v);
-        } else if !store.is_full() {
-            if heavy_v > 0 {
-                store.admit(*key, heavy_v);
-                sk.stats_mut().admissions += 1;
-            }
-        } else if heavy_v == nmin + 1 {
-            // Optimization I: only the exact n_min + 1 estimate is a
-            // legitimate promotion; anything larger is a fingerprint
-            // collision (Theorem 1).
-            store.admit(*key, heavy_v);
-            sk.stats_mut().admissions += 1;
-        } else if heavy_v > nmin {
-            sk.stats_mut().admissions_rejected += 1;
-        }
+        // Step 3: top-k store update (Algorithm 1 lines 21-25, with
+        // Optimization I's n_min + 1 admission rule).
+        store.update_gated(key, heavy_v, nmin, flag, sk.stats_mut());
     }
 }
 

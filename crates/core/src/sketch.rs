@@ -801,16 +801,18 @@ impl<W: BucketWord> SketchWords<'_, W> {
     }
 
     /// The Parallel variant's per-packet bucket walk (Algorithm 1 lines
-    /// 4–20), shared by the scalar and batched paths. `flag` is the
-    /// monitored bit, `nmin` the admission floor; outcome counters land
-    /// in [`HkSketch::stats`]. Returns `(HeavyK_V, blocked)`; the
-    /// caller applies the top-k store update and, when `blocked`, the
-    /// Section III-F bookkeeping.
+    /// 4–20), shared by the scalar and batched paths. `nmin` is the
+    /// admission floor and `flag` answers the monitored bit; the walk
+    /// calls it only where Optimization II reads it, at a matching
+    /// bucket whose counter exceeds `nmin`, so a caller can look the
+    /// flow up lazily. Outcome counters land in [`HkSketch::stats`].
+    /// Returns `(HeavyK_V, blocked)`; the caller applies the top-k
+    /// store update and, when `blocked`, the Section III-F bookkeeping.
     pub(crate) fn walk_parallel<S: KeySlots>(
         &mut self,
         s: &S,
-        flag: bool,
         nmin: u64,
+        mut flag: impl FnMut() -> bool,
     ) -> (u64, bool) {
         self.walk.stats.packets += 1;
         let pfp = self.m.layout().packed_fp(s.key().fp);
@@ -834,8 +836,10 @@ impl<W: BucketWord> SketchWords<'_, W> {
                 // (Algorithm 1's pseudo-code writes `C < n_min`, which
                 // would live-lock: once the store holds k flows of size
                 // n_min, no outside flow could ever reach n_min + 1.)
+                // The counter is compared first, so `flag` is read only
+                // when it decides.
                 blocked = false;
-                if flag || count <= nmin {
+                if count <= nmin || flag() {
                     if count < self.walk.counter_max {
                         self.m.set_word(j, i, word + 1);
                         heavy_v = heavy_v.max(count + 1);
@@ -870,7 +874,9 @@ impl<W: BucketWord> SketchWords<'_, W> {
     /// The Minimum variant's per-packet bucket walk (Algorithm 2): one
     /// read-only scan over the `d` mapped buckets, then at most one
     /// bucket write — increment a match, claim the first empty, or
-    /// decay-roll the first smallest. Outcome counters land in
+    /// decay-roll the first smallest. `flag` is called as in
+    /// [`SketchWords::walk_parallel`], only at a matching bucket whose
+    /// counter exceeds `nmin`. Outcome counters land in
     /// [`HkSketch::stats`]. Returns `(HeavyK_V, blocked)`; the caller
     /// applies the store update and, when `blocked`, calls
     /// [`SketchWords::note_blocked`] (deferred past the walk, which is
@@ -878,8 +884,8 @@ impl<W: BucketWord> SketchWords<'_, W> {
     pub(crate) fn walk_minimum<S: KeySlots>(
         &mut self,
         s: &S,
-        flag: bool,
         nmin: u64,
+        mut flag: impl FnMut() -> bool,
     ) -> (u64, bool) {
         self.walk.stats.packets += 1;
         let pfp = self.m.layout().packed_fp(s.key().fp);
@@ -915,7 +921,7 @@ impl<W: BucketWord> SketchWords<'_, W> {
         // `C <= n_min` reading of Optimization II as the Parallel walk).
         let mut handled = false;
         if let Some((j, i, count)) = matched {
-            if flag || count <= nmin {
+            if count <= nmin || flag() {
                 if count < self.walk.counter_max {
                     self.m.set_word(j, i, self.m.word(j, i) + 1);
                     heavy_v = count + 1;
@@ -970,13 +976,15 @@ impl<W: BucketWord> SketchWords<'_, W> {
     /// or contest the incumbent with `weight` decay trials through
     /// [`HkSketch::weighted_decay_roll`]). Every count written is at
     /// most `counter_max`, so the words are built in place like the
-    /// other walks'. Returns the largest count the flow now holds.
+    /// other walks'. `flag` is called as in
+    /// [`SketchWords::walk_parallel`]. Returns the largest count the
+    /// flow now holds.
     pub(crate) fn walk_weighted<S: KeySlots>(
         &mut self,
         s: &S,
         weight: u64,
-        flag: bool,
         nmin: u64,
+        mut flag: impl FnMut() -> bool,
     ) -> u64 {
         let pfp = self.m.layout().packed_fp(s.key().fp);
         let max = self.walk.counter_max;
@@ -992,7 +1000,7 @@ impl<W: BucketWord> SketchWords<'_, W> {
                 heavy_v = heavy_v.max(c);
             } else if self.m.layout().fp_matches(word, pfp) {
                 // Case 2 (weighted), behind the Optimization II gate.
-                if flag || count <= nmin {
+                if count <= nmin || flag() {
                     let c = (count + weight).min(max);
                     self.m.set_word(j, i, pfp | c);
                     heavy_v = heavy_v.max(c);

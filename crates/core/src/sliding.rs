@@ -17,9 +17,9 @@
 //!   already hashed can hand prepared keys straight in;
 //! * [`SlidingTopK::rotate`] closes the newest epoch and *recycles* the
 //!   oldest: the evicted epoch's bucket matrix is cleared with one
-//!   memset (its decay RNG rewound, its store emptied) and reused as
-//!   the new epoch, so the eagerly-populated pages stay hot across
-//!   rotations instead of being freed and page-faulted back in. One
+//!   memset (its decay RNG rewound, its store cleared in place) and
+//!   reused as the new epoch, so the eagerly-populated pages stay hot
+//!   across rotations instead of being freed and page-faulted back in. One
 //!   call per period boundary — the caller owns the clock, so tests and
 //!   simulations stay deterministic. A recycled epoch is bit-exact with
 //!   a freshly allocated one ([`ParallelTopK::recycle`]);
@@ -249,9 +249,10 @@ impl<K: FlowKey> SlidingTopK<K> {
     /// Processes a batch into the newest epoch through the batch-first
     /// pipeline: one prepared-batch prehash + slot-table prolog, then a
     /// pre-touched block walk ([`ParallelTopK::insert_batch`]). The
-    /// prolog scratch lives on the epoch and is recycled with it, but
-    /// steady-state windowed ingest still allocates: each rotation gives
-    /// the recycled epoch a new top-k store, which regrows as it admits.
+    /// prolog scratch lives on the epoch and is recycled with it, and a
+    /// rotation clears the recycled epoch's top-k store in place, so
+    /// steady-state windowed ingest refills allocations the epoch
+    /// already holds.
     pub fn insert_batch(&mut self, keys: &[K]) {
         self.newest_mut().insert_batch(keys);
     }

@@ -6,13 +6,37 @@
 //! (Section III-C, Note). [`TopKStore`] is that Stream-Summary behind
 //! the exact operations the HeavyKeeper variants need. The min-heap
 //! ([`hk_common::topk::MinHeapTopK`]) serves only the sketch baselines.
+//!
+//! ## One lookup or none per packet
+//!
+//! Algorithm 1 reads `flag` (is the flow monitored?) before the bucket
+//! walk. Here a packet hashes its key into the store at most once, and
+//! only when a decision reads the answer: the walks ask through a lazy
+//! `Flag` at a matching bucket whose counter exceeds `n_min`
+//! (Optimization II's gate), and the store update after the walk asks
+//! only if the walk did not and `HeavyK_V > n_min`. The lookup yields a
+//! Stream-Summary [`Handle`], and the raise or the admission acts on it.
 
+use crate::stats::InsertStats;
 use hk_common::key::FlowKey;
-use hk_common::stream_summary::StreamSummary;
+use hk_common::stream_summary::{Handle, StreamSummary};
 
 /// A bounded store of the current top-k flow IDs and estimated sizes.
 #[derive(Debug, Clone)]
 pub struct TopKStore<K: FlowKey>(StreamSummary<K>);
+
+/// Algorithm 1's `flag` for one packet, looked up in the store the
+/// first time a decision reads it and never again.
+#[derive(Debug, Clone, Copy, Default)]
+pub(crate) struct Flag(Option<Option<Handle>>);
+
+impl Flag {
+    /// True if `key` is monitored; the first read does the lookup.
+    #[inline]
+    pub(crate) fn read<K: FlowKey>(&mut self, store: &TopKStore<K>, key: &K) -> bool {
+        self.0.get_or_insert_with(|| store.find(key)).is_some()
+    }
+}
 
 impl<K: FlowKey> TopKStore<K> {
     /// Creates a store holding at most `k` flows.
@@ -23,6 +47,12 @@ impl<K: FlowKey> TopKStore<K> {
     /// True if `key` is currently monitored (the paper's `flag`).
     pub fn contains(&self, key: &K) -> bool {
         self.0.contains(key)
+    }
+
+    /// Looks `key` up once: its handle if monitored.
+    #[inline]
+    pub(crate) fn find(&self, key: &K) -> Option<Handle> {
+        self.0.find(key)
     }
 
     /// Number of monitored flows.
@@ -58,16 +88,23 @@ impl<K: FlowKey> TopKStore<K> {
         self.0.count(key)
     }
 
+    /// The paper's `min_heap[fi] ← max(HeavyK_V, min_heap[fi])` on the
+    /// monitored flow at `h`.
+    #[inline]
+    pub(crate) fn raise(&mut self, h: Handle, estimate: u64) {
+        if estimate > self.0.count_at(h) {
+            self.0.set_count_at(h, estimate);
+        }
+    }
+
     /// Updates a monitored flow to `max(current, estimate)` — the
     /// paper's `min_heap[fi] ← max(HeavyK_V, min_heap[fi])`.
     ///
     /// Returns `false` if the key is not monitored.
     pub fn update_max(&mut self, key: &K, estimate: u64) -> bool {
-        match self.0.count(key) {
-            Some(cur) => {
-                if estimate > cur {
-                    self.0.set_count(key, estimate);
-                }
+        match self.find(key) {
+            Some(h) => {
+                self.raise(h, estimate);
                 true
             }
             None => false,
@@ -83,13 +120,99 @@ impl<K: FlowKey> TopKStore<K> {
         if self.update_max(&key, estimate) {
             return None;
         }
+        self.admit_absent(key, estimate)
+    }
+
+    /// [`TopKStore::admit`] for a flow the caller knows is not
+    /// monitored: no lookup, one minimum flow evicted if at capacity.
+    pub(crate) fn admit_absent(&mut self, key: K, estimate: u64) -> Option<(K, u64)> {
         let evicted = if self.0.is_full() {
             self.0.evict_min()
         } else {
             None
         };
-        self.0.insert(key, estimate);
+        self.0.insert_absent(key, estimate);
         evicted
+    }
+
+    /// Algorithm 1 lines 21–25 with Optimization I, after the walk
+    /// (Algorithm 2 ends with the same rule, so the Parallel and
+    /// Minimum variants share this): raise a monitored flow; admit an
+    /// outside one while the store has room, or at exactly
+    /// `n_min + 1` once it is full, and count any larger estimate as a
+    /// rejected fingerprint collision (Theorem 1).
+    ///
+    /// `nmin` is the [`TopKStore::nmin`] the walk saw and `flag` what
+    /// the walk learned. With `HeavyK_V ≤ n_min` the lines change
+    /// nothing for either value of `flag`: a monitored flow of a full
+    /// store already counts at least `n_min`, an outside flow is
+    /// neither admitted nor rejected, and a store with room has
+    /// `n_min = 0`, so there is nothing to raise or admit. Only past
+    /// that point is the flow looked up, and only if the walk did not.
+    ///
+    /// Every packet calls this and a mouse returns at the first
+    /// compare, so it is inlined whole: the skip costs the caller no
+    /// call.
+    #[inline(always)]
+    pub(crate) fn update_gated(
+        &mut self,
+        key: &K,
+        heavy_v: u64,
+        nmin: u64,
+        flag: Flag,
+        stats: &mut InsertStats,
+    ) {
+        debug_assert_eq!(nmin, self.nmin());
+        if heavy_v <= nmin {
+            return;
+        }
+        match flag.0.unwrap_or_else(|| self.find(key)) {
+            Some(h) => self.raise(h, heavy_v),
+            None if !self.is_full() || heavy_v == nmin + 1 => {
+                self.admit_absent(*key, heavy_v);
+                stats.admissions += 1;
+            }
+            None => stats.admissions_rejected += 1,
+        }
+    }
+
+    /// The store step without Optimization I (the Basic and Weighted
+    /// variants): raise a monitored flow, admit an outside one whose
+    /// estimate exceeds `n_min`. Like [`TopKStore::update_gated`], an
+    /// estimate at or below `n_min` changes nothing and looks nothing
+    /// up, and the skip is inlined into the caller.
+    #[inline(always)]
+    pub(crate) fn update(&mut self, key: &K, estimate: u64, nmin: u64, flag: Flag) {
+        debug_assert_eq!(nmin, self.nmin());
+        if estimate <= nmin {
+            return;
+        }
+        match flag.0.unwrap_or_else(|| self.find(key)) {
+            Some(h) => self.raise(h, estimate),
+            None => {
+                self.admit_absent(*key, estimate);
+            }
+        }
+    }
+
+    /// Offers a flow with an externally derived estimate (the merge and
+    /// decode paths): raise it if monitored, else admit it while the
+    /// store has room or when it beats `n_min`. No Optimization I gate:
+    /// such estimates arrive in arbitrary steps, not +1 increments.
+    pub(crate) fn offer(&mut self, key: K, estimate: u64) {
+        match self.find(&key) {
+            Some(h) => self.raise(h, estimate),
+            None if !self.is_full() || estimate > self.nmin() => {
+                self.admit_absent(key, estimate);
+            }
+            None => {}
+        }
+    }
+
+    /// Empties the store in place, keeping its allocations: the next
+    /// epoch refills it without allocating, exactly as a new store.
+    pub fn clear(&mut self) {
+        self.0.clear();
     }
 
     /// All monitored flows, largest first.

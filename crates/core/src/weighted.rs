@@ -30,7 +30,7 @@
 
 use crate::config::HkConfig;
 use crate::sketch::{with_words, HkSketch};
-use crate::store::TopKStore;
+use crate::store::{Flag, TopKStore};
 use hk_common::algorithm::TopKAlgorithm;
 use hk_common::key::FlowKey;
 
@@ -106,24 +106,21 @@ impl<K: FlowKey> WeightedTopK<K> {
         let kb = key.key_bytes();
         let p = self.sketch.prepare(kb.as_slice());
 
-        let flag = self.store.contains(key);
+        // `flag` is looked up lazily: the walk reads it only at a
+        // matching bucket above n_min, the store update only past n_min.
         let nmin = self.store.nmin();
+        let mut flag = Flag::default();
+        let store = &self.store;
 
         // The weighted Cases 1-3 in every mapped bucket, on the
         // sketch's bucket word (`SketchWords::walk_weighted`).
-        let heavy_v = with_words!(self.sketch, sk => sk.walk_weighted(&p, weight, flag, nmin));
+        let heavy_v = with_words!(self.sketch, sk => {
+            sk.walk_weighted(&p, weight, nmin, || flag.read(store, key))
+        });
 
         // Admission: Theorem 1's equality gate does not survive weighted
         // updates, so admit on `n̂ > n_min` (see module docs).
-        if flag {
-            self.store.update_max(key, heavy_v);
-        } else if !self.store.is_full() {
-            if heavy_v > 0 {
-                self.store.admit(*key, heavy_v);
-            }
-        } else if heavy_v > nmin {
-            self.store.admit(*key, heavy_v);
-        }
+        self.store.update(key, heavy_v, nmin, flag);
     }
 }
 

@@ -141,6 +141,24 @@ impl LintConfig {
                 ("crates/core/src/sketch.rs", "touch_words"),
                 ("crates/core/src/sketch.rs", "query_words"),
                 ("", "insert_words"),
+                // The top-k store step every packet takes after its walk:
+                // the one lazy lookup, the raise by handle, and the
+                // Stream-Summary relink under the raise. Admission is not
+                // per packet (and clones a key), so it stays out.
+                ("crates/core/src/store.rs", "read"),
+                ("crates/core/src/store.rs", "find"),
+                ("crates/core/src/store.rs", "raise"),
+                ("crates/core/src/store.rs", "update_gated"),
+                ("crates/core/src/store.rs", "update"),
+                ("crates/common/src/stream_summary.rs", "find"),
+                ("crates/common/src/stream_summary.rs", "count_at"),
+                ("crates/common/src/stream_summary.rs", "set_count_at"),
+                ("crates/common/src/stream_summary.rs", "move_item"),
+                ("crates/common/src/stream_summary.rs", "detach"),
+                ("crates/common/src/stream_summary.rs", "attach"),
+                ("crates/common/src/stream_summary.rs", "bucket_for"),
+                ("crates/common/src/stream_summary.rs", "alloc_bucket"),
+                ("crates/common/src/stream_summary.rs", "unlink_bucket"),
                 // Every prepared-batch ingest implementation (PR 4).
                 ("", "insert_prepared_batch"),
                 // The prepared-batch prologs feeding them, and the
@@ -180,6 +198,20 @@ impl LintConfig {
                 ("crates/core/src/sketch.rs", "touch_words"),
                 ("crates/core/src/sketch.rs", "query_words"),
                 ("", "insert_words"),
+                ("crates/core/src/store.rs", "read"),
+                ("crates/core/src/store.rs", "find"),
+                ("crates/core/src/store.rs", "raise"),
+                ("crates/core/src/store.rs", "update_gated"),
+                ("crates/core/src/store.rs", "update"),
+                ("crates/common/src/stream_summary.rs", "find"),
+                ("crates/common/src/stream_summary.rs", "count_at"),
+                ("crates/common/src/stream_summary.rs", "set_count_at"),
+                ("crates/common/src/stream_summary.rs", "move_item"),
+                ("crates/common/src/stream_summary.rs", "detach"),
+                ("crates/common/src/stream_summary.rs", "attach"),
+                ("crates/common/src/stream_summary.rs", "bucket_for"),
+                ("crates/common/src/stream_summary.rs", "alloc_bucket"),
+                ("crates/common/src/stream_summary.rs", "unlink_bucket"),
                 ("", "insert_prepared_batch"),
                 ("crates/common/src/prepared.rs", "prepare"),
                 ("crates/common/src/prepared.rs", "prepare_from"),
