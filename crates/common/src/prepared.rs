@@ -327,17 +327,39 @@ mod tests {
 
     #[test]
     fn batch_matches_scalar() {
-        let spec = HashSpec::new(99, 16);
-        let keys: Vec<u64> = (0..1000).collect();
-        let mut batch = Vec::new();
-        spec.prepare_batch(&keys, &mut batch);
-        assert_eq!(batch.len(), keys.len());
-        for (k, p) in keys.iter().zip(&batch) {
-            assert_eq!(*p, spec.prepare(k.key_bytes().as_slice()));
+        // Optimized, the batch loop inlines the hash specialised to the
+        // key's width; it must agree with an out-of-line call, which
+        // the opaque function pointer forces, for every width.
+        fn check<K: FlowKey>(keys: &[K]) {
+            let spec = HashSpec::new(99, 16);
+            let out_of_line: fn(u64, u32, &[u8]) -> PreparedKey = std::hint::black_box(prepare_key);
+            let mut batch = Vec::new();
+            spec.prepare_batch(keys, &mut batch);
+            assert_eq!(batch.len(), keys.len());
+            for (k, p) in keys.iter().zip(&batch) {
+                let bytes = k.key_bytes();
+                assert_eq!(*p, spec.prepare(bytes.as_slice()));
+                assert_eq!(
+                    *p,
+                    out_of_line(spec.seed, spec.fingerprint_mask, bytes.as_slice())
+                );
+            }
+            // Reuse must clear.
+            spec.prepare_batch(&keys[..10], &mut batch);
+            assert_eq!(batch.len(), 10);
         }
-        // Reuse must clear.
-        spec.prepare_batch(&keys[..10], &mut batch);
-        assert_eq!(batch.len(), 10);
+        check(&(0..1000u64).collect::<Vec<_>>());
+        // A 13-byte key, the width of a 5-tuple.
+        check(
+            &(0..1000u64)
+                .map(|i| {
+                    let mut k = [0u8; 13];
+                    k[..8].copy_from_slice(&i.wrapping_mul(0x9E37_79B9_7F4A_7C15).to_le_bytes());
+                    k[8..].copy_from_slice(&[6, 0x1F, 0x90, i as u8, (i >> 8) as u8]);
+                    k
+                })
+                .collect::<Vec<_>>(),
+        );
     }
 
     #[test]

@@ -9,10 +9,12 @@
 //!
 //! Layout: *buckets* hold a distinct count value each and are kept in a
 //! doubly-linked list sorted by ascending count; every bucket owns a
-//! doubly-linked list of the items having exactly that count. Incrementing
-//! an item detaches it from its bucket and attaches it to the adjacent
-//! (possibly newly created) bucket, so the common `+1` case touches O(1)
-//! pointers.
+//! doubly-linked list of the items having exactly that count. Raising an
+//! item that is alone in its bucket to a count strictly between its
+//! neighbouring buckets' counts is one count write: the bucket keeps its
+//! place. Any other count change relinks: the item detaches from its
+//! bucket and attaches to the bucket for its new count, found by walking
+//! from the old bucket and created there if no item has that count.
 
 use crate::hash::FastHashMap;
 use std::hash::Hash;
@@ -393,22 +395,32 @@ impl<K: Eq + Hash + Clone> StreamSummary<K> {
         Some(self.set_count_at(h, count))
     }
 
+    /// Moves item `i` from `old_bucket` to the bucket for `new_count`.
+    ///
+    /// An item alone in its bucket whose new count lies strictly between
+    /// the previous and next buckets' counts keeps its bucket, and only
+    /// the count is written. The relink would end in the same state,
+    /// node indices included: `detach` frees the bucket and pushes it on
+    /// the free list, `bucket_for` finds no bucket with the new count
+    /// between the same two neighbours and allocates one there, and the
+    /// free list is LIFO, so it hands back the node just freed, which
+    /// `attach` makes the item's again.
     fn move_item(&mut self, i: usize, old_bucket: usize, new_count: u64) {
-        // Use a neighbour of the old bucket as the search hint, because
-        // `detach` may free the old bucket itself.
-        let will_free = self.buckets[old_bucket].head == i && self.items[i].next == NIL;
-        let hint = if will_free {
-            // The old bucket is about to be freed; hint from a neighbour.
-            let (p, n) = (self.buckets[old_bucket].prev, self.buckets[old_bucket].next);
-            self.detach(i);
-            if n != NIL {
-                n
-            } else {
-                p
-            }
-        } else {
-            self.detach(i);
-            old_bucket
+        let (p, n) = (self.buckets[old_bucket].prev, self.buckets[old_bucket].next);
+        let alone = self.buckets[old_bucket].head == i && self.items[i].next == NIL;
+        if alone
+            && (p == NIL || self.buckets[p].count < new_count)
+            && (n == NIL || self.buckets[n].count > new_count)
+        {
+            self.buckets[old_bucket].count = new_count;
+            return;
+        }
+        self.detach(i);
+        // `detach` frees an emptied bucket, so search from a neighbour.
+        let hint = match (alone, n) {
+            (false, _) => old_bucket,
+            (true, NIL) => p,
+            (true, _) => n,
         };
         let b = self.bucket_for(new_count, hint);
         self.attach(i, b);

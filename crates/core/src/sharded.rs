@@ -213,6 +213,15 @@ impl<K> SubBatch<K> {
         }
     }
 
+    /// An empty buffer with room for as many keys as `like` holds.
+    fn sized_like(like: &Self) -> Self {
+        Self {
+            keys: Vec::with_capacity(like.keys.len()),
+            prepared: Vec::with_capacity(like.prepared.len()),
+            sent_at: Instant::now(),
+        }
+    }
+
     fn clear(&mut self) {
         self.keys.clear();
         self.prepared.clear();
@@ -961,7 +970,11 @@ where
     /// Grabs an empty sub-batch buffer for shard `idx`: recycled from
     /// the worker's return ring when available, freshly allocated (and
     /// counted) only when the cycle has not converged yet.
-    fn take_buffer(&self, idx: usize) -> SubBatch<K> {
+    /// A recycled buffer, or a new one sized like `like`, the filled
+    /// sub-batch it replaces: a new buffer then never regrows by
+    /// doubling, whose freed steps made the engine's resident memory
+    /// vary with how many buffers were in flight.
+    fn take_buffer(&self, idx: usize, like: &SubBatch<K>) -> SubBatch<K> {
         match self.shards[idx].link.recycled.try_pop() {
             Some(buf) => {
                 debug_assert!(buf.keys.is_empty(), "worker returns cleared buffers");
@@ -969,7 +982,7 @@ where
             }
             None => {
                 self.buffers_allocated.fetch_add(1, Ordering::Release);
-                SubBatch::new()
+                SubBatch::sized_like(like)
             }
         }
     }
@@ -994,7 +1007,7 @@ where
                 lane.buf.clear();
                 continue;
             }
-            let replacement = self.take_buffer(idx);
+            let replacement = self.take_buffer(idx, &lane.buf);
             let mut batch = std::mem::replace(&mut lane.buf, replacement);
             let units = batch.keys.len() as u64;
             self.obs.stages.dispatch_batches.incr();

@@ -5,9 +5,10 @@
 //! paths must not allocate, mutex poison is absorbed rather than
 //! unwrapped, worker/fault/recovery code must not panic avoidably
 //! (worker death is a recovery event), every crate root forbids
-//! `unsafe`, wire encoders never iterate hash-ordered collections, and
-//! the frame magics / wire versions referenced across encode, decode
-//! and test code agree with a single registry.
+//! `unsafe`, wire encoders never iterate hash-ordered collections, the
+//! frame magics / wire versions referenced across encode, decode and
+//! test code agree with a single registry, and the shared functions
+//! other crates call per packet stay `#[inline]`.
 //!
 //! The engine is a real lexer (raw strings, nested block comments,
 //! lifetimes vs chars — see [`lexer`]) feeding token-level rules (see
@@ -207,6 +208,7 @@ pub fn run_on(cfg: &LintConfig, files: &[SourceFile]) -> LintReport {
         rules::panic_free_worker_paths(cfg, f, &mut findings);
         rules::forbid_unsafe_pinned(cfg, f, &mut findings);
         rules::wire_determinism(cfg, f, &mut findings);
+        rules::inline_across_crates(cfg, f, &mut findings);
     }
     rules::wire_constant_consistency(cfg, files, &mut findings);
     rules::stale_registry(cfg, files, &mut findings);

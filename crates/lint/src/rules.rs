@@ -1,9 +1,9 @@
-//! The rule set: seven invariant checks encoding this repository's real
+//! The rule set: eight invariant checks encoding this repository's real
 //! design contracts, plus two meta checks on the lint itself (see
 //! `crates/lint/RULES.md` for the catalogue with rationale and
 //! examples).
 
-use crate::source::{Pat, SourceFile};
+use crate::source::{FnSpan, Pat, SourceFile};
 use crate::Finding;
 
 /// Rule names and one-line descriptions, in reporting order.
@@ -39,12 +39,16 @@ pub const RULES: &[(&str, &str)] = &[
         "per-packet ingest functions must not read the clock (Instant::now / SystemTime::now) — timing belongs at batch boundaries",
     ),
     (
+        "inline-across-crates",
+        "functions other crates call per packet or per entry must carry #[inline] or #[inline(always)] — the release profiles use no LTO, so without it every such call stays out of line",
+    ),
+    (
         "suppression",
         "meta: malformed hk-lint directives, allows without a reason, allows naming unknown rules",
     ),
     (
         "stale-registry",
-        "meta: a hot/timing/worker registry entry that matches nothing in the scanned files (moved or deleted code silently drops coverage)",
+        "meta: a hot/timing/worker/inline registry entry that matches nothing in the scanned files (moved or deleted code silently drops coverage)",
     ),
 ];
 
@@ -61,7 +65,8 @@ pub fn rule_names() -> impl Iterator<Item = &'static str> {
 ///
 /// `(path, name)` pairs match a function when the file's relative path
 /// contains `path` (empty = any file) and the function name equals
-/// `name`.
+/// `name`. A `Type::name` entry matches only a function in an `impl`
+/// block for `Type`.
 pub struct LintConfig {
     pub root: std::path::PathBuf,
     /// Relative-path substrings to skip entirely.
@@ -78,6 +83,9 @@ pub struct LintConfig {
     pub worker_files: Vec<String>,
     /// Individual worker-scope functions.
     pub worker_functions: Vec<(String, String)>,
+    /// Functions other crates call per packet or per entry, for
+    /// `inline-across-crates`.
+    pub inline_functions: Vec<(String, String)>,
     /// Function-name substrings putting a function in wire scope.
     pub wire_fn_markers: Vec<String>,
     /// Registered frame magics (byte-string values).
@@ -102,6 +110,7 @@ impl LintConfig {
             timing_hot_functions: Vec::new(),
             worker_files: Vec::new(),
             worker_functions: Vec::new(),
+            inline_functions: Vec::new(),
             wire_fn_markers: Vec::new(),
             magics: Vec::new(),
             numeric_magics: Vec::new(),
@@ -249,6 +258,45 @@ impl LintConfig {
                 ("crates/core/src/sharded.rs", "reshard_swap"),
                 ("crates/core/src/sharded.rs", "reshard_rollback"),
             ]),
+            // Non-generic hk-common functions that other crates call
+            // per packet (the batch prolog, the dispatcher, the fleet
+            // partition, the bucket walks and store lookups) or per
+            // entry (the record codecs). Generic functions are compiled
+            // in the calling crate anyway; these are not, and neither
+            // release profile uses LTO.
+            inline_functions: pairs(&[
+                ("crates/common/src/hash.rs", "xxhash64"),
+                ("crates/common/src/hash.rs", "murmur3_32"),
+                ("crates/common/src/hash.rs", "SeededHasher::hash"),
+                ("crates/common/src/hash.rs", "SeededHasher::index"),
+                ("crates/common/src/hash.rs", "FastHasher::finish"),
+                ("crates/common/src/hash.rs", "FastHasher::write"),
+                ("crates/common/src/hash.rs", "FastHasher::write_u64"),
+                ("crates/common/src/hash.rs", "FastHasher::write_u32"),
+                ("crates/common/src/hash.rs", "FastHasher::write_u8"),
+                ("crates/common/src/hash.rs", "FastHasher::write_usize"),
+                ("crates/common/src/fingerprint.rs", "fingerprint_of"),
+                ("crates/common/src/prepared.rs", "prepare_key"),
+                ("crates/common/src/prepared.rs", "HashSpec::prepare"),
+                ("crates/common/src/prepared.rs", "PreparedKey::slot"),
+                ("crates/common/src/prepared.rs", "PreparedKey::lane"),
+                ("crates/common/src/prepared.rs", "SlottedKey::key"),
+                ("crates/common/src/prepared.rs", "SlottedKey::slot"),
+                ("crates/common/src/prepared.rs", "PreparedBatch::entry"),
+                (
+                    "crates/common/src/prepared.rs",
+                    "PreparedBatch::slots_range",
+                ),
+                ("crates/common/src/key.rs", "KeyBytes::new"),
+                ("crates/common/src/key.rs", "KeyBytes::as_slice"),
+                ("crates/common/src/key.rs", "key_bytes"),
+                ("crates/common/src/varint.rs", "write_u64"),
+                ("crates/common/src/varint.rs", "read_u64"),
+                ("crates/common/src/varint.rs", "encoded_len"),
+                ("crates/common/src/prng.rs", "XorShift64::next_u64_raw"),
+                ("crates/common/src/prng.rs", "XorShift64::next_f64"),
+                ("crates/common/src/prng.rs", "XorShift64::bernoulli"),
+            ]),
             wire_fn_markers: vec![
                 "wire".into(),
                 "export".into(),
@@ -271,10 +319,20 @@ impl LintConfig {
         }
     }
 
-    fn fn_matches(&self, set: &[(String, String)], rel: &str, name: &str) -> bool {
-        set.iter()
-            .any(|(p, n)| n == name && (p.is_empty() || rel.contains(p.as_str())))
+    fn fn_matches(&self, set: &[(String, String)], rel: &str, span: &FnSpan) -> bool {
+        set.iter().any(|(p, n)| entry_matches(p, n, rel, span))
     }
+}
+
+/// True when registry entry `(path, name)` names `span` in file `rel`.
+fn entry_matches(path: &str, name: &str, rel: &str, span: &FnSpan) -> bool {
+    let (owner, name) = match name.rsplit_once("::") {
+        Some((ty, n)) => (Some(ty), n),
+        None => (None, name),
+    };
+    span.name == name
+        && owner.is_none_or(|ty| span.owner.as_deref() == Some(ty))
+        && (path.is_empty() || rel.contains(path))
 }
 
 /// True for files that are test code by *location* (integration test
@@ -319,7 +377,7 @@ pub fn no_alloc_in_hot_path(cfg: &LintConfig, f: &SourceFile, findings: &mut Vec
         return;
     }
     for span in &f.fns {
-        if !cfg.fn_matches(&cfg.hot_functions, &f.rel, &span.name) {
+        if !cfg.fn_matches(&cfg.hot_functions, &f.rel, span) {
             continue;
         }
         for i in span.body.clone() {
@@ -389,7 +447,7 @@ pub fn no_timing_in_hot_path(cfg: &LintConfig, f: &SourceFile, findings: &mut Ve
         return;
     }
     for span in &f.fns {
-        if !cfg.fn_matches(&cfg.timing_hot_functions, &f.rel, &span.name) {
+        if !cfg.fn_matches(&cfg.timing_hot_functions, &f.rel, span) {
             continue;
         }
         for i in span.body.clone() {
@@ -492,7 +550,7 @@ pub fn panic_free_worker_paths(cfg: &LintConfig, f: &SourceFile, findings: &mut 
         scope.push(0..f.code.len());
     } else {
         for span in &f.fns {
-            if cfg.fn_matches(&cfg.worker_functions, &f.rel, &span.name) {
+            if cfg.fn_matches(&cfg.worker_functions, &f.rel, span) {
                 scope.push(span.body.clone());
             }
         }
@@ -536,6 +594,27 @@ pub fn panic_free_worker_paths(cfg: &LintConfig, f: &SourceFile, findings: &mut 
 }
 
 // ---------------------------------------------------------------------------
+// Rule: inline-across-crates
+// ---------------------------------------------------------------------------
+
+pub fn inline_across_crates(cfg: &LintConfig, f: &SourceFile, findings: &mut Vec<Finding>) {
+    for span in &f.fns {
+        if !span.inline && cfg.fn_matches(&cfg.inline_functions, &f.rel, span) {
+            push(
+                findings,
+                "inline-across-crates",
+                f,
+                span.line,
+                format!(
+                    "`{}` lacks `#[inline]` — other crates call it per packet or per entry, and without the attribute (the release profiles use no LTO) each call stays out of line",
+                    span.name
+                ),
+            );
+        }
+    }
+}
+
+// ---------------------------------------------------------------------------
 // Meta rule: stale-registry
 // ---------------------------------------------------------------------------
 
@@ -560,11 +639,13 @@ pub fn stale_registry(cfg: &LintConfig, files: &[SourceFile], findings: &mut Vec
         ("hot_functions", &cfg.hot_functions),
         ("timing_hot_functions", &cfg.timing_hot_functions),
         ("worker_functions", &cfg.worker_functions),
+        ("inline_functions", &cfg.inline_functions),
     ] {
         for (path, name) in entries {
             let found = files.iter().any(|f| {
-                (path.is_empty() || f.rel.contains(path.as_str()))
-                    && f.fns.iter().any(|span| span.name == *name)
+                f.fns
+                    .iter()
+                    .any(|span| entry_matches(path, name, &f.rel, span))
             });
             if !found {
                 stale(set, path, format!("(\"{path}\", \"{name}\")"));

@@ -14,6 +14,13 @@ pub struct FnSpan {
     pub name: String,
     pub line: u32,
     pub body: Range<usize>,
+    /// The type named by the `impl` block the function sits in:
+    /// `StreamSummary` in `impl<K> StreamSummary<K>`, `FastHasher` in
+    /// `impl Hasher for FastHasher`. `None` for free functions.
+    pub owner: Option<String>,
+    /// True when the function carries `#[inline]` or
+    /// `#[inline(always)]`.
+    pub inline: bool,
 }
 
 /// One `// hk-lint: allow(rule-a, rule-b) reason` directive.
@@ -93,18 +100,106 @@ impl SourceFile {
     }
 
     fn scan_fns(&mut self) {
+        let impls = self.impl_blocks();
         let mut i = 0usize;
         while i < self.code.len() {
             if self.ct(i).is_some_and(|t| t.is_ident("fn")) {
                 if let Some(TokenKind::Ident(name)) = self.ct(i + 1).map(|t| t.kind.clone()) {
                     let line = self.ct(i).map(|t| t.line).unwrap_or(0);
                     if let Some(body) = self.find_body(i + 2) {
-                        self.fns.push(FnSpan { name, line, body });
+                        // The innermost impl body holding the `fn`.
+                        let owner = impls
+                            .iter()
+                            .filter(|(r, _)| r.contains(&i))
+                            .max_by_key(|(r, _)| r.start)
+                            .and_then(|(_, ty)| ty.clone());
+                        let inline = self.has_inline_attr(i);
+                        self.fns.push(FnSpan {
+                            name,
+                            line,
+                            body,
+                            owner,
+                            inline,
+                        });
                     }
                 }
             }
             i += 1;
         }
+    }
+
+    /// Every `impl` block: its body's code-index range and the name of
+    /// the type it implements for (the last path segment outside angle
+    /// brackets, after `for` if there is one; `None` for a type such as
+    /// `[u8; N]` that has no name).
+    fn impl_blocks(&self) -> Vec<(Range<usize>, Option<String>)> {
+        let mut out = Vec::new();
+        for i in 0..self.code.len() {
+            if !self.ct(i).is_some_and(|t| t.is_ident("impl")) {
+                continue;
+            }
+            // An item starts after `}`, `;`, `{`, an attribute's `]` or
+            // `unsafe`; anywhere else `impl` begins an `impl Trait` type.
+            let item = i == 0
+                || self.ct(i - 1).is_some_and(|t| {
+                    ['}', ';', '{', ']'].iter().any(|&c| t.is_punct(c)) || t.is_ident("unsafe")
+                });
+            if !item {
+                continue;
+            }
+            let (mut depth, mut ty, mut in_where) = (0i32, None, false);
+            let mut j = i + 1;
+            while let Some(t) = self.ct(j) {
+                match &t.kind {
+                    TokenKind::Punct('<' | '[' | '(') => depth += 1,
+                    // `->` inside a bound is not a closing bracket.
+                    TokenKind::Punct('>') if !self.ct(j - 1).is_some_and(|p| p.is_punct('-')) => {
+                        depth -= 1
+                    }
+                    TokenKind::Punct(']' | ')') => depth -= 1,
+                    TokenKind::Punct('{') if depth == 0 => break,
+                    TokenKind::Punct(';') if depth == 0 => break,
+                    TokenKind::Ident(s) if depth == 0 && !in_where => match s.as_str() {
+                        "for" => ty = None,
+                        "where" => in_where = true,
+                        "dyn" => {}
+                        _ => ty = Some(s.clone()),
+                    },
+                    _ => {}
+                }
+                j += 1;
+            }
+            if self.ct(j).is_some_and(|t| t.is_punct('{')) {
+                if let Some(close) = self.match_brace(j) {
+                    out.push((j + 1..close, ty));
+                }
+            }
+        }
+        out
+    }
+
+    /// True when the `fn` at code-index `at` carries `#[inline]` or
+    /// `#[inline(always)]`: among the tokens between the previous item's
+    /// end (`}`, `;` or `{`) and the `fn`, that is its attributes and
+    /// qualifiers.
+    fn has_inline_attr(&self, at: usize) -> bool {
+        let mut start = at;
+        while start > 0
+            && !self
+                .ct(start - 1)
+                .is_some_and(|t| t.is_punct('}') || t.is_punct(';') || t.is_punct('{'))
+        {
+            start -= 1;
+        }
+        let inline = [Pat::P('#'), Pat::P('['), Pat::I("inline")];
+        (start..at).any(|k| {
+            self.matches(k, &inline)
+                && (self.matches(k + 3, &[Pat::P(']')])
+                    || self.matches(
+                        k + 3,
+                        &[Pat::P('('), Pat::I("always"), Pat::P(')'), Pat::P(']')],
+                    ))
+        })
     }
 
     /// From just after the fn name, finds the body braces. Returns the
@@ -315,6 +410,32 @@ mod tests {
             .filter_map(|i| f.ct(i).and_then(|t| t.ident().map(String::from)))
             .collect();
         assert_eq!(body, ["beta"]);
+    }
+
+    #[test]
+    fn fn_owner_is_the_impl_type() {
+        let f = parse(
+            "fn free() {}\n\
+             impl<K: Eq + Into<u64>> Summary<K> where K: Copy {\n\
+                 fn iter(&self) -> impl Iterator<Item = u8> + '_ { inner(); }\n\
+             }\n\
+             impl std::hash::Hasher for Fast { fn write(&mut self) {} }\n\
+             impl<const N: usize> Key for [u8; N] { fn bytes(&self) {} }",
+        );
+        let owners: Vec<_> = f
+            .fns
+            .iter()
+            .map(|s| (s.name.as_str(), s.owner.as_deref()))
+            .collect();
+        assert_eq!(
+            owners,
+            [
+                ("free", None),
+                ("iter", Some("Summary")),
+                ("write", Some("Fast")),
+                ("bytes", None),
+            ]
+        );
     }
 
     #[test]

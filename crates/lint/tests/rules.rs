@@ -121,6 +121,21 @@ fn suppression_fixture() {
 }
 
 #[test]
+fn inline_across_crates_fixture() {
+    let mut cfg = LintConfig::bare(fixtures_root());
+    cfg.inline_functions = [
+        ("", "hash_key"),
+        ("", "Prepared::slot"),
+        ("", "Prepared::lane"),
+    ]
+    .iter()
+    .map(|&(p, n)| (p.to_string(), n.to_string()))
+    .collect();
+    check("inline_missing.rs", &cfg);
+    assert!(check("inline_ok.rs", &cfg).is_clean());
+}
+
+#[test]
 fn stale_registry_entry_is_a_finding() {
     // Each scope in turn gets one live entry and one entry naming code
     // that no longer exists: only the missing one is reported, under
@@ -128,13 +143,19 @@ fn stale_registry_entry_is_a_finding() {
     let (file, _) = load("timing.rs");
     let live = || vec![(String::new(), "hot_insert".to_string())];
     let gone = ("timing.rs".to_string(), "walk_removed".to_string());
-    for scope in 0..4 {
+    for scope in 0..5 {
         let mut cfg = LintConfig::bare(fixtures_root());
         match scope {
             0 => cfg.hot_functions = [live(), vec![gone.clone()]].concat(),
             1 => cfg.timing_hot_functions = [live(), vec![gone.clone()]].concat(),
             2 => cfg.worker_functions = [live(), vec![gone.clone()]].concat(),
-            _ => cfg.worker_files = vec!["timing.rs".into(), "moved_away.rs".into()],
+            3 => cfg.worker_files = vec!["timing.rs".into(), "moved_away.rs".into()],
+            // A type-qualified entry matches only that type's method,
+            // and `hot_insert` is a free function.
+            _ => {
+                let method = ("timing.rs".to_string(), "Engine::hot_insert".to_string());
+                cfg.inline_functions = [live(), vec![method]].concat();
+            }
         }
         let report = run_on(&cfg, std::slice::from_ref(&file));
         let stale: Vec<_> = report
@@ -143,10 +164,10 @@ fn stale_registry_entry_is_a_finding() {
             .filter(|f| f.rule == "stale-registry")
             .collect();
         assert_eq!(stale.len(), 1, "scope {scope}:\n{}", report.render_text());
-        let missing = if scope == 3 {
-            "moved_away.rs"
-        } else {
-            "walk_removed"
+        let missing = match scope {
+            3 => "moved_away.rs",
+            4 => "Engine::hot_insert",
+            _ => "walk_removed",
         };
         assert!(stale[0].message.contains(missing), "{}", stale[0]);
     }
