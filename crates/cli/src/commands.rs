@@ -7,7 +7,7 @@ use hk_baselines::{
     FrequentTopK, HeavyGuardianTopK, LossyCountingTopK, SpaceSavingTopK,
 };
 use hk_common::algorithm::{PreparedInsert, TopKAlgorithm};
-use hk_metrics::accuracy::evaluate_topk;
+use hk_metrics::accuracy::{evaluate_topk, AccuracyReport};
 use hk_traffic::oracle::ExactCounter;
 use hk_traffic::synthetic::{all_distinct, exact_zipf, sampled_zipf, uniform, Trace};
 use hk_traffic::trace_io::{read_trace, write_trace};
@@ -65,9 +65,9 @@ Fleet leases:
   evict/re-admit cycle from the driver.
 
 Observability:
-  hk run --stats-json FILE writes the sharded engine's built-in obs
-  snapshot (any engine-path run: --shards > 1, --fault, --recover or
-  --reshard): stage counters, latency/batch histograms and the event
+  Every hk run streams through the sharded engine (--shards 1 by
+  default), and --stats-json FILE writes the engine's built-in obs
+  snapshot: stage counters, latency/batch histograms and the event
   journal as JSON after the stream. hk fleet prints a per-period obs
   stat line.
 ";
@@ -119,17 +119,17 @@ pub const ALGO_NAMES: &[&str] = &[
 ];
 
 /// `hk run`: stream a trace through the batch-first ingest pipeline —
-/// `insert_batch` over `--batch`-sized chunks, optionally spread over
-/// `--shards` engine shards — and report throughput plus top-k accuracy.
+/// `insert_batch` over `--batch`-sized chunks into a [`ShardedEngine`]
+/// of `--shards` shards (one by default) — and report throughput plus
+/// top-k accuracy.
 ///
 /// With `--window W` the run is *windowed*: the trace is cut into
 /// `--epoch-packets`-sized periods (default: the trace split into
-/// `2·W` periods, so the window actually slides) and fed into a
-/// [`SlidingTopK`] ring of `W` epochs; every interior period boundary
-/// rotates the window — across all shards, phase-aligned, when
-/// combined with `--shards`. Accuracy is evaluated against an exact
-/// oracle over the *window-covered suffix* of the trace, the part the
-/// sliding view is supposed to see.
+/// `2·W` periods, so the window actually slides) and fed into
+/// [`SlidingTopK`] rings of `W` epochs; every interior period boundary
+/// rotates the window on all shards, phase-aligned. Accuracy is
+/// evaluated against an exact oracle over the *window-covered suffix*
+/// of the trace, the part the sliding view is supposed to see.
 ///
 /// `--fault PLAN` arms the engine's deterministic fault-injection
 /// harness (see [`FaultPlan::parse`]) and `--recover` turns on
@@ -137,7 +137,7 @@ pub const ALGO_NAMES: &[&str] = &[
 /// `--checkpoint-every` batches (and at every rotation barrier) and a
 /// dying worker is respawned from its last checkpoint, with the dark
 /// window reported after the stream. Both ride the concrete
-/// checkpointable engines, so they require `--algo parallel`.
+/// checkpointable shards, so they require `--algo parallel`.
 pub fn run_stream(args: &Args) -> Result<(), CliError> {
     let trace = load(args)?;
     let algo_name = args.get_or("algo", "parallel");
@@ -164,14 +164,20 @@ pub fn run_stream(args: &Args) -> Result<(), CliError> {
         spec => parse_reshard_schedule(spec).map_err(CliError::Usage)?,
     };
     let stats_path = args.get_or("stats-json", "").to_string();
-    // Fault injection, recovery and live resharding need the concrete
-    // checkpointable engines (ParallelTopK / SlidingTopK), not a boxed
-    // algorithm — and the engine path even at --shards 1.
-    let fault_mode = fault.is_some() || recover;
-    if (fault_mode || !reshard_steps.is_empty()) && algo_name != "parallel" {
+    // Fault injection, recovery and live resharding need concrete
+    // checkpointable shards (ParallelTopK / SlidingTopK), not a boxed
+    // algorithm.
+    let harness = fault.is_some() || recover || !reshard_steps.is_empty();
+    if harness && algo_name != "parallel" {
         return Err(CliError::Usage(format!(
             "--fault/--recover/--reshard ride the checkpointable engines \
              and support --algo parallel only (got `{algo_name}`)"
+        )));
+    }
+    if window > 0 && algo_name != "parallel" {
+        return Err(CliError::Usage(format!(
+            "--window rides the SlidingTopK epoch ring and currently \
+             supports --algo parallel only (got `{algo_name}`)"
         )));
     }
     if !reshard_steps.is_empty() && window > 0 {
@@ -211,41 +217,22 @@ pub fn run_stream(args: &Args) -> Result<(), CliError> {
         }
     }
 
-    if window > 0 {
-        if algo_name != "parallel" {
-            return Err(CliError::Usage(format!(
-                "--window rides the SlidingTopK epoch ring and currently \
-                 supports --algo parallel only (got `{algo_name}`)"
-            )));
-        }
+    let len = trace.len() as u64;
+    let precision = if window > 0 {
         let epoch_packets: usize = match args.num_or("epoch-packets", 0)? {
             0 => trace.len().div_ceil(2 * window).max(1),
             n => n,
         };
-        return if shards > 1 || fault_mode {
-            let mut engine = ShardedEngine::from_fn(shards, k, |_| {
-                SlidingTopK::<u64>::with_memory(mem / shards, k, seed, window)
-            });
-            if fault_mode {
-                arm_fault_harness(&mut engine, fault.as_ref(), recover, ckpt_every)?;
-            }
-            let report =
-                stream_windowed(&mut engine, &trace, batch, epoch_packets, window, shards, k)?;
-            // Worker death is reported, never silently absorbed into
-            // healthy-looking numbers — unless --recover healed it,
-            // in which case the dark window is reported instead.
-            finish_engine_run(&mut engine, recover, trace.len() as u64, &stats_path)?;
-            enforce_min_recall(args, report.precision)
-        } else {
-            require_engine_for_stats(&stats_path)?;
-            let mut win = SlidingTopK::<u64>::with_memory(mem, k, seed, window);
-            let report =
-                stream_windowed(&mut win, &trace, batch, epoch_packets, window, shards, k)?;
-            enforce_min_recall(args, report.precision)
-        };
-    }
-
-    if fault_mode || !reshard_steps.is_empty() {
+        let mut engine = ShardedEngine::from_fn(shards, k, |_| {
+            SlidingTopK::<u64>::with_memory(mem / shards, k, seed, window)
+        });
+        if harness {
+            arm_fault_harness(&mut engine, fault.as_ref(), recover, ckpt_every)?;
+        }
+        let report = stream_windowed(&mut engine, &trace, batch, epoch_packets, window, shards, k);
+        finish_engine_run(&mut engine, recover, len, &stats_path)?;
+        report.precision
+    } else if algo_name == "parallel" {
         // Concrete ParallelTopK shards (not boxed) so the engine can
         // checkpoint, respawn and reshard them. `--reshard` implies
         // the checkpoint plane — the migration moves state as
@@ -253,9 +240,11 @@ pub fn run_stream(args: &Args) -> Result<(), CliError> {
         let mut engine = ShardedEngine::from_fn(shards, k, |_| {
             ParallelTopK::<u64>::with_memory(mem / shards, k, seed)
         });
-        arm_fault_harness(&mut engine, fault.as_ref(), recover, ckpt_every)?;
+        if harness {
+            arm_fault_harness(&mut engine, fault.as_ref(), recover, ckpt_every)?;
+        }
         let mut steps = reshard_steps.iter().copied().peekable();
-        let report = stream_steady_with(&mut engine, &trace, batch, shards, k, |eng, fed| {
+        let report = stream_steady(&mut engine, &trace, batch, shards, k, |eng, fed| {
             while steps.peek().is_some_and(|&(_, at)| at <= fed) {
                 let (to, at) = steps.next().expect("peeked");
                 match eng.reshard(to) {
@@ -264,27 +253,20 @@ pub fn run_stream(args: &Args) -> Result<(), CliError> {
                 }
             }
         });
-        finish_engine_run(&mut engine, recover, trace.len() as u64, &stats_path)?;
-        enforce_min_recall(args, report.precision)
-    } else if shards > 1 {
-        // One instance per shard, each charged an equal share of the
-        // memory budget so the total matches the single-shard run. The
-        // engine stays a concrete handle so worker death is checked
-        // after the stream, not silently absorbed into the report.
-        let mut instances = Vec::with_capacity(shards);
-        for _ in 0..shards {
-            instances.push(make_algo(algo_name, mem / shards, k, seed)?);
-        }
-        let mut engine = ShardedEngine::from_shards(instances, k);
-        let report = stream_steady(&mut engine, &trace, batch, shards, k);
-        finish_engine_run(&mut engine, false, trace.len() as u64, &stats_path)?;
-        enforce_min_recall(args, report.precision)
+        finish_engine_run(&mut engine, recover, len, &stats_path)?;
+        report.precision
     } else {
-        require_engine_for_stats(&stats_path)?;
-        let mut algo = make_algo(algo_name, mem, k, seed)?;
-        let report = stream_steady(&mut algo, &trace, batch, shards, k);
-        enforce_min_recall(args, report.precision)
-    }
+        // One boxed instance per shard, each charged an equal share of
+        // the memory budget so the total matches a one-shard run.
+        let instances = (0..shards)
+            .map(|_| make_algo(algo_name, mem / shards, k, seed))
+            .collect::<Result<Vec<_>, _>>()?;
+        let mut engine = ShardedEngine::from_shards(instances, k);
+        let report = stream_steady(&mut engine, &trace, batch, shards, k, |_, _| {});
+        finish_engine_run(&mut engine, recover, len, &stats_path)?;
+        report.precision
+    };
+    enforce_min_recall(args, "run precision", precision)
 }
 
 /// Arms the checkpoint/respawn plane and the deterministic fault plan
@@ -356,21 +338,6 @@ where
     Ok(())
 }
 
-/// Rejects `--stats-json` on runs that never build a sharded engine —
-/// the obs plane instruments the engine's dispatch/ingest stages, so a
-/// bare single-instance run has no snapshot to write.
-fn require_engine_for_stats(stats_path: &str) -> Result<(), CliError> {
-    if stats_path.is_empty() {
-        Ok(())
-    } else {
-        Err(CliError::Usage(
-            "--stats-json instruments the sharded engine; combine it with \
-             --shards > 1, --fault, --recover or --reshard"
-                .into(),
-        ))
-    }
-}
-
 /// Parses `--reshard`'s comma-separated `shards@packets` steps into a
 /// schedule sorted by trigger point.
 fn parse_reshard_schedule(s: &str) -> Result<Vec<(usize, u64)>, String> {
@@ -402,14 +369,15 @@ fn parse_outage(s: &str) -> Result<(usize, usize, usize), String> {
     ))
 }
 
-/// Applies the `--min-recall` floor to a run's precision, turning the
-/// score into an exit status for CI (same contract as `hk fleet`).
-fn enforce_min_recall(args: &Args, precision: f64) -> Result<(), CliError> {
+/// Applies the `--min-recall` floor to a run's score, turning it into
+/// an exit status for CI; `label` names the score in the failure
+/// message (`run precision`, `fleet recall`).
+fn enforce_min_recall(args: &Args, label: &str, score: f64) -> Result<(), CliError> {
     let bound: f64 = args.num_or("min-recall", -1.0)?;
     if bound >= 0.0 {
-        if precision < bound {
+        if score < bound {
             return Err(CliError::Run(format!(
-                "run precision {precision:.4} below --min-recall {bound:.4}"
+                "{label} {score:.4} below --min-recall {bound:.4}"
             )));
         }
         println!("recall bound {bound:.2} satisfied");
@@ -417,30 +385,18 @@ fn enforce_min_recall(args: &Args, precision: f64) -> Result<(), CliError> {
     Ok(())
 }
 
-/// The steady-state ingest + report body of `hk run`, generic so the
-/// sharded engine keeps its concrete type (for post-stream health
-/// checks) while single instances stay boxed.
+/// The steady-state ingest + report body of `hk run`, with an
+/// after-each-chunk hook carrying the cumulative packet count — the
+/// `--reshard` schedule trigger rides it, firing its migrations at
+/// exact points of the stream.
 fn stream_steady<A: TopKAlgorithm<u64>>(
     algo: &mut A,
     trace: &Trace<u64>,
     batch: usize,
     shards: usize,
     k: usize,
-) -> hk_metrics::AccuracyReport {
-    stream_steady_with(algo, trace, batch, shards, k, |_, _| {})
-}
-
-/// [`stream_steady`] with an after-each-chunk hook carrying the
-/// cumulative packet count — the `--reshard` schedule trigger rides
-/// this, firing its migrations at exact points of the stream.
-fn stream_steady_with<A: TopKAlgorithm<u64>>(
-    algo: &mut A,
-    trace: &Trace<u64>,
-    batch: usize,
-    shards: usize,
-    k: usize,
     mut after_chunk: impl FnMut(&mut A, u64),
-) -> hk_metrics::AccuracyReport {
+) -> AccuracyReport {
     let oracle = ExactCounter::from_packets(&trace.packets);
     let start = Instant::now();
     let mut fed = 0u64;
@@ -452,7 +408,6 @@ fn stream_steady_with<A: TopKAlgorithm<u64>>(
     // top_k flushes the sharded engine, so the clock covers every packet.
     let top = algo.top_k();
     let secs = start.elapsed().as_secs_f64();
-    let report = evaluate_topk(&top, &oracle, k);
 
     println!(
         "{} on {} ({} packets, {} flows) — batch {batch}, {shards} shard(s)",
@@ -461,32 +416,13 @@ fn stream_steady_with<A: TopKAlgorithm<u64>>(
         trace.len(),
         oracle.distinct_flows()
     );
-    println!(
-        "memory: {} bytes | precision {:.4} | ARE {:.4} | AAE {:.1} | {:.2} Mps",
-        algo.memory_bytes(),
-        report.precision,
-        report.are,
-        report.aae,
-        trace.len() as f64 / secs / 1e6
-    );
-    println!(
-        "{:>6} {:>14} {:>14} {:>14}",
-        "rank", "flow", "estimated", "true"
-    );
-    for (rank, (flow, est)) in top.iter().take(k.min(20)).enumerate() {
-        println!(
-            "{:>6} {flow:>14} {est:>14} {:>14}",
-            rank + 1,
-            oracle.count(flow)
-        );
-    }
-    report
+    let pps = trace.len() as f64 / secs;
+    print_report(algo.memory_bytes(), &top, &oracle, k, pps, "true")
 }
 
-/// The windowed ingest + report body of `hk run --window`, generic so
-/// one implementation serves the single-instance window and the
-/// sharded engine of windows (whose `rotate_epoch` is the phase-aligned
-/// [`ShardedEngine::rotate_all`]).
+/// The windowed ingest + report body of `hk run --window`; the
+/// engine's `rotate_epoch` is the phase-aligned
+/// [`ShardedEngine::rotate_all`].
 fn stream_windowed<A>(
     algo: &mut A,
     trace: &Trace<u64>,
@@ -495,7 +431,7 @@ fn stream_windowed<A>(
     window: usize,
     shards: usize,
     k: usize,
-) -> Result<hk_metrics::AccuracyReport, CliError>
+) -> AccuracyReport
 where
     A: TopKAlgorithm<u64> + hk_common::algorithm::EpochRotate,
 {
@@ -519,7 +455,6 @@ where
     let covered_from = (total_periods - live) * epoch_packets;
     let covered = &trace.packets[covered_from..];
     let oracle = ExactCounter::from_packets(covered);
-    let report = evaluate_topk(&top, &oracle, k);
 
     println!(
         "{} on {} ({} packets, {} windowed) — window {window} x {epoch_packets} pkts, \
@@ -529,17 +464,32 @@ where
         trace.len(),
         covered.len(),
     );
+    let pps = trace.len() as f64 / secs;
+    print_report(algo.memory_bytes(), &top, &oracle, k, pps, "window-true")
+}
+
+/// Scores `top` against `oracle` and prints the accuracy line and the
+/// rank table (at most 20 rows) that end every `hk run` and
+/// `hk analyze` report; `truth` heads the oracle's column.
+fn print_report(
+    memory_bytes: usize,
+    top: &[(u64, u64)],
+    oracle: &ExactCounter<u64>,
+    k: usize,
+    pps: f64,
+    truth: &str,
+) -> AccuracyReport {
+    let report = evaluate_topk(top, oracle, k);
     println!(
-        "memory: {} bytes | precision {:.4} | ARE {:.4} | AAE {:.1} | {:.2} Mps",
-        algo.memory_bytes(),
+        "memory: {memory_bytes} bytes | precision {:.4} | ARE {:.4} | AAE {:.1} | {:.2} Mps",
         report.precision,
         report.are,
         report.aae,
-        trace.len() as f64 / secs / 1e6
+        pps / 1e6
     );
     println!(
         "{:>6} {:>14} {:>14} {:>14}",
-        "rank", "flow", "estimated", "window-true"
+        "rank", "flow", "estimated", truth
     );
     for (rank, (flow, est)) in top.iter().take(k.min(20)).enumerate() {
         println!(
@@ -548,7 +498,7 @@ where
             oracle.count(flow)
         );
     }
-    Ok(report)
+    report
 }
 
 /// `hk generate`.
@@ -592,7 +542,6 @@ pub fn analyze(args: &Args) -> Result<(), CliError> {
     let start = Instant::now();
     algo.insert_all(&trace.packets);
     let secs = start.elapsed().as_secs_f64();
-    let report = evaluate_topk(&algo.top_k(), &oracle, k);
 
     println!(
         "{} on {} ({} packets, {} flows)",
@@ -601,25 +550,8 @@ pub fn analyze(args: &Args) -> Result<(), CliError> {
         trace.len(),
         oracle.distinct_flows()
     );
-    println!(
-        "memory: {} bytes | precision {:.4} | ARE {:.4} | AAE {:.1} | {:.2} Mps",
-        algo.memory_bytes(),
-        report.precision,
-        report.are,
-        report.aae,
-        trace.len() as f64 / secs / 1e6
-    );
-    println!(
-        "{:>6} {:>14} {:>14} {:>14}",
-        "rank", "flow", "estimated", "true"
-    );
-    for (rank, (flow, est)) in algo.top_k().iter().take(k.min(20)).enumerate() {
-        println!(
-            "{:>6} {flow:>14} {est:>14} {:>14}",
-            rank + 1,
-            oracle.count(flow)
-        );
-    }
+    let pps = trace.len() as f64 / secs;
+    print_report(algo.memory_bytes(), &algo.top_k(), &oracle, k, pps, "true");
     Ok(())
 }
 
@@ -970,16 +902,7 @@ pub fn fleet(args: &Args) -> Result<(), CliError> {
         println!("{:>6} {flow:>14} {est:>14} {oracle_est:>14}", rank + 1);
     }
 
-    let bound: f64 = args.num_or("min-recall", -1.0)?;
-    if bound >= 0.0 {
-        if recall < bound {
-            return Err(CliError::Run(format!(
-                "fleet recall {recall:.4} below --min-recall {bound:.4}"
-            )));
-        }
-        println!("recall bound {bound:.2} satisfied");
-    }
-    Ok(())
+    enforce_min_recall(args, "fleet recall", recall)
 }
 
 /// `hk lint`: run the workspace invariant lint (see `crates/lint`).
@@ -1100,7 +1023,7 @@ mod tests {
         .unwrap();
         generate(&gen).unwrap();
 
-        // Every engine-path run writes the engine's built-in snapshot.
+        // Every run writes the engine's built-in snapshot.
         let run_json = |extra: &[&str]| {
             let mut argv = vec![
                 "run",
@@ -1110,8 +1033,6 @@ mod tests {
                 "64",
                 "--k",
                 "10",
-                "--shards",
-                "2",
                 "--stats-json",
                 stats_s,
             ];
@@ -1120,21 +1041,25 @@ mod tests {
             std::fs::read_to_string(&stats).unwrap()
         };
 
-        // A plain sharded run, with no setup: every packet dispatched
-        // and ingested, none lost.
-        let json = run_json(&[]);
-        assert!(json.contains("\"dispatch_packets\": 30000,"), "{json}");
-        assert!(json.contains("\"lost_packets\": 0\n"), "{json}");
-        let ingested: u64 = json
-            .lines()
-            .filter_map(|l| l.split("\"ingest_packets\": ").nth(1))
-            .map(|v| v.split(',').next().unwrap().parse::<u64>().unwrap())
-            .sum();
-        assert_eq!(ingested, 30_000, "{json}");
+        // A plain run, with no setup, at the default one shard and at
+        // two: every packet dispatched and ingested, none lost.
+        for extra in [&[][..], &["--shards", "2"]] {
+            let json = run_json(extra);
+            assert!(json.contains("\"dispatch_packets\": 30000,"), "{json}");
+            assert!(json.contains("\"lost_packets\": 0\n"), "{json}");
+            let ingested: u64 = json
+                .lines()
+                .filter_map(|l| l.split("\"ingest_packets\": ").nth(1))
+                .map(|v| v.split(',').next().unwrap().parse::<u64>().unwrap())
+                .sum();
+            assert_eq!(ingested, 30_000, "{json}");
+        }
 
         // One faulted, recovered, resharded engine run: the snapshot
         // must tell the whole story.
         let json = run_json(&[
+            "--shards",
+            "2",
             "--fault",
             "kill:1@8000",
             "--recover",
@@ -1145,22 +1070,6 @@ mod tests {
         assert!(json.contains("\"ingest_packets\""), "{json}");
         assert!(json.contains("\"kind\": \"recovery\""), "{json}");
         assert!(json.contains("\"kind\": \"reshard_phase\""), "{json}");
-
-        // A run that never builds the engine has nothing to observe —
-        // refused up front, not silently empty.
-        let bare = Args::parse(&sv(&[
-            "run",
-            "--trace",
-            trace_s,
-            "--memory-kb",
-            "16",
-            "--k",
-            "10",
-            "--stats-json",
-            stats_s,
-        ]))
-        .unwrap();
-        assert!(matches!(run_stream(&bare), Err(CliError::Usage(_))));
 
         std::fs::remove_file(&trace).ok();
         std::fs::remove_file(&stats).ok();
@@ -1191,7 +1100,7 @@ mod tests {
         .unwrap();
         generate(&gen).unwrap();
 
-        // Batched single-instance run.
+        // Batched run at the default one shard.
         let run = Args::parse(&sv(&[
             "run",
             "--trace",
@@ -1260,6 +1169,67 @@ mod tests {
         let bad = Args::parse(&sv(&["run", "--trace", path_s, "--shards", "0"])).unwrap();
         assert!(run_stream(&bad).is_err());
         std::fs::remove_file(&path).ok();
+    }
+
+    /// `hk run` streams through the engine, one shard by default. A
+    /// one-shard engine must report the same name and the same (flow,
+    /// estimate) set as the bare instance fed the same chunks, for
+    /// every algorithm and for the sliding window. Sets, not rank
+    /// order: the engine breaks count ties on key bytes, the bare
+    /// store in its own order.
+    #[test]
+    fn one_shard_engine_answers_like_the_bare_instance() {
+        use hk_common::algorithm::EpochRotate;
+        use hk_metrics::throughput::{ingest_windowed, IngestMode};
+        use std::collections::BTreeSet;
+
+        type Answer = (&'static str, BTreeSet<(u64, u64)>);
+        fn steady<A: TopKAlgorithm<u64>>(algo: &mut A, packets: &[u64], batch: usize) -> Answer {
+            for chunk in packets.chunks(batch) {
+                algo.insert_batch(chunk);
+            }
+            (algo.name(), algo.top_k().into_iter().collect())
+        }
+        fn windowed<A: TopKAlgorithm<u64> + EpochRotate>(
+            algo: &mut A,
+            packets: &[u64],
+            batch: usize,
+        ) -> Answer {
+            ingest_windowed(algo, packets, IngestMode::Batched(batch), 5000);
+            (algo.name(), algo.top_k().into_iter().collect())
+        }
+
+        // CI's smoke trace and its tight-sketch run geometry.
+        let packets = sampled_zipf(40_000, 4000, 1.1, 3).packets;
+        let (mem, k, seed, batch) = (4 * 1024, 20, 1, 1024);
+        for &name in ALGO_NAMES {
+            let bare = steady(&mut make_algo(name, mem, k, seed).unwrap(), &packets, batch);
+            let engine = if name == "parallel" {
+                let mut engine = ShardedEngine::from_fn(1, k, |_| {
+                    ParallelTopK::<u64>::with_memory(mem, k, seed)
+                });
+                steady(&mut engine, &packets, batch)
+            } else {
+                let algo = make_algo(name, mem, k, seed).unwrap();
+                steady(
+                    &mut ShardedEngine::from_shards(vec![algo], k),
+                    &packets,
+                    batch,
+                )
+            };
+            assert!(!bare.1.is_empty(), "{name}");
+            assert_eq!(engine, bare, "{name}");
+        }
+
+        let ring = || SlidingTopK::<u64>::with_memory(32 * 1024, k, seed, 4);
+        let bare = windowed(&mut ring(), &packets, batch);
+        let engine = windowed(
+            &mut ShardedEngine::from_fn(1, k, |_| ring()),
+            &packets,
+            batch,
+        );
+        assert_eq!(bare.1.len(), k);
+        assert_eq!(engine, bare);
     }
 
     #[test]

@@ -588,6 +588,9 @@ pub struct ShardedEngine<K: FlowKey, A: TopKAlgorithm<K>> {
     /// record of deaths, recoveries and reshard phases (see the module
     /// docs).
     obs: ObsHub,
+    /// The first shard's algorithm name, reported as the engine's own.
+    /// A reshard rebuilds shards of the same `A`, so it never changes.
+    name: &'static str,
 }
 
 impl<K, A> ShardedEngine<K, A>
@@ -615,6 +618,7 @@ where
         assert!(!shards.is_empty(), "need at least one shard");
         assert!(k > 0, "k must be positive");
         let n = shards.len();
+        let name = shards[0].name();
         let first_spec = shards[0].hash_spec();
         // Handoff mode needs both halves: every shard must *accept* the
         // same prepared keys (equal specs) and actually *read* them
@@ -652,6 +656,7 @@ where
             auto_recover: false,
             fault_plan: None,
             obs,
+            name,
         }
     }
 
@@ -1609,8 +1614,10 @@ where
             .sum()
     }
 
+    /// The shards' algorithm name: an engine of `HK-Parallel` shards
+    /// reports as `HK-Parallel`.
     fn name(&self) -> &'static str {
-        "Sharded"
+        self.name
     }
 }
 
@@ -1796,7 +1803,7 @@ mod tests {
         let top = engine.top_k();
         let hits = top.iter().filter(|&&(f, _)| f < 5).count();
         assert!(hits >= 4, "top = {top:?}");
-        assert_eq!(engine.name(), "Sharded");
+        assert_eq!(engine.name(), "HK-Basic");
         assert!(engine.memory_bytes() >= 3 * BasicTopK::<u64>::new(cfg(256, 5)).memory_bytes());
     }
 
