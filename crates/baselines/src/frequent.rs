@@ -12,7 +12,7 @@
 //! accuracy (not speed) is the problem.
 
 use hk_common::algorithm::TopKAlgorithm;
-use hk_common::key::FlowKey;
+use hk_common::key::{rank_order, FlowKey};
 use std::collections::HashMap;
 
 /// Per-entry memory charge: flow ID + 32-bit counter.
@@ -86,7 +86,7 @@ impl<K: FlowKey> TopKAlgorithm<K> for FrequentTopK<K> {
 
     fn top_k(&self) -> Vec<(K, u64)> {
         let mut v: Vec<(K, u64)> = self.counters.iter().map(|(k, &c)| (*k, c)).collect();
-        v.sort_by_key(|&(_, c)| std::cmp::Reverse(c));
+        v.sort_by(rank_order);
         v.truncate(self.k);
         v
     }
@@ -114,6 +114,28 @@ mod tests {
             }
         }
         assert_eq!(fr.top_k()[0], (4, 15));
+    }
+
+    #[test]
+    fn ties_across_the_kth_place_break_on_key_bytes() {
+        // Forty flows tie at 3 behind one elephant; k = 5 cuts through
+        // the tie. Two instances hash their maps differently, yet both
+        // report the same flows in the same order.
+        let report = || {
+            let mut fr = FrequentTopK::<u64>::new(64, 5);
+            for _ in 0..3 {
+                for f in 0..40u64 {
+                    fr.insert(&f);
+                }
+            }
+            for _ in 0..10 {
+                fr.insert(&100);
+            }
+            fr.top_k()
+        };
+        let want = vec![(100, 10), (0, 3), (1, 3), (2, 3), (3, 3)];
+        assert_eq!(report(), want);
+        assert_eq!(report(), want);
     }
 
     #[test]

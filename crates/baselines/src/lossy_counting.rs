@@ -14,7 +14,7 @@
 //! same spirit as the paper's fixed-size C++ implementation.
 
 use hk_common::algorithm::TopKAlgorithm;
-use hk_common::key::FlowKey;
+use hk_common::key::{rank_order, FlowKey};
 use std::collections::HashMap;
 
 /// Per-entry memory charge: flow ID + 32-bit count + 32-bit Δ.
@@ -139,7 +139,7 @@ impl<K: FlowKey> TopKAlgorithm<K> for LossyCountingTopK<K> {
             .iter()
             .map(|(k, e)| (*k, e.count + e.delta))
             .collect();
-        v.sort_by_key(|&(_, c)| std::cmp::Reverse(c));
+        v.sort_by(rank_order);
         v.truncate(self.k);
         v
     }
@@ -168,6 +168,28 @@ mod tests {
         }
         // With ample space and few windows, heavy flows are exact.
         assert_eq!(lc.top_k()[0], (4, 35));
+    }
+
+    #[test]
+    fn ties_across_the_kth_place_break_on_key_bytes() {
+        // Forty flows tie at 3 behind one elephant, within one window;
+        // k = 5 cuts through the tie. Two instances hash their tables
+        // differently, yet both report the same flows in the same order.
+        let report = || {
+            let mut lc = LossyCountingTopK::<u64>::new(1_000, 5);
+            for _ in 0..3 {
+                for f in 0..40u64 {
+                    lc.insert(&f);
+                }
+            }
+            for _ in 0..10 {
+                lc.insert(&100);
+            }
+            lc.top_k()
+        };
+        let want = vec![(100, 10), (0, 3), (1, 3), (2, 3), (3, 3)];
+        assert_eq!(report(), want);
+        assert_eq!(report(), want);
     }
 
     #[test]

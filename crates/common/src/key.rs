@@ -60,7 +60,10 @@ impl AsRef<[u8]> for KeyBytes {
 /// that re-buffers keys (the sharded dispatch plane partitioning a
 /// batch into per-shard sub-batches, ring transfers, top-k reports) is
 /// a plain store into a recycled buffer, never a per-packet `clone()`
-/// that could hide an allocation.
+/// that could hide an allocation. Being plain data, a key is also
+/// `Send + Sync`, so every structure holding keys can cross threads:
+/// the sharded engine's shard workers and the telemetry fleet's
+/// per-switch fan-out rely on it.
 ///
 /// # Examples
 ///
@@ -69,7 +72,7 @@ impl AsRef<[u8]> for KeyBytes {
 /// let id: u64 = 42;
 /// assert_eq!(id.key_bytes().as_slice(), &42u64.to_le_bytes());
 /// ```
-pub trait FlowKey: Eq + Hash + Copy {
+pub trait FlowKey: Eq + Hash + Copy + Send + Sync {
     /// Width of the byte encoding, used for memory accounting (how many
     /// bytes a structure storing full flow IDs is charged per entry).
     const ENCODED_LEN: usize;
@@ -86,6 +89,15 @@ pub trait FlowKey: Eq + Hash + Copy {
     fn from_key_bytes(_bytes: &[u8]) -> Option<Self> {
         None
     }
+}
+
+/// The order a reported top-k is ranked in: count descending, ties by
+/// key bytes ascending. A report drawn from a hash map sorted by count
+/// alone would order tied flows by the map's per-instance hash order,
+/// and a tie across the k-th place would change the reported set.
+pub fn rank_order<K: FlowKey>(a: &(K, u64), b: &(K, u64)) -> std::cmp::Ordering {
+    b.1.cmp(&a.1)
+        .then_with(|| a.0.key_bytes().as_slice().cmp(b.0.key_bytes().as_slice()))
 }
 
 impl FlowKey for u64 {

@@ -22,11 +22,14 @@
 //! * [`varint`] — LEB128 varints and run-length-encoded bitmaps, the
 //!   coding substrate of the epoch records in windowed telemetry frames.
 //! * [`prng`] — a tiny, fast xorshift PRNG used for decay coin flips.
+//! * [`fan_out`] — independent per-item work spread over scoped threads,
+//!   results in item order (the telemetry fleet's per-switch work).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod algorithm;
+pub mod fan_out;
 pub mod fingerprint;
 pub mod hash;
 pub mod key;

@@ -66,7 +66,8 @@ use crate::sketch::HkSketch;
 use crate::sliding::SlidingTopK;
 use crate::wire::{DirtyPatch, FrameBody, WindowFrame, WireError};
 use hk_common::algorithm::TopKAlgorithm;
-use hk_common::key::FlowKey;
+use hk_common::fan_out::{fan_out, threads_for};
+use hk_common::key::{rank_order, FlowKey};
 
 /// Why a wire submission failed.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -166,6 +167,16 @@ struct SwitchWindow<K: FlowKey> {
     /// Compared against the collector's running clock by
     /// [`Collector::stale_switches`] to spot switches gone silent.
     last_progress: u64,
+}
+
+/// One switch's share of a [`Collector::submit_window_frames`] batch:
+/// its replica and no-snapshot flag, taken out of the collector, and
+/// its frames in batch order.
+struct SwitchBatch<K: FlowKey> {
+    switch: u64,
+    window: Option<SwitchWindow<K>>,
+    no_snapshot: bool,
+    frames: Vec<WindowFrame<K>>,
 }
 
 impl<K: FlowKey> SwitchWindow<K> {
@@ -366,7 +377,7 @@ impl<K: FlowKey> Collector<K> {
             };
             (*key, est)
         }));
-        candidates.sort_by_key(|&(_, c)| std::cmp::Reverse(c));
+        candidates.sort_by(rank_order);
         candidates.truncate(self.k);
         // The caller owns its report; only this exact-size copy leaves.
         candidates.clone()
@@ -389,7 +400,8 @@ impl<K: FlowKey> Collector<K> {
     /// Submits one windowed telemetry frame
     /// ([`SlidingTopK::export_frame`], [`SlidingTopK::export_dirty`] or
     /// [`SlidingTopK::export_delta`] bytes) and reassembles the
-    /// submitting switch's epoch ring.
+    /// submitting switch's epoch ring: the batch of one
+    /// ([`Collector::submit_window_frames`]).
     ///
     /// * A **full** frame installs (or re-anchors) the switch's
     ///   [`SlidingTopK`] replica at the frame's rotation and clears any
@@ -426,41 +438,145 @@ impl<K: FlowKey> Collector<K> {
         &mut self,
         payload: &[u8],
     ) -> Result<WindowSubmit, WindowSubmitError> {
-        let out = WindowFrame::<K>::parse(payload)
-            .map_err(WindowSubmitError::Wire)
-            .and_then(|frame| self.submit_window_inner(frame));
-        if out.is_err() {
-            self.window_frames_rejected += 1;
+        self.submit_window_frames(&[payload])
+            .pop()
+            .expect("one outcome per frame")
+    }
+
+    /// Submits a batch of window frames, in order, and returns each
+    /// frame's outcome in the same order: exactly what submitting them
+    /// one by one through [`Collector::submit_window_frame`] returns,
+    /// with the same replicas, resync flags, staleness clock and
+    /// rejection count afterwards.
+    ///
+    /// Every frame is parsed on the caller's thread and grouped by
+    /// switch, keeping each switch's frames in batch order. Switches
+    /// share no replica state, so the groups run side by side
+    /// ([`hk_common::fan_out`]) when the batch's dirty bytes are worth
+    /// a thread; each group runs its frames in order. Then one ordered
+    /// pass over the batch ticks the clock for every frame that ticks
+    /// it, stamps each replica with its switch's last tick, and counts
+    /// the rejections. The answers do not depend on the thread count.
+    pub fn submit_window_frames(
+        &mut self,
+        payloads: &[&[u8]],
+    ) -> Vec<Result<WindowSubmit, WindowSubmitError>> {
+        // An apply walks its dirty record at about 0.69 ms per 150 KB
+        // (4.6 ns a byte), and a scoped spawn and join costs about
+        // 43 µs, the walk of 9.4 KB. A thread gets a share of 64 KiB or
+        // more, so its spawn costs at most about a seventh of its work:
+        // a W = 4 ring of 1 MiB epochs ships about 150 KB per rotation,
+        // and a small fleet's frames stay on the caller.
+        const APPLY_SHARE_BYTES: usize = 64 << 10;
+        let mut groups: Vec<SwitchBatch<K>> = Vec::new();
+        let mut dirty_bytes = 0;
+        let routed: Vec<Result<usize, WindowSubmitError>> = payloads
+            .iter()
+            .map(|payload| {
+                let frame = WindowFrame::<K>::parse(payload).map_err(WindowSubmitError::Wire)?;
+                if matches!(frame.body, FrameBody::Dirty(_)) {
+                    dirty_bytes += payload.len();
+                }
+                let switch = frame.switch_id;
+                let g = match groups.iter().position(|g| g.switch == switch) {
+                    Some(g) => g,
+                    None => {
+                        groups.push(SwitchBatch {
+                            switch,
+                            window: self.windows.remove(&switch),
+                            no_snapshot: self.resync_no_snapshot.contains(&switch),
+                            frames: Vec::new(),
+                        });
+                        groups.len() - 1
+                    }
+                };
+                groups[g].frames.push(frame);
+                Ok(g)
+            })
+            .collect();
+        let threads = threads_for(dirty_bytes, APPLY_SHARE_BYTES);
+        let mut steps = fan_out(&mut groups, threads, |_, g| {
+            let frames = std::mem::take(&mut g.frames);
+            let steps: Vec<_> = frames
+                .into_iter()
+                .map(|frame| Self::submit_window_step(&mut g.window, &mut g.no_snapshot, frame))
+                .collect();
+            steps.into_iter()
+        });
+        let out = routed
+            .into_iter()
+            .map(|routed| {
+                let out = routed.and_then(|g| {
+                    let (out, ticks) = steps[g].next().expect("one step per frame");
+                    if ticks {
+                        // Any decodable frame naming the switch proves
+                        // it alive: the liveness stamp is the frame's
+                        // tick, whatever the frame did.
+                        self.clock += 1;
+                        if let Some(entry) = &mut groups[g].window {
+                            entry.last_progress = self.clock;
+                        }
+                    }
+                    out
+                });
+                if out.is_err() {
+                    self.window_frames_rejected += 1;
+                }
+                out
+            })
+            .collect();
+        for g in groups {
+            if g.no_snapshot {
+                self.resync_no_snapshot.insert(g.switch);
+            } else {
+                self.resync_no_snapshot.remove(&g.switch);
+            }
+            if let Some(entry) = g.window {
+                self.windows.insert(g.switch, entry);
+            }
         }
         out
     }
 
-    fn submit_window_inner(
-        &mut self,
+    /// One frame's step on its switch's replica (`None` before any
+    /// snapshot) and no-snapshot resync flag. Returns the outcome and
+    /// whether the frame ticks the collector's clock: every decodable
+    /// frame does, except a dirty frame refused by the walk that runs
+    /// before the stamp. The caller stamps the replica's
+    /// `last_progress` with that tick.
+    fn submit_window_step(
+        slot: &mut Option<SwitchWindow<K>>,
+        no_snapshot: &mut bool,
         frame: WindowFrame<K>,
-    ) -> Result<WindowSubmit, WindowSubmitError> {
-        let switch = frame.switch_id;
+    ) -> (Result<WindowSubmit, WindowSubmitError>, bool) {
         if let FrameBody::Dirty(patch) = &frame.body {
             // Only the next rotation on the replica's own geometry is
             // walked by its apply; every other patch is walked here.
-            let applies_next = self.windows.get(&switch).is_some_and(|entry| {
+            let applies_next = slot.as_ref().is_some_and(|entry| {
                 frame.rotation.checked_sub(1) == Some(entry.replica.rotations())
                     && frame.window == entry.replica.window()
                     && patch.width() == entry.replica.config().width
             });
             if !applies_next {
-                patch.check().map_err(WindowSubmitError::Wire)?;
+                if let Err(e) = patch.check() {
+                    return (Err(WindowSubmitError::Wire(e)), false);
+                }
             }
         }
-        // Any decodable frame naming the switch proves it alive, so the
-        // liveness stamp lands before the protocol decides what the
-        // frame does (even a duplicate resets the idle counter).
-        self.clock += 1;
-        let now = self.clock;
+        (Self::submit_window_stamped(slot, no_snapshot, frame), true)
+    }
+
+    /// The protocol step of a frame that ticked the clock (see
+    /// [`Collector::submit_window_frame`]).
+    fn submit_window_stamped(
+        slot: &mut Option<SwitchWindow<K>>,
+        no_snapshot: &mut bool,
+        frame: WindowFrame<K>,
+    ) -> Result<WindowSubmit, WindowSubmitError> {
+        let switch = frame.switch_id;
         match frame.body {
             FrameBody::Full(window) => {
-                if let Some(entry) = self.windows.get_mut(&switch) {
-                    entry.last_progress = now;
+                if let Some(entry) = slot {
                     // The frame carries the ring's own config, base
                     // array count included.
                     if entry.replica.window() != window.window()
@@ -477,27 +593,24 @@ impl<K: FlowKey> Collector<K> {
                     entry.replica = window;
                     Self::drain_pending(entry);
                 } else {
-                    self.resync_no_snapshot.remove(&switch);
-                    self.windows.insert(
-                        switch,
-                        SwitchWindow {
-                            max_seen: window.rotations(),
-                            replica: window,
-                            pending: BTreeMap::new(),
-                            last_progress: now,
-                        },
-                    );
+                    *no_snapshot = false;
+                    *slot = Some(SwitchWindow {
+                        max_seen: window.rotations(),
+                        replica: window,
+                        pending: BTreeMap::new(),
+                        // Stamped by the caller with this frame's tick.
+                        last_progress: 0,
+                    });
                 }
                 Ok(WindowSubmit::Snapshot)
             }
             FrameBody::Dirty(patch) => {
-                let Some(entry) = self.windows.get_mut(&switch) else {
+                let Some(entry) = slot else {
                     // No ring to commit the epoch into; ask for a
                     // snapshot.
-                    self.resync_no_snapshot.insert(switch);
+                    *no_snapshot = true;
                     return Err(WindowSubmitError::NoSnapshot { switch });
                 };
-                entry.last_progress = now;
                 // A dirty frame carries no epoch config (the patch is
                 // config-free by construction); ring identity is checked
                 // on the geometry it does carry. Seed/decay mismatches
@@ -686,10 +799,7 @@ impl<K: FlowKey> Collector<K> {
                 }
             }
         }
-        candidates.sort_by(|a, b| {
-            b.1.cmp(&a.1)
-                .then_with(|| a.0.key_bytes().as_slice().cmp(b.0.key_bytes().as_slice()))
-        });
+        candidates.sort_by(rank_order);
         candidates.truncate(self.k);
         candidates.clone()
     }
@@ -811,6 +921,22 @@ mod tests {
         c.submit_report(vec![(1u64, u64::MAX - 5)]);
         c.submit_report(vec![(1u64, 100)]);
         assert_eq!(c.top_k(), vec![(1, u64::MAX)]);
+    }
+
+    #[test]
+    fn report_ties_across_the_kth_place_break_on_key_bytes() {
+        // Forty flows tie at 3 behind one elephant; k = 5 cuts through
+        // the tie. Two collectors hash their maps differently, yet both
+        // report the same flows in the same order.
+        let report = || {
+            let mut c = Collector::new(5, AggregationRule::Sum);
+            c.submit_report((0..40u64).map(|f| (f, 3)).collect());
+            c.submit_report(vec![(100, 10)]);
+            c.top_k()
+        };
+        let want = vec![(100, 10), (0, 3), (1, 3), (2, 3), (3, 3)];
+        assert_eq!(report(), want);
+        assert_eq!(report(), want);
     }
 
     #[test]

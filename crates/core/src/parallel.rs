@@ -97,6 +97,12 @@ impl<K: FlowKey> ParallelTopK<K> {
         Self::new(cfg)
     }
 
+    /// The batch-prolog scratch: a sliding window keeps one per ring
+    /// and moves it to the open epoch at each rotation.
+    pub(crate) fn scratch_mut(&mut self) -> &mut PreparedBatch {
+        &mut self.scratch
+    }
+
     /// Read access to the underlying sketch.
     pub fn sketch(&self) -> &HkSketch {
         &self.sketch

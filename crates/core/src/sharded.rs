@@ -152,7 +152,7 @@ use crate::spsc::{PushError, SpscRing};
 use hk_common::algorithm::{
     EpochRotate, PreparedInsert, ShardCheckpoint, ShardReshard, TopKAlgorithm,
 };
-use hk_common::key::FlowKey;
+use hk_common::key::{rank_order, FlowKey};
 use hk_common::prepared::{HashSpec, PreparedKey};
 use hk_obs::{EventKind, ObsHub, ReshardStage, Snapshot, WorkerObs};
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
@@ -595,7 +595,7 @@ pub struct ShardedEngine<K: FlowKey, A: TopKAlgorithm<K>> {
 
 impl<K, A> ShardedEngine<K, A>
 where
-    K: FlowKey + Send + 'static,
+    K: FlowKey + 'static,
     A: PreparedInsert<K> + Send + 'static,
 {
     /// Builds the engine from pre-configured shard instances, reporting
@@ -1298,7 +1298,7 @@ where
 
 impl<K, A> ShardedEngine<K, A>
 where
-    K: FlowKey + Send + 'static,
+    K: FlowKey + 'static,
     A: PreparedInsert<K> + ShardReshard<K> + Send + 'static,
 {
     /// Changes the shard count **under traffic**: a phase-structured
@@ -1549,7 +1549,7 @@ where
 
 impl<K, A> TopKAlgorithm<K> for ShardedEngine<K, A>
 where
-    K: FlowKey + Send + 'static,
+    K: FlowKey + 'static,
     A: PreparedInsert<K> + Send + 'static,
 {
     fn insert(&mut self, key: &K) {
@@ -1597,10 +1597,7 @@ where
         // Flows are partitioned, so the union has no duplicates; the
         // global top-k is the k largest. Ties break on key bytes so the
         // report is deterministic.
-        all.sort_by(|a, b| {
-            b.1.cmp(&a.1)
-                .then_with(|| a.0.key_bytes().as_slice().cmp(b.0.key_bytes().as_slice()))
-        });
+        all.sort_by(rank_order);
         all.truncate(self.k);
         all
     }
@@ -1623,7 +1620,7 @@ where
 
 impl<K, A> ShardedEngine<K, A>
 where
-    K: FlowKey + Send + 'static,
+    K: FlowKey + 'static,
     A: PreparedInsert<K> + EpochRotate + Send + 'static,
 {
     /// Crosses one period boundary on **every** shard, phase-aligned:
@@ -1651,7 +1648,7 @@ where
 
 impl<K, A> EpochRotate for ShardedEngine<K, A>
 where
-    K: FlowKey + Send + 'static,
+    K: FlowKey + 'static,
     A: PreparedInsert<K> + EpochRotate + Send + 'static,
 {
     /// [`ShardedEngine::rotate_all`] through the infallible trait
@@ -1678,7 +1675,7 @@ impl<K: FlowKey, A: TopKAlgorithm<K>> Drop for ShardedEngine<K, A> {
     }
 }
 
-impl<K: FlowKey + Send + 'static> ShardedEngine<K, ParallelTopK<K>> {
+impl<K: FlowKey + 'static> ShardedEngine<K, ParallelTopK<K>> {
     /// An engine of `shards` Parallel-variant instances. Each shard gets
     /// `cfg` with its width divided by the shard count, so total sketch
     /// memory matches a single `cfg` instance; all shards share `cfg`'s

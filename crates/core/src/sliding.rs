@@ -248,10 +248,11 @@ impl<K: FlowKey> SlidingTopK<K> {
 
     /// Processes a batch into the newest epoch through the batch-first
     /// pipeline: one prepared-batch prehash + slot-table prolog, then a
-    /// pre-touched block walk ([`ParallelTopK::insert_batch`]). The
-    /// prolog scratch lives on the epoch and is recycled with it, and a
-    /// rotation clears the recycled epoch's top-k store in place, so
-    /// steady-state windowed ingest refills allocations the epoch
+    /// pre-touched block walk ([`ParallelTopK::insert_batch`]). Only
+    /// the open epoch ingests, so the ring keeps one prolog scratch,
+    /// which [`SlidingTopK::rotate`] hands to each new open epoch; and
+    /// a rotation clears the recycled epoch's top-k store in place, so
+    /// steady-state windowed ingest refills allocations the ring
     /// already holds.
     pub fn insert_batch(&mut self, keys: &[K]) {
         self.newest_mut().insert_batch(keys);
@@ -263,6 +264,9 @@ impl<K: FlowKey> SlidingTopK<K> {
     /// epoch ([`ParallelTopK::recycle`]), keeping the matrix's
     /// eagerly-populated pages hot instead of allocating afresh.
     pub fn rotate(&mut self) {
+        // Only the open epoch ingests: its batch scratch moves on to the
+        // next open epoch rather than each epoch growing its own.
+        let scratch = std::mem::take(self.newest_mut().scratch_mut());
         if self.epochs.len() == self.window {
             let mut evicted = self
                 .epochs
@@ -275,6 +279,7 @@ impl<K: FlowKey> SlidingTopK<K> {
         } else {
             self.epochs.push_back(ParallelTopK::new(self.cfg.clone()));
         }
+        *self.newest_mut().scratch_mut() = scratch;
         self.rotations += 1;
         self.open_fresh = true;
     }

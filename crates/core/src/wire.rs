@@ -72,7 +72,7 @@ use crate::decay::DecayFn;
 use crate::parallel::ParallelTopK;
 use crate::sliding::{max_rows, ring_bytes, SlidingTopK, MAX_RING_BYTES};
 use hk_common::algorithm::TopKAlgorithm;
-use hk_common::key::FlowKey;
+use hk_common::key::{rank_order, FlowKey};
 use std::marker::PhantomData;
 
 /// Magic prefix of a whole-stream sketch payload.
@@ -273,10 +273,7 @@ fn decode_config(r: &mut Reader<'_>) -> Result<HkConfig, WireError> {
 /// same bytes.
 fn canonical_top_k<K: FlowKey>(epoch: &ParallelTopK<K>) -> Vec<(K, u64)> {
     let mut top = epoch.top_k();
-    top.sort_by(|a, b| {
-        b.1.cmp(&a.1)
-            .then_with(|| a.0.key_bytes().as_slice().cmp(b.0.key_bytes().as_slice()))
-    });
+    top.sort_by(rank_order);
     top
 }
 

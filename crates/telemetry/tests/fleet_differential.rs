@@ -18,7 +18,7 @@
 
 use heavykeeper::sliding::SlidingTopK;
 use hk_common::key::FlowKey;
-use hk_telemetry::{window_digest, ExportMode, Fleet, FleetConfig};
+use hk_telemetry::{window_digest, ExportMode, Fleet, FleetConfig, FleetStats};
 
 /// Skewed deterministic stream: a few persistent elephants over a long
 /// mouse tail, shaped like the paper's workloads.
@@ -256,4 +256,78 @@ fn collector_windowed_topk_tracks_oracle_under_loss() {
         1.0,
         "after reconcile the collector view equals the oracle"
     );
+}
+
+/// A wide skewed stream: ten elephants over 200,000 mice, so every
+/// epoch's dirty frame runs to tens of kilobytes.
+fn wide_stream(n: usize, seed: u64) -> Vec<u64> {
+    let mut state = seed | 1;
+    (0..n)
+        .map(|_| {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            if state.is_multiple_of(5) {
+                state % 10
+            } else {
+                1000 + state % 200_000
+            }
+        })
+        .collect()
+}
+
+#[test]
+fn lossy_leased_fleet_above_the_thread_threshold_matches_the_sequential_run() {
+    // Periods of 65,536 packets, four switches of 1 MiB epochs and
+    // dirty frames of tens of kilobytes: ingest, rotate + export and
+    // the collector's applies each clear their threshold for running
+    // switches side by side. The channel loses and reorders frames,
+    // and switch 1's uplink is down for periods 1..6, so the lease
+    // evicts it and a resync re-admits it. Every figure pinned below
+    // was recorded from the fleet running one switch at a time.
+    let mut fleet = Fleet::<u64>::new(FleetConfig {
+        switches: 4,
+        window: 4,
+        epoch_packets: 65_536,
+        k: 50,
+        memory_bytes: 4 << 20,
+        seed: 3,
+        mode: ExportMode::Dirty,
+        loss: 0.05,
+        reorder: 0.2,
+        lease: 2,
+    });
+    for (period, chunk) in wide_stream(10 * 65_536, 5).chunks(65_536).enumerate() {
+        fleet.set_muted(1, (1..6).contains(&period));
+        fleet.ingest(chunk);
+        fleet.rotate();
+    }
+    let journal = fleet.obs().journal.snapshot();
+    let lifecycle = ["eviction", "readmission", "resync"].map(|e| journal.count_of(e));
+    assert_eq!(
+        *fleet.stats(),
+        FleetStats {
+            rotations: 10,
+            frames_sent: 44,
+            frames_delivered: 40,
+            frames_lost: 4,
+            frames_reordered: 7,
+            full_frames: 9,
+            dirty_frames: 35,
+            duplicates: 0,
+            bytes_sent: 5_328_480,
+            bytes_last_rotation: 500_210,
+        }
+    );
+    assert_eq!(lifecycle, [1, 1, 5]);
+
+    fleet.reconcile();
+    assert!(fleet.collector().resync_needed().is_empty());
+    for (i, sw) in fleet.switches().iter().enumerate() {
+        let replica = fleet
+            .collector()
+            .switch_window(i as u64)
+            .expect("reconcile installs every switch");
+        assert_bit_exact(replica, sw, &format!("switch {i} after reconcile"));
+    }
 }

@@ -5,7 +5,7 @@
 //! packet in a hash map — the memory-hungry approach the sketches exist
 //! to avoid, but exactly what offline evaluation needs.
 
-use hk_common::key::FlowKey;
+use hk_common::key::{rank_order, FlowKey};
 use std::collections::{HashMap, HashSet};
 
 /// Exact per-flow packet counter.
@@ -76,10 +76,7 @@ impl<K: FlowKey> ExactCounter<K> {
     /// results are stable across runs and platforms.
     pub fn top_k(&self, k: usize) -> Vec<(K, u64)> {
         let mut all: Vec<(K, u64)> = self.counts.iter().map(|(k, &c)| (*k, c)).collect();
-        all.sort_by(|a, b| {
-            b.1.cmp(&a.1)
-                .then_with(|| a.0.key_bytes().as_slice().cmp(b.0.key_bytes().as_slice()))
-        });
+        all.sort_by(rank_order);
         all.truncate(k);
         all
     }
